@@ -27,7 +27,6 @@ from .clusters import (
     Contour,
     cluster_at,
     cluster_event_probability,
-    event_exponents,
     outer_boundary,
     site_boundary,
     winding_number,
@@ -73,7 +72,6 @@ from .montecarlo import (
     bisect_threshold,
     estimate_crossing,
     estimate_origin_reach,
-    estimate_threshold,
     exact_origin_reach_probability,
 )
 
@@ -110,9 +108,7 @@ __all__ = [
     "enumerate_origin_clusters",
     "estimate_crossing",
     "estimate_origin_reach",
-    "estimate_threshold",
     "evaluate_polynomial",
-    "event_exponents",
     "exact_contour_counts",
     "exact_origin_reach_probability",
     "full_count_table",

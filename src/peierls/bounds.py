@@ -176,7 +176,6 @@ def truncated_q(
     c: float,
     r: int,
     *,
-    cluster_cap: int | None = None,
     events: dict[tuple[int, int], int] | None = None,
     counts: CountTable | None = None,
     mode: str = "analytic",
@@ -193,7 +192,7 @@ def truncated_q(
     if r < 4:
         raise ValueError(f"truncation length must be >= 4, got {r}")
     if events is None:
-        events = contour_event_table(r - 1, cluster_cap=cluster_cap) if r >= 5 else {}
+        events = contour_event_table(r - 1) if r >= 5 else {}
     terms = [n * c**w * (1.0 - c) ** b for (w, b), n in sorted(events.items())]
     q_truncated = 1.0 - (1.0 - c) - math.fsum(terms)
     coeffs = polynomial_coefficients(events)

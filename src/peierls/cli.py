@@ -196,11 +196,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_manifest(args) -> int:
-    with open(args.file) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(args.file) as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read manifest {args.file}: {exc.strerror}")
     if args.show:
         sys.stdout.write(_json_text(manifest))
         return 0
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("argv"), list):
+        raise ValueError(f"manifest {args.file} records no argv; nothing to verify")
     argv = list(manifest["argv"])
     if "--out" not in argv:
         raise ValueError("manifest records no --out prefix; nothing to verify")

@@ -6,12 +6,18 @@ contour keeps only the boundary sites that can be reached from infinity by an
 axis path whose other sites avoid both the cluster and its boundary; these
 sites always form a closed king-move cycle around the cluster, which this
 module constructs explicitly with counter-clockwise orientation.
+
+The package has one contour extractor, the bitboard core below: the exact
+census in :mod:`peierls.enumeration` calls it once per enumerated shape, and
+:func:`outer_boundary` builds on it for single clusters.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 from .errors import ContourError, EmptyClusterError, SiteOutsideWindow
 from .lattice import CoupledField, Site, neighbors4
@@ -23,7 +29,6 @@ __all__ = [
     "ESCAPES_WINDOW",
     "cluster_at",
     "cluster_event_probability",
-    "event_exponents",
     "outer_boundary",
     "site_boundary",
     "winding_number",
@@ -124,39 +129,71 @@ def cluster_at(field: CoupledField, c: float, site: Site):
     return Cluster(sites=sites, boundary=site_boundary(sites), origin=site)
 
 
-def _exterior_of(region: frozenset[Site]) -> set[Site]:
-    """Free sites of the bounding box (padded by 2) reachable from its border.
+# ---------------------------------------------------------------------------
+# Bit-parallel contour extraction.
+#
+# A site set is embedded as a bitboard in a w x h frame (bit y*w + x), padded
+# by 2 on every side so that its vacant boundary stays off the frame border
+# and the border ring lies in the exterior.  The site boundary, the exterior
+# flood fill, and the exposed contour are then a few big-integer operations
+# each.
+# ---------------------------------------------------------------------------
 
-    Axis flood fill over the complement of ``region``; because axis steps
-    cannot cross between diagonally adjacent region sites, the result is
-    exactly the unbounded complement component, clipped to the box.
+
+@lru_cache(maxsize=None)
+def _frame(w: int, h: int):
+    """(universe, not_left, not_right, border, w) masks of a w x h frame."""
+    universe = (1 << (w * h)) - 1
+    left = 0
+    for r in range(h):
+        left |= 1 << (r * w)
+    right = left << (w - 1)
+    row0 = (1 << w) - 1
+    rowtop = row0 << ((h - 1) * w)
+    return (universe, universe ^ left, universe ^ right, left | right | row0 | rowtop, w)
+
+
+def _nb4(bits: int, frame) -> int:
+    universe, not_left, not_right, _, w = frame
+    return (((bits & not_right) << 1) | ((bits & not_left) >> 1) | (bits << w) | (bits >> w)) & universe
+
+
+def _contour_bits(wbits: int, frame) -> tuple[int, int, int]:
+    """Bitboards ``(boundary, contour, exterior)`` of the cluster ``wbits``.
+
+    The exterior is the axis flood fill from the frame border over the sites
+    outside the cluster and its boundary; because axis steps cannot cross
+    between diagonally adjacent blocked sites, it is exactly the unbounded
+    complement component, clipped to the frame.  The contour keeps the
+    boundary sites with an axis neighbour in it.
     """
-    xs = [x for x, _ in region]
-    ys = [y for _, y in region]
-    x0, x1 = min(xs) - 2, max(xs) + 2
-    y0, y1 = min(ys) - 2, max(ys) + 2
-    start = (x0, y0)
-    ext = {start}
-    stack = [start]
-    while stack:
-        x, y = stack.pop()
-        for nb in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
-            nx, ny = nb
-            if x0 <= nx <= x1 and y0 <= ny <= y1 and nb not in ext and nb not in region:
-                ext.add(nb)
-                stack.append(nb)
-    return ext
+    bnd = _nb4(wbits, frame) & ~wbits
+    free = frame[0] & ~(wbits | bnd)
+    ext = frame[3] & free
+    while True:
+        grown = (ext | _nb4(ext, frame)) & free
+        if grown == ext:
+            break
+        ext = grown
+    return bnd, bnd & _nb4(ext, frame), ext
 
 
-def _filled_silhouette(region: frozenset[Site], exterior: set[Site]) -> set[Site]:
-    xs = [x for x, _ in region]
-    ys = [y for _, y in region]
-    filled = set()
-    for y in range(min(ys) - 2, max(ys) + 3):
-        for x in range(min(xs) - 2, max(xs) + 3):
-            if (x, y) not in exterior:
-                filled.add((x, y))
-    return filled
+def _bits_to_sites(bits: int, w: int) -> list[Site]:
+    out = []
+    while bits:
+        low = bits & -bits
+        idx = low.bit_length() - 1
+        out.append((idx % w, idx // w))
+        bits ^= low
+    return out
+
+
+def _bits_contour(gamma: int, ext: int, frame, x0: int, y0: int) -> Contour:
+    """The :class:`Contour` of :func:`_contour_bits` output, frame cell (0, 0) placed at (x0, y0)."""
+    w = frame[4]
+    sites = frozenset((x + x0, y + y0) for x, y in _bits_to_sites(gamma, w))
+    filled = {(x + x0, y + y0) for x, y in _bits_to_sites(frame[0] & ~ext, w)}
+    return Contour(sites=sites, cycle=_ccw_cycle(filled, sites))
 
 
 def _ccw_cycle(filled: set[Site], contour: set[Site]) -> tuple[Site, ...]:
@@ -218,50 +255,48 @@ def _ccw_cycle(filled: set[Site], contour: set[Site]) -> tuple[Site, ...]:
 def outer_boundary(cluster: Cluster) -> Contour:
     """Outer contour of a finite nonempty cluster.
 
-    Flood-fills the exterior of sites-plus-boundary inside a bounding box
-    padded by 2, keeps the boundary sites with an axis neighbour in the
-    unbounded exterior component (discarding sites that face only enclosed
-    holes), and orders them into a counter-clockwise king-move cycle.
+    Flood-fills the exterior of sites-plus-boundary inside a frame padded by
+    2, keeps the boundary sites with an axis neighbour in the unbounded
+    exterior component (discarding sites that face only enclosed holes), and
+    orders them into a counter-clockwise king-move cycle.
     """
     if not cluster.sites:
         raise EmptyClusterError("cannot take the outer boundary of an empty cluster")
-    region = frozenset(cluster.sites | cluster.boundary)
-    ext = _exterior_of(region)
-    gamma = {
-        u for u in cluster.boundary
-        if any(nb in ext for nb in neighbors4(u))
-    }
-    filled = _filled_silhouette(region, ext)
-    cycle = _ccw_cycle(filled, gamma)
-    return Contour(sites=frozenset(gamma), cycle=cycle)
+    x0 = min(x for x, _ in cluster.sites) - 2
+    y0 = min(y for _, y in cluster.sites) - 2
+    w = max(x for x, _ in cluster.sites) - x0 + 3
+    frame = _frame(w, max(y for _, y in cluster.sites) - y0 + 3)
+    wbits = 0
+    for x, y in cluster.sites:
+        wbits |= 1 << ((y - y0) * w + x - x0)
+    _, gamma, ext = _contour_bits(wbits, frame)
+    return _bits_contour(gamma, ext, frame, x0, y0)
 
 
-def winding_number(cycle: tuple[Site, ...], point: Site = (0, 0)) -> int:
+def winding_number(cycle: Sequence[Site], point: Site = (0, 0)) -> int:
     """Integer winding number of a closed lattice cycle around ``point``.
 
     Exact integer arithmetic; ``point`` must not lie on the cycle.  For the
     unit and diagonal steps used here a segment can only pass through a
     lattice point at its endpoints, so vertex avoidance is sufficient.
     """
-    px, py = point
     if point in cycle:
         raise ContourError(f"winding number undefined: {point} lies on the cycle")
+    px, py = point
+    x0, y0 = cycle[-1]
+    x0 -= px
+    y0 -= py
     wn = 0
-    n = len(cycle)
-    for i in range(n):
-        x0, y0 = cycle[i]
-        x1, y1 = cycle[(i + 1) % n]
-        if y0 <= py:
-            if y1 > py and (x1 - x0) * (py - y0) - (px - x0) * (y1 - y0) > 0:
+    for x1, y1 in cycle:
+        x1 -= px
+        y1 -= py
+        if y0 <= 0:
+            if y1 > 0 and x0 * y1 - x1 * y0 > 0:
                 wn += 1
-        elif y1 <= py and (x1 - x0) * (py - y0) - (px - x0) * (y1 - y0) < 0:
+        elif y1 <= 0 and x0 * y1 - x1 * y0 < 0:
             wn -= 1
+        x0, y0 = x1, y1
     return wn
-
-
-def event_exponents(cluster: Cluster) -> tuple[int, int]:
-    """The pair (|sites|, |boundary|) for exact-arithmetic callers."""
-    return len(cluster.sites), len(cluster.boundary)
 
 
 def cluster_event_probability(cluster: Cluster, c: float) -> float:
@@ -270,5 +305,4 @@ def cluster_event_probability(cluster: Cluster, c: float) -> float:
     Every site of the cluster must be occupied and every boundary site
     vacant, so the probability is ``c**|W| * (1-c)**|boundary|``.
     """
-    w, b = event_exponents(cluster)
-    return float(c**w * (1.0 - c) ** b)
+    return float(c ** len(cluster.sites) * (1.0 - c) ** len(cluster.boundary))

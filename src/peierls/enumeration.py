@@ -3,11 +3,12 @@
 The census counts, for each length k, the distinct outer contours of finite
 occupied clusters containing the origin.  It enumerates free-anchored cluster
 shapes once each (Redelmeier's algorithm), extracts every shape's outer
-contour with bit-parallel flood fills, and then accounts for the translates
-that place the origin inside the cluster; translates of one shape share one
-contour shape, so the per-translate work is a set union instead of a fresh
-traversal.  Distinct positions of the origin give distinct contours, exactly
-as distinct clusters at different positions are distinct events.
+contour with the bitboard extractor of :mod:`peierls.clusters`, and then
+accounts for the translates that place the origin inside the cluster;
+translates of one shape share one contour shape, so the per-translate work is
+a set union instead of a fresh traversal.  Distinct positions of the origin
+give distinct contours, exactly as distinct clusters at different positions
+are distinct events.
 
 Completeness of a size-capped enumeration rests on two facts.  A cluster
 always lies strictly inside its own contour, and a closed king-move cycle
@@ -30,17 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .clusters import (
-    Cluster,
-    Contour,
-    _ccw_cycle,
-    _exterior_of,
-    _filled_silhouette,
-    site_boundary,
-    winding_number,
-)
+# Functions of peierls.clusters are called through the module: several run
+# once per shape or per circuit closure (millions of calls at k=12), and
+# perfbench/tracing.py records a span for every call of a function imported
+# by name into this module.
+from . import clusters
+from .clusters import Cluster, Contour
 from .errors import CapExceeded, ContourError, IncompletenessError, NoRayIntersection
 from .lattice import NEIGHBOR_OFFSETS_8, Site
 
@@ -58,12 +56,11 @@ __all__ = [
     "walk_bound",
 ]
 
-#: Offsets a counter-clockwise contour can take after its nearest ray site:
-#: E, NE, N, NW, plus the east dip SE.  The dip occurs when the nearest ray
-#: site is a pocket mouth and the contour touches the axis from below (both
-#: cycle neighbours have y = -1); it is classified together with the straight
-#: east step, keeping four classes per ray distance.
-FIRST_STEP_OFFSETS: tuple[Site, ...] = ((1, 0), (1, 1), (0, 1), (-1, 1), (1, -1))
+#: Class index of each offset a counter-clockwise contour can take after its
+#: nearest ray site: E, NE, N, NW, plus the east dip SE.  The dip occurs when
+#: the nearest ray site is a pocket mouth and the contour touches the axis
+#: from below (both cycle neighbours have y = -1); it is classified together
+#: with the straight east step, keeping four classes per ray distance.
 _FIRST_STEP_INDEX = {(1, 0): 1, (1, 1): 2, (0, 1): 3, (-1, 1): 4, (1, -1): 1}
 
 
@@ -148,7 +145,7 @@ def enumerate_origin_clusters(max_cluster_size: int, *, limit: int = 20_000_000)
     for shape in _iter_shapes(max_cluster_size):
         cells = [_decode(e) for e in shape]
         sites = frozenset(cells)
-        bnd = site_boundary(sites)
+        bnd = clusters.site_boundary(sites)
         for cx, cy in cells:
             produced += 1
             if produced > limit:
@@ -160,34 +157,8 @@ def enumerate_origin_clusters(max_cluster_size: int, *, limit: int = 20_000_000)
             )
 
 
-# ---------------------------------------------------------------------------
-# Bit-parallel contour extraction.
-#
-# A shape is embedded in a small frame (padded by 2) as a bitboard; the site
-# boundary, the exterior flood fill, and the exposed contour are then a few
-# big-integer operations each.
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _frame(w: int, h: int):
-    universe = (1 << (w * h)) - 1
-    left = 0
-    for r in range(h):
-        left |= 1 << (r * w)
-    right = left << (w - 1)
-    row0 = (1 << w) - 1
-    rowtop = row0 << ((h - 1) * w)
-    return (universe, universe ^ left, universe ^ right, left | right | row0 | rowtop, w)
-
-
-def _nb4(bits: int, frame) -> int:
-    universe, not_left, not_right, _, w = frame
-    return (((bits & not_right) << 1) | ((bits & not_left) >> 1) | (bits << w) | (bits >> w)) & universe
-
-
-def _shape_contour_bits(shape: list[int]):
-    """Bitboards (wbits, boundary, gamma, interior, frame, xmin) for one shape."""
+def _embed(shape: list[int]):
+    """Bitboard of one shape in a frame padded by 2: ``(wbits, frame, xmin)``."""
     xmin = xmax = shape[0] & 63
     ymax = 0
     for e in shape:
@@ -200,33 +171,10 @@ def _shape_contour_bits(shape: list[int]):
         if cy > ymax:
             ymax = cy
     w = xmax - xmin + 5
-    h = ymax + 5
-    frame = _frame(w, h)
     wbits = 0
     for e in shape:
         wbits |= 1 << (((e >> 6) + 2) * w + (e & 63) - xmin + 2)
-    bnd = _nb4(wbits, frame) & ~wbits
-    region = wbits | bnd
-    free = frame[0] & ~region
-    ext = frame[3] & free
-    while True:
-        grown = (ext | _nb4(ext, frame)) & free
-        if grown == ext:
-            break
-        ext = grown
-    gamma = bnd & _nb4(ext, frame)
-    interior = frame[0] & ~ext & ~gamma
-    return wbits, bnd, gamma, interior, w, xmin
-
-
-def _bits_to_sites(bits: int, w: int) -> list[tuple[int, int]]:
-    out = []
-    while bits:
-        low = bits & -bits
-        idx = low.bit_length() - 1
-        out.append((idx % w, idx // w))
-        bits ^= low
-    return out
+    return wbits, clusters._frame(w, ymax + 5), xmin
 
 
 _CANON_STRIDE = 32
@@ -238,7 +186,7 @@ def _canonical_contour(gamma: int, w: int):
     Returns ``(key, ox, oy)`` where key is the contour re-encoded with stride
     32 and (ox, oy) is the frame offset of the bounding-box corner.
     """
-    cells = _bits_to_sites(gamma, w)
+    cells = clusters._bits_to_sites(gamma, w)
     ox = min(c[0] for c in cells)
     oy = min(c[1] for c in cells)
     key = 0
@@ -304,19 +252,11 @@ def class_decomposition(contour: Contour) -> ClassKey:
     return ClassKey(ray_distance=l, first_step=i)
 
 
-def _rebuild_cycle(sites: list[Site]) -> tuple[Site, ...]:
-    gamma = frozenset(sites)
-    ext = _exterior_of(gamma)
-    filled = _filled_silhouette(gamma, ext)
-    return _ccw_cycle(filled, set(gamma))
-
-
 def exact_contour_counts(
     k_max: int,
     *,
     cluster_cap: int | None = None,
     shape_limit: int = 50_000_000,
-    progress: Callable[[int], None] | None = None,
 ) -> CountTable:
     """Exact number of distinct origin-enclosing contours for each length <= k_max.
 
@@ -340,7 +280,7 @@ def exact_contour_counts(
         raise ValueError("cluster cap must be >= 1")
     guaranteed = cap >= needed
 
-    lengths: dict[int, int] = {}
+    contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
     shapes_seen = 0
 
@@ -348,23 +288,21 @@ def exact_contour_counts(
         shapes_seen += 1
         if shapes_seen > shape_limit:
             raise CapExceeded(f"shape enumeration exceeded the limit of {shape_limit}")
-        if progress is not None and shapes_seen % 200_000 == 0:
-            progress(shapes_seen)
-        wbits, _, gamma, interior, w, xmin = _shape_contour_bits(shape)
+        wbits, frame, xmin = _embed(shape)
+        _, gamma, ext = clusters._contour_bits(wbits, frame)
         glen = gamma.bit_count()
         if glen > k_max:
             continue
         if glen < 4:
             raise ContourError(f"shape produced a contour of impossible length {glen}")
-        if interior.bit_count() > interior_capacity(glen):
+        if (frame[0] & ~ext & ~gamma).bit_count() > interior_capacity(glen):
             raise IncompletenessError(
                 "a contour encloses more sites than the capacity bound allows; "
                 "the completeness cap is unsound for this input"
             )
-        key, ox, oy = _canonical_contour(gamma, w)
-        prev = lengths.get(key)
-        if prev is None:
-            lengths[key] = glen
+        key, ox, oy = _canonical_contour(gamma, frame[4])
+        if key not in contours:
+            contours[key] = clusters._bits_contour(gamma, ext, frame, -ox, -oy)
         # origin positions in the canonical frame: shape cells shifted like gamma
         n = len(shape)
         pos = 0
@@ -382,7 +320,7 @@ def exact_contour_counts(
     trajectory: dict[int, dict[int, int]] = {s: {} for s in range(1, cap + 1)}
     final_cover: dict[int, int] = {}
     for key, by_size in covers.items():
-        k = lengths[key]
+        k = contours[key].length
         acc = 0
         for s in range(1, cap + 1):
             b = by_size.get(s)
@@ -409,36 +347,17 @@ def exact_contour_counts(
     classes: dict[tuple[int, int, int], int] = {}
     witnesses: dict[int, Contour] = {}
     for key in sorted(covers):
-        k = lengths[key]
-        canon = _bits_to_sites(key, _CANON_STRIDE)
-        cycle = _rebuild_cycle(canon)
-        index_of = {site: j for j, site in enumerate(cycle)}
-        canon_set = set(canon)
+        contour = contours[key]
         if final_cover[key] & key:
             raise ContourError("a cluster cell coincides with its own contour")
-        if k not in witnesses:
-            wx, wy = _bits_to_sites(final_cover[key], _CANON_STRIDE)[0]
-            witnesses[k] = Contour(
-                sites=frozenset((x - wx, y - wy) for x, y in canon),
-                cycle=tuple((x - wx, y - wy) for x, y in cycle),
-            )
-        for ox, oy in _bits_to_sites(final_cover[key], _CANON_STRIDE):
-            if winding_number(cycle, (ox, oy)) != 1:
+        for ox, oy in clusters._bits_to_sites(final_cover[key], _CANON_STRIDE):
+            positioned = contour.translate(-ox, -oy)
+            if clusters.winding_number(positioned.cycle) != 1:
                 raise ContourError("an origin position is not enclosed by its contour")
-            best = None
-            for x, y in canon_set:
-                if y == oy and x > ox and (best is None or x < best):
-                    best = x
-            if best is None:
-                raise NoRayIntersection("positioned contour misses the positive ray")
-            l = best - ox
-            sx, sy = cycle[(index_of[(best, oy)] + 1) % k]
-            step = (sx - best, sy - oy)
-            i = _FIRST_STEP_INDEX.get(step)
-            if i is None:
-                raise ContourError(f"inadmissible first step {step} in class decomposition")
-            ck = (k, l, i)
-            classes[ck] = classes.get(ck, 0) + 1
+            witnesses.setdefault(contour.length, positioned)
+            ck = class_decomposition(positioned)
+            ci = (contour.length, ck.ray_distance, ck.first_step)
+            classes[ci] = classes.get(ci, 0) + 1
 
     meta = {
         "cluster_cap": cap,
@@ -461,7 +380,7 @@ def exact_contour_counts(
     )
 
 
-def contour_event_table(max_len: int, *, cluster_cap: int | None = None) -> dict[tuple[int, int], int]:
+def contour_event_table(max_len: int) -> dict[tuple[int, int], int]:
     """Multiplicities of (|W|, |boundary|) over origin clusters with contour length <= max_len.
 
     Every cluster whose contour is that short has size at most
@@ -470,10 +389,7 @@ def contour_event_table(max_len: int, *, cluster_cap: int | None = None) -> dict
     """
     if max_len < 4:
         raise ValueError("max_len must be >= 4")
-    needed = interior_capacity(max_len)
-    cap = needed if cluster_cap is None else cluster_cap
-    if cap < needed:
-        raise IncompletenessError(f"cap {cap} cannot cover clusters up to size {needed}")
+    cap = interior_capacity(max_len)
     if cap > 15:
         raise CapExceeded(
             f"contours of length {max_len} require clusters up to size {cap}; "
@@ -481,9 +397,9 @@ def contour_event_table(max_len: int, *, cluster_cap: int | None = None) -> dict
         )
     events: dict[tuple[int, int], int] = {}
     for shape in _iter_shapes(cap):
-        wbits, bnd, gamma, _, _, _ = _shape_contour_bits(shape)
-        glen = gamma.bit_count()
-        if glen > max_len:
+        wbits, frame, _ = _embed(shape)
+        bnd, gamma, _ = clusters._contour_bits(wbits, frame)
+        if gamma.bit_count() > max_len:
             continue
         pair = (len(shape), bnd.bit_count())
         events[pair] = events.get(pair, 0) + len(shape)
@@ -513,20 +429,6 @@ def _allowed_dirs(rule: str) -> tuple[tuple[int, ...], ...]:
     if rule == "seven":
         return tuple(tuple(d2 for d2 in range(8) if d2 != (d + 4) % 8) for d in range(8))
     raise ValueError(f"unknown continuation rule {rule!r}; expected 'five' or 'seven'")
-
-
-def _winding_nonzero(path: list[Site]) -> bool:
-    wn = 0
-    n = len(path)
-    for idx in range(n):
-        x0, y0 = path[idx]
-        x1, y1 = path[(idx + 1) % n]
-        if y0 <= 0:
-            if y1 > 0 and x0 * y1 - x1 * y0 > 0:
-                wn += 1
-        elif y1 <= 0 and x0 * y1 - x1 * y0 < 0:
-            wn -= 1
-    return wn != 0
 
 
 def self_avoiding_circuit_count(
@@ -573,7 +475,7 @@ def self_avoiding_circuit_count(
                 nonlocal nodes
                 px, py = pos
                 if depth >= 4 and max(abs(px - l), abs(py)) == 1:
-                    if _winding_nonzero(path):
+                    if clusters.winding_number(path) != 0:
                         walks[depth] += 1
                         distinct[depth].add(set_key(path))
                 if depth == k_max:

@@ -26,10 +26,6 @@ from .errors import SiteOutsideWindow
 
 Site = tuple[int, int]
 
-#: Unit steps, fixed module constants.
-STEP_RIGHT: Site = (1, 0)
-STEP_UP: Site = (0, 1)
-
 #: Axis offsets in E, N, W, S order.
 NEIGHBOR_OFFSETS_4: tuple[Site, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -101,24 +97,36 @@ def uniform_grid(seed: int, radius: int) -> np.ndarray:
     same (seed, x, y) bit-exactly, so grids of different radii agree on their
     common sites.
     """
-    n = 2 * radius + 1
+    h = _hash_grids(np.array([seed & _M64], dtype=np.uint64), radius)[0]
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _hash_grids(seeds: np.ndarray, radius: int) -> np.ndarray:
+    """Site hashes of one window per uint64 seed.
+
+    Entry ``[t, y + radius, x + radius]`` equals ``_site_hash(seeds[t], x, y)``.
+    """
     coords = np.arange(-radius, radius + 1, dtype=np.int64).view(np.uint64)
-    xs = coords[np.newaxis, :]
-    ys = coords[:, np.newaxis]
-    h0 = np.uint64(mix64(seed ^ _GOLDEN))
-    h = _np_mix64(h0 + xs * np.uint64(_XSALT))
-    h = _np_mix64(h + ys * np.uint64(_YSALT))
-    out = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    assert out.shape == (n, n)
-    return out
+    h0 = _np_mix64(seeds ^ np.uint64(_GOLDEN))
+    hx = _np_mix64(h0[:, np.newaxis] + coords[np.newaxis, :] * np.uint64(_XSALT))
+    yterm = coords * np.uint64(_YSALT)
+    z = np.empty((seeds.size, coords.size, coords.size), dtype=np.uint64)
+    np.add(hx[:, np.newaxis, :], yterm[np.newaxis, :, np.newaxis], out=z)
+    return _np_mix64(z)
 
 
 def _np_mix64(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """:func:`mix64` applied in place to a uint64 array; returns ``z``."""
+    tmp = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import CapExceeded
-from .lattice import _GOLDEN, _XSALT, _YSALT, _np_mix64, trial_seed
+from .lattice import Window, _hash_grids, trial_seed
 
 __all__ = [
     "McEstimate",
@@ -25,7 +25,6 @@ __all__ = [
     "bisect_threshold",
     "estimate_crossing",
     "estimate_origin_reach",
-    "estimate_threshold",
     "exact_origin_reach_probability",
 ]
 
@@ -54,35 +53,9 @@ class McEstimate:
         }
 
 
-def _mix_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    np.right_shift(z, np.uint64(30), out=tmp)
-    z ^= tmp
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    np.right_shift(z, np.uint64(27), out=tmp)
-    z ^= tmp
-    z *= np.uint64(0x94D049BB133111EB)
-    np.right_shift(z, np.uint64(31), out=tmp)
-    z ^= tmp
-    return z
-
-
 def _hash_batch(seed: int, L: int, t0: int, t1: int) -> np.ndarray:
     """Site hashes for trials t0..t1-1; [t, y+L, x+L] matches uniform_grid."""
-    coords = np.arange(-L, L + 1, dtype=np.int64).view(np.uint64)
-    tseeds = np.array([trial_seed(seed, t) for t in range(t0, t1)], dtype=np.uint64)
-    h0 = _np_mix64(tseeds ^ np.uint64(_GOLDEN))
-    hx = _np_mix64(h0[:, np.newaxis] + coords[np.newaxis, :] * np.uint64(_XSALT))
-    yterm = coords * np.uint64(_YSALT)
-    b, n = hx.shape
-    z = np.empty((b, n, n), dtype=np.uint64)
-    np.add(hx[:, np.newaxis, :], yterm[np.newaxis, :, np.newaxis], out=z)
-    return _mix_inplace(z, np.empty_like(z))
-
-
-def _uniform_batch(seed: int, L: int, t0: int, t1: int) -> np.ndarray:
-    """Uniform grids for trials t0..t1-1, bit-identical to uniform_grid."""
-    h = _hash_batch(seed, L, t0, t1)
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return _hash_grids(np.array([trial_seed(seed, t) for t in range(t0, t1)], dtype=np.uint64), L)
 
 
 def _occupied_batch(seed: int, L: int, c: float, t0: int, t1: int) -> np.ndarray:
@@ -130,7 +103,9 @@ def _crossing_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
 
 def _count_events(counter, L: int, c: float, trials: int, seed: int, workers: int) -> int:
     side = 2 * L + 1
-    batch = max(1, 4_000_000 // (side * (side + 1)))
+    # ~1M sites keeps each uint64 hash array near 8 MB.  At 32 MB (glibc's mmap
+    # threshold cap) a command's peak RSS varied by 30 MB with thread timing.
+    batch = max(1, 1_000_000 // (side * (side + 1)))
     chunks = [(t0, min(t0 + batch, trials)) for t0 in range(0, trials, batch)]
     if workers <= 1 or len(chunks) == 1:
         return sum(counter(seed, L, c, a, b) for a, b in chunks)
@@ -138,9 +113,15 @@ def _count_events(counter, L: int, c: float, trials: int, seed: int, workers: in
         return sum(pool.map(lambda ab: counter(seed, L, c, ab[0], ab[1]), chunks))
 
 
-def _estimate(counter, L: int, c: float, trials: int, seed: int, workers: int) -> McEstimate:
+def _check_run(L: int, trials: int) -> None:
+    """Reject a window radius below 1 or fewer than one trial."""
+    Window(L)
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
+def _estimate(counter, L: int, c: float, trials: int, seed: int, workers: int) -> McEstimate:
+    _check_run(L, trials)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"concentration must lie in [0, 1], got {c}")
     hits = _count_events(counter, L, c, trials, seed, workers)
@@ -188,7 +169,8 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     threshold changes), so the per-field crossing indicator is monotone in c
     and the bisection is well defined for each seed.
     """
-    if tol < 1e-3:
+    _check_run(L, trials)
+    if not tol >= 1e-3:
         raise ValueError(f"tolerance must be >= 1e-3, got {tol}")
     lo, hi = 0.0, 1.0
     trace: list[tuple[float, float]] = []
@@ -208,11 +190,6 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
         trials=trials,
         seed=seed,
     )
-
-
-def estimate_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int = 1) -> float:
-    """Monte Carlo estimate of the crossing threshold on the given window."""
-    return bisect_threshold(L, trials, tol, seed, workers=workers).estimate
 
 
 def exact_origin_reach_probability(L: int, c: float, *, site_limit: int = 20) -> float:

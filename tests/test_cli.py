@@ -183,6 +183,26 @@ def test_manifest_show_and_check(tmp_path, capsys):
     assert "ok" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--L", "-1", "--c", "0.5", "--trials", "10"],
+        ["simulate", "--L", "0", "--c", "0.5", "--trials", "10"],
+        ["simulate", "--L", "8", "--bisect", "--trials", "0"],
+        ["simulate", "--L", "8", "--bisect", "--tol", "nan", "--trials", "10"],
+        ["manifest", "{tmp}/missing.manifest.json"],
+        ["manifest", "{tmp}/noargv.manifest.json"],
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    (tmp_path / "noargv.manifest.json").write_text(json.dumps({"command": "counts", "outputs": {}}))
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_manifest_detects_tampering(tmp_path, capsys):
     prefix = tmp_path / "run"
     assert main(["counts", "--k-max", "6", "--out", str(prefix)]) == 0

@@ -1,7 +1,8 @@
-import math
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contour_oracle import oracle_outer_boundary
 from peierls import (
     EMPTY_CLUSTER,
     ESCAPES_WINDOW,
@@ -12,7 +13,6 @@ from peierls import (
     Window,
     cluster_at,
     cluster_event_probability,
-    event_exponents,
     outer_boundary,
     sample_field,
     site_boundary,
@@ -167,6 +167,50 @@ def test_winding_number_point_on_cycle_raises():
         winding_number(ct.cycle, (1, 0))
 
 
+def test_winding_number_orientation_and_position():
+    ct = outer_boundary(make_cluster({(5, 5), (6, 5), (6, 6)}))
+    assert winding_number(ct.cycle[::-1], (6, 5)) == -1
+    assert winding_number(ct.cycle, (0, 0)) == 0
+    for site in ((5, 5), (6, 5), (6, 6)):
+        assert winding_number(ct.cycle, site) == 1
+
+
+def test_outer_boundary_matches_oracle_on_small_clusters():
+    from peierls import enumerate_origin_clusters
+
+    for cl in enumerate_origin_clusters(7):
+        assert outer_boundary(cl) == oracle_outer_boundary(cl)
+
+
+_AXIS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+@st.composite
+def polyominoes(draw):
+    """A 4-connected site set grown from (0, 0), one axis neighbour at a time."""
+    cells = [(0, 0)]
+    for i, d in draw(st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 3)), max_size=40)):
+        x, y = cells[i % len(cells)]
+        nb = (x + _AXIS[d][0], y + _AXIS[d][1])
+        if nb not in cells:
+            cells.append(nb)
+    return frozenset(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polyominoes())
+def test_contour_of_random_polyomino_is_simple_ccw_king_cycle(sites):
+    cl = make_cluster(sites)
+    ct = outer_boundary(cl)
+    assert ct == oracle_outer_boundary(cl)
+    cyc = ct.cycle
+    assert len(cyc) == len(set(cyc)) == ct.length
+    for (x, y), (nx, ny) in zip(cyc, cyc[1:] + cyc[:1]):
+        assert max(abs(nx - x), abs(ny - y)) == 1
+    for site in sites:
+        assert winding_number(cyc, site) == 1
+
+
 # ---------------------------------------------------------------------------
 # event probabilities
 # ---------------------------------------------------------------------------
@@ -175,7 +219,7 @@ def test_winding_number_point_on_cycle_raises():
 def test_event_probability_single_site():
     cl = make_cluster({(0, 0)})
     assert cluster_event_probability(cl, 0.5) == pytest.approx(1 / 32, rel=1e-15)
-    assert event_exponents(cl) == (1, 4)
+    assert cluster_event_probability(cl, 0.25) == pytest.approx(0.25 * 0.75**4, rel=1e-15)
 
 
 def test_event_probability_full_concentration():

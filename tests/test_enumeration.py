@@ -2,6 +2,7 @@ from collections import defaultdict
 
 import pytest
 
+from contour_oracle import oracle_outer_boundary
 from peierls import (
     CapExceeded,
     ContourError,
@@ -87,7 +88,7 @@ def test_exact_counts_match_reference_path():
     # slow reference: every origin cluster, set-based contour, dedup by site set
     distinct = set()
     for cl in enumerate_origin_clusters(interior_capacity(9)):
-        ct = outer_boundary(cl)
+        ct = oracle_outer_boundary(cl)
         if ct.length <= 9:
             distinct.add(ct.sites)
     reference = defaultdict(int)
@@ -213,6 +214,11 @@ def test_seven_rule_dominates_five_rule():
         assert five.walks[k] <= seven.walks[k]
 
 
+def test_walker_counts_pinned(table10):
+    assert table10.sa_walk[10] == 8383
+    assert table10.sa_sets[10] == 6643
+
+
 def test_growth_below_five(table10):
     assert table10.sa_walk[10] / table10.sa_walk[9] < 5
 
@@ -236,7 +242,7 @@ def test_event_table_matches_reference_path():
     max_len = 7
     reference = defaultdict(int)
     for cl in enumerate_origin_clusters(interior_capacity(max_len)):
-        if outer_boundary(cl).length <= max_len:
+        if oracle_outer_boundary(cl).length <= max_len:
             reference[(len(cl.sites), len(cl.boundary))] += 1
     assert contour_event_table(max_len) == dict(reference)
 

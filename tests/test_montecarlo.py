@@ -10,7 +10,6 @@ from peierls import (
     cluster_at,
     estimate_crossing,
     estimate_origin_reach,
-    estimate_threshold,
     exact_origin_reach_probability,
     sample_field,
     trial_seed,
@@ -104,7 +103,6 @@ def test_bisection_inside_proven_interval():
     res = bisect_threshold(24, 800, 0.01, 3)
     assert 1 / 3 < res.estimate < 4 / 5
     assert len(res.trace) == math.ceil(math.log2(1 / res.tol))
-    assert res.estimate == estimate_threshold(24, 800, 0.01, 3)
 
 
 def test_bisection_nesting_under_smaller_tolerance():
@@ -116,6 +114,8 @@ def test_bisection_nesting_under_smaller_tolerance():
 def test_bisection_tolerance_validated():
     with pytest.raises(ValueError):
         bisect_threshold(8, 100, 1e-4, 0)
+    with pytest.raises(ValueError):
+        bisect_threshold(8, 100, float("nan"), 0)
 
 
 def brute_reach_probability(c):
