@@ -37,7 +37,10 @@ _BOUND_COLUMNS = ("c", "q_truncated", "tail", "q_lower", "series_bound", "thresh
 def _default_workers() -> int:
     env = os.environ.get("PEIERLS_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"PEIERLS_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -111,12 +114,16 @@ def cmd_counts(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: Most rows one ``bounds --sweep`` may produce.
+_MAX_SWEEP_POINTS = 10_000
+
+
 def _parse_sweep(spec: str) -> list[float]:
     try:
         c0, c1, step = (float(p) for p in spec.split(":"))
     except ValueError:
         raise ValueError(f"bad sweep spec {spec!r}; expected c0:c1:step")
-    if step <= 0 or c1 < c0:
+    if not (step > 0 and c0 <= c1):
         raise ValueError(f"bad sweep spec {spec!r}")
     out = []
     k = 0
@@ -124,9 +131,12 @@ def _parse_sweep(spec: str) -> list[float]:
         c = c0 + k * step
         if c > c1 + 1e-12:
             break
+        if k == _MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep {spec!r} has more than {_MAX_SWEEP_POINTS} points")
         out.append(round(c, 12))
         k += 1
     return out
+
 
 def _bounds_rows(args) -> list[BoundReport]:
     cs = _parse_sweep(args.sweep) if args.sweep else [args.c]

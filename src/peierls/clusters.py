@@ -273,6 +273,18 @@ def outer_boundary(cluster: Cluster) -> Contour:
     return _bits_contour(gamma, ext, frame, x0, y0)
 
 
+def _crossing(x0: int, y0: int, x1: int, y1: int) -> int:
+    """Signed crossing of the edge (x0, y0) -> (x1, y1) with the ray from the origin.
+
+    Half-open rule: +1 for an edge from y <= 0 to y > 0 passing right of the
+    origin, -1 for one from y > 0 to y <= 0 passing right of it, else 0.  The
+    winding number of a cycle is the sum over its edges.
+    """
+    if y0 <= 0:
+        return 1 if y1 > 0 and x0 * y1 - x1 * y0 > 0 else 0
+    return -1 if y1 <= 0 and x0 * y1 - x1 * y0 < 0 else 0
+
+
 def winding_number(cycle: Sequence[Site], point: Site = (0, 0)) -> int:
     """Integer winding number of a closed lattice cycle around ``point``.
 
@@ -284,17 +296,9 @@ def winding_number(cycle: Sequence[Site], point: Site = (0, 0)) -> int:
         raise ContourError(f"winding number undefined: {point} lies on the cycle")
     px, py = point
     x0, y0 = cycle[-1]
-    x0 -= px
-    y0 -= py
     wn = 0
     for x1, y1 in cycle:
-        x1 -= px
-        y1 -= py
-        if y0 <= 0:
-            if y1 > 0 and x0 * y1 - x1 * y0 > 0:
-                wn += 1
-        elif y1 <= 0 and x0 * y1 - x1 * y0 < 0:
-            wn -= 1
+        wn += _crossing(x0 - px, y0 - py, x1 - px, y1 - py)
         x0, y0 = x1, y1
     return wn
 

@@ -18,6 +18,16 @@ bound).  A cap at that capacity therefore sees every realizable contour of
 length <= k.  The census additionally verifies that the counts have
 stabilized over the last three cap values.
 
+Most capped shapes are too wide for a short contour (the span lemma).  If a
+shape's bounding box is w x h, its contour holds a site in column xmin - 1
+and one in column xmax + 1, and a king step changes the column by at most 1,
+so a closed cycle through both has length >= 2*w + 2; rows alike.  A shape
+with ``max(w, h) > (k - 2) // 2`` therefore has a contour longer than k, and
+skipping its contour extraction loses nothing.  The census still counts it
+(``meta["shapes"]``); :func:`contour_event_table`, which counts no shapes,
+does not even grow it, since adding cells never shrinks the box.  At k = 12,
+345,600 of the 2,595,167 capped shapes fit the 5 x 5 box.
+
 The module also bounds the census analytically: a contour of length k hits
 the positive horizontal axis at some nearest site, continues with one of a
 handful of first steps, and each later step has at most 5 continuations
@@ -71,6 +81,11 @@ def walk_bound(k: int) -> int:
     return 4 * 5 ** (k - 2) * (k - 1)
 
 
+def _max_span(k: int) -> int:
+    """Widest bounding-box side of a shape whose contour can have length <= k (span lemma)."""
+    return (k - 2) // 2
+
+
 def interior_capacity(k: int) -> int:
     """Largest cluster size compatible with a contour of length k.
 
@@ -99,35 +114,56 @@ def _decode(cell: int) -> Site:
     return (cell & 63) - 32, cell >> 6
 
 
-def _iter_shapes(max_size: int) -> Iterator[list[int]]:
+def _iter_shapes(max_size: int, max_span: int | None = None) -> Iterator[tuple[list[int], int, int, int]]:
     """Every free-anchored 4-connected shape of size <= max_size, once each.
 
-    Yields the internal mutable cell list; callers must consume it before
-    advancing the iterator.
+    Yields ``(cells, xmin, w, h)``: the internal mutable cell list, which
+    callers must consume before advancing the iterator, the smallest encoded
+    column, and the bounding box width and height (the anchor row is y = 0).
+    The box is tracked as cells are added; it only grows.  With ``max_span``,
+    a shape whose box is wider or taller than that is still yielded, but never
+    grown: every shape below it in the search tree is a superset, hence at
+    least as wide.
     """
     if max_size > 30:
         raise CapExceeded(f"shape size {max_size} exceeds the coordinate encoding range")
+    if max_span is None:
+        max_span = max_size
     shape: list[int] = []
     seen = {_ORIGIN}
-
-    def rec(untried: list[int]) -> Iterator[list[int]]:
-        while untried:
-            c = untried.pop()
-            shape.append(c)
-            yield shape
-            if len(shape) < max_size:
-                new = []
-                for d in _STEPS:
-                    nb = c + d
-                    if nb >= _ORIGIN and nb not in seen:
-                        seen.add(nb)
-                        new.append(nb)
-                yield from rec(untried + new)
-                for nb in new:
-                    seen.discard(nb)
+    # Redelmeier's recursion with an explicit stack, so that each shape is one
+    # yield of this frame rather than one per level of nested generators.  A
+    # level holds its untried cells, the cells it added to ``seen`` and the
+    # box of the shape that opened it.
+    stack = [([_ORIGIN], [], _ORIGIN, _ORIGIN, 0)]
+    while stack:
+        untried, added, xmin, xmax, ymax = stack[-1]
+        if not untried:
+            stack.pop()
+            for nb in added:
+                seen.discard(nb)
+            if shape:
+                shape.pop()
+            continue
+        c = untried.pop()
+        shape.append(c)
+        cx = c & 63
+        cy = c >> 6
+        x0 = cx if cx < xmin else xmin
+        x1 = cx if cx > xmax else xmax
+        y1 = cy if cy > ymax else ymax
+        w = x1 - x0 + 1
+        yield shape, x0, w, y1 + 1
+        if len(shape) < max_size and w <= max_span and y1 < max_span:
+            new = []
+            for d in _STEPS:
+                nb = c + d
+                if nb >= _ORIGIN and nb not in seen:
+                    seen.add(nb)
+                    new.append(nb)
+            stack.append((untried + new, new, x0, x1, y1))
+        else:
             shape.pop()
-
-    yield from rec([_ORIGIN])
 
 
 def enumerate_origin_clusters(max_cluster_size: int, *, limit: int = 20_000_000) -> Iterator[Cluster]:
@@ -142,7 +178,7 @@ def enumerate_origin_clusters(max_cluster_size: int, *, limit: int = 20_000_000)
     if max_cluster_size < 1:
         raise ValueError("max_cluster_size must be >= 1")
     produced = 0
-    for shape in _iter_shapes(max_cluster_size):
+    for shape, *_ in _iter_shapes(max_cluster_size):
         cells = [_decode(e) for e in shape]
         sites = frozenset(cells)
         bnd = clusters.site_boundary(sites)
@@ -157,24 +193,14 @@ def enumerate_origin_clusters(max_cluster_size: int, *, limit: int = 20_000_000)
             )
 
 
-def _embed(shape: list[int]):
-    """Bitboard of one shape in a frame padded by 2: ``(wbits, frame, xmin)``."""
-    xmin = xmax = shape[0] & 63
-    ymax = 0
-    for e in shape:
-        cx = e & 63
-        if cx < xmin:
-            xmin = cx
-        elif cx > xmax:
-            xmax = cx
-        cy = e >> 6
-        if cy > ymax:
-            ymax = cy
-    w = xmax - xmin + 5
+def _embed(shape: list[int], xmin: int, w: int, h: int):
+    """Bitboard of a w x h shape in a frame padded by 2: ``(wbits, frame)``."""
+    fw = w + 4
+    base = 2 * fw + 2 - xmin
     wbits = 0
     for e in shape:
-        wbits |= 1 << (((e >> 6) + 2) * w + (e & 63) - xmin + 2)
-    return wbits, clusters._frame(w, ymax + 5), xmin
+        wbits |= 1 << ((e >> 6) * fw + (e & 63) + base)
+    return wbits, clusters._frame(fw, h + 4)
 
 
 _CANON_STRIDE = 32
@@ -283,12 +309,17 @@ def exact_contour_counts(
     contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
     shapes_seen = 0
+    span = _max_span(k_max)
 
-    for shape in _iter_shapes(cap):
+    # Every shape is counted (meta["shapes"]), but only those within the span
+    # bound can have a contour of length <= k_max.
+    for shape, xmin, w, h in _iter_shapes(cap):
         shapes_seen += 1
         if shapes_seen > shape_limit:
             raise CapExceeded(f"shape enumeration exceeded the limit of {shape_limit}")
-        wbits, frame, xmin = _embed(shape)
+        if w > span or h > span:
+            continue
+        wbits, frame = _embed(shape, xmin, w, h)
         _, gamma, ext = clusters._contour_bits(wbits, frame)
         glen = gamma.bit_count()
         if glen > k_max:
@@ -396,9 +427,11 @@ def contour_event_table(max_len: int) -> dict[tuple[int, int], int]:
             "beyond the feasible enumeration range"
         )
     events: dict[tuple[int, int], int] = {}
-    for shape in _iter_shapes(cap):
-        wbits, frame, _ = _embed(shape)
-        bnd, gamma, _ = clusters._contour_bits(wbits, frame)
+    span = _max_span(max_len)
+    for shape, xmin, w, h in _iter_shapes(cap, span):
+        if w > span or h > span:
+            continue
+        bnd, gamma, _ = clusters._contour_bits(*_embed(shape, xmin, w, h))
         if gamma.bit_count() > max_len:
             continue
         pair = (len(shape), bnd.bit_count())
@@ -431,6 +464,11 @@ def _allowed_dirs(rule: str) -> tuple[tuple[int, ...], ...]:
     raise ValueError(f"unknown continuation rule {rule!r}; expected 'five' or 'seven'")
 
 
+#: Level of a site the walk may not enter (visited, or a nearer ray site);
+#: above every step budget as long as k_max - 2 < _BLOCKED.
+_BLOCKED = 255
+
+
 def self_avoiding_circuit_count(
     k_max: int,
     *,
@@ -446,64 +484,84 @@ def self_avoiding_circuit_count(
     ``seven`` relaxes this to everything except reversal), never revisits a
     site, avoids ray sites nearer the origin than its start, closes after k
     steps, and must wind around the origin.  Walks are counted individually
-    and after deduplication by site set.
+    and after deduplication by site set.  ``nodes`` counts the steps taken;
+    :class:`CapExceeded` is raised at step ``max_nodes + 1``.
+
+    The walk runs on integer indices into one grid holding every site within
+    king distance k_max of any start.  Per start, one bytearray gives each
+    site's level: its king distance to the start, or ``_BLOCKED`` while it is
+    visited or a nearer ray site, so a single comparison with the remaining
+    step budget both rejects blocked sites and prunes walks that could no
+    longer return.  The winding number is kept as a running sum: the crossing
+    table holds, per direction and site, the :func:`clusters._crossing` term of
+    the step leaving that site, so closing a walk next to the start adds the
+    closing step's term instead of re-walking the path.  The set key is a
+    bitmask over grid indices, grown by one bit per step.
     """
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
+    if k_max - 2 >= _BLOCKED:
+        raise CapExceeded(f"circuit length {k_max} exceeds the walker's distance encoding")
     allowed = _allowed_dirs(rule)
-    offsets = NEIGHBOR_OFFSETS_8
-    walks = {k: 0 for k in range(4, k_max + 1)}
-    distinct: dict[int, set[int]] = {k: set() for k in range(4, k_max + 1)}
+    l_max = (k_max - 2) // 2
+    # Grid of x in [1 - k_max, l_max + k_max], y in [-k_max, k_max].
+    width = l_max + 2 * k_max
+    height = 2 * k_max + 1
+    sites = [(i % width + 1 - k_max, i // width - k_max) for i in range(width * height)]
+    steps = [dy * width + dx for dx, dy in NEIGHBOR_OFFSETS_8]
+    crossing = [[0] * len(sites) for _ in steps]
+    for i, (x, y) in enumerate(sites):
+        for d, (dx, dy) in enumerate(NEIGHBOR_OFFSETS_8):
+            crossing[d][i] = clusters._crossing(x, y, x + dx, y + dy)
+    moves = [tuple((nd, steps[nd], crossing[nd]) for nd in allowed[d]) for d in range(8)]
+    bits = [1 << i for i in range(len(sites))]
+    walks = [0] * (k_max + 1)
+    distinct: list[set[int]] = [set() for _ in range(k_max + 1)]
     nodes = 0
 
-    def set_key(path: list[Site]) -> int:
-        bits = 0
-        for x, y in path:
-            bits |= 1 << ((y + 32) * 64 + (x + 32))
-        return bits
+    for l in range(1, l_max + 1):
+        start = k_max * width + l - 1 + k_max
+        level = bytearray(min(max(abs(x - l), abs(y)), _BLOCKED) for x, y in sites)
+        for j in range(l + 1):
+            level[start - l + j] = _BLOCKED
+        # winding term of the closing step, for the sites next to the start
+        close = [0] * len(sites)
+        for d, step in enumerate(steps):
+            close[start + step] = crossing[(d + 4) % 8][start + step]
 
-    for l in range(1, (k_max - 2) // 2 + 1):
-        start = (l, 0)
-        forbidden = {(j, 0) for j in range(l)}
+        def extend(pos: int, d: int, depth: int, wind: int, key: int) -> None:
+            nonlocal nodes
+            budget = k_max - depth
+            depth += 1
+            for nd, step, cross in moves[d]:
+                nxt = pos + step
+                lv = level[nxt]
+                if lv > budget:
+                    continue
+                nodes += 1
+                if nodes > max_nodes:
+                    raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
+                w = wind + cross[pos]
+                if lv == 1 and depth >= 4 and w + close[nxt]:
+                    walks[depth] += 1
+                    distinct[depth].add(key | bits[nxt])
+                if depth < k_max:
+                    level[nxt] = _BLOCKED
+                    extend(nxt, nd, depth, w, key | bits[nxt])
+                    level[nxt] = lv
+
         for first_dir in (0, 1, 2, 3, 7):
-            dx, dy = offsets[first_dir]
-            x1 = (l + dx, dy)
-            path = [start, x1]
-            visited = {start, x1}
-
-            def extend(pos: Site, d: int, depth: int) -> None:
-                nonlocal nodes
-                px, py = pos
-                if depth >= 4 and max(abs(px - l), abs(py)) == 1:
-                    if clusters.winding_number(path) != 0:
-                        walks[depth] += 1
-                        distinct[depth].add(set_key(path))
-                if depth == k_max:
-                    return
-                budget = k_max - depth
-                for nd in allowed[d]:
-                    ox, oy = offsets[nd]
-                    nxt = (px + ox, py + oy)
-                    if nxt in visited or nxt in forbidden:
-                        continue
-                    if max(abs(nxt[0] - l), abs(nxt[1])) > budget:
-                        continue
-                    nodes += 1
-                    if nodes > max_nodes:
-                        raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
-                    visited.add(nxt)
-                    path.append(nxt)
-                    extend(nxt, nd, depth + 1)
-                    path.pop()
-                    visited.discard(nxt)
-
-            extend(x1, first_dir, 2)
+            x1 = start + steps[first_dir]
+            lv = level[x1]
+            level[x1] = _BLOCKED
+            extend(x1, first_dir, 2, crossing[first_dir][start], bits[start] | bits[x1])
+            level[x1] = lv
 
     return SelfAvoidingCounts(
         k_max=k_max,
         rule=rule,
-        walks=walks,
-        distinct_sets={k: len(s) for k, s in distinct.items()},
+        walks={k: walks[k] for k in range(4, k_max + 1)},
+        distinct_sets={k: len(distinct[k]) for k in range(4, k_max + 1)},
         nodes=nodes,
     )
 

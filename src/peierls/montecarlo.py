@@ -198,8 +198,9 @@ def exact_origin_reach_probability(L: int, c: float, *, site_limit: int = 20) ->
     Feasible only for tiny windows (the sum runs over 2**sites
     configurations); raises :class:`CapExceeded` beyond ``site_limit`` sites.
     """
-    side = 2 * L + 1
-    n = side * side
+    window = Window(L)
+    side = window.side
+    n = window.site_count
     if n > site_limit:
         raise CapExceeded(f"window has {n} sites; exhaustive enumeration capped at {site_limit}")
     if not 0.0 <= c <= 1.0:

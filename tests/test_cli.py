@@ -161,6 +161,14 @@ def test_threads_env_override(monkeypatch, capsys):
     assert out1 == out2
 
 
+def test_bad_threads_env_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("PEIERLS_THREADS", "abc")
+    code = main(["simulate", "--L", "8", "--c", "0.6", "--trials", "20"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: PEIERLS_THREADS") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # manifest
 # ---------------------------------------------------------------------------
@@ -192,6 +200,7 @@ def test_manifest_show_and_check(tmp_path, capsys):
         ["simulate", "--L", "8", "--bisect", "--tol", "nan", "--trials", "10"],
         ["manifest", "{tmp}/missing.manifest.json"],
         ["manifest", "{tmp}/noargv.manifest.json"],
+        ["bounds", "--sweep", "0.81:0.99:1e-7", "--r", "4"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):

@@ -18,6 +18,7 @@ from peierls import (
     site_boundary,
     winding_number,
 )
+from peierls.enumeration import _max_span
 
 
 def make_cluster(sites):
@@ -209,6 +210,18 @@ def test_contour_of_random_polyomino_is_simple_ccw_king_cycle(sites):
         assert max(abs(nx - x), abs(ny - y)) == 1
     for site in sites:
         assert winding_number(cyc, site) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(polyominoes())
+def test_contour_length_bounds_the_span(sites):
+    # the contour meets columns xmin-1 and xmax+1 (rows alike), a king step
+    # moves one column, so a closed cycle through both takes 2*(w+1) steps
+    length = outer_boundary(make_cluster(sites)).length
+    w = max(x for x, _ in sites) - min(x for x, _ in sites) + 1
+    h = max(y for _, y in sites) - min(y for _, y in sites) + 1
+    assert length >= 2 * max(w, h) + 2
+    assert max(w, h) <= _max_span(length)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from collections import defaultdict
 import pytest
 
 from contour_oracle import oracle_outer_boundary
+from walker_oracle import oracle_circuit_count
 from peierls import (
     CapExceeded,
     ContourError,
@@ -17,7 +18,8 @@ from peierls import (
     self_avoiding_circuit_count,
     walk_bound,
 )
-from peierls.enumeration import class_counts_csv, count_table_csv, count_table_json_dict
+from peierls import clusters
+from peierls.enumeration import _embed, _iter_shapes, class_counts_csv, count_table_csv, count_table_json_dict
 
 
 def brute_force_free_shapes(n_max):
@@ -67,6 +69,12 @@ def test_clusters_contain_origin_and_are_unique():
         assert cl.sites not in seen
         seen.add(cl.sites)
         assert cl.boundary.isdisjoint(cl.sites)
+
+
+def test_shape_boxes_are_tracked():
+    for shape, xmin, w, h in _iter_shapes(7):
+        xs = [e & 63 for e in shape]
+        assert (xmin, w, h) == (min(xs), max(xs) - min(xs) + 1, max(e >> 6 for e in shape) + 1)
 
 
 def test_cluster_enumeration_cap():
@@ -228,6 +236,22 @@ def test_circuit_node_cap():
         self_avoiding_circuit_count(10, max_nodes=50)
 
 
+@pytest.mark.parametrize("rule", ["five", "seven"])
+def test_walker_matches_recursive_oracle(rule):
+    for k in range(4, 11):
+        fast = self_avoiding_circuit_count(k, rule=rule)
+        slow = oracle_circuit_count(k, rule=rule)
+        assert (fast.walks, fast.distinct_sets, fast.nodes) == (slow.walks, slow.distinct_sets, slow.nodes)
+
+
+def test_walker_node_cap_threshold_matches_oracle():
+    nodes = self_avoiding_circuit_count(8).nodes
+    for count in (self_avoiding_circuit_count, oracle_circuit_count):
+        with pytest.raises(CapExceeded):
+            count(8, max_nodes=nodes - 1)
+        assert count(8, max_nodes=nodes).nodes == nodes
+
+
 def test_unknown_rule_rejected():
     with pytest.raises(ValueError):
         self_avoiding_circuit_count(6, rule="six")
@@ -244,6 +268,17 @@ def test_event_table_matches_reference_path():
     for cl in enumerate_origin_clusters(interior_capacity(max_len)):
         if oracle_outer_boundary(cl).length <= max_len:
             reference[(len(cl.sites), len(cl.boundary))] += 1
+    assert contour_event_table(max_len) == dict(reference)
+
+
+@pytest.mark.parametrize("max_len", [8, 9, 10])
+def test_pruned_event_table_matches_unpruned(max_len):
+    # reference: every shape up to the capacity, none skipped by its span
+    reference = defaultdict(int)
+    for shape, xmin, w, h in _iter_shapes(interior_capacity(max_len)):
+        bnd, gamma, _ = clusters._contour_bits(*_embed(shape, xmin, w, h))
+        if gamma.bit_count() <= max_len:
+            reference[(len(shape), bnd.bit_count())] += len(shape)
     assert contour_event_table(max_len) == dict(reference)
 
 

@@ -150,6 +150,12 @@ def test_exact_reach_probability_small_window():
         assert exact_origin_reach_probability(1, c) == pytest.approx(brute_reach_probability(c), abs=1e-14)
 
 
+def test_exact_reach_probability_rejects_bad_radius():
+    for L in (0, -1):
+        with pytest.raises(ValueError):
+            exact_origin_reach_probability(L, 0.3)
+
+
 def test_exact_reach_probability_infeasible_window():
     with pytest.raises(CapExceeded):
         exact_origin_reach_probability(2, 0.5)
