@@ -300,6 +300,8 @@ def exact_contour_counts(
     """
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
+    if shape_limit < 1:
+        raise ValueError(f"shape_limit must be >= 1, got {shape_limit}")
     needed = interior_capacity(k_max)
     cap = needed if cluster_cap is None else cluster_cap
     if cap < 1:
@@ -500,6 +502,8 @@ def self_avoiding_circuit_count(
     """
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     if k_max - 2 >= _BLOCKED:
         raise CapExceeded(f"circuit length {k_max} exceeds the walker's distance encoding")
     allowed = _allowed_dirs(rule)

@@ -201,6 +201,9 @@ def test_manifest_show_and_check(tmp_path, capsys):
         ["manifest", "{tmp}/missing.manifest.json"],
         ["manifest", "{tmp}/noargv.manifest.json"],
         ["bounds", "--sweep", "0.81:0.99:1e-7", "--r", "4"],
+        ["simulate", "--L", "8", "--bisect", "--tol", "2", "--trials", "50"],
+        ["simulate", "--L", "8", "--c", "0.5", "--trials", "10", "--workers", "-3"],
+        ["counts", "--k-max", "6", "--max-nodes", "-1"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):

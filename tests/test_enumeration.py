@@ -234,6 +234,10 @@ def test_growth_below_five(table10):
 def test_circuit_node_cap():
     with pytest.raises(CapExceeded):
         self_avoiding_circuit_count(10, max_nodes=50)
+    with pytest.raises(ValueError):
+        self_avoiding_circuit_count(10, max_nodes=0)
+    with pytest.raises(ValueError):
+        exact_contour_counts(6, shape_limit=0)
 
 
 @pytest.mark.parametrize("rule", ["five", "seven"])

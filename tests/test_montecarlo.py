@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bisect_oracle import oracle_bisect, oracle_crossing
 from peierls import (
     CapExceeded,
     ESCAPES_WINDOW,
@@ -14,7 +18,7 @@ from peierls import (
     sample_field,
     trial_seed,
 )
-from peierls.montecarlo import _crossing_count, _reach_count
+from peierls.montecarlo import _critical_indices, _crossing, _crossing_count, _label_batch, _reach_count
 
 
 def test_extreme_concentrations():
@@ -112,10 +116,70 @@ def test_bisection_nesting_under_smaller_tolerance():
 
 
 def test_bisection_tolerance_validated():
-    with pytest.raises(ValueError):
-        bisect_threshold(8, 100, 1e-4, 0)
-    with pytest.raises(ValueError):
-        bisect_threshold(8, 100, float("nan"), 0)
+    for tol in (1e-4, float("nan"), 1.0, 2.0):
+        with pytest.raises(ValueError):
+            bisect_threshold(8, 100, tol, 0)
+
+
+def test_workers_validated():
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            estimate_crossing(8, 0.5, 10, 0, workers=workers)
+        with pytest.raises(ValueError):
+            estimate_origin_reach(8, 0.5, 10, 0, workers=workers)
+        with pytest.raises(ValueError):
+            bisect_threshold(8, 10, 0.01, 0, workers=workers)
+
+
+@pytest.mark.parametrize("L", [8, 24, 64])
+def test_bisection_matches_oracle(L):
+    # 59 trials fill one chunk at L=64, so 59/60/61 straddle a chunk edge
+    for trials in (1, 59, 60, 61, 300):
+        for tol in (1e-3, 0.004, 0.005, 0.3):
+            expected = oracle_bisect(L, trials, tol, 7)
+            for workers in (1, 2, 3):
+                res = bisect_threshold(L, trials, tol, 7, workers=workers)
+                assert (res.estimate, res.trace) == expected, (trials, tol, workers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-(1 << 70), 1 << 70),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 10_000),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_critical_index_matches_crossing_predicate(seed, L, m, t0, n, data):
+    # j* must not depend on the probe order, so the prior histogram is drawn too
+    grid = 1 << m
+    prior = np.array(data.draw(st.lists(st.integers(0, 50), min_size=grid, max_size=grid)))
+    critical, passes = _critical_indices(seed, L, m, t0, t0 + n, prior)
+    bisected, bisect_passes = _critical_indices(seed, L, m, t0, t0 + n, np.zeros(grid, dtype=np.int64))
+    assert np.array_equal(critical, bisected)
+    assert bisect_passes == n * m and n <= passes <= n * (grid - 1)
+    for t, j_star in zip(range(t0, t0 + n), critical):
+        for j in range(grid + 1):
+            assert _crossing_count(seed, L, j / grid, t, t + 1) == int(j > j_star)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 9), st.data())
+def test_crossing_matches_pairwise_oracle(b, n, data):
+    bits = data.draw(st.lists(st.booleans(), min_size=b * n * n, max_size=b * n * n))
+    labels = _label_batch(np.array(bits).reshape(b, n, n))
+    assert np.array_equal(_crossing(labels), oracle_crossing(labels))
+
+
+def test_label_passes_pinned():
+    # three chunks at L=64: the first is bisected (8 passes a trial), the
+    # other two are probed at weighted medians of the first chunk's j*
+    results = [bisect_threshold(64, 150, 0.005, 3, workers=w) for w in (1, 3)]
+    assert results[0] == results[1]
+    res = results[0]
+    assert res.label_passes == 844
+    assert res.label_passes <= res.trials * len(res.trace)
 
 
 def brute_reach_probability(c):
