@@ -35,13 +35,17 @@ _BOUND_COLUMNS = ("c", "q_truncated", "tail", "q_lower", "series_bound", "thresh
 
 
 def _default_workers() -> int:
+    """Worker count from ``PEIERLS_THREADS``, else the hardware parallelism."""
     env = os.environ.get("PEIERLS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"PEIERLS_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"PEIERLS_THREADS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"PEIERLS_THREADS must be >= 1, got {env!r}")
+    return workers
 
 
 def _json_text(obj) -> str:
@@ -93,6 +97,7 @@ def cmd_counts(args) -> int:
         rule=args.rule,
         cluster_cap=args.cluster_cap,
         max_nodes=args.max_nodes,
+        workers=_default_workers(),
     )
     files = {
         ".csv": count_table_csv(table),
@@ -140,10 +145,11 @@ def _parse_sweep(spec: str) -> list[float]:
 
 def _bounds_rows(args) -> list[BoundReport]:
     cs = _parse_sweep(args.sweep) if args.sweep else [args.c]
+    workers = _default_workers()
     counts = None
     if args.mode in ("exact", "sa"):
-        counts = full_count_table(args.k_max, rule=args.rule, max_nodes=args.max_nodes)
-    events = contour_event_table(args.r - 1) if args.r >= 5 else {}
+        counts = full_count_table(args.k_max, rule=args.rule, max_nodes=args.max_nodes, workers=workers)
+    events = contour_event_table(args.r - 1, workers=workers) if args.r >= 5 else {}
     return [truncated_q(c, args.r, events=events, counts=counts, mode=args.mode) for c in cs]
 
 

@@ -28,6 +28,19 @@ skipping its contour extraction loses nothing.  The census still counts it
 does not even grow it, since adding cells never shrinks the box.  At k = 12,
 345,600 of the 2,595,167 capped shapes fit the 5 x 5 box.
 
+Both halves of the census run on ``workers`` forked processes and give the
+same results for every worker count.  Redelmeier's search tree splits into
+disjoint subtrees: the shapes of size 6 (``_SPLIT_SIZE``) are numbered in
+search order, part p of P grows only those with index % P == p, and the
+smaller shapes above them come from part 0.  Each part returns its shape
+count, its per-size covers and the first contour it met for each canonical
+key (all contours of one key are equal, since the cycle starts at the
+smallest site), and the parent merges them by sum, OR per size and first
+entry before the unchanged trajectory, stabilisation and class passes.  The
+circuit walker splits by start: a circuit's nearest ray site is its start
+(l, 0), so walks from different starts never share a site set, and the
+distinct-set counts of the starts add up exactly.
+
 The module also bounds the census analytically: a contour of length k hits
 the positive horizontal axis at some nearest site, continues with one of a
 handful of first steps, and each later step has at most 5 continuations
@@ -99,6 +112,49 @@ def interior_capacity(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Fan-out over worker processes.
+# ---------------------------------------------------------------------------
+
+#: Parts of the shape tree per worker process, so that uneven subtrees even out.
+_PARTS_PER_WORKER = 4
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _tree_parts(workers: int) -> int:
+    """Number of parts :func:`_iter_shapes` splits the shape tree into for ``workers`` processes."""
+    return 1 if workers == 1 else _PARTS_PER_WORKER * workers
+
+
+def _fan_out(fn, tasks: list[tuple], workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, spread over ``workers`` forked processes.
+
+    Results come back in submission order, and the first task exception is
+    re-raised in the caller after the tasks not yet started are cancelled.
+    Forked workers inherit the imported package instead of importing it
+    again; the pool forks all of them before it starts its own thread, so
+    the caller must not be running other threads.  ``multiprocessing`` is
+    imported only here, which keeps it out of every command's start-up.
+    """
+    if workers == 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=context) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+# ---------------------------------------------------------------------------
 # Fixed-shape enumeration (Redelmeier).
 #
 # Cells are encoded as (y << 6) | (x + 32).  Admissible cells satisfy y > 0
@@ -108,13 +164,17 @@ def interior_capacity(k: int) -> int:
 
 _ORIGIN = 32
 _STEPS = (1, -1, 64, -64)
+#: Shape size at which :func:`_iter_shapes` splits its search tree into parts.
+_SPLIT_SIZE = 6
 
 
 def _decode(cell: int) -> Site:
     return (cell & 63) - 32, cell >> 6
 
 
-def _iter_shapes(max_size: int, max_span: int | None = None) -> Iterator[tuple[list[int], int, int, int]]:
+def _iter_shapes(
+    max_size: int, max_span: int | None = None, part: int = 0, parts: int = 1
+) -> Iterator[tuple[list[int], int, int, int]]:
     """Every free-anchored 4-connected shape of size <= max_size, once each.
 
     Yields ``(cells, xmin, w, h)``: the internal mutable cell list, which
@@ -124,11 +184,22 @@ def _iter_shapes(max_size: int, max_span: int | None = None) -> Iterator[tuple[l
     a shape whose box is wider or taller than that is still yielded, but never
     grown: every shape below it in the search tree is a superset, hence at
     least as wide.
+
+    With ``parts > 1`` only part ``part`` of the search tree is yielded: the
+    shapes of size ``_SPLIT_SIZE`` are numbered in search order, and the part
+    keeps those with ``index % parts == part`` and the subtrees below them;
+    smaller shapes belong to part 0.  The parts together yield every shape
+    exactly once.
     """
     if max_size > 30:
         raise CapExceeded(f"shape size {max_size} exceeds the coordinate encoding range")
     if max_span is None:
         max_span = max_size
+    # stack depth at which a popped cell completes a shape of the split size;
+    # 0 (never reached) when the whole tree is wanted
+    split = _SPLIT_SIZE if parts > 1 else 0
+    index = -1
+    show = True
     shape: list[int] = []
     seen = {_ORIGIN}
     # Redelmeier's recursion with an explicit stack, so that each shape is one
@@ -146,6 +217,15 @@ def _iter_shapes(max_size: int, max_span: int | None = None) -> Iterator[tuple[l
                 shape.pop()
             continue
         c = untried.pop()
+        if len(stack) <= split:
+            # the top of the tree, which every part walks
+            if len(stack) == split:
+                index += 1
+                if index % parts != part:
+                    continue
+                show = True
+            else:
+                show = part == 0
         shape.append(c)
         cx = c & 63
         cy = c >> 6
@@ -153,7 +233,8 @@ def _iter_shapes(max_size: int, max_span: int | None = None) -> Iterator[tuple[l
         x1 = cx if cx > xmax else xmax
         y1 = cy if cy > ymax else ymax
         w = x1 - x0 + 1
-        yield shape, x0, w, y1 + 1
+        if show:
+            yield shape, x0, w, y1 + 1
         if len(shape) < max_size and w <= max_span and y1 < max_span:
             new = []
             for d in _STEPS:
@@ -278,36 +359,13 @@ def class_decomposition(contour: Contour) -> ClassKey:
     return ClassKey(ray_distance=l, first_step=i)
 
 
-def exact_contour_counts(
-    k_max: int,
-    *,
-    cluster_cap: int | None = None,
-    shape_limit: int = 50_000_000,
-) -> CountTable:
-    """Exact number of distinct origin-enclosing contours for each length <= k_max.
+def _census_part(k_max: int, cap: int, shape_limit: int, part: int, parts: int):
+    """One part of the shape tree: ``(shapes, covers, contours)`` keyed by canonical contour.
 
-    Parameters
-    ----------
-    k_max : largest contour length to count (>= 4).
-    cluster_cap : optional override of the cluster-size cap.  The default is
-        ``interior_capacity(k_max)``, which provably sees every contour.  A
-        smaller cap is accepted only if the counts are verified stable over
-        the top three sizes; otherwise :class:`IncompletenessError` is raised.
-    shape_limit : safety limit on the number of enumerated shapes.
-
-    Returns a :class:`CountTable` with the ``exact`` counts, the per-class
-    breakdown, and the analytic ``walk_bound`` column filled in.
+    ``covers[key][n]`` is the union of the origin positions, in the canonical
+    frame, of the size-n shapes whose contour is ``key``; ``contours[key]`` is
+    that contour, built once from the first shape that shows it.
     """
-    if k_max < 4:
-        raise ValueError("k_max must be >= 4")
-    if shape_limit < 1:
-        raise ValueError(f"shape_limit must be >= 1, got {shape_limit}")
-    needed = interior_capacity(k_max)
-    cap = needed if cluster_cap is None else cluster_cap
-    if cap < 1:
-        raise ValueError("cluster cap must be >= 1")
-    guaranteed = cap >= needed
-
     contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
     shapes_seen = 0
@@ -315,7 +373,7 @@ def exact_contour_counts(
 
     # Every shape is counted (meta["shapes"]), but only those within the span
     # bound can have a contour of length <= k_max.
-    for shape, xmin, w, h in _iter_shapes(cap):
+    for shape, xmin, w, h in _iter_shapes(cap, part=part, parts=parts):
         shapes_seen += 1
         if shapes_seen > shape_limit:
             raise CapExceeded(f"shape enumeration exceeded the limit of {shape_limit}")
@@ -348,6 +406,59 @@ def exact_contour_counts(
             covers[key] = {n: pos}
         else:
             by_size[n] = by_size.get(n, 0) | pos
+    return shapes_seen, covers, contours
+
+
+def exact_contour_counts(
+    k_max: int,
+    *,
+    cluster_cap: int | None = None,
+    shape_limit: int = 50_000_000,
+    workers: int = 1,
+) -> CountTable:
+    """Exact number of distinct origin-enclosing contours for each length <= k_max.
+
+    Parameters
+    ----------
+    k_max : largest contour length to count (>= 4).
+    cluster_cap : optional override of the cluster-size cap.  The default is
+        ``interior_capacity(k_max)``, which provably sees every contour.  A
+        smaller cap is accepted only if the counts are verified stable over
+        the top three sizes; otherwise :class:`IncompletenessError` is raised.
+    shape_limit : safety limit on the number of enumerated shapes.
+    workers : processes the shape tree is split over; the result does not
+        depend on it.
+
+    Returns a :class:`CountTable` with the ``exact`` counts, the per-class
+    breakdown, and the analytic ``walk_bound`` column filled in.
+    """
+    if k_max < 4:
+        raise ValueError("k_max must be >= 4")
+    if shape_limit < 1:
+        raise ValueError(f"shape_limit must be >= 1, got {shape_limit}")
+    _check_workers(workers)
+    needed = interior_capacity(k_max)
+    cap = needed if cluster_cap is None else cluster_cap
+    if cap < 1:
+        raise ValueError("cluster cap must be >= 1")
+    guaranteed = cap >= needed
+
+    parts = _tree_parts(workers)
+    contours: dict[int, Contour] = {}
+    covers: dict[int, dict[int, int]] = {}
+    shapes_seen = 0
+    for n, part_covers, part_contours in _fan_out(
+        _census_part, [(k_max, cap, shape_limit, p, parts) for p in range(parts)], workers
+    ):
+        shapes_seen += n
+        for key, by_size in part_covers.items():
+            merged = covers.setdefault(key, {})
+            for size, pos in by_size.items():
+                merged[size] = merged.get(size, 0) | pos
+        for key, contour in part_contours.items():
+            contours.setdefault(key, contour)
+    if shapes_seen > shape_limit:
+        raise CapExceeded(f"shape enumeration exceeded the limit of {shape_limit}")
 
     # Accumulate per-size trajectories: counts as a function of the size cap.
     trajectory: dict[int, dict[int, int]] = {s: {} for s in range(1, cap + 1)}
@@ -413,24 +524,11 @@ def exact_contour_counts(
     )
 
 
-def contour_event_table(max_len: int) -> dict[tuple[int, int], int]:
-    """Multiplicities of (|W|, |boundary|) over origin clusters with contour length <= max_len.
-
-    Every cluster whose contour is that short has size at most
-    ``interior_capacity(max_len)``, so the table is a complete, exact census
-    of the events feeding the truncated polynomial.
-    """
-    if max_len < 4:
-        raise ValueError("max_len must be >= 4")
-    cap = interior_capacity(max_len)
-    if cap > 15:
-        raise CapExceeded(
-            f"contours of length {max_len} require clusters up to size {cap}; "
-            "beyond the feasible enumeration range"
-        )
+def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
+    """Event multiplicities of one part of the (span-pruned) shape tree."""
     events: dict[tuple[int, int], int] = {}
     span = _max_span(max_len)
-    for shape, xmin, w, h in _iter_shapes(cap, span):
+    for shape, xmin, w, h in _iter_shapes(cap, span, part, parts):
         if w > span or h > span:
             continue
         bnd, gamma, _ = clusters._contour_bits(*_embed(shape, xmin, w, h))
@@ -438,6 +536,31 @@ def contour_event_table(max_len: int) -> dict[tuple[int, int], int]:
             continue
         pair = (len(shape), bnd.bit_count())
         events[pair] = events.get(pair, 0) + len(shape)
+    return events
+
+
+def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, int], int]:
+    """Multiplicities of (|W|, |boundary|) over origin clusters with contour length <= max_len.
+
+    Every cluster whose contour is that short has size at most
+    ``interior_capacity(max_len)``, so the table is a complete, exact census
+    of the events feeding the truncated polynomial.  ``workers`` processes
+    share the shape tree; the table does not depend on it.
+    """
+    if max_len < 4:
+        raise ValueError("max_len must be >= 4")
+    _check_workers(workers)
+    cap = interior_capacity(max_len)
+    if cap > 15:
+        raise CapExceeded(
+            f"contours of length {max_len} require clusters up to size {cap}; "
+            "beyond the feasible enumeration range"
+        )
+    parts = _tree_parts(workers)
+    events: dict[tuple[int, int], int] = {}
+    for part_events in _fan_out(_event_part, [(max_len, cap, p, parts) for p in range(parts)], workers):
+        for pair, count in part_events.items():
+            events[pair] = events.get(pair, 0) + count
     return events
 
 
@@ -471,41 +594,12 @@ def _allowed_dirs(rule: str) -> tuple[tuple[int, ...], ...]:
 _BLOCKED = 255
 
 
-def self_avoiding_circuit_count(
-    k_max: int,
-    *,
-    rule: str = "five",
-    max_nodes: int = 200_000_000,
-) -> SelfAvoidingCounts:
-    """Count restricted self-avoiding circuits that enclose the origin.
+def _circuits_from(k_max: int, rule: str, l: int, max_nodes: int) -> tuple[list[int], list[int], int]:
+    """Walk every circuit that starts at (l, 0): ``(walks, distinct sets, nodes)`` per length.
 
-    A circuit of length k starts at a site (l, 0), takes one of the
-    admissible first steps (east, north-east, north, north-west, or the east
-    dip to (l+1, -1)), continues with at most 5 king-move options per step
-    under the ``five`` rule (turns of more than 90 degrees are excluded;
-    ``seven`` relaxes this to everything except reversal), never revisits a
-    site, avoids ray sites nearer the origin than its start, closes after k
-    steps, and must wind around the origin.  Walks are counted individually
-    and after deduplication by site set.  ``nodes`` counts the steps taken;
-    :class:`CapExceeded` is raised at step ``max_nodes + 1``.
-
-    The walk runs on integer indices into one grid holding every site within
-    king distance k_max of any start.  Per start, one bytearray gives each
-    site's level: its king distance to the start, or ``_BLOCKED`` while it is
-    visited or a nearer ray site, so a single comparison with the remaining
-    step budget both rejects blocked sites and prunes walks that could no
-    longer return.  The winding number is kept as a running sum: the crossing
-    table holds, per direction and site, the :func:`clusters._crossing` term of
-    the step leaving that site, so closing a walk next to the start adds the
-    closing step's term instead of re-walking the path.  The set key is a
-    bitmask over grid indices, grown by one bit per step.
+    The two lists are indexed by length 0..k_max.  Raises :class:`CapExceeded`
+    at node ``max_nodes + 1``.
     """
-    if k_max < 4:
-        raise ValueError("k_max must be >= 4")
-    if max_nodes < 1:
-        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
-    if k_max - 2 >= _BLOCKED:
-        raise CapExceeded(f"circuit length {k_max} exceeds the walker's distance encoding")
     allowed = _allowed_dirs(rule)
     l_max = (k_max - 2) // 2
     # Grid of x in [1 - k_max, l_max + k_max], y in [-k_max, k_max].
@@ -523,49 +617,107 @@ def self_avoiding_circuit_count(
     distinct: list[set[int]] = [set() for _ in range(k_max + 1)]
     nodes = 0
 
-    for l in range(1, l_max + 1):
-        start = k_max * width + l - 1 + k_max
-        level = bytearray(min(max(abs(x - l), abs(y)), _BLOCKED) for x, y in sites)
-        for j in range(l + 1):
-            level[start - l + j] = _BLOCKED
-        # winding term of the closing step, for the sites next to the start
-        close = [0] * len(sites)
-        for d, step in enumerate(steps):
-            close[start + step] = crossing[(d + 4) % 8][start + step]
+    start = k_max * width + l - 1 + k_max
+    level = bytearray(min(max(abs(x - l), abs(y)), _BLOCKED) for x, y in sites)
+    for j in range(l + 1):
+        level[start - l + j] = _BLOCKED
+    # winding term of the closing step, for the sites next to the start
+    close = [0] * len(sites)
+    for d, step in enumerate(steps):
+        close[start + step] = crossing[(d + 4) % 8][start + step]
 
-        def extend(pos: int, d: int, depth: int, wind: int, key: int) -> None:
-            nonlocal nodes
-            budget = k_max - depth
-            depth += 1
-            for nd, step, cross in moves[d]:
-                nxt = pos + step
-                lv = level[nxt]
-                if lv > budget:
-                    continue
-                nodes += 1
-                if nodes > max_nodes:
-                    raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
-                w = wind + cross[pos]
-                if lv == 1 and depth >= 4 and w + close[nxt]:
-                    walks[depth] += 1
-                    distinct[depth].add(key | bits[nxt])
-                if depth < k_max:
-                    level[nxt] = _BLOCKED
-                    extend(nxt, nd, depth, w, key | bits[nxt])
-                    level[nxt] = lv
+    def extend(pos: int, d: int, depth: int, wind: int, key: int) -> None:
+        nonlocal nodes
+        budget = k_max - depth
+        depth += 1
+        for nd, step, cross in moves[d]:
+            nxt = pos + step
+            lv = level[nxt]
+            if lv > budget:
+                continue
+            nodes += 1
+            if nodes > max_nodes:
+                raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
+            w = wind + cross[pos]
+            if lv == 1 and depth >= 4 and w + close[nxt]:
+                walks[depth] += 1
+                distinct[depth].add(key | bits[nxt])
+            if depth < k_max:
+                level[nxt] = _BLOCKED
+                extend(nxt, nd, depth, w, key | bits[nxt])
+                level[nxt] = lv
 
-        for first_dir in (0, 1, 2, 3, 7):
-            x1 = start + steps[first_dir]
-            lv = level[x1]
-            level[x1] = _BLOCKED
-            extend(x1, first_dir, 2, crossing[first_dir][start], bits[start] | bits[x1])
-            level[x1] = lv
+    for first_dir in (0, 1, 2, 3, 7):
+        x1 = start + steps[first_dir]
+        lv = level[x1]
+        level[x1] = _BLOCKED
+        extend(x1, first_dir, 2, crossing[first_dir][start], bits[start] | bits[x1])
+        level[x1] = lv
+    # extend's closure refers to itself; emptying that cell frees the sets on
+    # return instead of at a later garbage collection, while the next start runs
+    del extend
+    return walks, [len(keys) for keys in distinct], nodes
 
+
+def self_avoiding_circuit_count(
+    k_max: int,
+    *,
+    rule: str = "five",
+    max_nodes: int = 200_000_000,
+    workers: int = 1,
+) -> SelfAvoidingCounts:
+    """Count restricted self-avoiding circuits that enclose the origin.
+
+    A circuit of length k starts at a site (l, 0), takes one of the
+    admissible first steps (east, north-east, north, north-west, or the east
+    dip to (l+1, -1)), continues with at most 5 king-move options per step
+    under the ``five`` rule (turns of more than 90 degrees are excluded;
+    ``seven`` relaxes this to everything except reversal), never revisits a
+    site, avoids ray sites nearer the origin than its start, closes after k
+    steps, and must wind around the origin.  Walks are counted individually
+    and after deduplication by site set.  ``nodes`` counts the steps taken;
+    :class:`CapExceeded` is raised if it exceeds ``max_nodes``.
+
+    The walk runs on integer indices into one grid holding every site within
+    king distance k_max of any start.  Per start, one bytearray gives each
+    site's level: its king distance to the start, or ``_BLOCKED`` while it is
+    visited or a nearer ray site, so a single comparison with the remaining
+    step budget both rejects blocked sites and prunes walks that could no
+    longer return.  The winding number is kept as a running sum: the crossing
+    table holds, per direction and site, the :func:`clusters._crossing` term of
+    the step leaving that site, so closing a walk next to the start adds the
+    closing step's term instead of re-walking the path.  The set key is a
+    bitmask over grid indices, grown by one bit per step.
+
+    Each start is one task for ``workers`` processes (the counts do not depend
+    on it); every task is capped at ``max_nodes`` on its own, and the total
+    is checked after.
+    """
+    if k_max < 4:
+        raise ValueError("k_max must be >= 4")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    _check_workers(workers)
+    if k_max - 2 >= _BLOCKED:
+        raise CapExceeded(f"circuit length {k_max} exceeds the walker's distance encoding")
+    _allowed_dirs(rule)  # rejects an unknown rule before any task starts
+    walks = [0] * (k_max + 1)
+    distinct = [0] * (k_max + 1)
+    nodes = 0
+    tasks = [(k_max, rule, l, max_nodes) for l in range(1, (k_max - 2) // 2 + 1)]
+    for part_walks, part_distinct, part_nodes in _fan_out(_circuits_from, tasks, workers):
+        # a circuit's nearest ray site is its start, so the site sets of
+        # different starts are disjoint and their counts add
+        walks = [a + b for a, b in zip(walks, part_walks)]
+        distinct = [a + b for a, b in zip(distinct, part_distinct)]
+        nodes += part_nodes
+    if nodes > max_nodes:
+        raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
     return SelfAvoidingCounts(
         k_max=k_max,
         rule=rule,
         walks={k: walks[k] for k in range(4, k_max + 1)},
-        distinct_sets={k: len(distinct[k]) for k in range(4, k_max + 1)},
+        distinct_sets={k: distinct[k] for k in range(4, k_max + 1)},
         nodes=nodes,
     )
 
@@ -577,10 +729,15 @@ def full_count_table(
     cluster_cap: int | None = None,
     max_nodes: int = 200_000_000,
     shape_limit: int = 50_000_000,
+    workers: int = 1,
 ) -> CountTable:
-    """Exact counts, restricted-circuit counts, and the analytic bound, merged."""
-    table = exact_contour_counts(k_max, cluster_cap=cluster_cap, shape_limit=shape_limit)
-    sa = self_avoiding_circuit_count(k_max, rule=rule, max_nodes=max_nodes)
+    """Exact counts, restricted-circuit counts, and the analytic bound, merged.
+
+    Both halves fan out over ``workers`` processes; the table does not depend on it.
+    """
+    _check_workers(workers)
+    table = exact_contour_counts(k_max, cluster_cap=cluster_cap, shape_limit=shape_limit, workers=workers)
+    sa = self_avoiding_circuit_count(k_max, rule=rule, max_nodes=max_nodes, workers=workers)
     table.sa_walk = sa.walks
     table.sa_sets = sa.distinct_sets
     table.meta["rule"] = rule

@@ -162,11 +162,31 @@ def test_threads_env_override(monkeypatch, capsys):
 
 
 def test_bad_threads_env_names_the_variable(monkeypatch, capsys):
-    monkeypatch.setenv("PEIERLS_THREADS", "abc")
-    code = main(["simulate", "--L", "8", "--c", "0.6", "--trials", "20"])
+    for value in ("abc", "-3", "0"):
+        monkeypatch.setenv("PEIERLS_THREADS", value)
+        for argv in (["simulate", "--L", "8", "--c", "0.6", "--trials", "20"], ["counts", "--k-max", "6"]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error: PEIERLS_THREADS") and err.count("\n") == 1
+
+
+def test_counts_files_independent_of_threads(tmp_path, monkeypatch, capsys):
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PEIERLS_THREADS", threads)
+        assert main(["counts", "--k-max", "10", "--out", str(tmp_path / threads)]) == 0
+    capsys.readouterr()
+    for suffix in (".csv", "_classes.csv", ".json"):
+        assert (tmp_path / f"1{suffix}").read_bytes() == (tmp_path / f"2{suffix}").read_bytes()
+
+
+def test_cap_in_a_worker_exits_3_with_one_line(monkeypatch, capsys):
+    monkeypatch.setenv("PEIERLS_THREADS", "2")
+    code = main(["counts", "--k-max", "10", "--max-nodes", "1000"])
     err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: PEIERLS_THREADS") and err.count("\n") == 1
+    assert code == 3
+    assert err.startswith("error: circuit search exceeded 1000 nodes") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

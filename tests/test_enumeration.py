@@ -1,6 +1,8 @@
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contour_oracle import oracle_outer_boundary
 from walker_oracle import oracle_circuit_count
@@ -13,13 +15,23 @@ from peierls import (
     contour_event_table,
     enumerate_origin_clusters,
     exact_contour_counts,
+    full_count_table,
     interior_capacity,
     outer_boundary,
     self_avoiding_circuit_count,
     walk_bound,
 )
 from peierls import clusters
-from peierls.enumeration import _embed, _iter_shapes, class_counts_csv, count_table_csv, count_table_json_dict
+from peierls.enumeration import (
+    _SPLIT_SIZE,
+    _census_part,
+    _circuits_from,
+    _embed,
+    _iter_shapes,
+    class_counts_csv,
+    count_table_csv,
+    count_table_json_dict,
+)
 
 
 def brute_force_free_shapes(n_max):
@@ -75,6 +87,22 @@ def test_shape_boxes_are_tracked():
     for shape, xmin, w, h in _iter_shapes(7):
         xs = [e & 63 for e in shape]
         assert (xmin, w, h) == (min(xs), max(xs) - min(xs) + 1, max(e >> 6 for e in shape) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    span=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    parts=st.integers(min_value=1, max_value=7),
+)
+def test_shape_tree_parts_partition_the_shapes(n, span, parts):
+    whole = Counter((tuple(s), x, w, h) for s, x, w, h in _iter_shapes(n, span))
+    split = Counter()
+    for part in range(parts):
+        split.update((tuple(s), x, w, h) for s, x, w, h in _iter_shapes(n, span, part, parts))
+    assert split == whole
+    if n < _SPLIT_SIZE and parts > 1:
+        assert not list(_iter_shapes(n, span, parts - 1, parts))
 
 
 def test_cluster_enumeration_cap():
@@ -250,10 +278,42 @@ def test_walker_matches_recursive_oracle(rule):
 
 def test_walker_node_cap_threshold_matches_oracle():
     nodes = self_avoiding_circuit_count(8).nodes
-    for count in (self_avoiding_circuit_count, oracle_circuit_count):
+    fanned_out = lambda k, max_nodes: self_avoiding_circuit_count(k, max_nodes=max_nodes, workers=2)  # noqa: E731
+    for count in (self_avoiding_circuit_count, fanned_out, oracle_circuit_count):
         with pytest.raises(CapExceeded):
             count(8, max_nodes=nodes - 1)
         assert count(8, max_nodes=nodes).nodes == nodes
+
+
+def test_shape_limit_threshold():
+    # k = 10 caps shapes at size 8, past the split size, so no part holds them all
+    shapes = exact_contour_counts(10).meta["shapes"]
+    for workers in (1, 2):
+        with pytest.raises(CapExceeded):
+            exact_contour_counts(10, shape_limit=shapes - 1, workers=workers)
+        assert exact_contour_counts(10, shape_limit=shapes, workers=workers).meta["shapes"] == shapes
+
+
+def test_each_task_is_capped_on_its_own():
+    with pytest.raises(CapExceeded):
+        _circuits_from(10, "five", 1, 100)
+    with pytest.raises(CapExceeded):
+        _census_part(10, interior_capacity(10), 100, 1, 8)
+
+
+def test_census_rejects_fewer_than_one_worker():
+    for census in (exact_contour_counts, self_avoiding_circuit_count, contour_event_table, full_count_table):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                census(6, workers=workers)
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_full_count_table_independent_of_workers(k):
+    # every field: exact, sa_walk, sa_sets, classes, witness contours and meta
+    serial = full_count_table(k)
+    for workers in (2, 3):
+        assert full_count_table(k, workers=workers) == serial
 
 
 def test_unknown_rule_rejected():
@@ -284,6 +344,13 @@ def test_pruned_event_table_matches_unpruned(max_len):
         if gamma.bit_count() <= max_len:
             reference[(len(shape), bnd.bit_count())] += len(shape)
     assert contour_event_table(max_len) == dict(reference)
+
+
+@pytest.mark.parametrize("max_len", [8, 10])
+def test_event_table_independent_of_workers(max_len):
+    serial = contour_event_table(max_len)
+    for workers in (2, 3):
+        assert contour_event_table(max_len, workers=workers) == serial
 
 
 def test_event_table_infeasible_length():
