@@ -5,8 +5,8 @@ byte-identical data files.  Wall time and other volatile details live only in
 the run manifest, which records output digests so a run can be verified by
 re-execution.
 
-Exit codes: 0 success, 2 argument error, 3 enumeration cap or feasibility
-error.
+Exit codes: 0 success, 2 argument error, 3 enumeration or Monte Carlo work
+cap, or feasibility error.
 """
 
 from __future__ import annotations

@@ -50,9 +50,10 @@ def neighbors8(site: Site) -> list[Site]:
 # ---------------------------------------------------------------------------
 # Counter-based uniforms.
 #
-# A splitmix-style avalanche over (seed, x, y).  The same integer pipeline is
-# implemented twice: in pure Python for single sites and with numpy uint64
-# arithmetic for whole grids; both produce bit-identical doubles.
+# A splitmix-style avalanche over (seed, x, y).  The pure-Python pipeline
+# hashes single sites; :func:`_hash_windows` runs the same integer pipeline
+# with numpy uint64 arithmetic over whole windows, bit-identically, one
+# cache-sized block of sites at a time.
 # ---------------------------------------------------------------------------
 
 _M64 = (1 << 64) - 1
@@ -60,6 +61,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _XSALT = 0xD1B54A32D192ED03
 _YSALT = 0x8CB92BA72F3D8DD7
 _TRIALSALT = 0xD1342543DE82EF95
+
+#: Sites hashed per block: the block's uint64 hashes and the mixer's scratch
+#: (512 KiB together) stay in L2 while the block is mixed and reduced.  On a
+#: 2-core Xeon with 2 MiB of L2 a core, hashing radius-128 windows in blocks of
+#: 32K-64K sites took 4-5 ns a site, 16K up to 6.5 ns and 4K about 10 ns.
+_BLOCK_SITES = 1 << 15
 
 
 def mix64(z: int) -> int:
@@ -97,27 +104,61 @@ def uniform_grid(seed: int, radius: int) -> np.ndarray:
     same (seed, x, y) bit-exactly, so grids of different radii agree on their
     common sites.
     """
-    h = _hash_grids(np.array([seed & _M64], dtype=np.uint64), radius)[0]
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    side = 2 * radius + 1
+    out = np.empty((1, side, side), dtype=np.float64)
+    _hash_windows(np.array([seed & _M64], dtype=np.uint64), radius, out, _to_uniform)
+    return out[0]
 
 
-def _hash_grids(seeds: np.ndarray, radius: int) -> np.ndarray:
-    """Site hashes of one window per uint64 seed.
+def _to_uniform(z: np.ndarray, out: np.ndarray) -> None:
+    """Reducer for :func:`_hash_windows`: the 53-bit uniform in [0, 1) of each hash."""
+    z >>= np.uint64(11)
+    np.multiply(z, 2.0**-53, out=out)
 
-    Entry ``[t, y + radius, x + radius]`` equals ``_site_hash(seeds[t], x, y)``.
+
+def _hash_windows(seeds: np.ndarray, radius: int, out: np.ndarray, reduce) -> None:
+    """Hash one window per uint64 seed and reduce the hashes into ``out``.
+
+    ``out`` has shape ``(seeds.size, side, side)`` with ``side = 2*radius+1``
+    and any strides; entry ``[t, y + radius, x + radius]`` belongs to
+    ``_site_hash(seeds[t], x, y)``.  The sites are hashed in blocks of about
+    ``_BLOCK_SITES``: whole windows when several fit in a block, else row
+    slices of one window.  For each block, ``reduce(z, dst)`` writes ``dst``,
+    the block's slice of ``out``, from ``z``, the block's hashes laid out
+    like ``dst``; it may overwrite ``z``.  No hash array larger than a block
+    ever exists.
     """
+    side = 2 * radius + 1
     coords = np.arange(-radius, radius + 1, dtype=np.int64).view(np.uint64)
-    h0 = _np_mix64(seeds ^ np.uint64(_GOLDEN))
-    hx = _np_mix64(h0[:, np.newaxis] + coords[np.newaxis, :] * np.uint64(_XSALT))
-    yterm = coords * np.uint64(_YSALT)
-    z = np.empty((seeds.size, coords.size, coords.size), dtype=np.uint64)
-    np.add(hx[:, np.newaxis, :], yterm[np.newaxis, :, np.newaxis], out=z)
-    return _np_mix64(z)
-
-
-def _np_mix64(z: np.ndarray) -> np.ndarray:
-    """:func:`mix64` applied in place to a uint64 array; returns ``z``."""
+    h0 = _np_mix64(seeds ^ np.uint64(_GOLDEN), np.empty_like(seeds))
+    hx = h0[:, np.newaxis] + coords[np.newaxis, :] * np.uint64(_XSALT)
+    _np_mix64(hx, np.empty_like(hx))
+    yterm = (coords * np.uint64(_YSALT))[:, np.newaxis]
+    trials = _even_piece(seeds.size, _BLOCK_SITES // (side * side))
+    rows = _even_piece(side, _BLOCK_SITES // side)
+    z = np.empty((trials, rows, side), dtype=np.uint64)
     tmp = np.empty_like(z)
+    for t0 in range(0, seeds.size, trials):
+        t1 = min(t0 + trials, seeds.size)
+        for y0 in range(0, side, rows):
+            y1 = min(y0 + rows, side)
+            zb = z[: t1 - t0, : y1 - y0]
+            np.add(hx[t0:t1, np.newaxis, :], yterm[y0:y1], out=zb)
+            reduce(_np_mix64(zb, tmp[: t1 - t0, : y1 - y0]), out[t0:t1, y0:y1])
+
+
+def _even_piece(n: int, most: int) -> int:
+    """Piece size when ``n`` items are cut into the fewest pieces of at most ``max(most, 1)``, evened out.
+
+    Evening out keeps a last sliver block from costing a block's Python
+    overhead for a few sites.
+    """
+    pieces = max(1, -(-n // max(most, 1)))
+    return max(1, -(-n // pieces))
+
+
+def _np_mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`mix64` applied in place to a uint64 array, with scratch ``tmp`` of its shape; returns ``z``."""
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
     z *= np.uint64(0xBF58476D1CE4E5B9)

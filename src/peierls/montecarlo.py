@@ -3,16 +3,23 @@
 Each trial draws one coupled field from a per-trial derived seed, so any
 subset of trials can be recomputed independently and estimates are identical
 however the trials are split across workers.  Trials are processed in chunks
-of about 1M sites.  Cluster labeling is done in batches: trial grids are
-stacked with blank separator rows and labeled in a single 4-connected pass.
+of about 1M sites, spread over worker threads and produced lazily, so a run
+holds only the chunks in flight.  Within a chunk the site hashes are computed
+in cache-sized blocks (:func:`peierls.lattice._hash_windows`) and each block
+is reduced at once: thresholded straight into the occupancy buffer that is
+labelled, or cut to a 16-bit key for bisection.  No chunk-sized array of
+64-bit hashes is ever built.  Cluster labeling is done in batches: trial
+grids are stacked with blank separator rows and labeled in a single
+4-connected pass.  Fields larger than ``site_limit`` sites and runs of more
+than ``site_trial_limit`` trials x sites raise :class:`CapExceeded`.
 
 Threshold bisection does not re-label every field at every midpoint.  Its
 midpoints all lie on the grid j / 2**m, with m fixed by the tolerance, and a
 coupled field crosses at c = j / 2**m exactly when j exceeds the field's
 critical index j*: the largest grid index at which it has no left-right
-crossing.  Each chunk is hashed once and every trial's j* is found by its own
-search, each pass thresholding and labeling only the trials whose bracket is
-still open.  The first chunk bisects; later chunks probe at the weighted
+crossing.  Each chunk is hashed once, into 16-bit keys, and every trial's j*
+is found by its own search, each pass thresholding and labeling only the
+trials whose bracket is still open.  The first chunk bisects; later chunks probe at the weighted
 median of their bracket under the first chunk's j* histogram, which takes
 fewer passes (about 4.4 a trial instead of 8 at L = 64, tol = 0.005).  j* is
 exact whatever the probe order, so the hit count at each midpoint,
@@ -23,14 +30,16 @@ thresholding every field at every midpoint.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import CapExceeded
-from .lattice import Window, _hash_grids, trial_seed
+from .lattice import Window, _hash_windows, trial_seed
 
 __all__ = [
     "McEstimate",
@@ -66,42 +75,71 @@ class McEstimate:
         }
 
 
-def _hash_batch(seed: int, L: int, t0: int, t1: int) -> np.ndarray:
-    """Site hashes for trials t0..t1-1; [t, y+L, x+L] matches uniform_grid."""
-    return _hash_grids(np.array([trial_seed(seed, t) for t in range(t0, t1)], dtype=np.uint64), L)
-
-
-def _occupied_batch(seed: int, L: int, c: float, t0: int, t1: int) -> np.ndarray:
-    """Occupancy grids at concentration c.
-
-    Uses an integer threshold: the uniforms are exact multiples of 2**-53, so
-    ``u < c`` is equivalent to comparing the raw 53-bit hash against
-    ceil(c * 2**53), without materializing the floats.
-    """
-    if c >= 1.0:
-        shape = (t1 - t0, 2 * L + 1, 2 * L + 1)
-        return np.ones(shape, dtype=bool)
-    if c <= 0.0:
-        shape = (t1 - t0, 2 * L + 1, 2 * L + 1)
-        return np.zeros(shape, dtype=bool)
-    return _hash_batch(seed, L, t0, t1) < _hash_threshold(c)
+def _trial_seeds(seed: int, t0: int, t1: int) -> np.ndarray:
+    """uint64 seeds of trials t0..t1-1."""
+    return np.array([trial_seed(seed, t) for t in range(t0, t1)], dtype=np.uint64)
 
 
 def _hash_threshold(c: float) -> np.uint64:
-    """Raw-hash bound with ``hash < bound`` iff the site's uniform is below c, for 0 < c < 1."""
+    """Raw-hash bound with ``hash < bound`` iff the site's uniform is below c, for 0 < c < 1.
+
+    The uniforms are exact multiples of 2**-53, so ``u < c`` is equivalent to
+    comparing the raw 53-bit hash against ceil(c * 2**53), without
+    materializing the floats.
+    """
     return np.uint64(math.ceil(c * 2.0**53) << 11)
 
 
-def _label_batch(occupied: np.ndarray) -> np.ndarray:
-    """4-connected labels per trial, computed in one pass over a stacked image."""
-    b, n, _ = occupied.shape
-    stacked = np.zeros((b, n + 1, n), dtype=bool)
-    stacked[:, :n] = occupied
-    labels, _ = ndimage.label(stacked.reshape(b * (n + 1), n), structure=_STRUCT4)
-    return labels.reshape(b, n + 1, n)[:, :n]
+def _label_batch(stacked: np.ndarray) -> np.ndarray:
+    """4-connected labels of the grids ``stacked[:, :n]``, computed in one pass.
+
+    ``stacked`` has shape ``(b, n + 1, n)``: each n x n grid is followed by a
+    blank separator row, so the whole stack is labelled as one image without
+    joining clusters of neighbouring grids.  Returns the ``(b, n, n)`` labels.
+    """
+    b, n1, n = stacked.shape
+    labels, _ = ndimage.label(stacked.reshape(b * n1, n), structure=_STRUCT4)
+    return labels.reshape(b, n1, n)[:, :n]
+
+
+def _occupy(seed: int, L: int, c: float, t0: int, t1: int, out: np.ndarray) -> None:
+    """Write the occupancy grids of trials t0..t1-1 at concentration c into ``out``.
+
+    ``out`` is a bool array of shape ``(t1 - t0, side, side)``, any strides;
+    each hash block is thresholded straight into it.
+    """
+    if 0.0 < c < 1.0:
+        bound = _hash_threshold(c)
+        _hash_windows(_trial_seeds(seed, t0, t1), L, out, lambda z, dst: np.less(z, bound, out=dst))
+    else:
+        out[...] = c >= 1.0
+
+
+def _keys(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
+    """16-bit keys ``hash >> (64 - m)`` of trials t0..t1-1, for 1 <= m <= 16.
+
+    ``_hash_threshold(j / 2**m) == j << (64 - m)``, so a site is occupied at
+    c = j / 2**m exactly when its key is below j.
+    """
+    side = 2 * L + 1
+    keys = np.empty((t1 - t0, side, side), dtype=np.uint16)
+    shift = np.uint64(64 - m)
+    _hash_windows(
+        _trial_seeds(seed, t0, t1), L, keys, lambda z, dst: np.right_shift(z, shift, out=dst, casting="unsafe")
+    )
+    return keys
+
+
+def _occupied_labels(seed: int, L: int, c: float, t0: int, t1: int) -> np.ndarray:
+    """Labels of the occupied sites of trials t0..t1-1 at concentration c."""
+    side = 2 * L + 1
+    stacked = np.zeros((t1 - t0, side + 1, side), dtype=bool)
+    _occupy(seed, L, c, t0, t1, stacked[:, :side])
+    return _label_batch(stacked)
+
 
 def _reach_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
-    labels = _label_batch(_occupied_batch(seed, L, c, t0, t1))
+    labels = _occupied_labels(seed, L, c, t0, t1)
     origin = labels[:, L, L]
     border = np.concatenate(
         [labels[:, 0, :], labels[:, -1, :], labels[:, :, 0], labels[:, :, -1]], axis=1
@@ -123,41 +161,68 @@ def _crossing(labels: np.ndarray) -> np.ndarray:
 
 
 def _crossing_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
-    return int(_crossing(_label_batch(_occupied_batch(seed, L, c, t0, t1))).sum())
+    return int(_crossing(_occupied_labels(seed, L, c, t0, t1)).sum())
 
 
-def _chunks(L: int, trials: int) -> list[tuple[int, int]]:
-    """Trial ranges [t0, t1) of about 1M sites each."""
+def _chunks(L: int, trials: int) -> Iterator[tuple[int, int]]:
+    """Trial ranges [t0, t1) of about 1M sites each, yielded lazily."""
     side = 2 * L + 1
-    # ~1M sites keeps each uint64 hash array near 8 MB.  At 32 MB (glibc's mmap
-    # threshold cap) a command's peak RSS varied by 30 MB with thread timing.
+    # ~1M sites keeps a chunk's grids and int32 labels near 5 MB.  Bisection
+    # steers later chunks by the first chunk's j*, so its passes depend on this.
     batch = max(1, 1_000_000 // (side * (side + 1)))
-    return [(t0, min(t0 + batch, trials)) for t0 in range(0, trials, batch)]
+    return ((t0, min(t0 + batch, trials)) for t0 in range(0, trials, batch))
 
 
-def _map_chunks(fn, chunks: list[tuple[int, int]], workers: int) -> list:
-    """``[fn(t0, t1) for t0, t1 in chunks]``, spread over ``workers`` threads."""
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(a, b) for a, b in chunks]
+def _map_chunks(fn, chunks: Iterable[tuple[int, int]], workers: int) -> Iterator:
+    """``fn(t0, t1)`` for each range of ``chunks``, in order, computed on ``workers`` threads.
+
+    At most two ranges a worker are in flight, so however many ranges there
+    are, neither they nor their results are ever held all at once.
+    """
+    if workers <= 1:
+        for a, b in chunks:
+            yield fn(a, b)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda ab: fn(*ab), chunks))
+        pending: deque = deque()
+        for a, b in chunks:
+            pending.append(pool.submit(fn, a, b))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _count_events(counter, L: int, c: float, trials: int, seed: int, workers: int) -> int:
     return sum(_map_chunks(lambda a, b: counter(seed, L, c, a, b), _chunks(L, trials), workers))
 
 
-def _check_run(L: int, trials: int, workers: int) -> None:
-    """Reject a window radius below 1, fewer than one trial or fewer than one worker."""
-    Window(L)
+#: Default caps on Monte Carlo work: sites in one field (radius 2047 fits) and
+#: trials x sites in one run (about 40x the 100k radius-128 trials of
+#: acceptance criterion 5).
+_SITE_LIMIT = 1 << 24
+_SITE_TRIAL_LIMIT = 1 << 38
+
+
+def _check_run(L: int, trials: int, workers: int, site_limit: int, site_trial_limit: int) -> None:
+    """Reject a window radius below 1, fewer than one trial or worker, and work past the caps."""
+    sites = Window(L).site_count
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if sites > site_limit:
+        raise CapExceeded(f"window has {sites} sites; a Monte Carlo field is capped at {site_limit}")
+    if trials * sites > site_trial_limit:
+        raise CapExceeded(
+            f"{trials} trials of {sites} sites exceed the Monte Carlo cap of {site_trial_limit} site-trials"
+        )
 
 
-def _estimate(counter, L: int, c: float, trials: int, seed: int, workers: int) -> McEstimate:
-    _check_run(L, trials, workers)
+def _estimate(
+    counter, L: int, c: float, trials: int, seed: int, workers: int, site_limit: int, site_trial_limit: int
+) -> McEstimate:
+    _check_run(L, trials, workers, site_limit, site_trial_limit)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"concentration must lie in [0, 1], got {c}")
     hits = _count_events(counter, L, c, trials, seed, workers)
@@ -172,18 +237,41 @@ def _estimate(counter, L: int, c: float, trials: int, seed: int, workers: int) -
     )
 
 
-def estimate_origin_reach(L: int, c: float, trials: int, seed: int, *, workers: int = 1) -> McEstimate:
+def estimate_origin_reach(
+    L: int,
+    c: float,
+    trials: int,
+    seed: int,
+    *,
+    workers: int = 1,
+    site_limit: int = _SITE_LIMIT,
+    site_trial_limit: int = _SITE_TRIAL_LIMIT,
+) -> McEstimate:
     """Fraction of trials whose origin cluster reaches the window border.
 
     The finite-window stand-in for the probability that the origin belongs to
-    an unbounded cluster; vacant origins never count.
+    an unbounded cluster; vacant origins never count.  Raises
+    :class:`CapExceeded` when a field has more than ``site_limit`` sites or
+    the run more than ``site_trial_limit`` trials x sites.
     """
-    return _estimate(_reach_count, L, c, trials, seed, workers)
+    return _estimate(_reach_count, L, c, trials, seed, workers, site_limit, site_trial_limit)
 
 
-def estimate_crossing(L: int, c: float, trials: int, seed: int, *, workers: int = 1) -> McEstimate:
-    """Fraction of trials with an occupied left-right crossing of the window."""
-    return _estimate(_crossing_count, L, c, trials, seed, workers)
+def estimate_crossing(
+    L: int,
+    c: float,
+    trials: int,
+    seed: int,
+    *,
+    workers: int = 1,
+    site_limit: int = _SITE_LIMIT,
+    site_trial_limit: int = _SITE_TRIAL_LIMIT,
+) -> McEstimate:
+    """Fraction of trials with an occupied left-right crossing of the window.
+
+    Capped like :func:`estimate_origin_reach`.
+    """
+    return _estimate(_crossing_count, L, c, trials, seed, workers, site_limit, site_trial_limit)
 
 
 @dataclass(frozen=True)
@@ -220,14 +308,17 @@ def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int, prior: np.nda
     field crosses at j / 2**m exactly when j > j*_t.  Each trial keeps a
     bracket lo <= j*_t < hi and is probed at the median of its bracket under
     the weights ``prior * 2**m + 1`` (a j* histogram plus one pseudo-count
-    spread over the grid); a zero prior makes that plain bisection.  The
-    fields are hashed once; each pass labels only the trials whose bracket is
-    still open.  The probe order changes the passes spent, never j*.
+    spread over the grid); a zero prior makes that plain bisection.  The probe
+    order changes the passes spent, never j*.
+
+    The fields are hashed once, into 16-bit keys (:func:`_keys`).  Each pass
+    thresholds the keys of the trials whose bracket is still open and labels
+    only those.
     """
     grid = 1 << m
-    thresholds = np.array([0] + [_hash_threshold(j / grid) for j in range(1, grid)], dtype=np.uint64)
     cum = np.concatenate(([0], np.cumsum(prior.astype(np.int64) * grid + 1)))
-    h = _hash_batch(seed, L, t0, t1)
+    side = 2 * L + 1
+    keys = _keys(seed, L, m, t0, t1)
     lo = np.zeros(t1 - t0, dtype=np.int64)
     hi = np.full(t1 - t0, grid, dtype=np.int64)
     active = np.arange(t1 - t0)
@@ -235,11 +326,9 @@ def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int, prior: np.nda
     while active.size:
         a, b = lo[active], hi[active]
         probe = np.clip(np.searchsorted(2 * cum, cum[a] + cum[b]), a + 1, b - 1)
-        # Thresholding every trial (closed ones at 0) and then selecting the
-        # open ones copies one byte a site instead of an 8-byte hash.
-        thr = np.zeros(len(h), dtype=np.uint64)
-        thr[active] = thresholds[probe]
-        crossed = _crossing(_label_batch((h < thr[:, np.newaxis, np.newaxis])[active]))
+        stacked = np.zeros((active.size, side + 1, side), dtype=bool)
+        np.less(keys[active], probe.astype(np.uint16)[:, np.newaxis, np.newaxis], out=stacked[:, :side])
+        crossed = _crossing(_label_batch(stacked))
         hi[active] = np.where(crossed, probe, b)
         lo[active] = np.where(crossed, a, probe)
         passes += active.size
@@ -247,7 +336,16 @@ def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int, prior: np.nda
     return lo, passes
 
 
-def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int = 1) -> ThresholdResult:
+def bisect_threshold(
+    L: int,
+    trials: int,
+    tol: float,
+    seed: int,
+    *,
+    workers: int = 1,
+    site_limit: int = _SITE_LIMIT,
+    site_trial_limit: int = _SITE_TRIAL_LIMIT,
+) -> ThresholdResult:
     """Bisection on c for crossing probability 1/2.
 
     The same trial fields are reused at every concentration (only the
@@ -259,35 +357,39 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     is the number of trials whose critical index j*_t (see
     :func:`_critical_indices`) is below j, so one search per trial replaces
     re-labelling every field at every midpoint; the float loop then replays
-    over the cumulative j* histogram, giving the same trace and estimate.
-    Each chunk of about 1M sites is hashed once.  The first chunk is searched
-    by plain bisection; its j* histogram then steers the probes of every
-    later chunk.  Both stages run on ``workers`` threads.  The search order
-    depends only on the seed, the window and the trial count, and j* does not
-    depend on it at all.
+    over the j* histogram, giving the same trace and estimate.  The trials
+    are searched in chunks of about 1M sites, each hashed once.  The first
+    chunk is searched by plain bisection; its j* histogram then steers the
+    probes of every later chunk.  Both stages run on ``workers`` threads.
+    The search order depends only on the seed, the window and the trial
+    count, and j* does not depend on it at all.  Capped like
+    :func:`estimate_origin_reach`.
     """
-    _check_run(L, trials, workers)
+    _check_run(L, trials, workers, site_limit, site_trial_limit)
     if not 1e-3 <= tol < 1.0:
         raise ValueError(f"tolerance must lie in [1e-3, 1), got {tol}")
     m = _midpoint_count(tol)
     grid = 1 << m
+
+    def search(prior: np.ndarray, chunks: Iterable[tuple[int, int]]) -> tuple[np.ndarray, int]:
+        """j* histogram and labelling passes of the trials in ``chunks``."""
+        histogram, passes = np.zeros(grid, dtype=np.int64), 0
+        for j, p in _map_chunks(lambda a, b: _critical_indices(seed, L, m, a, b, prior), chunks, workers):
+            histogram += np.bincount(j, minlength=grid)
+            passes += p
+        return histogram, passes
+
     chunks = _chunks(L, trials)
     # Bisection spends m passes a trial however the first chunk is split, so
     # the workers share it; never in more pieces than there are chunks, so no
     # more threads start than for the chunks themselves.
-    t0, t1 = chunks[0]
-    step = -(-(t1 - t0) // min(workers, len(chunks)))
-    zeros = np.zeros(grid, dtype=np.int64)
-    first = _map_chunks(
-        lambda a, b: _critical_indices(seed, L, m, a, b, zeros),
-        [(a, min(a + step, t1)) for a in range(t0, t1, step)],
-        workers,
-    )
-    prior = np.bincount(np.concatenate([j for j, _ in first]), minlength=grid)
-    searched = first + _map_chunks(lambda a, b: _critical_indices(seed, L, m, a, b, prior), chunks[1:], workers)
-    critical = np.concatenate([j for j, _ in searched])
+    t0, t1 = next(chunks)
+    step = -(-(t1 - t0) // min(workers, -(-trials // (t1 - t0))))
+    first = ((a, min(a + step, t1)) for a in range(t0, t1, step))
+    prior, first_passes = search(np.zeros(grid, dtype=np.int64), first)
+    rest, rest_passes = search(prior, chunks)
     # hits[j]: trials crossing at c = j / grid, i.e. with j* < j
-    hits = np.concatenate(([0], np.cumsum(np.bincount(critical, minlength=grid))))
+    hits = np.concatenate(([0], np.cumsum(prior + rest)))
     lo, hi = 0.0, 1.0
     trace: list[tuple[float, float]] = []
     while hi - lo > tol:
@@ -305,7 +407,7 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
         L=L,
         trials=trials,
         seed=seed,
-        label_passes=sum(p for _, p in searched),
+        label_passes=first_passes + rest_passes,
     )
 
 

@@ -2,15 +2,17 @@
 
 This is the sequential loop ``bisect_threshold`` ran before it searched each
 trial's critical index, with the pairwise left/right label comparison the
-crossing test used before it marked labels; the tests require the library to
-give the same trace, estimate and crossing flags.
+crossing test used before it marked labels, on occupancy from the
+whole-array hash oracle; the tests require the library to give the same
+trace, estimate and crossing flags.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from peierls.montecarlo import _chunks, _label_batch, _occupied_batch
+from hash_oracle import label_stack, occupied
+from peierls.montecarlo import _chunks, _label_batch
 
 
 def oracle_crossing(labels: np.ndarray) -> np.ndarray:
@@ -27,7 +29,7 @@ def oracle_bisect(L: int, trials: int, tol: float, seed: int) -> tuple[float, tu
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         hits = sum(
-            int(oracle_crossing(_label_batch(_occupied_batch(seed, L, mid, a, b))).sum())
+            int(oracle_crossing(_label_batch(label_stack(occupied(seed, L, mid, a, b)))).sum())
             for a, b in _chunks(L, trials)
         )
         value = hits / trials

@@ -19,7 +19,8 @@ from peierls import (
     truncated_q,
     walk_bound,
 )
-from peierls.montecarlo import _crossing_count, _occupied_batch, _reach_count
+from hash_oracle import occupied
+from peierls.montecarlo import _crossing_count, _reach_count
 
 
 def _criterion(number: int, description: str, failures: list[str]) -> None:
@@ -134,8 +135,8 @@ def test_criterion_6_small_window_exactness():
 def test_criterion_7_determinism_and_monotonicity():
     failures = []
     # coupled monotonicity in c over 1000 sampled fields, zero exceptions
-    occ_low = _occupied_batch(9, 8, 0.4, 0, 1000)
-    occ_high = _occupied_batch(9, 8, 0.7, 0, 1000)
+    occ_low = occupied(9, 8, 0.4, 0, 1000)
+    occ_high = occupied(9, 8, 0.7, 0, 1000)
     if int((occ_low & ~occ_high).sum()) != 0:
         failures.append("occupancy not monotone in concentration on a coupled field")
     # window monotonicity per configuration

@@ -189,6 +189,22 @@ def test_cap_in_a_worker_exits_3_with_one_line(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--L", "100000", "--c", "0.5", "--trials", "1"],
+        ["simulate", "--L", "8", "--c", "0.5", "--trials", "1000000000000"],
+        ["simulate", "--L", "8", "--bisect", "--trials", "1000000000000"],
+    ],
+)
+def test_monte_carlo_work_cap_exits_3_with_one_line(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # manifest
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import math
+from collections.abc import Iterator
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hash_oracle
 from bisect_oracle import oracle_bisect, oracle_crossing
+from peierls import lattice
 from peierls import (
     CapExceeded,
     ESCAPES_WINDOW,
@@ -16,9 +20,21 @@ from peierls import (
     estimate_origin_reach,
     exact_origin_reach_probability,
     sample_field,
+    site_uniform,
     trial_seed,
 )
-from peierls.montecarlo import _critical_indices, _crossing, _crossing_count, _label_batch, _reach_count
+from peierls.montecarlo import (
+    _chunks,
+    _critical_indices,
+    _crossing,
+    _crossing_count,
+    _keys,
+    _label_batch,
+    _map_chunks,
+    _occupy,
+    _reach_count,
+    _trial_seeds,
+)
 
 
 def test_extreme_concentrations():
@@ -168,7 +184,7 @@ def test_critical_index_matches_crossing_predicate(seed, L, m, t0, n, data):
 @given(st.integers(1, 4), st.integers(1, 9), st.data())
 def test_crossing_matches_pairwise_oracle(b, n, data):
     bits = data.draw(st.lists(st.booleans(), min_size=b * n * n, max_size=b * n * n))
-    labels = _label_batch(np.array(bits).reshape(b, n, n))
+    labels = _label_batch(hash_oracle.label_stack(np.array(bits).reshape(b, n, n)))
     assert np.array_equal(_crossing(labels), oracle_crossing(labels))
 
 
@@ -180,6 +196,109 @@ def test_label_passes_pinned():
     res = results[0]
     assert res.label_passes == 844
     assert res.label_passes <= res.trials * len(res.trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-(1 << 70), 1 << 70),
+    st.integers(1, 40),
+    st.integers(0, 1 << 40),
+    st.integers(1, 7),
+    st.integers(1, 8000),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(1, 10),
+)
+def test_blocked_kernel_matches_whole_array_oracle(seed, L, t0, n, block, c, m):
+    # blocks from one row slice of one window up to several whole windows,
+    # which cross trial boundaries and leave a partial last block
+    side = 2 * L + 1
+    t1 = t0 + n
+    with mock.patch.object(lattice, "_BLOCK_SITES", block):
+        occ = np.zeros((n, side, side), dtype=bool)
+        _occupy(seed, L, c, t0, t1, occ)
+        keys = _keys(seed, L, m, t0, t1)
+        uniforms = np.empty((n, side, side))
+        lattice._hash_windows(_trial_seeds(seed, t0, t1), L, uniforms, lattice._to_uniform)
+    hashes = hash_oracle.trial_hashes(seed, L, t0, t1)
+    expected = (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    assert np.array_equal(uniforms, expected)
+    assert np.array_equal(occ, hash_oracle.occupied(seed, L, c, t0, t1))
+    assert np.array_equal(keys, hashes >> np.uint64(64 - m))
+    j = int(c * (1 << m))
+    assert np.array_equal(keys < j, expected < j / (1 << m))
+    for t, x, y in ((t0, 0, 0), (t1 - 1, -L, L), (t1 - 1, L, -L)):
+        assert uniforms[t - t0, y + L, x + L] == site_uniform(trial_seed(seed, t), x, y)
+
+
+def test_row_slice_blocks_match_oracle():
+    # at the real block size a radius-100 window is hashed in row slices
+    assert (2 * 100 + 1) ** 2 > lattice._BLOCK_SITES
+    occ = np.zeros((2, 201, 201), dtype=bool)
+    _occupy(5, 100, 0.6, 3, 5, occ)
+    assert np.array_equal(occ, hash_oracle.occupied(5, 100, 0.6, 3, 5))
+    assert np.array_equal(_keys(5, 100, 10, 3, 5), hash_oracle.trial_hashes(5, 100, 3, 5) >> np.uint64(54))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 1 << 64),
+    st.integers(1, 12),
+    st.floats(0.3, 0.8),
+    st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 2000),
+)
+def test_any_split_of_the_trials_gives_the_same_results(seed, L, c, sizes, workers, block):
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    ranges = list(zip(bounds, bounds[1:]))
+    trials = bounds[-1]
+    m = 6
+    prior = np.arange(1 << m) % 5
+    with mock.patch.object(lattice, "_BLOCK_SITES", block):
+        for counter in (_reach_count, _crossing_count):
+            split = sum(_map_chunks(lambda a, b: counter(seed, L, c, a, b), iter(ranges), workers))
+            assert split == counter(seed, L, c, 0, trials)
+        pieces = list(_map_chunks(lambda a, b: _critical_indices(seed, L, m, a, b, prior)[0], iter(ranges), workers))
+        assert np.array_equal(np.concatenate(pieces), _critical_indices(seed, L, m, 0, trials, prior)[0])
+
+
+def test_chunks_are_lazy_and_few_in_flight():
+    chunks = _chunks(8, 10**15)
+    assert isinstance(chunks, Iterator) and next(chunks) == (0, 3267)
+    drawn = []
+
+    def ranges():
+        for a in range(100):
+            drawn.append(a)
+            yield a, a + 1
+
+    results = _map_chunks(lambda a, b: a, ranges(), 2)
+    assert next(results) == 0 and len(drawn) <= 5
+    assert list(results) == list(range(1, 100))
+
+
+def test_monte_carlo_caps_threshold():
+    sites = Window(8).site_count
+    runs = (
+        lambda **caps: estimate_origin_reach(8, 0.5, 10, 0, workers=2, **caps),
+        lambda **caps: estimate_crossing(8, 0.5, 10, 0, **caps),
+        lambda **caps: bisect_threshold(8, 10, 0.3, 0, workers=2, **caps),
+    )
+    for run in runs:
+        with pytest.raises(CapExceeded):
+            run(site_limit=sites - 1)
+        with pytest.raises(CapExceeded):
+            run(site_trial_limit=10 * sites - 1)
+        assert run(site_limit=sites, site_trial_limit=10 * sites) == run()
+
+
+def test_default_caps_reject_oversized_runs():
+    # radius 2047 is the largest field admitted; acceptance criterion 5 runs
+    # 100k radius-128 trials under the default site-trial cap
+    with pytest.raises(CapExceeded):
+        estimate_origin_reach(2048, 0.5, 1, 0)
+    with pytest.raises(CapExceeded):
+        bisect_threshold(128, 10**8, 0.01, 0)
 
 
 def brute_reach_probability(c):
