@@ -10,8 +10,8 @@ is reduced at once: thresholded straight into the occupancy buffer that is
 labelled, or cut to a 16-bit key for bisection.  No chunk-sized array of
 64-bit hashes is ever built.  Cluster labeling is done in batches: trial
 grids are stacked with blank separator rows and labeled in a single
-4-connected pass.  Fields larger than ``site_limit`` sites and runs of more
-than ``site_trial_limit`` trials x sites raise :class:`CapExceeded`.
+4-connected pass.  Fields of more than ``_SITE_LIMIT`` sites and runs of more
+than ``_SITE_TRIAL_LIMIT`` trials x sites raise :class:`CapExceeded`.
 
 Threshold bisection does not re-label every field at every midpoint.  Its
 midpoints all lie on the grid j / 2**m, with m fixed by the tolerance, and a
@@ -90,16 +90,18 @@ def _hash_threshold(c: float) -> np.uint64:
     return np.uint64(math.ceil(c * 2.0**53) << 11)
 
 
-def _label_batch(stacked: np.ndarray) -> np.ndarray:
-    """4-connected labels of the grids ``stacked[:, :n]``, computed in one pass.
+def _label_batch(b: int, n: int, fill) -> np.ndarray:
+    """4-connected labels of ``b`` n x n bool grids, computed in one pass.
 
-    ``stacked`` has shape ``(b, n + 1, n)``: each n x n grid is followed by a
-    blank separator row, so the whole stack is labelled as one image without
-    joining clusters of neighbouring grids.  Returns the ``(b, n, n)`` labels.
+    ``fill(grids)`` writes the grids into ``grids``, a ``(b, n, n)`` view of a
+    stack in which each grid is followed by a blank separator row, so the
+    whole stack is labelled as one image without joining clusters of
+    neighbouring grids.  Returns the ``(b, n, n)`` labels.
     """
-    b, n1, n = stacked.shape
-    labels, _ = ndimage.label(stacked.reshape(b * n1, n), structure=_STRUCT4)
-    return labels.reshape(b, n1, n)[:, :n]
+    stacked = np.zeros((b, n + 1, n), dtype=bool)
+    fill(stacked[:, :n])
+    labels, _ = ndimage.label(stacked.reshape(b * (n + 1), n), structure=_STRUCT4)
+    return labels.reshape(b, n + 1, n)[:, :n]
 
 
 def _occupy(seed: int, L: int, c: float, t0: int, t1: int, out: np.ndarray) -> None:
@@ -132,10 +134,7 @@ def _keys(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
 
 def _occupied_labels(seed: int, L: int, c: float, t0: int, t1: int) -> np.ndarray:
     """Labels of the occupied sites of trials t0..t1-1 at concentration c."""
-    side = 2 * L + 1
-    stacked = np.zeros((t1 - t0, side + 1, side), dtype=bool)
-    _occupy(seed, L, c, t0, t1, stacked[:, :side])
-    return _label_batch(stacked)
+    return _label_batch(t1 - t0, 2 * L + 1, lambda grids: _occupy(seed, L, c, t0, t1, grids))
 
 
 def _reach_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
@@ -197,32 +196,35 @@ def _count_events(counter, L: int, c: float, trials: int, seed: int, workers: in
     return sum(_map_chunks(lambda a, b: counter(seed, L, c, a, b), _chunks(L, trials), workers))
 
 
-#: Default caps on Monte Carlo work: sites in one field (radius 2047 fits) and
-#: trials x sites in one run (about 40x the 100k radius-128 trials of
-#: acceptance criterion 5).
-_SITE_LIMIT = 1 << 24
-_SITE_TRIAL_LIMIT = 1 << 38
+#: Sites in one field.  A chunk holds at least one whole field, and a field's
+#: bool grid and int32 labels take 5 bytes a site (bisection's 16-bit keys and
+#: their per-pass copy take 4 more), so 2**30 sites, radius 16383, hold one
+#: field under 5 GiB; radius 100000 would need 200 GB.
+_SITE_LIMIT = 1 << 30
+#: Trials x sites in one run.  Memory stays bounded at any trial count, since
+#: chunks are made lazily and few are in flight, so this bounds run time only:
+#: at about 5 ns of CPU a site-trial (hash, threshold, label), 2**48 is about
+#: two weeks of CPU.  A trillion trials at radius 8 (2.9e14) are past it.
+_SITE_TRIAL_LIMIT = 1 << 48
 
 
-def _check_run(L: int, trials: int, workers: int, site_limit: int, site_trial_limit: int) -> None:
+def _check_run(L: int, trials: int, workers: int) -> None:
     """Reject a window radius below 1, fewer than one trial or worker, and work past the caps."""
     sites = Window(L).site_count
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if sites > site_limit:
-        raise CapExceeded(f"window has {sites} sites; a Monte Carlo field is capped at {site_limit}")
-    if trials * sites > site_trial_limit:
+    if sites > _SITE_LIMIT:
+        raise CapExceeded(f"window has {sites} sites; a Monte Carlo field is capped at {_SITE_LIMIT}")
+    if trials * sites > _SITE_TRIAL_LIMIT:
         raise CapExceeded(
-            f"{trials} trials of {sites} sites exceed the Monte Carlo cap of {site_trial_limit} site-trials"
+            f"{trials} trials of {sites} sites exceed the Monte Carlo cap of {_SITE_TRIAL_LIMIT} site-trials"
         )
 
 
-def _estimate(
-    counter, L: int, c: float, trials: int, seed: int, workers: int, site_limit: int, site_trial_limit: int
-) -> McEstimate:
-    _check_run(L, trials, workers, site_limit, site_trial_limit)
+def _estimate(counter, L: int, c: float, trials: int, seed: int, workers: int) -> McEstimate:
+    _check_run(L, trials, workers)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"concentration must lie in [0, 1], got {c}")
     hits = _count_events(counter, L, c, trials, seed, workers)
@@ -237,41 +239,23 @@ def _estimate(
     )
 
 
-def estimate_origin_reach(
-    L: int,
-    c: float,
-    trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    site_limit: int = _SITE_LIMIT,
-    site_trial_limit: int = _SITE_TRIAL_LIMIT,
-) -> McEstimate:
+def estimate_origin_reach(L: int, c: float, trials: int, seed: int, *, workers: int = 1) -> McEstimate:
     """Fraction of trials whose origin cluster reaches the window border.
 
     The finite-window stand-in for the probability that the origin belongs to
     an unbounded cluster; vacant origins never count.  Raises
-    :class:`CapExceeded` when a field has more than ``site_limit`` sites or
-    the run more than ``site_trial_limit`` trials x sites.
+    :class:`CapExceeded` when a field has more than ``_SITE_LIMIT`` sites or
+    the run more than ``_SITE_TRIAL_LIMIT`` trials x sites.
     """
-    return _estimate(_reach_count, L, c, trials, seed, workers, site_limit, site_trial_limit)
+    return _estimate(_reach_count, L, c, trials, seed, workers)
 
 
-def estimate_crossing(
-    L: int,
-    c: float,
-    trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    site_limit: int = _SITE_LIMIT,
-    site_trial_limit: int = _SITE_TRIAL_LIMIT,
-) -> McEstimate:
+def estimate_crossing(L: int, c: float, trials: int, seed: int, *, workers: int = 1) -> McEstimate:
     """Fraction of trials with an occupied left-right crossing of the window.
 
     Capped like :func:`estimate_origin_reach`.
     """
-    return _estimate(_crossing_count, L, c, trials, seed, workers, site_limit, site_trial_limit)
+    return _estimate(_crossing_count, L, c, trials, seed, workers)
 
 
 @dataclass(frozen=True)
@@ -326,9 +310,8 @@ def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int, prior: np.nda
     while active.size:
         a, b = lo[active], hi[active]
         probe = np.clip(np.searchsorted(2 * cum, cum[a] + cum[b]), a + 1, b - 1)
-        stacked = np.zeros((active.size, side + 1, side), dtype=bool)
-        np.less(keys[active], probe.astype(np.uint16)[:, np.newaxis, np.newaxis], out=stacked[:, :side])
-        crossed = _crossing(_label_batch(stacked))
+        bound = probe.astype(np.uint16)[:, np.newaxis, np.newaxis]
+        crossed = _crossing(_label_batch(active.size, side, lambda grids: np.less(keys[active], bound, out=grids)))
         hi[active] = np.where(crossed, probe, b)
         lo[active] = np.where(crossed, a, probe)
         passes += active.size
@@ -336,16 +319,7 @@ def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int, prior: np.nda
     return lo, passes
 
 
-def bisect_threshold(
-    L: int,
-    trials: int,
-    tol: float,
-    seed: int,
-    *,
-    workers: int = 1,
-    site_limit: int = _SITE_LIMIT,
-    site_trial_limit: int = _SITE_TRIAL_LIMIT,
-) -> ThresholdResult:
+def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int = 1) -> ThresholdResult:
     """Bisection on c for crossing probability 1/2.
 
     The same trial fields are reused at every concentration (only the
@@ -365,7 +339,7 @@ def bisect_threshold(
     count, and j* does not depend on it at all.  Capped like
     :func:`estimate_origin_reach`.
     """
-    _check_run(L, trials, workers, site_limit, site_trial_limit)
+    _check_run(L, trials, workers)
     if not 1e-3 <= tol < 1.0:
         raise ValueError(f"tolerance must lie in [1e-3, 1), got {tol}")
     m = _midpoint_count(tol)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hash_oracle import label_stack, occupied
+from hash_oracle import occupied
 from peierls.montecarlo import _chunks, _label_batch
 
 
@@ -29,7 +29,7 @@ def oracle_bisect(L: int, trials: int, tol: float, seed: int) -> tuple[float, tu
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         hits = sum(
-            int(oracle_crossing(_label_batch(label_stack(occupied(seed, L, mid, a, b)))).sum())
+            int(oracle_crossing(_label_batch(b - a, 2 * L + 1, lambda grids: np.copyto(grids, occupied(seed, L, mid, a, b)))).sum())
             for a, b in _chunks(L, trials)
         )
         value = hits / trials

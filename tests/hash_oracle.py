@@ -41,11 +41,3 @@ def occupied(seed: int, L: int, c: float, t0: int, t1: int) -> np.ndarray:
     uniforms = (trial_hashes(seed, L, t0, t1) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return uniforms < c
 
-
-def label_stack(occ: np.ndarray) -> np.ndarray:
-    """``occ`` of shape (b, n, n) copied into a blank-separated (b, n + 1, n) stack for labelling."""
-    b, n, _ = occ.shape
-    stacked = np.zeros((b, n + 1, n), dtype=bool)
-    stacked[:, :n] = occ
-    return stacked
-

@@ -8,6 +8,8 @@ length 12 and the radius-128 Monte Carlo cross-check.
 import math
 import time
 
+import numpy as np
+
 from peierls import (
     DivergentSeries,
     bisect_threshold,
@@ -20,7 +22,7 @@ from peierls import (
     walk_bound,
 )
 from hash_oracle import occupied
-from peierls.montecarlo import _crossing_count, _reach_count
+from peierls.montecarlo import _crossing_count, _occupy, _reach_count
 
 
 def _criterion(number: int, description: str, failures: list[str]) -> None:
@@ -134,11 +136,17 @@ def test_criterion_6_small_window_exactness():
 
 def test_criterion_7_determinism_and_monotonicity():
     failures = []
-    # coupled monotonicity in c over 1000 sampled fields, zero exceptions
+    # coupled monotonicity in c over 1000 sampled fields, zero exceptions, in
+    # the reference occupancy and in the library's own
     occ_low = occupied(9, 8, 0.4, 0, 1000)
     occ_high = occupied(9, 8, 0.7, 0, 1000)
     if int((occ_low & ~occ_high).sum()) != 0:
-        failures.append("occupancy not monotone in concentration on a coupled field")
+        failures.append("reference occupancy not monotone in concentration on a coupled field")
+    occ_low, occ_high = (np.zeros((1000, 17, 17), dtype=bool) for _ in range(2))
+    _occupy(9, 8, 0.4, 0, 1000, occ_low)
+    _occupy(9, 8, 0.7, 0, 1000, occ_high)
+    if int((occ_low & ~occ_high).sum()) != 0:
+        failures.append("library occupancy not monotone in concentration on a coupled field")
     # window monotonicity per configuration
     exceptions = sum(
         int(_reach_count(4, 10, 0.62, t, t + 1) > _reach_count(4, 5, 0.62, t, t + 1))

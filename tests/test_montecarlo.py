@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import hash_oracle
 from bisect_oracle import oracle_bisect, oracle_crossing
-from peierls import lattice
+from peierls import lattice, montecarlo
 from peierls import (
     CapExceeded,
     ESCAPES_WINDOW,
@@ -184,7 +184,7 @@ def test_critical_index_matches_crossing_predicate(seed, L, m, t0, n, data):
 @given(st.integers(1, 4), st.integers(1, 9), st.data())
 def test_crossing_matches_pairwise_oracle(b, n, data):
     bits = data.draw(st.lists(st.booleans(), min_size=b * n * n, max_size=b * n * n))
-    labels = _label_batch(hash_oracle.label_stack(np.array(bits).reshape(b, n, n)))
+    labels = _label_batch(b, n, lambda grids: np.copyto(grids, np.array(bits).reshape(b, n, n)))
     assert np.array_equal(_crossing(labels), oracle_crossing(labels))
 
 
@@ -280,25 +280,33 @@ def test_chunks_are_lazy_and_few_in_flight():
 def test_monte_carlo_caps_threshold():
     sites = Window(8).site_count
     runs = (
-        lambda **caps: estimate_origin_reach(8, 0.5, 10, 0, workers=2, **caps),
-        lambda **caps: estimate_crossing(8, 0.5, 10, 0, **caps),
-        lambda **caps: bisect_threshold(8, 10, 0.3, 0, workers=2, **caps),
+        lambda: estimate_origin_reach(8, 0.5, 10, 0, workers=2),
+        lambda: estimate_crossing(8, 0.5, 10, 0),
+        lambda: bisect_threshold(8, 10, 0.3, 0, workers=2),
     )
     for run in runs:
-        with pytest.raises(CapExceeded):
-            run(site_limit=sites - 1)
-        with pytest.raises(CapExceeded):
-            run(site_trial_limit=10 * sites - 1)
-        assert run(site_limit=sites, site_trial_limit=10 * sites) == run()
+        uncapped = run()
+        with mock.patch.object(montecarlo, "_SITE_LIMIT", sites - 1), pytest.raises(CapExceeded):
+            run()
+        with mock.patch.object(montecarlo, "_SITE_TRIAL_LIMIT", 10 * sites - 1), pytest.raises(CapExceeded):
+            run()
+        with mock.patch.object(montecarlo, "_SITE_LIMIT", sites):
+            with mock.patch.object(montecarlo, "_SITE_TRIAL_LIMIT", 10 * sites):
+                assert run() == uncapped
 
 
 def test_default_caps_reject_oversized_runs():
-    # radius 2047 is the largest field admitted; acceptance criterion 5 runs
-    # 100k radius-128 trials under the default site-trial cap
+    # radius 16383 is the largest field admitted, and a trillion radius-8
+    # trials are past the site-trial cap; both are refused before any work
     with pytest.raises(CapExceeded):
-        estimate_origin_reach(2048, 0.5, 1, 0)
+        estimate_origin_reach(16384, 0.5, 1, 0)
     with pytest.raises(CapExceeded):
-        bisect_threshold(128, 10**8, 0.01, 0)
+        bisect_threshold(8, 10**12, 0.01, 0)
+    assert Window(16383).site_count <= montecarlo._SITE_LIMIT < Window(16384).site_count
+    assert 10**12 * Window(8).site_count > montecarlo._SITE_TRIAL_LIMIT
+    # runs the caps must still admit: a radius-2048 field, and 5M radius-128 trials
+    assert Window(2048).site_count <= montecarlo._SITE_LIMIT
+    assert 5_000_000 * Window(128).site_count <= montecarlo._SITE_TRIAL_LIMIT
 
 
 def brute_reach_probability(c):
