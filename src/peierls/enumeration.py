@@ -23,10 +23,12 @@ shape's bounding box is w x h, its contour holds a site in column xmin - 1
 and one in column xmax + 1, and a king step changes the column by at most 1,
 so a closed cycle through both has length >= 2*w + 2; rows alike.  A shape
 with ``max(w, h) > (k - 2) // 2`` therefore has a contour longer than k, and
-skipping its contour extraction loses nothing.  The census still counts it
-(``meta["shapes"]``); :func:`contour_event_table`, which counts no shapes,
-does not even grow it, since adding cells never shrinks the box.  At k = 12,
-345,600 of the 2,595,167 capped shapes fit the 5 x 5 box.
+skipping its contour extraction loses nothing.  Adding cells never shrinks
+the box, so such a shape is never grown: :func:`contour_event_table` drops
+its subtree, and the census counts the subtree without building its shapes,
+since ``meta["shapes"]`` reports every capped shape.  At k = 12, 345,600 of
+the 2,595,167 capped shapes fit the 5 x 5 box, 495,640 are built, and the
+other 2,099,527 are only counted.
 
 Both halves of the census run on ``workers`` forked processes and give the
 same results for every worker count.  Redelmeier's search tree splits into
@@ -39,7 +41,11 @@ smallest site), and the parent merges them by sum, OR per size and first
 entry before the unchanged trajectory, stabilisation and class passes.  The
 circuit walker splits by start: a circuit's nearest ray site is its start
 (l, 0), so walks from different starts never share a site set, and the
-distinct-set counts of the starts add up exactly.
+distinct-set counts of the starts add up exactly.  :func:`full_count_table`
+puts the census parts and the walker starts on one pool: the census parts
+first, so that the census is merged, and fails, while the walker still runs,
+then the starts nearest first, which is longest first (at k = 12 the starts
+l = 1..5 take 1.55M down to 1.17M nodes).
 
 The module also bounds the census analytically: a contour of length k hits
 the positive horizontal axis at some nearest site, continues with one of a
@@ -52,9 +58,11 @@ rate below 5.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 # Functions of peierls.clusters are called through the module: several run
 # once per shape or per circuit closure (millions of calls at k=12), and
@@ -129,28 +137,37 @@ def _tree_parts(workers: int) -> int:
     return 1 if workers == 1 else _PARTS_PER_WORKER * workers
 
 
-def _fan_out(fn, tasks: list[tuple], workers: int) -> list:
-    """``[fn(*task) for task in tasks]``, spread over ``workers`` forked processes.
+@contextmanager
+def _fan_out(tasks: list[tuple], workers: int) -> Iterator[Iterator]:
+    """``fn(*args)`` for each task ``(fn, *args)``, spread over ``workers`` forked processes.
 
-    Results come back in submission order, and the first task exception is
-    re-raised in the caller after the tasks not yet started are cancelled.
-    Forked workers inherit the imported package instead of importing it
-    again; the pool forks all of them before it starts its own thread, so
-    the caller must not be running other threads.  ``multiprocessing`` is
-    imported only here, which keeps it out of every command's start-up.
+    Used as ``with _fan_out(tasks, workers) as results``: ``results`` yields
+    the results in task order, each as soon as it is in, while later tasks
+    still run, and re-raises a task's exception when its turn comes.  Tasks
+    start in list order.  An exception that leaves the ``with`` block ends
+    the running tasks and starts no others, so a caller that fails on an
+    early result does not wait for the rest.  Forked workers inherit the
+    imported package instead of importing it again; the pool forks all of
+    them before it starts its own thread, so the caller must not be running
+    other threads.  ``multiprocessing`` is imported only here, which keeps it
+    out of every command's start-up.
     """
     if workers == 1 or len(tasks) <= 1:
-        return [fn(*task) for task in tasks]
+        yield (fn(*args) for fn, *args in tasks)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=context) as pool:
-        futures = [pool.submit(fn, *task) for task in tasks]
+        futures = [pool.submit(*task) for task in tasks]
         try:
-            return [f.result() for f in futures]
+            yield (f.result() for f in futures)
         except BaseException:
-            pool.shutdown(cancel_futures=True)
+            # Executor.terminate_workers from Python 3.14 on; the pool sees
+            # its workers gone, fails the tasks left, and its exit joins them
+            for process in pool._processes.values():
+                process.terminate()
             raise
 
 
@@ -172,8 +189,53 @@ def _decode(cell: int) -> Site:
     return (cell & 63) - 32, cell >> 6
 
 
+@dataclass
+class _ShapeTally:
+    """Shapes of one part of the search tree, built or only counted, and the limit on them."""
+
+    limit: int
+    shapes: int = 0
+
+
+def _shape_limit_error(limit: int) -> CapExceeded:
+    return CapExceeded(f"shape enumeration exceeded the limit of {limit}")
+
+
+def _count_below(untried: list[int], seen: set[int], left: int, budget: int) -> int:
+    """Number of shapes below a node of Redelmeier's search tree, none of them built.
+
+    ``untried`` and ``seen`` are the node's state in :func:`_iter_shapes`,
+    and the shapes below it have 1..``left`` more cells.  ``untried`` is
+    consumed and ``seen`` is left as it was.  Counting stops as soon as the
+    count passes ``budget``, and returns that partial count.
+    """
+    n = len(untried)
+    if left == 1:
+        return n
+    if left == 2:
+        # popping the j-th last untried cell gives one shape plus one leaf
+        # per cell still untried (j - 1) or newly opened by it
+        return n * (n + 1) // 2 + len(
+            [nb for c in untried for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
+        )
+    total = 0
+    while untried:
+        c = untried.pop()
+        new = [nb for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
+        seen.update(new)
+        total += 1 + _count_below(untried + new, seen, left - 1, budget - total - 1)
+        seen.difference_update(new)
+        if total > budget:
+            break
+    return total
+
+
 def _iter_shapes(
-    max_size: int, max_span: int | None = None, part: int = 0, parts: int = 1
+    max_size: int,
+    max_span: int | None = None,
+    part: int = 0,
+    parts: int = 1,
+    tally: _ShapeTally | None = None,
 ) -> Iterator[tuple[list[int], int, int, int]]:
     """Every free-anchored 4-connected shape of size <= max_size, once each.
 
@@ -185,11 +247,19 @@ def _iter_shapes(
     grown: every shape below it in the search tree is a superset, hence at
     least as wide.
 
+    With a ``tally``, the shapes below each shape not grown for its span are
+    counted by :func:`_count_below` instead of being dropped.  ``tally.shapes``
+    then runs over every shape of the part, yielded or counted, and
+    :class:`CapExceeded` is raised as soon as it passes ``tally.limit``, in
+    the middle of a counted subtree too.
+
     With ``parts > 1`` only part ``part`` of the search tree is yielded: the
     shapes of size ``_SPLIT_SIZE`` are numbered in search order, and the part
     keeps those with ``index % parts == part`` and the subtrees below them;
-    smaller shapes belong to part 0.  The parts together yield every shape
-    exactly once.
+    smaller shapes belong to part 0.  The parts together yield, or with a
+    tally count, every shape exactly once.  The numbering is that of the
+    span-pruned tree, so the parts of one ``max_span`` share nothing, but
+    need not match the parts of another.
     """
     if max_size > 30:
         raise CapExceeded(f"shape size {max_size} exceeds the coordinate encoding range")
@@ -234,17 +304,30 @@ def _iter_shapes(
         y1 = cy if cy > ymax else ymax
         w = x1 - x0 + 1
         if show:
+            if tally is not None:
+                tally.shapes += 1
+                if tally.shapes > tally.limit:
+                    raise _shape_limit_error(tally.limit)
             yield shape, x0, w, y1 + 1
-        if len(shape) < max_size and w <= max_span and y1 < max_span:
-            new = []
-            for d in _STEPS:
-                nb = c + d
-                if nb >= _ORIGIN and nb not in seen:
-                    seen.add(nb)
-                    new.append(nb)
-            stack.append((untried + new, new, x0, x1, y1))
-        else:
-            shape.pop()
+        if len(shape) < max_size:
+            if w <= max_span and y1 < max_span:
+                new = []
+                for d in _STEPS:
+                    nb = c + d
+                    if nb >= _ORIGIN and nb not in seen:
+                        seen.add(nb)
+                        new.append(nb)
+                stack.append((untried + new, new, x0, x1, y1))
+                continue
+            if tally is not None and show:
+                new = [nb for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
+                seen.update(new)
+                left = max_size - len(shape)
+                tally.shapes += _count_below(untried + new, seen, left, tally.limit - tally.shapes)
+                seen.difference_update(new)
+                if tally.shapes > tally.limit:
+                    raise _shape_limit_error(tally.limit)
+        shape.pop()
 
 
 def enumerate_origin_clusters(max_cluster_size: int, *, limit: int = 20_000_000) -> Iterator[Cluster]:
@@ -362,21 +445,17 @@ def class_decomposition(contour: Contour) -> ClassKey:
 def _census_part(k_max: int, cap: int, shape_limit: int, part: int, parts: int):
     """One part of the shape tree: ``(shapes, covers, contours)`` keyed by canonical contour.
 
-    ``covers[key][n]`` is the union of the origin positions, in the canonical
-    frame, of the size-n shapes whose contour is ``key``; ``contours[key]`` is
-    that contour, built once from the first shape that shows it.
+    ``shapes`` counts every shape of the part, those below a shape too wide
+    for the span lemma included, without building the latter.  ``covers[key][n]``
+    is the union of the origin positions, in the canonical frame, of the
+    size-n shapes whose contour is ``key``; ``contours[key]`` is that contour,
+    built once from the first shape that shows it.
     """
     contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
-    shapes_seen = 0
     span = _max_span(k_max)
-
-    # Every shape is counted (meta["shapes"]), but only those within the span
-    # bound can have a contour of length <= k_max.
-    for shape, xmin, w, h in _iter_shapes(cap, part=part, parts=parts):
-        shapes_seen += 1
-        if shapes_seen > shape_limit:
-            raise CapExceeded(f"shape enumeration exceeded the limit of {shape_limit}")
+    tally = _ShapeTally(shape_limit)
+    for shape, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
         if w > span or h > span:
             continue
         wbits, frame = _embed(shape, xmin, w, h)
@@ -406,50 +485,38 @@ def _census_part(k_max: int, cap: int, shape_limit: int, part: int, parts: int):
             covers[key] = {n: pos}
         else:
             by_size[n] = by_size.get(n, 0) | pos
-    return shapes_seen, covers, contours
+    return tally.shapes, covers, contours
 
 
-def exact_contour_counts(
-    k_max: int,
-    *,
-    cluster_cap: int | None = None,
-    shape_limit: int = 50_000_000,
-    workers: int = 1,
-) -> CountTable:
-    """Exact number of distinct origin-enclosing contours for each length <= k_max.
-
-    Parameters
-    ----------
-    k_max : largest contour length to count (>= 4).
-    cluster_cap : optional override of the cluster-size cap.  The default is
-        ``interior_capacity(k_max)``, which provably sees every contour.  A
-        smaller cap is accepted only if the counts are verified stable over
-        the top three sizes; otherwise :class:`IncompletenessError` is raised.
-    shape_limit : safety limit on the number of enumerated shapes.
-    workers : processes the shape tree is split over; the result does not
-        depend on it.
-
-    Returns a :class:`CountTable` with the ``exact`` counts, the per-class
-    breakdown, and the analytic ``walk_bound`` column filled in.
-    """
+def _census_cap(k_max: int, cluster_cap: int | None, shape_limit: int, workers: int) -> int:
+    """The cluster-size cap of a census, for valid arguments."""
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     if shape_limit < 1:
         raise ValueError(f"shape_limit must be >= 1, got {shape_limit}")
     _check_workers(workers)
-    needed = interior_capacity(k_max)
-    cap = needed if cluster_cap is None else cluster_cap
+    cap = interior_capacity(k_max) if cluster_cap is None else cluster_cap
     if cap < 1:
         raise ValueError("cluster cap must be >= 1")
-    guaranteed = cap >= needed
+    return cap
 
+
+def _census_tasks(k_max: int, cap: int, shape_limit: int, workers: int) -> list[tuple]:
+    """The census parts as :func:`_fan_out` tasks."""
     parts = _tree_parts(workers)
+    return [(_census_part, k_max, cap, shape_limit, p, parts) for p in range(parts)]
+
+
+def _census_table(k_max: int, cap: int, shape_limit: int, results: Iterable) -> CountTable:
+    """Merge the results of the census parts into the census table.
+
+    Raises as soon as the parts, or the passes over their merge, show the
+    census to be over its limit, incomplete or inconsistent.
+    """
     contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
     shapes_seen = 0
-    for n, part_covers, part_contours in _fan_out(
-        _census_part, [(k_max, cap, shape_limit, p, parts) for p in range(parts)], workers
-    ):
+    for n, part_covers, part_contours in results:
         shapes_seen += n
         for key, by_size in part_covers.items():
             merged = covers.setdefault(key, {})
@@ -458,7 +525,9 @@ def exact_contour_counts(
         for key, contour in part_contours.items():
             contours.setdefault(key, contour)
     if shapes_seen > shape_limit:
-        raise CapExceeded(f"shape enumeration exceeded the limit of {shape_limit}")
+        raise _shape_limit_error(shape_limit)
+    needed = interior_capacity(k_max)
+    guaranteed = cap >= needed
 
     # Accumulate per-size trajectories: counts as a function of the size cap.
     trajectory: dict[int, dict[int, int]] = {s: {} for s in range(1, cap + 1)}
@@ -524,6 +593,35 @@ def exact_contour_counts(
     )
 
 
+def exact_contour_counts(
+    k_max: int,
+    *,
+    cluster_cap: int | None = None,
+    shape_limit: int = 50_000_000,
+    workers: int = 1,
+) -> CountTable:
+    """Exact number of distinct origin-enclosing contours for each length <= k_max.
+
+    Parameters
+    ----------
+    k_max : largest contour length to count (>= 4).
+    cluster_cap : optional override of the cluster-size cap.  The default is
+        ``interior_capacity(k_max)``, which provably sees every contour.  A
+        smaller cap is accepted only if the counts are verified stable over
+        the top three sizes; otherwise :class:`IncompletenessError` is raised.
+    shape_limit : safety limit on the number of enumerated shapes, counted
+        ones included.
+    workers : processes the shape tree is split over; the result does not
+        depend on it.
+
+    Returns a :class:`CountTable` with the ``exact`` counts, the per-class
+    breakdown, and the analytic ``walk_bound`` column filled in.
+    """
+    cap = _census_cap(k_max, cluster_cap, shape_limit, workers)
+    with _fan_out(_census_tasks(k_max, cap, shape_limit, workers), workers) as results:
+        return _census_table(k_max, cap, shape_limit, results)
+
+
 def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
     """Event multiplicities of one part of the (span-pruned) shape tree."""
     events: dict[tuple[int, int], int] = {}
@@ -558,9 +656,10 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
         )
     parts = _tree_parts(workers)
     events: dict[tuple[int, int], int] = {}
-    for part_events in _fan_out(_event_part, [(max_len, cap, p, parts) for p in range(parts)], workers):
-        for pair, count in part_events.items():
-            events[pair] = events.get(pair, 0) + count
+    with _fan_out([(_event_part, max_len, cap, p, parts) for p in range(parts)], workers) as results:
+        for part_events in results:
+            for pair, count in part_events.items():
+                events[pair] = events.get(pair, 0) + count
     return events
 
 
@@ -625,6 +724,18 @@ def _circuits_from(k_max: int, rule: str, l: int, max_nodes: int) -> tuple[list[
     close = [0] * len(sites)
     for d, step in enumerate(steps):
         close[start + step] = crossing[(d + 4) % 8][start + step]
+    # closing[d][pos]: the last steps from a site entered in direction d, as
+    # (site next to the start, its crossing term plus the closing step's)
+    closing = [[()] * len(sites) for _ in steps]
+    for pos, lv in enumerate(level):
+        if lv <= 2:
+            for d in range(8):
+                closing[d][pos] = tuple(
+                    (pos + step, cross[pos] + close[pos + step])
+                    for _, step, cross in moves[d]
+                    if level[pos + step] == 1
+                )
+    last = k_max - 1
 
     def extend(pos: int, d: int, depth: int, wind: int, key: int) -> None:
         nonlocal nodes
@@ -642,10 +753,21 @@ def _circuits_from(k_max: int, rule: str, l: int, max_nodes: int) -> tuple[list[
             if lv == 1 and depth >= 4 and w + close[nxt]:
                 walks[depth] += 1
                 distinct[depth].add(key | bits[nxt])
-            if depth < k_max:
+            if depth < last:
                 level[nxt] = _BLOCKED
                 extend(nxt, nd, depth, w, key | bits[nxt])
                 level[nxt] = lv
+                continue
+            # the step after this one is the last: it can only close the
+            # circuit, so it is taken here rather than in one more call
+            for end, wc in closing[nd][nxt]:
+                if level[end] == 1:
+                    nodes += 1
+                    if nodes > max_nodes:
+                        raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
+                    if w + wc:
+                        walks[k_max] += 1
+                        distinct[k_max].add(key | bits[nxt] | bits[end])
 
     for first_dir in (0, 1, 2, 3, 7):
         x1 = start + steps[first_dir]
@@ -689,10 +811,24 @@ def self_avoiding_circuit_count(
     closing step's term instead of re-walking the path.  The set key is a
     bitmask over grid indices, grown by one bit per step.
 
+    A walk one step short of k_max can only close, so its last step is not a
+    call of its own.  A closing-step table holds, per entry direction and per
+    site within two steps of the start, the allowed moves that land next to
+    the start, each with its crossing term and the closing step's term added
+    up; the walk takes those whose site is still free, counting each as a
+    node as before.
+
     Each start is one task for ``workers`` processes (the counts do not depend
     on it); every task is capped at ``max_nodes`` on its own, and the total
     is checked after.
     """
+    tasks = _walker_tasks(k_max, rule, max_nodes, workers)
+    with _fan_out(tasks, workers) as results:
+        return _walker_counts(k_max, rule, max_nodes, results)
+
+
+def _walker_tasks(k_max: int, rule: str, max_nodes: int, workers: int) -> list[tuple]:
+    """The walker's starts as :func:`_fan_out` tasks, nearest (most nodes) first, for valid arguments."""
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     if max_nodes < 1:
@@ -701,11 +837,15 @@ def self_avoiding_circuit_count(
     if k_max - 2 >= _BLOCKED:
         raise CapExceeded(f"circuit length {k_max} exceeds the walker's distance encoding")
     _allowed_dirs(rule)  # rejects an unknown rule before any task starts
+    return [(_circuits_from, k_max, rule, l, max_nodes) for l in range(1, (k_max - 2) // 2 + 1)]
+
+
+def _walker_counts(k_max: int, rule: str, max_nodes: int, results: Iterable) -> SelfAvoidingCounts:
+    """Sum the results of the walker's starts."""
     walks = [0] * (k_max + 1)
     distinct = [0] * (k_max + 1)
     nodes = 0
-    tasks = [(k_max, rule, l, max_nodes) for l in range(1, (k_max - 2) // 2 + 1)]
-    for part_walks, part_distinct, part_nodes in _fan_out(_circuits_from, tasks, workers):
+    for part_walks, part_distinct, part_nodes in results:
         # a circuit's nearest ray site is its start, so the site sets of
         # different starts are disjoint and their counts add
         walks = [a + b for a, b in zip(walks, part_walks)]
@@ -733,11 +873,23 @@ def full_count_table(
 ) -> CountTable:
     """Exact counts, restricted-circuit counts, and the analytic bound, merged.
 
-    Both halves fan out over ``workers`` processes; the table does not depend on it.
+    Both halves share one pool of ``workers`` processes; the table does not
+    depend on it.  The census parts go first and are merged while the walker
+    runs, so a census error ends the walker early, and wins over a walker
+    error, as when the census ran before the walker.
     """
     _check_workers(workers)
-    table = exact_contour_counts(k_max, cluster_cap=cluster_cap, shape_limit=shape_limit, workers=workers)
-    sa = self_avoiding_circuit_count(k_max, rule=rule, max_nodes=max_nodes, workers=workers)
+    cap = _census_cap(k_max, cluster_cap, shape_limit, workers)
+    census = _census_tasks(k_max, cap, shape_limit, workers)
+    try:
+        walker = _walker_tasks(k_max, rule, max_nodes, workers)
+    except (ValueError, CapExceeded):
+        # an error of the census itself still comes first
+        exact_contour_counts(k_max, cluster_cap=cluster_cap, shape_limit=shape_limit, workers=workers)
+        raise
+    with _fan_out(census + walker, workers) as results:
+        table = _census_table(k_max, cap, shape_limit, islice(results, len(census)))
+        sa = _walker_counts(k_max, rule, max_nodes, results)
     table.sa_walk = sa.walks
     table.sa_sets = sa.distinct_sets
     table.meta["rule"] = rule

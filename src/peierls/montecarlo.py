@@ -39,7 +39,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import CapExceeded
-from .lattice import Window, _hash_windows, trial_seed
+from .lattice import _M64, _TRIALSALT, Window, _hash_windows, _np_mix64
 
 __all__ = [
     "McEstimate",
@@ -76,8 +76,12 @@ class McEstimate:
 
 
 def _trial_seeds(seed: int, t0: int, t1: int) -> np.ndarray:
-    """uint64 seeds of trials t0..t1-1."""
-    return np.array([trial_seed(seed, t) for t in range(t0, t1)], dtype=np.uint64)
+    """uint64 seeds of trials t0..t1-1: :func:`peierls.lattice.trial_seed` in wrapping uint64 arithmetic."""
+    z = np.arange(t1 - t0, dtype=np.uint64)
+    z += np.uint64(t0 & _M64)
+    z *= np.uint64(_TRIALSALT)
+    z ^= np.uint64(seed & _M64)
+    return _np_mix64(z, np.empty_like(z))
 
 
 def _hash_threshold(c: float) -> np.uint64:

@@ -1,6 +1,10 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peierls.cli import main
 
@@ -225,6 +229,49 @@ def test_manifest_show_and_check(tmp_path, capsys):
     code, out = run(["manifest", str(manifest_path)], capsys)
     assert code == 0
     assert "ok" in out
+
+
+_SMALL_COMMANDS = st.one_of(
+    st.builds(
+        lambda k, rule, fmt: ["counts", "--k-max", str(k), "--rule", rule, "--format", fmt],
+        st.integers(4, 8),
+        st.sampled_from(["five", "seven"]),
+        st.sampled_from(["csv", "json"]),
+    ),
+    st.builds(
+        lambda c, r, mode, k: ["bounds", "--c", repr(c), "--r", str(r), "--mode", mode, "--k-max", str(k)],
+        st.floats(0.81, 0.99),
+        st.integers(4, 9),
+        st.sampled_from(["analytic", "exact", "sa"]),
+        st.integers(4, 7),
+    ),
+    st.builds(
+        lambda L, c, trials, seed, obs: [
+            "simulate", "--L", str(L), "--c", repr(c), "--trials", str(trials), "--seed", str(seed),
+            "--observable", obs,
+        ],
+        st.integers(1, 10),
+        st.floats(0.0, 1.0),
+        st.integers(1, 60),
+        st.integers(0, (1 << 64) - 1),
+        st.sampled_from(["reach", "crossing"]),
+    ),
+    st.builds(
+        lambda L, trials, seed: ["simulate", "--L", str(L), "--bisect", "--trials", str(trials), "--seed", str(seed)],
+        st.integers(1, 6),
+        st.integers(1, 30),
+        st.integers(0, 1000),
+    ),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_SMALL_COMMANDS)
+def test_manifest_round_trips(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = os.path.join(tmp, "run.manifest.json")
+        assert main([*argv, "--out", os.path.join(tmp, "run")]) == 0
+        assert main(["manifest", manifest]) == 0
 
 
 @pytest.mark.parametrize(

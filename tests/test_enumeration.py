@@ -1,3 +1,6 @@
+import multiprocessing
+import signal
+import time
 from collections import Counter, defaultdict
 
 import pytest
@@ -21,12 +24,14 @@ from peierls import (
     self_avoiding_circuit_count,
     walk_bound,
 )
-from peierls import clusters
+from peierls import clusters, enumeration
 from peierls.enumeration import (
     _SPLIT_SIZE,
+    _ShapeTally,
     _census_part,
     _circuits_from,
     _embed,
+    _fan_out,
     _iter_shapes,
     class_counts_csv,
     count_table_csv,
@@ -105,6 +110,26 @@ def test_shape_tree_parts_partition_the_shapes(n, span, parts):
         assert not list(_iter_shapes(n, span, parts - 1, parts))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=9),
+    span=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    parts=st.integers(min_value=1, max_value=7),
+)
+def test_counted_subtrees_complete_the_pruned_walk(n, span, parts):
+    # the parts, each yielding the span-pruned tree and counting what it
+    # prunes, hold exactly the shapes of the unpruned tree
+    unpruned = sum(1 for part in range(parts) for _ in _iter_shapes(n, None, part, parts))
+    total = 0
+    for part in range(parts):
+        tally = _ShapeTally(limit=unpruned)
+        counting = [(tuple(s), x, w, h) for s, x, w, h in _iter_shapes(n, span, part, parts, tally)]
+        assert counting == [(tuple(s), x, w, h) for s, x, w, h in _iter_shapes(n, span, part, parts)]
+        assert tally.shapes >= len(counting)
+        total += tally.shapes
+    assert total == unpruned
+
+
 def test_cluster_enumeration_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_origin_clusters(6, limit=100))
@@ -132,6 +157,34 @@ def test_exact_counts_match_reference_path():
         reference[len(sites)] += 1
     t = exact_contour_counts(9)
     assert {k: reference[k] for k in range(4, 10)} == t.exact
+
+
+@pytest.mark.parametrize("k_max, shapes", [(8, 91), (10, 3_792), (11, 50_148)])
+def test_shape_count_is_the_fixed_polyomino_total(k_max, shapes):
+    # sum of OEIS A001168 (fixed polyominoes) up to the cap, most of them
+    # only counted below a shape too wide for the span lemma
+    assert exact_contour_counts(k_max).meta["shapes"] == shapes
+
+
+def test_shape_count_at_length_twelve(table12):
+    assert table12.meta["cluster_cap"] == 13
+    assert table12.meta["shapes"] == 2_595_167
+
+
+def test_shape_limit_stops_inside_a_counted_subtree():
+    # at cap 25 nearly every shape sits below a shape wider than 5 cells,
+    # in subtrees far too large to count to the end
+    def hung(signum, frame):
+        raise TimeoutError("the shape limit was not checked while counting a subtree")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(CapExceeded, match="limit of 1000000"):
+            exact_contour_counts(12, cluster_cap=25, shape_limit=10**6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_counts_idempotent_under_larger_cap():
@@ -299,6 +352,49 @@ def test_each_task_is_capped_on_its_own():
         _circuits_from(10, "five", 1, 100)
     with pytest.raises(CapExceeded):
         _census_part(10, interior_capacity(10), 100, 1, 8)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_census_error_wins_over_walker_error(workers):
+    with pytest.raises(CapExceeded, match="shape enumeration exceeded the limit of 100$"):
+        full_count_table(10, shape_limit=100, max_nodes=100, workers=workers)
+    with pytest.raises(IncompletenessError, match="cluster cap 4"):
+        full_count_table(12, cluster_cap=4, max_nodes=100, workers=workers)
+    # invalid walker arguments too: the census fails first
+    with pytest.raises(IncompletenessError, match="cluster cap 4"):
+        full_count_table(12, cluster_cap=4, max_nodes=0, workers=workers)
+    with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+        full_count_table(8, max_nodes=0, workers=workers)
+    with pytest.raises(CapExceeded, match="circuit search exceeded 100 nodes"):
+        full_count_table(10, max_nodes=100, workers=workers)
+
+
+def test_full_count_table_fans_out_once(monkeypatch):
+    calls = []
+
+    def counted(tasks, workers):
+        calls.append(len(tasks))
+        return _fan_out(tasks, workers)
+
+    monkeypatch.setattr(enumeration, "_fan_out", counted)
+    for workers, parts in ((1, 1), (2, 8)):
+        calls.clear()
+        full_count_table(8, workers=workers)
+        # the census parts and the walker's three starts
+        assert calls == [parts + 3]
+
+
+def test_fan_out_ends_running_tasks_when_the_caller_fails():
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError):
+        with _fan_out([(abs, -1), (time.sleep, 60), (time.sleep, 60)], 2) as results:
+            assert next(results) == 1
+            raise KeyError("merge failed")
+    assert time.perf_counter() - t0 < 30
+    deadline = time.perf_counter() + 30
+    while multiprocessing.active_children() and time.perf_counter() < deadline:
+        time.sleep(0.05)
+    assert not multiprocessing.active_children()
 
 
 def test_census_rejects_fewer_than_one_worker():

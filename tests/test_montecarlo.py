@@ -102,6 +102,59 @@ def test_reach_monotone_in_window_radius_per_trial():
     assert exceptions == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, (1 << 64) - 1),
+    st.integers(0, 1 << 40),
+    st.integers(1, 12),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_occupancy_crossing_and_reach_monotone_in_concentration(seed, t, L, a, b):
+    lo, hi = sorted((a, b))
+    side = 2 * L + 1
+    occ_lo = np.zeros((1, side, side), dtype=bool)
+    occ_hi = np.zeros((1, side, side), dtype=bool)
+    _occupy(seed, L, lo, t, t + 1, occ_lo)
+    _occupy(seed, L, hi, t, t + 1, occ_hi)
+    assert not (occ_lo & ~occ_hi).any()
+    for counter in (_crossing_count, _reach_count):
+        assert counter(seed, L, lo, t, t + 1) <= counter(seed, L, hi, t, t + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, (1 << 64) - 1),
+    st.integers(0, 1 << 40),
+    st.floats(0.0, 1.0),
+    st.integers(1, 14),
+    st.integers(1, 14),
+)
+def test_occupancy_and_reach_monotone_in_window_radius(seed, t, c, a, b):
+    # the larger window holds the smaller one site for site, so escaping it
+    # means escaping the smaller one too
+    small, big = sorted((a, b))
+    occ_small = np.zeros((1, 2 * small + 1, 2 * small + 1), dtype=bool)
+    occ_big = np.zeros((1, 2 * big + 1, 2 * big + 1), dtype=bool)
+    _occupy(seed, small, c, t, t + 1, occ_small)
+    _occupy(seed, big, c, t, t + 1, occ_big)
+    inner = slice(big - small, big + small + 1)
+    assert np.array_equal(occ_small[0], occ_big[0, inner, inner])
+    assert _reach_count(seed, big, c, t, t + 1) <= _reach_count(seed, small, c, t, t + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0, (1 << 64) - 1]), st.integers(-(1 << 70), 1 << 70)),
+    st.one_of(st.sampled_from([0, 1 << 63, (1 << 64) - 3]), st.integers(0, (1 << 64) - 1)),
+    st.integers(0, 20),
+)
+def test_trial_seeds_match_scalar_trial_seed(seed, t0, n):
+    seeds = _trial_seeds(seed, t0, t0 + n)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [trial_seed(seed, t) for t in range(t0, t0 + n)]
+
+
 def test_crossing_higher_at_higher_concentration():
     lo = estimate_crossing(32, 0.45, 800, 5)
     hi = estimate_crossing(32, 0.70, 800, 5)
