@@ -21,12 +21,8 @@ from .bounds import (
     truncated_q,
 )
 from .clusters import (
-    EMPTY_CLUSTER,
-    ESCAPES_WINDOW,
     Cluster,
     Contour,
-    cluster_at,
-    cluster_event_probability,
     outer_boundary,
     site_boundary,
     winding_number,
@@ -37,7 +33,6 @@ from .enumeration import (
     SelfAvoidingCounts,
     class_decomposition,
     contour_event_table,
-    enumerate_origin_clusters,
     exact_contour_counts,
     full_count_table,
     interior_capacity,
@@ -53,19 +48,8 @@ from .errors import (
     InsufficientData,
     NoRayIntersection,
     PeierlsError,
-    SiteOutsideWindow,
 )
-from .lattice import (
-    CoupledField,
-    Site,
-    Window,
-    neighbors4,
-    neighbors8,
-    sample_field,
-    site_uniform,
-    trial_seed,
-    uniform_grid,
-)
+from .lattice import Site, Window, neighbors4
 from .montecarlo import (
     McEstimate,
     ThresholdResult,
@@ -85,10 +69,7 @@ __all__ = [
     "Contour",
     "ContourError",
     "CountTable",
-    "CoupledField",
     "DivergentSeries",
-    "EMPTY_CLUSTER",
-    "ESCAPES_WINDOW",
     "EmptyClusterError",
     "IncompletenessError",
     "InsufficientData",
@@ -97,15 +78,11 @@ __all__ = [
     "PeierlsError",
     "SelfAvoidingCounts",
     "Site",
-    "SiteOutsideWindow",
     "ThresholdResult",
     "Window",
     "bisect_threshold",
     "class_decomposition",
-    "cluster_at",
-    "cluster_event_probability",
     "contour_event_table",
-    "enumerate_origin_clusters",
     "estimate_crossing",
     "estimate_origin_reach",
     "evaluate_polynomial",
@@ -115,19 +92,14 @@ __all__ = [
     "growth_rate_estimate",
     "interior_capacity",
     "neighbors4",
-    "neighbors8",
     "outer_boundary",
     "polynomial_coefficients",
-    "sample_field",
     "self_avoiding_circuit_count",
     "series_bound",
     "site_boundary",
-    "site_uniform",
     "tail_bound",
     "threshold_upper_bound",
-    "trial_seed",
     "truncated_q",
-    "uniform_grid",
     "walk_bound",
     "winding_number",
 ]

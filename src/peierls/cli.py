@@ -28,24 +28,22 @@ from .enumeration import (
     count_table_json_dict,
     full_count_table,
 )
-from .errors import CapExceeded, IncompletenessError
+from .errors import MAX_WORKERS, CapExceeded, IncompletenessError, check_workers
 from .montecarlo import bisect_threshold, estimate_crossing, estimate_origin_reach
 
 _BOUND_COLUMNS = ("c", "q_truncated", "tail", "q_lower", "series_bound", "threshold_bound", "guarantee")
 
 
 def _default_workers() -> int:
-    """Worker count from ``PEIERLS_THREADS``, else the hardware parallelism."""
+    """Worker count from ``PEIERLS_THREADS``, else the hardware parallelism up to ``MAX_WORKERS``."""
     env = os.environ.get("PEIERLS_THREADS")
     if not env:
-        return os.cpu_count() or 1
+        return min(os.cpu_count() or 1, MAX_WORKERS)
     try:
         workers = int(env)
     except ValueError:
         raise ValueError(f"PEIERLS_THREADS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"PEIERLS_THREADS must be >= 1, got {env!r}")
-    return workers
+    return check_workers(workers, "PEIERLS_THREADS")
 
 
 def _json_text(obj) -> str:
@@ -220,15 +218,17 @@ def cmd_manifest(args) -> int:
     if args.show:
         sys.stdout.write(_json_text(manifest))
         return 0
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("argv"), list):
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
         raise ValueError(f"manifest {args.file} records no argv; nothing to verify")
-    argv = list(manifest["argv"])
-    if "--out" not in argv:
+    if not isinstance(manifest.get("outputs"), dict):
+        raise ValueError(f"manifest {args.file} records no outputs; nothing to verify")
+    if "--out" not in argv[:-1]:
         raise ValueError("manifest records no --out prefix; nothing to verify")
+    out = argv.index("--out") + 1
     with tempfile.TemporaryDirectory() as tmp:
-        old_prefix = argv[argv.index("--out") + 1]
-        new_prefix = os.path.join(tmp, "rerun")
-        argv[argv.index("--out") + 1] = new_prefix
+        old_prefix = argv[out]
+        argv[out] = os.path.join(tmp, "rerun")
         code = main(argv)
         if code != 0:
             print(f"re-run failed with exit code {code}", file=sys.stderr)

@@ -1,11 +1,13 @@
-"""Occupied clusters, their vacant boundaries, and outer contours.
+"""Vacant boundaries, outer contours and winding numbers of occupied clusters.
 
 A cluster is a maximal 4-connected set W of occupied sites.  Its site
 boundary is the set of vacant sites with an axis neighbour in W.  The outer
 contour keeps only the boundary sites that can be reached from infinity by an
 axis path whose other sites avoid both the cluster and its boundary; these
 sites always form a closed king-move cycle around the cluster, which this
-module constructs explicitly with counter-clockwise orientation.
+module constructs explicitly with counter-clockwise orientation.  Clusters
+come in as site sets: the census enumerates them as shapes and the Monte
+Carlo labels whole occupancy grids, so no cluster is grown here.
 
 The package has one contour extractor, the bitboard core below: the exact
 census in :mod:`peierls.enumeration` calls it once per enumerated shape, and
@@ -14,43 +16,20 @@ census in :mod:`peierls.enumeration` calls it once per enumerated shape, and
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ContourError, EmptyClusterError, SiteOutsideWindow
-from .lattice import CoupledField, Site, neighbors4
+from .errors import ContourError, EmptyClusterError
+from .lattice import Site, neighbors4
 
 __all__ = [
     "Cluster",
     "Contour",
-    "EMPTY_CLUSTER",
-    "ESCAPES_WINDOW",
-    "cluster_at",
-    "cluster_event_probability",
     "outer_boundary",
     "site_boundary",
     "winding_number",
 ]
-
-
-class _Sentinel:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-
-#: Returned by :func:`cluster_at` when the queried site is vacant.
-EMPTY_CLUSTER = _Sentinel("EMPTY_CLUSTER")
-
-#: Returned by :func:`cluster_at` when the cluster reaches the window border,
-#: the finite stand-in for an unbounded cluster.
-ESCAPES_WINDOW = _Sentinel("ESCAPES_WINDOW")
 
 
 @dataclass(frozen=True)
@@ -96,37 +75,6 @@ def site_boundary(sites: frozenset[Site]) -> frozenset[Site]:
             if nb not in sites:
                 out.add(nb)
     return frozenset(out)
-
-
-def cluster_at(field: CoupledField, c: float, site: Site):
-    """Cluster of the occupied site, or a sentinel.
-
-    Returns ``EMPTY_CLUSTER`` if ``site`` is vacant at concentration ``c`` and
-    ``ESCAPES_WINDOW`` as soon as the growing cluster touches the window
-    border (the cluster may then continue outside the window, so it cannot be
-    reported as finite).  Otherwise returns the full :class:`Cluster`.  The
-    resulting set does not depend on traversal order.
-    """
-    if not field.window.contains(site):
-        raise SiteOutsideWindow(f"site {site} outside window of radius {field.window.radius}")
-    if not field.is_occupied(site, c):
-        return EMPTY_CLUSTER
-
-    window = field.window
-    seen = {site}
-    queue = deque([site])
-    while queue:
-        cur = queue.popleft()
-        if window.on_border(cur):
-            return ESCAPES_WINDOW
-        for nb in neighbors4(cur):
-            if nb in seen or not window.contains(nb):
-                continue
-            if field.is_occupied(nb, c):
-                seen.add(nb)
-                queue.append(nb)
-    sites = frozenset(seen)
-    return Cluster(sites=sites, boundary=site_boundary(sites), origin=site)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +250,3 @@ def winding_number(cycle: Sequence[Site], point: Site = (0, 0)) -> int:
         x0, y0 = x1, y1
     return wn
 
-
-def cluster_event_probability(cluster: Cluster, c: float) -> float:
-    """Probability that the cluster of its origin site is exactly this set.
-
-    Every site of the cluster must be occupied and every boundary site
-    vacant, so the probability is ``c**|W| * (1-c)**|boundary|``.
-    """
-    return float(c ** len(cluster.sites) * (1.0 - c) ** len(cluster.boundary))

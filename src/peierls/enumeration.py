@@ -69,9 +69,9 @@ from typing import Iterable, Iterator
 # perfbench/tracing.py records a span for every call of a function imported
 # by name into this module.
 from . import clusters
-from .clusters import Cluster, Contour
-from .errors import CapExceeded, ContourError, IncompletenessError, NoRayIntersection
-from .lattice import NEIGHBOR_OFFSETS_8, Site
+from .clusters import Contour
+from .errors import CapExceeded, ContourError, IncompletenessError, NoRayIntersection, check_workers
+from .lattice import NEIGHBOR_OFFSETS_8
 
 __all__ = [
     "ClassKey",
@@ -79,7 +79,6 @@ __all__ = [
     "SelfAvoidingCounts",
     "class_decomposition",
     "contour_event_table",
-    "enumerate_origin_clusters",
     "exact_contour_counts",
     "full_count_table",
     "interior_capacity",
@@ -125,11 +124,6 @@ def interior_capacity(k: int) -> int:
 
 #: Parts of the shape tree per worker process, so that uneven subtrees even out.
 _PARTS_PER_WORKER = 4
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def _tree_parts(workers: int) -> int:
@@ -183,10 +177,8 @@ _ORIGIN = 32
 _STEPS = (1, -1, 64, -64)
 #: Shape size at which :func:`_iter_shapes` splits its search tree into parts.
 _SPLIT_SIZE = 6
-
-
-def _decode(cell: int) -> Site:
-    return (cell & 63) - 32, cell >> 6
+#: Most shapes one census may enumerate, counted ones included, over all parts.
+_SHAPE_LIMIT = 50_000_000
 
 
 @dataclass
@@ -330,33 +322,6 @@ def _iter_shapes(
         shape.pop()
 
 
-def enumerate_origin_clusters(max_cluster_size: int, *, limit: int = 20_000_000) -> Iterator[Cluster]:
-    """All finite 4-connected clusters containing the origin, each exactly once.
-
-    Shapes are enumerated once in a canonical frame; each of the |W| cells of
-    a shape then serves as the origin of one translate.  No symmetry
-    deduplication is performed, since clusters at distinct positions are
-    distinct events.  Raises :class:`CapExceeded` if more than ``limit``
-    clusters would be produced.
-    """
-    if max_cluster_size < 1:
-        raise ValueError("max_cluster_size must be >= 1")
-    produced = 0
-    for shape, *_ in _iter_shapes(max_cluster_size):
-        cells = [_decode(e) for e in shape]
-        sites = frozenset(cells)
-        bnd = clusters.site_boundary(sites)
-        for cx, cy in cells:
-            produced += 1
-            if produced > limit:
-                raise CapExceeded(f"more than {limit} origin clusters at size cap {max_cluster_size}")
-            yield Cluster(
-                sites=frozenset((x - cx, y - cy) for x, y in sites),
-                boundary=frozenset((x - cx, y - cy) for x, y in bnd),
-                origin=(0, 0),
-            )
-
-
 def _embed(shape: list[int], xmin: int, w: int, h: int):
     """Bitboard of a w x h shape in a frame padded by 2: ``(wbits, frame)``."""
     fw = w + 4
@@ -442,19 +407,20 @@ def class_decomposition(contour: Contour) -> ClassKey:
     return ClassKey(ray_distance=l, first_step=i)
 
 
-def _census_part(k_max: int, cap: int, shape_limit: int, part: int, parts: int):
+def _census_part(k_max: int, cap: int, part: int, parts: int):
     """One part of the shape tree: ``(shapes, covers, contours)`` keyed by canonical contour.
 
     ``shapes`` counts every shape of the part, those below a shape too wide
     for the span lemma included, without building the latter.  ``covers[key][n]``
     is the union of the origin positions, in the canonical frame, of the
     size-n shapes whose contour is ``key``; ``contours[key]`` is that contour,
-    built once from the first shape that shows it.
+    built once from the first shape that shows it.  Raises
+    :class:`CapExceeded` past ``_SHAPE_LIMIT`` shapes.
     """
     contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
     span = _max_span(k_max)
-    tally = _ShapeTally(shape_limit)
+    tally = _ShapeTally(_SHAPE_LIMIT)
     for shape, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
         if w > span or h > span:
             continue
@@ -488,26 +454,24 @@ def _census_part(k_max: int, cap: int, shape_limit: int, part: int, parts: int):
     return tally.shapes, covers, contours
 
 
-def _census_cap(k_max: int, cluster_cap: int | None, shape_limit: int, workers: int) -> int:
+def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
     """The cluster-size cap of a census, for valid arguments."""
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
-    if shape_limit < 1:
-        raise ValueError(f"shape_limit must be >= 1, got {shape_limit}")
-    _check_workers(workers)
+    check_workers(workers)
     cap = interior_capacity(k_max) if cluster_cap is None else cluster_cap
     if cap < 1:
         raise ValueError("cluster cap must be >= 1")
     return cap
 
 
-def _census_tasks(k_max: int, cap: int, shape_limit: int, workers: int) -> list[tuple]:
+def _census_tasks(k_max: int, cap: int, workers: int) -> list[tuple]:
     """The census parts as :func:`_fan_out` tasks."""
     parts = _tree_parts(workers)
-    return [(_census_part, k_max, cap, shape_limit, p, parts) for p in range(parts)]
+    return [(_census_part, k_max, cap, p, parts) for p in range(parts)]
 
 
-def _census_table(k_max: int, cap: int, shape_limit: int, results: Iterable) -> CountTable:
+def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
     """Merge the results of the census parts into the census table.
 
     Raises as soon as the parts, or the passes over their merge, show the
@@ -524,8 +488,8 @@ def _census_table(k_max: int, cap: int, shape_limit: int, results: Iterable) -> 
                 merged[size] = merged.get(size, 0) | pos
         for key, contour in part_contours.items():
             contours.setdefault(key, contour)
-    if shapes_seen > shape_limit:
-        raise _shape_limit_error(shape_limit)
+    if shapes_seen > _SHAPE_LIMIT:
+        raise _shape_limit_error(_SHAPE_LIMIT)
     needed = interior_capacity(k_max)
     guaranteed = cap >= needed
 
@@ -597,7 +561,6 @@ def exact_contour_counts(
     k_max: int,
     *,
     cluster_cap: int | None = None,
-    shape_limit: int = 50_000_000,
     workers: int = 1,
 ) -> CountTable:
     """Exact number of distinct origin-enclosing contours for each length <= k_max.
@@ -609,17 +572,17 @@ def exact_contour_counts(
         ``interior_capacity(k_max)``, which provably sees every contour.  A
         smaller cap is accepted only if the counts are verified stable over
         the top three sizes; otherwise :class:`IncompletenessError` is raised.
-    shape_limit : safety limit on the number of enumerated shapes, counted
-        ones included.
     workers : processes the shape tree is split over; the result does not
         depend on it.
 
     Returns a :class:`CountTable` with the ``exact`` counts, the per-class
-    breakdown, and the analytic ``walk_bound`` column filled in.
+    breakdown, and the analytic ``walk_bound`` column filled in.  Raises
+    :class:`CapExceeded` if the census would enumerate more than
+    ``_SHAPE_LIMIT`` shapes, counted ones included.
     """
-    cap = _census_cap(k_max, cluster_cap, shape_limit, workers)
-    with _fan_out(_census_tasks(k_max, cap, shape_limit, workers), workers) as results:
-        return _census_table(k_max, cap, shape_limit, results)
+    cap = _census_cap(k_max, cluster_cap, workers)
+    with _fan_out(_census_tasks(k_max, cap, workers), workers) as results:
+        return _census_table(k_max, cap, results)
 
 
 def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
@@ -647,7 +610,7 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
     """
     if max_len < 4:
         raise ValueError("max_len must be >= 4")
-    _check_workers(workers)
+    check_workers(workers)
     cap = interior_capacity(max_len)
     if cap > 15:
         raise CapExceeded(
@@ -833,7 +796,7 @@ def _walker_tasks(k_max: int, rule: str, max_nodes: int, workers: int) -> list[t
         raise ValueError("k_max must be >= 4")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
-    _check_workers(workers)
+    check_workers(workers)
     if k_max - 2 >= _BLOCKED:
         raise CapExceeded(f"circuit length {k_max} exceeds the walker's distance encoding")
     _allowed_dirs(rule)  # rejects an unknown rule before any task starts
@@ -868,7 +831,6 @@ def full_count_table(
     rule: str = "five",
     cluster_cap: int | None = None,
     max_nodes: int = 200_000_000,
-    shape_limit: int = 50_000_000,
     workers: int = 1,
 ) -> CountTable:
     """Exact counts, restricted-circuit counts, and the analytic bound, merged.
@@ -878,17 +840,16 @@ def full_count_table(
     runs, so a census error ends the walker early, and wins over a walker
     error, as when the census ran before the walker.
     """
-    _check_workers(workers)
-    cap = _census_cap(k_max, cluster_cap, shape_limit, workers)
-    census = _census_tasks(k_max, cap, shape_limit, workers)
+    cap = _census_cap(k_max, cluster_cap, workers)
+    census = _census_tasks(k_max, cap, workers)
     try:
         walker = _walker_tasks(k_max, rule, max_nodes, workers)
     except (ValueError, CapExceeded):
         # an error of the census itself still comes first
-        exact_contour_counts(k_max, cluster_cap=cluster_cap, shape_limit=shape_limit, workers=workers)
+        exact_contour_counts(k_max, cluster_cap=cluster_cap, workers=workers)
         raise
     with _fan_out(census + walker, workers) as results:
-        table = _census_table(k_max, cap, shape_limit, islice(results, len(census)))
+        table = _census_table(k_max, cap, islice(results, len(census)))
         sa = _walker_counts(k_max, rule, max_nodes, results)
     table.sa_walk = sa.walks
     table.sa_sets = sa.distinct_sets

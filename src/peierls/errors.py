@@ -1,12 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types, and the worker-count check, shared across the package."""
 
 
 class PeierlsError(Exception):
     """Base class for all package-specific errors."""
-
-
-class SiteOutsideWindow(PeierlsError):
-    """A site was requested outside the finite window it belongs to."""
 
 
 class EmptyClusterError(PeierlsError):
@@ -35,3 +31,17 @@ class DivergentSeries(PeierlsError):
 
 class InsufficientData(PeierlsError):
     """Not enough enumerated lengths to form the requested estimate."""
+
+
+#: Most threads or processes one call may start.  The census forks its
+#: workers at once, so an unchecked count could exhaust the process table.
+MAX_WORKERS = 256
+
+
+def check_workers(workers: int, name: str = "workers") -> int:
+    """Return ``workers`` if it lies in 1..``MAX_WORKERS``, else raise :class:`ValueError` naming ``name``."""
+    if workers < 1:
+        raise ValueError(f"{name} must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"{name} must be <= {MAX_WORKERS}, got {workers}")
+    return workers

@@ -1,4 +1,4 @@
-"""Square-lattice geometry, finite windows, and reproducible random fields.
+"""Square-lattice geometry, finite windows, and the counter-based field hash.
 
 Sites are plain ``(x, y)`` integer tuples.  Two adjacency relations are used
 throughout the package: the 4-site axis neighbourhood (von Neumann) and the
@@ -8,21 +8,19 @@ every traversal, contour orientation, and enumeration is reproducible:
 * 4-neighbour order: E, N, W, S
 * 8-neighbour order: E, NE, N, NW, W, SW, S, SE (counter-clockwise)
 
-Random fields attach one uniform value in ``[0, 1)`` to each site through a
-counter-based hash of ``(seed, x, y)``.  The value of a site never depends on
+A random field attaches one 64-bit hash to each site, a pure function of
+``(seed, x, y)``; the site is occupied at concentration c when the 53-bit
+uniform the hash encodes is below c.  The hash of a site never depends on
 the window radius, so enlarging a window extends a field without disturbing
-existing values, and thresholding one field at growing concentrations yields
+existing sites, and thresholding one field at growing concentrations yields
 nested occupied sets (coupled sampling).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-
-from .errors import SiteOutsideWindow
 
 Site = tuple[int, int]
 
@@ -41,19 +39,14 @@ def neighbors4(site: Site) -> list[Site]:
     return [(x + dx, y + dy) for dx, dy in NEIGHBOR_OFFSETS_4]
 
 
-def neighbors8(site: Site) -> list[Site]:
-    """The 8 king-move neighbours of ``site``, counter-clockwise from east."""
-    x, y = site
-    return [(x + dx, y + dy) for dx, dy in NEIGHBOR_OFFSETS_8]
-
-
 # ---------------------------------------------------------------------------
-# Counter-based uniforms.
+# Counter-based site hashes.
 #
-# A splitmix-style avalanche over (seed, x, y).  The pure-Python pipeline
-# hashes single sites; :func:`_hash_windows` runs the same integer pipeline
-# with numpy uint64 arithmetic over whole windows, bit-identically, one
-# cache-sized block of sites at a time.
+# A splitmix-style avalanche over (seed, x, y): with ``mix`` the 64-bit
+# finalizer of :func:`_np_mix64`, a site's hash is
+# mix(mix(mix(seed ^ _GOLDEN) + x * _XSALT) + y * _YSALT), all mod 2**64.
+# :func:`_hash_windows` computes it with numpy uint64 arithmetic over whole
+# windows, one cache-sized block of sites at a time.
 # ---------------------------------------------------------------------------
 
 _M64 = (1 << 64) - 1
@@ -69,61 +62,14 @@ _TRIALSALT = 0xD1342543DE82EF95
 _BLOCK_SITES = 1 << 15
 
 
-def mix64(z: int) -> int:
-    """64-bit finalizer: maps any integer to a well-scrambled 64-bit value."""
-    z &= _M64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _M64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
-
-
-def _site_hash(seed: int, x: int, y: int) -> int:
-    h = mix64((seed ^ _GOLDEN) & _M64)
-    h = mix64((h + (x & _M64) * _XSALT) & _M64)
-    h = mix64((h + (y & _M64) * _YSALT) & _M64)
-    return h
-
-
-def site_uniform(seed: int, x: int, y: int) -> float:
-    """Uniform value in [0, 1) for one site, a pure function of (seed, x, y)."""
-    return (_site_hash(seed, x, y) >> 11) * 2.0**-53
-
-
-def trial_seed(seed: int, index: int) -> int:
-    """Derived seed for an independent trial; any subset of trials can be redone."""
-    return mix64((seed ^ (index & _M64) * _TRIALSALT) & _M64)
-
-
-def uniform_grid(seed: int, radius: int) -> np.ndarray:
-    """Uniform values for the window of given radius.
-
-    Returns an array of shape ``(2*radius+1, 2*radius+1)`` indexed
-    ``[y + radius, x + radius]``.  Entries equal :func:`site_uniform` for the
-    same (seed, x, y) bit-exactly, so grids of different radii agree on their
-    common sites.
-    """
-    side = 2 * radius + 1
-    out = np.empty((1, side, side), dtype=np.float64)
-    _hash_windows(np.array([seed & _M64], dtype=np.uint64), radius, out, _to_uniform)
-    return out[0]
-
-
-def _to_uniform(z: np.ndarray, out: np.ndarray) -> None:
-    """Reducer for :func:`_hash_windows`: the 53-bit uniform in [0, 1) of each hash."""
-    z >>= np.uint64(11)
-    np.multiply(z, 2.0**-53, out=out)
-
-
 def _hash_windows(seeds: np.ndarray, radius: int, out: np.ndarray, reduce) -> None:
     """Hash one window per uint64 seed and reduce the hashes into ``out``.
 
     ``out`` has shape ``(seeds.size, side, side)`` with ``side = 2*radius+1``
-    and any strides; entry ``[t, y + radius, x + radius]`` belongs to
-    ``_site_hash(seeds[t], x, y)``.  The sites are hashed in blocks of about
-    ``_BLOCK_SITES``: whole windows when several fit in a block, else row
-    slices of one window.  For each block, ``reduce(z, dst)`` writes ``dst``,
+    and any strides; entry ``[t, y + radius, x + radius]`` belongs to the
+    hash of site (x, y) under seed ``seeds[t]``.  The sites are hashed in
+    blocks of about ``_BLOCK_SITES``: whole windows when several fit in a
+    block, else row slices of one window.  For each block, ``reduce(z, dst)`` writes ``dst``,
     the block's slice of ``out``, from ``z``, the block's hashes laid out
     like ``dst``; it may overwrite ``z``.  No hash array larger than a block
     ever exists.
@@ -158,7 +104,7 @@ def _even_piece(n: int, most: int) -> int:
 
 
 def _np_mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """:func:`mix64` applied in place to a uint64 array, with scratch ``tmp`` of its shape; returns ``z``."""
+    """The splitmix64 finalizer applied in place to a uint64 array, with scratch ``tmp`` of its shape; returns ``z``."""
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -187,53 +133,3 @@ class Window:
     @property
     def site_count(self) -> int:
         return self.side * self.side
-
-    def contains(self, site: Site) -> bool:
-        x, y = site
-        return max(abs(x), abs(y)) <= self.radius
-
-    def on_border(self, site: Site) -> bool:
-        x, y = site
-        return max(abs(x), abs(y)) == self.radius
-
-    def sites(self) -> Iterator[Site]:
-        r = self.radius
-        for y in range(-r, r + 1):
-            for x in range(-r, r + 1):
-                yield (x, y)
-
-
-@dataclass(frozen=True, eq=False)
-class CoupledField:
-    """One uniform value per window site; occupation is thresholding at c.
-
-    The values are a pure deterministic function of (seed, x, y), so
-    regenerating with the same seed reproduces the field bit-exactly, and the
-    occupied set at concentration c is a subset of the occupied set at any
-    c' >= c on the same field.
-    """
-
-    window: Window
-    seed: int
-    uniforms: np.ndarray
-
-    def value(self, site: Site) -> float:
-        if not self.window.contains(site):
-            raise SiteOutsideWindow(f"site {site} outside window of radius {self.window.radius}")
-        x, y = site
-        r = self.window.radius
-        return float(self.uniforms[y + r, x + r])
-
-    def is_occupied(self, site: Site, c: float) -> bool:
-        return self.value(site) < c
-
-    def occupied_grid(self, c: float) -> np.ndarray:
-        """Boolean occupancy grid at concentration c, indexed [y+radius, x+radius]."""
-        return self.uniforms < c
-
-
-def sample_field(window: Window, seed: int) -> CoupledField:
-    """Draw the coupled uniform field for ``window`` from ``seed``."""
-    grid = uniform_grid(seed, window.radius)
-    grid.setflags(write=False)
-    return CoupledField(window=window, seed=seed, uniforms=grid)

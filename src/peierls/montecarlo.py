@@ -1,17 +1,20 @@
 """Monte Carlo estimates of percolation probabilities on finite windows.
 
-Each trial draws one coupled field from a per-trial derived seed, so any
-subset of trials can be recomputed independently and estimates are identical
-however the trials are split across workers.  Trials are processed in chunks
-of about 1M sites, spread over worker threads and produced lazily, so a run
-holds only the chunks in flight.  Within a chunk the site hashes are computed
-in cache-sized blocks (:func:`peierls.lattice._hash_windows`) and each block
-is reduced at once: thresholded straight into the occupancy buffer that is
-labelled, or cut to a 16-bit key for bisection.  No chunk-sized array of
-64-bit hashes is ever built.  Cluster labeling is done in batches: trial
-grids are stacked with blank separator rows and labeled in a single
-4-connected pass.  Fields of more than ``_SITE_LIMIT`` sites and runs of more
-than ``_SITE_TRIAL_LIMIT`` trials x sites raise :class:`CapExceeded`.
+Each trial draws one coupled field (:mod:`peierls.lattice`) from a per-trial
+derived seed, so any subset of trials can be recomputed independently and
+estimates are identical however the trials are split across workers.  A site
+is occupied at concentration c when the 53-bit uniform its hash encodes is
+below c, a comparison made on the raw hashes; this is the package's only
+occupancy rule.  Trials are processed in chunks of about 1M sites, spread
+over worker threads and produced lazily, so a run holds only the chunks in
+flight.  Within a chunk the site hashes are computed in cache-sized blocks
+(:func:`peierls.lattice._hash_windows`) and each block is reduced at once:
+thresholded straight into the occupancy buffer that is labelled, or cut to a
+16-bit key for bisection.  No chunk-sized array of 64-bit hashes is ever
+built.  Cluster labeling is done in batches: trial grids are stacked with
+blank separator rows and labeled in a single 4-connected pass.  Fields of
+more than ``_SITE_LIMIT`` sites and runs of more than ``_SITE_TRIAL_LIMIT``
+trials x sites raise :class:`CapExceeded`.
 
 Threshold bisection does not re-label every field at every midpoint.  Its
 midpoints all lie on the grid j / 2**m, with m fixed by the tolerance, and a
@@ -38,7 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy import ndimage
 
-from .errors import CapExceeded
+from .errors import CapExceeded, check_workers
 from .lattice import _M64, _TRIALSALT, Window, _hash_windows, _np_mix64
 
 __all__ = [
@@ -76,7 +79,12 @@ class McEstimate:
 
 
 def _trial_seeds(seed: int, t0: int, t1: int) -> np.ndarray:
-    """uint64 seeds of trials t0..t1-1: :func:`peierls.lattice.trial_seed` in wrapping uint64 arithmetic."""
+    """uint64 seeds of trials t0..t1-1.
+
+    Trial t of run ``seed`` hashes its field under mix((seed ^ t * _TRIALSALT)
+    mod 2**64), with ``mix`` the finalizer of
+    :func:`peierls.lattice._np_mix64`.
+    """
     z = np.arange(t1 - t0, dtype=np.uint64)
     z += np.uint64(t0 & _M64)
     z *= np.uint64(_TRIALSALT)
@@ -213,12 +221,11 @@ _SITE_TRIAL_LIMIT = 1 << 48
 
 
 def _check_run(L: int, trials: int, workers: int) -> None:
-    """Reject a window radius below 1, fewer than one trial or worker, and work past the caps."""
+    """Reject a window radius below 1, fewer than one trial, a worker count out of range, and work past the caps."""
     sites = Window(L).site_count
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     if sites > _SITE_LIMIT:
         raise CapExceeded(f"window has {sites} sites; a Monte Carlo field is capped at {_SITE_LIMIT}")
     if trials * sites > _SITE_TRIAL_LIMIT:
@@ -389,17 +396,21 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     )
 
 
-def exact_origin_reach_probability(L: int, c: float, *, site_limit: int = 20) -> float:
+#: Most sites of an exhaustive window: the sum runs over 2**sites configurations.
+_EXHAUSTIVE_SITE_LIMIT = 20
+
+
+def exact_origin_reach_probability(L: int, c: float) -> float:
     """Exhaustive origin-reach probability over all occupancy configurations.
 
-    Feasible only for tiny windows (the sum runs over 2**sites
-    configurations); raises :class:`CapExceeded` beyond ``site_limit`` sites.
+    Feasible only for tiny windows; raises :class:`CapExceeded` beyond
+    ``_EXHAUSTIVE_SITE_LIMIT`` sites.
     """
     window = Window(L)
     side = window.side
     n = window.site_count
-    if n > site_limit:
-        raise CapExceeded(f"window has {n} sites; exhaustive enumeration capped at {site_limit}")
+    if n > _EXHAUSTIVE_SITE_LIMIT:
+        raise CapExceeded(f"window has {n} sites; exhaustive enumeration capped at {_EXHAUSTIVE_SITE_LIMIT}")
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"concentration must lie in [0, 1], got {c}")
 

@@ -1,16 +1,23 @@
-"""Set-based outer contour: the slow reference for the bitboard extractor.
+"""Set-based references for clusters and outer contours.
 
 Every step works on Python sets of sites, with no bitboards: the exterior is
 an explicit flood fill over a padded bounding box, and the filled silhouette
 is everything in the box that the fill did not reach.  Only the cycle
 ordering is shared with the library (``_ccw_cycle``); the tests check the
-resulting cycle's shape independently.
+resulting cycle's shape independently.  The origin clusters of the census
+come from the library's shape iterator, each shape placed once at every
+cell, and the origin cluster of an occupancy grid from a depth-first search.
 """
 
 from __future__ import annotations
 
-from peierls import Cluster, Contour, neighbors4
+from typing import Iterator
+
+import numpy as np
+
+from peierls import Cluster, Contour, Site, neighbors4, site_boundary
 from peierls.clusters import _ccw_cycle
+from peierls.enumeration import _iter_shapes
 
 
 def _box(region):
@@ -51,3 +58,45 @@ def oracle_outer_boundary(cluster: Cluster) -> Contour:
     ext = exterior_of(region)
     gamma = frozenset(u for u in cluster.boundary if any(nb in ext for nb in neighbors4(u)))
     return Contour(sites=gamma, cycle=_ccw_cycle(filled_silhouette(region, ext), gamma))
+
+
+def enumerate_origin_clusters(max_cluster_size: int) -> Iterator[Cluster]:
+    """All finite 4-connected clusters containing the origin, each exactly once.
+
+    Each of the |W| cells of a shape serves as the origin of one translate.
+    No symmetry deduplication is performed, since clusters at distinct
+    positions are distinct events.
+    """
+    for shape, *_ in _iter_shapes(max_cluster_size):
+        cells = [((e & 63) - 32, e >> 6) for e in shape]  # cell e is (y << 6) | (x + 32)
+        bnd = site_boundary(frozenset(cells))
+        for cx, cy in cells:
+            yield Cluster(
+                sites=frozenset((x - cx, y - cy) for x, y in cells),
+                boundary=frozenset((x - cx, y - cy) for x, y in bnd),
+                origin=(0, 0),
+            )
+
+
+def cluster_event_probability(cluster: Cluster, c: float) -> float:
+    """Probability ``c**|W| * (1-c)**|boundary|`` that the cluster of its origin site is exactly this set."""
+    return float(c ** len(cluster.sites) * (1.0 - c) ** len(cluster.boundary))
+
+
+def origin_cluster(grid: np.ndarray) -> frozenset[Site]:
+    """Occupied sites joined to the origin of ``grid`` (indexed ``[y + L, x + L]``); empty if it is vacant."""
+    L = grid.shape[0] // 2
+    seen = {(0, 0)} if grid[L, L] else set()
+    stack = list(seen)
+    while stack:
+        for x, y in neighbors4(stack.pop()):
+            if max(abs(x), abs(y)) <= L and (x, y) not in seen and grid[y + L, x + L]:
+                seen.add((x, y))
+                stack.append((x, y))
+    return frozenset(seen)
+
+
+def reaches_border(grid: np.ndarray) -> bool:
+    """Does the origin cluster of ``grid`` touch the border of its window?"""
+    L = grid.shape[0] // 2
+    return any(max(abs(x), abs(y)) == L for x, y in origin_cluster(grid))

@@ -1,20 +1,48 @@
-"""Reference site hashing: whole windows at once, with no blocking.
+"""Reference site hashing: one site at a time, and whole windows with no blocking.
 
-This is the whole-array pipeline the library used before it hashed windows
-in cache-sized blocks, with its own out-of-place mixer, so it shares no code
-with ``peierls.lattice._hash_windows`` beyond the salts.  The tests require
-the blocked kernel's reducers to agree with it bit for bit.
+The scalar functions hash single sites in pure Python integers.  The array
+functions are the whole-array pipeline the library used before it hashed
+windows in cache-sized blocks, with their own out-of-place mixer.  Neither
+shares code with ``peierls.lattice._hash_windows`` beyond the salts; the
+tests require the blocked kernel's reducers to agree with both bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from peierls.lattice import _GOLDEN, _XSALT, _YSALT, trial_seed
+from peierls.lattice import _GOLDEN, _M64, _TRIALSALT, _XSALT, _YSALT
+
+
+def mix64(z: int) -> int:
+    """64-bit finalizer: maps any integer to a well-scrambled 64-bit value."""
+    z &= _M64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _M64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _site_hash(seed: int, x: int, y: int) -> int:
+    h = mix64((seed ^ _GOLDEN) & _M64)
+    h = mix64((h + (x & _M64) * _XSALT) & _M64)
+    h = mix64((h + (y & _M64) * _YSALT) & _M64)
+    return h
+
+
+def site_uniform(seed: int, x: int, y: int) -> float:
+    """Uniform value in [0, 1) for one site, a pure function of (seed, x, y)."""
+    return (_site_hash(seed, x, y) >> 11) * 2.0**-53
+
+
+def trial_seed(seed: int, index: int) -> int:
+    """Derived seed for an independent trial; any subset of trials can be redone."""
+    return mix64((seed ^ (index & _M64) * _TRIALSALT) & _M64)
 
 
 def mix(z: np.ndarray) -> np.ndarray:
-    """``peierls.lattice.mix64`` over a uint64 array, out of place."""
+    """:func:`mix64` over a uint64 array, out of place."""
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(0xBF58476D1CE4E5B9)
     z = z ^ (z >> np.uint64(27))
@@ -40,4 +68,3 @@ def occupied(seed: int, L: int, c: float, t0: int, t1: int) -> np.ndarray:
     """Occupancy of trials t0..t1-1 at concentration c: uniform ``(hash >> 11) * 2**-53 < c``."""
     uniforms = (trial_hashes(seed, L, t0, t1) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return uniforms < c
-

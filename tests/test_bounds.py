@@ -2,11 +2,10 @@ import math
 
 import pytest
 
+from contour_oracle import cluster_event_probability, enumerate_origin_clusters
 from peierls import (
     DivergentSeries,
     InsufficientData,
-    cluster_event_probability,
-    enumerate_origin_clusters,
     evaluate_polynomial,
     full_count_table,
     growth_rate_estimate,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import tempfile
@@ -6,7 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peierls.cli import main
+from peierls import (
+    bisect_threshold,
+    contour_event_table,
+    estimate_crossing,
+    estimate_origin_reach,
+    exact_contour_counts,
+    full_count_table,
+    self_avoiding_circuit_count,
+)
+from peierls import montecarlo
+from peierls.cli import _default_workers, main
+from peierls.errors import MAX_WORKERS, check_workers
 
 
 def run(args, capsys):
@@ -175,6 +187,36 @@ def test_bad_threads_env_names_the_variable(monkeypatch, capsys):
             assert err.startswith("error: PEIERLS_THREADS") and err.count("\n") == 1
 
 
+def test_worker_count_above_the_cap_exits_2_and_starts_no_pool(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", refuse)
+    over = MAX_WORKERS + 1
+    simulate = ["simulate", "--L", "8", "--c", "0.6", "--trials", "20"]
+    bisect = ["simulate", "--L", "8", "--bisect", "--trials", "20"]
+    monkeypatch.setenv("PEIERLS_THREADS", str(over))
+    for argv in (["counts", "--k-max", "6"], ["bounds", "--c", "0.9", "--r", "6"], simulate, bisect):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: PEIERLS_THREADS must be <= {MAX_WORKERS}, got {over}\n"
+    monkeypatch.delenv("PEIERLS_THREADS")
+    for argv in (simulate, bisect):
+        assert main([*argv, "--workers", str(over)]) == 2
+        assert capsys.readouterr().err == f"error: workers must be <= {MAX_WORKERS}, got {over}\n"
+    for census in (exact_contour_counts, self_avoiding_circuit_count, contour_event_table, full_count_table):
+        with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}"):
+            census(6, workers=over)
+    for estimate in (estimate_origin_reach, estimate_crossing):
+        with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}"):
+            estimate(8, 0.5, 10, 0, workers=over)
+    with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}"):
+        bisect_threshold(8, 10, 0.01, 0, workers=over)
+    assert check_workers(MAX_WORKERS) == MAX_WORKERS
+    monkeypatch.setattr(os, "cpu_count", lambda: 100_000)
+    assert _default_workers() == MAX_WORKERS
+
+
 def test_counts_files_independent_of_threads(tmp_path, monkeypatch, capsys):
     for threads in ("1", "2"):
         monkeypatch.setenv("PEIERLS_THREADS", threads)
@@ -287,10 +329,17 @@ def test_manifest_round_trips(argv):
         ["simulate", "--L", "8", "--bisect", "--tol", "2", "--trials", "50"],
         ["simulate", "--L", "8", "--c", "0.5", "--trials", "10", "--workers", "-3"],
         ["counts", "--k-max", "6", "--max-nodes", "-1"],
+        ["manifest", "{tmp}/nooutputs.manifest.json"],
+        ["manifest", "{tmp}/listoutputs.manifest.json"],
+        ["manifest", "{tmp}/outlast.manifest.json"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "noargv.manifest.json").write_text(json.dumps({"command": "counts", "outputs": {}}))
+    rerun = ["counts", "--k-max", "6", "--out", str(tmp_path / "run")]
+    (tmp_path / "nooutputs.manifest.json").write_text(json.dumps({"argv": rerun}))
+    (tmp_path / "listoutputs.manifest.json").write_text(json.dumps({"argv": rerun, "outputs": []}))
+    (tmp_path / "outlast.manifest.json").write_text(json.dumps({"argv": rerun[:-1], "outputs": {}}))
     code = main([a.format(tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert code == 2

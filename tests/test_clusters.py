@@ -1,24 +1,25 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contour_oracle import oracle_outer_boundary
+from contour_oracle import (
+    cluster_event_probability,
+    enumerate_origin_clusters,
+    oracle_outer_boundary,
+    origin_cluster,
+    reaches_border,
+)
 from peierls import (
-    EMPTY_CLUSTER,
-    ESCAPES_WINDOW,
     Cluster,
     ContourError,
     EmptyClusterError,
-    SiteOutsideWindow,
-    Window,
-    cluster_at,
-    cluster_event_probability,
     outer_boundary,
-    sample_field,
     site_boundary,
     winding_number,
 )
 from peierls.enumeration import _max_span
+from peierls.montecarlo import _label_batch, _occupy, _reach_count
 
 
 def make_cluster(sites):
@@ -34,53 +35,38 @@ def cyclic_equal(a, b):
 
 
 # ---------------------------------------------------------------------------
-# cluster_at
+# origin clusters of a field
 # ---------------------------------------------------------------------------
 
 
+def occupancy(seed, L, c, t0, t1):
+    occ = np.zeros((t1 - t0, 2 * L + 1, 2 * L + 1), dtype=bool)
+    _occupy(seed, L, c, t0, t1, occ)
+    return occ
+
+
 def test_isolated_origin_cluster():
-    # seed 0 leaves the origin occupied at c = 0.5 with all 4 neighbours vacant
-    f = sample_field(Window(3), 0)
-    cl = cluster_at(f, 0.5, (0, 0))
-    assert isinstance(cl, Cluster)
-    assert cl.sites == {(0, 0)}
-    assert cl.boundary == {(1, 0), (0, 1), (-1, 0), (0, -1)}
-
-
-def test_vacant_origin_is_empty_sentinel():
-    f = sample_field(Window(3), 0)
-    assert cluster_at(f, 0.0, (0, 0)) is EMPTY_CLUSTER
-    assert EMPTY_CLUSTER is not ESCAPES_WINDOW
+    # trial 0 of seed 0 leaves the origin occupied at c = 0.5 with all 4 neighbours vacant
+    sites = origin_cluster(occupancy(0, 3, 0.5, 0, 1)[0])
+    assert sites == {(0, 0)}
+    assert site_boundary(sites) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
 
 
 def test_full_window_escapes():
-    f = sample_field(Window(3), 0)
-    assert cluster_at(f, 1.0, (0, 0)) is ESCAPES_WINDOW
-
-
-def test_site_outside_window_raises():
-    f = sample_field(Window(2), 0)
-    with pytest.raises(SiteOutsideWindow):
-        cluster_at(f, 0.5, (3, 3))
+    occ = occupancy(0, 3, 1.0, 0, 1)
+    assert occ.all() and reaches_border(occ[0])
+    assert _reach_count(0, 3, 1.0, 0, 1) == 1
 
 
 def test_cluster_independent_of_traversal_order():
-    # reference: depth-first traversal instead of the library's breadth-first
-    f = sample_field(Window(8), 17)
-    c = 0.55
-    for site in [(0, 0), (1, 2), (-3, -3)]:
-        got = cluster_at(f, c, site)
-        if got in (EMPTY_CLUSTER, ESCAPES_WINDOW):
-            continue
-        seen = {site}
-        stack = [site]
-        while stack:
-            x, y = stack.pop()
-            for nb in ((x - 1, y), (x, y - 1), (x + 1, y), (x, y + 1)):
-                if nb not in seen and f.window.contains(nb) and f.is_occupied(nb, c):
-                    seen.add(nb)
-                    stack.append(nb)
-        assert got.sites == seen
+    # the library labels whole grids in one pass; the reference grows the
+    # origin cluster depth first, site by site
+    L, trials = 8, 40
+    occ = occupancy(17, L, 0.55, 0, trials)
+    labels = _label_batch(trials, 2 * L + 1, lambda grids: np.copyto(grids, occ))
+    for grid, lab in zip(occ, labels):
+        ys, xs = np.nonzero(lab == lab[L, L]) if lab[L, L] else ((), ())
+        assert origin_cluster(grid) == {(x - L, y - L) for x, y in zip(xs, ys)}
 
 
 def test_domino_boundary_has_six_sites():
@@ -90,8 +76,6 @@ def test_domino_boundary_has_six_sites():
 
 
 def test_boundary_at_least_four():
-    from peierls import enumerate_origin_clusters
-
     for cl in enumerate_origin_clusters(5):
         assert len(cl.boundary) >= 4
 
@@ -138,8 +122,6 @@ def test_pocket_cluster_contour_excludes_shielded_site():
 
 
 def test_contour_cycles_are_simple_king_cycles():
-    from peierls import enumerate_origin_clusters
-
     for cl in enumerate_origin_clusters(5):
         ct = outer_boundary(cl)
         cyc = ct.cycle
@@ -177,8 +159,6 @@ def test_winding_number_orientation_and_position():
 
 
 def test_outer_boundary_matches_oracle_on_small_clusters():
-    from peierls import enumerate_origin_clusters
-
     for cl in enumerate_origin_clusters(7):
         assert outer_boundary(cl) == oracle_outer_boundary(cl)
 

@@ -1,13 +1,17 @@
-"""Smoke test of the demo scripts: every name they use resolves, and the fast ones run."""
+"""Smoke test of the demos and the README quick start: every name they use resolves, and the fast demos run."""
 
 import builtins
 import importlib.util
+import re
 import symtable
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+import peierls
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 #: Demos that finish in about a second or two; the others run Monte Carlo or
 #: the length-12 census.
 FAST = {"contour_census.py", "truncated_polynomial.py"}
@@ -48,3 +52,11 @@ def test_fast_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # a plot, if matplotlib is installed, lands here
     _load(path).main()
     assert capsys.readouterr().out.count("\n") > 10
+
+
+def test_readme_quick_start_names_are_exported():
+    readme = (ROOT / "README.md").read_text()
+    quick_start = readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names = set(re.findall(r"\bp\.(\w+)", quick_start))
+    missing = names - set(peierls.__all__)
+    assert names and not missing, f"README quick start uses unexported names {sorted(missing)}"

@@ -2,12 +2,13 @@ import multiprocessing
 import signal
 import time
 from collections import Counter, defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contour_oracle import oracle_outer_boundary
+from contour_oracle import enumerate_origin_clusters, oracle_outer_boundary
 from walker_oracle import oracle_circuit_count
 from peierls import (
     CapExceeded,
@@ -16,7 +17,6 @@ from peierls import (
     NoRayIntersection,
     class_decomposition,
     contour_event_table,
-    enumerate_origin_clusters,
     exact_contour_counts,
     full_count_table,
     interior_capacity,
@@ -131,8 +131,9 @@ def test_counted_subtrees_complete_the_pruned_walk(n, span, parts):
 
 
 def test_cluster_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        list(enumerate_origin_clusters(6, limit=100))
+    # cells are encoded in 6-bit columns, so shapes are capped at 30 cells
+    with pytest.raises(CapExceeded, match="coordinate encoding range"):
+        next(_iter_shapes(31))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +181,9 @@ def test_shape_limit_stops_inside_a_counted_subtree():
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with pytest.raises(CapExceeded, match="limit of 1000000"):
-            exact_contour_counts(12, cluster_cap=25, shape_limit=10**6)
+        with mock.patch.object(enumeration, "_SHAPE_LIMIT", 10**6):
+            with pytest.raises(CapExceeded, match="limit of 1000000"):
+                exact_contour_counts(12, cluster_cap=25)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -317,8 +319,6 @@ def test_circuit_node_cap():
         self_avoiding_circuit_count(10, max_nodes=50)
     with pytest.raises(ValueError):
         self_avoiding_circuit_count(10, max_nodes=0)
-    with pytest.raises(ValueError):
-        exact_contour_counts(6, shape_limit=0)
 
 
 @pytest.mark.parametrize("rule", ["five", "seven"])
@@ -339,25 +339,28 @@ def test_walker_node_cap_threshold_matches_oracle():
 
 
 def test_shape_limit_threshold():
-    # k = 10 caps shapes at size 8, past the split size, so no part holds them all
+    # k = 10 caps shapes at size 8, past the split size, so no part holds
+    # them all; forked workers inherit the patched limit
     shapes = exact_contour_counts(10).meta["shapes"]
     for workers in (1, 2):
-        with pytest.raises(CapExceeded):
-            exact_contour_counts(10, shape_limit=shapes - 1, workers=workers)
-        assert exact_contour_counts(10, shape_limit=shapes, workers=workers).meta["shapes"] == shapes
+        with mock.patch.object(enumeration, "_SHAPE_LIMIT", shapes - 1), pytest.raises(CapExceeded):
+            exact_contour_counts(10, workers=workers)
+        with mock.patch.object(enumeration, "_SHAPE_LIMIT", shapes):
+            assert exact_contour_counts(10, workers=workers).meta["shapes"] == shapes
 
 
 def test_each_task_is_capped_on_its_own():
     with pytest.raises(CapExceeded):
         _circuits_from(10, "five", 1, 100)
-    with pytest.raises(CapExceeded):
-        _census_part(10, interior_capacity(10), 100, 1, 8)
+    with mock.patch.object(enumeration, "_SHAPE_LIMIT", 100), pytest.raises(CapExceeded):
+        _census_part(10, interior_capacity(10), 1, 8)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_census_error_wins_over_walker_error(workers):
-    with pytest.raises(CapExceeded, match="shape enumeration exceeded the limit of 100$"):
-        full_count_table(10, shape_limit=100, max_nodes=100, workers=workers)
+    with mock.patch.object(enumeration, "_SHAPE_LIMIT", 100):
+        with pytest.raises(CapExceeded, match="shape enumeration exceeded the limit of 100$"):
+            full_count_table(10, max_nodes=100, workers=workers)
     with pytest.raises(IncompletenessError, match="cluster cap 4"):
         full_count_table(12, cluster_cap=4, max_nodes=100, workers=workers)
     # invalid walker arguments too: the census fails first

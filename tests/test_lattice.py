@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from peierls import (
-    SiteOutsideWindow,
-    Window,
-    neighbors4,
-    neighbors8,
-    sample_field,
-    site_uniform,
-    uniform_grid,
-)
+from hash_oracle import site_uniform, trial_seed
+from peierls import Window, neighbors4
+from peierls.lattice import NEIGHBOR_OFFSETS_4, NEIGHBOR_OFFSETS_8
+from peierls.montecarlo import _occupy
+
+
+def occupancy(seed, L, c, t0=0, t1=1):
+    """The library's occupancy grids of trials t0..t1-1."""
+    side = 2 * L + 1
+    out = np.zeros((t1 - t0, side, side), dtype=bool)
+    _occupy(seed, L, c, t0, t1, out)
+    return out
 
 
 def test_neighbors4_origin_order():
@@ -25,71 +28,55 @@ def test_neighbors4_translation():
 
 
 def test_neighbors8_counts_and_subset():
-    for s in [(0, 0), (5, -3), (-2, 7)]:
-        n8 = neighbors8(s)
-        assert len(n8) == 8
-        assert len(neighbors4(s)) == 4
-        assert set(neighbors4(s)) < set(n8)
+    assert len(set(NEIGHBOR_OFFSETS_8)) == 8
+    assert all(max(abs(dx), abs(dy)) == 1 for dx, dy in NEIGHBOR_OFFSETS_8)
+    assert set(NEIGHBOR_OFFSETS_4) < set(NEIGHBOR_OFFSETS_8)
 
 
 def test_neighbors8_counterclockwise():
-    n8 = neighbors8((0, 0))
-    angles = [math.atan2(y, x) % (2 * math.pi) for x, y in n8]
-    assert angles == sorted(angles)
+    # 45 degrees apart from east: the circuit walker reverses direction d as
+    # (d + 4) % 8 and turns by at most 90 degrees as d +- 2
+    angles = [math.atan2(y, x) % (2 * math.pi) for x, y in NEIGHBOR_OFFSETS_8]
+    assert angles == pytest.approx([d * math.pi / 4 for d in range(8)])
 
 
 def test_window_validation_and_counts():
     with pytest.raises(ValueError):
         Window(0)
     w = Window(3)
-    assert w.site_count == 49
-    assert len(list(w.sites())) == 49
-    assert w.contains((3, -3)) and not w.contains((4, 0))
-    assert w.on_border((3, 1)) and not w.on_border((2, 2))
+    assert w.side == 7 and w.site_count == 49
 
 
 def test_field_deterministic_and_scalar_match():
-    w = Window(4)
-    f1 = sample_field(w, 123)
-    f2 = sample_field(w, 123)
-    assert (f1.uniforms == f2.uniforms).all()
-    for site in [(0, 0), (4, -4), (-1, 3), (2, 2)]:
-        assert f1.value(site) == site_uniform(123, *site)
-    assert (sample_field(w, 124).uniforms != f1.uniforms).any()
+    first = occupancy(123, 4, 0.5, 0, 3)
+    assert np.array_equal(occupancy(123, 4, 0.5, 0, 3), first)
+    for t in range(3):
+        for y in range(-4, 5):
+            for x in range(-4, 5):
+                assert first[t, y + 4, x + 4] == (site_uniform(trial_seed(123, t), x, y) < 0.5)
+    assert not np.array_equal(occupancy(124, 4, 0.5, 0, 3), first)
 
 
 def test_field_window_independent():
-    small = uniform_grid(7, 2)
-    big = uniform_grid(7, 5)
-    assert (big[3:8, 3:8] == small).all()
-
-
-def test_value_outside_window():
-    f = sample_field(Window(2), 0)
-    with pytest.raises(SiteOutsideWindow):
-        f.value((3, 0))
-
-
-def test_uniforms_in_unit_interval():
-    g = uniform_grid(99, 8)
-    assert (g >= 0.0).all() and (g < 1.0).all()
+    small = occupancy(7, 2, 0.5)
+    big = occupancy(7, 5, 0.5)
+    assert (big[:, 3:8, 3:8] == small).all()
 
 
 def test_law_of_large_numbers():
-    fracs = [(uniform_grid(seed, 64) < 0.5).mean() for seed in range(100)]
+    fracs = occupancy(0, 64, 0.5, 0, 100).mean(axis=(1, 2))
     assert abs(np.mean(fracs) - 0.5) < 0.01
 
 
 def test_occupation_frequency_three_sigma():
     c = 0.3
-    g = uniform_grid(0, 64)
+    g = occupancy(0, 64, c)
     sigma = math.sqrt(c * (1 - c) / g.size)
-    assert abs((g < c).mean() - c) < 3 * sigma
+    assert abs(g.mean() - c) < 3 * sigma
 
 
 def test_threshold_coupling_monotone():
-    f = sample_field(Window(16), 5)
-    low = f.occupied_grid(0.3)
-    high = f.occupied_grid(0.7)
+    low = occupancy(5, 16, 0.3)
+    high = occupancy(5, 16, 0.7)
     assert (low <= high).all()
     assert low.sum() < high.sum()

@@ -9,19 +9,16 @@ from hypothesis import strategies as st
 
 import hash_oracle
 from bisect_oracle import oracle_bisect, oracle_crossing
+from contour_oracle import reaches_border
+from hash_oracle import _site_hash, site_uniform, trial_seed
 from peierls import lattice, montecarlo
 from peierls import (
     CapExceeded,
-    ESCAPES_WINDOW,
     Window,
     bisect_threshold,
-    cluster_at,
     estimate_crossing,
     estimate_origin_reach,
     exact_origin_reach_probability,
-    sample_field,
-    site_uniform,
-    trial_seed,
 )
 from peierls.montecarlo import (
     _chunks,
@@ -72,14 +69,25 @@ def test_std_error_formula():
 
 def test_vectorized_reach_matches_cluster_walk():
     # dual route: per-trial indicator from the labeled grids vs a direct
-    # breadth-first cluster extraction on the same coupled field
+    # depth-first search of the origin cluster on the reference occupancy
     L, c, seed = 6, 0.58, 21
-    w = Window(L)
+    grids = hash_oracle.occupied(seed, L, c, 0, 60)
     for t in range(60):
-        fast = _reach_count(seed, L, c, t, t + 1)
-        field = sample_field(w, trial_seed(seed, t))
-        slow = cluster_at(field, c, (0, 0)) is ESCAPES_WINDOW
-        assert fast == int(slow)
+        assert _reach_count(seed, L, c, t, t + 1) == int(reaches_border(grids[t]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-(1 << 70), 1 << 70),
+    st.integers(1, 10),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(0, (1 << 64) - 9),
+)
+def test_reach_matches_border_search(seed, L, c, t0):
+    # eight trials an example: a cluster that touches one side only is rare
+    grids = hash_oracle.occupied(seed, L, c, t0, t0 + 8)
+    for t, grid in enumerate(grids, start=t0):
+        assert _reach_count(seed, L, c, t, t + 1) == int(reaches_border(grid))
 
 
 def test_crossing_monotone_in_concentration_per_trial():
@@ -270,17 +278,15 @@ def test_blocked_kernel_matches_whole_array_oracle(seed, L, t0, n, block, c, m):
         occ = np.zeros((n, side, side), dtype=bool)
         _occupy(seed, L, c, t0, t1, occ)
         keys = _keys(seed, L, m, t0, t1)
-        uniforms = np.empty((n, side, side))
-        lattice._hash_windows(_trial_seeds(seed, t0, t1), L, uniforms, lattice._to_uniform)
     hashes = hash_oracle.trial_hashes(seed, L, t0, t1)
     expected = (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    assert np.array_equal(uniforms, expected)
     assert np.array_equal(occ, hash_oracle.occupied(seed, L, c, t0, t1))
     assert np.array_equal(keys, hashes >> np.uint64(64 - m))
     j = int(c * (1 << m))
     assert np.array_equal(keys < j, expected < j / (1 << m))
     for t, x, y in ((t0, 0, 0), (t1 - 1, -L, L), (t1 - 1, L, -L)):
-        assert uniforms[t - t0, y + L, x + L] == site_uniform(trial_seed(seed, t), x, y)
+        assert occ[t - t0, y + L, x + L] == (site_uniform(trial_seed(seed, t), x, y) < c)
+        assert keys[t - t0, y + L, x + L] == _site_hash(trial_seed(seed, t), x, y) >> (64 - m)
 
 
 def test_row_slice_blocks_match_oracle():
