@@ -221,7 +221,7 @@ def cmd_manifest(args) -> int:
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
         raise ValueError(f"manifest {args.file} records no argv; nothing to verify")
-    if not isinstance(manifest.get("outputs"), dict):
+    if not isinstance(manifest.get("outputs"), dict) or not manifest["outputs"]:
         raise ValueError(f"manifest {args.file} records no outputs; nothing to verify")
     if "--out" not in argv[:-1]:
         raise ValueError("manifest records no --out prefix; nothing to verify")

@@ -9,9 +9,13 @@ module constructs explicitly with counter-clockwise orientation.  Clusters
 come in as site sets: the census enumerates them as shapes and the Monte
 Carlo labels whole occupancy grids, so no cluster is grown here.
 
-The package has one contour extractor, the bitboard core below: the exact
-census in :mod:`peierls.enumeration` calls it once per enumerated shape, and
-:func:`outer_boundary` builds on it for single clusters.
+The package has one contour extractor, the bitboard steps below, in two
+forms: :func:`_contour_bits` on one big-integer bitboard, which
+:func:`outer_boundary` builds on for single clusters of any size, and
+:func:`_contour_rows` on a numpy block of row masks, which runs the same
+steps for thousands of small shapes at once for the census and the event
+table of :mod:`peierls.enumeration`.  The tests check the block form
+against the single one.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ContourError, EmptyClusterError
 from .lattice import Site, neighbors4
@@ -124,6 +130,65 @@ def _contour_bits(wbits: int, frame) -> tuple[int, int, int]:
             break
         ext = grown
     return bnd, bnd & _nb4(ext, frame), ext
+
+
+# The census runs the steps of _contour_bits on blocks of thousands of small
+# clusters at once.  A block is an (N, H) numpy array of row masks: entry
+# [i, y] holds row y of cluster i's frame, bit x for column x.  The frame is
+# ``width`` columns wide, shared by the block, and every cluster in it is
+# padded by 2.
+
+
+def _row_dtype(width: int):
+    """The narrowest unsigned numpy type that holds a row of ``width`` bits (at most 64)."""
+    return np.uint16 if width <= 16 else np.uint32 if width <= 32 else np.uint64
+
+
+@lru_cache(maxsize=None)
+def _bit_counts(width: int) -> np.ndarray:
+    """Number of set bits of every integer below ``2**width``, as uint8."""
+    values = np.arange(1 << width)
+    counts = np.zeros(1 << width, np.uint8)
+    for b in range(width):
+        counts += (values >> b & 1).astype(np.uint8)
+    return counts
+
+
+def _popcounts(rows: np.ndarray, width: int) -> np.ndarray:
+    """Set bits per cluster of a block of ``width``-bit row masks, by table lookup in 16-bit slices."""
+    table = _bit_counts(min(width, 16))
+    return sum(table[rows >> s & (len(table) - 1)].sum(axis=1, dtype=np.int64) for s in range(0, width, 16))
+
+
+def _nb4_rows(rows: np.ndarray, full) -> np.ndarray:
+    """Axis neighbours of every cluster of a block, within the frame's ``full`` row mask."""
+    out = (rows << 1 | rows >> 1) & full
+    out[:, 1:] |= rows[:, :-1]
+    out[:, :-1] |= rows[:, 1:]
+    return out
+
+
+def _contour_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row masks ``(boundary, contour, exterior)`` of a block of clusters, as :func:`_contour_bits`.
+
+    ``rows`` is the block's ``(N, H)`` array of ``width``-bit row masks.  The
+    exterior fill starts from the free sites that see the frame's top or
+    bottom edge along their column, which lie in the exterior and include the
+    border ring, and grows the whole block until no cluster's exterior grows.
+    """
+    full = rows.dtype.type((1 << width) - 1)
+    bnd = _nb4_rows(rows, full) & ~rows
+    blocked = rows | bnd
+    free = ~blocked & full
+    below = np.bitwise_or.accumulate(blocked, axis=1)
+    above = np.bitwise_or.accumulate(blocked[:, ::-1], axis=1)[:, ::-1]
+    ext = free & ~(below & above)
+    while True:
+        grown = (ext | _nb4_rows(ext, full)) & free
+        if np.array_equal(grown, ext):
+            break
+        ext = grown
+    return bnd, bnd & _nb4_rows(ext, full), ext
 
 
 def _bits_to_sites(bits: int, w: int) -> list[Site]:

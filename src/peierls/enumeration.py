@@ -2,9 +2,9 @@
 
 The census counts, for each length k, the distinct outer contours of finite
 occupied clusters containing the origin.  It enumerates free-anchored cluster
-shapes once each (Redelmeier's algorithm), extracts every shape's outer
-contour with the bitboard extractor of :mod:`peierls.clusters`, and then
-accounts for the translates that place the origin inside the cluster;
+shapes once each (Redelmeier's algorithm), extracts their outer contours a
+block of shapes at a time with the row-mask kernel of :mod:`peierls.clusters`,
+and then accounts for the translates that place the origin inside the cluster;
 translates of one shape share one contour shape, so the per-translate work is
 a set union instead of a fresh traversal.  Distinct positions of the origin
 give distinct contours, exactly as distinct clusters at different positions
@@ -29,6 +29,20 @@ its subtree, and the census counts the subtree without building its shapes,
 since ``meta["shapes"]`` reports every capped shape.  At k = 12, 345,600 of
 the 2,595,167 capped shapes fit the 5 x 5 box, 495,640 are built, and the
 other 2,099,527 are only counted.
+
+The shapes that fit the box go to the contour kernel in blocks of
+``_BLOCK_SHAPES``: an ``(N, box + 4)`` numpy array of row masks (uint16 up to
+a box of 12), every shape padded by 2 in one square frame.
+:func:`clusters._contour_rows` and :func:`clusters._popcounts` find the
+boundaries, exteriors, contours and bit counts of the whole block at once,
+and memory does not grow with the part.  The shape iterator keeps each shape's cell
+mask as it adds and removes cells, so a kept shape costs one list append.
+:func:`contour_event_table` counts the (|W|, |boundary|) pairs of a block
+with ``np.unique``.  The census checks a block's contour lengths and enclosed
+sites, moves each contour and its cells to the contour's bounding-box
+corner, groups the shapes by canonical contour and size, and ORs each
+group's cells into one cover; only the distinct groups become the stride-32
+ints of the merge, and each new contour becomes a :class:`Contour` once.
 
 Both halves of the census run on ``workers`` forked processes and give the
 same results for every worker count.  Redelmeier's search tree splits into
@@ -64,10 +78,12 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator
 
-# Functions of peierls.clusters are called through the module: several run
-# once per shape or per circuit closure (millions of calls at k=12), and
+import numpy as np
+
+# Functions of peierls.clusters are called through the module:
 # perfbench/tracing.py records a span for every call of a function imported
-# by name into this module.
+# by name into this module, and winding_number runs once per positioned
+# contour (12,368 calls at k=12).
 from . import clusters
 from .clusters import Contour
 from .errors import CapExceeded, ContourError, IncompletenessError, NoRayIntersection, check_workers
@@ -228,7 +244,8 @@ def _iter_shapes(
     part: int = 0,
     parts: int = 1,
     tally: _ShapeTally | None = None,
-) -> Iterator[tuple[list[int], int, int, int]]:
+    packed: bool = False,
+) -> Iterator[tuple[list[int] | int, int, int, int]]:
     """Every free-anchored 4-connected shape of size <= max_size, once each.
 
     Yields ``(cells, xmin, w, h)``: the internal mutable cell list, which
@@ -252,6 +269,11 @@ def _iter_shapes(
     tally count, every shape exactly once.  The numbering is that of the
     span-pruned tree, so the parts of one ``max_span`` share nothing, but
     need not match the parts of another.
+
+    With ``packed``, each shape comes as its cell mask in place of the cell
+    list: an int with bit e set for every encoded cell e, so that row y of the
+    shape is bits 64*y to 64*y + 63.  The mask is kept up to date as cells
+    are added and removed, so a shape costs no loop over its cells.
     """
     if max_size > 30:
         raise CapExceeded(f"shape size {max_size} exceeds the coordinate encoding range")
@@ -263,6 +285,7 @@ def _iter_shapes(
     index = -1
     show = True
     shape: list[int] = []
+    bits = 0
     seen = {_ORIGIN}
     # Redelmeier's recursion with an explicit stack, so that each shape is one
     # yield of this frame rather than one per level of nested generators.  A
@@ -276,7 +299,7 @@ def _iter_shapes(
             for nb in added:
                 seen.discard(nb)
             if shape:
-                shape.pop()
+                bits ^= 1 << shape.pop()
             continue
         c = untried.pop()
         if len(stack) <= split:
@@ -289,6 +312,7 @@ def _iter_shapes(
             else:
                 show = part == 0
         shape.append(c)
+        bits |= 1 << c
         cx = c & 63
         cy = c >> 6
         x0 = cx if cx < xmin else xmin
@@ -300,7 +324,7 @@ def _iter_shapes(
                 tally.shapes += 1
                 if tally.shapes > tally.limit:
                     raise _shape_limit_error(tally.limit)
-            yield shape, x0, w, y1 + 1
+            yield bits if packed else shape, x0, w, y1 + 1
         if len(shape) < max_size:
             if w <= max_span and y1 < max_span:
                 new = []
@@ -319,35 +343,72 @@ def _iter_shapes(
                 seen.difference_update(new)
                 if tally.shapes > tally.limit:
                     raise _shape_limit_error(tally.limit)
-        shape.pop()
+        bits ^= 1 << shape.pop()
 
 
-def _embed(shape: list[int], xmin: int, w: int, h: int):
-    """Bitboard of a w x h shape in a frame padded by 2: ``(wbits, frame)``."""
-    fw = w + 4
-    base = 2 * fw + 2 - xmin
-    wbits = 0
-    for e in shape:
-        wbits |= 1 << ((e >> 6) * fw + (e & 63) + base)
-    return wbits, clusters._frame(fw, h + 4)
+# ---------------------------------------------------------------------------
+# Shapes in blocks of row masks.
+#
+# A block's frame is box + 4 sites square, with shape cell (x, y) at column
+# x - xmin + 2 and row y + 2, so the padding of 2 keeps the boundary off the
+# border as in clusters._contour_bits.
+# ---------------------------------------------------------------------------
 
-
+#: Shapes per block of the contour kernel; a part holds one block at a time.
+_BLOCK_SHAPES = 1 << 14
+#: Row stride of the census's canonical contour keys and origin covers.
 _CANON_STRIDE = 32
 
 
-def _canonical_contour(gamma: int, w: int):
-    """Translate a contour bitboard so its bounding box starts at (0, 0).
+def _block_rows(masks: list[int], xmins: list[int], box: int) -> tuple[np.ndarray, int]:
+    """``(rows, width)``: the row masks of packed shapes at most ``box`` wide and tall, in one frame."""
+    width = box + 4
+    words = np.frombuffer(b"".join([m.to_bytes(8 * box, "little") for m in masks]), "<u8").reshape(-1, box)
+    rows = np.zeros((len(masks), width), clusters._row_dtype(width))
+    rows[:, 2 : box + 2] = words >> (np.array(xmins, np.uint64) - 2)[:, None]
+    return rows, width
 
-    Returns ``(key, ox, oy)`` where key is the contour re-encoded with stride
-    32 and (ox, oy) is the frame offset of the bounding-box corner.
+
+def _shape_blocks(max_len: int, cap: int, part: int, parts: int, tally: _ShapeTally | None = None):
+    """The shapes of one part that fit the span box of ``max_len``, as :func:`_block_rows` blocks.
+
+    The shapes are those of ``_iter_shapes(cap, span, part, parts, tally)``
+    no wider or taller than the span, in search order.  If the iterator
+    raises, the shapes met before still come as a block first, so that an
+    error the caller finds in them wins, as it would shape by shape.
     """
-    cells = clusters._bits_to_sites(gamma, w)
-    ox = min(c[0] for c in cells)
-    oy = min(c[1] for c in cells)
-    key = 0
-    for x, y in cells:
-        key |= 1 << ((y - oy) * _CANON_STRIDE + (x - ox))
-    return key, ox, oy
+    span = _max_span(max_len)
+    box = min(span, cap)  # a shape of n cells is at most n wide
+    masks: list[int] = []
+    xmins: list[int] = []
+    error = None
+    try:
+        for bits, xmin, w, h in _iter_shapes(cap, span, part, parts, tally, packed=True):
+            if w <= span and h <= span:
+                masks.append(bits)
+                xmins.append(xmin)
+                if len(masks) == _BLOCK_SHAPES:
+                    yield _block_rows(masks, xmins, box)
+                    masks, xmins = [], []
+    except CapExceeded as exc:
+        error = exc
+    if masks:
+        yield _block_rows(masks, xmins, box)
+    if error is not None:
+        raise error
+
+
+def _to_corner(rows: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
+    """Each cluster's row masks moved by ``(-ox, -oy)``, its own offsets."""
+    height = rows.shape[1]
+    moved = np.zeros((len(rows), 2 * height), rows.dtype)
+    moved[:, :height] = rows >> ox.astype(rows.dtype)[:, None]
+    return np.take_along_axis(moved, oy[:, None] + np.arange(height), axis=1)
+
+
+def _row_bits(rows: np.ndarray, stride: int) -> int:
+    """The bitboard with row y of ``rows`` at bit ``y * stride``."""
+    return sum(v << (y * stride) for y, v in enumerate(rows.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -416,41 +477,60 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
     size-n shapes whose contour is ``key``; ``contours[key]`` is that contour,
     built once from the first shape that shows it.  Raises
     :class:`CapExceeded` past ``_SHAPE_LIMIT`` shapes.
+
+    Each block of shapes is reduced at once: its contours and cells move to
+    the contour's bounding-box corner, the shapes are grouped by canonical
+    contour and size, and each group's cells are ORed into one cover before
+    any of it becomes an int.
     """
     contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
-    span = _max_span(k_max)
     tally = _ShapeTally(_SHAPE_LIMIT)
-    for shape, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
-        if w > span or h > span:
-            continue
-        wbits, frame = _embed(shape, xmin, w, h)
-        _, gamma, ext = clusters._contour_bits(wbits, frame)
-        glen = gamma.bit_count()
-        if glen > k_max:
-            continue
-        if glen < 4:
-            raise ContourError(f"shape produced a contour of impossible length {glen}")
-        if (frame[0] & ~ext & ~gamma).bit_count() > interior_capacity(glen):
+    # interior_capacity by length; a length below 4 fails before it is read
+    capacity = np.array([interior_capacity(max(k, 4)) for k in range(k_max + 1)])
+    for rows, width in _shape_blocks(k_max, cap, part, parts, tally):
+        _, gamma, ext = clusters._contour_rows(rows, width)
+        lengths = clusters._popcounts(gamma, width)
+        kept = lengths <= k_max
+        rows, gamma, ext, lengths = rows[kept], gamma[kept], ext[kept], lengths[kept]
+        short = lengths < 4
+        bad = short | (width * width - clusters._popcounts(ext, width) - lengths > capacity[lengths])
+        if bad.any():
+            first_bad = bad.argmax()
+            if short[first_bad]:
+                raise ContourError(f"shape produced a contour of impossible length {lengths[first_bad]}")
             raise IncompletenessError(
                 "a contour encloses more sites than the capacity bound allows; "
                 "the completeness cap is unsound for this input"
             )
-        key, ox, oy = _canonical_contour(gamma, frame[4])
-        if key not in contours:
-            contours[key] = clusters._bits_contour(gamma, ext, frame, -ox, -oy)
-        # origin positions in the canonical frame: shape cells shifted like gamma
-        n = len(shape)
-        pos = 0
-        for e in shape:
-            cx = (e & 63) - xmin + 2 - ox
-            cy = (e >> 6) + 2 - oy
-            pos |= 1 << (cy * _CANON_STRIDE + cx)
-        by_size = covers.get(key)
-        if by_size is None:
-            covers[key] = {n: pos}
-        else:
-            by_size[n] = by_size.get(n, 0) | pos
+        # the corner of each contour's bounding box: its first row, and the
+        # trailing zeros of the OR of its rows
+        columns = np.bitwise_or.reduce(gamma, axis=1)
+        ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None], width)
+        oy = (gamma != 0).argmax(axis=1)
+        canon = _to_corner(gamma, ox, oy)
+        groups, first, inverse, sizes = np.unique(
+            np.column_stack([canon, clusters._popcounts(rows, width).astype(canon.dtype)]),
+            axis=0,
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        order = np.argsort(inverse.reshape(-1), kind="stable")
+        cells = np.bitwise_or.reduceat(_to_corner(rows, ox, oy)[order], np.cumsum(sizes) - sizes, axis=0)
+        frame = clusters._frame(width, width)
+        # groups in search order, so that keys and sizes are listed as first met
+        for g in np.argsort(first).tolist():
+            key = _row_bits(groups[g, :-1], _CANON_STRIDE)
+            by_size = covers.get(key)
+            if by_size is None:
+                covers[key] = by_size = {}
+                i = first[g]
+                contours[key] = clusters._bits_contour(
+                    _row_bits(gamma[i], width), _row_bits(ext[i], width), frame, -int(ox[i]), -int(oy[i])
+                )
+            n = int(groups[g, -1])
+            by_size[n] = by_size.get(n, 0) | _row_bits(cells[g], _CANON_STRIDE)
     return tally.shapes, covers, contours
 
 
@@ -588,15 +668,16 @@ def exact_contour_counts(
 def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
     """Event multiplicities of one part of the (span-pruned) shape tree."""
     events: dict[tuple[int, int], int] = {}
-    span = _max_span(max_len)
-    for shape, xmin, w, h in _iter_shapes(cap, span, part, parts):
-        if w > span or h > span:
-            continue
-        bnd, gamma, _ = clusters._contour_bits(*_embed(shape, xmin, w, h))
-        if gamma.bit_count() > max_len:
-            continue
-        pair = (len(shape), bnd.bit_count())
-        events[pair] = events.get(pair, 0) + len(shape)
+    for rows, width in _shape_blocks(max_len, cap, part, parts):
+        bnd, gamma, _ = clusters._contour_rows(rows, width)
+        kept = clusters._popcounts(gamma, width) <= max_len
+        pairs, counts = np.unique(
+            np.column_stack([clusters._popcounts(rows[kept], width), clusters._popcounts(bnd[kept], width)]),
+            axis=0,
+            return_counts=True,
+        )
+        for (n, b), count in zip(pairs.tolist(), counts.tolist()):
+            events[n, b] = events.get((n, b), 0) + n * count
     return events
 
 

@@ -7,6 +7,10 @@ ordering is shared with the library (``_ccw_cycle``); the tests check the
 resulting cycle's shape independently.  The origin clusters of the census
 come from the library's shape iterator, each shape placed once at every
 cell, and the origin cluster of an occupancy grid from a depth-first search.
+
+``census_part`` is the reference for the census's block kernel: it extracts
+one shape at a time, each embedded by ``_embed`` in its own big-integer
+bitboard for ``clusters._contour_bits``, and keys it by ``_canonical_contour``.
 """
 
 from __future__ import annotations
@@ -15,9 +19,19 @@ from typing import Iterator
 
 import numpy as np
 
-from peierls import Cluster, Contour, Site, neighbors4, site_boundary
+from peierls import (
+    Cluster,
+    Contour,
+    ContourError,
+    IncompletenessError,
+    Site,
+    clusters,
+    interior_capacity,
+    neighbors4,
+    site_boundary,
+)
 from peierls.clusters import _ccw_cycle
-from peierls.enumeration import _iter_shapes
+from peierls.enumeration import _CANON_STRIDE, _SHAPE_LIMIT, _ShapeTally, _iter_shapes, _max_span
 
 
 def _box(region):
@@ -100,3 +114,64 @@ def reaches_border(grid: np.ndarray) -> bool:
     """Does the origin cluster of ``grid`` touch the border of its window?"""
     L = grid.shape[0] // 2
     return any(max(abs(x), abs(y)) == L for x, y in origin_cluster(grid))
+
+
+def _embed(shape: list[int], xmin: int, w: int, h: int):
+    """Bitboard of a w x h shape in a frame padded by 2: ``(wbits, frame)``."""
+    fw = w + 4
+    base = 2 * fw + 2 - xmin
+    wbits = 0
+    for e in shape:
+        wbits |= 1 << ((e >> 6) * fw + (e & 63) + base)
+    return wbits, clusters._frame(fw, h + 4)
+
+
+def _canonical_contour(gamma: int, w: int):
+    """Translate a contour bitboard so its bounding box starts at (0, 0).
+
+    Returns ``(key, ox, oy)`` where key is the contour re-encoded with stride
+    32 and (ox, oy) is the frame offset of the bounding-box corner.
+    """
+    cells = clusters._bits_to_sites(gamma, w)
+    ox = min(c[0] for c in cells)
+    oy = min(c[1] for c in cells)
+    key = 0
+    for x, y in cells:
+        key |= 1 << ((y - oy) * _CANON_STRIDE + (x - ox))
+    return key, ox, oy
+
+
+def census_part(k_max: int, cap: int, part: int, parts: int):
+    """Shape-by-shape twin of ``enumeration._census_part``: one bitboard contour per shape."""
+    contours: dict[int, Contour] = {}
+    covers: dict[int, dict[int, int]] = {}
+    span = _max_span(k_max)
+    tally = _ShapeTally(_SHAPE_LIMIT)
+    for shape, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
+        if w > span or h > span:
+            continue
+        wbits, frame = _embed(shape, xmin, w, h)
+        _, gamma, ext = clusters._contour_bits(wbits, frame)
+        glen = gamma.bit_count()
+        if glen > k_max:
+            continue
+        if glen < 4:
+            raise ContourError(f"shape produced a contour of impossible length {glen}")
+        if (frame[0] & ~ext & ~gamma).bit_count() > interior_capacity(glen):
+            raise IncompletenessError(
+                "a contour encloses more sites than the capacity bound allows; "
+                "the completeness cap is unsound for this input"
+            )
+        key, ox, oy = _canonical_contour(gamma, frame[4])
+        if key not in contours:
+            contours[key] = clusters._bits_contour(gamma, ext, frame, -ox, -oy)
+        # origin positions in the canonical frame: shape cells shifted like gamma
+        n = len(shape)
+        pos = 0
+        for e in shape:
+            cx = (e & 63) - xmin + 2 - ox
+            cy = (e >> 6) + 2 - oy
+            pos |= 1 << (cy * _CANON_STRIDE + cx)
+        by_size = covers.setdefault(key, {})
+        by_size[n] = by_size.get(n, 0) | pos
+    return tally.shapes, covers, contours

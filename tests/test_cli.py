@@ -332,6 +332,7 @@ def test_manifest_round_trips(argv):
         ["manifest", "{tmp}/nooutputs.manifest.json"],
         ["manifest", "{tmp}/listoutputs.manifest.json"],
         ["manifest", "{tmp}/outlast.manifest.json"],
+        ["manifest", "{tmp}/emptyoutputs.manifest.json"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
@@ -340,6 +341,7 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "nooutputs.manifest.json").write_text(json.dumps({"argv": rerun}))
     (tmp_path / "listoutputs.manifest.json").write_text(json.dumps({"argv": rerun, "outputs": []}))
     (tmp_path / "outlast.manifest.json").write_text(json.dumps({"argv": rerun[:-1], "outputs": {}}))
+    (tmp_path / "emptyoutputs.manifest.json").write_text(json.dumps({"argv": rerun, "outputs": {}}))
     code = main([a.format(tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert code == 2

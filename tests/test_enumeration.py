@@ -2,13 +2,14 @@ import multiprocessing
 import signal
 import time
 from collections import Counter, defaultdict
+from functools import lru_cache
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contour_oracle import enumerate_origin_clusters, oracle_outer_boundary
+from contour_oracle import _embed, census_part, enumerate_origin_clusters, oracle_outer_boundary
 from walker_oracle import oracle_circuit_count
 from peierls import (
     CapExceeded,
@@ -28,11 +29,13 @@ from peierls import clusters, enumeration
 from peierls.enumeration import (
     _SPLIT_SIZE,
     _ShapeTally,
+    _block_rows,
     _census_part,
     _circuits_from,
-    _embed,
+    _event_part,
     _fan_out,
     _iter_shapes,
+    _shape_blocks,
     class_counts_csv,
     count_table_csv,
     count_table_json_dict,
@@ -455,6 +458,94 @@ def test_event_table_independent_of_workers(max_len):
 def test_event_table_infeasible_length():
     with pytest.raises(CapExceeded):
         contour_event_table(20)
+
+
+# ---------------------------------------------------------------------------
+# contours in blocks
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _box_shapes(span):
+    """``(cells, mask, xmin)`` of every shape of up to 9 cells that fits the span x span box."""
+    packed = _iter_shapes(9, span, packed=True)
+    return [
+        (list(shape), bits, xmin)
+        for (shape, xmin, w, h), (bits, *_) in zip(_iter_shapes(9, span), packed)
+        if w <= span and h <= span
+    ]
+
+
+def _bitboard(row_masks, width):
+    return sum(int(v) << (y * width) for y, v in enumerate(row_masks))
+
+
+def _check_block(block, box):
+    """The block kernel against the scalar extractor, shape by shape, in the block's frame."""
+    rows, width = _block_rows([bits for _, bits, _ in block], [xmin for *_, xmin in block], box)
+    assert width == box + 4
+    masks = clusters._contour_rows(rows, width)
+    counts = [clusters._popcounts(m, width).tolist() for m in (rows, *masks)]
+    for i, (cells, bits, xmin) in enumerate(block):
+        assert bits == sum(1 << e for e in cells)
+        wbits, frame = _embed(cells, xmin, box, box)
+        want = (wbits, *clusters._contour_bits(wbits, frame))
+        assert tuple(_bitboard(m[i], width) for m in (rows, *masks)) == want
+        assert [c[i] for c in counts] == [b.bit_count() for b in want]
+    return rows, masks
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    span=st.integers(1, 7),
+    # frames of 16, 17, 32, 33 and 34 columns: uint16, uint32 and uint64 rows
+    box=st.one_of(st.none(), st.sampled_from([12, 13, 28, 29, 30])),
+    picks=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=300),
+)
+def test_block_kernel_matches_scalar_extractor(span, box, picks):
+    shapes = _box_shapes(span)
+    _check_block([shapes[i % len(shapes)] for i in picks], box or span)
+
+
+def test_block_kernel_keeps_an_enclosed_free_site_out_of_the_exterior():
+    # the corners (+-1, +-1) joined below, right and above by 3-cell bridges:
+    # the cluster and its boundary close around the free site (0, 0)
+    sites = [(x, y) for x in (-1, 1) for y in (-1, 1)]
+    sites += [(x, -2) for x in (-1, 0, 1)] + [(2, y) for y in (-1, 0, 1)] + [(x, 2) for x in (-1, 0, 1)]
+    assert len(sites) == 13
+    cells = [((y + 2) << 6) | (x + 32) for x, y in sites]
+    rows, (bnd, _, ext) = _check_block([(cells, sum(1 << e for e in cells), 31), *_box_shapes(5)[:50]], 5)
+    # (0, 0) sits in frame column 0 - xmin + 2 = 3 and row 0 + 2 + 2 = 4
+    assert not (rows[0, 4] | bnd[0, 4] | ext[0, 4]) & 1 << 3
+
+
+@pytest.mark.parametrize(
+    "k_max, cap, part, parts",
+    # the last part sits in a 17-column frame of uint32 rows
+    [(10, interior_capacity(10), part, 8) for part in range(8)] + [(28, 13, 7, 1000)],
+)
+def test_census_part_matches_scalar_reference(k_max, cap, part, parts):
+    got, want = _census_part(k_max, cap, part, parts), census_part(k_max, cap, part, parts)
+    assert got == want
+    # keys and sizes are listed as first met in search order, as shape by shape
+    assert list(got[2]) == list(want[2]) == list(want[1])
+    assert [list(by_size) for by_size in got[1].values()] == [list(by_size) for by_size in want[1].values()]
+
+
+def test_blocks_of_any_size_give_the_same_parts():
+    census, events = _census_part(10, 8, 0, 1), _event_part(10, 8, 0, 1)
+    for size in (1, 7, 1000):
+        with mock.patch.object(enumeration, "_BLOCK_SHAPES", size):
+            assert _census_part(10, 8, 0, 1) == census
+            assert _event_part(10, 8, 0, 1) == events
+
+
+def test_shapes_met_before_the_shape_limit_come_first():
+    blocks = _shape_blocks(10, 8, 0, 1, _ShapeTally(100))
+    rows, width = next(blocks)
+    assert 0 < len(rows) < 100
+    with pytest.raises(CapExceeded):
+        next(blocks)
 
 
 # ---------------------------------------------------------------------------
