@@ -32,11 +32,12 @@ other 2,099,527 are only counted.
 
 The shapes that fit the box go to the contour kernel in blocks of
 ``_BLOCK_SHAPES``: an ``(N, box + 4)`` numpy array of row masks (uint16 up to
-a box of 12), every shape padded by 2 in one square frame.
+a box of 12, uint64 beyond), every shape padded by 2 in one square frame.
 :func:`clusters._contour_rows` and :func:`clusters._popcounts` find the
 boundaries, exteriors, contours and bit counts of the whole block at once,
-and memory does not grow with the part.  The shape iterator keeps each shape's cell
-mask as it adds and removes cells, so a kept shape costs one list append.
+and memory does not grow with the part.  The shape iterator keeps each
+shape's cell mask as it adds and removes cells, so a kept shape costs one
+list append.
 :func:`contour_event_table` counts the (|W|, |boundary|) pairs of a block
 with ``np.unique``.  The census checks a block's contour lengths and enclosed
 sites, moves each contour and its cells to the contour's bounding-box
@@ -244,13 +245,16 @@ def _iter_shapes(
     part: int = 0,
     parts: int = 1,
     tally: _ShapeTally | None = None,
-    packed: bool = False,
-) -> Iterator[tuple[list[int] | int, int, int, int]]:
+) -> Iterator[tuple[list[int], int, int, int, int]]:
     """Every free-anchored 4-connected shape of size <= max_size, once each.
 
-    Yields ``(cells, xmin, w, h)``: the internal mutable cell list, which
-    callers must consume before advancing the iterator, the smallest encoded
-    column, and the bounding box width and height (the anchor row is y = 0).
+    Yields ``(cells, mask, xmin, w, h)``: the internal mutable cell list,
+    which callers must consume before advancing the iterator, the cell mask
+    (an int with bit e set for every encoded cell e, so that row y of the
+    shape is bits 64*y to 64*y + 63), the smallest encoded column, and the
+    bounding box width and height (the anchor row is y = 0).  The mask is
+    kept up to date as cells are added and removed, so it costs no loop over
+    the cells.
     The box is tracked as cells are added; it only grows.  With ``max_span``,
     a shape whose box is wider or taller than that is still yielded, but never
     grown: every shape below it in the search tree is a superset, hence at
@@ -269,11 +273,6 @@ def _iter_shapes(
     tally count, every shape exactly once.  The numbering is that of the
     span-pruned tree, so the parts of one ``max_span`` share nothing, but
     need not match the parts of another.
-
-    With ``packed``, each shape comes as its cell mask in place of the cell
-    list: an int with bit e set for every encoded cell e, so that row y of the
-    shape is bits 64*y to 64*y + 63.  The mask is kept up to date as cells
-    are added and removed, so a shape costs no loop over its cells.
     """
     if max_size > 30:
         raise CapExceeded(f"shape size {max_size} exceeds the coordinate encoding range")
@@ -324,7 +323,7 @@ def _iter_shapes(
                 tally.shapes += 1
                 if tally.shapes > tally.limit:
                     raise _shape_limit_error(tally.limit)
-            yield bits if packed else shape, x0, w, y1 + 1
+            yield shape, bits, x0, w, y1 + 1
         if len(shape) < max_size:
             if w <= max_span and y1 < max_span:
                 new = []
@@ -383,7 +382,7 @@ def _shape_blocks(max_len: int, cap: int, part: int, parts: int, tally: _ShapeTa
     xmins: list[int] = []
     error = None
     try:
-        for bits, xmin, w, h in _iter_shapes(cap, span, part, parts, tally, packed=True):
+        for _, bits, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
             if w <= span and h <= span:
                 masks.append(bits)
                 xmins.append(xmin)
@@ -494,14 +493,15 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
         kept = lengths <= k_max
         rows, gamma, ext, lengths = rows[kept], gamma[kept], ext[kept], lengths[kept]
         short = lengths < 4
-        bad = short | (width * width - clusters._popcounts(ext, width) - lengths > capacity[lengths])
+        enclosed = width * width - clusters._popcounts(ext, width) - lengths
+        bad = short | (enclosed > capacity[lengths])
         if bad.any():
-            first_bad = bad.argmax()
-            if short[first_bad]:
-                raise ContourError(f"shape produced a contour of impossible length {lengths[first_bad]}")
+            i = bad.argmax()
+            if short[i]:
+                raise ContourError(f"shape produced a contour of impossible length {lengths[i]}")
             raise IncompletenessError(
-                "a contour encloses more sites than the capacity bound allows; "
-                "the completeness cap is unsound for this input"
+                f"a contour of length {lengths[i]} encloses {enclosed[i]} sites, more than the capacity "
+                "bound allows; the completeness cap is unsound for this input"
             )
         # the corner of each contour's bounding box: its first row, and the
         # trailing zeros of the OR of its rows

@@ -147,7 +147,7 @@ def census_part(k_max: int, cap: int, part: int, parts: int):
     covers: dict[int, dict[int, int]] = {}
     span = _max_span(k_max)
     tally = _ShapeTally(_SHAPE_LIMIT)
-    for shape, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
+    for shape, _, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
         if w > span or h > span:
             continue
         wbits, frame = _embed(shape, xmin, w, h)
@@ -157,10 +157,11 @@ def census_part(k_max: int, cap: int, part: int, parts: int):
             continue
         if glen < 4:
             raise ContourError(f"shape produced a contour of impossible length {glen}")
-        if (frame[0] & ~ext & ~gamma).bit_count() > interior_capacity(glen):
+        enclosed = (frame[0] & ~ext & ~gamma).bit_count()
+        if enclosed > interior_capacity(glen):
             raise IncompletenessError(
-                "a contour encloses more sites than the capacity bound allows; "
-                "the completeness cap is unsound for this input"
+                f"a contour of length {glen} encloses {enclosed} sites, more than the capacity "
+                "bound allows; the completeness cap is unsound for this input"
             )
         key, ox, oy = _canonical_contour(gamma, frame[4])
         if key not in contours:

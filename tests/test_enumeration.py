@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contour_oracle
 from contour_oracle import _embed, census_part, enumerate_origin_clusters, oracle_outer_boundary
 from walker_oracle import oracle_circuit_count
 from peierls import (
@@ -92,7 +93,8 @@ def test_clusters_contain_origin_and_are_unique():
 
 
 def test_shape_boxes_are_tracked():
-    for shape, xmin, w, h in _iter_shapes(7):
+    for shape, bits, xmin, w, h in _iter_shapes(7):
+        assert bits == sum(1 << e for e in shape)
         xs = [e & 63 for e in shape]
         assert (xmin, w, h) == (min(xs), max(xs) - min(xs) + 1, max(e >> 6 for e in shape) + 1)
 
@@ -104,10 +106,10 @@ def test_shape_boxes_are_tracked():
     parts=st.integers(min_value=1, max_value=7),
 )
 def test_shape_tree_parts_partition_the_shapes(n, span, parts):
-    whole = Counter((tuple(s), x, w, h) for s, x, w, h in _iter_shapes(n, span))
+    whole = Counter((tuple(s), b, x, w, h) for s, b, x, w, h in _iter_shapes(n, span))
     split = Counter()
     for part in range(parts):
-        split.update((tuple(s), x, w, h) for s, x, w, h in _iter_shapes(n, span, part, parts))
+        split.update((tuple(s), b, x, w, h) for s, b, x, w, h in _iter_shapes(n, span, part, parts))
     assert split == whole
     if n < _SPLIT_SIZE and parts > 1:
         assert not list(_iter_shapes(n, span, parts - 1, parts))
@@ -126,8 +128,8 @@ def test_counted_subtrees_complete_the_pruned_walk(n, span, parts):
     total = 0
     for part in range(parts):
         tally = _ShapeTally(limit=unpruned)
-        counting = [(tuple(s), x, w, h) for s, x, w, h in _iter_shapes(n, span, part, parts, tally)]
-        assert counting == [(tuple(s), x, w, h) for s, x, w, h in _iter_shapes(n, span, part, parts)]
+        counting = [(tuple(s), b, x, w, h) for s, b, x, w, h in _iter_shapes(n, span, part, parts, tally)]
+        assert counting == [(tuple(s), b, x, w, h) for s, b, x, w, h in _iter_shapes(n, span, part, parts)]
         assert tally.shapes >= len(counting)
         total += tally.shapes
     assert total == unpruned
@@ -441,7 +443,7 @@ def test_event_table_matches_reference_path():
 def test_pruned_event_table_matches_unpruned(max_len):
     # reference: every shape up to the capacity, none skipped by its span
     reference = defaultdict(int)
-    for shape, xmin, w, h in _iter_shapes(interior_capacity(max_len)):
+    for shape, _, xmin, w, h in _iter_shapes(interior_capacity(max_len)):
         bnd, gamma, _ = clusters._contour_bits(*_embed(shape, xmin, w, h))
         if gamma.bit_count() <= max_len:
             reference[(len(shape), bnd.bit_count())] += len(shape)
@@ -468,12 +470,7 @@ def test_event_table_infeasible_length():
 @lru_cache(maxsize=None)
 def _box_shapes(span):
     """``(cells, mask, xmin)`` of every shape of up to 9 cells that fits the span x span box."""
-    packed = _iter_shapes(9, span, packed=True)
-    return [
-        (list(shape), bits, xmin)
-        for (shape, xmin, w, h), (bits, *_) in zip(_iter_shapes(9, span), packed)
-        if w <= span and h <= span
-    ]
+    return [(list(shape), bits, xmin) for shape, bits, xmin, w, h in _iter_shapes(9, span) if w <= span and h <= span]
 
 
 def _bitboard(row_masks, width):
@@ -498,7 +495,8 @@ def _check_block(block, box):
 @settings(max_examples=80, deadline=None)
 @given(
     span=st.integers(1, 7),
-    # frames of 16, 17, 32, 33 and 34 columns: uint16, uint32 and uint64 rows
+    # frames of 16, 17, 32, 33 and 34 columns: uint16 rows, and uint64 rows
+    # of one to three 16-bit slices for the bit counts
     box=st.one_of(st.none(), st.sampled_from([12, 13, 28, 29, 30])),
     picks=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=300),
 )
@@ -521,7 +519,7 @@ def test_block_kernel_keeps_an_enclosed_free_site_out_of_the_exterior():
 
 @pytest.mark.parametrize(
     "k_max, cap, part, parts",
-    # the last part sits in a 17-column frame of uint32 rows
+    # the last part sits in a 17-column frame of uint64 rows
     [(10, interior_capacity(10), part, 8) for part in range(8)] + [(28, 13, 7, 1000)],
 )
 def test_census_part_matches_scalar_reference(k_max, cap, part, parts):
@@ -538,6 +536,53 @@ def test_blocks_of_any_size_give_the_same_parts():
         with mock.patch.object(enumeration, "_BLOCK_SHAPES", size):
             assert _census_part(10, 8, 0, 1) == census
             assert _event_part(10, 8, 0, 1) == events
+
+
+@pytest.mark.parametrize("block", [1, 7, enumeration._BLOCK_SHAPES])
+@pytest.mark.parametrize(
+    "tight, cleared, error",
+    # among the shapes of _census_part(10, 8, 0, 1) with contours of length
+    # <= 10, in search order: the first over a capacity one lower at lengths
+    # 9 and 10 is the 8th, at lengths 7 and 8 the 73rd (length 8), at length 7
+    # the 87th; the first with a contour of length 9 is the 20th
+    [
+        ({9, 10}, None, "length 10 encloses 8 sites"),
+        ({7, 8}, None, "length 8 encloses 5 sites"),
+        ({7}, None, "length 7 encloses 3 sites"),
+        (set(), 9, "impossible length 0"),
+        ({9, 10}, 9, "length 10 encloses 8 sites"),
+        ({7}, 9, "impossible length 0"),
+    ],
+)
+def test_census_part_fails_on_the_first_bad_shape(block, tight, cleared, error):
+    # no cluster's contour is shorter than 4 (the span lemma gives 2*w + 2),
+    # so that check is reached by clearing every contour of length ``cleared``
+    contour_rows, contour_bits = clusters._contour_rows, clusters._contour_bits
+
+    def clear_rows(rows, width):
+        bnd, gamma, ext = contour_rows(rows, width)
+        gamma[clusters._popcounts(gamma, width) == cleared] = 0
+        return bnd, gamma, ext
+
+    def clear_bits(wbits, frame):
+        bnd, gamma, ext = contour_bits(wbits, frame)
+        return bnd, 0 if gamma.bit_count() == cleared else gamma, ext
+
+    def capacity(k):
+        return interior_capacity(k) - (k in tight)
+
+    with (
+        mock.patch.object(enumeration, "_BLOCK_SHAPES", block),
+        mock.patch.object(enumeration, "interior_capacity", capacity),
+        mock.patch.object(contour_oracle, "interior_capacity", capacity),
+        mock.patch.object(clusters, "_contour_rows", clear_rows),
+        mock.patch.object(clusters, "_contour_bits", clear_bits),
+    ):
+        with pytest.raises((ContourError, IncompletenessError), match=error) as want:
+            census_part(10, 8, 0, 1)
+        with pytest.raises(type(want.value)) as got:
+            _census_part(10, 8, 0, 1)
+    assert str(got.value) == str(want.value)
 
 
 def test_shapes_met_before_the_shape_limit_come_first():
