@@ -69,6 +69,14 @@ handful of first steps, and each later step has at most 5 continuations
 4 * 5**(k-2) * (k-1).  The refined count enumerates those restricted walks
 exactly, discarding self-intersections, which lowers the effective growth
 rate below 5.
+
+The walker expands the walks of one start a length at a time, in numpy
+chunks of up to ``_WALK_CHUNK`` walks kept on a last-in first-out stack, so
+memory stays bounded by a few chunks per length.  A walk is its site, entry
+direction, running winding sum and a bitmask of its sites over the window of
+king distance k_max // 2 around the start, the only sites a closing walk
+reaches (169 sites in 3 words at k = 12); the distinct site sets are counted
+by sorting the closed walks' masks.
 """
 
 from __future__ import annotations
@@ -732,97 +740,99 @@ def _allowed_dirs(rule: str) -> tuple[tuple[int, ...], ...]:
     raise ValueError(f"unknown continuation rule {rule!r}; expected 'five' or 'seven'")
 
 
-#: Level of a site the walk may not enter (visited, or a nearer ray site);
-#: above every step budget as long as k_max - 2 < _BLOCKED.
+#: Level of a site the walk may not enter (the start, a nearer ray site, or
+#: the ring around the window); above every step budget while k_max - 2 < _BLOCKED.
 _BLOCKED = 255
+#: Walks per chunk of the circuit walker; a start holds a few chunks per length at a time.
+_WALK_CHUNK = 4096
 
 
 def _circuits_from(k_max: int, rule: str, l: int, max_nodes: int) -> tuple[list[int], list[int], int]:
     """Walk every circuit that starts at (l, 0): ``(walks, distinct sets, nodes)`` per length.
 
     The two lists are indexed by length 0..k_max.  Raises :class:`CapExceeded`
-    at node ``max_nodes + 1``.
+    as soon as the nodes pass ``max_nodes``.
     """
-    allowed = _allowed_dirs(rule)
-    l_max = (k_max - 2) // 2
-    # Grid of x in [1 - k_max, l_max + k_max], y in [-k_max, k_max].
-    width = l_max + 2 * k_max
-    height = 2 * k_max + 1
-    sites = [(i % width + 1 - k_max, i // width - k_max) for i in range(width * height)]
-    steps = [dy * width + dx for dx, dy in NEIGHBOR_OFFSETS_8]
-    crossing = [[0] * len(sites) for _ in steps]
-    for i, (x, y) in enumerate(sites):
-        for d, (dx, dy) in enumerate(NEIGHBOR_OFFSETS_8):
-            crossing[d][i] = clusters._crossing(x, y, x + dx, y + dy)
-    moves = [tuple((nd, steps[nd], crossing[nd]) for nd in allowed[d]) for d in range(8)]
-    bits = [1 << i for i in range(len(sites))]
+    allowed = np.array(_allowed_dirs(rule))
+    m = allowed.shape[1]
+    # Grid site i is the start plus (dx[i], dy[i]): a site of the window within
+    # king distance r, which a closing walk never leaves, or of the ring around it.
+    r = k_max // 2
+    side = 2 * r + 3
+    dx, dy = np.arange(side**2) % side - r - 1, np.arange(side**2) // side - r - 1
+    dist = np.maximum(abs(dx), abs(dy))
+    inside = dist <= r
+    start = (r + 1) * side + r + 1
+    level = np.where(inside, dist, _BLOCKED).astype(np.uint8)
+    level[start - np.arange(l + 1)] = _BLOCKED
+    # one visited bit per window site, in words of 64
+    width = -(-((2 * r + 1) ** 2) // 64)
+    index = np.where(inside, (dy + r) * (2 * r + 1) + dx + r, 0)
+    words = index >> 6
+    bits = np.where(inside, np.uint64(1) << (index & 63).astype(np.uint64), np.uint64(0))
+    steps = np.array([oy * side + ox for ox, oy in NEIGHBOR_OFFSETS_8])
+    sites = list(zip((l + dx).tolist(), dy.tolist()))
+    crossing = np.array(
+        [[clusters._crossing(x, y, x + u, y + v) for x, y in sites] for u, v in NEIGHBOR_OFFSETS_8], np.int8
+    )
+    # the closing step's winding term, for the sites next to the start
+    close = np.zeros(side**2, np.int8)
+    close[start + steps] = crossing[(np.arange(8) + 4) % 8, start + steps]
+
+    # A walk state is site * 8 + the direction the site was entered in.
+    # Per state and allowed move: the level of the site ahead, the next state
+    # and the move's winding term; the ring's moves, never taken, are clipped.
+    site = np.arange(8 * side**2) >> 3
+    turns = allowed[np.arange(8 * side**2) & 7]
+    ahead = np.clip(site[:, None] + steps[turns], 0, side**2 - 1)
+    ahead_level = level[ahead]
+    successor = (ahead * 8 + turns).ravel()
+    step_cross = crossing[turns, site[:, None]].ravel()
+    # the first steps, each a walk of two sites (the start is in no mask)
+    first = np.array([0, 1, 2, 3, 7])
+    masks = np.zeros((len(first), width), np.uint64)
+    masks[np.arange(len(first)), words[start + steps[first]]] = bits[start + steps[first]]
+    stack = [(2, (start + steps[first]) * 8 + first, crossing[first, start], masks)]
+    level, close, words, bits = level[site], close[site], words[site], bits[site]
+
     walks = [0] * (k_max + 1)
-    distinct: list[set[int]] = [set() for _ in range(k_max + 1)]
+    circuits = [[masks[:0]] for _ in range(k_max + 1)]
     nodes = 0
-
-    start = k_max * width + l - 1 + k_max
-    level = bytearray(min(max(abs(x - l), abs(y)), _BLOCKED) for x, y in sites)
-    for j in range(l + 1):
-        level[start - l + j] = _BLOCKED
-    # winding term of the closing step, for the sites next to the start
-    close = [0] * len(sites)
-    for d, step in enumerate(steps):
-        close[start + step] = crossing[(d + 4) % 8][start + step]
-    # closing[d][pos]: the last steps from a site entered in direction d, as
-    # (site next to the start, its crossing term plus the closing step's)
-    closing = [[()] * len(sites) for _ in steps]
-    for pos, lv in enumerate(level):
-        if lv <= 2:
-            for d in range(8):
-                closing[d][pos] = tuple(
-                    (pos + step, cross[pos] + close[pos + step])
-                    for _, step, cross in moves[d]
-                    if level[pos + step] == 1
-                )
-    last = k_max - 1
-
-    def extend(pos: int, d: int, depth: int, wind: int, key: int) -> None:
-        nonlocal nodes
-        budget = k_max - depth
+    # chunks of walks of one length (sites walked); np.take gathers several
+    # times faster than fancy indexing here
+    while stack:
+        depth, state, wind, masks = stack.pop()
+        kept = np.flatnonzero(np.take(ahead_level, state, axis=0) <= k_max - depth)
         depth += 1
-        for nd, step, cross in moves[d]:
-            nxt = pos + step
-            lv = level[nxt]
-            if lv > budget:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
-            w = wind + cross[pos]
-            if lv == 1 and depth >= 4 and w + close[nxt]:
-                walks[depth] += 1
-                distinct[depth].add(key | bits[nxt])
-            if depth < last:
-                level[nxt] = _BLOCKED
-                extend(nxt, nd, depth, w, key | bits[nxt])
-                level[nxt] = lv
-                continue
-            # the step after this one is the last: it can only close the
-            # circuit, so it is taken here rather than in one more call
-            for end, wc in closing[nd][nxt]:
-                if level[end] == 1:
-                    nodes += 1
-                    if nodes > max_nodes:
-                        raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
-                    if w + wc:
-                        walks[k_max] += 1
-                        distinct[k_max].add(key | bits[nxt] | bits[end])
+        src = kept // m
+        move = np.take(state, src) * m + kept % m
+        nxt = np.take(successor, move)
+        visited = np.take(masks.ravel(), src * width + np.take(words, nxt)) & np.take(bits, nxt)
+        free = np.flatnonzero(visited == 0)
+        src, move, nxt = np.take(src, free), np.take(move, free), np.take(nxt, free)
+        nodes += len(nxt)
+        if nodes > max_nodes:
+            raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
+        wind = np.take(wind, src) + np.take(step_cross, move)
+        closed = (np.take(level, nxt) == 1) & (wind + np.take(close, nxt) != 0) & (depth >= 4)
+        if depth == k_max:
+            # a last step can only close: only the closed walks need masks
+            src, nxt, closed = src[closed], nxt[closed], closed[closed]
+        masks = np.take(masks, src, axis=0)
+        masks.ravel()[np.arange(len(src)) * width + np.take(words, nxt)] |= np.take(bits, nxt)
+        walks[depth] += int(np.count_nonzero(closed))
+        circuits[depth].append(masks[closed])
+        if depth < k_max:
+            for i in range(0, len(nxt), _WALK_CHUNK):
+                stack.append((depth, nxt[i : i + _WALK_CHUNK], wind[i : i + _WALK_CHUNK], masks[i : i + _WALK_CHUNK]))
 
-    for first_dir in (0, 1, 2, 3, 7):
-        x1 = start + steps[first_dir]
-        lv = level[x1]
-        level[x1] = _BLOCKED
-        extend(x1, first_dir, 2, crossing[first_dir][start], bits[start] | bits[x1])
-        level[x1] = lv
-    # extend's closure refers to itself; emptying that cell frees the sets on
-    # return instead of at a later garbage collection, while the next start runs
-    del extend
-    return walks, [len(keys) for keys in distinct], nodes
+    distinct = [0] * (k_max + 1)
+    for k, found in enumerate(circuits):
+        sets = np.concatenate(found)
+        if len(sets):
+            sets = sets[np.lexsort(sets.T)]
+            distinct[k] = 1 + int(np.count_nonzero((sets[1:] != sets[:-1]).any(axis=1)))
+    return walks, distinct, nodes
 
 
 def self_avoiding_circuit_count(
@@ -844,23 +854,13 @@ def self_avoiding_circuit_count(
     and after deduplication by site set.  ``nodes`` counts the steps taken;
     :class:`CapExceeded` is raised if it exceeds ``max_nodes``.
 
-    The walk runs on integer indices into one grid holding every site within
-    king distance k_max of any start.  Per start, one bytearray gives each
-    site's level: its king distance to the start, or ``_BLOCKED`` while it is
-    visited or a nearer ray site, so a single comparison with the remaining
-    step budget both rejects blocked sites and prunes walks that could no
-    longer return.  The winding number is kept as a running sum: the crossing
-    table holds, per direction and site, the :func:`clusters._crossing` term of
-    the step leaving that site, so closing a walk next to the start adds the
-    closing step's term instead of re-walking the path.  The set key is a
-    bitmask over grid indices, grown by one bit per step.
-
-    A walk one step short of k_max can only close, so its last step is not a
-    call of its own.  A closing-step table holds, per entry direction and per
-    site within two steps of the start, the allowed moves that land next to
-    the start, each with its crossing term and the closing step's term added
-    up; the walk takes those whose site is still free, counting each as a
-    node as before.
+    Per start, each site of the window has a level: its king distance to the
+    start, or ``_BLOCKED`` for the start and the ray sites nearer the origin.
+    A move is kept when its level is within the remaining step budget, which
+    prunes walks that could no longer return, and its bit is clear in the
+    walk's mask.  The winding number is a running sum of the
+    :func:`clusters._crossing` terms of the steps taken, so a walk next to the
+    start closes when that sum plus the closing step's term is nonzero.
 
     Each start is one task for ``workers`` processes (the counts do not depend
     on it); every task is capped at ``max_nodes`` on its own, and the total

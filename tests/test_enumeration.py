@@ -315,6 +315,12 @@ def test_walker_counts_pinned(table10):
     assert table10.sa_sets[10] == 6643
 
 
+def test_walker_counts_pinned_at_length_twelve(table12):
+    assert table12.sa_walk == {4: 1, 5: 4, 6: 17, 7: 82, 8: 384, 9: 1800, 10: 8383, 11: 38_776, 12: 178_443}
+    assert table12.sa_sets == {4: 1, 5: 4, 6: 16, 7: 73, 8: 325, 9: 1477, 10: 6643, 11: 29_831, 12: 133_545}
+    assert table12.meta["sa_nodes"] == 6_401_240
+
+
 def test_growth_below_five(table10):
     assert table10.sa_walk[10] / table10.sa_walk[9] < 5
 
@@ -334,13 +340,36 @@ def test_walker_matches_recursive_oracle(rule):
         assert (fast.walks, fast.distinct_sets, fast.nodes) == (slow.walks, slow.distinct_sets, slow.nodes)
 
 
-def test_walker_node_cap_threshold_matches_oracle():
+@lru_cache(maxsize=None)
+def oracle_counts(k, rule):
+    slow = oracle_circuit_count(k, rule=rule)
+    return slow.walks, slow.distinct_sets, slow.nodes
+
+
+@settings(max_examples=12, deadline=None)
+@given(k=st.integers(4, 9), rule=st.sampled_from(["five", "seven"]), chunk=st.integers(1, 64))
+def test_walker_chunks_of_any_size_match_oracle(k, rule, chunk):
+    with mock.patch.object(enumeration, "_WALK_CHUNK", chunk):
+        fast = self_avoiding_circuit_count(k, rule=rule)
+    assert (fast.walks, fast.distinct_sets, fast.nodes) == oracle_counts(k, rule)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, enumeration._WALK_CHUNK])
+def test_walker_node_cap_threshold_matches_oracle(chunk):
     nodes = self_avoiding_circuit_count(8).nodes
     fanned_out = lambda k, max_nodes: self_avoiding_circuit_count(k, max_nodes=max_nodes, workers=2)  # noqa: E731
-    for count in (self_avoiding_circuit_count, fanned_out, oracle_circuit_count):
-        with pytest.raises(CapExceeded):
-            count(8, max_nodes=nodes - 1)
-        assert count(8, max_nodes=nodes).nodes == nodes
+    # forked workers inherit the patched chunk size; each start's own cap is
+    # passed in the middle of a chunk's moves with chunks of 1 and 7
+    with mock.patch.object(enumeration, "_WALK_CHUNK", chunk):
+        for count in (self_avoiding_circuit_count, fanned_out, oracle_circuit_count):
+            with pytest.raises(CapExceeded):
+                count(8, max_nodes=nodes - 1)
+            assert count(8, max_nodes=nodes).nodes == nodes
+        for l in (1, 2, 3):
+            start_nodes = _circuits_from(8, "five", l, nodes)[2]
+            with pytest.raises(CapExceeded, match=f"circuit search exceeded {start_nodes - 1} nodes"):
+                _circuits_from(8, "five", l, start_nodes - 1)
+            assert _circuits_from(8, "five", l, start_nodes)[2] == start_nodes
 
 
 def test_shape_limit_threshold():

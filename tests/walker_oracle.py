@@ -1,9 +1,11 @@
-"""Recursive circuit walker on site tuples: the slow reference for the index-grid walker.
+"""Recursive circuit walker on site tuples: the slow reference for the frontier walker.
 
-Each closure candidate runs the full ``winding_number`` of its path, visited
-and forbidden sites are Python sets, and the set key is rebuilt from the path,
-so none of the library walker's tables are shared.  It visits the same nodes
-in the same order and applies the same node cap.
+A depth-first walk, one site at a time: each closure candidate runs the full
+``winding_number`` of its path, visited and forbidden sites are Python sets,
+and the set key is a frozenset of the path, so none of the library walker's
+tables, masks or running winding sums are shared.  It visits the same nodes,
+in its own order, and raises ``CapExceeded`` under the same condition: more
+than ``max_nodes`` nodes.
 """
 
 from __future__ import annotations
