@@ -66,22 +66,25 @@ def _emit(files: dict[str, str], out: str | None, stdout_name: str, command: str
         sys.stdout.write(files[stdout_name])
         return
     digests = {}
-    for suffix, text in sorted(files.items()):
-        path = f"{out}{suffix}"
-        data = text.encode()
-        with open(path, "wb") as fh:
-            fh.write(data)
-        digests[os.path.basename(path)] = _sha256(data)
-    manifest = {
-        "artifact_version": __version__,
-        "command": command,
-        "argv": list(args._argv),
-        "outputs": digests,
-        "wall_time_s": time.time() - args._t0,
-    }
-    manifest.update(extra_meta)
-    with open(f"{out}.manifest.json", "w") as fh:
-        fh.write(_json_text(manifest))
+    try:
+        for suffix, text in sorted(files.items()):
+            path = f"{out}{suffix}"
+            data = text.encode()
+            with open(path, "wb") as fh:
+                fh.write(data)
+            digests[os.path.basename(path)] = _sha256(data)
+        manifest = {
+            "artifact_version": __version__,
+            "command": command,
+            "argv": list(args._argv),
+            "outputs": digests,
+            "wall_time_s": time.time() - args._t0,
+        }
+        manifest.update(extra_meta)
+        with open(f"{out}.manifest.json", "w") as fh:
+            fh.write(_json_text(manifest))
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = argv
     args._t0 = time.time()
     try:
+        out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
+        if not os.path.isdir(out_dir):  # before any work, not after it
+            raise ValueError(f"output directory {out_dir} does not exist")
         return args.func(args)
     except (CapExceeded, IncompletenessError) as exc:
         print(f"error: {exc}", file=sys.stderr)

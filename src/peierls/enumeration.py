@@ -18,26 +18,33 @@ bound).  A cap at that capacity therefore sees every realizable contour of
 length <= k.  The census additionally verifies that the counts have
 stabilized over the last three cap values.
 
+Redelmeier's search tree is grown as a numpy frontier (:func:`_shape_frontier`).
+A state is a pair of site masks, its untried and its seen sites, in uint64
+words over the sites a capped shape can reach (157 sites in 3 words at
+k = 12).  The child that takes untried bit b keeps the untried bits above b
+and adds b's unseen neighbours: the tree meets every fixed shape once for
+any order of the untried set (Redelmeier, *Counting polyominoes: yet another
+attack*, Discrete Math. 36 (1981) 191-203).  States wait in chunks of one
+size on a last-in first-out stack, and an expansion grows at most
+``_SHAPE_CHUNK`` (state, bit) pairs, so memory is a few chunks per size.
+
 Most capped shapes are too wide for a short contour (the span lemma).  If a
 shape's bounding box is w x h, its contour holds a site in column xmin - 1
 and one in column xmax + 1, and a king step changes the column by at most 1,
 so a closed cycle through both has length >= 2*w + 2; rows alike.  A shape
 with ``max(w, h) > (k - 2) // 2`` therefore has a contour longer than k, and
 skipping its contour extraction loses nothing.  Adding cells never shrinks
-the box, so such a shape is never grown: :func:`contour_event_table` drops
-its subtree, and the census counts the subtree without building its shapes,
-since ``meta["shapes"]`` reports every capped shape.  At k = 12, 345,600 of
-the 2,595,167 capped shapes fit the 5 x 5 box, 495,640 are built, and the
-other 2,099,527 are only counted.
+the box, so such a state travels without cells or box:
+:func:`contour_event_table` drops it, and the census only counts it and its
+subtree, the last two levels in closed form, since ``meta["shapes"]``
+reports every capped shape.  At k = 12, 345,600 of the 2,595,167 capped
+shapes fit the 5 x 5 box and are built; the other 2,249,567 are only counted.
 
-The shapes that fit the box go to the contour kernel in blocks of
-``_BLOCK_SHAPES``: an ``(N, box + 4)`` numpy array of row masks (uint16 up to
-a box of 12, uint64 beyond), every shape padded by 2 in one square frame.
-:func:`clusters._contour_rows` and :func:`clusters._popcounts` find the
-boundaries, exteriors, contours and bit counts of the whole block at once,
-and memory does not grow with the part.  The shape iterator keeps each
-shape's cell mask as it adds and removes cells, so a kept shape costs one
-list append.
+A state in the box also carries its box and its cell mask over a
+(2 * box - 1) x box window.  One gather turns the in-span children of an
+expansion into a block of ``(N, box + 4)`` row masks (uint16 up to a box of
+12, uint64 beyond), every shape padded by 2 in one square frame, for
+:func:`clusters._contour_rows` and :func:`clusters._popcounts`.
 :func:`contour_event_table` counts the (|W|, |boundary|) pairs of a block
 with ``np.unique``.  The census checks a block's contour lengths and enclosed
 sites, moves each contour and its cells to the contour's bounding-box
@@ -47,20 +54,22 @@ ints of the merge, and each new contour becomes a :class:`Contour` once.
 
 Both halves of the census run on ``workers`` forked processes and give the
 same results for every worker count.  Redelmeier's search tree splits into
-disjoint subtrees: the shapes of size 6 (``_SPLIT_SIZE``) are numbered in
-search order, part p of P grows only those with index % P == p, and the
-smaller shapes above them come from part 0.  Each part returns its shape
-count, its per-size covers and the first contour it met for each canonical
-key (all contours of one key are equal, since the cycle starts at the
-smallest site), and the parent merges them by sum, OR per size and first
-entry before the unchanged trajectory, stabilisation and class passes.  The
-circuit walker splits by start: a circuit's nearest ray site is its start
-(l, 0), so walks from different starts never share a site set, and the
-distinct-set counts of the starts add up exactly.  :func:`full_count_table`
-puts the census parts and the walker starts on one pool: the census parts
-first, so that the census is merged, and fails, while the walker still runs,
-then the starts nearest first, which is longest first (at k = 12 the starts
-l = 1..5 take 1.55M down to 1.17M nodes).
+disjoint subtrees: every part grows the tree down to the shapes of size 6
+(``_SPLIT_SIZE``) a whole level at a time, ranks those whose parent fits the
+span box by the parent's cells and the new site, and part p of P grows only
+those of rank % P == p; the smaller shapes, and the subtrees below shapes
+that left the box before size 6, come from part 0.  Each part returns its
+shape count, its per-size covers and a contour for each canonical key (all
+contours of one key are equal, since the cycle starts at the smallest site),
+and the parent merges them by sum, OR per size and first entry before the
+unchanged trajectory, stabilisation and class passes.  The circuit walker splits by start: a
+circuit's nearest ray site is its start (l, 0), so walks from different
+starts never share a site set, and the distinct-set counts of the starts add
+up exactly.  :func:`full_count_table` puts the census parts and the walker
+starts on one pool: the census parts first, so that the census is merged,
+and fails, while the walker still runs, then the starts nearest first, which
+is longest first (at k = 12 the starts l = 1..5 take 1.55M down to 1.17M
+nodes).
 
 The module also bounds the census analytically: a contour of length k hits
 the positive horizontal axis at some nearest site, continues with one of a
@@ -152,7 +161,7 @@ _PARTS_PER_WORKER = 4
 
 
 def _tree_parts(workers: int) -> int:
-    """Number of parts :func:`_iter_shapes` splits the shape tree into for ``workers`` processes."""
+    """Number of parts :func:`_shape_frontier` splits the shape tree into for ``workers`` processes."""
     return 1 if workers == 1 else _PARTS_PER_WORKER * workers
 
 
@@ -191,218 +200,173 @@ def _fan_out(tasks: list[tuple], workers: int) -> Iterator[Iterator]:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-shape enumeration (Redelmeier).
+# Fixed-shape enumeration (Redelmeier) as a numpy frontier.
 #
-# Cells are encoded as (y << 6) | (x + 32).  Admissible cells satisfy y > 0
-# or (y == 0 and x >= 0), i.e. encoded >= _ORIGIN, which anchors every shape
-# at its lexicographically smallest cell in (y, x) order.
+# Bit i of a site mask is the i-th site in (y, x) order of the half plane
+# y > 0 or (y == 0 and x >= 0), which anchors a shape at its lowest, leftmost
+# cell, cut to the sites |x| + y <= cap - 1 that a shape of cap cells can
+# reach.  Bit y * (2 * box - 1) + x + box - 1 of a cell mask is site (x, y).
 # ---------------------------------------------------------------------------
 
-_ORIGIN = 32
-_STEPS = (1, -1, 64, -64)
-#: Shape size at which :func:`_iter_shapes` splits its search tree into parts.
+#: Shape size at which the search tree splits into parts.
 _SPLIT_SIZE = 6
 #: Most shapes one census may enumerate, counted ones included, over all parts.
 _SHAPE_LIMIT = 50_000_000
-
-
-@dataclass
-class _ShapeTally:
-    """Shapes of one part of the search tree, built or only counted, and the limit on them."""
-
-    limit: int
-    shapes: int = 0
+#: (state, bit) pairs per expansion of the shape frontier; the in-span
+#: children of one expansion form one block of the contour kernel.
+_SHAPE_CHUNK = 1 << 13
+#: Row stride of the census's canonical contour keys and origin covers.
+_CANON_STRIDE = 32
 
 
 def _shape_limit_error(limit: int) -> CapExceeded:
     return CapExceeded(f"shape enumeration exceeded the limit of {limit}")
 
 
-def _count_below(untried: list[int], seen: set[int], left: int, budget: int) -> int:
-    """Number of shapes below a node of Redelmeier's search tree, none of them built.
+def _site_tables(cap: int, box: int):
+    """Per half-plane site of a size-``cap`` shape: the site masks of its axis
+    neighbours and of the sites after it, its cell mask in a ``box`` span
+    (zero outside the window), and its x and y."""
+    sites = [(x, y) for y in range(cap) for x in range(y - cap + 1, cap - y) if y or x >= 0]
+    index = {s: i for i, s in enumerate(sites)}
+    n, side = len(sites), 2 * box - 1
+    adjacent = np.zeros((n, -(-n // 64) * 64), bool)
+    for i, (x, y) in enumerate(sites):
+        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if nb in index:
+                adjacent[i, index[nb]] = True
+    x, y = np.array(sites).T
+    inside = np.flatnonzero((abs(x) < box) & (y < box))
+    win = np.zeros((n, -(-side * box // 64) * 64), bool)
+    win[inside, y[inside] * side + x[inside] + box - 1] = True
+    above = np.triu(np.ones_like(adjacent), 1)
+    return (*(np.packbits(m, axis=1, bitorder="little").view("<u8") for m in (adjacent, above, win)), x, y)
 
-    ``untried`` and ``seen`` are the node's state in :func:`_iter_shapes`,
-    and the shapes below it have 1..``left`` more cells.  ``untried`` is
-    consumed and ``seen`` is left as it was.  Counting stops as soon as the
-    count passes ``budget``, and returns that partial count.
+
+def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = True):
+    """Part ``part`` of ``parts`` of Redelmeier's tree of shapes up to size ``cap``.
+
+    Yields ``(shapes, rows)`` after each expansion: the part's shapes met so
+    far, and the ``(N, box + 4)`` row masks (see :func:`clusters._contour_rows`)
+    of those met in the expansion that fit the span box of ``max_len``.
+    Raises :class:`CapExceeded` once ``shapes`` passes ``_SHAPE_LIMIT``, after
+    the block of the expansion that passed it.  With ``wide`` the shapes out
+    of span are counted, without it they are dropped.
+
+    The split-size shapes whose parent fits the span box are ranked by the
+    parent's cell mask, then their new site, and part p keeps those of rank
+    p modulo ``parts``.  Part 0 keeps the smaller shapes and the subtrees
+    below those that left the span box before.
     """
-    n = len(untried)
-    if left == 1:
-        return n
-    if left == 2:
-        # popping the j-th last untried cell gives one shape plus one leaf
-        # per cell still untried (j - 1) or newly opened by it
-        return n * (n + 1) // 2 + len(
-            [nb for c in untried for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
-        )
-    total = 0
-    while untried:
-        c = untried.pop()
-        new = [nb for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
-        seen.update(new)
-        total += 1 + _count_below(untried + new, seen, left - 1, budget - total - 1)
-        seen.difference_update(new)
-        if total > budget:
-            break
-    return total
-
-
-def _iter_shapes(
-    max_size: int,
-    max_span: int | None = None,
-    part: int = 0,
-    parts: int = 1,
-    tally: _ShapeTally | None = None,
-) -> Iterator[tuple[list[int], int, int, int, int]]:
-    """Every free-anchored 4-connected shape of size <= max_size, once each.
-
-    Yields ``(cells, mask, xmin, w, h)``: the internal mutable cell list,
-    which callers must consume before advancing the iterator, the cell mask
-    (an int with bit e set for every encoded cell e, so that row y of the
-    shape is bits 64*y to 64*y + 63), the smallest encoded column, and the
-    bounding box width and height (the anchor row is y = 0).  The mask is
-    kept up to date as cells are added and removed, so it costs no loop over
-    the cells.
-    The box is tracked as cells are added; it only grows.  With ``max_span``,
-    a shape whose box is wider or taller than that is still yielded, but never
-    grown: every shape below it in the search tree is a superset, hence at
-    least as wide.
-
-    With a ``tally``, the shapes below each shape not grown for its span are
-    counted by :func:`_count_below` instead of being dropped.  ``tally.shapes``
-    then runs over every shape of the part, yielded or counted, and
-    :class:`CapExceeded` is raised as soon as it passes ``tally.limit``, in
-    the middle of a counted subtree too.
-
-    With ``parts > 1`` only part ``part`` of the search tree is yielded: the
-    shapes of size ``_SPLIT_SIZE`` are numbered in search order, and the part
-    keeps those with ``index % parts == part`` and the subtrees below them;
-    smaller shapes belong to part 0.  The parts together yield, or with a
-    tally count, every shape exactly once.  The numbering is that of the
-    span-pruned tree, so the parts of one ``max_span`` share nothing, but
-    need not match the parts of another.
-    """
-    if max_size > 30:
-        raise CapExceeded(f"shape size {max_size} exceeds the coordinate encoding range")
-    if max_span is None:
-        max_span = max_size
-    # stack depth at which a popped cell completes a shape of the split size;
-    # 0 (never reached) when the whole tree is wanted
-    split = _SPLIT_SIZE if parts > 1 else 0
-    index = -1
-    show = True
-    shape: list[int] = []
-    bits = 0
-    seen = {_ORIGIN}
-    # Redelmeier's recursion with an explicit stack, so that each shape is one
-    # yield of this frame rather than one per level of nested generators.  A
-    # level holds its untried cells, the cells it added to ``seen`` and the
-    # box of the shape that opened it.
-    stack = [([_ORIGIN], [], _ORIGIN, _ORIGIN, 0)]
-    while stack:
-        untried, added, xmin, xmax, ymax = stack[-1]
-        if not untried:
-            stack.pop()
-            for nb in added:
-                seen.discard(nb)
-            if shape:
-                bits ^= 1 << shape.pop()
-            continue
-        c = untried.pop()
-        if len(stack) <= split:
-            # the top of the tree, which every part walks
-            if len(stack) == split:
-                index += 1
-                if index % parts != part:
-                    continue
-                show = True
-            else:
-                show = part == 0
-        shape.append(c)
-        bits |= 1 << c
-        cx = c & 63
-        cy = c >> 6
-        x0 = cx if cx < xmin else xmin
-        x1 = cx if cx > xmax else xmax
-        y1 = cy if cy > ymax else ymax
-        w = x1 - x0 + 1
-        if show:
-            if tally is not None:
-                tally.shapes += 1
-                if tally.shapes > tally.limit:
-                    raise _shape_limit_error(tally.limit)
-            yield shape, bits, x0, w, y1 + 1
-        if len(shape) < max_size:
-            if w <= max_span and y1 < max_span:
-                new = []
-                for d in _STEPS:
-                    nb = c + d
-                    if nb >= _ORIGIN and nb not in seen:
-                        seen.add(nb)
-                        new.append(nb)
-                stack.append((untried + new, new, x0, x1, y1))
-                continue
-            if tally is not None and show:
-                new = [nb for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
-                seen.update(new)
-                left = max_size - len(shape)
-                tally.shapes += _count_below(untried + new, seen, left, tally.limit - tally.shapes)
-                seen.difference_update(new)
-                if tally.shapes > tally.limit:
-                    raise _shape_limit_error(tally.limit)
-        bits ^= 1 << shape.pop()
-
-
-# ---------------------------------------------------------------------------
-# Shapes in blocks of row masks.
-#
-# A block's frame is box + 4 sites square, with shape cell (x, y) at column
-# x - xmin + 2 and row y + 2, so the padding of 2 keeps the boundary off the
-# border as in clusters._contour_bits.
-# ---------------------------------------------------------------------------
-
-#: Shapes per block of the contour kernel; a part holds one block at a time.
-_BLOCK_SHAPES = 1 << 14
-#: Row stride of the census's canonical contour keys and origin covers.
-_CANON_STRIDE = 32
-
-
-def _block_rows(masks: list[int], xmins: list[int], box: int) -> tuple[np.ndarray, int]:
-    """``(rows, width)``: the row masks of packed shapes at most ``box`` wide and tall, in one frame."""
-    width = box + 4
-    words = np.frombuffer(b"".join([m.to_bytes(8 * box, "little") for m in masks]), "<u8").reshape(-1, box)
-    rows = np.zeros((len(masks), width), clusters._row_dtype(width))
-    rows[:, 2 : box + 2] = words >> (np.array(xmins, np.uint64) - 2)[:, None]
-    return rows, width
-
-
-def _shape_blocks(max_len: int, cap: int, part: int, parts: int, tally: _ShapeTally | None = None):
-    """The shapes of one part that fit the span box of ``max_len``, as :func:`_block_rows` blocks.
-
-    The shapes are those of ``_iter_shapes(cap, span, part, parts, tally)``
-    no wider or taller than the span, in search order.  If the iterator
-    raises, the shapes met before still come as a block first, so that an
-    error the caller finds in them wins, as it would shape by shape.
-    """
+    if cap > 30:
+        # the site tables grow as cap**4 / 8 bytes
+        raise CapExceeded(f"shape size {cap} exceeds the coordinate encoding range")
     span = _max_span(max_len)
     box = min(span, cap)  # a shape of n cells is at most n wide
-    masks: list[int] = []
-    xmins: list[int] = []
-    error = None
-    try:
-        for _, bits, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
-            if w <= span and h <= span:
-                masks.append(bits)
-                xmins.append(xmin)
-                if len(masks) == _BLOCK_SHAPES:
-                    yield _block_rows(masks, xmins, box)
-                    masks, xmins = [], []
-    except CapExceeded as exc:
-        error = exc
-    if masks:
-        yield _block_rows(masks, xmins, box)
-    if error is not None:
-        raise error
+    nbr, above, win, sx, sy = _site_tables(cap, box)
+    row_start = np.arange(box) * (2 * box - 1) + box - 1
+    empty = np.zeros((0, box + 4), clusters._row_dtype(box + 4))
+
+    def rows_of(cells: np.ndarray, xmin: np.ndarray) -> np.ndarray:
+        # the box columns of each window row, shifted to bit 2 of a frame
+        # row, in one gather from the two words each row may span
+        words = np.zeros((len(cells), cells.shape[1] + 1), np.uint64)
+        words[:, :-1] = cells
+        start = row_start + xmin[:, None]
+        word = (start >> 6) + np.arange(len(cells))[:, None] * words.shape[1]
+        shift = (start & 63).astype(np.uint64)
+        low = np.take(words, word) >> shift
+        high = np.take(words, word + 1) << np.uint64(1) << (np.uint64(63) - shift)
+        rows = np.zeros((len(cells), box + 4), empty.dtype)
+        rows[:, 2 : box + 2] = ((low | high) & np.uint64((1 << box) - 1)) << np.uint64(2)
+        return rows
+
+    def pairs(untried: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (state, bit) for every untried bit, taking the lowest bit of every
+        # nonzero word at a time: a state has a few bits in a few words
+        index = np.flatnonzero(untried)
+        values = untried.ravel()[index]
+        found, bits = [], []
+        while len(index):
+            low = values & (~values + np.uint64(1))
+            found.append(index)
+            bits.append(np.bitwise_count(low - np.uint64(1)))
+            values ^= low
+            more = np.flatnonzero(values)
+            index, values = index[more], values[more]
+        index = np.concatenate(found)
+        return index // untried.shape[1], index % untried.shape[1] * 64 + np.concatenate(bits)
+
+    def bit_counts(masks: np.ndarray) -> np.ndarray:
+        counts = np.bitwise_count(masks)
+        return sum(counts[:, w].astype(np.int64) for w in range(masks.shape[1]))
+
+    def push(size, untried, seen, cells, xmin, xmax, ymax) -> int:
+        # stack the states that can still grow, in span and out; return the
+        # shapes below those out of span one cell below the cap
+        if cells is not None:
+            inside = (xmax - xmin < span) & (ymax < span)
+            if inside.any():
+                keep = np.flatnonzero(inside)
+                stack.append((size, *(np.take(a, keep, axis=0) for a in (untried, seen, cells, xmin, xmax, ymax))))
+            # out of span below the split size, the subtree is part 0's
+            if inside.all() or not wide or (size < _SPLIT_SIZE and part != 0):
+                return 0
+            untried, seen = (np.take(a, np.flatnonzero(~inside), axis=0) for a in (untried, seen))
+        if size == cap - 1:
+            return int(bit_counts(untried).sum())
+        stack.append((size, untried, seen, None, None, None, None))
+        return 0
+
+    stack: list[tuple] = []
+    origin = np.zeros(1, np.int64)
+    shapes = int(part == 0)
+    if shapes:
+        yield shapes, rows_of(win[:1], origin)
+    if cap > 1:
+        # the origin is the one site not above itself
+        shapes += push(1, nbr[:1], nbr[:1] | ~above[:1], win[:1], origin, origin, origin)
+    while stack:
+        size, *states = stack.pop()
+        # whole levels below the split size, so that the ranks are over all
+        cut = max(1, int(np.searchsorted(bit_counts(states[0]).cumsum(), _SHAPE_CHUNK, "right")))
+        if size < _SPLIT_SIZE:
+            cut = len(states[0])
+        elif cut < len(states[0]):
+            stack.append((size, *(None if a is None else a[cut:] for a in states)))
+        untried, seen, cells, xmin, xmax, ymax = (None if a is None else a[:cut] for a in states)
+        p, b = pairs(untried)
+        size += 1
+        if size == _SPLIT_SIZE and parts > 1 and cells is not None:
+            rank = np.empty(len(p), np.int64)
+            rank[np.lexsort((b, *np.take(cells, p, axis=0).T))] = np.arange(len(p))
+            keep = np.flatnonzero(rank % parts == part)
+            p, b = p[keep], b[keep]
+        mine = size >= _SPLIT_SIZE or part == 0
+        shapes += len(p) if mine else 0
+        rows = empty
+        if cells is None and size == cap - 1:
+            # out of span: the child that takes bit b keeps the untried bits
+            # above b and adds b's unseen neighbours, and has as many
+            # children as untried bits
+            n, unseen = bit_counts(untried), np.take(nbr, b, axis=0) & ~np.take(seen, p, axis=0)
+            shapes += int((n * (n - 1) // 2).sum() + bit_counts(unseen).sum())
+            untried = None
+        elif cells is not None:
+            cells = np.take(cells, p, axis=0) | np.take(win, b, axis=0)
+            xmin = np.minimum(np.take(xmin, p), np.take(sx, b))
+            xmax = np.maximum(np.take(xmax, p), np.take(sx, b))
+            ymax = np.maximum(np.take(ymax, p), np.take(sy, b))
+            if mine:
+                inside = np.flatnonzero((xmax - xmin < span) & (ymax < span))
+                rows = rows_of(np.take(cells, inside, axis=0), np.take(xmin, inside))
+        if size < cap and untried is not None:
+            near, seen = np.take(nbr, b, axis=0), np.take(seen, p, axis=0)
+            untried = (np.take(untried, p, axis=0) & np.take(above, b, axis=0)) | (near & ~seen)
+            shapes += push(size, untried, seen | near, cells, xmin, xmax, ymax)
+        yield shapes, rows
+        if shapes > _SHAPE_LIMIT:
+            raise _shape_limit_error(_SHAPE_LIMIT)
 
 
 def _to_corner(rows: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
@@ -478,68 +442,88 @@ def class_decomposition(contour: Contour) -> ClassKey:
 def _census_part(k_max: int, cap: int, part: int, parts: int):
     """One part of the shape tree: ``(shapes, covers, contours)`` keyed by canonical contour.
 
-    ``shapes`` counts every shape of the part, those below a shape too wide
-    for the span lemma included, without building the latter.  ``covers[key][n]``
-    is the union of the origin positions, in the canonical frame, of the
-    size-n shapes whose contour is ``key``; ``contours[key]`` is that contour,
-    built once from the first shape that shows it.  Raises
-    :class:`CapExceeded` past ``_SHAPE_LIMIT`` shapes.
+    ``shapes`` counts every shape of the part, those too wide for the span
+    lemma included.  ``covers[key][n]`` is the union of the origin positions,
+    in the canonical frame, of the size-n shapes whose contour is ``key``;
+    ``contours[key]`` is that contour.  Keys and sizes are in ascending
+    order, whatever order the frontier meets the shapes in.  Each block of
+    shapes is reduced at once: its contours and cells move to the contour's
+    bounding-box corner, the shapes are grouped by canonical contour and
+    size, and each group's cells are ORed into one cover.
 
-    Each block of shapes is reduced at once: its contours and cells move to
-    the contour's bounding-box corner, the shapes are grouped by canonical
-    contour and size, and each group's cells are ORed into one cover before
-    any of it becomes an int.
+    A contour shorter than 4 or enclosing more sites than its length allows
+    fails the part.  The error names the first such shape by size, then by
+    cell mask read as an integer with the shape moved to its box corner
+    (cell (x, y) at bit 64 * y + x - xmin), and wins over the
+    :class:`CapExceeded` of ``_SHAPE_LIMIT`` if the shape was met before.
     """
     contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
-    tally = _ShapeTally(_SHAPE_LIMIT)
+    shapes = 0
+    first_bad = None
     # interior_capacity by length; a length below 4 fails before it is read
     capacity = np.array([interior_capacity(max(k, 4)) for k in range(k_max + 1)])
-    for rows, width in _shape_blocks(k_max, cap, part, parts, tally):
-        _, gamma, ext = clusters._contour_rows(rows, width)
-        lengths = clusters._popcounts(gamma, width)
-        kept = lengths <= k_max
-        rows, gamma, ext, lengths = rows[kept], gamma[kept], ext[kept], lengths[kept]
-        short = lengths < 4
-        enclosed = width * width - clusters._popcounts(ext, width) - lengths
-        bad = short | (enclosed > capacity[lengths])
-        if bad.any():
-            i = bad.argmax()
-            if short[i]:
-                raise ContourError(f"shape produced a contour of impossible length {lengths[i]}")
-            raise IncompletenessError(
-                f"a contour of length {lengths[i]} encloses {enclosed[i]} sites, more than the capacity "
-                "bound allows; the completeness cap is unsound for this input"
+    try:
+        for shapes, rows in _shape_frontier(k_max, cap, part, parts):
+            if not len(rows):
+                continue
+            width = rows.shape[1]
+            _, gamma, ext = clusters._contour_rows(rows, width)
+            lengths = clusters._popcounts(gamma, width)
+            kept = lengths <= k_max
+            rows, gamma, ext, lengths = rows[kept], gamma[kept], ext[kept], lengths[kept]
+            cell_counts = clusters._popcounts(rows, width)
+            short = lengths < 4
+            enclosed = width * width - clusters._popcounts(ext, width) - lengths
+            bad = np.flatnonzero(short | (enclosed > capacity[lengths]))
+            if len(bad):
+                # a frame row holds a shape row from the box's left column
+                # on, so the rows from the top down compare as the cell masks
+                i = bad[np.lexsort((*rows[bad].T, cell_counts[bad]))[0]]
+                shape = (int(cell_counts[i]), rows[i, ::-1].tolist(), int(lengths[i]), int(enclosed[i]))
+                first_bad = min(first_bad or shape, shape)
+            if first_bad:
+                continue
+            # the corner of each contour's bounding box: its first row, and the
+            # trailing zeros of the OR of its rows
+            columns = np.bitwise_or.reduce(gamma, axis=1)
+            ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None], width)
+            oy = (gamma != 0).argmax(axis=1)
+            canon = _to_corner(gamma, ox, oy)
+            groups, first, inverse, sizes = np.unique(
+                np.column_stack([canon, cell_counts.astype(canon.dtype)]),
+                axis=0,
+                return_index=True,
+                return_inverse=True,
+                return_counts=True,
             )
-        # the corner of each contour's bounding box: its first row, and the
-        # trailing zeros of the OR of its rows
-        columns = np.bitwise_or.reduce(gamma, axis=1)
-        ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None], width)
-        oy = (gamma != 0).argmax(axis=1)
-        canon = _to_corner(gamma, ox, oy)
-        groups, first, inverse, sizes = np.unique(
-            np.column_stack([canon, clusters._popcounts(rows, width).astype(canon.dtype)]),
-            axis=0,
-            return_index=True,
-            return_inverse=True,
-            return_counts=True,
+            order = np.argsort(inverse.reshape(-1), kind="stable")
+            cells = np.bitwise_or.reduceat(_to_corner(rows, ox, oy)[order], np.cumsum(sizes) - sizes, axis=0)
+            frame = clusters._frame(width, width)
+            for g in range(len(groups)):
+                key = _row_bits(groups[g, :-1], _CANON_STRIDE)
+                by_size = covers.get(key)
+                if by_size is None:
+                    covers[key] = by_size = {}
+                    i = first[g]
+                    contours[key] = clusters._bits_contour(
+                        _row_bits(gamma[i], width), _row_bits(ext[i], width), frame, -int(ox[i]), -int(oy[i])
+                    )
+                n = int(groups[g, -1])
+                by_size[n] = by_size.get(n, 0) | _row_bits(cells[g], _CANON_STRIDE)
+    except CapExceeded:
+        if not first_bad:
+            raise
+    if first_bad:
+        *_, length, enclosed = first_bad
+        if length < 4:
+            raise ContourError(f"shape produced a contour of impossible length {length}")
+        raise IncompletenessError(
+            f"a contour of length {length} encloses {enclosed} sites, more than the capacity "
+            "bound allows; the completeness cap is unsound for this input"
         )
-        order = np.argsort(inverse.reshape(-1), kind="stable")
-        cells = np.bitwise_or.reduceat(_to_corner(rows, ox, oy)[order], np.cumsum(sizes) - sizes, axis=0)
-        frame = clusters._frame(width, width)
-        # groups in search order, so that keys and sizes are listed as first met
-        for g in np.argsort(first).tolist():
-            key = _row_bits(groups[g, :-1], _CANON_STRIDE)
-            by_size = covers.get(key)
-            if by_size is None:
-                covers[key] = by_size = {}
-                i = first[g]
-                contours[key] = clusters._bits_contour(
-                    _row_bits(gamma[i], width), _row_bits(ext[i], width), frame, -int(ox[i]), -int(oy[i])
-                )
-            n = int(groups[g, -1])
-            by_size[n] = by_size.get(n, 0) | _row_bits(cells[g], _CANON_STRIDE)
-    return tally.shapes, covers, contours
+    covers = {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
+    return shapes, covers, {key: contours[key] for key in covers}
 
 
 def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
@@ -676,7 +660,10 @@ def exact_contour_counts(
 def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
     """Event multiplicities of one part of the (span-pruned) shape tree."""
     events: dict[tuple[int, int], int] = {}
-    for rows, width in _shape_blocks(max_len, cap, part, parts):
+    for _, rows in _shape_frontier(max_len, cap, part, parts, wide=False):
+        if not len(rows):
+            continue
+        width = rows.shape[1]
         bnd, gamma, _ = clusters._contour_rows(rows, width)
         kept = clusters._popcounts(gamma, width) <= max_len
         pairs, counts = np.unique(

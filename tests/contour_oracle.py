@@ -1,25 +1,32 @@
-"""Set-based references for clusters and outer contours.
+"""Set-based references for clusters and outer contours, and the slow shape walk.
 
 Every step works on Python sets of sites, with no bitboards: the exterior is
 an explicit flood fill over a padded bounding box, and the filled silhouette
 is everything in the box that the fill did not reach.  Only the cycle
 ordering is shared with the library (``_ccw_cycle``); the tests check the
 resulting cycle's shape independently.  The origin clusters of the census
-come from the library's shape iterator, each shape placed once at every
-cell, and the origin cluster of an occupancy grid from a depth-first search.
+come from ``_iter_shapes``, each shape placed once at every cell, and the
+origin cluster of an occupancy grid from a depth-first search.
 
-``census_part`` is the reference for the census's block kernel: it extracts
-one shape at a time, each embedded by ``_embed`` in its own big-integer
-bitboard for ``clusters._contour_bits``, and keys it by ``_canonical_contour``.
+``_iter_shapes`` is Redelmeier's recursion one shape at a time, the
+reference for the library's shape frontier (``enumeration._shape_frontier``):
+it splits the tree into the same parts, and with a ``_ShapeTally`` it counts
+the subtrees below the shapes too wide for the span lemma by
+``_count_below``.  ``census_part`` is the reference for the census's block
+kernel: it extracts one shape at a time, each embedded by ``_embed`` in its
+own big-integer bitboard for ``clusters._contour_bits``, and keys it by
+``_canonical_contour``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from peierls import (
+    CapExceeded,
     Cluster,
     Contour,
     ContourError,
@@ -31,7 +38,178 @@ from peierls import (
     site_boundary,
 )
 from peierls.clusters import _ccw_cycle
-from peierls.enumeration import _CANON_STRIDE, _SHAPE_LIMIT, _ShapeTally, _iter_shapes, _max_span
+from peierls.enumeration import _CANON_STRIDE, _SHAPE_LIMIT, _SPLIT_SIZE, _max_span, _shape_limit_error
+
+# ---------------------------------------------------------------------------
+# Redelmeier's recursion, one shape at a time.
+#
+# Cells are encoded as (y << 6) | (x + 32).  Admissible cells satisfy y > 0
+# or (y == 0 and x >= 0), i.e. encoded >= _ORIGIN, which anchors every shape
+# at its lexicographically smallest cell in (y, x) order.
+# ---------------------------------------------------------------------------
+
+_ORIGIN = 32
+_STEPS = (1, -1, 64, -64)
+
+
+@dataclass
+class _ShapeTally:
+    """Shapes of one part of the search tree, built or only counted, and the limit on them."""
+
+    limit: int
+    shapes: int = 0
+
+
+def _count_below(untried: list[int], seen: set[int], left: int, budget: int) -> int:
+    """Number of shapes below a node of Redelmeier's search tree, none of them built.
+
+    ``untried`` and ``seen`` are the node's state in :func:`_iter_shapes`,
+    and the shapes below it have 1..``left`` more cells.  ``untried`` is
+    consumed and ``seen`` is left as it was.  Counting stops as soon as the
+    count passes ``budget``, and returns that partial count.
+    """
+    n = len(untried)
+    if left == 1:
+        return n
+    if left == 2:
+        # popping the j-th last untried cell gives one shape plus one leaf
+        # per cell still untried (j - 1) or newly opened by it
+        return n * (n + 1) // 2 + len(
+            [nb for c in untried for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
+        )
+    total = 0
+    while untried:
+        c = untried.pop()
+        new = [nb for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
+        seen.update(new)
+        total += 1 + _count_below(untried + new, seen, left - 1, budget - total - 1)
+        seen.difference_update(new)
+        if total > budget:
+            break
+    return total
+
+
+def _iter_shapes(
+    max_size: int,
+    max_span: int | None = None,
+    part: int = 0,
+    parts: int = 1,
+    tally: _ShapeTally | None = None,
+) -> Iterator[tuple[list[int], int, int, int, int]]:
+    """Every free-anchored 4-connected shape of size <= max_size, once each.
+
+    Yields ``(cells, mask, xmin, w, h)``: the internal mutable cell list,
+    which callers must consume before advancing the iterator, the cell mask
+    (an int with bit e set for every encoded cell e, so that row y of the
+    shape is bits 64*y to 64*y + 63), the smallest encoded column, and the
+    bounding box width and height (the anchor row is y = 0).  A shape takes
+    its untried cells smallest first, and each child keeps the larger ones,
+    so the tree is that of the frontier.  With ``max_span``, a shape whose box is wider or taller than that is
+    still yielded, but never grown: every shape below it in the search tree
+    is a superset, hence at least as wide.
+
+    With a ``tally``, the shapes below each shape not grown for its span are
+    counted by :func:`_count_below` instead of being dropped.  ``tally.shapes``
+    then runs over every shape of the part, yielded or counted, and
+    :class:`CapExceeded` is raised as soon as it passes ``tally.limit``, in
+    the middle of a counted subtree too.
+
+    With ``parts > 1`` only part ``part`` of the search tree is yielded: the
+    shapes of size ``_SPLIT_SIZE`` in the span-pruned tree are ranked by
+    their parent's cell mask, then their new cell, and the part keeps those
+    of rank ``part`` modulo ``parts`` and the subtrees below them; smaller
+    shapes, and the subtrees counted below them, belong to part 0.  These
+    are the parts of ``enumeration._shape_frontier``.
+    """
+    if max_size > 30:
+        raise CapExceeded(f"shape size {max_size} exceeds the coordinate encoding range")
+    if max_span is None:
+        max_span = max_size
+    # stack depth at which a popped cell completes a shape of the split size;
+    # 0 (never reached) when the whole tree is wanted
+    split = _SPLIT_SIZE if parts > 1 else 0
+    if split:
+        # (parent mask, new cell) of each split-size shape, in ascending order
+        top = _iter_shapes(_SPLIT_SIZE, max_span)
+        rank = {key: i for i, key in enumerate(sorted((b ^ 1 << s[-1], s[-1]) for s, b, *_ in top if len(s) == split))}
+    show = True
+    shape: list[int] = []
+    bits = 0
+    seen = {_ORIGIN}
+    # Redelmeier's recursion with an explicit stack, so that each shape is one
+    # yield of this frame rather than one per level of nested generators.  A
+    # level holds its untried cells, the cells it added to ``seen`` and the
+    # box of the shape that opened it.
+    stack = [([_ORIGIN], [], _ORIGIN, _ORIGIN, 0)]
+    while stack:
+        untried, added, xmin, xmax, ymax = stack[-1]
+        if not untried:
+            stack.pop()
+            for nb in added:
+                seen.discard(nb)
+            if shape:
+                bits ^= 1 << shape.pop()
+            continue
+        c = untried.pop()
+        if len(stack) <= split:
+            # the top of the tree, which every part walks
+            if len(stack) == split:
+                if rank[bits, c] % parts != part:
+                    continue
+                show = True
+            else:
+                show = part == 0
+        shape.append(c)
+        bits |= 1 << c
+        cx = c & 63
+        cy = c >> 6
+        x0 = cx if cx < xmin else xmin
+        x1 = cx if cx > xmax else xmax
+        y1 = cy if cy > ymax else ymax
+        w = x1 - x0 + 1
+        if show:
+            if tally is not None:
+                tally.shapes += 1
+                if tally.shapes > tally.limit:
+                    raise _shape_limit_error(tally.limit)
+            yield shape, bits, x0, w, y1 + 1
+        if len(shape) < max_size:
+            if w <= max_span and y1 < max_span:
+                new = []
+                for d in _STEPS:
+                    nb = c + d
+                    if nb >= _ORIGIN and nb not in seen:
+                        seen.add(nb)
+                        new.append(nb)
+                # the smallest untried cell first, keeping the larger ones, as the frontier does
+                stack.append((sorted(untried + new, reverse=True), new, x0, x1, y1))
+                continue
+            if tally is not None and show:
+                new = [nb for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
+                seen.update(new)
+                left = max_size - len(shape)
+                tally.shapes += _count_below(untried + new, seen, left, tally.limit - tally.shapes)
+                seen.difference_update(new)
+                if tally.shapes > tally.limit:
+                    raise _shape_limit_error(tally.limit)
+        bits ^= 1 << shape.pop()
+
+
+def block_rows(masks: list[int], xmins: list[int], box: int) -> np.ndarray:
+    """The ``(N, box + 4)`` row masks of ``_iter_shapes`` shapes at most ``box`` wide and tall, in one frame.
+
+    Shape cell (x, y) sits at column x - xmin + 2 and row y + 2, as in the
+    blocks of ``enumeration._shape_frontier``.
+    """
+    words = np.frombuffer(b"".join([m.to_bytes(8 * box, "little") for m in masks]), "<u8").reshape(-1, box)
+    rows = np.zeros((len(masks), box + 4), clusters._row_dtype(box + 4))
+    rows[:, 2 : box + 2] = words >> (np.array(xmins, np.uint64) - 2)[:, None]
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Set-based contours.
+# ---------------------------------------------------------------------------
 
 
 def _box(region):
@@ -142,37 +320,55 @@ def _canonical_contour(gamma: int, w: int):
 
 
 def census_part(k_max: int, cap: int, part: int, parts: int):
-    """Shape-by-shape twin of ``enumeration._census_part``: one bitboard contour per shape."""
+    """Shape-by-shape twin of ``enumeration._census_part``: one bitboard contour per shape.
+
+    A bad shape fails the part as there: the first in the order of size, then
+    of the cell mask moved to the box corner, among the shapes met before
+    the shape limit.
+    """
     contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
     span = _max_span(k_max)
     tally = _ShapeTally(_SHAPE_LIMIT)
-    for shape, _, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
-        if w > span or h > span:
-            continue
-        wbits, frame = _embed(shape, xmin, w, h)
-        _, gamma, ext = clusters._contour_bits(wbits, frame)
-        glen = gamma.bit_count()
-        if glen > k_max:
-            continue
-        if glen < 4:
-            raise ContourError(f"shape produced a contour of impossible length {glen}")
-        enclosed = (frame[0] & ~ext & ~gamma).bit_count()
-        if enclosed > interior_capacity(glen):
-            raise IncompletenessError(
-                f"a contour of length {glen} encloses {enclosed} sites, more than the capacity "
-                "bound allows; the completeness cap is unsound for this input"
-            )
-        key, ox, oy = _canonical_contour(gamma, frame[4])
-        if key not in contours:
-            contours[key] = clusters._bits_contour(gamma, ext, frame, -ox, -oy)
-        # origin positions in the canonical frame: shape cells shifted like gamma
-        n = len(shape)
-        pos = 0
-        for e in shape:
-            cx = (e & 63) - xmin + 2 - ox
-            cy = (e >> 6) + 2 - oy
-            pos |= 1 << (cy * _CANON_STRIDE + cx)
-        by_size = covers.setdefault(key, {})
-        by_size[n] = by_size.get(n, 0) | pos
-    return tally.shapes, covers, contours
+    first_bad = None
+    try:
+        for shape, bits, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
+            if w > span or h > span:
+                continue
+            wbits, frame = _embed(shape, xmin, w, h)
+            _, gamma, ext = clusters._contour_bits(wbits, frame)
+            glen = gamma.bit_count()
+            if glen > k_max:
+                continue
+            enclosed = (frame[0] & ~ext & ~gamma).bit_count()
+            if glen < 4 or enclosed > interior_capacity(glen):
+                order = (len(shape), sum(1 << ((e >> 6) * 64 + (e & 63) - xmin) for e in shape))
+                if first_bad is None or order < first_bad[0]:
+                    if glen < 4:
+                        error = ContourError(f"shape produced a contour of impossible length {glen}")
+                    else:
+                        error = IncompletenessError(
+                            f"a contour of length {glen} encloses {enclosed} sites, more than the "
+                            "capacity bound allows; the completeness cap is unsound for this input"
+                        )
+                    first_bad = order, error
+                continue
+            key, ox, oy = _canonical_contour(gamma, frame[4])
+            if key not in contours:
+                contours[key] = clusters._bits_contour(gamma, ext, frame, -ox, -oy)
+            # origin positions in the canonical frame: shape cells shifted like gamma
+            n = len(shape)
+            pos = 0
+            for e in shape:
+                cx = (e & 63) - xmin + 2 - ox
+                cy = (e >> 6) + 2 - oy
+                pos |= 1 << (cy * _CANON_STRIDE + cx)
+            by_size = covers.setdefault(key, {})
+            by_size[n] = by_size.get(n, 0) | pos
+    except CapExceeded:
+        if first_bad is None:
+            raise
+    if first_bad is not None:
+        raise first_bad[1]
+    covers = {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
+    return tally.shapes, covers, {key: contours[key] for key in covers}

@@ -333,10 +333,15 @@ def test_manifest_round_trips(argv):
         ["manifest", "{tmp}/listoutputs.manifest.json"],
         ["manifest", "{tmp}/outlast.manifest.json"],
         ["manifest", "{tmp}/emptyoutputs.manifest.json"],
+        ["counts", "--k-max", "6", "--out", "{tmp}/missing/run"],
+        ["bounds", "--c", "0.9", "--r", "6", "--out", "{tmp}/missing/run"],
+        ["simulate", "--L", "4", "--c", "0.6", "--trials", "10", "--out", "{tmp}/missing/run"],
+        ["simulate", "--L", "4", "--c", "0.6", "--trials", "10", "--out", "{tmp}/taken"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "noargv.manifest.json").write_text(json.dumps({"command": "counts", "outputs": {}}))
+    (tmp_path / "taken.csv").mkdir()  # an output path the write cannot open
     rerun = ["counts", "--k-max", "6", "--out", str(tmp_path / "run")]
     (tmp_path / "nooutputs.manifest.json").write_text(json.dumps({"argv": rerun}))
     (tmp_path / "listoutputs.manifest.json").write_text(json.dumps({"argv": rerun, "outputs": []}))

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contour_oracle
-from contour_oracle import _embed, census_part, enumerate_origin_clusters, oracle_outer_boundary
+from contour_oracle import (
+    _embed,
+    _iter_shapes,
+    _ShapeTally,
+    block_rows,
+    census_part,
+    enumerate_origin_clusters,
+    oracle_outer_boundary,
+)
 from walker_oracle import oracle_circuit_count
 from peierls import (
     CapExceeded,
@@ -29,14 +37,11 @@ from peierls import (
 from peierls import clusters, enumeration
 from peierls.enumeration import (
     _SPLIT_SIZE,
-    _ShapeTally,
-    _block_rows,
     _census_part,
     _circuits_from,
     _event_part,
     _fan_out,
-    _iter_shapes,
-    _shape_blocks,
+    _shape_frontier,
     class_counts_csv,
     count_table_csv,
     count_table_json_dict,
@@ -135,10 +140,44 @@ def test_counted_subtrees_complete_the_pruned_walk(n, span, parts):
     assert total == unpruned
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    cap=st.integers(min_value=1, max_value=9),
+    span=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    parts=st.integers(min_value=1, max_value=7),
+    chunk=st.integers(min_value=1, max_value=64),
+)
+def test_shape_frontier_matches_the_oracle_walk(cap, span, parts, chunk):
+    # the parts of the frontier, counting or dropping the shapes that left
+    # the span box, hold the oracle's unpruned count and its in-span shapes
+    # as blocks of row masks, part by part, for chunks of any size
+    max_len = 2 * (cap if span is None else span) + 2
+    box = min(cap, enumeration._max_span(max_len))
+    unpruned = counted = 0
+    for part in range(parts):
+        inside = [(b, x) for _, b, x, w, h in _iter_shapes(cap, span, part, parts) if w <= box and h <= box]
+        want = Counter(map(tuple, block_rows([b for b, _ in inside], [x for _, x in inside], box).tolist()))
+        unpruned += sum(1 for _ in _iter_shapes(cap, None, part, parts))
+        with mock.patch.object(enumeration, "_SHAPE_CHUNK", chunk):
+            for wide in (True, False):
+                got, shapes = Counter(), 0
+                for shapes, rows in _shape_frontier(max_len, cap, part, parts, wide):
+                    assert rows.shape[1] == box + 4
+                    got.update(map(tuple, rows.tolist()))
+                assert got == want
+                counted += shapes if wide else 0
+        if cap < _SPLIT_SIZE and part > 0:
+            assert not want and shapes == 0
+    assert counted == unpruned
+
+
 def test_cluster_enumeration_cap():
-    # cells are encoded in 6-bit columns, so shapes are capped at 30 cells
+    # the oracle encodes cells in 6-bit columns, and the frontier's site
+    # tables grow as cap**4, so shapes are capped at 30 cells
     with pytest.raises(CapExceeded, match="coordinate encoding range"):
         next(_iter_shapes(31))
+    with pytest.raises(CapExceeded, match="coordinate encoding range"):
+        next(_shape_frontier(12, 31, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +214,12 @@ def test_shape_count_is_the_fixed_polyomino_total(k_max, shapes):
 def test_shape_count_at_length_twelve(table12):
     assert table12.meta["cluster_cap"] == 13
     assert table12.meta["shapes"] == 2_595_167
+
+
+def test_shapes_in_the_span_box_at_length_twelve():
+    # the shapes of up to 13 cells that fit the 5 x 5 box, built for the
+    # contour kernel; the census only counts the other 2,249,567
+    assert sum(len(rows) for _, rows in _shape_frontier(12, 13, 0, 1)) == 345_600
 
 
 def test_shape_limit_stops_inside_a_counted_subtree():
@@ -508,8 +553,8 @@ def _bitboard(row_masks, width):
 
 def _check_block(block, box):
     """The block kernel against the scalar extractor, shape by shape, in the block's frame."""
-    rows, width = _block_rows([bits for _, bits, _ in block], [xmin for *_, xmin in block], box)
-    assert width == box + 4
+    rows = block_rows([bits for _, bits, _ in block], [xmin for *_, xmin in block], box)
+    width = box + 4
     masks = clusters._contour_rows(rows, width)
     counts = [clusters._popcounts(m, width).tolist() for m in (rows, *masks)]
     for i, (cells, bits, xmin) in enumerate(block):
@@ -554,33 +599,34 @@ def test_block_kernel_keeps_an_enclosed_free_site_out_of_the_exterior():
 def test_census_part_matches_scalar_reference(k_max, cap, part, parts):
     got, want = _census_part(k_max, cap, part, parts), census_part(k_max, cap, part, parts)
     assert got == want
-    # keys and sizes are listed as first met in search order, as shape by shape
-    assert list(got[2]) == list(want[2]) == list(want[1])
+    # keys and sizes are listed in ascending order, whatever order the shapes come in
+    assert list(got[2]) == list(want[2]) == list(want[1]) == sorted(want[1])
     assert [list(by_size) for by_size in got[1].values()] == [list(by_size) for by_size in want[1].values()]
 
 
 def test_blocks_of_any_size_give_the_same_parts():
     census, events = _census_part(10, 8, 0, 1), _event_part(10, 8, 0, 1)
     for size in (1, 7, 1000):
-        with mock.patch.object(enumeration, "_BLOCK_SHAPES", size):
+        with mock.patch.object(enumeration, "_SHAPE_CHUNK", size):
             assert _census_part(10, 8, 0, 1) == census
             assert _event_part(10, 8, 0, 1) == events
 
 
-@pytest.mark.parametrize("block", [1, 7, enumeration._BLOCK_SHAPES])
+@pytest.mark.parametrize("block", [1, 7, enumeration._SHAPE_CHUNK])
 @pytest.mark.parametrize(
     "tight, cleared, error",
-    # among the shapes of _census_part(10, 8, 0, 1) with contours of length
-    # <= 10, in search order: the first over a capacity one lower at lengths
-    # 9 and 10 is the 8th, at lengths 7 and 8 the 73rd (length 8), at length 7
-    # the 87th; the first with a contour of length 9 is the 20th
+    # among the 177 shapes of _census_part(10, 8, 0, 1) with contours of
+    # length <= 10, ordered by size and then cell mask: the first over a
+    # capacity one lower at lengths 9 and 10 is the 93rd (6 cells, length 9),
+    # at lengths 7 and 8 the 5th (3 cells, length 7), as at length 7; the
+    # first with a contour of length 9 is the 11th (4 cells)
     [
-        ({9, 10}, None, "length 10 encloses 8 sites"),
-        ({7, 8}, None, "length 8 encloses 5 sites"),
+        ({9, 10}, None, "length 9 encloses 6 sites"),
+        ({7, 8}, None, "length 7 encloses 3 sites"),
         ({7}, None, "length 7 encloses 3 sites"),
         (set(), 9, "impossible length 0"),
-        ({9, 10}, 9, "length 10 encloses 8 sites"),
-        ({7}, 9, "impossible length 0"),
+        ({9, 10}, 9, "impossible length 0"),
+        ({7}, 9, "length 7 encloses 3 sites"),
     ],
 )
 def test_census_part_fails_on_the_first_bad_shape(block, tight, cleared, error):
@@ -601,7 +647,7 @@ def test_census_part_fails_on_the_first_bad_shape(block, tight, cleared, error):
         return interior_capacity(k) - (k in tight)
 
     with (
-        mock.patch.object(enumeration, "_BLOCK_SHAPES", block),
+        mock.patch.object(enumeration, "_SHAPE_CHUNK", block),
         mock.patch.object(enumeration, "interior_capacity", capacity),
         mock.patch.object(contour_oracle, "interior_capacity", capacity),
         mock.patch.object(clusters, "_contour_rows", clear_rows),
@@ -615,11 +661,23 @@ def test_census_part_fails_on_the_first_bad_shape(block, tight, cleared, error):
 
 
 def test_shapes_met_before_the_shape_limit_come_first():
-    blocks = _shape_blocks(10, 8, 0, 1, _ShapeTally(100))
-    rows, width = next(blocks)
-    assert 0 < len(rows) < 100
-    with pytest.raises(CapExceeded):
-        next(blocks)
+    met = []
+    with mock.patch.object(enumeration, "_SHAPE_LIMIT", 100), pytest.raises(CapExceeded):
+        for shapes, rows in _shape_frontier(10, 8, 0, 1):
+            met.append((shapes, len(rows)))
+    # the expansion that passed the limit still came out, with its shapes
+    assert met[-1][0] > 100 and sum(n for _, n in met) > 0
+    # so a bad shape among them wins over the limit, in the census and its oracle
+    capacity = lambda k: interior_capacity(k) - 1  # noqa: E731
+    with (
+        mock.patch.object(enumeration, "_SHAPE_LIMIT", 100),
+        mock.patch.object(contour_oracle, "_SHAPE_LIMIT", 100),
+        mock.patch.object(enumeration, "interior_capacity", capacity),
+        mock.patch.object(contour_oracle, "interior_capacity", capacity),
+    ):
+        for part in (_census_part, census_part):
+            with pytest.raises(IncompletenessError):
+                part(10, 8, 0, 1)
 
 
 # ---------------------------------------------------------------------------
