@@ -81,10 +81,11 @@ def _emit(files: dict[str, str], out: str | None, stdout_name: str, command: str
             "wall_time_s": time.time() - args._t0,
         }
         manifest.update(extra_meta)
-        with open(f"{out}.manifest.json", "w") as fh:
+        path = f"{out}.manifest.json"
+        with open(path, "w") as fh:
             fh.write(_json_text(manifest))
     except OSError as exc:
-        raise ValueError(f"cannot write {exc.filename}: {exc.strerror}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -477,8 +477,7 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
             enclosed = width * width - clusters._popcounts(ext, width) - lengths
             bad = np.flatnonzero(short | (enclosed > capacity[lengths]))
             if len(bad):
-                # a frame row holds a shape row from the box's left column
-                # on, so the rows from the top down compare as the cell masks
+                # frame rows from the top down compare as the cell masks do
                 i = bad[np.lexsort((*rows[bad].T, cell_counts[bad]))[0]]
                 shape = (int(cell_counts[i]), rows[i, ::-1].tolist(), int(lengths[i]), int(enclosed[i]))
                 first_bad = min(first_bad or shape, shape)
