@@ -16,7 +16,8 @@ c > 4/5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .enumeration import CountTable, contour_event_table
 from .errors import DivergentSeries, InsufficientData
@@ -139,17 +140,7 @@ class BoundReport:
     coefficients: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "r": self.r,
-            "series_bound": self.series_bound,
-            "tail": self.tail,
-            "q_lower": self.q_lower,
-            "q_truncated": self.q_truncated,
-            "threshold_bound": self.threshold_bound,
-            "guarantee": self.guarantee,
-            "coefficients": list(self.coefficients),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"coefficients": list(self.coefficients)}
 
 
 def polynomial_coefficients(events: dict[tuple[int, int], int]) -> tuple[int, ...]:
@@ -165,6 +156,12 @@ def polynomial_coefficients(events: dict[tuple[int, int], int]) -> tuple[int, ..
         for j in range(b + 1):
             coeffs[w + j] -= n * math.comb(b, j) * (-1) ** j
     return tuple(coeffs)
+
+
+@lru_cache(maxsize=4)
+def _coefficients(events: frozenset) -> tuple[int, ...]:
+    """:func:`polynomial_coefficients` once per census, for all the concentrations of a sweep."""
+    return polynomial_coefficients(dict(events))
 
 
 def evaluate_polynomial(coefficients: tuple[int, ...], c: float) -> float:
@@ -195,7 +192,7 @@ def truncated_q(
         events = contour_event_table(r - 1) if r >= 5 else {}
     terms = [n * c**w * (1.0 - c) ** b for (w, b), n in sorted(events.items())]
     q_truncated = 1.0 - (1.0 - c) - math.fsum(terms)
-    coeffs = polynomial_coefficients(events)
+    coeffs = _coefficients(frozenset(events.items()))
 
     try:
         tail = tail_bound(c, r, counts, mode)

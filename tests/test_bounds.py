@@ -2,15 +2,19 @@ import math
 
 import pytest
 
+from peierls import bounds
+
 from contour_oracle import cluster_event_probability, enumerate_origin_clusters
 from peierls import (
     DivergentSeries,
+    contour_event_table,
     InsufficientData,
     evaluate_polynomial,
     full_count_table,
     growth_rate_estimate,
     interior_capacity,
     outer_boundary,
+    polynomial_coefficients,
     series_bound,
     tail_bound,
     threshold_upper_bound,
@@ -138,6 +142,24 @@ def test_polynomial_coefficients_evaluate_exactly():
         assert evaluate_polynomial(rep.coefficients, c) == pytest.approx(rep.q_truncated, abs=1e-12)
     rep = truncated_q(0.9, 9)
     assert all(isinstance(a, int) for a in rep.coefficients)
+
+
+def test_sweep_expands_the_polynomial_once(monkeypatch):
+    calls = []
+
+    def counted(events):
+        calls.append(len(events))
+        return polynomial_coefficients(events)
+
+    monkeypatch.setattr(bounds, "polynomial_coefficients", counted)
+    bounds._coefficients.cache_clear()
+    events = contour_event_table(8)
+    reports = [truncated_q(c, 9, events=events) for c in (0.85, 0.9, 0.95)]
+    assert calls == [len(events)]
+    assert all(rep.coefficients == polynomial_coefficients(events) for rep in reports)
+    # another census expands its own polynomial
+    assert truncated_q(0.9, 7).coefficients == polynomial_coefficients(contour_event_table(6))
+    assert len(calls) == 2
 
 
 def test_per_contour_events_dominated_by_contour_weight():
