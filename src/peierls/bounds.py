@@ -38,6 +38,14 @@ THRESHOLD_ANALYTIC = 0.8
 _TABLE_MODES = {"exact": "exact", "sa": "sa_walk"}
 
 
+def _check_point(c: float, r: int) -> None:
+    """Reject a concentration outside [0, 1], NaN included, and a truncation length below 4."""
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"concentration must lie in [0, 1], got {c}")
+    if r < 4:
+        raise ValueError(f"truncation length must be >= 4, got {r}")
+
+
 def _analytic_tail(c: float, r: int) -> float:
     # compare on c itself: rounding in 5 * (1 - c) can land just below 1 at c = 4/5
     if c <= 0.8:
@@ -55,10 +63,7 @@ def tail_bound(c: float, r: int, counts: CountTable | None = None, mode: str = "
     dominated by the analytic value.  Raises :class:`DivergentSeries` when
     c <= 4/5, where no finite bound exists.
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concentration must lie in [0, 1], got {c}")
-    if r < 4:
-        raise ValueError(f"truncation length must be >= 4, got {r}")
+    _check_point(c, r)
     if mode == "analytic":
         return _analytic_tail(c, r)
     column = _TABLE_MODES.get(mode)
@@ -184,10 +189,7 @@ def truncated_q(
     across concentrations), subtracts the vacant-origin probability, and
     attaches the analytic tail as a guaranteed error bound when c > 4/5.
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concentration must lie in [0, 1], got {c}")
-    if r < 4:
-        raise ValueError(f"truncation length must be >= 4, got {r}")
+    _check_point(c, r)
     if events is None:
         events = contour_event_table(r - 1) if r >= 5 else {}
     terms = [n * c**w * (1.0 - c) ** b for (w, b), n in sorted(events.items())]

@@ -20,7 +20,7 @@ import tempfile
 import time
 
 from . import __version__
-from .bounds import BoundReport, truncated_q
+from .bounds import BoundReport, _check_point, truncated_q
 from .enumeration import (
     class_counts_csv,
     contour_event_table,
@@ -147,6 +147,8 @@ def _parse_sweep(spec: str) -> list[float]:
 
 def _bounds_rows(args) -> list[BoundReport]:
     cs = _parse_sweep(args.sweep) if args.sweep else [args.c]
+    for c in cs:  # before the censuses, not after them
+        _check_point(c, args.r)
     workers = _default_workers()
     counts = None
     if args.mode in ("exact", "sa"):

@@ -14,8 +14,11 @@ forms: :func:`_contour_bits` on one big-integer bitboard, which
 :func:`outer_boundary` builds on for single clusters of any size, and
 :func:`_contour_rows` on a numpy block of row masks, which runs the same
 steps for thousands of small shapes at once for the census and the event
-table of :mod:`peierls.enumeration`.  The tests check the block form
-against the single one.
+table of :mod:`peierls.enumeration`.  The cycle tracer comes in the same two
+forms: :func:`_ccw_cycle` walks the edges of one filled site set, and
+:func:`_cycle_rows` runs the same edge-walk rule on a block of contours given
+as row masks, which the census uses for all its distinct contours at once.
+The tests check each block form against its single one.
 """
 
 from __future__ import annotations
@@ -176,14 +179,22 @@ def _nb4_rows(rows: np.ndarray, full) -> np.ndarray:
 def _contour_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row masks ``(boundary, contour, exterior)`` of a block of clusters, as :func:`_contour_bits`.
 
-    ``rows`` is the block's ``(N, H)`` array of ``width``-bit row masks.  The
-    exterior fill starts from the free sites that see the frame's top or
-    bottom edge along their column, which lie in the exterior and include the
-    border ring, and grows the whole block until no cluster's exterior grows.
+    ``rows`` is the block's ``(N, H)`` array of ``width``-bit row masks; the
+    exterior is :func:`_exterior_rows` of the clusters and their boundaries.
     """
     full = rows.dtype.type((1 << width) - 1)
     bnd = _nb4_rows(rows, full) & ~rows
-    blocked = rows | bnd
+    ext = _exterior_rows(rows | bnd, full)
+    return bnd, bnd & _nb4_rows(ext, full), ext
+
+
+def _exterior_rows(blocked: np.ndarray, full) -> np.ndarray:
+    """The free sites of each frame of a block joined to the frame's edge by axis steps over free sites.
+
+    The fill starts from the free sites that see the frame's top or bottom
+    edge along their column, which include the frame's ring when it is free,
+    and grows the whole block until no frame's exterior grows.
+    """
     free = ~blocked & full
     below = np.bitwise_or.accumulate(blocked, axis=1)
     above = np.bitwise_or.accumulate(blocked[:, ::-1], axis=1)[:, ::-1]
@@ -191,9 +202,8 @@ def _contour_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray,
     while True:
         grown = (ext | _nb4_rows(ext, full)) & free
         if np.array_equal(grown, ext):
-            break
+            return ext
         ext = grown
-    return bnd, bnd & _nb4_rows(ext, full), ext
 
 
 def _bits_to_sites(bits: int, w: int) -> list[Site]:
@@ -204,14 +214,6 @@ def _bits_to_sites(bits: int, w: int) -> list[Site]:
         out.append((idx % w, idx // w))
         bits ^= low
     return out
-
-
-def _bits_contour(gamma: int, ext: int, frame, x0: int, y0: int) -> Contour:
-    """The :class:`Contour` of :func:`_contour_bits` output, frame cell (0, 0) placed at (x0, y0)."""
-    w = frame[4]
-    sites = frozenset((x + x0, y + y0) for x, y in _bits_to_sites(gamma, w))
-    filled = {(x + x0, y + y0) for x, y in _bits_to_sites(frame[0] & ~ext, w)}
-    return Contour(sites=sites, cycle=_ccw_cycle(filled, sites))
 
 
 def _ccw_cycle(filled: set[Site], contour: set[Site]) -> tuple[Site, ...]:
@@ -270,6 +272,74 @@ def _ccw_cycle(filled: set[Site], contour: set[Site]) -> tuple[Site, ...]:
     return tuple(cells[k:] + cells[:k])
 
 
+#: King step from a contour site to the next, per last exposed side (bottom,
+#: right, top, left) and then per diagonal cell past its end corner (free,
+#: filled): the walk goes on straight or turns right.
+_TURNS = np.array([(1, 0), (1, -1), (0, 1), (1, 1), (-1, 0), (-1, 1), (0, -1), (-1, -1)])
+
+
+def _cycle_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counter-clockwise cycles of a block of contours, by the rule of :func:`_ccw_cycle`.
+
+    ``rows`` holds each contour's sites as ``(N, H)`` row masks of ``width``
+    bits, with a free ring around every contour.  A contour's filled set is
+    what :func:`_exterior_rows` of the contour leaves, as its cluster's
+    exterior leaves it.  The edge walk keeps the filled set on its left, so
+    it leaves a site at the end of the site's last exposed side (bottom,
+    right, top and left in turn) and goes on to the diagonal cell past that
+    corner if it is filled, a right turn, or else straight on to the cell
+    ahead.  The cycle follows these successors from the smallest site by
+    (x, y).
+
+    Returns the ``(N, n)`` x and y of the cycles' sites in order, as int16,
+    n the longest contour, each row padded by repeating its last site.  Raises
+    :class:`ContourError` if any contour fails a check of
+    :func:`_ccw_cycle`: a pinched corner, a contour site with no exposed side
+    or a filled site with one outside the contour, a site with two runs of
+    exposed sides or four, more than one closed curve, or a clockwise walk.
+    """
+    full = rows.dtype.type((1 << width) - 1)
+    filled = ~_exterior_rows(rows, full) & full
+    below, above = np.zeros_like(filled), np.zeros_like(filled)
+    below[:, 1:], above[:, :-1] = filled[:, :-1], filled[:, 1:]
+    # corners with filled cells on one diagonal and free ones on the other
+    low, high = filled[:, :-1], filled[:, 1:]
+    pinched = (low << 1 & high & ~low & ~(high << 1)) | (low & high << 1 & ~(low << 1) & ~high)
+    if pinched.any():
+        i, y = np.argwhere(pinched)[0]
+        bits = int(pinched[i, y])
+        raise ContourError(f"pinched outer boundary at corner {((bits & -bits).bit_length() - 1, int(y) + 1)}")
+    bottom, right, top, left = filled & ~below, filled & ~(filled >> 1), filled & ~above, filled & ~(filled << 1)
+    if not np.array_equal(bottom | right | top | left, rows):
+        raise ContourError("perimeter walk does not match the exposed boundary set")
+    last = (bottom & ~right, right & ~top, top & ~left, left & ~bottom)
+    if ((last[0] & last[2]) | (last[1] & last[3]) | (bottom & right & top & left)).any():
+        raise ContourError("outer boundary revisits a site; no simple cycle exists")
+    diagonal = (below >> 1, above >> 1, above << 1, below << 1)
+    moves = np.stack([m for side, d in zip(last, diagonal) for m in (side & ~d, side & d)], axis=-1)
+
+    n = _popcounts(rows, width)
+    columns = np.bitwise_or.reduce(rows, axis=1)
+    x = _popcounts(((columns & ~columns + 1) - 1)[:, None], width)
+    y = (rows >> x[:, None] & 1).argmax(axis=1)
+    block = np.arange(len(rows))
+    xs, ys = np.empty((2, len(rows), n.max(initial=0) + 1), np.int16)
+    xs[:, 0], ys[:, 0] = x, y
+    for t in range(1, xs.shape[1]):
+        turn = _TURNS[(moves[block, y] >> x[:, None] & 1).argmax(axis=1)]
+        x, y = x + turn[:, 0], y + turn[:, 1]
+        xs[:, t], ys[:, t] = x, y
+    home = (xs[:, 1:] == xs[:, :1]) & (ys[:, 1:] == ys[:, :1])
+    if (home.argmax(axis=1) + 1 != n).any():
+        raise ContourError("outer boundary is not a single closed curve")
+    on_cycle = np.arange(xs.shape[1] - 1) < n[:, None]
+    xs = np.where(on_cycle, xs[:, :-1], xs[block, n - 1][:, None])
+    ys = np.where(on_cycle, ys[:, :-1], ys[block, n - 1][:, None])
+    if ((xs * np.roll(ys, -1, axis=1) - np.roll(xs, -1, axis=1) * ys).sum(axis=1) <= 0).any():
+        raise ContourError("perimeter walk came out clockwise")
+    return xs, ys
+
+
 def outer_boundary(cluster: Cluster) -> Contour:
     """Outer contour of a finite nonempty cluster.
 
@@ -288,19 +358,36 @@ def outer_boundary(cluster: Cluster) -> Contour:
     for x, y in cluster.sites:
         wbits |= 1 << ((y - y0) * w + x - x0)
     _, gamma, ext = _contour_bits(wbits, frame)
-    return _bits_contour(gamma, ext, frame, x0, y0)
+    sites = frozenset((x + x0, y + y0) for x, y in _bits_to_sites(gamma, w))
+    filled = {(x + x0, y + y0) for x, y in _bits_to_sites(frame[0] & ~ext, w)}
+    return Contour(sites=sites, cycle=_ccw_cycle(filled, sites))
 
 
-def _crossing(x0: int, y0: int, x1: int, y1: int) -> int:
+def _crossing(x0, y0, x1, y1):
     """Signed crossing of the edge (x0, y0) -> (x1, y1) with the ray from the origin.
 
     Half-open rule: +1 for an edge from y <= 0 to y > 0 passing right of the
     origin, -1 for one from y > 0 to y <= 0 passing right of it, else 0.  The
-    winding number of a cycle is the sum over its edges.
+    winding number of a cycle is the sum over its edges.  Takes integers, or
+    integer arrays for many edges at once.
     """
-    if y0 <= 0:
-        return 1 if y1 > 0 and x0 * y1 - x1 * y0 > 0 else 0
-    return -1 if y1 <= 0 and x0 * y1 - x1 * y0 < 0 else 0
+    up = (y1 > 0) * 1 - (y0 > 0) * 1  # +1 from y <= 0 to y > 0, -1 back
+    return up * (up * (x0 * y1 - x1 * y0) > 0)
+
+
+def _windings(sites):
+    """Winding number around the origin of the closed cycle through ``sites``, a sequence of (x, y).
+
+    Coordinates are integers, or arrays whose entries at one index make up
+    the cycles of a batch: then the result is an array of winding numbers.
+    A cycle may repeat a site; its zero-length edges cross nothing.
+    """
+    wn = 0
+    x0, y0 = sites[-1]
+    for x1, y1 in sites:
+        wn += _crossing(x0, y0, x1, y1)
+        x0, y0 = x1, y1
+    return wn
 
 
 def winding_number(cycle: Sequence[Site], point: Site = (0, 0)) -> int:
@@ -313,10 +400,4 @@ def winding_number(cycle: Sequence[Site], point: Site = (0, 0)) -> int:
     if point in cycle:
         raise ContourError(f"winding number undefined: {point} lies on the cycle")
     px, py = point
-    x0, y0 = cycle[-1]
-    wn = 0
-    for x1, y1 in cycle:
-        wn += _crossing(x0 - px, y0 - py, x1 - px, y1 - py)
-        x0, y0 = x1, y1
-    return wn
-
+    return _windings([(x - px, y - py) for x, y in cycle])

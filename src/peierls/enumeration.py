@@ -50,7 +50,11 @@ with ``np.unique``.  The census checks a block's contour lengths and enclosed
 sites, moves each contour and its cells to the contour's bounding-box
 corner, groups the shapes by canonical contour and size, and ORs each
 group's cells into one cover; only the distinct groups become the stride-32
-ints of the merge, and each new contour becomes a :class:`Contour` once.
+ints of the merge.  Everything else about a contour follows from its key:
+the parent traces the cycles of all distinct contours at once with
+:func:`clusters._cycle_rows`, and checks and classifies every origin
+position of every contour at once (:func:`_classes`).  Only the witnesses,
+one per length, become :class:`Contour` objects.
 
 Both halves of the census run on ``workers`` forked processes and give the
 same results for every worker count.  Redelmeier's search tree splits into
@@ -59,10 +63,9 @@ disjoint subtrees: every part grows the tree down to the shapes of size 6
 span box by the parent's cells and the new site, and part p of P grows only
 those of rank % P == p; the smaller shapes, and the subtrees below shapes
 that left the box before size 6, come from part 0.  Each part returns its
-shape count, its per-size covers and a contour for each canonical key (all
-contours of one key are equal, since the cycle starts at the smallest site),
-and the parent merges them by sum, OR per size and first entry before the
-unchanged trajectory, stabilisation and class passes.  The circuit walker splits by start: a
+shape count and its per-size covers by canonical key, and the parent merges
+them by sum and OR per size before the trajectory, stabilisation and class
+passes.  The circuit walker splits by start: a
 circuit's nearest ray site is its start (l, 0), so walks from different
 starts never share a site set, and the distinct-set counts of the starts add
 up exactly.  :func:`full_count_table` puts the census parts and the walker
@@ -100,8 +103,8 @@ import numpy as np
 
 # Functions of peierls.clusters are called through the module:
 # perfbench/tracing.py records a span for every call of a function imported
-# by name into this module, and winding_number runs once per positioned
-# contour (12,368 calls at k=12).
+# by name into this module, and the block kernels run several times per
+# expansion of the shape frontier.
 from . import clusters
 from .clusters import Contour
 from .errors import CapExceeded, ContourError, IncompletenessError, NoRayIntersection, check_workers
@@ -126,6 +129,10 @@ __all__ = [
 #: from below (both cycle neighbours have y = -1); it is classified together
 #: with the straight east step, keeping four classes per ray distance.
 _FIRST_STEP_INDEX = {(1, 0): 1, (1, 1): 2, (0, 1): 3, (-1, 1): 4, (1, -1): 1}
+#: The same classes indexed by [dy + 1, dx + 1], 0 where the offset is not a first step.
+_FIRST_STEP_CLASS = np.zeros((3, 3), np.int64)
+for (_dx, _dy), _i in _FIRST_STEP_INDEX.items():
+    _FIRST_STEP_CLASS[_dy + 1, _dx + 1] = _i
 
 
 def walk_bound(k: int) -> int:
@@ -208,6 +215,8 @@ def _fan_out(tasks: list[tuple], workers: int) -> Iterator[Iterator]:
 # reach.  Bit y * (2 * box - 1) + x + box - 1 of a cell mask is site (x, y).
 # ---------------------------------------------------------------------------
 
+#: Largest shape the frontier grows; its site tables grow as the size**4 / 8 bytes.
+_MAX_SHAPE = 30
 #: Shape size at which the search tree splits into parts.
 _SPLIT_SIZE = 6
 #: Most shapes one census may enumerate, counted ones included, over all parts.
@@ -221,6 +230,10 @@ _CANON_STRIDE = 32
 
 def _shape_limit_error(limit: int) -> CapExceeded:
     return CapExceeded(f"shape enumeration exceeded the limit of {limit}")
+
+
+def _shape_size_error(cap: int) -> CapExceeded:
+    return CapExceeded(f"shape size {cap} exceeds the coordinate encoding range")
 
 
 def _site_tables(cap: int, box: int):
@@ -258,9 +271,8 @@ def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = 
     p modulo ``parts``.  Part 0 keeps the smaller shapes and the subtrees
     below those that left the span box before.
     """
-    if cap > 30:
-        # the site tables grow as cap**4 / 8 bytes
-        raise CapExceeded(f"shape size {cap} exceeds the coordinate encoding range")
+    if cap > _MAX_SHAPE:
+        raise _shape_size_error(cap)
     span = _max_span(max_len)
     box = min(span, cap)  # a shape of n cells is at most n wide
     nbr, above, win, sx, sy = _site_tables(cap, box)
@@ -423,33 +435,52 @@ def class_decomposition(contour: Contour) -> ClassKey:
     counter-clockwise cycle onto the fixed first-step set.  The two
     east-going steps (straight east, and the east dip through (l+1, -1)
     at a pocket mouth) share class 1, so ``first_step`` is always in 1..4
-    and the classes partition the census.
+    and the classes partition the census.  The census runs the same rule,
+    :func:`_class_rule`, on all its positioned contours at once.
     """
-    hits = [x for (x, y) in contour.sites if y == 0 and x >= 1]
-    if not hits:
+    xs, ys = np.array(contour.cycle, np.int64).reshape(-1, 2).T
+    l, i = _class_rule(xs[None], ys[None], np.array([len(xs)]))
+    return ClassKey(ray_distance=int(l[0]), first_step=int(i[0]))
+
+
+def _class_rule(xs: np.ndarray, ys: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ray distances and first steps of cycles around the origin, as in :func:`class_decomposition`.
+
+    Row j of ``xs`` and ``ys`` lists the sites of a counter-clockwise cycle of
+    ``lengths[j]`` sites, padded beyond them.  Raises
+    :class:`NoRayIntersection` if a cycle misses the positive horizontal ray,
+    and :class:`ContourError` if the site after a cycle's nearest ray site is
+    not a first step.
+    """
+    rows = np.arange(len(xs))
+    hits = (ys == 0) & (xs >= 1) & (np.arange(xs.shape[1]) < lengths[:, None])
+    if not hits.any(axis=1).all():
         raise NoRayIntersection("contour never meets the positive horizontal ray")
-    l = min(hits)
-    anchor = (l, 0)
-    idx = contour.cycle.index(anchor)
-    sx, sy = contour.cycle[(idx + 1) % len(contour.cycle)]
-    step = (sx - l, sy)
-    i = _FIRST_STEP_INDEX.get(step)
-    if i is None:
-        raise ContourError(f"successor offset {step} of ray site {anchor} is not an admissible first step")
-    return ClassKey(ray_distance=l, first_step=i)
+    at = np.where(hits, xs, xs.max(initial=0) + 1).argmin(axis=1)
+    l = xs[rows, at]
+    after = (at + 1) % lengths
+    dx, dy = xs[rows, after] - l, ys[rows, after]
+    king = (abs(dx) <= 1) & (abs(dy) <= 1)
+    step = np.where(king, _FIRST_STEP_CLASS[np.clip(dy, -1, 1) + 1, np.clip(dx, -1, 1) + 1], 0)
+    if not step.all():
+        j = np.flatnonzero(step == 0)[0]
+        raise ContourError(
+            f"successor offset {(int(dx[j]), int(dy[j]))} of ray site {(int(l[j]), 0)} is not an admissible first step"
+        )
+    return l, step
 
 
 def _census_part(k_max: int, cap: int, part: int, parts: int):
-    """One part of the shape tree: ``(shapes, covers, contours)`` keyed by canonical contour.
+    """One part of the shape tree: ``(shapes, covers)`` keyed by canonical contour.
 
     ``shapes`` counts every shape of the part, those too wide for the span
     lemma included.  ``covers[key][n]`` is the union of the origin positions,
-    in the canonical frame, of the size-n shapes whose contour is ``key``;
-    ``contours[key]`` is that contour.  Keys and sizes are in ascending
-    order, whatever order the frontier meets the shapes in.  Each block of
-    shapes is reduced at once: its contours and cells move to the contour's
-    bounding-box corner, the shapes are grouped by canonical contour and
-    size, and each group's cells are ORed into one cover.
+    in the canonical frame, of the size-n shapes whose contour is ``key``.
+    Keys and sizes are in ascending order, whatever order the frontier meets
+    the shapes in.  Each block of shapes is reduced at once: its contours and
+    cells move to the contour's bounding-box corner, the shapes are grouped
+    by canonical contour and size, and each group's cells are ORed into one
+    cover.
 
     A contour shorter than 4 or enclosing more sites than its length allows
     fails the part.  The error names the first such shape by size, then by
@@ -457,7 +488,6 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
     (cell (x, y) at bit 64 * y + x - xmin), and wins over the
     :class:`CapExceeded` of ``_SHAPE_LIMIT`` if the shape was met before.
     """
-    contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
     shapes = 0
     first_bad = None
@@ -489,25 +519,16 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
             ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None], width)
             oy = (gamma != 0).argmax(axis=1)
             canon = _to_corner(gamma, ox, oy)
-            groups, first, inverse, sizes = np.unique(
+            groups, inverse, sizes = np.unique(
                 np.column_stack([canon, cell_counts.astype(canon.dtype)]),
                 axis=0,
-                return_index=True,
                 return_inverse=True,
                 return_counts=True,
             )
             order = np.argsort(inverse.reshape(-1), kind="stable")
             cells = np.bitwise_or.reduceat(_to_corner(rows, ox, oy)[order], np.cumsum(sizes) - sizes, axis=0)
-            frame = clusters._frame(width, width)
             for g in range(len(groups)):
-                key = _row_bits(groups[g, :-1], _CANON_STRIDE)
-                by_size = covers.get(key)
-                if by_size is None:
-                    covers[key] = by_size = {}
-                    i = first[g]
-                    contours[key] = clusters._bits_contour(
-                        _row_bits(gamma[i], width), _row_bits(ext[i], width), frame, -int(ox[i]), -int(oy[i])
-                    )
+                by_size = covers.setdefault(_row_bits(groups[g, :-1], _CANON_STRIDE), {})
                 n = int(groups[g, -1])
                 by_size[n] = by_size.get(n, 0) | _row_bits(cells[g], _CANON_STRIDE)
     except CapExceeded:
@@ -521,8 +542,7 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
             f"a contour of length {length} encloses {enclosed} sites, more than the capacity "
             "bound allows; the completeness cap is unsound for this input"
         )
-    covers = {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
-    return shapes, covers, {key: contours[key] for key in covers}
+    return shapes, {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
 
 
 def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
@@ -533,6 +553,12 @@ def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
     cap = interior_capacity(k_max) if cluster_cap is None else cluster_cap
     if cap < 1:
         raise ValueError("cluster cap must be >= 1")
+    # refused before any work, which grows with k_max as well as with the cap
+    if cap > _MAX_SHAPE:
+        raise _shape_size_error(cap)
+    if k_max > 2 * _MAX_SHAPE + 2:
+        longest = 2 * _MAX_SHAPE + 2
+        raise CapExceeded(f"contour length {k_max} exceeds {longest}, the longest contour of a {_MAX_SHAPE}-cell shape")
     return cap
 
 
@@ -548,37 +574,33 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
     Raises as soon as the parts, or the passes over their merge, show the
     census to be over its limit, incomplete or inconsistent.
     """
-    contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
     shapes_seen = 0
-    for n, part_covers, part_contours in results:
+    for n, part_covers in results:
         shapes_seen += n
         for key, by_size in part_covers.items():
             merged = covers.setdefault(key, {})
             for size, pos in by_size.items():
                 merged[size] = merged.get(size, 0) | pos
-        for key, contour in part_contours.items():
-            contours.setdefault(key, contour)
     if shapes_seen > _SHAPE_LIMIT:
         raise _shape_limit_error(_SHAPE_LIMIT)
     needed = interior_capacity(k_max)
     guaranteed = cap >= needed
 
-    # Accumulate per-size trajectories: counts as a function of the size cap.
-    trajectory: dict[int, dict[int, int]] = {s: {} for s in range(1, cap + 1)}
-    final_cover: dict[int, int] = {}
-    for key, by_size in covers.items():
-        k = contours[key].length
-        acc = 0
-        for s in range(1, cap + 1):
-            b = by_size.get(s)
-            if b:
-                acc |= b
-            cnt = acc.bit_count()
-            if cnt:
-                traj_s = trajectory[s]
-                traj_s[k] = traj_s.get(k, 0) + cnt
-        final_cover[key] = acc
+    # Per-size trajectories, the counts as a function of the size cap: a
+    # contour counts the positions of its shapes up to each size.
+    keys = sorted(covers)
+    positions = [pos for key in keys for pos in covers[key].values()]
+    height = max(b.bit_length() for b in keys + positions) // _CANON_STRIDE + 1
+    contours = _stride_rows(keys, height)
+    index, size = np.array([(j, n) for j, key in enumerate(keys) for n in covers[key]]).T
+    by_size = np.zeros((len(keys), cap + 1, height), np.uint32)
+    by_size[index, size] = _stride_rows(positions, height)
+    reach = np.bitwise_or.accumulate(by_size, axis=1)
+    lengths = np.bitwise_count(contours).sum(axis=1, dtype=np.int64)
+    totals = np.zeros((lengths.max() + 1, cap + 1), np.int64)
+    np.add.at(totals, lengths, np.bitwise_count(reach).sum(axis=2, dtype=np.int64))
+    trajectory = {s: {k: n for k, n in enumerate(totals[:, s].tolist()) if n} for s in range(1, cap + 1)}
 
     exact = {k: trajectory[cap].get(k, 0) for k in range(4, k_max + 1)}
     stabilized = cap >= 3 and all(
@@ -590,23 +612,7 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
             f"cluster cap {cap} is below the guaranteed capacity {needed} for k_max={k_max} "
             f"and the counts did not stabilize over sizes {cap - 2}..{cap}"
         )
-
-    # Class decomposition of every positioned contour.
-    classes: dict[tuple[int, int, int], int] = {}
-    witnesses: dict[int, Contour] = {}
-    for key in sorted(covers):
-        contour = contours[key]
-        if final_cover[key] & key:
-            raise ContourError("a cluster cell coincides with its own contour")
-        for ox, oy in clusters._bits_to_sites(final_cover[key], _CANON_STRIDE):
-            positioned = contour.translate(-ox, -oy)
-            if clusters.winding_number(positioned.cycle) != 1:
-                raise ContourError("an origin position is not enclosed by its contour")
-            witnesses.setdefault(contour.length, positioned)
-            ck = class_decomposition(positioned)
-            ci = (contour.length, ck.ray_distance, ck.first_step)
-            classes[ci] = classes.get(ci, 0) + 1
-
+    classes, witnesses = _classes(contours, lengths, reach[:, cap])
     meta = {
         "cluster_cap": cap,
         "capacity_needed": needed,
@@ -614,7 +620,7 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
         "stabilized": stabilized,
         "shapes": shapes_seen,
         "distinct_contour_shapes": len(covers),
-        "trajectory": {s: dict(sorted(d.items())) for s, d in trajectory.items()},
+        "trajectory": trajectory,
     }
     return CountTable(
         k_max=k_max,
@@ -626,6 +632,52 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
         witnesses=witnesses,
         meta=meta,
     )
+
+
+def _stride_rows(bitboards: list[int], height: int) -> np.ndarray:
+    """The ``(N, height)`` uint32 rows of stride-32 bitboards."""
+    data = b"".join(b.to_bytes(4 * height, "little") for b in bitboards)
+    return np.frombuffer(data, "<u4").reshape(len(bitboards), height)
+
+
+def _classes(contours: np.ndarray, lengths: np.ndarray, covers: np.ndarray) -> tuple[dict, dict[int, Contour]]:
+    """Class counts and witnesses of each contour around each of its origin positions.
+
+    Row j of ``contours`` and of ``covers`` holds a canonical contour of
+    ``lengths[j]`` sites and its origin positions, as stride-32 rows (see
+    :func:`_stride_rows`).  All
+    contours are traced at once by :func:`clusters._cycle_rows`, and all
+    positioned contours are checked and classified at once: the origin must
+    be off the contour, its ray must meet the contour, the winding number
+    must be 1, and :func:`_class_rule` gives the class.  The witness of a
+    length is its first positioned contour, by key and then by position.
+    """
+    if (contours & covers).any():
+        raise ContourError("a cluster cell coincides with its own contour")
+    # each contour in a frame with a free ring, cell (x, y) at frame (x + 1, y + 1)
+    width = int(np.bitwise_or.reduce(contours, axis=None)).bit_length() + 2
+    frames = np.zeros((len(contours), contours.shape[1] + 2), clusters._row_dtype(width))
+    frames[:, 1:-1] = contours.astype(frames.dtype) << 1
+    xs, ys = clusters._cycle_rows(frames, width)
+
+    # the positions, contour by contour, each in ascending (y, x) order
+    which, bit = np.nonzero(np.unpackbits(covers.view(np.uint8), axis=1, bitorder="little"))
+    xs = xs[which] - (bit % _CANON_STRIDE + 1).astype(np.int16)[:, None]
+    ys = ys[which] - (bit // _CANON_STRIDE + 1).astype(np.int16)[:, None]
+    lengths = lengths[which]
+    l, i = _class_rule(xs, ys, lengths)
+    if (clusters._windings(np.stack((xs.T, ys.T), axis=1)) != 1).any():
+        raise ContourError("an origin position is not enclosed by its contour")
+
+    base = int(lengths.max()) + 1
+    found, counts = np.unique((lengths * base + l) * 5 + i, return_counts=True)
+    classes = {(c // 5 // base, c // 5 % base, c % 5): n for c, n in zip(found.tolist(), counts.tolist())}
+    witnesses = {}
+    for k in np.unique(lengths).tolist():
+        j = np.argmax(lengths == k)
+        cycle = tuple(zip(xs[j, :k].tolist(), ys[j, :k].tolist()))
+        witnesses[k] = Contour(sites=frozenset(cycle), cycle=cycle)
+    return classes, witnesses
 
 
 def exact_contour_counts(
@@ -757,10 +809,7 @@ def _circuits_from(k_max: int, rule: str, l: int, max_nodes: int) -> tuple[list[
     words = index >> 6
     bits = np.where(inside, np.uint64(1) << (index & 63).astype(np.uint64), np.uint64(0))
     steps = np.array([oy * side + ox for ox, oy in NEIGHBOR_OFFSETS_8])
-    sites = list(zip((l + dx).tolist(), dy.tolist()))
-    crossing = np.array(
-        [[clusters._crossing(x, y, x + u, y + v) for x, y in sites] for u, v in NEIGHBOR_OFFSETS_8], np.int8
-    )
+    crossing = np.array([clusters._crossing(l + dx, dy, l + dx + u, dy + v) for u, v in NEIGHBOR_OFFSETS_8], np.int8)
     # the closing step's winding term, for the sites next to the start
     close = np.zeros(side**2, np.int8)
     close[start + steps] = crossing[(np.arange(8) + 4) % 8, start + steps]

@@ -15,7 +15,10 @@ the subtrees below the shapes too wide for the span lemma by
 ``_count_below``.  ``census_part`` is the reference for the census's block
 kernel: it extracts one shape at a time, each embedded by ``_embed`` in its
 own big-integer bitboard for ``clusters._contour_bits``, and keys it by
-``_canonical_contour``.
+``_canonical_contour``.  ``census_classes`` is the reference for the census's
+class pass: it builds each distinct contour with ``_ccw_cycle`` from its key
+alone, and translates, winds and classifies one positioned contour at a
+time, with ``oracle_class`` for the class rule.
 """
 
 from __future__ import annotations
@@ -31,14 +34,23 @@ from peierls import (
     Contour,
     ContourError,
     IncompletenessError,
+    NoRayIntersection,
     Site,
     clusters,
     interior_capacity,
     neighbors4,
     site_boundary,
+    winding_number,
 )
 from peierls.clusters import _ccw_cycle
-from peierls.enumeration import _CANON_STRIDE, _SHAPE_LIMIT, _SPLIT_SIZE, _max_span, _shape_limit_error
+from peierls.enumeration import (
+    _CANON_STRIDE,
+    _FIRST_STEP_INDEX,
+    _SHAPE_LIMIT,
+    _SPLIT_SIZE,
+    _max_span,
+    _shape_limit_error,
+)
 
 # ---------------------------------------------------------------------------
 # Redelmeier's recursion, one shape at a time.
@@ -326,7 +338,6 @@ def census_part(k_max: int, cap: int, part: int, parts: int):
     of the cell mask moved to the box corner, among the shapes met before
     the shape limit.
     """
-    contours: dict[int, Contour] = {}
     covers: dict[int, dict[int, int]] = {}
     span = _max_span(k_max)
     tally = _ShapeTally(_SHAPE_LIMIT)
@@ -354,8 +365,6 @@ def census_part(k_max: int, cap: int, part: int, parts: int):
                     first_bad = order, error
                 continue
             key, ox, oy = _canonical_contour(gamma, frame[4])
-            if key not in contours:
-                contours[key] = clusters._bits_contour(gamma, ext, frame, -ox, -oy)
             # origin positions in the canonical frame: shape cells shifted like gamma
             n = len(shape)
             pos = 0
@@ -370,5 +379,51 @@ def census_part(k_max: int, cap: int, part: int, parts: int):
             raise
     if first_bad is not None:
         raise first_bad[1]
-    covers = {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
-    return tally.shapes, covers, {key: contours[key] for key in covers}
+    return tally.shapes, {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
+
+
+def contour_cycle(sites) -> tuple[Site, ...]:
+    """The cycle of a contour given by its sites alone: ``_ccw_cycle`` around all but the contour's exterior."""
+    return _ccw_cycle(filled_silhouette(sites, exterior_of(sites)), set(sites))
+
+
+def key_contour(key: int) -> Contour:
+    """The contour of a census key (stride 32), by :func:`contour_cycle`."""
+    sites = frozenset(clusters._bits_to_sites(key, _CANON_STRIDE))
+    return Contour(sites=sites, cycle=contour_cycle(sites))
+
+
+def oracle_class(contour: Contour) -> tuple[int, int]:
+    """``(ray distance, first step)`` of a contour around the origin, one site at a time."""
+    hits = [x for (x, y) in contour.sites if y == 0 and x >= 1]
+    if not hits:
+        raise NoRayIntersection("contour never meets the positive horizontal ray")
+    l = min(hits)
+    sx, sy = contour.cycle[(contour.cycle.index((l, 0)) + 1) % len(contour.cycle)]
+    i = _FIRST_STEP_INDEX.get((sx - l, sy))
+    if i is None:
+        raise ContourError(f"successor offset {(sx - l, sy)} of ray site {(l, 0)} is not an admissible first step")
+    return l, i
+
+
+def census_classes(results) -> tuple[dict[tuple[int, int, int], int], dict[int, Contour]]:
+    """The class counts and witnesses of census parts' ``(shapes, covers)``, one positioned contour at a time."""
+    final: dict[int, int] = {}
+    for _, covers in results:
+        for key, by_size in covers.items():
+            for pos in by_size.values():
+                final[key] = final.get(key, 0) | pos
+    classes: dict[tuple[int, int, int], int] = {}
+    witnesses: dict[int, Contour] = {}
+    for key in sorted(final):
+        contour = key_contour(key)
+        if final[key] & key:
+            raise ContourError("a cluster cell coincides with its own contour")
+        for ox, oy in clusters._bits_to_sites(final[key], _CANON_STRIDE):
+            positioned = contour.translate(-ox, -oy)
+            if winding_number(positioned.cycle) != 1:
+                raise ContourError("an origin position is not enclosed by its contour")
+            witnesses.setdefault(contour.length, positioned)
+            ci = (contour.length, *oracle_class(positioned))
+            classes[ci] = classes.get(ci, 0) + 1
+    return classes, witnesses

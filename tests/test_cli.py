@@ -1,7 +1,10 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from peierls import (
     full_count_table,
     self_avoiding_circuit_count,
 )
-from peierls import montecarlo
+from peierls import cli, montecarlo
 from peierls.cli import _default_workers, main
 from peierls.errors import MAX_WORKERS, check_workers
 
@@ -106,6 +109,26 @@ def test_bounds_sa_mode_threshold_below_point_eight(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rows"][0]["threshold_bound"] < 0.8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--sweep", "0.9:1.2:0.1", "--mode", "sa", "--k-max", "12", "--r", "5"],
+        ["bounds", "--c", "nan", "--mode", "exact", "--k-max", "12", "--r", "5"],
+        ["bounds", "--c", "0.9", "--mode", "sa", "--k-max", "12", "--r", "3"],
+        ["bounds", "--sweep", "0.81:0.99:0.01", "--r", "3"],
+    ],
+)
+def test_bounds_rejects_its_arguments_before_any_census(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a census ran")
+
+    monkeypatch.setattr(cli, "full_count_table", refuse)
+    monkeypatch.setattr(cli, "contour_event_table", refuse)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bounds_requires_concentration(capsys):
@@ -364,3 +387,103 @@ def test_manifest_detects_tampering(tmp_path, capsys):
     code = main(["manifest", str(manifest_path)])
     capsys.readouterr()
     assert code == 1
+
+
+# Per command and flag: valid values, the edges of the valid range among
+# them, and bad values (NaN, infinite, negative, huge, non-numeric, a
+# missing directory).  Valid sizes stay small, so that no draw runs long or
+# starts many processes; oversized ones must be refused before any work.
+_BAD_NUMBERS = ["nan", "inf", "-1", "abc", "", "1e400", str(10**30)]
+_C = (["0.9", "0.85", "0", "1", "0.8", "0.81"], ["-0.5", "1.5", *_BAD_NUMBERS])
+_FORMAT = (["csv", "json"], ["xml"])
+_RULE = (["five", "seven"], ["six"])
+_OUT = (["{tmp}/run"], ["{tmp}/missing/run", "{tmp}/missing/"])
+_GRAMMAR = {
+    "counts": {
+        "--k-max": (["4", "5", "6", "8"], ["3", "0", *_BAD_NUMBERS]),
+        "--rule": _RULE,
+        "--cluster-cap": (["1", "3", "5", "7"], ["0", "31", *_BAD_NUMBERS]),
+        "--max-nodes": (["1", "50", "200000000"], ["0", *_BAD_NUMBERS]),
+        "--format": _FORMAT,
+        "--out": _OUT,
+    },
+    "bounds": {
+        "--c": _C,
+        "--sweep": (
+            ["0.81:0.99:0.06", "0.78:0.9:0.04", "0:1:0.5", "0.8:0.8:0.1"],
+            ["1:0:0.1", "0.9:1.2:0.1", "nan:1:0.1", "0.8:0.9:inf", "0.5:0.9:0", "0.5:0.9:-0.1", "a:b:c",
+             "0.8:0.9", "0.81:0.99:1e-7"],
+        ),
+        "--r": (["4", "5", "6", "9"], ["3", "0", *_BAD_NUMBERS]),
+        "--mode": (["analytic", "exact", "sa"], ["refined"]),
+        "--k-max": (["4", "6", "8"], ["3", *_BAD_NUMBERS]),
+        "--rule": _RULE,
+        "--max-nodes": (["1", "200000000"], ["0", *_BAD_NUMBERS]),
+        "--format": _FORMAT,
+        "--out": _OUT,
+    },
+    "simulate": {
+        "--L": (["1", "4", "8"], ["0", str(10**9), *_BAD_NUMBERS]),
+        "--c": _C,
+        "--bisect": ([None], []),
+        "--tol": (["0.01", "0.1", "0.5", "0.001"], ["0", "1", "2", "1e-9", *_BAD_NUMBERS]),
+        "--trials": (["1", "10", "30"], ["0", str(10**15), *_BAD_NUMBERS]),
+        "--seed": (["0", "7", str(2**64 - 1), "-1", str(10**30)], ["nan", "abc", ""]),
+        "--observable": (["reach", "crossing"], ["border"]),
+        "--workers": (["0", "1", "2", "3"], [str(10**6), *_BAD_NUMBERS]),
+        "--format": _FORMAT,
+        "--out": _OUT,
+    },
+    "manifest": {
+        "{tmp}/run.manifest.json": ([None], []),
+        "--show": ([None], []),
+    },
+}
+
+
+#: Flags a command needs (for a concentration, one of two), present unless they are the bad flag.
+_REQUIRED = {("counts", "--k-max"), ("bounds", "--c"), ("simulate", "--L"), ("simulate", "--c")}
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of one command: each flag present or not, with a valid value, except at most one bad flag.
+
+    The bad flag gets a bad value, or is left out; a bad command is unknown
+    to the parser.  A manifest names a file that does not exist.
+    """
+    command = draw(st.sampled_from([*_GRAMMAR, "census"]))
+    flags = _GRAMMAR.get(command, {})
+    bad = draw(st.sampled_from([None, *flags]))
+    argv = [command]
+    for flag, (valid, invalid) in flags.items():
+        if flag == bad:
+            value = draw(st.sampled_from([*invalid, "omit"]))
+        elif (command, flag) in _REQUIRED or draw(st.booleans()):
+            value = draw(st.sampled_from(valid))
+        else:
+            value = "omit"
+        if value != "omit":
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv(), threads=st.sampled_from(["1", "2", "3"]))
+def test_every_argv_exits_0_2_or_3_with_one_error_line(argv, threads):
+    err = io.StringIO()
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.dict(os.environ, {"PEIERLS_THREADS": threads}),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            code = main([a.format(tmp=tmp) for a in argv])
+        except SystemExit as exc:  # the parser's own errors
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == (code != 0), err

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from contour_oracle import (
     cluster_event_probability,
+    contour_cycle,
     enumerate_origin_clusters,
+    exterior_of,
     oracle_outer_boundary,
     origin_cluster,
     reaches_border,
@@ -14,6 +16,8 @@ from peierls import (
     Cluster,
     ContourError,
     EmptyClusterError,
+    clusters,
+    neighbors4,
     outer_boundary,
     site_boundary,
     winding_number,
@@ -202,6 +206,85 @@ def test_contour_length_bounds_the_span(sites):
     h = max(y for _, y in sites) - min(y for _, y in sites) + 1
     assert length >= 2 * max(w, h) + 2
     assert max(w, h) <= _max_span(length)
+
+
+# ---------------------------------------------------------------------------
+# cycle tracer, one contour and a block at a time
+# ---------------------------------------------------------------------------
+
+
+def block_cycles(contours):
+    """``clusters._cycle_rows`` of contour site sets, each in one shared frame with a free ring."""
+    corners = [(min(x for x, _ in c) - 1, min(y for _, y in c) - 1) for c in contours]
+    width = max(x - x0 for c, (x0, _) in zip(contours, corners) for x, _ in c) + 2
+    height = max(y - y0 for c, (_, y0) in zip(contours, corners) for _, y in c) + 2
+    rows = np.zeros((len(contours), height), clusters._row_dtype(width))
+    for i, (c, (x0, y0)) in enumerate(zip(contours, corners)):
+        for x, y in c:
+            rows[i, y - y0] |= rows.dtype.type(1 << (x - x0))
+    xs, ys = clusters._cycle_rows(rows, width)
+    return [
+        tuple(zip((xs[i, : len(c)] + x0).tolist(), (ys[i, : len(c)] + y0).tolist()))
+        for i, (c, (x0, y0)) in enumerate(zip(contours, corners))
+    ]
+
+
+_DIAMOND = frozenset({(1, 0), (0, 1), (2, 1), (1, 2)})
+_TWO_DIAMONDS = _DIAMOND | {(x + 4, y) for x, y in _DIAMOND}
+
+
+@pytest.mark.parametrize(
+    "sites, message",
+    [
+        ({(0, 0), (1, 1)}, "pinched outer boundary"),
+        (_TWO_DIAMONDS, "not a single closed curve"),
+        ({(0, 0), (1, 0), (2, 0)}, "revisits a site"),
+        ({(0, 0), (1, 0)}, "came out clockwise"),
+        ({(x, y) for x in range(3) for y in range(3)}, "does not match the exposed boundary set"),
+    ],
+)
+def test_tracer_rejects_what_is_not_a_simple_ccw_cycle(sites, message):
+    with pytest.raises(ContourError, match=message):
+        contour_cycle(sites)
+    with pytest.raises(ContourError, match=message):
+        block_cycles([_DIAMOND, sites])
+
+
+@st.composite
+def contour_candidates(draw):
+    """Site sets to trace: contours of polyominoes and of scattered sites, and scattered sites themselves."""
+    kind = draw(st.sampled_from(["polyomino", "scattered", "raw"]))
+    if kind == "polyomino":
+        return outer_boundary(make_cluster(draw(polyominoes()))).sites
+    sites = draw(st.frozensets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=20))
+    if kind == "raw":
+        return sites
+    boundary = site_boundary(sites)
+    exterior = exterior_of(sites | boundary)
+    return frozenset(u for u in boundary if any(nb in exterior for nb in neighbors4(u)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(contour_candidates(), min_size=1, max_size=6))
+def test_block_tracer_matches_ccw_cycle(contours):
+    # each contour alone gives the cycle of _ccw_cycle or fails as it does;
+    # the good ones together give their cycles, and any bad one fails a block
+    want = []
+    for sites in contours:
+        try:
+            want.append(contour_cycle(sites))
+        except ContourError:
+            want.append(None)
+        try:
+            assert block_cycles([sites]) == [want[-1]]
+        except ContourError:
+            assert want[-1] is None
+    good = [c for c, w in zip(contours, want) if w]
+    if good:
+        assert block_cycles(good) == [w for w in want if w]
+    if None in want:
+        with pytest.raises(ContourError):
+            block_cycles(contours)
 
 
 # ---------------------------------------------------------------------------

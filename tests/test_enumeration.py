@@ -15,6 +15,7 @@ from contour_oracle import (
     _iter_shapes,
     _ShapeTally,
     block_rows,
+    census_classes,
     census_part,
     enumerate_origin_clusters,
     oracle_outer_boundary,
@@ -36,8 +37,10 @@ from peierls import (
 )
 from peierls import clusters, enumeration
 from peierls.enumeration import (
+    _CANON_STRIDE,
     _SPLIT_SIZE,
     _census_part,
+    _census_table,
     _circuits_from,
     _event_part,
     _fan_out,
@@ -600,8 +603,48 @@ def test_census_part_matches_scalar_reference(k_max, cap, part, parts):
     got, want = _census_part(k_max, cap, part, parts), census_part(k_max, cap, part, parts)
     assert got == want
     # keys and sizes are listed in ascending order, whatever order the shapes come in
-    assert list(got[2]) == list(want[2]) == list(want[1]) == sorted(want[1])
+    assert list(got[1]) == list(want[1]) == sorted(want[1])
     assert [list(by_size) for by_size in got[1].values()] == [list(by_size) for by_size in want[1].values()]
+
+
+@settings(max_examples=12, deadline=None)
+@given(k_max=st.integers(4, 10), parts=st.integers(1, 3))
+def test_classes_and_witnesses_match_the_oracle(k_max, parts):
+    cap = interior_capacity(k_max)
+    results = [_census_part(k_max, cap, part, parts) for part in range(parts)]
+    table = _census_table(k_max, cap, iter(results))
+    assert (table.classes, table.witnesses) == census_classes(results)
+
+
+_DIAMOND = frozenset({(1, 0), (0, 1), (2, 1), (1, 2)})
+
+
+def _census_of(contour, positions):
+    """The census table of one part that holds one canonical contour around the given origin positions."""
+    key, cover = (sum(1 << (y * _CANON_STRIDE + x) for x, y in sites) for sites in (contour, positions))
+    return _census_table(4, 1, iter([(1, {key: {1: cover}})]))
+
+
+def test_crafted_census_classifies_its_contour():
+    table = _census_of(_DIAMOND, {(1, 1)})
+    assert table.classes == {(4, 1, 4): 1}
+    assert table.witnesses[4].cycle == ((-1, 0), (0, -1), (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "contour, positions, error, message",
+    [
+        (_DIAMOND, {(1, 1), (1, 0)}, ContourError, "a cluster cell coincides with its own contour"),
+        (_DIAMOND, {(1, 1), (0, 0)}, ContourError, "an origin position is not enclosed by its contour"),
+        (_DIAMOND, {(1, 1), (3, 1)}, NoRayIntersection, "contour never meets the positive horizontal ray"),
+        ({(0, 0), (1, 1)}, {(3, 3)}, ContourError, r"pinched outer boundary at corner \(2, 2\)"),
+        (_DIAMOND | {(x + 4, y) for x, y in _DIAMOND}, {(1, 1)}, ContourError, "not a single closed curve"),
+        ({(0, 0), (1, 0), (2, 0)}, {(1, 2)}, ContourError, "revisits a site"),
+    ],
+)
+def test_census_class_pass_rejects_crafted_contours(contour, positions, error, message):
+    with pytest.raises(error, match=message):
+        _census_of(contour, positions)
 
 
 def test_blocks_of_any_size_give_the_same_parts():
