@@ -123,16 +123,13 @@ __all__ = [
     "walk_bound",
 ]
 
-#: Class index of each offset a counter-clockwise contour can take after its
-#: nearest ray site: E, NE, N, NW, plus the east dip SE.  The dip occurs when
-#: the nearest ray site is a pocket mouth and the contour touches the axis
-#: from below (both cycle neighbours have y = -1); it is classified together
-#: with the straight east step, keeping four classes per ray distance.
-_FIRST_STEP_INDEX = {(1, 0): 1, (1, 1): 2, (0, 1): 3, (-1, 1): 4, (1, -1): 1}
-#: The same classes indexed by [dy + 1, dx + 1], 0 where the offset is not a first step.
-_FIRST_STEP_CLASS = np.zeros((3, 3), np.int64)
-for (_dx, _dy), _i in _FIRST_STEP_INDEX.items():
-    _FIRST_STEP_CLASS[_dy + 1, _dx + 1] = _i
+#: Class index of each offset (dx, dy) a counter-clockwise contour can take
+#: after its nearest ray site, at [dy + 1, dx + 1], and 0 for the others: E 1,
+#: NE 2, N 3, NW 4, plus the east dip SE.  The dip occurs when the nearest ray
+#: site is a pocket mouth and the contour touches the axis from below (both
+#: cycle neighbours have y = -1); it is classified together with the straight
+#: east step, keeping four classes per ray distance.
+_FIRST_STEP_CLASS = np.array([[0, 0, 1], [0, 0, 1], [4, 3, 2]])
 
 
 def walk_bound(k: int) -> int:
@@ -645,12 +642,12 @@ def _classes(contours: np.ndarray, lengths: np.ndarray, covers: np.ndarray) -> t
 
     Row j of ``contours`` and of ``covers`` holds a canonical contour of
     ``lengths[j]`` sites and its origin positions, as stride-32 rows (see
-    :func:`_stride_rows`).  All
-    contours are traced at once by :func:`clusters._cycle_rows`, and all
-    positioned contours are checked and classified at once: the origin must
-    be off the contour, its ray must meet the contour, the winding number
-    must be 1, and :func:`_class_rule` gives the class.  The witness of a
-    length is its first positioned contour, by key and then by position.
+    :func:`_stride_rows`).  All contours are traced at once by
+    :func:`clusters._cycle_rows`, and all positioned contours are checked and
+    classified at once: the origin must be off the contour, its ray must meet
+    the contour, the winding number must be 1, and :func:`_class_rule` gives
+    the class.  The witness of a length is its first positioned contour, by
+    key and then by position.
     """
     if (contours & covers).any():
         raise ContourError("a cluster cell coincides with its own contour")
@@ -660,7 +657,9 @@ def _classes(contours: np.ndarray, lengths: np.ndarray, covers: np.ndarray) -> t
     frames[:, 1:-1] = contours.astype(frames.dtype) << 1
     xs, ys = clusters._cycle_rows(frames, width)
 
-    # the positions, contour by contour, each in ascending (y, x) order
+    # the positions, contour by contour, each in ascending (y, x) order; the
+    # cycles move to each one in int16, which keeps the (positions, length)
+    # arrays small next to the command's own memory
     which, bit = np.nonzero(np.unpackbits(covers.view(np.uint8), axis=1, bitorder="little"))
     xs = xs[which] - (bit % _CANON_STRIDE + 1).astype(np.int16)[:, None]
     ys = ys[which] - (bit // _CANON_STRIDE + 1).astype(np.int16)[:, None]

@@ -45,7 +45,6 @@ from peierls import (
 from peierls.clusters import _ccw_cycle
 from peierls.enumeration import (
     _CANON_STRIDE,
-    _FIRST_STEP_INDEX,
     _SHAPE_LIMIT,
     _SPLIT_SIZE,
     _max_span,
@@ -393,6 +392,11 @@ def key_contour(key: int) -> Contour:
     return Contour(sites=sites, cycle=contour_cycle(sites))
 
 
+#: Class of each step after the nearest ray site: east, north-east, north,
+#: north-west, and the east dip south-east in the class of east.
+FIRST_STEPS = {(1, 0): 1, (1, 1): 2, (0, 1): 3, (-1, 1): 4, (1, -1): 1}
+
+
 def oracle_class(contour: Contour) -> tuple[int, int]:
     """``(ray distance, first step)`` of a contour around the origin, one site at a time."""
     hits = [x for (x, y) in contour.sites if y == 0 and x >= 1]
@@ -400,7 +404,7 @@ def oracle_class(contour: Contour) -> tuple[int, int]:
         raise NoRayIntersection("contour never meets the positive horizontal ray")
     l = min(hits)
     sx, sy = contour.cycle[(contour.cycle.index((l, 0)) + 1) % len(contour.cycle)]
-    i = _FIRST_STEP_INDEX.get((sx - l, sy))
+    i = FIRST_STEPS.get((sx - l, sy))
     if i is None:
         raise ContourError(f"successor offset {(sx - l, sy)} of ray site {(l, 0)} is not an admissible first step")
     return l, i
