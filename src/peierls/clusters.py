@@ -9,22 +9,16 @@ module constructs explicitly with counter-clockwise orientation.  Clusters
 come in as site sets: the census enumerates them as shapes and the Monte
 Carlo labels whole occupancy grids, so no cluster is grown here.
 
-The package has one contour extractor, the bitboard steps below, in two
-forms: :func:`_contour_bits` on one big-integer bitboard, which
-:func:`outer_boundary` builds on for single clusters of any size, and
-:func:`_contour_rows` on a numpy block of row masks, which runs the same
-steps for thousands of small shapes at once for the census and the event
-table of :mod:`peierls.enumeration`.  The cycle tracer comes in the same two
-forms: :func:`_ccw_cycle` walks the edges of one filled site set, and
-:func:`_cycle_rows` runs the same edge-walk rule on a block of contours given
-as row masks, which the census uses for all its distinct contours at once.
-The tests check each block form against its single one.
+The package has one contour extractor, :func:`_contour_rows`, and one cycle
+tracer, :func:`_cycle_rows`.  Both run on a numpy block of row masks: the
+census and the event table of :mod:`peierls.enumeration` pass thousands of
+small shapes at once, and :func:`outer_boundary` passes a block of one
+cluster of any size.  The tests keep set-based references for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -89,83 +83,31 @@ def site_boundary(sites: frozenset[Site]) -> frozenset[Site]:
 # ---------------------------------------------------------------------------
 # Bit-parallel contour extraction.
 #
-# A site set is embedded as a bitboard in a w x h frame (bit y*w + x), padded
-# by 2 on every side so that its vacant boundary stays off the frame border
-# and the border ring lies in the exterior.  The site boundary, the exterior
-# flood fill, and the exposed contour are then a few big-integer operations
-# each.
+# A block of clusters is an (N, H) numpy array of row masks: entry [i, y]
+# holds row y of cluster i's frame, bit x for column x.  The frame is
+# ``width`` columns wide, shared by the block, and every cluster in it is
+# padded by 2 on every side, so that its vacant boundary stays off the frame
+# border and the border ring lies in the exterior.  The site boundary, the
+# exterior flood fill and the exposed contour are then a few operations on
+# the whole block each.
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _frame(w: int, h: int):
-    """(universe, not_left, not_right, border, w) masks of a w x h frame."""
-    universe = (1 << (w * h)) - 1
-    left = 0
-    for r in range(h):
-        left |= 1 << (r * w)
-    right = left << (w - 1)
-    row0 = (1 << w) - 1
-    rowtop = row0 << ((h - 1) * w)
-    return (universe, universe ^ left, universe ^ right, left | right | row0 | rowtop, w)
-
-
-def _nb4(bits: int, frame) -> int:
-    universe, not_left, not_right, _, w = frame
-    return (((bits & not_right) << 1) | ((bits & not_left) >> 1) | (bits << w) | (bits >> w)) & universe
-
-
-def _contour_bits(wbits: int, frame) -> tuple[int, int, int]:
-    """Bitboards ``(boundary, contour, exterior)`` of the cluster ``wbits``.
-
-    The exterior is the axis flood fill from the frame border over the sites
-    outside the cluster and its boundary; because axis steps cannot cross
-    between diagonally adjacent blocked sites, it is exactly the unbounded
-    complement component, clipped to the frame.  The contour keeps the
-    boundary sites with an axis neighbour in it.
-    """
-    bnd = _nb4(wbits, frame) & ~wbits
-    free = frame[0] & ~(wbits | bnd)
-    ext = frame[3] & free
-    while True:
-        grown = (ext | _nb4(ext, frame)) & free
-        if grown == ext:
-            break
-        ext = grown
-    return bnd, bnd & _nb4(ext, frame), ext
-
-
-# The census runs the steps of _contour_bits on blocks of thousands of small
-# clusters at once.  A block is an (N, H) numpy array of row masks: entry
-# [i, y] holds row y of cluster i's frame, bit x for column x.  The frame is
-# ``width`` columns wide, shared by the block, and every cluster in it is
-# padded by 2.
-
-
 def _row_dtype(width: int):
-    """The numpy type of a row of ``width`` bits (at most 64).
+    """The numpy type of a row of ``width`` bits.
 
     uint16 holds the frames of the benchmarked census and polynomial (9
-    columns at k = 12 and r = 13), where it is faster than uint64; wider
-    frames only come from a raised cluster cap.
+    columns at k = 12 and r = 13), where it is faster than uint64.  Wider
+    frames come from a raised cluster cap or from :func:`outer_boundary`, and
+    past 64 columns a row is a Python int in an object array, which the
+    kernels take as they take fixed-width rows.
     """
-    return np.uint16 if width <= 16 else np.uint64
+    return np.uint16 if width <= 16 else np.uint64 if width <= 64 else object
 
 
-@lru_cache(maxsize=None)
-def _bit_counts(width: int) -> np.ndarray:
-    """Number of set bits of every integer below ``2**width``, as uint8."""
-    values = np.arange(1 << width)
-    counts = np.zeros(1 << width, np.uint8)
-    for b in range(width):
-        counts += (values >> b & 1).astype(np.uint8)
-    return counts
-
-
-def _popcounts(rows: np.ndarray, width: int) -> np.ndarray:
-    """Set bits per cluster of a block of ``width``-bit row masks, by table lookup in 16-bit slices."""
-    table = _bit_counts(min(width, 16))
-    return sum(table[rows >> s & (len(table) - 1)].sum(axis=1, dtype=np.int64) for s in range(0, width, 16))
+def _popcounts(rows: np.ndarray) -> np.ndarray:
+    """Set bits per cluster of a block of row masks."""
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
 def _nb4_rows(rows: np.ndarray, full) -> np.ndarray:
@@ -177,10 +119,13 @@ def _nb4_rows(rows: np.ndarray, full) -> np.ndarray:
 
 
 def _contour_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row masks ``(boundary, contour, exterior)`` of a block of clusters, as :func:`_contour_bits`.
+    """Row masks ``(boundary, contour, exterior)`` of a block of clusters.
 
-    ``rows`` is the block's ``(N, H)`` array of ``width``-bit row masks; the
-    exterior is :func:`_exterior_rows` of the clusters and their boundaries.
+    ``rows`` is the block's ``(N, H)`` array of ``width``-bit row masks.  The
+    exterior is :func:`_exterior_rows` of the clusters and their boundaries;
+    because axis steps cannot cross between diagonally adjacent blocked
+    sites, it is exactly the unbounded free component, clipped to the frame.
+    The contour keeps the boundary sites with an axis neighbour in it.
     """
     full = rows.dtype.type((1 << width) - 1)
     bnd = _nb4_rows(rows, full) & ~rows
@@ -206,72 +151,6 @@ def _exterior_rows(blocked: np.ndarray, full) -> np.ndarray:
         ext = grown
 
 
-def _bits_to_sites(bits: int, w: int) -> list[Site]:
-    out = []
-    while bits:
-        low = bits & -bits
-        idx = low.bit_length() - 1
-        out.append((idx % w, idx // w))
-        bits ^= low
-    return out
-
-
-def _ccw_cycle(filled: set[Site], contour: set[Site]) -> tuple[Site, ...]:
-    """Order the contour sites into a counter-clockwise king-move cycle.
-
-    Walks the unit edges separating ``filled`` from its exterior with the
-    region kept on the left, then reads off the cell each edge borders.  Cell
-    (x, y) is treated as the unit square with corners (x, y)..(x+1, y+1).
-    """
-    edges: dict[tuple[int, int], tuple[tuple[int, int], Site]] = {}
-
-    def add(start, end, cell):
-        if start in edges:
-            raise ContourError(f"pinched outer boundary at corner {start}")
-        edges[start] = (end, cell)
-
-    for cell in filled:
-        x, y = cell
-        if (x, y - 1) not in filled:
-            add((x, y), (x + 1, y), cell)
-        if (x + 1, y) not in filled:
-            add((x + 1, y), (x + 1, y + 1), cell)
-        if (x, y + 1) not in filled:
-            add((x + 1, y + 1), (x, y + 1), cell)
-        if (x - 1, y) not in filled:
-            add((x, y + 1), (x, y), cell)
-
-    start = min(edges)
-    cells: list[Site] = []
-    corner = start
-    for _ in range(len(edges) + 1):
-        nxt, cell = edges.pop(corner)
-        if not cells or cells[-1] != cell:
-            cells.append(cell)
-        corner = nxt
-        if corner == start:
-            break
-    if edges:
-        raise ContourError("outer boundary is not a single closed curve")
-    while len(cells) > 1 and cells[-1] == cells[0]:
-        cells.pop()
-
-    if set(cells) != contour:
-        raise ContourError("perimeter walk does not match the exposed boundary set")
-    if len(cells) != len(contour):
-        raise ContourError("outer boundary revisits a site; no simple cycle exists")
-
-    area2 = 0
-    for i, (x, y) in enumerate(cells):
-        nx, ny = cells[(i + 1) % len(cells)]
-        area2 += x * ny - nx * y
-    if area2 <= 0:
-        raise ContourError("perimeter walk came out clockwise")
-
-    k = cells.index(min(cells))
-    return tuple(cells[k:] + cells[:k])
-
-
 #: King step from a contour site to the next, per last exposed side (bottom,
 #: right, top, left) and then per diagonal cell past its end corner (free,
 #: filled): the walk goes on straight or turns right.
@@ -279,24 +158,27 @@ _TURNS = np.array([(1, 0), (1, -1), (0, 1), (1, 1), (-1, 0), (-1, 1), (0, -1), (
 
 
 def _cycle_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The counter-clockwise cycles of a block of contours, by the rule of :func:`_ccw_cycle`.
+    """The counter-clockwise cycles of a block of contours, by an edge walk.
 
     ``rows`` holds each contour's sites as ``(N, H)`` row masks of ``width``
     bits, with a free ring around every contour.  A contour's filled set is
     what :func:`_exterior_rows` of the contour leaves, as its cluster's
-    exterior leaves it.  The edge walk keeps the filled set on its left, so
-    it leaves a site at the end of the site's last exposed side (bottom,
-    right, top and left in turn) and goes on to the diagonal cell past that
-    corner if it is filled, a right turn, or else straight on to the cell
-    ahead.  The cycle follows these successors from the smallest site by
-    (x, y).
+    exterior leaves it.  Cell (x, y) is the unit square with corners (x, y)
+    and (x + 1, y + 1), and the walk follows the unit edges between the
+    filled set and the exterior, keeping the filled set on its left.  So it
+    leaves a site at the end of the site's last exposed side (bottom, right,
+    top and left in turn) and goes on to the diagonal cell past that corner
+    if it is filled, a right turn, or else straight on to the cell ahead.
+    The cycle follows these successors from the smallest site by (x, y).
 
-    Returns the ``(N, n)`` x and y of the cycles' sites in order, as int16,
-    n the longest contour, each row padded by repeating its last site.  Raises
-    :class:`ContourError` if any contour fails a check of
-    :func:`_ccw_cycle`: a pinched corner, a contour site with no exposed side
-    or a filled site with one outside the contour, a site with two runs of
-    exposed sides or four, more than one closed curve, or a clockwise walk.
+    Returns the ``(N, n)`` x and y of the cycles' sites in order, n the
+    longest contour, each row padded by repeating its last site.  They are
+    int16, which keeps the census's arrays of positioned cycles small, while
+    the frame is at most 2**15 sites wide and high, and int64 beyond.  Raises
+    :class:`ContourError` if any contour is not a simple counter-clockwise
+    cycle: a pinched corner, a contour site with no exposed side or a filled
+    site with one outside the contour, a site with two runs of exposed sides
+    or four, more than one closed curve, or a clockwise walk.
     """
     full = rows.dtype.type((1 << width) - 1)
     filled = ~_exterior_rows(rows, full) & full
@@ -318,15 +200,17 @@ def _cycle_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     diagonal = (below >> 1, above >> 1, above << 1, below << 1)
     moves = np.stack([m for side, d in zip(last, diagonal) for m in (side & ~d, side & d)], axis=-1)
 
-    n = _popcounts(rows, width)
+    n = _popcounts(rows)
     columns = np.bitwise_or.reduce(rows, axis=1)
-    x = _popcounts(((columns & ~columns + 1) - 1)[:, None], width)
-    y = (rows >> x[:, None] & 1).argmax(axis=1)
+    x = _popcounts(((columns & ~columns + 1) - 1)[:, None])
+    # shifts in the rows' own type, which uint64 and object rows need
+    y = (rows >> x.astype(rows.dtype)[:, None] & 1 != 0).argmax(axis=1)
     block = np.arange(len(rows))
-    xs, ys = np.empty((2, len(rows), n.max(initial=0) + 1), np.int16)
+    small = max(width, rows.shape[1]) <= 1 << 15
+    xs, ys = np.empty((2, len(rows), n.max(initial=0) + 1), np.int16 if small else np.int64)
     xs[:, 0], ys[:, 0] = x, y
     for t in range(1, xs.shape[1]):
-        turn = _TURNS[(moves[block, y] >> x[:, None] & 1).argmax(axis=1)]
+        turn = _TURNS[(moves[block, y] >> x.astype(rows.dtype)[:, None] & 1 != 0).argmax(axis=1)]
         x, y = x + turn[:, 0], y + turn[:, 1]
         xs[:, t], ys[:, t] = x, y
     home = (xs[:, 1:] == xs[:, :1]) & (ys[:, 1:] == ys[:, :1])
@@ -335,7 +219,9 @@ def _cycle_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     on_cycle = np.arange(xs.shape[1] - 1) < n[:, None]
     xs = np.where(on_cycle, xs[:, :-1], xs[block, n - 1][:, None])
     ys = np.where(on_cycle, ys[:, :-1], ys[block, n - 1][:, None])
-    if ((xs * np.roll(ys, -1, axis=1) - np.roll(xs, -1, axis=1) * ys).sum(axis=1) <= 0).any():
+    # twice the signed area, in int64: products of int16 coordinates wrap
+    x, y = xs.astype(np.int64), ys.astype(np.int64)
+    if ((x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1) <= 0).any():
         raise ContourError("perimeter walk came out clockwise")
     return xs, ys
 
@@ -343,24 +229,25 @@ def _cycle_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 def outer_boundary(cluster: Cluster) -> Contour:
     """Outer contour of a finite nonempty cluster.
 
-    Flood-fills the exterior of sites-plus-boundary inside a frame padded by
-    2, keeps the boundary sites with an axis neighbour in the unbounded
-    exterior component (discarding sites that face only enclosed holes), and
-    orders them into a counter-clockwise king-move cycle.
+    Embeds the cluster as a block of one in a frame padded by 2, keeps the
+    boundary sites with an axis neighbour in the unbounded exterior
+    (:func:`_contour_rows`; sites that face only enclosed holes drop out),
+    and orders them into a counter-clockwise king-move cycle
+    (:func:`_cycle_rows`).  A cluster of any size fits, its rows past 64
+    columns as Python ints.
     """
     if not cluster.sites:
         raise EmptyClusterError("cannot take the outer boundary of an empty cluster")
     x0 = min(x for x, _ in cluster.sites) - 2
     y0 = min(y for _, y in cluster.sites) - 2
-    w = max(x for x, _ in cluster.sites) - x0 + 3
-    frame = _frame(w, max(y for _, y in cluster.sites) - y0 + 3)
-    wbits = 0
+    width = max(x for x, _ in cluster.sites) - x0 + 3
+    masks = [0] * (max(y for _, y in cluster.sites) - y0 + 3)
     for x, y in cluster.sites:
-        wbits |= 1 << ((y - y0) * w + x - x0)
-    _, gamma, ext = _contour_bits(wbits, frame)
-    sites = frozenset((x + x0, y + y0) for x, y in _bits_to_sites(gamma, w))
-    filled = {(x + x0, y + y0) for x, y in _bits_to_sites(frame[0] & ~ext, w)}
-    return Contour(sites=sites, cycle=_ccw_cycle(filled, sites))
+        masks[y - y0] |= 1 << (x - x0)
+    _, gamma, _ = _contour_rows(np.array([masks], _row_dtype(width)), width)
+    xs, ys = _cycle_rows(gamma, width)
+    cycle = tuple((x + x0, y + y0) for x, y in zip(xs[0].tolist(), ys[0].tolist()))
+    return Contour(sites=frozenset(cycle), cycle=cycle)
 
 
 def _crossing(x0, y0, x1, y1):

@@ -306,10 +306,6 @@ def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = 
         index = np.concatenate(found)
         return index // untried.shape[1], index % untried.shape[1] * 64 + np.concatenate(bits)
 
-    def bit_counts(masks: np.ndarray) -> np.ndarray:
-        counts = np.bitwise_count(masks)
-        return sum(counts[:, w].astype(np.int64) for w in range(masks.shape[1]))
-
     def push(size, untried, seen, cells, xmin, xmax, ymax) -> int:
         # stack the states that can still grow, in span and out; return the
         # shapes below those out of span one cell below the cap
@@ -323,7 +319,7 @@ def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = 
                 return 0
             untried, seen = (np.take(a, np.flatnonzero(~inside), axis=0) for a in (untried, seen))
         if size == cap - 1:
-            return int(bit_counts(untried).sum())
+            return int(clusters._popcounts(untried).sum())
         stack.append((size, untried, seen, None, None, None, None))
         return 0
 
@@ -338,7 +334,7 @@ def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = 
     while stack:
         size, *states = stack.pop()
         # whole levels below the split size, so that the ranks are over all
-        cut = max(1, int(np.searchsorted(bit_counts(states[0]).cumsum(), _SHAPE_CHUNK, "right")))
+        cut = max(1, int(np.searchsorted(clusters._popcounts(states[0]).cumsum(), _SHAPE_CHUNK, "right")))
         if size < _SPLIT_SIZE:
             cut = len(states[0])
         elif cut < len(states[0]):
@@ -358,8 +354,8 @@ def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = 
             # out of span: the child that takes bit b keeps the untried bits
             # above b and adds b's unseen neighbours, and has as many
             # children as untried bits
-            n, unseen = bit_counts(untried), np.take(nbr, b, axis=0) & ~np.take(seen, p, axis=0)
-            shapes += int((n * (n - 1) // 2).sum() + bit_counts(unseen).sum())
+            n, unseen = clusters._popcounts(untried), np.take(nbr, b, axis=0) & ~np.take(seen, p, axis=0)
+            shapes += int((n * (n - 1) // 2).sum() + clusters._popcounts(unseen).sum())
             untried = None
         elif cells is not None:
             cells = np.take(cells, p, axis=0) | np.take(win, b, axis=0)
@@ -496,12 +492,12 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
                 continue
             width = rows.shape[1]
             _, gamma, ext = clusters._contour_rows(rows, width)
-            lengths = clusters._popcounts(gamma, width)
+            lengths = clusters._popcounts(gamma)
             kept = lengths <= k_max
             rows, gamma, ext, lengths = rows[kept], gamma[kept], ext[kept], lengths[kept]
-            cell_counts = clusters._popcounts(rows, width)
+            cell_counts = clusters._popcounts(rows)
             short = lengths < 4
-            enclosed = width * width - clusters._popcounts(ext, width) - lengths
+            enclosed = width * width - clusters._popcounts(ext) - lengths
             bad = np.flatnonzero(short | (enclosed > capacity[lengths]))
             if len(bad):
                 # frame rows from the top down compare as the cell masks do
@@ -513,7 +509,7 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
             # the corner of each contour's bounding box: its first row, and the
             # trailing zeros of the OR of its rows
             columns = np.bitwise_or.reduce(gamma, axis=1)
-            ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None], width)
+            ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None])
             oy = (gamma != 0).argmax(axis=1)
             canon = _to_corner(gamma, ox, oy)
             groups, inverse, sizes = np.unique(
@@ -594,7 +590,7 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
     by_size = np.zeros((len(keys), cap + 1, height), np.uint32)
     by_size[index, size] = _stride_rows(positions, height)
     reach = np.bitwise_or.accumulate(by_size, axis=1)
-    lengths = np.bitwise_count(contours).sum(axis=1, dtype=np.int64)
+    lengths = clusters._popcounts(contours)
     totals = np.zeros((lengths.max() + 1, cap + 1), np.int64)
     np.add.at(totals, lengths, np.bitwise_count(reach).sum(axis=2, dtype=np.int64))
     trajectory = {s: {k: n for k, n in enumerate(totals[:, s].tolist()) if n} for s in range(1, cap + 1)}
@@ -715,9 +711,9 @@ def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int
             continue
         width = rows.shape[1]
         bnd, gamma, _ = clusters._contour_rows(rows, width)
-        kept = clusters._popcounts(gamma, width) <= max_len
+        kept = clusters._popcounts(gamma) <= max_len
         pairs, counts = np.unique(
-            np.column_stack([clusters._popcounts(rows[kept], width), clusters._popcounts(bnd[kept], width)]),
+            np.column_stack([clusters._popcounts(rows[kept]), clusters._popcounts(bnd[kept])]),
             axis=0,
             return_counts=True,
         )

@@ -1,10 +1,13 @@
-"""Set-based references for clusters and outer contours, and the slow shape walk.
+"""Scalar references for clusters and outer contours, and the slow shape walk.
 
-Every step works on Python sets of sites, with no bitboards: the exterior is
-an explicit flood fill over a padded bounding box, and the filled silhouette
-is everything in the box that the fill did not reach.  Only the cycle
-ordering is shared with the library (``_ccw_cycle``); the tests check the
-resulting cycle's shape independently.  The origin clusters of the census
+The library extracts contours and traces their cycles only on numpy blocks
+of row masks (``clusters._contour_rows`` and ``clusters._cycle_rows``).  The
+references here take one cluster at a time.  ``oracle_outer_boundary``
+works on Python sets of sites: the exterior is an explicit flood fill over a
+padded bounding box, and the filled silhouette is everything in the box that
+the fill did not reach.  ``_contour_bits`` runs the same steps on one
+big-integer bitboard, and ``_ccw_cycle`` orders a contour into its cycle by
+walking the edges of the filled site set.  The origin clusters of the census
 come from ``_iter_shapes``, each shape placed once at every cell, and the
 origin cluster of an occupancy grid from a depth-first search.
 
@@ -14,7 +17,7 @@ it splits the tree into the same parts, and with a ``_ShapeTally`` it counts
 the subtrees below the shapes too wide for the span lemma by
 ``_count_below``.  ``census_part`` is the reference for the census's block
 kernel: it extracts one shape at a time, each embedded by ``_embed`` in its
-own big-integer bitboard for ``clusters._contour_bits``, and keys it by
+own big-integer bitboard for ``_contour_bits``, and keys it by
 ``_canonical_contour``.  ``census_classes`` is the reference for the census's
 class pass: it builds each distinct contour with ``_ccw_cycle`` from its key
 alone, and translates, winds and classifies one positioned contour at a
@@ -24,6 +27,7 @@ time, with ``oracle_class`` for the class rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -42,7 +46,6 @@ from peierls import (
     site_boundary,
     winding_number,
 )
-from peierls.clusters import _ccw_cycle
 from peierls.enumeration import (
     _CANON_STRIDE,
     _SHAPE_LIMIT,
@@ -219,6 +222,117 @@ def block_rows(masks: list[int], xmins: list[int], box: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Scalar contours: one big-integer bitboard, and one edge walk.
+#
+# A site set is embedded as a bitboard in a w x h frame (bit y*w + x), padded
+# by 2 on every side so that its vacant boundary stays off the frame border
+# and the border ring lies in the exterior.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _frame(w: int, h: int):
+    """(universe, not_left, not_right, border, w) masks of a w x h frame."""
+    universe = (1 << (w * h)) - 1
+    left = 0
+    for r in range(h):
+        left |= 1 << (r * w)
+    right = left << (w - 1)
+    row0 = (1 << w) - 1
+    rowtop = row0 << ((h - 1) * w)
+    return (universe, universe ^ left, universe ^ right, left | right | row0 | rowtop, w)
+
+
+def _nb4(bits: int, frame) -> int:
+    universe, not_left, not_right, _, w = frame
+    return (((bits & not_right) << 1) | ((bits & not_left) >> 1) | (bits << w) | (bits >> w)) & universe
+
+
+def _contour_bits(wbits: int, frame) -> tuple[int, int, int]:
+    """Bitboards ``(boundary, contour, exterior)`` of the cluster ``wbits``.
+
+    The exterior is the axis flood fill from the frame border over the sites
+    outside the cluster and its boundary, clipped to the frame.  The contour
+    keeps the boundary sites with an axis neighbour in it.
+    """
+    bnd = _nb4(wbits, frame) & ~wbits
+    free = frame[0] & ~(wbits | bnd)
+    ext = frame[3] & free
+    while True:
+        grown = (ext | _nb4(ext, frame)) & free
+        if grown == ext:
+            break
+        ext = grown
+    return bnd, bnd & _nb4(ext, frame), ext
+
+
+def _bits_to_sites(bits: int, w: int) -> list[Site]:
+    out = []
+    while bits:
+        low = bits & -bits
+        idx = low.bit_length() - 1
+        out.append((idx % w, idx // w))
+        bits ^= low
+    return out
+
+
+def _ccw_cycle(filled: set[Site], contour: set[Site]) -> tuple[Site, ...]:
+    """Order the contour sites into a counter-clockwise king-move cycle.
+
+    Walks the unit edges separating ``filled`` from its exterior with the
+    region kept on the left, then reads off the cell each edge borders.  Cell
+    (x, y) is treated as the unit square with corners (x, y)..(x+1, y+1).
+    """
+    edges: dict[tuple[int, int], tuple[tuple[int, int], Site]] = {}
+
+    def add(start, end, cell):
+        if start in edges:
+            raise ContourError(f"pinched outer boundary at corner {start}")
+        edges[start] = (end, cell)
+
+    for cell in filled:
+        x, y = cell
+        if (x, y - 1) not in filled:
+            add((x, y), (x + 1, y), cell)
+        if (x + 1, y) not in filled:
+            add((x + 1, y), (x + 1, y + 1), cell)
+        if (x, y + 1) not in filled:
+            add((x + 1, y + 1), (x, y + 1), cell)
+        if (x - 1, y) not in filled:
+            add((x, y + 1), (x, y), cell)
+
+    start = min(edges)
+    cells: list[Site] = []
+    corner = start
+    for _ in range(len(edges) + 1):
+        nxt, cell = edges.pop(corner)
+        if not cells or cells[-1] != cell:
+            cells.append(cell)
+        corner = nxt
+        if corner == start:
+            break
+    if edges:
+        raise ContourError("outer boundary is not a single closed curve")
+    while len(cells) > 1 and cells[-1] == cells[0]:
+        cells.pop()
+
+    if set(cells) != contour:
+        raise ContourError("perimeter walk does not match the exposed boundary set")
+    if len(cells) != len(contour):
+        raise ContourError("outer boundary revisits a site; no simple cycle exists")
+
+    area2 = 0
+    for i, (x, y) in enumerate(cells):
+        nx, ny = cells[(i + 1) % len(cells)]
+        area2 += x * ny - nx * y
+    if area2 <= 0:
+        raise ContourError("perimeter walk came out clockwise")
+
+    k = cells.index(min(cells))
+    return tuple(cells[k:] + cells[:k])
+
+
+# ---------------------------------------------------------------------------
 # Set-based contours.
 # ---------------------------------------------------------------------------
 
@@ -312,7 +426,7 @@ def _embed(shape: list[int], xmin: int, w: int, h: int):
     wbits = 0
     for e in shape:
         wbits |= 1 << ((e >> 6) * fw + (e & 63) + base)
-    return wbits, clusters._frame(fw, h + 4)
+    return wbits, _frame(fw, h + 4)
 
 
 def _canonical_contour(gamma: int, w: int):
@@ -321,7 +435,7 @@ def _canonical_contour(gamma: int, w: int):
     Returns ``(key, ox, oy)`` where key is the contour re-encoded with stride
     32 and (ox, oy) is the frame offset of the bounding-box corner.
     """
-    cells = clusters._bits_to_sites(gamma, w)
+    cells = _bits_to_sites(gamma, w)
     ox = min(c[0] for c in cells)
     oy = min(c[1] for c in cells)
     key = 0
@@ -346,7 +460,7 @@ def census_part(k_max: int, cap: int, part: int, parts: int):
             if w > span or h > span:
                 continue
             wbits, frame = _embed(shape, xmin, w, h)
-            _, gamma, ext = clusters._contour_bits(wbits, frame)
+            _, gamma, ext = _contour_bits(wbits, frame)
             glen = gamma.bit_count()
             if glen > k_max:
                 continue
@@ -388,7 +502,7 @@ def contour_cycle(sites) -> tuple[Site, ...]:
 
 def key_contour(key: int) -> Contour:
     """The contour of a census key (stride 32), by :func:`contour_cycle`."""
-    sites = frozenset(clusters._bits_to_sites(key, _CANON_STRIDE))
+    sites = frozenset(_bits_to_sites(key, _CANON_STRIDE))
     return Contour(sites=sites, cycle=contour_cycle(sites))
 
 
@@ -423,7 +537,7 @@ def census_classes(results) -> tuple[dict[tuple[int, int, int], int], dict[int, 
         contour = key_contour(key)
         if final[key] & key:
             raise ContourError("a cluster cell coincides with its own contour")
-        for ox, oy in clusters._bits_to_sites(final[key], _CANON_STRIDE):
+        for ox, oy in _bits_to_sites(final[key], _CANON_STRIDE):
             positioned = contour.translate(-ox, -oy)
             if winding_number(positioned.cycle) != 1:
                 raise ContourError("an origin position is not enclosed by its contour")

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,45 @@ def test_outer_boundary_matches_oracle_on_small_clusters():
 _AXIS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
+def random_walk(n, seed):
+    """The first ``n`` distinct sites of a seeded random walk from (0, 0): a 4-connected cluster."""
+    rng = random.Random(seed)
+    x = y = 0
+    cells = {(0, 0)}
+    while len(cells) < n:
+        dx, dy = rng.choice(_AXIS)
+        x, y = x + dx, y + dy
+        cells.add((x, y))
+    return frozenset(cells)
+
+
+def frame_width(sites, pad):
+    """Columns of the frame of ``sites`` padded by ``pad`` on each side."""
+    return max(x for x, _ in sites) - min(x for x, _ in sites) + 1 + 2 * pad
+
+
+@pytest.mark.parametrize(
+    "n, seed, dtype",
+    # frames of 42 and 62 columns (uint64 rows), and of 103 and 150 (Python-int rows)
+    [(400, 0, np.uint64), (2000, 2, np.uint64), (3000, 0, object), (2000, 3, object)],
+)
+def test_outer_boundary_matches_oracle_on_wide_clusters(n, seed, dtype):
+    sites = random_walk(n, seed)
+    assert clusters._row_dtype(frame_width(sites, 2)) == dtype
+    cl = make_cluster(sites)
+    assert outer_boundary(cl) == oracle_outer_boundary(cl)
+
+
+@pytest.mark.parametrize("step", [(1, 0), (0, 1)])
+def test_outer_boundary_of_a_line_past_int16_coordinates(step):
+    # the frame is 2**15 + 4 sites long, past the tracer's int16 coordinates
+    n = 1 << 15
+    cl = make_cluster((step[0] * i, step[1] * i) for i in range(n))
+    ct = outer_boundary(cl)
+    assert ct.length == 2 * n + 2
+    assert ct == oracle_outer_boundary(cl)
+
+
 @st.composite
 def polyominoes(draw):
     """A 4-connected site set grown from (0, 0), one axis neighbour at a time."""
@@ -194,6 +235,34 @@ def test_contour_of_random_polyomino_is_simple_ccw_king_cycle(sites):
         assert max(abs(nx - x), abs(ny - y)) == 1
     for site in sites:
         assert winding_number(cyc, site) == 1
+
+
+@st.composite
+def site_sets(draw):
+    """Any site set: a polyomino with a bar of 0, 20 or 70 sites, scattered sites up to 80 columns apart, or both."""
+    kind = draw(st.sampled_from(["polyomino", "scattered", "both"]))
+    sites = frozenset()
+    if kind != "scattered":
+        sites = draw(polyominoes()) | {(-x, 0) for x in range(draw(st.sampled_from([0, 20, 70])))}
+    if kind != "polyomino":
+        xmax = draw(st.sampled_from([6, 20, 80]))
+        sites |= draw(st.frozensets(st.tuples(st.integers(0, xmax), st.integers(0, 6)), min_size=1, max_size=20))
+    return sites
+
+
+@settings(max_examples=300, deadline=None)
+@given(site_sets())
+def test_outer_boundary_matches_oracle_on_any_site_set(sites):
+    # the two tracers make their checks in different orders, so a set that
+    # is not 4-connected may fail them with different messages, but fails both
+    cl = make_cluster(sites)
+    try:
+        want = oracle_outer_boundary(cl)
+    except ContourError:
+        with pytest.raises(ContourError):
+            outer_boundary(cl)
+    else:
+        assert outer_boundary(cl) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -285,6 +354,17 @@ def test_block_tracer_matches_ccw_cycle(contours):
     if None in want:
         with pytest.raises(ContourError):
             block_cycles(contours)
+
+
+@pytest.mark.parametrize(
+    "walks, dtype",
+    # frames of 42 and 62 columns (uint64 rows), and of 103 (Python-int rows)
+    [([(120, 0), (400, 0)], np.uint64), ([(2000, 2)], np.uint64), ([(3000, 0), (120, 1)], object)],
+)
+def test_block_tracer_matches_ccw_cycle_on_wide_frames(walks, dtype):
+    contours = [oracle_outer_boundary(make_cluster(random_walk(n, seed))).sites for n, seed in walks]
+    assert clusters._row_dtype(max(frame_width(c, 1) for c in contours)) == dtype
+    assert block_cycles(contours) == [contour_cycle(c) for c in contours]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import contour_oracle
 from contour_oracle import (
+    _contour_bits,
     _embed,
     _iter_shapes,
     _ShapeTally,
@@ -521,7 +522,7 @@ def test_pruned_event_table_matches_unpruned(max_len):
     # reference: every shape up to the capacity, none skipped by its span
     reference = defaultdict(int)
     for shape, _, xmin, w, h in _iter_shapes(interior_capacity(max_len)):
-        bnd, gamma, _ = clusters._contour_bits(*_embed(shape, xmin, w, h))
+        bnd, gamma, _ = _contour_bits(*_embed(shape, xmin, w, h))
         if gamma.bit_count() <= max_len:
             reference[(len(shape), bnd.bit_count())] += len(shape)
     assert contour_event_table(max_len) == dict(reference)
@@ -559,11 +560,11 @@ def _check_block(block, box):
     rows = block_rows([bits for _, bits, _ in block], [xmin for *_, xmin in block], box)
     width = box + 4
     masks = clusters._contour_rows(rows, width)
-    counts = [clusters._popcounts(m, width).tolist() for m in (rows, *masks)]
+    counts = [clusters._popcounts(m).tolist() for m in (rows, *masks)]
     for i, (cells, bits, xmin) in enumerate(block):
         assert bits == sum(1 << e for e in cells)
         wbits, frame = _embed(cells, xmin, box, box)
-        want = (wbits, *clusters._contour_bits(wbits, frame))
+        want = (wbits, *_contour_bits(wbits, frame))
         assert tuple(_bitboard(m[i], width) for m in (rows, *masks)) == want
         assert [c[i] for c in counts] == [b.bit_count() for b in want]
     return rows, masks
@@ -675,11 +676,11 @@ def test_blocks_of_any_size_give_the_same_parts():
 def test_census_part_fails_on_the_first_bad_shape(block, tight, cleared, error):
     # no cluster's contour is shorter than 4 (the span lemma gives 2*w + 2),
     # so that check is reached by clearing every contour of length ``cleared``
-    contour_rows, contour_bits = clusters._contour_rows, clusters._contour_bits
+    contour_rows, contour_bits = clusters._contour_rows, contour_oracle._contour_bits
 
     def clear_rows(rows, width):
         bnd, gamma, ext = contour_rows(rows, width)
-        gamma[clusters._popcounts(gamma, width) == cleared] = 0
+        gamma[clusters._popcounts(gamma) == cleared] = 0
         return bnd, gamma, ext
 
     def clear_bits(wbits, frame):
@@ -694,7 +695,7 @@ def test_census_part_fails_on_the_first_bad_shape(block, tight, cleared, error):
         mock.patch.object(enumeration, "interior_capacity", capacity),
         mock.patch.object(contour_oracle, "interior_capacity", capacity),
         mock.patch.object(clusters, "_contour_rows", clear_rows),
-        mock.patch.object(clusters, "_contour_bits", clear_bits),
+        mock.patch.object(contour_oracle, "_contour_bits", clear_bits),
     ):
         with pytest.raises((ContourError, IncompletenessError), match=error) as want:
             census_part(10, 8, 0, 1)
