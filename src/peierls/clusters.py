@@ -157,7 +157,7 @@ def _exterior_rows(blocked: np.ndarray, full) -> np.ndarray:
 _TURNS = np.array([(1, 0), (1, -1), (0, 1), (1, 1), (-1, 0), (-1, 1), (0, -1), (-1, -1)])
 
 
-def _cycle_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _cycle_rows(rows: np.ndarray, width: int, offset: Site = (0, 0)) -> tuple[np.ndarray, np.ndarray]:
     """The counter-clockwise cycles of a block of contours, by an edge walk.
 
     ``rows`` holds each contour's sites as ``(N, H)`` row masks of ``width``
@@ -178,7 +178,8 @@ def _cycle_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     :class:`ContourError` if any contour is not a simple counter-clockwise
     cycle: a pinched corner, a contour site with no exposed side or a filled
     site with one outside the contour, a site with two runs of exposed sides
-    or four, more than one closed curve, or a clockwise walk.
+    or four, more than one closed curve, or a clockwise walk.  A pinched
+    corner is named in frame coordinates shifted by ``offset``.
     """
     full = rows.dtype.type((1 << width) - 1)
     filled = ~_exterior_rows(rows, full) & full
@@ -190,7 +191,8 @@ def _cycle_rows(rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     if pinched.any():
         i, y = np.argwhere(pinched)[0]
         bits = int(pinched[i, y])
-        raise ContourError(f"pinched outer boundary at corner {((bits & -bits).bit_length() - 1, int(y) + 1)}")
+        corner = ((bits & -bits).bit_length() - 1 + offset[0], int(y) + 1 + offset[1])
+        raise ContourError(f"pinched outer boundary at corner {corner}")
     bottom, right, top, left = filled & ~below, filled & ~(filled >> 1), filled & ~above, filled & ~(filled << 1)
     if not np.array_equal(bottom | right | top | left, rows):
         raise ContourError("perimeter walk does not match the exposed boundary set")
@@ -245,7 +247,7 @@ def outer_boundary(cluster: Cluster) -> Contour:
     for x, y in cluster.sites:
         masks[y - y0] |= 1 << (x - x0)
     _, gamma, _ = _contour_rows(np.array([masks], _row_dtype(width)), width)
-    xs, ys = _cycle_rows(gamma, width)
+    xs, ys = _cycle_rows(gamma, width, (x0, y0))
     cycle = tuple((x + x0, y + y0) for x, y in zip(xs[0].tolist(), ys[0].tolist()))
     return Contour(sites=frozenset(cycle), cycle=cycle)
 

@@ -46,7 +46,8 @@ def neighbors4(site: Site) -> list[Site]:
 # finalizer of :func:`_np_mix64`, a site's hash is
 # mix(mix(mix(seed ^ _GOLDEN) + x * _XSALT) + y * _YSALT), all mod 2**64.
 # :func:`_hash_windows` computes it with numpy uint64 arithmetic over whole
-# windows, one cache-sized block of sites at a time.
+# windows or their central bands of rows, one cache-sized block of sites at a
+# time.
 # ---------------------------------------------------------------------------
 
 _M64 = (1 << 64) - 1
@@ -63,31 +64,35 @@ _BLOCK_SITES = 1 << 15
 
 
 def _hash_windows(seeds: np.ndarray, radius: int, out: np.ndarray, reduce) -> None:
-    """Hash one window per uint64 seed and reduce the hashes into ``out``.
+    """Hash the central band of one window per uint64 seed and reduce the hashes into ``out``.
 
-    ``out`` has shape ``(seeds.size, side, side)`` with ``side = 2*radius+1``
-    and any strides; entry ``[t, y + radius, x + radius]`` belongs to the
-    hash of site (x, y) under seed ``seeds[t]``.  The sites are hashed in
-    blocks of about ``_BLOCK_SITES``: whole windows when several fit in a
-    block, else row slices of one window.  For each block, ``reduce(z, dst)`` writes ``dst``,
+    ``out`` has shape ``(seeds.size, 2*h + 1, side)`` with ``side = 2*radius+1``
+    and ``0 <= h <= radius``, any strides; it holds the band of rows |y| <= h,
+    the whole window when h is the radius.  Entry ``[t, y + h, x + radius]``
+    belongs to the hash of site (x, y) under seed ``seeds[t]``, which does not
+    depend on the window or the band.  The sites are hashed in blocks of
+    about ``_BLOCK_SITES``: whole bands when several fit in a block, else row
+    slices of one band.  For each block, ``reduce(z, dst)`` writes ``dst``,
     the block's slice of ``out``, from ``z``, the block's hashes laid out
     like ``dst``; it may overwrite ``z``.  No hash array larger than a block
     ever exists.
     """
     side = 2 * radius + 1
+    height = out.shape[1]
     coords = np.arange(-radius, radius + 1, dtype=np.int64).view(np.uint64)
     h0 = _np_mix64(seeds ^ np.uint64(_GOLDEN), np.empty_like(seeds))
     hx = h0[:, np.newaxis] + coords[np.newaxis, :] * np.uint64(_XSALT)
     _np_mix64(hx, np.empty_like(hx))
-    yterm = (coords * np.uint64(_YSALT))[:, np.newaxis]
-    trials = _even_piece(seeds.size, _BLOCK_SITES // (side * side))
-    rows = _even_piece(side, _BLOCK_SITES // side)
+    band = coords[radius - height // 2 : radius + height // 2 + 1]
+    yterm = (band * np.uint64(_YSALT))[:, np.newaxis]
+    trials = _even_piece(seeds.size, _BLOCK_SITES // (height * side))
+    rows = _even_piece(height, _BLOCK_SITES // side)
     z = np.empty((trials, rows, side), dtype=np.uint64)
     tmp = np.empty_like(z)
     for t0 in range(0, seeds.size, trials):
         t1 = min(t0 + trials, seeds.size)
-        for y0 in range(0, side, rows):
-            y1 = min(y0 + rows, side)
+        for y0 in range(0, height, rows):
+            y1 = min(y0 + rows, height)
             zb = z[: t1 - t0, : y1 - y0]
             np.add(hx[t0:t1, np.newaxis, :], yterm[y0:y1], out=zb)
             reduce(_np_mix64(zb, tmp[: t1 - t0, : y1 - y0]), out[t0:t1, y0:y1])

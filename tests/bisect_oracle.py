@@ -24,12 +24,13 @@ def oracle_crossing(labels: np.ndarray) -> np.ndarray:
 
 def oracle_bisect(L: int, trials: int, tol: float, seed: int) -> tuple[float, tuple[tuple[float, float], ...]]:
     """(estimate, trace) of bisection on c for crossing probability 1/2."""
+    side = 2 * L + 1
     lo, hi = 0.0, 1.0
     trace: list[tuple[float, float]] = []
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         hits = sum(
-            int(oracle_crossing(_label_batch(b - a, 2 * L + 1, lambda grids: np.copyto(grids, occupied(seed, L, mid, a, b)))).sum())
+            int(oracle_crossing(_label_batch(b - a, side, side, lambda grids: np.copyto(grids, occupied(seed, L, mid, a, b)))).sum())
             for a, b in _chunks(L, trials)
         )
         value = hits / trials

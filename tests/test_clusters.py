@@ -69,7 +69,7 @@ def test_cluster_independent_of_traversal_order():
     # origin cluster depth first, site by site
     L, trials = 8, 40
     occ = occupancy(17, L, 0.55, 0, trials)
-    labels = _label_batch(trials, 2 * L + 1, lambda grids: np.copyto(grids, occ))
+    labels = _label_batch(trials, 2 * L + 1, 2 * L + 1, lambda grids: np.copyto(grids, occ))
     for grid, lab in zip(occ, labels):
         ys, xs = np.nonzero(lab == lab[L, L]) if lab[L, L] else ((), ())
         assert origin_cluster(grid) == {(x - L, y - L) for x, y in zip(xs, ys)}
@@ -263,6 +263,15 @@ def test_outer_boundary_matches_oracle_on_any_site_set(sites):
             outer_boundary(cl)
     else:
         assert outer_boundary(cl) == want
+
+
+def test_outer_boundary_names_a_pinched_corner_in_the_clusters_coordinates():
+    # the tracer works in a frame padded by 2 around the cluster, here at
+    # (8, 10); its message must not report the frame's corner (8, 4)
+    cl = make_cluster({(10, 15), (12, 15), (15, 15), (16, 12)})
+    for trace in (oracle_outer_boundary, outer_boundary):
+        with pytest.raises(ContourError, match=r"pinched outer boundary at corner \(16, 14\)$"):
+            trace(cl)
 
 
 @settings(max_examples=300, deadline=None)

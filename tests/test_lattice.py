@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hash_oracle import site_uniform, trial_seed
-from peierls import Window, neighbors4
-from peierls.lattice import NEIGHBOR_OFFSETS_4, NEIGHBOR_OFFSETS_8
+from hash_oracle import hash_grids, site_uniform, trial_seed
+from peierls import Window, lattice, neighbors4
+from peierls.lattice import NEIGHBOR_OFFSETS_4, NEIGHBOR_OFFSETS_8, _hash_windows
 from peierls.montecarlo import _occupy
 
 
@@ -80,3 +83,21 @@ def test_threshold_coupling_monotone():
     high = occupancy(5, 16, 0.7)
     assert (low <= high).all()
     assert low.sum() < high.sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4),
+    st.integers(1, 40),
+    st.data(),
+    st.integers(1, 4000),
+)
+def test_band_hashes_are_the_central_rows_of_the_window(seeds, radius, data, block):
+    # a site's hash does not depend on the window, so the band |y| <= h is
+    # the window's rows -h..h, whether blocks hold whole bands or row slices
+    h = data.draw(st.integers(0, radius))
+    seeds = np.array(seeds, dtype=np.uint64)
+    band = np.zeros((seeds.size, 2 * h + 1, 2 * radius + 1), dtype=np.uint64)
+    with mock.patch.object(lattice, "_BLOCK_SITES", block):
+        _hash_windows(seeds, radius, band, lambda z, dst: np.copyto(dst, z))
+    assert np.array_equal(band, hash_grids(seeds, radius)[:, radius - h : radius + h + 1])

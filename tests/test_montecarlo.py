@@ -79,15 +79,32 @@ def test_vectorized_reach_matches_cluster_walk():
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(-(1 << 70), 1 << 70),
-    st.integers(1, 10),
+    st.integers(1, 40),
     st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     st.integers(0, (1 << 64) - 9),
 )
 def test_reach_matches_border_search(seed, L, c, t0):
-    # eight trials an example: a cluster that touches one side only is rare
+    # eight trials an example: a cluster that touches one side only is rare.
+    # Radii up to the first strip's are decided on the whole window, wider
+    # ones by as many strips as the eight trials need, alone and together
     grids = hash_oracle.occupied(seed, L, c, t0, t0 + 8)
-    for t, grid in enumerate(grids, start=t0):
-        assert _reach_count(seed, L, c, t, t + 1) == int(reaches_border(grid))
+    reached = [int(reaches_border(grid)) for grid in grids]
+    assert [_reach_count(seed, L, c, t, t + 1) for t in range(t0, t0 + 8)] == reached
+    assert _reach_count(seed, L, c, t0, t0 + 8) == sum(reached)
+
+
+@pytest.mark.parametrize("seed, c", [(11, 0.59), (12, 0.6), (16, 0.62)])
+def test_reach_decided_at_the_window_stage_matches_border_search(seed, c):
+    # near the threshold some trials stay open through every strip of a
+    # radius-64 window (half-heights 4 to 32) and are decided on the window
+    L, trials = 64, 24
+    with mock.patch.object(montecarlo, "_label_batch", wraps=montecarlo._label_batch) as label:
+        hits = _reach_count(seed, L, c, 0, trials)
+    labelled, rows = zip(*(call.args[:2] for call in label.call_args_list))
+    assert rows == (9, 17, 33, 65, 129)
+    assert labelled[0] == trials and 0 < labelled[-1] < trials
+    grids = hash_oracle.occupied(seed, L, c, 0, trials)
+    assert hits == sum(int(reaches_border(grid)) for grid in grids)
 
 
 def test_crossing_monotone_in_concentration_per_trial():
@@ -242,10 +259,10 @@ def test_critical_index_matches_crossing_predicate(seed, L, m, t0, n, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 9), st.data())
-def test_crossing_matches_pairwise_oracle(b, n, data):
-    bits = data.draw(st.lists(st.booleans(), min_size=b * n * n, max_size=b * n * n))
-    labels = _label_batch(b, n, lambda grids: np.copyto(grids, np.array(bits).reshape(b, n, n)))
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9), st.data())
+def test_crossing_matches_pairwise_oracle(b, rows, cols, data):
+    bits = data.draw(st.lists(st.booleans(), min_size=b * rows * cols, max_size=b * rows * cols))
+    labels = _label_batch(b, rows, cols, lambda grids: np.copyto(grids, np.array(bits).reshape(b, rows, cols)))
     assert np.array_equal(_crossing(labels), oracle_crossing(labels))
 
 
