@@ -37,18 +37,28 @@ fewer passes (about 4.4 a trial instead of 8 at L = 64, tol = 0.005).  j* is
 exact whatever the probe order, so the hit count at each midpoint,
 #{t : j*_t < j}, and with it the trace and estimate are the same as those of
 thresholding every field at every midpoint.
+
+The labeller is scipy's compiled kernel ``scipy.ndimage._ni_label._label``,
+the one ``scipy.ndimage.label`` wraps, loaded from its extension file when
+this module is imported (:func:`_load_labeller`).  Importing it through
+``scipy.ndimage`` would run the package ``__init__``, which pulls in
+``scipy.special`` and half of scipy: about 0.37 s that every command,
+``counts`` and ``bounds`` included, would pay at start-up.  The load stays at
+import, not first use, so it is never part of a simulation's run time.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import CapExceeded, check_workers
 from .lattice import _M64, _TRIALSALT, Window, _hash_windows, _np_mix64
@@ -62,7 +72,35 @@ __all__ = [
     "exact_origin_reach_probability",
 ]
 
-_STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
+_STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def _load_labeller(ndimage_dir: str):
+    """Load scipy's compiled labeller ``_ni_label`` from its extension file in ``ndimage_dir``.
+
+    The module is executed from the file, so the ``scipy.ndimage`` package
+    and what its ``__init__`` imports are never loaded.  Raises
+    :class:`ImportError` naming the files looked for when there is none.
+    """
+    names = ["_ni_label" + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for name in names:
+        path = os.path.join(ndimage_dir, name)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.ndimage._ni_label", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from importlib.metadata import version
+
+    raise ImportError(
+        f"scipy {version('scipy')} has no compiled labeller in {ndimage_dir}: looked for {', '.join(names)}"
+    )
+
+
+_SCIPY = importlib.util.find_spec("scipy")
+if _SCIPY is None:
+    raise ModuleNotFoundError("peierls.montecarlo needs scipy for its compiled labeller", name="scipy")
+_label = _load_labeller(os.path.join(os.path.dirname(_SCIPY.origin), "ndimage"))._label
 
 
 @dataclass(frozen=True)
@@ -117,11 +155,19 @@ def _label_batch(b: int, rows: int, cols: int, fill) -> np.ndarray:
     ``fill(grids)`` writes the grids into ``grids``, a ``(b, rows, cols)``
     view of a stack in which each grid is followed by a blank separator row,
     so the whole stack is labelled as one image without joining clusters of
-    neighbouring grids.  Returns the ``(b, rows, cols)`` labels.
+    neighbouring grids.  Returns the ``(b, rows, cols)`` labels.  b must be
+    at least 1: the kernel refuses an empty image.
+
+    The labels are int32, as ``scipy.ndimage.label`` makes them for fewer
+    than 2**31 - 2 sites, and they cannot overflow: a stack is at most one
+    chunk of about 1M sites (:func:`_chunks`), or one field of at most
+    ``_SITE_LIMIT`` = 2**30 sites with its separator row, so the public
+    wrapper's retry on ``NeedMoreBits`` is never needed.
     """
-    stacked = np.zeros((b, rows + 1, cols), dtype=bool)
-    fill(stacked[:, :rows])
-    labels, _ = ndimage.label(stacked.reshape(b * (rows + 1), cols), structure=_STRUCT4)
+    stacked = np.zeros((b * (rows + 1), cols), dtype=bool)
+    fill(stacked.reshape(b, rows + 1, cols)[:, :rows])
+    labels = np.empty(stacked.shape, dtype=np.int32)
+    _label(stacked, _STRUCT4, labels)
     return labels.reshape(b, rows + 1, cols)[:, :rows]
 
 

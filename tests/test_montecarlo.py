@@ -1,4 +1,10 @@
+import importlib.machinery
+import importlib.metadata
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections.abc import Iterator
 from unittest import mock
 
@@ -6,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import hash_oracle
 from bisect_oracle import oracle_bisect, oracle_crossing
@@ -21,12 +28,14 @@ from peierls import (
     exact_origin_reach_probability,
 )
 from peierls.montecarlo import (
+    _STRUCT4,
     _chunks,
     _critical_indices,
     _crossing,
     _crossing_count,
     _keys,
     _label_batch,
+    _load_labeller,
     _map_chunks,
     _occupy,
     _reach_count,
@@ -264,6 +273,70 @@ def test_crossing_matches_pairwise_oracle(b, rows, cols, data):
     bits = data.draw(st.lists(st.booleans(), min_size=b * rows * cols, max_size=b * rows * cols))
     labels = _label_batch(b, rows, cols, lambda grids: np.copyto(grids, np.array(bits).reshape(b, rows, cols)))
     assert np.array_equal(_crossing(labels), oracle_crossing(labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(1, 30), st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)
+)
+def test_label_batch_matches_public_ndimage_label(b, rows, cols, density, seed):
+    grids = np.random.default_rng(seed).random((b, rows, cols)) < density
+    labels = _label_batch(b, rows, cols, lambda out: np.copyto(out, grids))
+    # the oracle labels the same stack, separator rows included
+    stack = np.zeros((b, rows + 1, cols), dtype=bool)
+    stack[:, :rows] = grids
+    expected, count = ndimage.label(stack.reshape(b * (rows + 1), cols), structure=_STRUCT4)
+    expected = expected.reshape(b, rows + 1, cols)
+    assert labels.dtype == np.int32 and labels.shape == (b, rows, cols)
+    assert np.array_equal(labels, expected[:, :rows])
+    assert not expected[:, rows].any() and int(labels.max(initial=0)) == count
+
+
+def test_import_leaves_out_scipy_ndimage_and_the_kernel_coexists_with_it():
+    # in a fresh interpreter: the CLI's import loads neither package, and a
+    # later import of scipy.ndimage shares the kernel and still labels right
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import peierls.cli
+        from peierls.montecarlo import _STRUCT4, _label_batch
+        assert "scipy.ndimage" not in sys.modules and "scipy.special" not in sys.modules
+        from scipy import ndimage
+        grid = np.random.default_rng(5).random((40, 50)) < 0.6
+        expected, _ = ndimage.label(np.vstack([grid, np.zeros((1, 50), bool)]), structure=_STRUCT4)
+        assert np.array_equal(ndimage.label(grid, structure=_STRUCT4)[0], expected[:40])
+        assert np.array_equal(_label_batch(1, 40, 50, lambda out: np.copyto(out, grid))[0], expected[:40])
+        """
+    )
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_labeller_missing_raises_import_error_naming_the_files(tmp_path):
+    before = set(sys.modules)
+    with pytest.raises(ImportError) as err:
+        _load_labeller(str(tmp_path))
+    message = str(err.value)
+    assert str(tmp_path) in message and importlib.metadata.version("scipy") in message
+    assert all("_ni_label" + suffix in message for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    assert set(sys.modules) == before
+
+
+def test_label_stacks_stay_below_the_int32_label_bound():
+    # scipy.ndimage.label keeps int32 labels below 2**31 - 2 sites; a stack is
+    # one chunk of about 1M sites or one field of at most _SITE_LIMIT sites
+    # with its separator row
+    bound = 2**31 - 2
+    largest = Window(16383)
+    assert largest.site_count <= montecarlo._SITE_LIMIT < Window(16384).site_count
+    assert largest.side * (largest.side + 1) < bound
+    for L in (1, 8, 128, 499, 500, 2048, 16383):
+        side = 2 * L + 1
+        t0, t1 = next(iter(_chunks(L, 10**9)))
+        assert (t1 - t0) * (side + 1) * side <= max(1_000_000, side * (side + 1)) < bound
 
 
 def test_label_passes_pinned():
