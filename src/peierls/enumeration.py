@@ -93,8 +93,10 @@ by sorting the closed walks' masks.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import select
+import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -178,29 +180,148 @@ def _fan_out(tasks: list[tuple], workers: int) -> Iterator[Iterator]:
     Used as ``with _fan_out(tasks, workers) as results``: ``results`` yields
     the results in task order, each as soon as it is in, while later tasks
     still run, and re-raises a task's exception when its turn comes.  Tasks
-    start in list order.  An exception that leaves the ``with`` block ends
-    the running tasks and starts no others, so a caller that fails on an
-    early result does not wait for the rest.  Forked workers inherit the
-    imported package instead of importing it again; the pool forks all of
-    them before it starts its own thread, so the caller must not be running
-    other threads.  ``multiprocessing`` is imported with this module, at
-    start-up, so that a census run does not pay for it and its ``socket``
-    import.
+    start in list order.  Leaving the ``with`` block ends the running tasks
+    and starts no others, so a caller that fails on an early result does not
+    wait for the rest.  Forked workers inherit the imported package instead
+    of importing it again, so the caller must not be running other threads.
     """
     if workers == 1 or len(tasks) <= 1:
         yield (fn(*args) for fn, *args in tasks)
         return
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=context) as pool:
-        futures = [pool.submit(*task) for task in tasks]
+    pool = _ForkPool(tasks)
+    try:
+        for _ in range(min(workers, len(tasks))):
+            pool.fork()
+        yield pool.results()
+    finally:
+        pool.close()
+
+
+class _ForkPool:
+    """Forked worker processes that run ``tasks`` by index, each next task on the first one free.
+
+    The parent owns no thread and no queue: it writes a task's index (4
+    bytes, -1 to stop) into a worker's task pipe and reads the pickled
+    ``(ok, result or exception, traceback text)`` back from its result pipe,
+    behind an 8-byte length.  A worker holds at most one reply in flight, so
+    the parent waits on the result pipes with ``select`` and reads one reply
+    whole.  The parent pays a fork per worker and little else: no
+    ``multiprocessing`` import at start-up, and none of the threads, locks
+    and queues of a ``concurrent.futures`` process pool, which took half of
+    the CPU time a ``bounds`` command spends outside its workers.
+    """
+
+    def __init__(self, tasks: list[tuple]):
+        self.tasks = tasks
+        self.next_task = 0
+        #: Replies in by task index.
+        self.done: dict[int, tuple] = {}
+        #: Result pipe -> (pid, task pipe, running task index); every worker still forked.
+        self.workers: dict[int, tuple[int, int, int | None]] = {}
+
+    def fork(self) -> None:
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # the parent's ends of every worker's pipes, so that each task pipe ends with the parent
+                for fd in [task_w, result_r, *self.workers, *(w[1] for w in self.workers.values())]:
+                    os.close(fd)
+                _work(self.tasks, task_r, result_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(task_r)
+        os.close(result_w)
+        self.workers[result_r] = (pid, task_w, None)
+        self._dispatch(result_r)
+
+    def _dispatch(self, fd: int) -> None:
+        """Send the worker at result pipe ``fd`` the next task, or stop it if none is left."""
+        pid, task_w, _ = self.workers[fd]
+        index = None
+        if self.next_task < len(self.tasks):
+            index = self.next_task
+            self.next_task += 1
+        os.write(task_w, (-1 if index is None else index).to_bytes(4, "little", signed=True))
+        self.workers[fd] = (pid, task_w, index)
+
+    def results(self) -> Iterator:
+        for index in range(len(self.tasks)):
+            while index not in self.done:
+                self._receive()
+            ok, value, trace = self.done.pop(index)
+            if not ok:
+                value.__cause__ = RuntimeError(f"in the worker process:\n{trace}")
+                raise value
+            yield value
+
+    def _receive(self) -> None:
+        """Wait for at least one reply and hand those workers their next tasks."""
+        running = [fd for fd, (_, _, index) in self.workers.items() if index is not None]
+        ready, _, _ = select.select(running, [], [])
+        for fd in ready:
+            pid, _, index = self.workers[fd]
+            head = _read_exact(fd, 8)
+            reply = _read_exact(fd, int.from_bytes(head, "little")) if len(head) == 8 else b""
+            if not reply:
+                raise ChildProcessError(f"worker process {pid} ended before it returned task {index}")
+            self.done[index] = pickle.loads(reply)
+            self._dispatch(fd)
+
+    def close(self) -> None:
+        """Stop the workers still running a task, reap every worker and close the pipes."""
+        for fd, (pid, task_w, index) in self.workers.items():
+            if index is not None:
+                os.kill(pid, signal.SIGTERM)
+            os.close(task_w)
+        for fd, (pid, _, _) in self.workers.items():
+            os.waitpid(pid, 0)
+            os.close(fd)
+        self.workers.clear()
+
+
+def _work(tasks: list[tuple], task_r: int, result_w: int) -> None:
+    """Body of a forked worker: run the tasks whose indexes come in on ``task_r`` until told to stop."""
+    while True:
+        head = _read_exact(task_r, 4)
+        index = int.from_bytes(head, "little", signed=True) if len(head) == 4 else -1
+        if index < 0:
+            return
+        fn, *args = tasks[index]
         try:
-            yield (f.result() for f in futures)
-        except BaseException:
-            # Executor.terminate_workers from Python 3.14 on; the pool sees
-            # its workers gone, fails the tasks left, and its exit joins them
-            for process in pool._processes.values():
-                process.terminate()
-            raise
+            reply = (True, fn(*args), "")
+        except BaseException as exc:
+            import traceback
+
+            reply = (False, exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__)))
+        try:
+            data = pickle.dumps(reply)
+        except Exception as exc:
+            what = "result" if reply[0] else "exception"
+            error = RuntimeError(f"task {index} gave a {what} that cannot be pickled: {exc!r}")
+            data = pickle.dumps((False, error, reply[2]))
+        _write_all(result_w, len(data).to_bytes(8, "little") + data)
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    """``n`` bytes from ``fd``, fewer only at end of file."""
+    chunks = []
+    while n:
+        chunk = os.read(fd, min(n, 1 << 20))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 # ---------------------------------------------------------------------------

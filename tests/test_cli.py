@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -214,7 +213,7 @@ def test_worker_count_above_the_cap_exits_2_and_starts_no_pool(monkeypatch, caps
     def refuse(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", refuse)
     over = MAX_WORKERS + 1
     simulate = ["simulate", "--L", "8", "--c", "0.6", "--trials", "20"]
