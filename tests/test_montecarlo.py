@@ -315,6 +315,23 @@ def test_import_leaves_out_scipy_ndimage_and_the_kernel_coexists_with_it():
     assert run.returncode == 0, run.stderr
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_import_loads_numpy_with_a_one_thread_blas_pool_and_leaves_the_environment():
+    script = textwrap.dedent(
+        """
+        import os
+        import peierls.cli
+        print(len(os.listdir("/proc/self/task")), "OPENBLAS_NUM_THREADS" in os.environ)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "False"]
+
+
 def test_labeller_missing_raises_import_error_naming_the_files(tmp_path):
     before = set(sys.modules)
     with pytest.raises(ImportError) as err:
