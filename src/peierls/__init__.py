@@ -13,11 +13,11 @@ piece at desk scale.
 import os
 import sys
 
-# No peierls code calls a BLAS routine: its parallel work runs on its own
-# threads and forked processes.  The OpenBLAS thread pool that numpy starts
-# when it loads cost every start-up about 45 ms, and every fork a tear-down
-# of the pool of 1.5-5 ms, so numpy is loaded here with a one-thread pool,
-# unless it is loaded already or the environment sizes the pool.
+# No peierls code calls a BLAS routine: its parallel work runs on forked
+# processes.  The OpenBLAS thread pool that numpy starts when it loads cost
+# every start-up about 45 ms, and every fork a tear-down of the pool of
+# 1.5-5 ms, so numpy is loaded here with a one-thread pool, unless it is
+# loaded already or the environment sizes the pool.
 if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
@@ -63,6 +63,7 @@ from .errors import (
     InsufficientData,
     NoRayIntersection,
     PeierlsError,
+    WorkerDied,
 )
 from .lattice import Site, Window, neighbors4
 from .montecarlo import (
@@ -95,6 +96,7 @@ __all__ = [
     "Site",
     "ThresholdResult",
     "Window",
+    "WorkerDied",
     "bisect_threshold",
     "class_decomposition",
     "contour_event_table",

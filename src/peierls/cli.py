@@ -6,7 +6,7 @@ the run manifest, which records output digests so a run can be verified by
 re-execution.
 
 Exit codes: 0 success, 2 argument error, 3 enumeration or Monte Carlo work
-cap, or feasibility error.
+cap, feasibility error, or a worker process lost or out of memory.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .enumeration import (
     count_table_json_dict,
     full_count_table,
 )
-from .errors import MAX_WORKERS, CapExceeded, IncompletenessError, check_workers
+from .errors import MAX_WORKERS, CapExceeded, IncompletenessError, WorkerDied, check_workers
 from .montecarlo import bisect_threshold, estimate_crossing, estimate_origin_reach
 
 _BOUND_COLUMNS = ("c", "q_truncated", "tail", "q_lower", "series_bound", "threshold_bound", "guarantee")
@@ -299,7 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--observable", choices=("reach", "crossing"), default="reach")
-    p.add_argument("--workers", type=int, default=0, help="0 = PEIERLS_THREADS or hardware parallelism")
+    p.add_argument(
+        "--workers", type=int, default=0, help="worker processes; 0 = PEIERLS_THREADS or hardware parallelism"
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
@@ -323,8 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         if not os.path.isdir(out_dir):  # before any work, not after it
             raise ValueError(f"output directory {out_dir} does not exist")
         return args.func(args)
-    except (CapExceeded, IncompletenessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceeded, IncompletenessError, WorkerDied, MemoryError) as exc:
+        # numpy names the allocation that failed; a bare MemoryError says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

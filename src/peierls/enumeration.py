@@ -93,23 +93,18 @@ by sorting the closed walks' masks.
 
 from __future__ import annotations
 
-import os
-import pickle
-import select
-import signal
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-# Functions of peierls.clusters are called through the module:
+# Functions of other peierls modules are called through their modules:
 # perfbench/tracing.py records a span for every call of a function imported
-# by name into this module, and the block kernels run several times per
-# expansion of the shape frontier.
-from . import clusters
+# by name into this module, and the block kernels of peierls.clusters run
+# several times per expansion of the shape frontier.
+from . import clusters, pool
 from .clusters import Contour
 from .errors import CapExceeded, ContourError, IncompletenessError, NoRayIntersection, check_workers
 from .lattice import NEIGHBOR_OFFSETS_8
@@ -161,7 +156,7 @@ def interior_capacity(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fan-out over worker processes.
+# Splitting the census over worker processes (:mod:`peierls.pool`).
 # ---------------------------------------------------------------------------
 
 #: Parts of the shape tree per worker process, so that uneven subtrees even out.
@@ -171,157 +166,6 @@ _PARTS_PER_WORKER = 4
 def _tree_parts(workers: int) -> int:
     """Number of parts :func:`_shape_frontier` splits the shape tree into for ``workers`` processes."""
     return 1 if workers == 1 else _PARTS_PER_WORKER * workers
-
-
-@contextmanager
-def _fan_out(tasks: list[tuple], workers: int) -> Iterator[Iterator]:
-    """``fn(*args)`` for each task ``(fn, *args)``, spread over ``workers`` forked processes.
-
-    Used as ``with _fan_out(tasks, workers) as results``: ``results`` yields
-    the results in task order, each as soon as it is in, while later tasks
-    still run, and re-raises a task's exception when its turn comes.  Tasks
-    start in list order.  Leaving the ``with`` block ends the running tasks
-    and starts no others, so a caller that fails on an early result does not
-    wait for the rest.  Forked workers inherit the imported package instead
-    of importing it again, so the caller must not be running other threads.
-    """
-    if workers == 1 or len(tasks) <= 1:
-        yield (fn(*args) for fn, *args in tasks)
-        return
-    pool = _ForkPool(tasks)
-    try:
-        for _ in range(min(workers, len(tasks))):
-            pool.fork()
-        yield pool.results()
-    finally:
-        pool.close()
-
-
-class _ForkPool:
-    """Forked worker processes that run ``tasks`` by index, each next task on the first one free.
-
-    The parent owns no thread and no queue: it writes a task's index (4
-    bytes, -1 to stop) into a worker's task pipe and reads the pickled
-    ``(ok, result or exception, traceback text)`` back from its result pipe,
-    behind an 8-byte length.  A worker holds at most one reply in flight, so
-    the parent waits on the result pipes with ``select`` and reads one reply
-    whole.  The parent pays a fork per worker and little else: no
-    ``multiprocessing`` import at start-up, and none of the threads, locks
-    and queues of a ``concurrent.futures`` process pool, which took half of
-    the CPU time a ``bounds`` command spends outside its workers.
-    """
-
-    def __init__(self, tasks: list[tuple]):
-        self.tasks = tasks
-        self.next_task = 0
-        #: Replies in by task index.
-        self.done: dict[int, tuple] = {}
-        #: Result pipe -> (pid, task pipe, running task index); every worker still forked.
-        self.workers: dict[int, tuple[int, int, int | None]] = {}
-
-    def fork(self) -> None:
-        task_r, task_w = os.pipe()
-        result_r, result_w = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                # the parent's ends of every worker's pipes, so that each task pipe ends with the parent
-                for fd in [task_w, result_r, *self.workers, *(w[1] for w in self.workers.values())]:
-                    os.close(fd)
-                _work(self.tasks, task_r, result_w)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(task_r)
-        os.close(result_w)
-        self.workers[result_r] = (pid, task_w, None)
-        self._dispatch(result_r)
-
-    def _dispatch(self, fd: int) -> None:
-        """Send the worker at result pipe ``fd`` the next task, or stop it if none is left."""
-        pid, task_w, _ = self.workers[fd]
-        index = None
-        if self.next_task < len(self.tasks):
-            index = self.next_task
-            self.next_task += 1
-        os.write(task_w, (-1 if index is None else index).to_bytes(4, "little", signed=True))
-        self.workers[fd] = (pid, task_w, index)
-
-    def results(self) -> Iterator:
-        for index in range(len(self.tasks)):
-            while index not in self.done:
-                self._receive()
-            ok, value, trace = self.done.pop(index)
-            if not ok:
-                value.__cause__ = RuntimeError(f"in the worker process:\n{trace}")
-                raise value
-            yield value
-
-    def _receive(self) -> None:
-        """Wait for at least one reply and hand those workers their next tasks."""
-        running = [fd for fd, (_, _, index) in self.workers.items() if index is not None]
-        ready, _, _ = select.select(running, [], [])
-        for fd in ready:
-            pid, _, index = self.workers[fd]
-            head = _read_exact(fd, 8)
-            reply = _read_exact(fd, int.from_bytes(head, "little")) if len(head) == 8 else b""
-            if not reply:
-                raise ChildProcessError(f"worker process {pid} ended before it returned task {index}")
-            self.done[index] = pickle.loads(reply)
-            self._dispatch(fd)
-
-    def close(self) -> None:
-        """Stop the workers still running a task, reap every worker and close the pipes."""
-        for fd, (pid, task_w, index) in self.workers.items():
-            if index is not None:
-                os.kill(pid, signal.SIGTERM)
-            os.close(task_w)
-        for fd, (pid, _, _) in self.workers.items():
-            os.waitpid(pid, 0)
-            os.close(fd)
-        self.workers.clear()
-
-
-def _work(tasks: list[tuple], task_r: int, result_w: int) -> None:
-    """Body of a forked worker: run the tasks whose indexes come in on ``task_r`` until told to stop."""
-    while True:
-        head = _read_exact(task_r, 4)
-        index = int.from_bytes(head, "little", signed=True) if len(head) == 4 else -1
-        if index < 0:
-            return
-        fn, *args = tasks[index]
-        try:
-            reply = (True, fn(*args), "")
-        except BaseException as exc:
-            import traceback
-
-            reply = (False, exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__)))
-        try:
-            data = pickle.dumps(reply)
-        except Exception as exc:
-            what = "result" if reply[0] else "exception"
-            error = RuntimeError(f"task {index} gave a {what} that cannot be pickled: {exc!r}")
-            data = pickle.dumps((False, error, reply[2]))
-        _write_all(result_w, len(data).to_bytes(8, "little") + data)
-
-
-def _read_exact(fd: int, n: int) -> bytes:
-    """``n`` bytes from ``fd``, fewer only at end of file."""
-    chunks = []
-    while n:
-        chunk = os.read(fd, min(n, 1 << 20))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +521,7 @@ def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
 
 
 def _census_tasks(k_max: int, cap: int, workers: int) -> list[tuple]:
-    """The census parts as :func:`_fan_out` tasks."""
+    """The census parts as :func:`pool._fan_out` tasks."""
     parts = _tree_parts(workers)
     return [(_census_part, k_max, cap, p, parts) for p in range(parts)]
 
@@ -821,7 +665,7 @@ def exact_contour_counts(
     ``_SHAPE_LIMIT`` shapes, counted ones included.
     """
     cap = _census_cap(k_max, cluster_cap, workers)
-    with _fan_out(_census_tasks(k_max, cap, workers), workers) as results:
+    with pool._fan_out(_census_tasks(k_max, cap, workers), workers) as results:
         return _census_table(k_max, cap, results)
 
 
@@ -863,7 +707,7 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
         )
     parts = _tree_parts(workers)
     events: dict[tuple[int, int], int] = {}
-    with _fan_out([(_event_part, max_len, cap, p, parts) for p in range(parts)], workers) as results:
+    with pool._fan_out([(_event_part, max_len, cap, p, parts) for p in range(parts)], workers) as results:
         for part_events in results:
             for pair, count in part_events.items():
                 events[pair] = events.get(pair, 0) + count
@@ -1019,12 +863,12 @@ def self_avoiding_circuit_count(
     is checked after.
     """
     tasks = _walker_tasks(k_max, rule, max_nodes, workers)
-    with _fan_out(tasks, workers) as results:
+    with pool._fan_out(tasks, workers) as results:
         return _walker_counts(k_max, rule, max_nodes, results)
 
 
 def _walker_tasks(k_max: int, rule: str, max_nodes: int, workers: int) -> list[tuple]:
-    """The walker's starts as :func:`_fan_out` tasks, nearest (most nodes) first, for valid arguments."""
+    """The walker's starts as :func:`pool._fan_out` tasks, nearest (most nodes) first, for valid arguments."""
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     if max_nodes < 1:
@@ -1081,7 +925,7 @@ def full_count_table(
         # an error of the census itself still comes first
         exact_contour_counts(k_max, cluster_cap=cluster_cap, workers=workers)
         raise
-    with _fan_out(census + walker, workers) as results:
+    with pool._fan_out(census + walker, workers) as results:
         table = _census_table(k_max, cap, islice(results, len(census)))
         sa = _walker_counts(k_max, rule, max_nodes, results)
     table.sa_walk = sa.walks

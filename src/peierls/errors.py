@@ -33,8 +33,12 @@ class InsufficientData(PeierlsError):
     """Not enough enumerated lengths to form the requested estimate."""
 
 
-#: Most threads or processes one call may start.  The census forks its
-#: workers at once, so an unchecked count could exhaust the process table.
+class WorkerDied(PeierlsError):
+    """A forked worker process ended before it returned its task, killed (say, for want of memory) or exiting."""
+
+
+#: Most processes one call may fork.  The pool forks its workers at once,
+#: so an unchecked count could exhaust the process table.
 MAX_WORKERS = 256
 
 

@@ -18,7 +18,6 @@ nested occupied sets (coupled sampling).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +61,14 @@ _TRIALSALT = 0xD1342543DE82EF95
 #: 2-core Xeon with 2 MiB of L2 a core, hashing radius-128 windows in blocks of
 #: 32K-64K sites took 4-5 ns a site, 16K up to 6.5 ns and 4K about 10 ns.
 _BLOCK_SITES = 1 << 15
-#: Per thread, the two block buffers of :func:`_hash_windows`, kept from call
-#: to call.  Two fresh arrays of up to 256 KiB a call lie past glibc's default
-#: mmap threshold, so each call would map them anew and fault their pages in:
-#: about 13,000 page faults and 15 % of the run time of 2,500 origin-reach
-#: trials at radius 128.
-_block_buffers = threading.local()
+#: Per process, the two block buffers of :func:`_hash_windows`, kept from
+#: call to call under the key "pair".  Two fresh arrays of up to 256 KiB a
+#: call lie past glibc's default mmap threshold, so each call would map them
+#: anew and fault their pages in: about 13,000 page faults and 15 % of the
+#: run time of 2,500 origin-reach trials at radius 128.  A call takes the
+#: pair out while it runs, so calls on two threads of one process never
+#: share it.
+_block_buffers: dict[str, np.ndarray] = {}
 
 
 def _hash_windows(seeds: np.ndarray, radius: int, out: np.ndarray, reduce) -> None:
@@ -82,8 +83,8 @@ def _hash_windows(seeds: np.ndarray, radius: int, out: np.ndarray, reduce) -> No
     slices of one band.  For each block, ``reduce(z, dst)`` writes ``dst``,
     the block's slice of ``out``, from ``z``, the block's hashes laid out
     like ``dst``; it may overwrite ``z``.  No hash array larger than a block
-    ever exists, and the calling thread reuses its two block buffers from
-    call to call (``_block_buffers``).
+    ever exists, and the process reuses its two block buffers from call to
+    call (``_block_buffers``).
     """
     side = 2 * radius + 1
     height = out.shape[1]
@@ -96,9 +97,9 @@ def _hash_windows(seeds: np.ndarray, radius: int, out: np.ndarray, reduce) -> No
     trials = _even_piece(seeds.size, _BLOCK_SITES // (height * side))
     rows = _even_piece(height, _BLOCK_SITES // side)
     n = trials * rows * side
-    pair = getattr(_block_buffers, "pair", None)
+    pair = _block_buffers.pop("pair", None)
     if pair is None or pair.shape[1] < n:
-        pair = _block_buffers.pair = np.empty((2, n), dtype=np.uint64)
+        pair = np.empty((2, n), dtype=np.uint64)
     z, tmp = (buf[:n].reshape(trials, rows, side) for buf in pair)
     for t0 in range(0, seeds.size, trials):
         t1 = min(t0 + trials, seeds.size)
@@ -107,6 +108,7 @@ def _hash_windows(seeds: np.ndarray, radius: int, out: np.ndarray, reduce) -> No
             zb = z[: t1 - t0, : y1 - y0]
             np.add(hx[t0:t1, np.newaxis, :], yterm[y0:y1], out=zb)
             reduce(_np_mix64(zb, tmp[: t1 - t0, : y1 - y0]), out[t0:t1, y0:y1])
+    _block_buffers["pair"] = pair
 
 
 def _even_piece(n: int, most: int) -> int:

@@ -6,15 +6,16 @@ estimates are identical however the trials are split across workers.  A site
 is occupied at concentration c when the 53-bit uniform its hash encodes is
 below c, a comparison made on the raw hashes; this is the package's only
 occupancy rule.  Trials are processed in chunks of about 1M sites, spread
-over worker threads and produced lazily, so a run holds only the chunks in
-flight.  Within a chunk the site hashes are computed in cache-sized blocks
-(:func:`peierls.lattice._hash_windows`) and each block is reduced at once:
-thresholded straight into the occupancy buffer that is labelled, or cut to a
-16-bit key for bisection.  No chunk-sized array of 64-bit hashes is ever
-built.  Cluster labeling is done in batches: trial grids are stacked with
-blank separator rows and labeled in a single 4-connected pass.  Fields of
-more than ``_SITE_LIMIT`` sites and runs of more than ``_SITE_TRIAL_LIMIT``
-trials x sites raise :class:`CapExceeded`.
+over forked worker processes (:mod:`peierls.pool`) and produced lazily, so a
+run holds only the chunks in flight.  Within a chunk the site hashes are
+computed in cache-sized blocks (:func:`peierls.lattice._hash_windows`) and
+each block is reduced at once: thresholded straight into the occupancy
+buffer that is labelled, or cut to a 16-bit key for bisection.  No
+chunk-sized array of 64-bit hashes is ever built.  Cluster labeling is done
+in batches: trial grids are stacked with blank separator rows and labeled in
+a single 4-connected pass.  Fields of more than ``_SITE_LIMIT`` sites and
+runs of more than ``_SITE_TRIAL_LIMIT`` trials x sites raise
+:class:`CapExceeded`.
 
 Origin reach labels the central strips |y| <= h of its windows rather than
 the windows, h = 4, 8, 16, ... (:func:`_reach_count`).  A stage hashes and
@@ -53,13 +54,12 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import pool
 from .errors import CapExceeded, check_workers
 from .lattice import _M64, _TRIALSALT, Window, _hash_windows, _np_mix64
 
@@ -280,28 +280,11 @@ def _chunks(L: int, trials: int) -> Iterator[tuple[int, int]]:
     return ((t0, min(t0 + batch, trials)) for t0 in range(0, trials, batch))
 
 
-def _map_chunks(fn, chunks: Iterable[tuple[int, int]], workers: int) -> Iterator:
-    """``fn(t0, t1)`` for each range of ``chunks``, in order, computed on ``workers`` threads.
-
-    At most two ranges a worker are in flight, so however many ranges there
-    are, neither they nor their results are ever held all at once.
-    """
-    if workers <= 1:
-        for a, b in chunks:
-            yield fn(a, b)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for a, b in chunks:
-            pending.append(pool.submit(fn, a, b))
-            if len(pending) > 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def _count_events(counter, L: int, c: float, trials: int, seed: int, workers: int) -> int:
-    return sum(_map_chunks(lambda a, b: counter(seed, L, c, a, b), _chunks(L, trials), workers))
+    """Sum of ``counter(seed, L, c, t0, t1)`` over the chunks of the run, on ``workers`` processes."""
+    tasks = ((counter, seed, L, c, t0, t1) for t0, t1 in _chunks(L, trials))
+    with pool._fan_out(tasks, workers) as results:
+        return sum(results)
 
 
 #: Sites in one field.  A chunk holds at least one whole field, and a field's
@@ -446,7 +429,7 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     over the j* histogram, giving the same trace and estimate.  The trials
     are searched in chunks of about 1M sites, each hashed once.  The first
     chunk is searched by plain bisection; its j* histogram then steers the
-    probes of every later chunk.  Both stages run on ``workers`` threads.
+    probes of every later chunk.  Both stages run on ``workers`` processes.
     The search order depends only on the seed, the window and the trial
     count, and j* does not depend on it at all.  Capped like
     :func:`estimate_origin_reach`.
@@ -460,15 +443,17 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     def search(prior: np.ndarray, chunks: Iterable[tuple[int, int]]) -> tuple[np.ndarray, int]:
         """j* histogram and labelling passes of the trials in ``chunks``."""
         histogram, passes = np.zeros(grid, dtype=np.int64), 0
-        for j, p in _map_chunks(lambda a, b: _critical_indices(seed, L, m, a, b, prior), chunks, workers):
-            histogram += np.bincount(j, minlength=grid)
-            passes += p
+        tasks = ((_critical_indices, seed, L, m, a, b, prior) for a, b in chunks)
+        with pool._fan_out(tasks, workers) as results:
+            for j, p in results:
+                histogram += np.bincount(j, minlength=grid)
+                passes += p
         return histogram, passes
 
     chunks = _chunks(L, trials)
     # Bisection spends m passes a trial however the first chunk is split, so
     # the workers share it; never in more pieces than there are chunks, so no
-    # more threads start than for the chunks themselves.
+    # more processes start than for the chunks themselves.
     t0, t1 = next(chunks)
     step = -(-(t1 - t0) // min(workers, -(-trials // (t1 - t0))))
     first = ((a, min(a + step, t1)) for a in range(t0, t1, step))

@@ -163,11 +163,11 @@ def test_criterion_7_determinism_and_monotonicity():
         failures.append(f"{exceptions} configurations crossed at low c but not high c")
     # parallel and serial runs are bit-identical
     serial = estimate_crossing(16, 0.6, 2000, 5, workers=1)
-    threaded = estimate_crossing(16, 0.6, 2000, 5, workers=4)
-    if serial != threaded:
-        failures.append("threaded estimate differs from serial")
+    forked = estimate_crossing(16, 0.6, 2000, 5, workers=4)
+    if serial != forked:
+        failures.append("estimate on worker processes differs from serial")
     serial_r = estimate_origin_reach(16, 0.62, 2000, 5, workers=1)
-    threaded_r = estimate_origin_reach(16, 0.62, 2000, 5, workers=3)
-    if serial_r != threaded_r:
-        failures.append("threaded reach estimate differs from serial")
+    forked_r = estimate_origin_reach(16, 0.62, 2000, 5, workers=3)
+    if serial_r != forked_r:
+        failures.append("reach estimate on worker processes differs from serial")
     _criterion(7, "coupled-field monotonicity holds with zero exceptions; parallel == serial bit-exactly", failures)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import signal
 import tempfile
 from unittest import mock
 
@@ -18,7 +20,7 @@ from peierls import (
     full_count_table,
     self_avoiding_circuit_count,
 )
-from peierls import cli, montecarlo
+from peierls import cli, enumeration, montecarlo
 from peierls.cli import _default_workers, main
 from peierls.errors import MAX_WORKERS, check_workers
 
@@ -214,7 +216,6 @@ def test_worker_count_above_the_cap_exits_2_and_starts_no_pool(monkeypatch, caps
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", refuse)
     over = MAX_WORKERS + 1
     simulate = ["simulate", "--L", "8", "--c", "0.6", "--trials", "20"]
     bisect = ["simulate", "--L", "8", "--bisect", "--trials", "20"]
@@ -255,6 +256,64 @@ def test_cap_in_a_worker_exits_3_with_one_line(monkeypatch, capsys):
     assert code == 3
     assert err.startswith("error: circuit search exceeded 1000 nodes") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+#: The test process, in which a task patched in to end its worker must never run.
+_TEST_PID = os.getpid()
+
+
+def _end_this_worker(how: str) -> None:
+    assert os.getpid() != _TEST_PID, "a task meant for a forked worker ran in the test process"
+    if how == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+
+def _walker_start_killed(k_max, rule, l, max_nodes):
+    if l == 2:
+        _end_this_worker("kill")
+    return _circuits_from(k_max, rule, l, max_nodes)
+
+
+def _reach_chunk_killed(seed, L, c, t0, t1):
+    if t0 > 0:
+        _end_this_worker("kill")
+    return _reach_count(seed, L, c, t0, t1)
+
+
+def _reach_chunk_out_of_memory(seed, L, c, t0, t1):
+    if t0 > 0:
+        _end_this_worker("memory")
+    return _reach_count(seed, L, c, t0, t1)
+
+
+_circuits_from = enumeration._circuits_from
+_reach_count = montecarlo._reach_count
+_KILLED = r"error: worker process \d+ was killed by signal 9 before it returned task \d+\n"
+_SIMULATE = ["simulate", "--L", "8", "--c", "0.6", "--trials", "10000", "--workers", "2"]
+
+
+@pytest.mark.parametrize(
+    "module, name, task, argv, message",
+    [
+        (enumeration, "_circuits_from", _walker_start_killed, ["counts", "--k-max", "10"], _KILLED),
+        (montecarlo, "_reach_count", _reach_chunk_killed, _SIMULATE, _KILLED),
+        (
+            montecarlo,
+            "_reach_count",
+            _reach_chunk_out_of_memory,
+            _SIMULATE,
+            r"error: Unable to allocate 8\.00 EiB for an array\n",
+        ),
+    ],
+)
+def test_a_lost_worker_exits_3_with_one_line(module, name, task, argv, message, monkeypatch, capsys):
+    monkeypatch.setenv("PEIERLS_THREADS", "2")
+    monkeypatch.setattr(module, name, task)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.fullmatch(message, err)
 
 
 @pytest.mark.parametrize(

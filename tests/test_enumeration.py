@@ -1,7 +1,4 @@
-import math
-import os
 import signal
-import time
 from collections import Counter, defaultdict
 from functools import lru_cache
 from unittest import mock
@@ -37,7 +34,7 @@ from peierls import (
     self_avoiding_circuit_count,
     walk_bound,
 )
-from peierls import clusters, enumeration
+from peierls import clusters, enumeration, pool
 from peierls.enumeration import (
     _CANON_STRIDE,
     _SPLIT_SIZE,
@@ -45,7 +42,6 @@ from peierls.enumeration import (
     _census_table,
     _circuits_from,
     _event_part,
-    _fan_out,
     _shape_frontier,
     class_counts_csv,
     count_table_csv,
@@ -458,59 +454,18 @@ def test_census_error_wins_over_walker_error(workers):
 
 def test_full_count_table_fans_out_once(monkeypatch):
     calls = []
+    fan_out = pool._fan_out
 
     def counted(tasks, workers):
         calls.append(len(tasks))
-        return _fan_out(tasks, workers)
+        return fan_out(tasks, workers)
 
-    monkeypatch.setattr(enumeration, "_fan_out", counted)
+    monkeypatch.setattr(pool, "_fan_out", counted)
     for workers, parts in ((1, 1), (2, 8)):
         calls.clear()
         full_count_table(8, workers=workers)
         # the census parts and the walker's three starts
         assert calls == [parts + 3]
-
-
-def test_fan_out_ends_running_tasks_when_the_caller_fails(monkeypatch):
-    forked = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    t0 = time.perf_counter()
-    with pytest.raises(KeyError):
-        with _fan_out([(abs, -1), (time.sleep, 60), (time.sleep, 60)], 2) as results:
-            assert next(results) == 1
-            raise KeyError("merge failed")
-    assert time.perf_counter() - t0 < 30
-    assert len(forked) == 2
-    for pid in forked:
-        # reaped on the way out: no longer a child of this process
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-def test_fan_out_reraises_a_task_error_in_its_turn_with_the_worker_traceback():
-    with pytest.raises(ValueError, match="math domain error") as info:
-        with _fan_out([(abs, -1), (math.sqrt, -1), (abs, -2)], 2) as results:
-            assert next(results) == 1
-            next(results)
-    assert "in the worker process" in str(info.value.__cause__)
-    assert "ValueError: math domain error" in str(info.value.__cause__)
-
-
-def test_fan_out_names_a_worker_that_died_and_a_result_it_cannot_send():
-    with pytest.raises(ChildProcessError, match="ended before it returned task 1$"):
-        with _fan_out([(abs, -1), (os._exit, 3), (abs, -2)], 2) as results:
-            list(results)
-    with pytest.raises(RuntimeError, match="task 0 gave a result that cannot be pickled"):
-        with _fan_out([(eval, "lambda: 0"), (abs, -1)], 2) as results:
-            list(results)
 
 
 def test_census_rejects_fewer_than_one_worker():

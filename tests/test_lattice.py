@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -101,3 +103,27 @@ def test_band_hashes_are_the_central_rows_of_the_window(seeds, radius, data, blo
     with mock.patch.object(lattice, "_BLOCK_SITES", block):
         _hash_windows(seeds, radius, band, lambda z, dst: np.copyto(dst, z))
     assert np.array_equal(band, hash_grids(seeds, radius)[:, radius - h : radius + h + 1])
+
+
+def test_hash_windows_on_threads_match_the_serial_result():
+    # a call takes the block buffers out while it runs, so calls on several
+    # threads of one process never hash into the same buffer
+    expected = [occupancy(seed, 20, 0.5, 0, 8) for seed in range(6)]
+    found: dict[int, list] = {}
+
+    def hash_repeatedly(seed):
+        found[seed] = [occupancy(seed, 20, 0.5, 0, 8) for _ in range(30)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hash_repeatedly, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in range(6):
+        assert all(np.array_equal(grid, expected[seed]) for grid in found[seed])

@@ -36,11 +36,11 @@ from peierls.montecarlo import (
     _keys,
     _label_batch,
     _load_labeller,
-    _map_chunks,
     _occupy,
     _reach_count,
     _trial_seeds,
 )
+from peierls.pool import _fan_out
 
 
 def test_extreme_concentrations():
@@ -302,6 +302,7 @@ def test_import_leaves_out_scipy_ndimage_and_the_kernel_coexists_with_it():
         import peierls.cli
         from peierls.montecarlo import _STRUCT4, _label_batch
         assert "scipy.ndimage" not in sys.modules and "scipy.special" not in sys.modules
+        assert "concurrent.futures" not in sys.modules
         from scipy import ndimage
         grid = np.random.default_rng(5).random((40, 50)) < 0.6
         expected, _ = ndimage.label(np.vstack([grid, np.zeros((1, 50), bool)]), structure=_STRUCT4)
@@ -421,9 +422,10 @@ def test_any_split_of_the_trials_gives_the_same_results(seed, L, c, sizes, worke
     prior = np.arange(1 << m) % 5
     with mock.patch.object(lattice, "_BLOCK_SITES", block):
         for counter in (_reach_count, _crossing_count):
-            split = sum(_map_chunks(lambda a, b: counter(seed, L, c, a, b), iter(ranges), workers))
-            assert split == counter(seed, L, c, 0, trials)
-        pieces = list(_map_chunks(lambda a, b: _critical_indices(seed, L, m, a, b, prior)[0], iter(ranges), workers))
+            with _fan_out(((counter, seed, L, c, a, b) for a, b in ranges), workers) as results:
+                assert sum(results) == counter(seed, L, c, 0, trials)
+        with _fan_out(((_critical_indices, seed, L, m, a, b, prior) for a, b in ranges), workers) as results:
+            pieces = [j for j, _ in results]
         assert np.array_equal(np.concatenate(pieces), _critical_indices(seed, L, m, 0, trials, prior)[0])
 
 
@@ -432,14 +434,18 @@ def test_chunks_are_lazy_and_few_in_flight():
     assert isinstance(chunks, Iterator) and next(chunks) == (0, 3267)
     drawn = []
 
-    def ranges():
+    def tasks():
         for a in range(100):
             drawn.append(a)
-            yield a, a + 1
+            yield abs, a
 
-    results = _map_chunks(lambda a, b: a, ranges(), 2)
-    assert next(results) == 0 and len(drawn) <= 5
-    assert list(results) == list(range(1, 100))
+    for workers in (1, 2, 3):
+        drawn.clear()
+        with _fan_out(tasks(), workers) as results:
+            for i, value in enumerate(results):
+                # at most 2 * workers tasks ahead of the result just taken
+                assert value == i and len(drawn) <= i + 1 + 2 * workers
+        assert len(drawn) == 100
 
 
 def test_monte_carlo_caps_threshold():

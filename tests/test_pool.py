@@ -1,0 +1,72 @@
+import math
+import os
+import threading
+import time
+
+import pytest
+
+from peierls import WorkerDied, estimate_crossing, full_count_table
+from peierls.pool import _fan_out
+
+
+def test_fan_out_ends_running_tasks_when_the_caller_fails(monkeypatch):
+    forked = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError):
+        with _fan_out([(abs, -1), (time.sleep, 60), (time.sleep, 60)], 2) as results:
+            assert next(results) == 1
+            raise KeyError("merge failed")
+    assert time.perf_counter() - t0 < 30
+    assert len(forked) == 2
+    for pid in forked:
+        # reaped on the way out: no longer a child of this process
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_fan_out_reraises_a_task_error_in_its_turn_with_the_worker_traceback():
+    with pytest.raises(ValueError, match="math domain error") as info:
+        with _fan_out([(abs, -1), (math.sqrt, -1), (abs, -2)], 2) as results:
+            assert next(results) == 1
+            next(results)
+    assert "in the worker process" in str(info.value.__cause__)
+    assert "ValueError: math domain error" in str(info.value.__cause__)
+
+
+def test_fan_out_names_a_worker_that_died_and_a_result_it_cannot_send():
+    with pytest.raises(WorkerDied, match=r"^worker process \d+ exited with code 3 before it returned task 1$"):
+        with _fan_out([(abs, -1), (os._exit, 3), (abs, -2)], 2) as results:
+            list(results)
+    with pytest.raises(RuntimeError, match="task 0 gave a result that cannot be pickled"):
+        with _fan_out([(eval, "lambda: 0"), (abs, -1)], 2) as results:
+            list(results)
+
+
+def test_a_caller_running_threads_runs_the_tasks_itself(monkeypatch):
+    expected = estimate_crossing(8, 0.6, 5000, 3, workers=1)
+    table = full_count_table(8, workers=1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+
+        def refuse():
+            raise AssertionError("forked while another thread runs")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        with _fan_out([(abs, -1), (abs, -2), (abs, -3)], 2) as results:
+            assert list(results) == [1, 2, 3]
+        assert estimate_crossing(8, 0.6, 5000, 3, workers=2) == expected
+        assert full_count_table(8, workers=3) == table
+    finally:
+        stop.set()
+        thread.join()
