@@ -55,6 +55,7 @@ from .enumeration import (
     walk_bound,
 )
 from .errors import (
+    BuildError,
     CapExceeded,
     ContourError,
     DivergentSeries,
@@ -79,6 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
+    "BuildError",
     "CapExceeded",
     "ClassKey",
     "Cluster",

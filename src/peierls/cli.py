@@ -6,7 +6,8 @@ the run manifest, which records output digests so a run can be verified by
 re-execution.
 
 Exit codes: 0 success, 2 argument error, 3 enumeration or Monte Carlo work
-cap, feasibility error, or a worker process lost or out of memory.
+cap, feasibility error, a worker process lost or out of memory, or the
+bisection kernel not built (no C compiler).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .enumeration import (
     count_table_json_dict,
     full_count_table,
 )
-from .errors import MAX_WORKERS, CapExceeded, IncompletenessError, WorkerDied, check_workers
+from .errors import MAX_WORKERS, BuildError, CapExceeded, IncompletenessError, WorkerDied, check_workers
 from .montecarlo import bisect_threshold, estimate_crossing, estimate_origin_reach
 
 _BOUND_COLUMNS = ("c", "q_truncated", "tail", "q_lower", "series_bound", "threshold_bound", "guarantee")
@@ -325,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         if not os.path.isdir(out_dir):  # before any work, not after it
             raise ValueError(f"output directory {out_dir} does not exist")
         return args.func(args)
-    except (CapExceeded, IncompletenessError, WorkerDied, MemoryError) as exc:
+    except (BuildError, CapExceeded, IncompletenessError, WorkerDied, MemoryError) as exc:
         # numpy names the allocation that failed; a bare MemoryError says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

@@ -33,6 +33,10 @@ class InsufficientData(PeierlsError):
     """Not enough enumerated lengths to form the requested estimate."""
 
 
+class BuildError(PeierlsError):
+    """A compiled kernel could not be built: no C compiler, a failed compile, or an unwritable cache."""
+
+
 class WorkerDied(PeierlsError):
     """A forked worker process ended before it returned its task, killed (say, for want of memory) or exiting."""
 

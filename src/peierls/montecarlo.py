@@ -30,14 +30,16 @@ Threshold bisection does not re-label every field at every midpoint.  Its
 midpoints all lie on the grid j / 2**m, with m fixed by the tolerance, and a
 coupled field crosses at c = j / 2**m exactly when j exceeds the field's
 critical index j*: the largest grid index at which it has no left-right
-crossing.  Each chunk is hashed once, into 16-bit keys, and every trial's j*
-is found by its own search, each pass thresholding and labeling only the
-trials whose bracket is still open.  The first chunk bisects; later chunks probe at the weighted
-median of their bracket under the first chunk's j* histogram, which takes
-fewer passes (about 4.4 a trial instead of 8 at L = 64, tol = 0.005).  j* is
-exact whatever the probe order, so the hit count at each midpoint,
-#{t : j*_t < j}, and with it the trace and estimate are the same as those of
-thresholding every field at every midpoint.
+crossing.  Each chunk is hashed once, into 16-bit keys, and a compiled
+Newman-Ziff sweep (``_sweep.c``) finds every trial's j* in one pass: it adds
+the sites in key order, one grid level at a time, to a union-find forest that
+also holds one node for each of the left and right columns, and j* is the
+first level after which the two share a root.  A chunk returns its j*
+histogram, and the hit count at each midpoint, #{t : j*_t < j}, is a prefix
+sum of it, so the trace and estimate are those of thresholding every field at
+every midpoint.  The kernel is compiled with ``cc`` on first use into a cache
+under ``$XDG_CACHE_HOME`` (:func:`_sweep_kernel`), so only bisection needs a
+C compiler, and no other command builds or loads the kernel.
 
 The labeller is scipy's compiled kernel ``scipy.ndimage._ni_label._label``,
 the one ``scipy.ndimage.label`` wraps, loaded from its extension file when
@@ -55,12 +57,12 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from . import pool
-from .errors import CapExceeded, check_workers
+from .errors import BuildError, CapExceeded, check_workers
 from .lattice import _M64, _TRIALSALT, Window, _hash_windows, _np_mix64
 
 __all__ = [
@@ -274,8 +276,7 @@ def _crossing_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
 def _chunks(L: int, trials: int) -> Iterator[tuple[int, int]]:
     """Trial ranges [t0, t1) of about 1M sites each, yielded lazily."""
     side = 2 * L + 1
-    # ~1M sites keeps a chunk's grids and int32 labels near 5 MB.  Bisection
-    # steers later chunks by the first chunk's j*, so its passes depend on this.
+    # ~1M sites keeps a chunk's grids and int32 labels near 5 MB
     batch = max(1, 1_000_000 // (side * (side + 1)))
     return ((t0, min(t0 + batch, trials)) for t0 in range(0, trials, batch))
 
@@ -288,9 +289,10 @@ def _count_events(counter, L: int, c: float, trials: int, seed: int, workers: in
 
 
 #: Sites in one field.  A chunk holds at least one whole field, and a field's
-#: bool grid and int32 labels take 5 bytes a site (bisection's 16-bit keys and
-#: their per-pass copy take 4 more), so 2**30 sites, radius 16383, hold one
-#: field under 5 GiB; radius 100000 would need 200 GB.
+#: bool grid and int32 labels take 5 bytes a site, so 2**30 sites, radius
+#: 16383, hold one field under 5 GiB; radius 100000 would need 200 GB.
+#: Bisection's sweep takes 10 bytes a site instead: the 16-bit keys, and the
+#: int32 site order and union-find parents of its scratch.
 _SITE_LIMIT = 1 << 30
 #: Trials x sites in one run.  Memory stays bounded at any trial count, since
 #: chunks are made lazily and few are in flight, so this bounds run time only:
@@ -353,11 +355,7 @@ def estimate_crossing(L: int, c: float, trials: int, seed: int, *, workers: int 
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bisection output: the midpoint estimate and the evaluation trace.
-
-    ``label_passes`` counts the per-trial labellings the search spent; it is
-    bookkeeping, not part of the data files.
-    """
+    """Bisection output: the midpoint estimate and the evaluation trace."""
 
     estimate: float
     tol: float
@@ -365,7 +363,6 @@ class ThresholdResult:
     L: int
     trials: int
     seed: int
-    label_passes: int = 0
 
 
 def _midpoint_count(tol: float) -> int:
@@ -377,41 +374,91 @@ def _midpoint_count(tol: float) -> int:
     return m
 
 
-def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int, prior: np.ndarray) -> tuple[np.ndarray, int]:
-    """Critical grid index of each trial t0..t1-1, and the labelling passes spent.
+#: The sweep kernel's C source, and the command that builds it into a shared library.
+_SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
+_SWEEP_BUILD = ("cc", "-O2", "-shared", "-fPIC")
+#: ``peierls_critical_indices`` of the loaded kernel, set by :func:`_sweep_kernel`.
+_sweep = None
+
+
+def _sweep_cache() -> str:
+    """The directory the built kernel is cached in: ``${XDG_CACHE_HOME:-~/.cache}/peierls``."""
+    return os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "peierls")
+
+
+def _sweep_kernel():
+    """The compiled sweep (``_sweep.c``), built on first use and cached.
+
+    The library is ``sweep-<digest>.so`` in :func:`_sweep_cache`, the digest
+    the sha256 of the source and the build command, so an edited source or
+    command builds anew.  It is compiled to a temporary name in the cache and
+    moved into place with ``os.replace``, so processes that build at once each
+    load a whole file.  The kernel is loaded into the calling process, so
+    workers forked after the first call inherit it.  Raises
+    :class:`BuildError` when it cannot be built.
+    """
+    global _sweep
+    if _sweep is not None:
+        return _sweep
+    import ctypes
+    import hashlib
+    import subprocess
+    import tempfile
+
+    with open(_SWEEP_SOURCE, "rb") as fh:
+        source = fh.read()
+    digest = hashlib.sha256(source + b"\0" + " ".join(_SWEEP_BUILD).encode()).hexdigest()
+    cache = _sweep_cache()
+    path = os.path.join(cache, f"sweep-{digest}.so")
+    if not os.path.isfile(path):
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=".sweep-", suffix=".so", dir=cache)
+            os.close(fd)
+        except OSError as exc:
+            raise BuildError(f"cannot write the bisection kernel to {cache}: {exc.strerror}") from None
+        try:
+            build = subprocess.run([*_SWEEP_BUILD, "-o", tmp, _SWEEP_SOURCE], capture_output=True, text=True)
+            if build.returncode:
+                # the first error line only: the CLI reports an error on one line
+                first = next((line for line in build.stderr.splitlines() if "error" in line), f"exit code {build.returncode}")
+                raise BuildError(f"{_SWEEP_BUILD[0]} could not build the bisection kernel: {first.strip()}")
+            os.replace(tmp, path)
+        except FileNotFoundError:
+            raise BuildError(f"bisection needs a C compiler '{_SWEEP_BUILD[0]}' on PATH to build its kernel") from None
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    try:
+        kernel = ctypes.CDLL(path).peierls_critical_indices
+    except OSError as exc:
+        raise BuildError(f"cannot load the bisection kernel {path}: {exc}") from None
+    kernel.restype = ctypes.c_int
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_int32, ctypes.c_void_p]
+    _sweep = kernel
+    return kernel
+
+
+def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
+    """Critical grid index of each trial t0..t1-1.
 
     The critical index j*_t is the largest j in [0, 2**m) such that field t has
     no left-right crossing at c = j / 2**m; crossing is monotone in c, so the
-    field crosses at j / 2**m exactly when j > j*_t.  Each trial keeps a
-    bracket lo <= j*_t < hi and is probed at the median of its bracket under
-    the weights ``prior * 2**m + 1`` (a j* histogram plus one pseudo-count
-    spread over the grid); a zero prior makes that plain bisection.  The probe
-    order changes the passes spent, never j*.
-
-    The fields are hashed once, into 16-bit keys (:func:`_keys`).  Each pass
-    thresholds the keys of the trials whose bracket is still open and labels
-    only those.
+    field crosses at j / 2**m exactly when j > j*_t.  The fields are hashed
+    once, into 16-bit keys (:func:`_keys`), and the compiled sweep
+    (:func:`_sweep_kernel`) finds each j*_t in one union-find pass over the
+    field's sites in key order.
     """
-    grid = 1 << m
-    cum = np.concatenate(([0], np.cumsum(prior.astype(np.int64) * grid + 1)))
-    side = 2 * L + 1
     keys = _keys(seed, L, m, t0, t1)
-    lo = np.zeros(t1 - t0, dtype=np.int64)
-    hi = np.full(t1 - t0, grid, dtype=np.int64)
-    active = np.arange(t1 - t0)
-    passes = 0
-    while active.size:
-        a, b = lo[active], hi[active]
-        probe = np.clip(np.searchsorted(2 * cum, cum[a] + cum[b]), a + 1, b - 1)
-        bound = probe.astype(np.uint16)[:, np.newaxis, np.newaxis]
-        crossed = _crossing(
-            _label_batch(active.size, side, side, lambda grids: np.less(keys[active], bound, out=grids))
-        )
-        hi[active] = np.where(crossed, probe, b)
-        lo[active] = np.where(crossed, a, probe)
-        passes += active.size
-        active = active[hi[active] - lo[active] > 1]
-    return lo, passes
+    critical = np.empty(t1 - t0, dtype=np.int32)
+    if _sweep_kernel()(keys.ctypes.data, t1 - t0, 2 * L + 1, m, critical.ctypes.data):
+        raise MemoryError(f"cannot allocate the sweep's scratch for a field of {Window(L).site_count} sites")
+    return critical
+
+
+def _critical_histogram(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
+    """Histogram over [0, 2**m) of the critical indices of trials t0..t1-1 (:func:`_critical_indices`)."""
+    return np.bincount(_critical_indices(seed, L, m, t0, t1), minlength=1 << m)
 
 
 def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int = 1) -> ThresholdResult:
@@ -424,14 +471,13 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     The bracket halves whichever way a step goes, so the m midpoints all lie
     on the grid j / 2**m, with m fixed by ``tol``.  The hit count at c = j / 2**m
     is the number of trials whose critical index j*_t (see
-    :func:`_critical_indices`) is below j, so one search per trial replaces
+    :func:`_critical_indices`) is below j, so one sweep per trial replaces
     re-labelling every field at every midpoint; the float loop then replays
     over the j* histogram, giving the same trace and estimate.  The trials
-    are searched in chunks of about 1M sites, each hashed once.  The first
-    chunk is searched by plain bisection; its j* histogram then steers the
-    probes of every later chunk.  Both stages run on ``workers`` processes.
-    The search order depends only on the seed, the window and the trial
-    count, and j* does not depend on it at all.  Capped like
+    are swept in chunks of about 1M sites on ``workers`` processes, each chunk
+    hashed once and returned as its j* histogram.  The sweep is compiled C,
+    built on the first call (:func:`_sweep_kernel`), which raises
+    :class:`BuildError` when no C compiler ``cc`` can build it.  Capped like
     :func:`estimate_origin_reach`.
     """
     _check_run(L, trials, workers)
@@ -439,28 +485,14 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
         raise ValueError(f"tolerance must lie in [1e-3, 1), got {tol}")
     m = _midpoint_count(tol)
     grid = 1 << m
-
-    def search(prior: np.ndarray, chunks: Iterable[tuple[int, int]]) -> tuple[np.ndarray, int]:
-        """j* histogram and labelling passes of the trials in ``chunks``."""
-        histogram, passes = np.zeros(grid, dtype=np.int64), 0
-        tasks = ((_critical_indices, seed, L, m, a, b, prior) for a, b in chunks)
-        with pool._fan_out(tasks, workers) as results:
-            for j, p in results:
-                histogram += np.bincount(j, minlength=grid)
-                passes += p
-        return histogram, passes
-
-    chunks = _chunks(L, trials)
-    # Bisection spends m passes a trial however the first chunk is split, so
-    # the workers share it; never in more pieces than there are chunks, so no
-    # more processes start than for the chunks themselves.
-    t0, t1 = next(chunks)
-    step = -(-(t1 - t0) // min(workers, -(-trials // (t1 - t0))))
-    first = ((a, min(a + step, t1)) for a in range(t0, t1, step))
-    prior, first_passes = search(np.zeros(grid, dtype=np.int64), first)
-    rest, rest_passes = search(prior, chunks)
+    _sweep_kernel()  # built and loaded before the workers fork
+    histogram = np.zeros(grid, dtype=np.int64)
+    tasks = ((_critical_histogram, seed, L, m, t0, t1) for t0, t1 in _chunks(L, trials))
+    with pool._fan_out(tasks, workers) as results:
+        for part in results:
+            histogram += part
     # hits[j]: trials crossing at c = j / grid, i.e. with j* < j
-    hits = np.concatenate(([0], np.cumsum(prior + rest)))
+    hits = np.concatenate(([0], np.cumsum(histogram)))
     lo, hi = 0.0, 1.0
     trace: list[tuple[float, float]] = []
     while hi - lo > tol:
@@ -478,7 +510,6 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
         L=L,
         trials=trials,
         seed=seed,
-        label_passes=first_passes + rest_passes,
     )
 
 

@@ -1,10 +1,16 @@
-"""Reference bisection: every midpoint re-thresholds and re-labels every trial.
+"""Reference bisection, and a reference search for each trial's critical index.
 
-This is the sequential loop ``bisect_threshold`` ran before it searched each
-trial's critical index, with the pairwise left/right label comparison the
+``oracle_bisect`` is the sequential loop ``bisect_threshold`` ran before it
+searched each trial's critical index: every midpoint re-thresholds and
+re-labels every trial, with the pairwise left/right label comparison the
 crossing test used before it marked labels, on occupancy from the
 whole-array hash oracle; the tests require the library to give the same
 trace, estimate and crossing flags.
+
+``oracle_critical_indices`` is the probe search ``bisect_threshold`` ran
+before the union-find sweep: each trial's critical index is found by
+labelling the field at probes inside a shrinking bracket.  The tests require
+the sweep to give the same indices.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from hash_oracle import occupied
-from peierls.montecarlo import _chunks, _label_batch
+from peierls.montecarlo import _chunks, _crossing, _keys, _label_batch
 
 
 def oracle_crossing(labels: np.ndarray) -> np.ndarray:
@@ -40,3 +46,36 @@ def oracle_bisect(L: int, trials: int, tol: float, seed: int) -> tuple[float, tu
         else:
             hi = mid
     return (lo + hi) / 2.0, tuple(trace)
+
+
+def oracle_critical_indices(seed: int, L: int, m: int, t0: int, t1: int, prior: np.ndarray) -> tuple[np.ndarray, int]:
+    """Critical grid index of each trial t0..t1-1, and the labelling passes spent.
+
+    The critical index j*_t is the largest j in [0, 2**m) such that field t has
+    no left-right crossing at c = j / 2**m.  Each trial keeps a bracket
+    lo <= j*_t < hi and is probed at the median of its bracket under the
+    weights ``prior * 2**m + 1`` (a j* histogram plus one pseudo-count spread
+    over the grid); a zero prior makes that plain bisection.  The probe order
+    changes the passes spent, never j*.  Each pass thresholds the 16-bit keys
+    of the trials whose bracket is still open and labels only those.
+    """
+    grid = 1 << m
+    cum = np.concatenate(([0], np.cumsum(prior.astype(np.int64) * grid + 1)))
+    side = 2 * L + 1
+    keys = _keys(seed, L, m, t0, t1)
+    lo = np.zeros(t1 - t0, dtype=np.int64)
+    hi = np.full(t1 - t0, grid, dtype=np.int64)
+    active = np.arange(t1 - t0)
+    passes = 0
+    while active.size:
+        a, b = lo[active], hi[active]
+        probe = np.clip(np.searchsorted(2 * cum, cum[a] + cum[b]), a + 1, b - 1)
+        bound = probe.astype(np.uint16)[:, np.newaxis, np.newaxis]
+        crossed = _crossing(
+            _label_batch(active.size, side, side, lambda grids: np.less(keys[active], bound, out=grids))
+        )
+        hi[active] = np.where(crossed, probe, b)
+        lo[active] = np.where(crossed, a, probe)
+        passes += active.size
+        active = active[hi[active] - lo[active] > 1]
+    return lo, passes

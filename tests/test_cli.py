@@ -4,6 +4,8 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -330,6 +332,30 @@ def test_monte_carlo_work_cap_exits_3_with_one_line(argv, capsys):
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_bisection_without_a_compiler_exits_3_and_other_commands_run(tmp_path):
+    # a PATH with no cc and an empty kernel cache: bisection cannot build its
+    # kernel, and the commands that never use it are unaffected
+    (tmp_path / "bin").mkdir()
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {
+        **os.environ,
+        "PATH": str(tmp_path / "bin"),
+        "XDG_CACHE_HOME": str(tmp_path / "cache"),
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "peierls.cli", *argv], env=env, capture_output=True, text=True)
+
+    bisect = cli("simulate", "--L", "8", "--bisect", "--trials", "20")
+    assert bisect.returncode == 3 and bisect.stdout == ""
+    assert re.fullmatch(r"error: bisection needs a C compiler 'cc' on PATH to build its kernel\n", bisect.stderr)
+    for argv in (["counts", "--k-max", "6"], ["simulate", "--L", "8", "--c", "0.6", "--trials", "20"]):
+        run = cli(*argv)
+        assert run.returncode == 0, run.stderr
+    assert os.listdir(tmp_path / "cache" / "peierls") == []  # the failed build left no temporary
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import hash_oracle
-from bisect_oracle import oracle_bisect, oracle_crossing
+from bisect_oracle import oracle_bisect, oracle_critical_indices, oracle_crossing
 from contour_oracle import reaches_border
 from hash_oracle import _site_hash, site_uniform, trial_seed
 from peierls import lattice, montecarlo
 from peierls import (
+    BuildError,
     CapExceeded,
     Window,
     bisect_threshold,
@@ -30,6 +31,7 @@ from peierls import (
 from peierls.montecarlo import (
     _STRUCT4,
     _chunks,
+    _critical_histogram,
     _critical_indices,
     _crossing,
     _crossing_count,
@@ -255,16 +257,38 @@ def test_bisection_matches_oracle(L):
     st.data(),
 )
 def test_critical_index_matches_crossing_predicate(seed, L, m, t0, n, data):
-    # j* must not depend on the probe order, so the prior histogram is drawn too
+    # the oracle's j* must not depend on its probe order, so its prior is drawn too
     grid = 1 << m
     prior = np.array(data.draw(st.lists(st.integers(0, 50), min_size=grid, max_size=grid)))
-    critical, passes = _critical_indices(seed, L, m, t0, t0 + n, prior)
-    bisected, bisect_passes = _critical_indices(seed, L, m, t0, t0 + n, np.zeros(grid, dtype=np.int64))
-    assert np.array_equal(critical, bisected)
+    critical = _critical_indices(seed, L, m, t0, t0 + n)
+    steered, passes = oracle_critical_indices(seed, L, m, t0, t0 + n, prior)
+    bisected, bisect_passes = oracle_critical_indices(seed, L, m, t0, t0 + n, np.zeros(grid, dtype=np.int64))
+    assert np.array_equal(critical, steered) and np.array_equal(critical, bisected)
     assert bisect_passes == n * m and n <= passes <= n * (grid - 1)
     for t, j_star in zip(range(t0, t0 + n), critical):
         for j in range(grid + 1):
             assert _crossing_count(seed, L, j / grid, t, t + 1) == int(j > j_star)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-(1 << 70), 1 << 70),
+    st.integers(1, 24),
+    st.integers(1, 16),
+    st.integers(0, (1 << 64) - 9),
+    st.integers(1, 8),
+)
+def test_sweep_matches_oracle(seed, L, m, t0, n):
+    critical = _critical_indices(seed, L, m, t0, t0 + n)
+    assert critical.dtype == np.int32
+    assert np.array_equal(critical, oracle_critical_indices(seed, L, m, t0, t0 + n, np.zeros(1 << m, dtype=np.int64))[0])
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_sweep_matches_oracle_at_radius_64(seed):
+    expected, _ = oracle_critical_indices(seed, 64, 8, 0, 300, np.zeros(1 << 8, dtype=np.int64))
+    assert np.array_equal(_critical_indices(seed, 64, 8, 0, 300), expected)
+    assert np.array_equal(_critical_histogram(seed, 64, 8, 0, 300), np.bincount(expected, minlength=1 << 8))
 
 
 @settings(max_examples=200, deadline=None)
@@ -292,17 +316,35 @@ def test_label_batch_matches_public_ndimage_label(b, rows, cols, density, seed):
     assert not expected[:, rows].any() and int(labels.max(initial=0)) == count
 
 
-def test_import_leaves_out_scipy_ndimage_and_the_kernel_coexists_with_it():
-    # in a fresh interpreter: the CLI's import loads neither package, and a
-    # later import of scipy.ndimage shares the kernel and still labels right
+def _env_with_src(**extra: str) -> dict[str, str]:
+    """The test's environment with ``src`` on ``PYTHONPATH``, updated by ``extra``."""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        **extra,
+    }
+
+
+def test_import_leaves_out_scipy_ndimage_and_the_kernel_coexists_with_it(tmp_path):
+    # in a fresh interpreter: the CLI's import loads neither package nor the
+    # sweep kernel, and builds nothing into the kernel cache; a later import
+    # of scipy.ndimage shares the labeller and still labels right.  (ctypes
+    # itself is loaded by numpy, in numpy._core._internal.)
     script = textwrap.dedent(
         """
+        import os
         import sys
         import numpy as np
         import peierls.cli
+        from peierls import montecarlo
         from peierls.montecarlo import _STRUCT4, _label_batch
         assert "scipy.ndimage" not in sys.modules and "scipy.special" not in sys.modules
         assert "concurrent.futures" not in sys.modules
+        assert montecarlo._sweep is None
+        if os.path.exists("/proc/self/maps"):
+            with open("/proc/self/maps") as maps:
+                assert "sweep-" not in maps.read()
         from scipy import ndimage
         grid = np.random.default_rng(5).random((40, 50)) < 0.6
         expected, _ = ndimage.label(np.vstack([grid, np.zeros((1, 50), bool)]), structure=_STRUCT4)
@@ -310,10 +352,57 @@ def test_import_leaves_out_scipy_ndimage_and_the_kernel_coexists_with_it():
         assert np.array_equal(_label_batch(1, 40, 50, lambda out: np.copyto(out, grid))[0], expected[:40])
         """
     )
-    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _env_with_src(XDG_CACHE_HOME=str(tmp_path / "cache"))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+    assert not (tmp_path / "cache").exists()
+
+
+def test_concurrent_builds_into_a_fresh_cache_agree(tmp_path):
+    # two interpreters build the kernel into the same empty cache at once;
+    # each loads a whole library, and one file is left, no temporary
+    script = "from peierls.montecarlo import _critical_indices; print(_critical_indices(5, 12, 8, 0, 40).tolist())"
+    env = _env_with_src(XDG_CACHE_HOME=str(tmp_path))
+    runs = [
+        subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outputs = [run.communicate() for run in runs]
+    assert [run.returncode for run in runs] == [0, 0], [err for _, err in outputs]
+    assert outputs[0][0] == outputs[1][0] == f"{_critical_indices(5, 12, 8, 0, 40).tolist()}\n"
+    built = os.listdir(tmp_path / "peierls")
+    assert len(built) == 1 and built[0].startswith("sweep-") and built[0].endswith(".so")
+
+
+def test_sweep_cache_follows_xdg_cache_home(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert montecarlo._sweep_cache() == os.path.join(str(tmp_path), "peierls")
+    monkeypatch.setenv("XDG_CACHE_HOME", "")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert montecarlo._sweep_cache() == os.path.join(str(tmp_path), ".cache", "peierls")
+
+
+def test_sweep_build_failures_raise_build_error(monkeypatch, tmp_path):
+    # a source that does not compile leaves no temporary in the cache, and a
+    # cache path that is a file cannot take the library
+    (tmp_path / "bad.c").write_text("not C\n")
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(montecarlo, "_sweep", None)
+    monkeypatch.setattr(montecarlo, "_SWEEP_SOURCE", str(tmp_path / "bad.c"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with pytest.raises(BuildError, match="could not build the bisection kernel: .*error") as err:
+        montecarlo._sweep_kernel()
+    assert "\n" not in str(err.value)
+    assert os.listdir(tmp_path / "cache" / "peierls") == []
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    with pytest.raises(BuildError, match="cannot write the bisection kernel"):
+        montecarlo._sweep_kernel()
+    assert montecarlo._sweep is None
+
+
+def test_sweep_allocation_failure_raises_memory_error():
+    with mock.patch.object(montecarlo, "_sweep", lambda *args: -1), pytest.raises(MemoryError, match="sweep"):
+        bisect_threshold(8, 10, 0.3, 0)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
@@ -325,9 +414,8 @@ def test_import_loads_numpy_with_a_one_thread_blas_pool_and_leaves_the_environme
         print(len(os.listdir("/proc/self/task")), "OPENBLAS_NUM_THREADS" in os.environ)
         """
     )
-    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = _env_with_src()
+    env.pop("OPENBLAS_NUM_THREADS", None)
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["1", "False"]
@@ -356,14 +444,28 @@ def test_label_stacks_stay_below_the_int32_label_bound():
         assert (t1 - t0) * (side + 1) * side <= max(1_000_000, side * (side + 1)) < bound
 
 
-def test_label_passes_pinned():
-    # three chunks at L=64: the first is bisected (8 passes a trial), the
-    # other two are probed at weighted medians of the first chunk's j*
-    results = [bisect_threshold(64, 150, 0.005, 3, workers=w) for w in (1, 3)]
-    assert results[0] == results[1]
-    res = results[0]
-    assert res.label_passes == 844
-    assert res.label_passes <= res.trials * len(res.trace)
+def test_bisection_pinned():
+    # three chunks at L=64; the values are the oracle's (oracle_bisect), hit
+    # counts out of 150 trials at each midpoint
+    expected = (
+        0.591796875,
+        tuple(
+            (c, hits / 150)
+            for c, hits in (
+                (0.5, 0),
+                (0.75, 150),
+                (0.625, 150),
+                (0.5625, 1),
+                (0.59375, 85),
+                (0.578125, 16),
+                (0.5859375, 41),
+                (0.58984375, 58),
+            )
+        ),
+    )
+    for workers in (1, 3):
+        res = bisect_threshold(64, 150, 0.005, 3, workers=workers)
+        assert (res.estimate, res.trace) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -419,14 +521,12 @@ def test_any_split_of_the_trials_gives_the_same_results(seed, L, c, sizes, worke
     ranges = list(zip(bounds, bounds[1:]))
     trials = bounds[-1]
     m = 6
-    prior = np.arange(1 << m) % 5
     with mock.patch.object(lattice, "_BLOCK_SITES", block):
         for counter in (_reach_count, _crossing_count):
             with _fan_out(((counter, seed, L, c, a, b) for a, b in ranges), workers) as results:
                 assert sum(results) == counter(seed, L, c, 0, trials)
-        with _fan_out(((_critical_indices, seed, L, m, a, b, prior) for a, b in ranges), workers) as results:
-            pieces = [j for j, _ in results]
-        assert np.array_equal(np.concatenate(pieces), _critical_indices(seed, L, m, 0, trials, prior)[0])
+        with _fan_out(((_critical_histogram, seed, L, m, a, b) for a, b in ranges), workers) as results:
+            assert np.array_equal(sum(results), _critical_histogram(seed, L, m, 0, trials))
 
 
 def test_chunks_are_lazy_and_few_in_flight():
