@@ -347,7 +347,9 @@ def test_bisection_without_a_compiler_exits_3_and_other_commands_run(tmp_path):
     }
 
     def cli(*argv):
-        return subprocess.run([sys.executable, "-m", "peierls.cli", *argv], env=env, capture_output=True, text=True)
+        return subprocess.run(
+            [sys.executable, "-m", "peierls.cli", *argv], env=env, capture_output=True, text=True, timeout=300
+        )
 
     bisect = cli("simulate", "--L", "8", "--bisect", "--trials", "20")
     assert bisect.returncode == 3 and bisect.stdout == ""

@@ -367,7 +367,7 @@ def test_concurrent_builds_into_a_fresh_cache_agree(tmp_path):
         subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for _ in range(2)
     ]
-    outputs = [run.communicate() for run in runs]
+    outputs = [run.communicate(timeout=300) for run in runs]
     assert [run.returncode for run in runs] == [0, 0], [err for _, err in outputs]
     assert outputs[0][0] == outputs[1][0] == f"{_critical_indices(5, 12, 8, 0, 40).tolist()}\n"
     built = os.listdir(tmp_path / "peierls")
