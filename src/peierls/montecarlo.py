@@ -31,13 +31,12 @@ midpoints all lie on the grid j / 2**m, with m fixed by the tolerance, and a
 coupled field crosses at c = j / 2**m exactly when j exceeds the field's
 critical index j*: the largest grid index at which it has no left-right
 crossing.  Each chunk is hashed once, into 16-bit keys, and a compiled
-Newman-Ziff sweep (``_sweep.c``) finds every trial's j* in one pass: it adds
-the sites in key order, one grid level at a time, to a union-find forest that
-also holds one node for each of the left and right columns, and j* is the
-first level after which the two share a root.  A chunk returns its j*
-histogram, and the hit count at each midpoint, #{t : j*_t < j}, is a prefix
-sum of it, so the trace and estimate are those of thresholding every field at
-every midpoint.  The kernel is compiled with ``cc`` on first use into a cache
+invasion flood (``_sweep.c``) finds every trial's j* in one pass: from the
+left column it takes, one at a time, a bordering site of least key, and j* is
+the largest key it has taken when it first reaches the right column.  A chunk
+returns its j* histogram, and the hit count at each midpoint,
+#{t : j*_t < j}, is a prefix sum of it, so the trace and estimate are those
+of thresholding every field at every midpoint.  The kernel is compiled with ``cc`` on first use into a cache
 under ``$XDG_CACHE_HOME`` (:func:`_sweep_kernel`), so only bisection needs a
 C compiler, and no other command builds or loads the kernel.
 
@@ -291,8 +290,8 @@ def _count_events(counter, L: int, c: float, trials: int, seed: int, workers: in
 #: Sites in one field.  A chunk holds at least one whole field, and a field's
 #: bool grid and int32 labels take 5 bytes a site, so 2**30 sites, radius
 #: 16383, hold one field under 5 GiB; radius 100000 would need 200 GB.
-#: Bisection's sweep takes 10 bytes a site instead: the 16-bit keys, and the
-#: int32 site order and union-find parents of its scratch.
+#: Bisection's flood takes 7 bytes a site instead: the 16-bit keys, and the
+#: int32 bucket links and seen bytes of its scratch.
 _SITE_LIMIT = 1 << 30
 #: Trials x sites in one run.  Memory stays bounded at any trial count, since
 #: chunks are made lazily and few are in flight, so this bounds run time only:
@@ -374,7 +373,7 @@ def _midpoint_count(tol: float) -> int:
     return m
 
 
-#: The sweep kernel's C source, and the command that builds it into a shared library.
+#: The bisection kernel's C source, and the command that builds it into a shared library.
 _SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
 _SWEEP_BUILD = ("cc", "-O2", "-shared", "-fPIC")
 #: ``peierls_critical_indices`` of the loaded kernel, set by :func:`_sweep_kernel`.
@@ -387,7 +386,7 @@ def _sweep_cache() -> str:
 
 
 def _sweep_kernel():
-    """The compiled sweep (``_sweep.c``), built on first use and cached.
+    """The compiled bisection kernel (``_sweep.c``), built on first use and cached.
 
     The library is ``sweep-<digest>.so`` in :func:`_sweep_cache`, the digest
     the sha256 of the source and the build command, so an edited source or
@@ -445,9 +444,10 @@ def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray
     The critical index j*_t is the largest j in [0, 2**m) such that field t has
     no left-right crossing at c = j / 2**m; crossing is monotone in c, so the
     field crosses at j / 2**m exactly when j > j*_t.  The fields are hashed
-    once, into 16-bit keys (:func:`_keys`), and the compiled sweep
-    (:func:`_sweep_kernel`) finds each j*_t in one union-find pass over the
-    field's sites in key order.
+    once, into 16-bit keys (:func:`_keys`), and the compiled kernel
+    (:func:`_sweep_kernel`) finds each j*_t by an invasion flood from the
+    field's left column, taking sites in key order until it reaches the right
+    column.
     """
     keys = _keys(seed, L, m, t0, t1)
     critical = np.empty(t1 - t0, dtype=np.int32)
@@ -471,11 +471,11 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     The bracket halves whichever way a step goes, so the m midpoints all lie
     on the grid j / 2**m, with m fixed by ``tol``.  The hit count at c = j / 2**m
     is the number of trials whose critical index j*_t (see
-    :func:`_critical_indices`) is below j, so one sweep per trial replaces
+    :func:`_critical_indices`) is below j, so one flood per trial replaces
     re-labelling every field at every midpoint; the float loop then replays
     over the j* histogram, giving the same trace and estimate.  The trials
-    are swept in chunks of about 1M sites on ``workers`` processes, each chunk
-    hashed once and returned as its j* histogram.  The sweep is compiled C,
+    are flooded in chunks of about 1M sites on ``workers`` processes, each chunk
+    hashed once and returned as its j* histogram.  The flood is compiled C,
     built on the first call (:func:`_sweep_kernel`), which raises
     :class:`BuildError` when no C compiler ``cc`` can build it.  Capped like
     :func:`estimate_origin_reach`.

@@ -8,9 +8,9 @@ whole-array hash oracle; the tests require the library to give the same
 trace, estimate and crossing flags.
 
 ``oracle_critical_indices`` is the probe search ``bisect_threshold`` ran
-before the union-find sweep: each trial's critical index is found by
+before the compiled kernel: each trial's critical index is found by
 labelling the field at probes inside a shrinking bracket.  The tests require
-the sweep to give the same indices.
+the kernel's invasion flood to give the same indices.
 """
 
 from __future__ import annotations

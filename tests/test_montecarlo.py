@@ -2,6 +2,7 @@ import importlib.machinery
 import importlib.metadata
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -289,6 +290,87 @@ def test_sweep_matches_oracle_at_radius_64(seed):
     expected, _ = oracle_critical_indices(seed, 64, 8, 0, 300, np.zeros(1 << 8, dtype=np.int64))
     assert np.array_equal(_critical_indices(seed, 64, 8, 0, 300), expected)
     assert np.array_equal(_critical_histogram(seed, 64, 8, 0, 300), np.bincount(expected, minlength=1 << 8))
+
+
+def _kernel_indices(keys: np.ndarray, m: int) -> np.ndarray:
+    """The kernel's j* of each field of a stack of square uint16 key grids."""
+    keys = np.ascontiguousarray(keys, dtype=np.uint16)
+    out = np.full(len(keys), -1, dtype=np.int32)
+    assert montecarlo._sweep_kernel()(keys.ctypes.data, len(keys), keys.shape[1], m, out.ctypes.data) == 0
+    return out
+
+
+def _assert_critical_by_crossing(keys: np.ndarray, m: int, critical: np.ndarray) -> None:
+    # crossing is monotone in j, so j* is pinned by no crossing at j* and,
+    # below the top of the grid, a crossing at j* + 1
+    b, side, _ = keys.shape
+    for j, crosses in ((critical, False), (critical + 1, True)):
+        bound = j.astype(np.int64)[:, np.newaxis, np.newaxis]
+        labels = _label_batch(b, side, side, lambda grids: np.less(keys, bound, out=grids))
+        assert np.array_equal(oracle_crossing(labels), np.where(j < 1 << m, crosses, True))
+
+
+def _corridor(side: int, m: int) -> np.ndarray:
+    """A field of keys 2**m - 1 but for a key-0 corridor that runs right, back left and right again."""
+    assert side >= 7
+    field = np.full((side, side), (1 << m) - 1, dtype=np.uint16)
+    field[1, : side - 2] = 0
+    field[1:4, side - 3] = 0
+    field[3, 1 : side - 2] = 0
+    field[3:6, 1] = 0
+    field[5, 1:] = 0
+    return field
+
+
+def test_kernel_on_hand_built_fields():
+    for side, m in ((7, 1), (9, 8), (15, 16)):
+        corridor, closed = _corridor(side, m), _corridor(side, m)
+        closed[5, side - 1] = (1 << m) - 1  # the corridor stops one site short of the right column
+        fields = np.stack([corridor, np.full((side, side), (1 << m) - 1, dtype=np.uint16), closed])
+        critical = _kernel_indices(fields, m)
+        assert critical.tolist() == [0, (1 << m) - 1, (1 << m) - 1]
+        _assert_critical_by_crossing(fields, m, critical)
+
+
+def test_kernel_at_side_3():
+    # m = 1: every binary field of side 3; m = 16: keys at both ends of the range
+    binary = ((np.arange(1 << 9)[:, np.newaxis] >> np.arange(9)) & 1).reshape(-1, 3, 3).astype(np.uint16)
+    wide = np.random.default_rng(0).integers(0, 1 << 16, size=(300, 3, 3), dtype=np.uint16)
+    wide[:100] |= 0xFF00
+    wide[100:200] &= 0x00FF
+    for keys, m in ((binary, 1), (wide, 16)):
+        critical = _kernel_indices(keys, m)
+        assert critical.min() >= 0 and critical.max() < 1 << m
+        _assert_critical_by_crossing(keys, m, critical)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1 << 32), st.integers(7, 20), st.integers(1, 16), st.integers(1, 6))
+def test_kernel_fields_do_not_leak_into_the_next(seed, side, m, n):
+    # a field's result does not depend on the fields called before it, which
+    # may leave bucket entries at any level
+    rng = np.random.default_rng(seed)
+    top = (1 << m) - 1
+    fields = [rng.integers(0, 1 << m, size=(side, side), dtype=np.uint16) for _ in range(n)]
+    fields += [_corridor(side, m), np.full((side, side), top, dtype=np.uint16), np.zeros((side, side), dtype=np.uint16)]
+    stack = np.stack([fields[i] for i in rng.permutation(len(fields))])
+    alone = np.concatenate([_kernel_indices(field[np.newaxis], m) for field in stack])
+    assert np.array_equal(_kernel_indices(stack, m), alone)
+    assert np.array_equal(_kernel_indices(stack[::-1], m), alone[::-1])
+    _assert_critical_by_crossing(stack, m, alone)
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler cc on PATH")
+    flags = ("-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC")
+    build = subprocess.run(
+        ["cc", *flags, "-o", str(tmp_path / "sweep.so"), montecarlo._SWEEP_SOURCE],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert build.returncode == 0 and build.stderr == "", build.stderr
 
 
 @settings(max_examples=200, deadline=None)
