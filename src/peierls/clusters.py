@@ -7,7 +7,7 @@ axis path whose other sites avoid both the cluster and its boundary; these
 sites always form a closed king-move cycle around the cluster, which this
 module constructs explicitly with counter-clockwise orientation.  Clusters
 come in as site sets: the census enumerates them as shapes and the Monte
-Carlo labels whole occupancy grids, so no cluster is grown here.
+Carlo floods occupancy grids without naming clusters, so none is grown here.
 
 The package has one contour extractor, :func:`_contour_rows`, and one cycle
 tracer, :func:`_cycle_rows`.  Both run on a numpy block of row masks: the

@@ -9,50 +9,46 @@ occupancy rule.  Trials are processed in chunks of about 1M sites, spread
 over forked worker processes (:mod:`peierls.pool`) and produced lazily, so a
 run holds only the chunks in flight.  Within a chunk the site hashes are
 computed in cache-sized blocks (:func:`peierls.lattice._hash_windows`) and
-each block is reduced at once: thresholded straight into the occupancy
-buffer that is labelled, or cut to a 16-bit key for bisection.  No
-chunk-sized array of 64-bit hashes is ever built.  Cluster labeling is done
-in batches: trial grids are stacked with blank separator rows and labeled in
-a single 4-connected pass.  Fields of more than ``_SITE_LIMIT`` sites and
-runs of more than ``_SITE_TRIAL_LIMIT`` trials x sites raise
-:class:`CapExceeded`.
+each block is reduced at once into 16-bit keys: 0 on an occupied site and 1
+on a vacant one, or, for bisection, the top bits of the hash.  No
+chunk-sized array of 64-bit hashes is ever built.  Fields of more than
+``_SITE_LIMIT`` sites and runs of more than ``_SITE_TRIAL_LIMIT`` trials x
+sites raise :class:`CapExceeded`.
 
-Origin reach labels the central strips |y| <= h of its windows rather than
+Every observable asks whether an occupied path joins two sets of sites, and
+one compiled invasion flood (``_sweep.c``, :func:`_flood`) answers it: from
+the sources it takes, one at a time, a bordering site of least key, and its
+result is the largest key it has taken when it first takes a target.  On the
+0/1 keys the result is 0 exactly when an occupied path joins a source to a
+target, and the flood ends as soon as the occupied sites it can reach run
+out.  A crossing is a flood from the left column to the right one.
+
+Origin reach floods the central strips |y| <= h of its windows rather than
 the windows, h = 4, 8, 16, ... (:func:`_reach_count`).  A stage hashes and
-labels only the trials the stage before it left open: those whose origin
+floods only the trials the stage before it left open: those whose origin
 cluster in the strip touches the strip's top or bottom row but neither of
 its sides |x| = L.  The last possible stage, h = L, is the window itself.
 Above the threshold the origin's cluster is finite only inside a closed
 vacant contour, and such contours are short, so at c = 0.9 and L = 128 the
 first strip of 9 rows decides nearly every trial.
 
-Threshold bisection does not re-label every field at every midpoint.  Its
-midpoints all lie on the grid j / 2**m, with m fixed by the tolerance, and a
-coupled field crosses at c = j / 2**m exactly when j exceeds the field's
-critical index j*: the largest grid index at which it has no left-right
-crossing.  Each chunk is hashed once, into 16-bit keys, and a compiled
-invasion flood (``_sweep.c``) finds every trial's j* in one pass: from the
-left column it takes, one at a time, a bordering site of least key, and j* is
-the largest key it has taken when it first reaches the right column.  A chunk
-returns its j* histogram, and the hit count at each midpoint,
-#{t : j*_t < j}, is a prefix sum of it, so the trace and estimate are those
-of thresholding every field at every midpoint.  The kernel is compiled with ``cc`` on first use into a cache
-under ``$XDG_CACHE_HOME`` (:func:`_sweep_kernel`), so only bisection needs a
-C compiler, and no other command builds or loads the kernel.
+Threshold bisection does not re-threshold every field at every midpoint.
+Its midpoints all lie on the grid j / 2**m, with m fixed by the tolerance,
+and a coupled field crosses at c = j / 2**m exactly when j exceeds the
+field's critical index j*: the largest grid index at which it has no
+left-right crossing.  Each chunk is hashed once, into the keys
+``hash >> (64 - m)``, and one flood a field from the left column to the
+right one finds j*.  A chunk returns its j* histogram, and the hit count at
+each midpoint, #{t : j*_t < j}, is a prefix sum of it, so the trace and
+estimate are those of thresholding every field at every midpoint.
 
-The labeller is scipy's compiled kernel ``scipy.ndimage._ni_label._label``,
-the one ``scipy.ndimage.label`` wraps, loaded from its extension file when
-this module is imported (:func:`_load_labeller`).  Importing it through
-``scipy.ndimage`` would run the package ``__init__``, which pulls in
-``scipy.special`` and half of scipy: about 0.37 s that every command,
-``counts`` and ``bounds`` included, would pay at start-up.  The load stays at
-import, not first use, so it is never part of a simulation's run time.
+The kernel is compiled with ``cc`` on first use into a cache under
+``$XDG_CACHE_HOME`` (:func:`_sweep_kernel`), so every simulation needs a C
+compiler, and ``counts`` and ``bounds`` never build or load it.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 import os
 from dataclasses import dataclass
@@ -72,36 +68,6 @@ __all__ = [
     "estimate_origin_reach",
     "exact_origin_reach_probability",
 ]
-
-_STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
-
-def _load_labeller(ndimage_dir: str):
-    """Load scipy's compiled labeller ``_ni_label`` from its extension file in ``ndimage_dir``.
-
-    The module is executed from the file, so the ``scipy.ndimage`` package
-    and what its ``__init__`` imports are never loaded.  Raises
-    :class:`ImportError` naming the files looked for when there is none.
-    """
-    names = ["_ni_label" + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    for name in names:
-        path = os.path.join(ndimage_dir, name)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location("scipy.ndimage._ni_label", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    from importlib.metadata import version
-
-    raise ImportError(
-        f"scipy {version('scipy')} has no compiled labeller in {ndimage_dir}: looked for {', '.join(names)}"
-    )
-
-
-_SCIPY = importlib.util.find_spec("scipy")
-if _SCIPY is None:
-    raise ModuleNotFoundError("peierls.montecarlo needs scipy for its compiled labeller", name="scipy")
-_label = _load_labeller(os.path.join(os.path.dirname(_SCIPY.origin), "ndimage"))._label
 
 
 @dataclass(frozen=True)
@@ -150,46 +116,19 @@ def _hash_threshold(c: float) -> np.uint64:
     return np.uint64(math.ceil(c * 2.0**53) << 11)
 
 
-def _label_batch(b: int, rows: int, cols: int, fill) -> np.ndarray:
-    """4-connected labels of ``b`` rows x cols bool grids, computed in one pass.
+def _vacant(seeds: np.ndarray, L: int, c: float, out: np.ndarray) -> None:
+    """Write 1 on the vacant and 0 on the occupied sites of the radius-L fields of ``seeds`` at concentration c into ``out``.
 
-    ``fill(grids)`` writes the grids into ``grids``, a ``(b, rows, cols)``
-    view of a stack in which each grid is followed by a blank separator row,
-    so the whole stack is labelled as one image without joining clusters of
-    neighbouring grids.  Returns the ``(b, rows, cols)`` labels.  b must be
-    at least 1: the kernel refuses an empty image.
-
-    The labels are int32, as ``scipy.ndimage.label`` makes them for fewer
-    than 2**31 - 2 sites, and they cannot overflow: a stack is at most one
-    chunk of about 1M sites (:func:`_chunks`), or one field of at most
-    ``_SITE_LIMIT`` = 2**30 sites with its separator row, so the public
-    wrapper's retry on ``NeedMoreBits`` is never needed.
-    """
-    stacked = np.zeros((b * (rows + 1), cols), dtype=bool)
-    fill(stacked.reshape(b, rows + 1, cols)[:, :rows])
-    labels = np.empty(stacked.shape, dtype=np.int32)
-    _label(stacked, _STRUCT4, labels)
-    return labels.reshape(b, rows + 1, cols)[:, :rows]
-
-
-def _occupy_fields(seeds: np.ndarray, L: int, c: float, out: np.ndarray) -> None:
-    """Write the occupancy of the radius-L fields of ``seeds`` at concentration c into ``out``.
-
-    ``out`` is a bool array of shape ``(seeds.size, 2*h + 1, 2*L + 1)``, any
-    strides, for the band of rows |y| <= h of each window
+    ``out`` has shape ``(seeds.size, 2*h + 1, 2*L + 1)``, any strides, bool
+    or integer, for the band of rows |y| <= h of each window
     (:func:`peierls.lattice._hash_windows`); each hash block is thresholded
-    straight into it.
+    straight into it.  In 16 bits these are the m = 1 keys of :func:`_flood`.
     """
     if 0.0 < c < 1.0:
         bound = _hash_threshold(c)
-        _hash_windows(seeds, L, out, lambda z, dst: np.less(z, bound, out=dst))
+        _hash_windows(seeds, L, out, lambda z, dst: np.greater_equal(z, bound, out=dst))
     else:
-        out[...] = c >= 1.0
-
-
-def _occupy(seed: int, L: int, c: float, t0: int, t1: int, out: np.ndarray) -> None:
-    """Write the occupancy grids of trials t0..t1-1 at concentration c into ``out``, shaped ``(t1 - t0, side, side)``."""
-    _occupy_fields(_trial_seeds(seed, t0, t1), L, c, out)
+        out[...] = c < 1.0
 
 
 def _keys(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
@@ -207,10 +146,110 @@ def _keys(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
     return keys
 
 
-def _occupied_labels(seed: int, L: int, c: float, t0: int, t1: int) -> np.ndarray:
-    """Labels of the occupied sites of trials t0..t1-1 at concentration c."""
-    side = 2 * L + 1
-    return _label_batch(t1 - t0, side, side, lambda grids: _occupy(seed, L, c, t0, t1, grids))
+#: The flood kernel's C source, and the command that builds it into a shared library.
+_SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
+_SWEEP_BUILD = ("cc", "-O2", "-shared", "-fPIC")
+#: ``peierls_flood`` of the loaded kernel, set by :func:`_sweep_kernel`.
+_sweep = None
+
+
+def _sweep_cache() -> str:
+    """The directory the built kernel is cached in: ``${XDG_CACHE_HOME:-~/.cache}/peierls``."""
+    return os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "peierls")
+
+
+def _sweep_kernel():
+    """The compiled flood kernel (``_sweep.c``), built on first use and cached.
+
+    The library is ``sweep-<digest>.so`` in :func:`_sweep_cache`, the digest
+    the sha256 of the source and the build command, so an edited source or
+    command builds anew.  It is compiled to a temporary name in the cache and
+    moved into place with ``os.replace``, so processes that build at once each
+    load a whole file.  The kernel is loaded into the calling process, so
+    workers forked after the first call inherit it.  Raises
+    :class:`BuildError` when it cannot be built.
+    """
+    global _sweep
+    if _sweep is not None:
+        return _sweep
+    import ctypes
+    import hashlib
+
+    with open(_SWEEP_SOURCE, "rb") as fh:
+        source = fh.read()
+    digest = hashlib.sha256(source + b"\0" + " ".join(_SWEEP_BUILD).encode()).hexdigest()
+    cache = _sweep_cache()
+    path = os.path.join(cache, f"sweep-{digest}.so")
+    if not os.path.isfile(path):
+        # imported only to build: a cached kernel loads in a fraction of a millisecond
+        import subprocess
+        import tempfile
+
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=".sweep-", suffix=".so", dir=cache)
+            os.close(fd)
+        except OSError as exc:
+            raise BuildError(f"cannot write the Monte Carlo kernel to {cache}: {exc.strerror}") from None
+        try:
+            build = subprocess.run([*_SWEEP_BUILD, "-o", tmp, _SWEEP_SOURCE], capture_output=True, text=True)
+            if build.returncode:
+                # the first error line only: the CLI reports an error on one line
+                first = next((line for line in build.stderr.splitlines() if "error" in line), f"exit code {build.returncode}")
+                raise BuildError(f"{_SWEEP_BUILD[0]} could not build the Monte Carlo kernel: {first.strip()}")
+            os.replace(tmp, path)
+        except FileNotFoundError:
+            raise BuildError(f"the Monte Carlo needs a C compiler '{_SWEEP_BUILD[0]}' on PATH to build its kernel") from None
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    try:
+        kernel = ctypes.CDLL(path).peierls_flood
+    except OSError as exc:
+        raise BuildError(f"cannot load the Monte Carlo kernel {path}: {exc}") from None
+    kernel.restype = ctypes.c_int
+    int32, pointer = ctypes.c_int32, ctypes.c_void_p
+    kernel.argtypes = [pointer, ctypes.c_int64, int32, int32, int32, pointer, int32, pointer, pointer]
+    _sweep = kernel
+    return kernel
+
+
+def _flood(keys: np.ndarray, m: int, sources, target: np.ndarray) -> np.ndarray:
+    """The flood's result for each field of ``keys``, from the sites ``sources`` to the sites of ``target``.
+
+    ``keys`` is a ``(fields, rows, cols)`` uint16 array of keys in [0, 2**m),
+    1 <= m <= 16 (a larger key counts as 2**m - 1), ``sources`` the flat
+    indices of sites of a field, and ``target`` a ``(rows, cols)`` bool mask.
+    A field's result is the least, over the 4-connected paths from a source
+    to a target, of the largest key on the path, so an occupied path joins
+    them at c = j / 2**m exactly when j exceeds it; it is found by the
+    compiled invasion flood (:func:`_sweep_kernel`).  The kernel never tests the right edge, so
+    ``target`` must hold the whole right column; a mask without it, a source
+    off the field or m out of range raises :class:`ValueError` before the
+    kernel runs.
+    """
+    fields, rows, cols = keys.shape
+    keys = np.ascontiguousarray(keys, dtype=np.uint16)
+    sources = np.asarray(sources, dtype=np.int32)
+    target = np.ascontiguousarray(target, dtype=bool)
+    sites = (0 <= sources) & (sources < rows * cols)
+    if not (1 <= m <= 16 and sites.all() and target.shape == (rows, cols) and target[:, -1].all()):
+        raise ValueError(
+            f"a flood needs 1 <= m <= 16, sources on its {rows} x {cols} field and targets that hold its right column"
+        )
+    out = np.empty(fields, dtype=np.int32)
+    kernel = _sweep_kernel()
+    if kernel(keys.ctypes.data, fields, rows, cols, m, sources.ctypes.data, sources.size, target.ctypes.data, out.ctypes.data):
+        raise MemoryError(f"cannot allocate the flood's scratch for a field of {rows * cols} sites")
+    return out
+
+
+def _across(keys: np.ndarray, m: int) -> np.ndarray:
+    """:func:`_flood` of each field of ``keys`` from its left column to its right one."""
+    _, rows, cols = keys.shape
+    right = np.zeros((rows, cols), dtype=bool)
+    right[:, -1] = True
+    return _flood(keys, m, np.arange(0, rows * cols, cols), right)
 
 
 #: Half-height of the first strip of the origin-reach cascade.  At c = 0.9 and
@@ -223,59 +262,56 @@ _STRIP_GROWTH = 2
 def _reach_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
     """Trials t0..t1-1 whose origin cluster reaches the window border, decided by a cascade of strips.
 
-    Each stage labels, for the trials still open, the strips {|x| <= L,
-    |y| <= h} of their fields, h = ``_FIRST_STRIP`` at first and then
-    ``_STRIP_GROWTH`` times larger each stage, capped at L.  With C the
-    origin's occupied cluster in the strip, a trial
+    Each stage floods, for the trials still open, the strips {|x| <= L,
+    |y| <= h} of their fields from the origin, h = ``_FIRST_STRIP`` at first
+    and then ``_STRIP_GROWTH`` times larger each stage, capped at L.  On the
+    0/1 keys (:func:`_vacant`) a flood ends at 0 exactly when the origin's
+    occupied cluster C in the strip has a target site.  A trial
     - reaches the border if C has a site with |x| = L, since a path in the
-      strip is one in the window;
+      strip is one in the window: a flood to the strip's sides;
     - does not if the origin is vacant or C has no site with |x| = L or
       |y| = h, since no site of C then has a neighbour outside the strip, so
-      C is the origin's whole cluster in the window and lies off its border;
+      C is the origin's whole cluster in the window and lies off its border:
+      for the trials left, a flood to the strip's whole border;
     - stays open otherwise.
-    At h = L the strip is the window, and a trial reaches the border if C has
-    a site with |x| = L or |y| = L, which decides every trial left.
+    At h = L the strip is the window, and one flood to its border decides
+    every trial left.
     """
     side = 2 * L + 1
     seeds = _trial_seeds(seed, t0, t1)
     hits, h = 0, _FIRST_STRIP
     while seeds.size:
         h = min(h, L)
-        labels = _label_batch(seeds.size, 2 * h + 1, side, lambda grids: _occupy_fields(seeds, L, c, grids))
-        origin = labels[:, h, L, np.newaxis, np.newaxis]
-        occupied = origin[:, 0, 0] > 0
-        # C on the columns |x| = L, and on the rows |y| = h
-        sides = (labels[:, :, :: side - 1] == origin).any(axis=(1, 2))
-        ends = (labels[:, :: 2 * h] == origin).any(axis=(1, 2))
+        keys = np.empty((seeds.size, 2 * h + 1, side), dtype=np.uint16)
+        _vacant(seeds, L, c, keys)
+        origin = [h * side + L]
+        border = np.ones((2 * h + 1, side), dtype=bool)
+        border[1:-1, 1:-1] = False
         if h == L:
-            hits += int((occupied & (sides | ends)).sum())
+            hits += int((_flood(keys, 1, origin, border) == 0).sum())
             break
-        hits += int((occupied & sides).sum())
-        seeds = seeds[occupied & ~sides & ends]
+        sides = np.zeros_like(border)
+        sides[:, :: side - 1] = True
+        reached = _flood(keys, 1, origin, sides) == 0
+        hits += int(reached.sum())
+        keys, seeds = keys[~reached], seeds[~reached]
+        seeds = seeds[_flood(keys, 1, origin, border) == 0]
         h *= _STRIP_GROWTH
     return hits
 
 
-def _crossing(labels: np.ndarray) -> np.ndarray:
-    """Per trial: does one cluster touch both the left and the right column?
-
-    Labels are unique across the batch, so marking the labels on left columns
-    and looking up the right columns' labels tests every trial at once.
-    """
-    on_left = np.zeros(int(labels.max()) + 1, dtype=bool)
-    on_left[labels[:, :, 0]] = True
-    on_left[0] = False
-    return on_left[labels[:, :, -1]].any(axis=1)
-
-
 def _crossing_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
-    return int(_crossing(_occupied_labels(seed, L, c, t0, t1)).sum())
+    """Trials t0..t1-1 with an occupied left-right crossing: a flood over the 0/1 keys that ends at 0."""
+    side = 2 * L + 1
+    keys = np.empty((t1 - t0, side, side), dtype=np.uint16)
+    _vacant(_trial_seeds(seed, t0, t1), L, c, keys)
+    return int((_across(keys, 1) == 0).sum())
 
 
 def _chunks(L: int, trials: int) -> Iterator[tuple[int, int]]:
     """Trial ranges [t0, t1) of about 1M sites each, yielded lazily."""
     side = 2 * L + 1
-    # ~1M sites keeps a chunk's grids and int32 labels near 5 MB
+    # ~1M sites keeps a chunk's 16-bit keys near 2 MB
     batch = max(1, 1_000_000 // (side * (side + 1)))
     return ((t0, min(t0 + batch, trials)) for t0 in range(0, trials, batch))
 
@@ -287,15 +323,14 @@ def _count_events(counter, L: int, c: float, trials: int, seed: int, workers: in
         return sum(results)
 
 
-#: Sites in one field.  A chunk holds at least one whole field, and a field's
-#: bool grid and int32 labels take 5 bytes a site, so 2**30 sites, radius
-#: 16383, hold one field under 5 GiB; radius 100000 would need 200 GB.
-#: Bisection's flood takes 7 bytes a site instead: the 16-bit keys, and the
-#: int32 bucket links and seen bytes of its scratch.
+#: Sites in one field.  A chunk holds at least one whole field, at 2 bytes a
+#: site for its 16-bit keys, and every flood takes 7 bytes a site: the keys,
+#: and the int32 bucket links and seen bytes of its scratch.  So 2**30 sites,
+#: radius 16383, hold one field in about 7 GiB; radius 100000 would need 280 GB.
 _SITE_LIMIT = 1 << 30
 #: Trials x sites in one run.  Memory stays bounded at any trial count, since
 #: chunks are made lazily and few are in flight, so this bounds run time only:
-#: at about 5 ns of CPU a site-trial (hash, threshold, label), 2**48 is about
+#: at about 5 ns of CPU a site-trial (hash, threshold, flood), 2**48 is about
 #: two weeks of CPU.  A trillion trials at radius 8 (2.9e14) are past it.
 _SITE_TRIAL_LIMIT = 1 << 48
 
@@ -318,6 +353,7 @@ def _estimate(counter, L: int, c: float, trials: int, seed: int, workers: int) -
     _check_run(L, trials, workers)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"concentration must lie in [0, 1], got {c}")
+    _sweep_kernel()  # built and loaded before the workers fork
     hits = _count_events(counter, L, c, trials, seed, workers)
     value = hits / trials
     return McEstimate(
@@ -336,10 +372,12 @@ def estimate_origin_reach(L: int, c: float, trials: int, seed: int, *, workers: 
     The finite-window stand-in for the probability that the origin belongs to
     an unbounded cluster; vacant origins never count.  Each trial is decided
     on the first of a cascade of ever taller strips of its window that
-    settles it (:func:`_reach_count`), with the result of labelling the
-    whole window.  Raises
-    :class:`CapExceeded` when a field has more than ``_SITE_LIMIT`` sites or
-    the run more than ``_SITE_TRIAL_LIMIT`` trials x sites.
+    settles it (:func:`_reach_count`), with the result of flooding the
+    whole window.  The flood is compiled C, built on the first call
+    (:func:`_sweep_kernel`), which raises :class:`BuildError` when no C
+    compiler ``cc`` can build it.  Raises :class:`CapExceeded` when a field
+    has more than ``_SITE_LIMIT`` sites or the run more than
+    ``_SITE_TRIAL_LIMIT`` trials x sites.
     """
     return _estimate(_reach_count, L, c, trials, seed, workers)
 
@@ -347,7 +385,8 @@ def estimate_origin_reach(L: int, c: float, trials: int, seed: int, *, workers: 
 def estimate_crossing(L: int, c: float, trials: int, seed: int, *, workers: int = 1) -> McEstimate:
     """Fraction of trials with an occupied left-right crossing of the window.
 
-    Capped like :func:`estimate_origin_reach`.
+    Each trial is one flood from the left column (:func:`_crossing_count`).
+    Built and capped like :func:`estimate_origin_reach`.
     """
     return _estimate(_crossing_count, L, c, trials, seed, workers)
 
@@ -373,87 +412,16 @@ def _midpoint_count(tol: float) -> int:
     return m
 
 
-#: The bisection kernel's C source, and the command that builds it into a shared library.
-_SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
-_SWEEP_BUILD = ("cc", "-O2", "-shared", "-fPIC")
-#: ``peierls_critical_indices`` of the loaded kernel, set by :func:`_sweep_kernel`.
-_sweep = None
-
-
-def _sweep_cache() -> str:
-    """The directory the built kernel is cached in: ``${XDG_CACHE_HOME:-~/.cache}/peierls``."""
-    return os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "peierls")
-
-
-def _sweep_kernel():
-    """The compiled bisection kernel (``_sweep.c``), built on first use and cached.
-
-    The library is ``sweep-<digest>.so`` in :func:`_sweep_cache`, the digest
-    the sha256 of the source and the build command, so an edited source or
-    command builds anew.  It is compiled to a temporary name in the cache and
-    moved into place with ``os.replace``, so processes that build at once each
-    load a whole file.  The kernel is loaded into the calling process, so
-    workers forked after the first call inherit it.  Raises
-    :class:`BuildError` when it cannot be built.
-    """
-    global _sweep
-    if _sweep is not None:
-        return _sweep
-    import ctypes
-    import hashlib
-    import subprocess
-    import tempfile
-
-    with open(_SWEEP_SOURCE, "rb") as fh:
-        source = fh.read()
-    digest = hashlib.sha256(source + b"\0" + " ".join(_SWEEP_BUILD).encode()).hexdigest()
-    cache = _sweep_cache()
-    path = os.path.join(cache, f"sweep-{digest}.so")
-    if not os.path.isfile(path):
-        try:
-            os.makedirs(cache, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=".sweep-", suffix=".so", dir=cache)
-            os.close(fd)
-        except OSError as exc:
-            raise BuildError(f"cannot write the bisection kernel to {cache}: {exc.strerror}") from None
-        try:
-            build = subprocess.run([*_SWEEP_BUILD, "-o", tmp, _SWEEP_SOURCE], capture_output=True, text=True)
-            if build.returncode:
-                # the first error line only: the CLI reports an error on one line
-                first = next((line for line in build.stderr.splitlines() if "error" in line), f"exit code {build.returncode}")
-                raise BuildError(f"{_SWEEP_BUILD[0]} could not build the bisection kernel: {first.strip()}")
-            os.replace(tmp, path)
-        except FileNotFoundError:
-            raise BuildError(f"bisection needs a C compiler '{_SWEEP_BUILD[0]}' on PATH to build its kernel") from None
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    try:
-        kernel = ctypes.CDLL(path).peierls_critical_indices
-    except OSError as exc:
-        raise BuildError(f"cannot load the bisection kernel {path}: {exc}") from None
-    kernel.restype = ctypes.c_int
-    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_int32, ctypes.c_void_p]
-    _sweep = kernel
-    return kernel
-
-
 def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
     """Critical grid index of each trial t0..t1-1.
 
     The critical index j*_t is the largest j in [0, 2**m) such that field t has
     no left-right crossing at c = j / 2**m; crossing is monotone in c, so the
     field crosses at j / 2**m exactly when j > j*_t.  The fields are hashed
-    once, into 16-bit keys (:func:`_keys`), and the compiled kernel
-    (:func:`_sweep_kernel`) finds each j*_t by an invasion flood from the
-    field's left column, taking sites in key order until it reaches the right
-    column.
+    once, into 16-bit keys (:func:`_keys`), and j*_t is the result of a flood
+    (:func:`_flood`) from the field's left column to its right one.
     """
-    keys = _keys(seed, L, m, t0, t1)
-    critical = np.empty(t1 - t0, dtype=np.int32)
-    if _sweep_kernel()(keys.ctypes.data, t1 - t0, 2 * L + 1, m, critical.ctypes.data):
-        raise MemoryError(f"cannot allocate the sweep's scratch for a field of {Window(L).site_count} sites")
-    return critical
+    return _across(_keys(seed, L, m, t0, t1), m)
 
 
 def _critical_histogram(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
@@ -472,12 +440,10 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     on the grid j / 2**m, with m fixed by ``tol``.  The hit count at c = j / 2**m
     is the number of trials whose critical index j*_t (see
     :func:`_critical_indices`) is below j, so one flood per trial replaces
-    re-labelling every field at every midpoint; the float loop then replays
+    re-thresholding every field at every midpoint; the float loop then replays
     over the j* histogram, giving the same trace and estimate.  The trials
     are flooded in chunks of about 1M sites on ``workers`` processes, each chunk
-    hashed once and returned as its j* histogram.  The flood is compiled C,
-    built on the first call (:func:`_sweep_kernel`), which raises
-    :class:`BuildError` when no C compiler ``cc`` can build it.  Capped like
+    hashed once and returned as its j* histogram.  Built and capped like
     :func:`estimate_origin_reach`.
     """
     _check_run(L, trials, workers)

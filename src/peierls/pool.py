@@ -21,6 +21,7 @@ queues of a ``concurrent.futures`` pool, which took half of the CPU time a
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import select
@@ -59,12 +60,15 @@ def _fan_out(tasks: Iterable[tuple], workers: int) -> Iterator[Iterator]:
     if workers == 1 or len(head) < 2 or threading.active_count() > 1:
         yield (fn(*args) for fn, *args in tasks)
         return
+    # no collection, in the parent or a worker, walks (and so copies the pages of) the objects made before the forks
+    gc.freeze()
     pool = _ForkPool(tasks, workers)
     try:
         pool.feed()
         yield pool.results()
     finally:
         pool.close()
+        gc.unfreeze()
 
 
 class _ForkPool:

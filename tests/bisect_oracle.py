@@ -1,11 +1,14 @@
-"""Reference bisection, and a reference search for each trial's critical index.
+"""Reference labelling and crossing, reference bisection, and a reference search for each trial's critical index.
+
+``oracle_labels`` labels the 4-connected clusters of a stack of grids with the
+public ``scipy.ndimage.label``, and ``oracle_crossing`` compares the labels
+of each grid's left and right columns pair by pair; the library has no
+labeller, so both are independent of its flood kernel.
 
 ``oracle_bisect`` is the sequential loop ``bisect_threshold`` ran before it
 searched each trial's critical index: every midpoint re-thresholds and
-re-labels every trial, with the pairwise left/right label comparison the
-crossing test used before it marked labels, on occupancy from the
-whole-array hash oracle; the tests require the library to give the same
-trace, estimate and crossing flags.
+re-labels every trial, on occupancy from the whole-array hash oracle; the
+tests require the library to give the same trace and estimate.
 
 ``oracle_critical_indices`` is the probe search ``bisect_threshold`` ran
 before the compiled kernel: each trial's critical index is found by
@@ -16,9 +19,23 @@ the kernel's invasion flood to give the same indices.
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from hash_oracle import occupied
-from peierls.montecarlo import _chunks, _crossing, _keys, _label_batch
+from peierls.montecarlo import _chunks, _keys
+
+
+def oracle_labels(grids: np.ndarray) -> np.ndarray:
+    """4-connected cluster labels of a ``(b, rows, cols)`` stack of bool grids, one ``ndimage.label`` pass over the stack.
+
+    Each grid is followed by a blank row, so clusters of neighbouring grids
+    never join; labels are unique across the stack, 0 on empty sites.
+    """
+    b, rows, cols = grids.shape
+    stack = np.zeros((b, rows + 1, cols), dtype=bool)
+    stack[:, :rows] = grids
+    labelled, _ = ndimage.label(stack.reshape(b * (rows + 1), cols))
+    return labelled.reshape(b, rows + 1, cols)[:, :rows]
 
 
 def oracle_crossing(labels: np.ndarray) -> np.ndarray:
@@ -30,15 +47,11 @@ def oracle_crossing(labels: np.ndarray) -> np.ndarray:
 
 def oracle_bisect(L: int, trials: int, tol: float, seed: int) -> tuple[float, tuple[tuple[float, float], ...]]:
     """(estimate, trace) of bisection on c for crossing probability 1/2."""
-    side = 2 * L + 1
     lo, hi = 0.0, 1.0
     trace: list[tuple[float, float]] = []
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        hits = sum(
-            int(oracle_crossing(_label_batch(b - a, side, side, lambda grids: np.copyto(grids, occupied(seed, L, mid, a, b)))).sum())
-            for a, b in _chunks(L, trials)
-        )
+        hits = sum(int(oracle_crossing(oracle_labels(occupied(seed, L, mid, a, b))).sum()) for a, b in _chunks(L, trials))
         value = hits / trials
         trace.append((mid, value))
         if value < 0.5:
@@ -61,7 +74,6 @@ def oracle_critical_indices(seed: int, L: int, m: int, t0: int, t1: int, prior: 
     """
     grid = 1 << m
     cum = np.concatenate(([0], np.cumsum(prior.astype(np.int64) * grid + 1)))
-    side = 2 * L + 1
     keys = _keys(seed, L, m, t0, t1)
     lo = np.zeros(t1 - t0, dtype=np.int64)
     hi = np.full(t1 - t0, grid, dtype=np.int64)
@@ -70,10 +82,7 @@ def oracle_critical_indices(seed: int, L: int, m: int, t0: int, t1: int, prior: 
     while active.size:
         a, b = lo[active], hi[active]
         probe = np.clip(np.searchsorted(2 * cum, cum[a] + cum[b]), a + 1, b - 1)
-        bound = probe.astype(np.uint16)[:, np.newaxis, np.newaxis]
-        crossed = _crossing(
-            _label_batch(active.size, side, side, lambda grids: np.less(keys[active], bound, out=grids))
-        )
+        crossed = oracle_crossing(oracle_labels(keys[active] < probe[:, np.newaxis, np.newaxis]))
         hi[active] = np.where(crossed, probe, b)
         lo[active] = np.where(crossed, a, probe)
         passes += active.size

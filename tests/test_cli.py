@@ -334,9 +334,9 @@ def test_monte_carlo_work_cap_exits_3_with_one_line(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_bisection_without_a_compiler_exits_3_and_other_commands_run(tmp_path):
-    # a PATH with no cc and an empty kernel cache: bisection cannot build its
-    # kernel, and the commands that never use it are unaffected
+def test_simulate_without_a_compiler_exits_3_and_other_commands_run(tmp_path):
+    # a PATH with no cc and an empty kernel cache: no simulation can build
+    # its kernel, and the commands that never use it are unaffected
     (tmp_path / "bin").mkdir()
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     env = {
@@ -351,13 +351,16 @@ def test_bisection_without_a_compiler_exits_3_and_other_commands_run(tmp_path):
             [sys.executable, "-m", "peierls.cli", *argv], env=env, capture_output=True, text=True, timeout=300
         )
 
-    bisect = cli("simulate", "--L", "8", "--bisect", "--trials", "20")
-    assert bisect.returncode == 3 and bisect.stdout == ""
-    assert re.fullmatch(r"error: bisection needs a C compiler 'cc' on PATH to build its kernel\n", bisect.stderr)
-    for argv in (["counts", "--k-max", "6"], ["simulate", "--L", "8", "--c", "0.6", "--trials", "20"]):
+    simulate = ("simulate", "--L", "8", "--trials", "20")
+    for argv in ([*simulate, "--bisect"], [*simulate, "--c", "0.6"], [*simulate, "--c", "0.6", "--observable", "crossing"]):
+        run = cli(*argv)
+        assert run.returncode == 3 and run.stdout == "", argv
+        assert re.fullmatch(r"error: the Monte Carlo needs a C compiler 'cc' on PATH to build its kernel\n", run.stderr)
+    assert os.listdir(tmp_path / "cache" / "peierls") == []  # the failed builds left no temporary
+    for argv in (["counts", "--k-max", "6"], ["bounds", "--c", "0.9", "--r", "6", "--mode", "analytic"]):
         run = cli(*argv)
         assert run.returncode == 0, run.stderr
-    assert os.listdir(tmp_path / "cache" / "peierls") == []  # the failed build left no temporary
+    assert os.listdir(tmp_path / "cache" / "peierls") == []
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from peierls import (
     site_boundary,
     winding_number,
 )
+from bisect_oracle import oracle_labels
 from peierls.enumeration import _max_span
-from peierls.montecarlo import _label_batch, _occupy, _reach_count
+from peierls.montecarlo import _reach_count, _trial_seeds, _vacant
 
 
 def make_cluster(sites):
@@ -46,9 +47,9 @@ def cyclic_equal(a, b):
 
 
 def occupancy(seed, L, c, t0, t1):
-    occ = np.zeros((t1 - t0, 2 * L + 1, 2 * L + 1), dtype=bool)
-    _occupy(seed, L, c, t0, t1, occ)
-    return occ
+    vacant = np.zeros((t1 - t0, 2 * L + 1, 2 * L + 1), dtype=bool)
+    _vacant(_trial_seeds(seed, t0, t1), L, c, vacant)
+    return ~vacant
 
 
 def test_isolated_origin_cluster():
@@ -65,12 +66,11 @@ def test_full_window_escapes():
 
 
 def test_cluster_independent_of_traversal_order():
-    # the library labels whole grids in one pass; the reference grows the
-    # origin cluster depth first, site by site
+    # the two references the Monte Carlo tests use agree: one labels whole
+    # grids in one pass, the other grows the origin cluster depth first
     L, trials = 8, 40
     occ = occupancy(17, L, 0.55, 0, trials)
-    labels = _label_batch(trials, 2 * L + 1, 2 * L + 1, lambda grids: np.copyto(grids, occ))
-    for grid, lab in zip(occ, labels):
+    for grid, lab in zip(occ, oracle_labels(occ)):
         ys, xs = np.nonzero(lab == lab[L, L]) if lab[L, L] else ((), ())
         assert origin_cluster(grid) == {(x - L, y - L) for x, y in zip(xs, ys)}
 

@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 from hash_oracle import hash_grids, site_uniform, trial_seed
 from peierls import Window, lattice, neighbors4
 from peierls.lattice import NEIGHBOR_OFFSETS_4, NEIGHBOR_OFFSETS_8, _hash_windows
-from peierls.montecarlo import _occupy
+from peierls.montecarlo import _trial_seeds, _vacant
 
 
 def occupancy(seed, L, c, t0=0, t1=1):
     """The library's occupancy grids of trials t0..t1-1."""
     side = 2 * L + 1
-    out = np.zeros((t1 - t0, side, side), dtype=bool)
-    _occupy(seed, L, c, t0, t1, out)
-    return out
+    vacant = np.zeros((t1 - t0, side, side), dtype=bool)
+    _vacant(_trial_seeds(seed, t0, t1), L, c, vacant)
+    return ~vacant
 
 
 def test_neighbors4_origin_order():

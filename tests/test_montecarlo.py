@@ -1,5 +1,3 @@
-import importlib.machinery
-import importlib.metadata
 import math
 import os
 import shutil
@@ -13,10 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
 import hash_oracle
-from bisect_oracle import oracle_bisect, oracle_critical_indices, oracle_crossing
+from bisect_oracle import oracle_bisect, oracle_critical_indices, oracle_crossing, oracle_labels
 from contour_oracle import reaches_border
 from hash_oracle import _site_hash, site_uniform, trial_seed
 from peierls import lattice, montecarlo
@@ -30,18 +27,16 @@ from peierls import (
     exact_origin_reach_probability,
 )
 from peierls.montecarlo import (
-    _STRUCT4,
+    _across,
     _chunks,
     _critical_histogram,
     _critical_indices,
-    _crossing,
     _crossing_count,
+    _flood,
     _keys,
-    _label_batch,
-    _load_labeller,
-    _occupy,
     _reach_count,
     _trial_seeds,
+    _vacant,
 )
 from peierls.pool import _fan_out
 
@@ -79,8 +74,15 @@ def test_std_error_formula():
     assert est.std_error == pytest.approx(math.sqrt(est.value * (1 - est.value) / 400))
 
 
+def _occupied(seed: int, L: int, c: float, t0: int, t1: int) -> np.ndarray:
+    """The library's occupancy grids of trials t0..t1-1 (:func:`_vacant`)."""
+    vacant = np.zeros((t1 - t0, 2 * L + 1, 2 * L + 1), dtype=bool)
+    _vacant(_trial_seeds(seed, t0, t1), L, c, vacant)
+    return ~vacant
+
+
 def test_vectorized_reach_matches_cluster_walk():
-    # dual route: per-trial indicator from the labeled grids vs a direct
+    # dual route: per-trial indicator from the flooded strips vs a direct
     # depth-first search of the origin cluster on the reference occupancy
     L, c, seed = 6, 0.58, 21
     grids = hash_oracle.occupied(seed, L, c, 0, 60)
@@ -105,16 +107,44 @@ def test_reach_matches_border_search(seed, L, c, t0):
     assert _reach_count(seed, L, c, t0, t0 + 8) == sum(reached)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-(1 << 70), 1 << 70),
+    st.integers(1, 24),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(0, (1 << 64) - 9),
+    st.integers(1, 8),
+)
+def test_reach_and_crossing_match_border_search_and_labels(seed, L, c, t0, n):
+    # reach against a depth-first search of the origin cluster and against
+    # ndimage labels, crossing against the labels of the left and right columns
+    grids = hash_oracle.occupied(seed, L, c, t0, t0 + n)
+    labelled = oracle_labels(grids)
+    origin = labelled[:, L, L, np.newaxis]
+    border = np.concatenate([labelled[:, 0], labelled[:, -1], labelled[:, :, 0], labelled[:, :, -1]], axis=1)
+    reached = [int(reaches_border(grid)) for grid in grids]
+    assert reached == ((origin > 0) & (border == origin)).any(axis=1).astype(int).tolist()
+    crossed = oracle_crossing(labelled).astype(int).tolist()
+    assert [_reach_count(seed, L, c, t, t + 1) for t in range(t0, t0 + n)] == reached
+    assert [_crossing_count(seed, L, c, t, t + 1) for t in range(t0, t0 + n)] == crossed
+    assert _reach_count(seed, L, c, t0, t0 + n) == sum(reached)
+    assert _crossing_count(seed, L, c, t0, t0 + n) == sum(crossed)
+
+
 @pytest.mark.parametrize("seed, c", [(11, 0.59), (12, 0.6), (16, 0.62)])
 def test_reach_decided_at_the_window_stage_matches_border_search(seed, c):
     # near the threshold some trials stay open through every strip of a
     # radius-64 window (half-heights 4 to 32) and are decided on the window
     L, trials = 64, 24
-    with mock.patch.object(montecarlo, "_label_batch", wraps=montecarlo._label_batch) as label:
+    with mock.patch.object(montecarlo, "_flood", wraps=montecarlo._flood) as flood:
         hits = _reach_count(seed, L, c, 0, trials)
-    labelled, rows = zip(*(call.args[:2] for call in label.call_args_list))
-    assert rows == (9, 17, 33, 65, 129)
-    assert labelled[0] == trials and 0 < labelled[-1] < trials
+    # each strip is flooded to its sides and then, for the trials left, to its
+    # border; the window once, to its border
+    shapes = [call.args[0].shape for call in flood.call_args_list]
+    assert [rows for _, rows, _ in shapes[::2]] == [9, 17, 33, 65, 129]
+    assert [rows for _, rows, _ in shapes[1::2]] == [9, 17, 33, 65]
+    assert all(cols == 2 * L + 1 for _, _, cols in shapes)
+    assert shapes[0][0] == trials and 0 < shapes[-1][0] < trials
     grids = hash_oracle.occupied(seed, L, c, 0, trials)
     assert hits == sum(int(reaches_border(grid)) for grid in grids)
 
@@ -149,12 +179,7 @@ def test_reach_monotone_in_window_radius_per_trial():
 )
 def test_occupancy_crossing_and_reach_monotone_in_concentration(seed, t, L, a, b):
     lo, hi = sorted((a, b))
-    side = 2 * L + 1
-    occ_lo = np.zeros((1, side, side), dtype=bool)
-    occ_hi = np.zeros((1, side, side), dtype=bool)
-    _occupy(seed, L, lo, t, t + 1, occ_lo)
-    _occupy(seed, L, hi, t, t + 1, occ_hi)
-    assert not (occ_lo & ~occ_hi).any()
+    assert not (_occupied(seed, L, lo, t, t + 1) & ~_occupied(seed, L, hi, t, t + 1)).any()
     for counter in (_crossing_count, _reach_count):
         assert counter(seed, L, lo, t, t + 1) <= counter(seed, L, hi, t, t + 1)
 
@@ -171,10 +196,7 @@ def test_occupancy_and_reach_monotone_in_window_radius(seed, t, c, a, b):
     # the larger window holds the smaller one site for site, so escaping it
     # means escaping the smaller one too
     small, big = sorted((a, b))
-    occ_small = np.zeros((1, 2 * small + 1, 2 * small + 1), dtype=bool)
-    occ_big = np.zeros((1, 2 * big + 1, 2 * big + 1), dtype=bool)
-    _occupy(seed, small, c, t, t + 1, occ_small)
-    _occupy(seed, big, c, t, t + 1, occ_big)
+    occ_small, occ_big = _occupied(seed, small, c, t, t + 1), _occupied(seed, big, c, t, t + 1)
     inner = slice(big - small, big + small + 1)
     assert np.array_equal(occ_small[0], occ_big[0, inner, inner])
     assert _reach_count(seed, big, c, t, t + 1) <= _reach_count(seed, small, c, t, t + 1)
@@ -292,22 +314,12 @@ def test_sweep_matches_oracle_at_radius_64(seed):
     assert np.array_equal(_critical_histogram(seed, 64, 8, 0, 300), np.bincount(expected, minlength=1 << 8))
 
 
-def _kernel_indices(keys: np.ndarray, m: int) -> np.ndarray:
-    """The kernel's j* of each field of a stack of square uint16 key grids."""
-    keys = np.ascontiguousarray(keys, dtype=np.uint16)
-    out = np.full(len(keys), -1, dtype=np.int32)
-    assert montecarlo._sweep_kernel()(keys.ctypes.data, len(keys), keys.shape[1], m, out.ctypes.data) == 0
-    return out
-
-
 def _assert_critical_by_crossing(keys: np.ndarray, m: int, critical: np.ndarray) -> None:
     # crossing is monotone in j, so j* is pinned by no crossing at j* and,
     # below the top of the grid, a crossing at j* + 1
-    b, side, _ = keys.shape
     for j, crosses in ((critical, False), (critical + 1, True)):
-        bound = j.astype(np.int64)[:, np.newaxis, np.newaxis]
-        labels = _label_batch(b, side, side, lambda grids: np.less(keys, bound, out=grids))
-        assert np.array_equal(oracle_crossing(labels), np.where(j < 1 << m, crosses, True))
+        crossed = oracle_crossing(oracle_labels(keys < j.astype(np.int64)[:, np.newaxis, np.newaxis]))
+        assert np.array_equal(crossed, np.where(j < 1 << m, crosses, True))
 
 
 def _corridor(side: int, m: int) -> np.ndarray:
@@ -327,7 +339,7 @@ def test_kernel_on_hand_built_fields():
         corridor, closed = _corridor(side, m), _corridor(side, m)
         closed[5, side - 1] = (1 << m) - 1  # the corridor stops one site short of the right column
         fields = np.stack([corridor, np.full((side, side), (1 << m) - 1, dtype=np.uint16), closed])
-        critical = _kernel_indices(fields, m)
+        critical = _across(fields, m)
         assert critical.tolist() == [0, (1 << m) - 1, (1 << m) - 1]
         _assert_critical_by_crossing(fields, m, critical)
 
@@ -339,7 +351,7 @@ def test_kernel_at_side_3():
     wide[:100] |= 0xFF00
     wide[100:200] &= 0x00FF
     for keys, m in ((binary, 1), (wide, 16)):
-        critical = _kernel_indices(keys, m)
+        critical = _across(keys, m)
         assert critical.min() >= 0 and critical.max() < 1 << m
         _assert_critical_by_crossing(keys, m, critical)
 
@@ -354,10 +366,98 @@ def test_kernel_fields_do_not_leak_into_the_next(seed, side, m, n):
     fields = [rng.integers(0, 1 << m, size=(side, side), dtype=np.uint16) for _ in range(n)]
     fields += [_corridor(side, m), np.full((side, side), top, dtype=np.uint16), np.zeros((side, side), dtype=np.uint16)]
     stack = np.stack([fields[i] for i in rng.permutation(len(fields))])
-    alone = np.concatenate([_kernel_indices(field[np.newaxis], m) for field in stack])
-    assert np.array_equal(_kernel_indices(stack, m), alone)
-    assert np.array_equal(_kernel_indices(stack[::-1], m), alone[::-1])
+    alone = np.concatenate([_across(field[np.newaxis], m) for field in stack])
+    assert np.array_equal(_across(stack, m), alone)
+    assert np.array_equal(_across(stack[::-1], m), alone[::-1])
     _assert_critical_by_crossing(stack, m, alone)
+
+
+def _border(rows: int, cols: int) -> np.ndarray:
+    mask = np.ones((rows, cols), dtype=bool)
+    mask[1:-1, 1:-1] = False
+    return mask
+
+
+def _oracle_flood(field: np.ndarray, m: int, sources, target: np.ndarray) -> int:
+    """The least j at which the sites of key <= j join a source to a target, by labels; 2**m - 1 if none."""
+    for j in range((1 << m) - 1):
+        lab = oracle_labels(field[np.newaxis] <= j)[0]
+        if set(lab.flat[list(sources)]) & set(lab[target]) - {0}:
+            return j
+    return (1 << m) - 1
+
+
+def test_flood_on_hand_built_fields():
+    m, top = 4, 15
+    # a 5 x 11 grid, left column to right: a corridor of keys 2 but one 5 through keys 9
+    corridor = np.full((5, 11), 9, dtype=np.uint16)
+    corridor[2] = 2
+    corridor[2, 6] = 5
+    # a 9 x 7 grid, from an interior source to the border: a ring of keys 12
+    # round a pocket of keys 0, with a gap of key 7 on its left
+    ring = np.zeros((9, 7), dtype=np.uint16)
+    ring[2:7, 1:6] = 12
+    ring[3:6, 2:5] = 0
+    ring[4, 1] = 7
+    closed = ring.copy()
+    closed[4, 1] = 12
+    high = ring.copy()
+    high[4, 3] = 9  # the source's own key is on every path
+    centre, border = [4 * 7 + 3], _border(9, 7)
+    cases = (
+        (corridor, np.arange(0, 55, 11), np.tile(np.arange(11) == 10, (5, 1)), 5),
+        (ring, centre, border, 7),
+        (closed, centre, border, 12),
+        (high, centre, border, 9),
+        (high, centre + centre + [4 * 7 + 4], border, 7),  # repeated and adjacent sources
+        (ring, [4 * 7], border, 0),  # a source on the border is a target
+        (ring, [], border, top),  # no source
+        (ring.T.copy(), [3 * 9 + 4], _border(7, 9), 7),  # the ring turned: its gap on the top
+    )
+    for field, sources, target, expected in cases:
+        assert _flood(field[np.newaxis], m, sources, target).tolist() == [expected]
+        assert _oracle_flood(field, m, sources, target) == expected
+    # at m = 1 the flood is a reach: a vacant source, an occupied path, a wall
+    walled = (ring > 0).astype(np.uint16)
+    fields = np.stack([walled, walled, (closed > 0).astype(np.uint16)])
+    fields[0, 4, 3] = 1
+    assert _flood(fields, 1, centre, border).tolist() == [1, 1, 1]
+    fields[1, 4, 1] = 0
+    assert _flood(fields, 1, centre, border).tolist() == [1, 0, 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 1 << 32), st.integers(1, 9), st.integers(1, 9), st.integers(1, 5), st.data())
+def test_flood_matches_labelling_oracle(seed, rows, cols, m, data):
+    # any grid shape, source set and target mask that holds the right column
+    rng = np.random.default_rng(seed)
+    fields = rng.integers(0, 1 << m, size=(3, rows, cols), dtype=np.uint16)
+    sources = data.draw(st.lists(st.integers(0, rows * cols - 1), max_size=6))
+    target = rng.random((rows, cols)) < data.draw(st.floats(0.0, 0.3))
+    target[:, -1] = True
+    expected = [_oracle_flood(field, m, sources, target) for field in fields]
+    assert _flood(fields, m, sources, target).tolist() == expected
+
+
+def test_flood_refuses_targets_without_the_right_column_before_the_kernel():
+    keys = np.zeros((2, 5, 6), dtype=np.uint16)
+    gap = np.ones((5, 6), dtype=bool)
+    gap[2, -1] = False
+    whole = np.ones((5, 6), dtype=bool)
+    bad = ((gap, [0], 1), (whole[:, :5], [0], 1), (whole, [30], 1), (whole, [-1], 1), (whole, [0], 0), (whole, [0], 17))
+    with mock.patch.object(montecarlo, "_sweep_kernel", side_effect=AssertionError("the kernel was called")):
+        for target, sources, m in bad:
+            with pytest.raises(ValueError, match="right column"):
+                _flood(keys, m, sources, target)
+
+
+def test_flood_takes_a_key_above_the_top_as_the_top():
+    # every 16-bit key has a bucket, and one above 2**m - 1 is never taken
+    right = np.array([[False, False, True]])
+    for m, expected in ((1, 1), (2, 3), (4, 9)):
+        assert _flood(np.array([[[0, 9, 0]]], dtype=np.uint16), m, [0], right).tolist() == [expected]
+    for m, expected in ((1, 1), (2, 2), (4, 2)):
+        assert _flood(np.array([[[0, 9, 0], [0, 2, 0]]], dtype=np.uint16), m, [0], right.repeat(2, 0)).tolist() == [expected]
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
@@ -373,31 +473,6 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert build.returncode == 0 and build.stderr == "", build.stderr
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9), st.data())
-def test_crossing_matches_pairwise_oracle(b, rows, cols, data):
-    bits = data.draw(st.lists(st.booleans(), min_size=b * rows * cols, max_size=b * rows * cols))
-    labels = _label_batch(b, rows, cols, lambda grids: np.copyto(grids, np.array(bits).reshape(b, rows, cols)))
-    assert np.array_equal(_crossing(labels), oracle_crossing(labels))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 5), st.integers(1, 30), st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)
-)
-def test_label_batch_matches_public_ndimage_label(b, rows, cols, density, seed):
-    grids = np.random.default_rng(seed).random((b, rows, cols)) < density
-    labels = _label_batch(b, rows, cols, lambda out: np.copyto(out, grids))
-    # the oracle labels the same stack, separator rows included
-    stack = np.zeros((b, rows + 1, cols), dtype=bool)
-    stack[:, :rows] = grids
-    expected, count = ndimage.label(stack.reshape(b * (rows + 1), cols), structure=_STRUCT4)
-    expected = expected.reshape(b, rows + 1, cols)
-    assert labels.dtype == np.int32 and labels.shape == (b, rows, cols)
-    assert np.array_equal(labels, expected[:, :rows])
-    assert not expected[:, rows].any() and int(labels.max(initial=0)) == count
-
-
 def _env_with_src(**extra: str) -> dict[str, str]:
     """The test's environment with ``src`` on ``PYTHONPATH``, updated by ``extra``."""
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
@@ -408,30 +483,22 @@ def _env_with_src(**extra: str) -> dict[str, str]:
     }
 
 
-def test_import_leaves_out_scipy_ndimage_and_the_kernel_coexists_with_it(tmp_path):
-    # in a fresh interpreter: the CLI's import loads neither package nor the
-    # sweep kernel, and builds nothing into the kernel cache; a later import
-    # of scipy.ndimage shares the labeller and still labels right.  (ctypes
+def test_import_loads_no_scipy_and_not_the_kernel(tmp_path):
+    # in a fresh interpreter: the CLI's import loads no scipy module and not
+    # the flood kernel, and builds nothing into the kernel cache.  (ctypes
     # itself is loaded by numpy, in numpy._core._internal.)
     script = textwrap.dedent(
         """
         import os
         import sys
-        import numpy as np
         import peierls.cli
         from peierls import montecarlo
-        from peierls.montecarlo import _STRUCT4, _label_batch
-        assert "scipy.ndimage" not in sys.modules and "scipy.special" not in sys.modules
+        assert [name for name in sys.modules if name.split(".")[0] == "scipy"] == []
         assert "concurrent.futures" not in sys.modules
         assert montecarlo._sweep is None
         if os.path.exists("/proc/self/maps"):
             with open("/proc/self/maps") as maps:
                 assert "sweep-" not in maps.read()
-        from scipy import ndimage
-        grid = np.random.default_rng(5).random((40, 50)) < 0.6
-        expected, _ = ndimage.label(np.vstack([grid, np.zeros((1, 50), bool)]), structure=_STRUCT4)
-        assert np.array_equal(ndimage.label(grid, structure=_STRUCT4)[0], expected[:40])
-        assert np.array_equal(_label_batch(1, 40, 50, lambda out: np.copyto(out, grid))[0], expected[:40])
         """
     )
     env = _env_with_src(XDG_CACHE_HOME=str(tmp_path / "cache"))
@@ -454,6 +521,10 @@ def test_concurrent_builds_into_a_fresh_cache_agree(tmp_path):
     assert outputs[0][0] == outputs[1][0] == f"{_critical_indices(5, 12, 8, 0, 40).tolist()}\n"
     built = os.listdir(tmp_path / "peierls")
     assert len(built) == 1 and built[0].startswith("sweep-") and built[0].endswith(".so")
+    # loading the cached kernel imports nothing it needs only to build
+    script = "import sys; from peierls import montecarlo; montecarlo._sweep_kernel(); assert 'subprocess' not in sys.modules"
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
 
 
 def test_sweep_cache_follows_xdg_cache_home(monkeypatch, tmp_path):
@@ -472,19 +543,26 @@ def test_sweep_build_failures_raise_build_error(monkeypatch, tmp_path):
     monkeypatch.setattr(montecarlo, "_sweep", None)
     monkeypatch.setattr(montecarlo, "_SWEEP_SOURCE", str(tmp_path / "bad.c"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    with pytest.raises(BuildError, match="could not build the bisection kernel: .*error") as err:
+    with pytest.raises(BuildError, match="could not build the Monte Carlo kernel: .*error") as err:
         montecarlo._sweep_kernel()
     assert "\n" not in str(err.value)
     assert os.listdir(tmp_path / "cache" / "peierls") == []
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
-    with pytest.raises(BuildError, match="cannot write the bisection kernel"):
+    with pytest.raises(BuildError, match="cannot write the Monte Carlo kernel"):
         montecarlo._sweep_kernel()
     assert montecarlo._sweep is None
 
 
-def test_sweep_allocation_failure_raises_memory_error():
-    with mock.patch.object(montecarlo, "_sweep", lambda *args: -1), pytest.raises(MemoryError, match="sweep"):
-        bisect_threshold(8, 10, 0.3, 0)
+def test_flood_allocation_failure_raises_memory_error():
+    runs = (
+        lambda: bisect_threshold(8, 10, 0.3, 0),
+        lambda: estimate_origin_reach(8, 0.5, 10, 0),
+        lambda: estimate_crossing(8, 0.5, 10, 0),
+    )
+    with mock.patch.object(montecarlo, "_sweep", lambda *args: -1):
+        for run in runs:
+            with pytest.raises(MemoryError, match="flood"):
+                run()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
@@ -501,29 +579,6 @@ def test_import_loads_numpy_with_a_one_thread_blas_pool_and_leaves_the_environme
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["1", "False"]
-
-
-def test_labeller_missing_raises_import_error_naming_the_files(tmp_path):
-    before = set(sys.modules)
-    with pytest.raises(ImportError) as err:
-        _load_labeller(str(tmp_path))
-    message = str(err.value)
-    assert str(tmp_path) in message and importlib.metadata.version("scipy") in message
-    assert all("_ni_label" + suffix in message for suffix in importlib.machinery.EXTENSION_SUFFIXES)
-    assert set(sys.modules) == before
-
-
-def test_label_stacks_stay_below_the_int32_label_bound():
-    # scipy.ndimage.label keeps int32 labels below 2**31 - 2 sites; a stack is
-    # one chunk of about 1M sites or one field of at most _SITE_LIMIT sites
-    # with its separator row
-    bound = 2**31 - 2
-    largest = Window(16383)  # the largest field the caps admit
-    assert largest.side * (largest.side + 1) < bound
-    for L in (1, 8, 128, 499, 500, 2048, 16383):
-        side = 2 * L + 1
-        t0, t1 = next(iter(_chunks(L, 10**9)))
-        assert (t1 - t0) * (side + 1) * side <= max(1_000_000, side * (side + 1)) < bound
 
 
 def test_bisection_pinned():
@@ -566,12 +621,14 @@ def test_blocked_kernel_matches_whole_array_oracle(seed, L, t0, n, block, c, m):
     side = 2 * L + 1
     t1 = t0 + n
     with mock.patch.object(lattice, "_BLOCK_SITES", block):
-        occ = np.zeros((n, side, side), dtype=bool)
-        _occupy(seed, L, c, t0, t1, occ)
+        occ = _occupied(seed, L, c, t0, t1)
+        flood_keys = np.empty((n, side, side), dtype=np.uint16)
+        _vacant(_trial_seeds(seed, t0, t1), L, c, flood_keys)
         keys = _keys(seed, L, m, t0, t1)
     hashes = hash_oracle.trial_hashes(seed, L, t0, t1)
     expected = (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
     assert np.array_equal(occ, hash_oracle.occupied(seed, L, c, t0, t1))
+    assert np.array_equal(flood_keys, ~occ)
     assert np.array_equal(keys, hashes >> np.uint64(64 - m))
     j = int(c * (1 << m))
     assert np.array_equal(keys < j, expected < j / (1 << m))
@@ -583,9 +640,7 @@ def test_blocked_kernel_matches_whole_array_oracle(seed, L, t0, n, block, c, m):
 def test_row_slice_blocks_match_oracle():
     # at the real block size a radius-100 window is hashed in row slices
     assert (2 * 100 + 1) ** 2 > lattice._BLOCK_SITES
-    occ = np.zeros((2, 201, 201), dtype=bool)
-    _occupy(5, 100, 0.6, 3, 5, occ)
-    assert np.array_equal(occ, hash_oracle.occupied(5, 100, 0.6, 3, 5))
+    assert np.array_equal(_occupied(5, 100, 0.6, 3, 5), hash_oracle.occupied(5, 100, 0.6, 3, 5))
     assert np.array_equal(_keys(5, 100, 10, 3, 5), hash_oracle.trial_hashes(5, 100, 3, 5) >> np.uint64(54))
 
 

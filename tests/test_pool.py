@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import threading
@@ -49,6 +50,19 @@ def test_fan_out_names_a_worker_that_died_and_a_result_it_cannot_send():
     with pytest.raises(RuntimeError, match="task 0 gave a result that cannot be pickled"):
         with _fan_out([(eval, "lambda: 0"), (abs, -1)], 2) as results:
             list(results)
+
+
+def test_workers_inherit_a_frozen_collector_and_the_caller_thaws_after():
+    assert gc.get_freeze_count() == 0
+    with _fan_out([(gc.get_freeze_count,), (gc.get_freeze_count,)], 2) as results:
+        # every object the caller had before the forks is out of the workers' collections
+        assert all(n > 0 for n in results)
+        assert gc.get_freeze_count() > 0
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(KeyError):
+        with _fan_out([(abs, -1), (abs, -2)], 2) as results:
+            raise KeyError("merge failed")
+    assert gc.get_freeze_count() == 0
 
 
 def test_a_caller_running_threads_runs_the_tasks_itself(monkeypatch):
