@@ -1,46 +1,44 @@
 """Monte Carlo estimates of percolation probabilities on finite windows.
 
-Each trial draws one coupled field (:mod:`peierls.lattice`) from a per-trial
-derived seed, so any subset of trials can be recomputed independently and
-estimates are identical however the trials are split across workers.  A site
-is occupied at concentration c when the 53-bit uniform its hash encodes is
-below c, a comparison made on the raw hashes; this is the package's only
-occupancy rule.  Trials are processed in chunks of about 1M sites, spread
+Each trial draws one coupled field from a per-trial derived seed, so any subset
+of trials can be recomputed independently and estimates are identical however
+the trials are split across workers.  A field attaches one 64-bit hash to
+each site, a pure function of (seed, trial, x, y) that never depends on the
+window radius, so enlarging a window extends a field without disturbing
+existing sites.  A site is occupied at concentration c when the 53-bit
+uniform its hash encodes is below c, a comparison made on the raw hash
+(:func:`_hash_threshold`); this is the package's only occupancy rule, and
+thresholding one field at growing concentrations yields nested occupied sets
+(coupled sampling).  Trials are processed in chunks of about 1M sites, spread
 over forked worker processes (:mod:`peierls.pool`) and produced lazily, so a
-run holds only the chunks in flight.  Within a chunk the site hashes are
-computed in cache-sized blocks (:func:`peierls.lattice._hash_windows`) and
-each block is reduced at once into 16-bit keys: 0 on an occupied site and 1
-on a vacant one, or, for bisection, the top bits of the hash.  No
-chunk-sized array of 64-bit hashes is ever built.  Fields of more than
-``_SITE_LIMIT`` sites and runs of more than ``_SITE_TRIAL_LIMIT`` trials x
-sites raise :class:`CapExceeded`.
+run holds only the chunks in flight.  Fields of more than ``_SITE_LIMIT``
+sites and runs of more than ``_SITE_TRIAL_LIMIT`` trials x sites raise
+:class:`CapExceeded`.
 
 Every observable asks whether an occupied path joins two sets of sites, and
 one compiled invasion flood (``_sweep.c``, :func:`_flood`) answers it: from
 the sources it takes, one at a time, a bordering site of least key, and its
-result is the largest key it has taken when it first takes a target.  On the
-0/1 keys the result is 0 exactly when an occupied path joins a source to a
-target, and the flood ends as soon as the occupied sites it can reach run
-out.  A crossing is a flood from the left column to the right one.
-
-Origin reach floods the central strips |y| <= h of its windows rather than
-the windows, h = 4, 8, 16, ... (:func:`_reach_count`).  A stage hashes and
-floods only the trials the stage before it left open: those whose origin
-cluster in the strip touches the strip's top or bottom row but neither of
-its sides |x| = L.  The last possible stage, h = L, is the window itself.
-Above the threshold the origin's cluster is finite only inside a closed
-vacant contour, and such contours are short, so at c = 0.9 and L = 128 the
-first strip of 9 rows decides nearly every trial.
+result is the largest key it has taken when it first takes a target.  The
+kernel holds the package's one site hash: it hashes a site into its key when
+it first borders the site, so no key array is ever built and a flood hashes
+only the sites it borders.  On the m = 1 keys, 0 on an occupied site and 1 on
+a vacant one, the result is 0 exactly when an occupied path joins a source to
+a target, and the flood ends as soon as the occupied sites it can reach run
+out.  Origin reach is one such flood from the origin to the window border,
+and a crossing one from the left column to the right one.  Above the
+threshold the origin's cluster is finite only inside a closed vacant contour,
+and such contours are short, so at c = 0.9 and L = 128 a reach flood
+borders a few hundred of the window's 66,049 sites.
 
 Threshold bisection does not re-threshold every field at every midpoint.
 Its midpoints all lie on the grid j / 2**m, with m fixed by the tolerance,
 and a coupled field crosses at c = j / 2**m exactly when j exceeds the
 field's critical index j*: the largest grid index at which it has no
-left-right crossing.  Each chunk is hashed once, into the keys
-``hash >> (64 - m)``, and one flood a field from the left column to the
-right one finds j*.  A chunk returns its j* histogram, and the hit count at
-each midpoint, #{t : j*_t < j}, is a prefix sum of it, so the trace and
-estimate are those of thresholding every field at every midpoint.
+left-right crossing.  On the keys ``hash >> (64 - m)``, one flood a field
+from the left column to the right one finds j*.  A chunk returns its j*
+histogram, and the hit count at each midpoint, #{t : j*_t < j}, is a prefix
+sum of it, so the trace and estimate are those of thresholding every field
+at every midpoint.
 
 The kernel is compiled with ``cc`` on first use into a cache under
 ``$XDG_CACHE_HOME`` (:func:`_sweep_kernel`), so every simulation needs a C
@@ -58,7 +56,7 @@ import numpy as np
 
 from . import pool
 from .errors import BuildError, CapExceeded, check_workers
-from .lattice import _M64, _TRIALSALT, Window, _hash_windows, _np_mix64
+from .lattice import Window
 
 __all__ = [
     "McEstimate",
@@ -92,58 +90,18 @@ class McEstimate:
         }
 
 
-def _trial_seeds(seed: int, t0: int, t1: int) -> np.ndarray:
-    """uint64 seeds of trials t0..t1-1.
-
-    Trial t of run ``seed`` hashes its field under mix((seed ^ t * _TRIALSALT)
-    mod 2**64), with ``mix`` the finalizer of
-    :func:`peierls.lattice._np_mix64`.
-    """
-    z = np.arange(t1 - t0, dtype=np.uint64)
-    z += np.uint64(t0 & _M64)
-    z *= np.uint64(_TRIALSALT)
-    z ^= np.uint64(seed & _M64)
-    return _np_mix64(z, np.empty_like(z))
+#: Seeds and trial indices are taken mod 2**64.
+_M64 = (1 << 64) - 1
 
 
-def _hash_threshold(c: float) -> np.uint64:
-    """Raw-hash bound with ``hash < bound`` iff the site's uniform is below c, for 0 < c < 1.
+def _hash_threshold(c: float) -> int:
+    """Raw-hash bound with ``hash < bound`` iff the site's uniform is below c, for 0 <= c < 1.
 
     The uniforms are exact multiples of 2**-53, so ``u < c`` is equivalent to
     comparing the raw 53-bit hash against ceil(c * 2**53), without
-    materializing the floats.
+    materializing the floats.  ``_hash_threshold(j / 2**m) == j << (64 - m)``.
     """
-    return np.uint64(math.ceil(c * 2.0**53) << 11)
-
-
-def _vacant(seeds: np.ndarray, L: int, c: float, out: np.ndarray) -> None:
-    """Write 1 on the vacant and 0 on the occupied sites of the radius-L fields of ``seeds`` at concentration c into ``out``.
-
-    ``out`` has shape ``(seeds.size, 2*h + 1, 2*L + 1)``, any strides, bool
-    or integer, for the band of rows |y| <= h of each window
-    (:func:`peierls.lattice._hash_windows`); each hash block is thresholded
-    straight into it.  In 16 bits these are the m = 1 keys of :func:`_flood`.
-    """
-    if 0.0 < c < 1.0:
-        bound = _hash_threshold(c)
-        _hash_windows(seeds, L, out, lambda z, dst: np.greater_equal(z, bound, out=dst))
-    else:
-        out[...] = c < 1.0
-
-
-def _keys(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
-    """16-bit keys ``hash >> (64 - m)`` of trials t0..t1-1, for 1 <= m <= 16.
-
-    ``_hash_threshold(j / 2**m) == j << (64 - m)``, so a site is occupied at
-    c = j / 2**m exactly when its key is below j.
-    """
-    side = 2 * L + 1
-    keys = np.empty((t1 - t0, side, side), dtype=np.uint16)
-    shift = np.uint64(64 - m)
-    _hash_windows(
-        _trial_seeds(seed, t0, t1), L, keys, lambda z, dst: np.right_shift(z, shift, out=dst, casting="unsafe")
-    )
-    return keys
+    return math.ceil(c * 2.0**53) << 11
 
 
 #: The flood kernel's C source, and the command that builds it into a shared library.
@@ -208,130 +166,104 @@ def _sweep_kernel():
     except OSError as exc:
         raise BuildError(f"cannot load the Monte Carlo kernel {path}: {exc}") from None
     kernel.restype = ctypes.c_int
-    int32, pointer = ctypes.c_int32, ctypes.c_void_p
-    kernel.argtypes = [pointer, ctypes.c_int64, int32, int32, int32, pointer, int32, pointer, pointer]
+    int32, uint64, pointer = ctypes.c_int32, ctypes.c_uint64, ctypes.c_void_p
+    kernel.argtypes = [uint64, uint64, ctypes.c_int64, int32, uint64, int32, pointer, int32, pointer, pointer]
     _sweep = kernel
     return kernel
 
 
-def _flood(keys: np.ndarray, m: int, sources, target: np.ndarray) -> np.ndarray:
-    """The flood's result for each field of ``keys``, from the sites ``sources`` to the sites of ``target``.
+def _flood(seed: int, t0: int, fields: int, L: int, bound: int, m: int, sources, target: np.ndarray) -> np.ndarray:
+    """The flood's result for each trial t0 .. t0 + fields - 1 of run ``seed``, from the sites ``sources`` to the sites of ``target``.
 
-    ``keys`` is a ``(fields, rows, cols)`` uint16 array of keys in [0, 2**m),
-    1 <= m <= 16 (a larger key counts as 2**m - 1), ``sources`` the flat
-    indices of sites of a field, and ``target`` a ``(rows, cols)`` bool mask.
-    A field's result is the least, over the 4-connected paths from a source
-    to a target, of the largest key on the path, so an occupied path joins
-    them at c = j / 2**m exactly when j exceeds it; it is found by the
-    compiled invasion flood (:func:`_sweep_kernel`).  The kernel never tests the right edge, so
-    ``target`` must hold the whole right column; a mask without it, a source
-    off the field or m out of range raises :class:`ValueError` before the
-    kernel runs.
+    A trial's field is its radius-L window, whose site's key is 0 when the
+    site's hash is below ``bound`` and max(1, hash >> (64 - m)) otherwise,
+    1 <= m <= 16.  ``sources`` are flat indices of sites of the window, row
+    by row from (-L, -L), and ``target`` is a ``(2L+1, 2L+1)`` bool mask.  A
+    field's result is the least, over the 4-connected paths from a source to
+    a target, of the largest key on the path, so at m = 1 it is 0 exactly when
+    an occupied path (of sites hashed below ``bound``) joins them, and with
+    ``bound = 2**(64 - m)`` an occupied path joins them at c = j / 2**m
+    exactly when j exceeds it.  It is found by the compiled invasion flood
+    (:func:`_sweep_kernel`), which hashes each site it borders once.  The
+    kernel never tests the right edge, so ``target`` must hold the whole right
+    column; a mask without it, a source off the window, a bound outside
+    [0, 2**64) or m out of range raises :class:`ValueError` before the kernel
+    runs.
     """
-    fields, rows, cols = keys.shape
-    keys = np.ascontiguousarray(keys, dtype=np.uint16)
+    side = 2 * L + 1
     sources = np.asarray(sources, dtype=np.int32)
     target = np.ascontiguousarray(target, dtype=bool)
-    sites = (0 <= sources) & (sources < rows * cols)
-    if not (1 <= m <= 16 and sites.all() and target.shape == (rows, cols) and target[:, -1].all()):
+    sites = (0 <= sources) & (sources < side * side)
+    if not (
+        1 <= m <= 16 and 0 <= bound <= _M64 and sites.all() and target.shape == (side, side) and target[:, -1].all()
+    ):
         raise ValueError(
-            f"a flood needs 1 <= m <= 16, sources on its {rows} x {cols} field and targets that hold its right column"
+            f"a flood needs 1 <= m <= 16, a 64-bit bound, sources on its {side} x {side} window"
+            " and targets that hold its right column"
         )
     out = np.empty(fields, dtype=np.int32)
     kernel = _sweep_kernel()
-    if kernel(keys.ctypes.data, fields, rows, cols, m, sources.ctypes.data, sources.size, target.ctypes.data, out.ctypes.data):
-        raise MemoryError(f"cannot allocate the flood's scratch for a field of {rows * cols} sites")
+    if kernel(
+        seed & _M64, t0 & _M64, fields, L, bound, m, sources.ctypes.data, sources.size, target.ctypes.data, out.ctypes.data
+    ):
+        raise MemoryError(f"cannot allocate the flood's scratch for a field of {side * side} sites")
     return out
 
 
-def _across(keys: np.ndarray, m: int) -> np.ndarray:
-    """:func:`_flood` of each field of ``keys`` from its left column to its right one."""
-    _, rows, cols = keys.shape
-    right = np.zeros((rows, cols), dtype=bool)
+def _left_right(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the radius-L window's left column, and its right column as a target mask."""
+    side = 2 * L + 1
+    right = np.zeros((side, side), dtype=bool)
     right[:, -1] = True
-    return _flood(keys, m, np.arange(0, rows * cols, cols), right)
-
-
-#: Half-height of the first strip of the origin-reach cascade.  At c = 0.9 and
-#: L = 128 it decides nearly every trial; near the threshold about half go on.
-_FIRST_STRIP = 4
-#: Factor by which the strip's half-height grows from one stage to the next.
-_STRIP_GROWTH = 2
+    return np.arange(0, side * side, side), right
 
 
 def _reach_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
-    """Trials t0..t1-1 whose origin cluster reaches the window border, decided by a cascade of strips.
-
-    Each stage floods, for the trials still open, the strips {|x| <= L,
-    |y| <= h} of their fields from the origin, h = ``_FIRST_STRIP`` at first
-    and then ``_STRIP_GROWTH`` times larger each stage, capped at L.  On the
-    0/1 keys (:func:`_vacant`) a flood ends at 0 exactly when the origin's
-    occupied cluster C in the strip has a target site.  A trial
-    - reaches the border if C has a site with |x| = L, since a path in the
-      strip is one in the window: a flood to the strip's sides;
-    - does not if the origin is vacant or C has no site with |x| = L or
-      |y| = h, since no site of C then has a neighbour outside the strip, so
-      C is the origin's whole cluster in the window and lies off its border:
-      for the trials left, a flood to the strip's whole border;
-    - stays open otherwise.
-    At h = L the strip is the window, and one flood to its border decides
-    every trial left.
-    """
+    """Trials t0..t1-1 whose origin cluster reaches the window border: an m = 1 flood from the origin to the border that ends at 0."""
+    if c >= 1.0:
+        return t1 - t0
     side = 2 * L + 1
-    seeds = _trial_seeds(seed, t0, t1)
-    hits, h = 0, _FIRST_STRIP
-    while seeds.size:
-        h = min(h, L)
-        keys = np.empty((seeds.size, 2 * h + 1, side), dtype=np.uint16)
-        _vacant(seeds, L, c, keys)
-        origin = [h * side + L]
-        border = np.ones((2 * h + 1, side), dtype=bool)
-        border[1:-1, 1:-1] = False
-        if h == L:
-            hits += int((_flood(keys, 1, origin, border) == 0).sum())
-            break
-        sides = np.zeros_like(border)
-        sides[:, :: side - 1] = True
-        reached = _flood(keys, 1, origin, sides) == 0
-        hits += int(reached.sum())
-        keys, seeds = keys[~reached], seeds[~reached]
-        seeds = seeds[_flood(keys, 1, origin, border) == 0]
-        h *= _STRIP_GROWTH
-    return hits
+    border = np.ones((side, side), dtype=bool)
+    border[1:-1, 1:-1] = False
+    return int((_flood(seed, t0, t1 - t0, L, _hash_threshold(c), 1, [L * side + L], border) == 0).sum())
 
 
 def _crossing_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
-    """Trials t0..t1-1 with an occupied left-right crossing: a flood over the 0/1 keys that ends at 0."""
-    side = 2 * L + 1
-    keys = np.empty((t1 - t0, side, side), dtype=np.uint16)
-    _vacant(_trial_seeds(seed, t0, t1), L, c, keys)
-    return int((_across(keys, 1) == 0).sum())
+    """Trials t0..t1-1 with an occupied left-right crossing: an m = 1 flood from the left column to the right one that ends at 0."""
+    if c >= 1.0:
+        return t1 - t0
+    return int((_flood(seed, t0, t1 - t0, L, _hash_threshold(c), 1, *_left_right(L)) == 0).sum())
 
 
 def _chunks(L: int, trials: int) -> Iterator[tuple[int, int]]:
     """Trial ranges [t0, t1) of about 1M sites each, yielded lazily."""
     side = 2 * L + 1
-    # ~1M sites keeps a chunk's 16-bit keys near 2 MB
+    # ~1M sites a chunk: a chunk holds no field, only one result a trial, so
+    # this sets the task size alone, the one the bench records were taken at
     batch = max(1, 1_000_000 // (side * (side + 1)))
     return ((t0, min(t0 + batch, trials)) for t0 in range(0, trials, batch))
 
 
-def _count_events(counter, L: int, c: float, trials: int, seed: int, workers: int) -> int:
-    """Sum of ``counter(seed, L, c, t0, t1)`` over the chunks of the run, on ``workers`` processes."""
+def _count_events(counter, L: int, c, trials: int, seed: int, workers: int):
+    """Sum of ``counter(seed, L, c, t0, t1)`` over the chunks of the run, on ``workers`` processes.
+
+    The counter returns a trial count, or for bisection (with ``c`` the grid
+    exponent m) a histogram array.
+    """
     tasks = ((counter, seed, L, c, t0, t1) for t0, t1 in _chunks(L, trials))
     with pool._fan_out(tasks, workers) as results:
         return sum(results)
 
 
-#: Sites in one field.  A chunk holds at least one whole field, at 2 bytes a
-#: site for its 16-bit keys, and every flood takes 7 bytes a site: the keys,
-#: and the int32 bucket links and seen bytes of its scratch.  So 2**30 sites,
-#: radius 16383, hold one field in about 7 GiB; radius 100000 would need 280 GB.
+#: Sites in one field.  A flood takes about 5 bytes of scratch a site, the
+#: int32 bucket links and the seen bytes, and no key array is ever built.  So
+#: 2**30 sites, radius 16383, flood in about 5 GiB; radius 100000 would need
+#: 200 GB.
 _SITE_LIMIT = 1 << 30
 #: Trials x sites in one run.  Memory stays bounded at any trial count, since
 #: chunks are made lazily and few are in flight, so this bounds run time only:
-#: at about 5 ns of CPU a site-trial (hash, threshold, flood), 2**48 is about
-#: two weeks of CPU.  A trillion trials at radius 8 (2.9e14) are past it.
+#: at about 5 ns of CPU a site-trial (hash and flood), 2**48 is about two
+#: weeks of CPU.  A trillion trials at radius 8 (2.9e14) are past it.
 _SITE_TRIAL_LIMIT = 1 << 48
 
 
@@ -370,10 +302,9 @@ def estimate_origin_reach(L: int, c: float, trials: int, seed: int, *, workers: 
     """Fraction of trials whose origin cluster reaches the window border.
 
     The finite-window stand-in for the probability that the origin belongs to
-    an unbounded cluster; vacant origins never count.  Each trial is decided
-    on the first of a cascade of ever taller strips of its window that
-    settles it (:func:`_reach_count`), with the result of flooding the
-    whole window.  The flood is compiled C, built on the first call
+    an unbounded cluster; vacant origins never count.  Each trial is one
+    flood from the origin to the window border (:func:`_reach_count`), which
+    hashes only the sites it borders.  The flood is compiled C, built on the first call
     (:func:`_sweep_kernel`), which raises :class:`BuildError` when no C
     compiler ``cc`` can build it.  Raises :class:`CapExceeded` when a field
     has more than ``_SITE_LIMIT`` sites or the run more than
@@ -417,11 +348,11 @@ def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray
 
     The critical index j*_t is the largest j in [0, 2**m) such that field t has
     no left-right crossing at c = j / 2**m; crossing is monotone in c, so the
-    field crosses at j / 2**m exactly when j > j*_t.  The fields are hashed
-    once, into 16-bit keys (:func:`_keys`), and j*_t is the result of a flood
-    (:func:`_flood`) from the field's left column to its right one.
+    field crosses at j / 2**m exactly when j > j*_t.  j*_t is the result of a
+    flood (:func:`_flood`) on the keys ``hash >> (64 - m)`` from the field's
+    left column to its right one.
     """
-    return _across(_keys(seed, L, m, t0, t1), m)
+    return _flood(seed, t0, t1 - t0, L, 1 << (64 - m), m, *_left_right(L))
 
 
 def _critical_histogram(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
@@ -443,7 +374,7 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     re-thresholding every field at every midpoint; the float loop then replays
     over the j* histogram, giving the same trace and estimate.  The trials
     are flooded in chunks of about 1M sites on ``workers`` processes, each chunk
-    hashed once and returned as its j* histogram.  Built and capped like
+    returned as its j* histogram (:func:`_count_events`).  Built and capped like
     :func:`estimate_origin_reach`.
     """
     _check_run(L, trials, workers)
@@ -452,11 +383,7 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     m = _midpoint_count(tol)
     grid = 1 << m
     _sweep_kernel()  # built and loaded before the workers fork
-    histogram = np.zeros(grid, dtype=np.int64)
-    tasks = ((_critical_histogram, seed, L, m, t0, t1) for t0, t1 in _chunks(L, trials))
-    with pool._fan_out(tasks, workers) as results:
-        for part in results:
-            histogram += part
+    histogram = _count_events(_critical_histogram, L, m, trials, seed, workers)
     # hits[j]: trials crossing at c = j / grid, i.e. with j* < j
     hits = np.concatenate(([0], np.cumsum(histogram)))
     lo, hi = 0.0, 1.0

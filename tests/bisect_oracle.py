@@ -12,8 +12,9 @@ tests require the library to give the same trace and estimate.
 
 ``oracle_critical_indices`` is the probe search ``bisect_threshold`` ran
 before the compiled kernel: each trial's critical index is found by
-labelling the field at probes inside a shrinking bracket.  The tests require
-the kernel's invasion flood to give the same indices.
+labelling the field, keyed ``hash >> (64 - m)`` by the hash oracle, at probes
+inside a shrinking bracket.  The tests require the kernel's invasion flood to
+give the same indices.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from hash_oracle import occupied
-from peierls.montecarlo import _chunks, _keys
+from hash_oracle import occupied, trial_hashes
+from peierls.montecarlo import _chunks
 
 
 def oracle_labels(grids: np.ndarray) -> np.ndarray:
@@ -69,12 +70,12 @@ def oracle_critical_indices(seed: int, L: int, m: int, t0: int, t1: int, prior: 
     lo <= j*_t < hi and is probed at the median of its bracket under the
     weights ``prior * 2**m + 1`` (a j* histogram plus one pseudo-count spread
     over the grid); a zero prior makes that plain bisection.  The probe order
-    changes the passes spent, never j*.  Each pass thresholds the 16-bit keys
-    of the trials whose bracket is still open and labels only those.
+    changes the passes spent, never j*.  Each pass thresholds the keys of the
+    trials whose bracket is still open and labels only those.
     """
     grid = 1 << m
     cum = np.concatenate(([0], np.cumsum(prior.astype(np.int64) * grid + 1)))
-    keys = _keys(seed, L, m, t0, t1)
+    keys = (trial_hashes(seed, L, t0, t1) >> np.uint64(64 - m)).astype(np.int64)
     lo = np.zeros(t1 - t0, dtype=np.int64)
     hi = np.full(t1 - t0, grid, dtype=np.int64)
     active = np.arange(t1 - t0)

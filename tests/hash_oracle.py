@@ -1,17 +1,22 @@
-"""Reference site hashing: one site at a time, and whole windows with no blocking.
+"""Reference site hashing: one site at a time, and whole windows at once.
 
 The scalar functions hash single sites in pure Python integers.  The array
-functions are the whole-array pipeline the library used before it hashed
-windows in cache-sized blocks, with their own out-of-place mixer.  Neither
-shares code with ``peierls.lattice._hash_windows`` beyond the salts; the
-tests require the blocked kernel's reducers to agree with both bit for bit.
+functions hash whole windows of many trials in numpy, with their own
+out-of-place mixer.  The library hashes each site inside its compiled flood
+kernel (``peierls/_sweep.c``); this module shares no code with it, its salts
+included, and the tests require the kernel's keys to agree with both bit for
+bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from peierls.lattice import _GOLDEN, _M64, _TRIALSALT, _XSALT, _YSALT
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_XSALT = 0xD1B54A32D192ED03
+_YSALT = 0x8CB92BA72F3D8DD7
+_TRIALSALT = 0xD1342543DE82EF95
 
 
 def mix64(z: int) -> int:

@@ -8,8 +8,6 @@ length 12 and the radius-128 Monte Carlo cross-check.
 import math
 import time
 
-import numpy as np
-
 from peierls import (
     DivergentSeries,
     bisect_threshold,
@@ -22,7 +20,8 @@ from peierls import (
     walk_bound,
 )
 from hash_oracle import occupied
-from peierls.montecarlo import _crossing_count, _reach_count, _trial_seeds, _vacant
+from kernel_keys import occupied as library_occupied
+from peierls.montecarlo import _crossing_count, _reach_count
 
 
 def _criterion(number: int, description: str, failures: list[str]) -> None:
@@ -142,10 +141,7 @@ def test_criterion_7_determinism_and_monotonicity():
     occ_high = occupied(9, 8, 0.7, 0, 1000)
     if int((occ_low & ~occ_high).sum()) != 0:
         failures.append("reference occupancy not monotone in concentration on a coupled field")
-    vac_low, vac_high = (np.zeros((1000, 17, 17), dtype=bool) for _ in range(2))
-    _vacant(_trial_seeds(9, 0, 1000), 8, 0.4, vac_low)
-    _vacant(_trial_seeds(9, 0, 1000), 8, 0.7, vac_high)
-    if int((vac_high & ~vac_low).sum()) != 0:
+    if int((library_occupied(9, 8, 0.4, 0, 1000) & ~library_occupied(9, 8, 0.7, 0, 1000)).sum()) != 0:
         failures.append("library occupancy not monotone in concentration on a coupled field")
     # window monotonicity per configuration
     exceptions = sum(

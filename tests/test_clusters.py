@@ -25,8 +25,9 @@ from peierls import (
     winding_number,
 )
 from bisect_oracle import oracle_labels
+from kernel_keys import occupied as occupancy
 from peierls.enumeration import _max_span
-from peierls.montecarlo import _reach_count, _trial_seeds, _vacant
+from peierls.montecarlo import _reach_count
 
 
 def make_cluster(sites):
@@ -44,12 +45,6 @@ def cyclic_equal(a, b):
 # ---------------------------------------------------------------------------
 # origin clusters of a field
 # ---------------------------------------------------------------------------
-
-
-def occupancy(seed, L, c, t0, t1):
-    vacant = np.zeros((t1 - t0, 2 * L + 1, 2 * L + 1), dtype=bool)
-    _vacant(_trial_seeds(seed, t0, t1), L, c, vacant)
-    return ~vacant
 
 
 def test_isolated_origin_cluster():

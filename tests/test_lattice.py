@@ -1,25 +1,20 @@
 import math
-import sys
-import threading
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hash_oracle import hash_grids, site_uniform, trial_seed
-from peierls import Window, lattice, neighbors4
-from peierls.lattice import NEIGHBOR_OFFSETS_4, NEIGHBOR_OFFSETS_8, _hash_windows
-from peierls.montecarlo import _trial_seeds, _vacant
+import kernel_keys
+from hash_oracle import _site_hash, site_uniform, trial_hashes, trial_seed
+from peierls import Window, neighbors4
+from peierls.lattice import NEIGHBOR_OFFSETS_4, NEIGHBOR_OFFSETS_8
+from peierls.montecarlo import _flood
 
 
 def occupancy(seed, L, c, t0=0, t1=1):
-    """The library's occupancy grids of trials t0..t1-1."""
-    side = 2 * L + 1
-    vacant = np.zeros((t1 - t0, side, side), dtype=bool)
-    _vacant(_trial_seeds(seed, t0, t1), L, c, vacant)
-    return ~vacant
+    """The library's occupancy grids of trials t0..t1-1, read out of its flood kernel."""
+    return kernel_keys.occupied(seed, L, c, t0, t1)
 
 
 def test_neighbors4_origin_order():
@@ -87,43 +82,32 @@ def test_threshold_coupling_monotone():
     assert low.sum() < high.sum()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4),
-    st.integers(1, 40),
-    st.data(),
-    st.integers(1, 4000),
+    st.one_of(st.sampled_from([0, -1, 1 << 63, (1 << 64) - 1, (1 << 64) + 5]), st.integers(-(1 << 70), 1 << 70)),
+    st.one_of(st.sampled_from([0, 1 << 63, (1 << 64) - 2]), st.integers(0, (1 << 64) - 1)),
+    st.integers(1, 4),
+    st.integers(1, 3),
 )
-def test_band_hashes_are_the_central_rows_of_the_window(seeds, radius, data, block):
-    # a site's hash does not depend on the window, so the band |y| <= h is
-    # the window's rows -h..h, whether blocks hold whole bands or row slices
-    h = data.draw(st.integers(0, radius))
-    seeds = np.array(seeds, dtype=np.uint64)
-    band = np.zeros((seeds.size, 2 * h + 1, 2 * radius + 1), dtype=np.uint64)
-    with mock.patch.object(lattice, "_BLOCK_SITES", block):
-        _hash_windows(seeds, radius, band, lambda z, dst: np.copyto(dst, z))
-    assert np.array_equal(band, hash_grids(seeds, radius)[:, radius - h : radius + h + 1])
-
-
-def test_hash_windows_on_threads_match_the_serial_result():
-    # a call takes the block buffers out while it runs, so calls on several
-    # threads of one process never hash into the same buffer
-    expected = [occupancy(seed, 20, 0.5, 0, 8) for seed in range(6)]
-    found: dict[int, list] = {}
-
-    def hash_repeatedly(seed):
-        found[seed] = [occupancy(seed, 20, 0.5, 0, 8) for _ in range(30)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=hash_repeatedly, args=(seed,)) for seed in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for seed in range(6):
-        assert all(np.array_equal(grid, expected[seed]) for grid in found[seed])
+def test_kernel_keys_match_the_hash_oracle_bit_for_bit(seed, t0, L, n):
+    # every site of every trial, trial indices past 2**64 wrapping as the
+    # oracle's do; a flood from a site s to {s} and the right column returns
+    # the key of s (kernel_keys.site_keys)
+    side = 2 * L + 1
+    hashes = trial_hashes(seed, L, t0, t0 + n)
+    assert np.array_equal(kernel_keys.site_keys(seed, L, 1 << 48, 16, t0, t0 + n), hashes >> np.uint64(48))
+    for t in range(n):
+        # the window's corners and centre by the scalar oracle, which knows no window
+        for x, y in ((-L, -L), (L, -L), (-L, L), (L, L), (0, 0)):
+            assert int(hashes[t, y + L, x + L]) == _site_hash(trial_seed(seed, t0 + t), x, y)
+    # at m = 1 a site is vacant (key 1) at the bound of its own hash and occupied (key 0) one above it
+    right = np.zeros((side, side), dtype=bool)
+    right[:, -1] = True
+    for t in range(n):
+        for s in range(side * side):
+            target = right.copy()
+            target.flat[s] = True
+            h = int(hashes[t].flat[s])
+            assert _flood(seed, t0 + t, 1, L, h, 1, [s], target).tolist() == [1]
+            if h < (1 << 64) - 1:
+                assert _flood(seed, t0 + t, 1, L, h + 1, 1, [s], target).tolist() == [0]
