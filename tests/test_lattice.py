@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import kernel_keys
 from hash_oracle import _site_hash, site_uniform, trial_hashes, trial_seed
 from peierls import Window, neighbors4
 from peierls.lattice import NEIGHBOR_OFFSETS_4, NEIGHBOR_OFFSETS_8
-from peierls.montecarlo import _flood
+from peierls.montecarlo import _critical_indices, _crossing_count, _flood, _reach_count
 
 
 def occupancy(seed, L, c, t0=0, t1=1):
@@ -80,6 +81,46 @@ def test_threshold_coupling_monotone():
     high = occupancy(5, 16, 0.7)
     assert (low <= high).all()
     assert low.sum() < high.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-(1 << 70), 1 << 70), st.integers(0, (1 << 64) - 1), st.integers(1, 8), st.integers(1, 16), st.data())
+def test_band_hashes_are_the_central_rows_of_the_window(seed, t0, radius, m, data):
+    # a site's hash does not depend on the window, so the keys of a radius-h
+    # window are the central rows and columns -h..h of a wider one's
+    h = data.draw(st.integers(0, radius))
+    bound = 1 << (64 - m)
+    wide = kernel_keys.site_keys(seed, radius, bound, m, t0, t0 + 2)
+    band = slice(radius - h, radius + h + 1)
+    assert np.array_equal(kernel_keys.site_keys(seed, h, bound, m, t0, t0 + 2), wide[:, band, band])
+    assert np.array_equal(wide, trial_hashes(seed, radius, t0, t0 + 2) >> np.uint64(64 - m))
+
+
+def test_hash_windows_on_threads_match_the_serial_result():
+    # the kernel allocates its scratch per call and runs without the GIL, so
+    # calls on several threads of one process hash and flood their windows
+    # side by side and never share a buffer
+    def results(seed):
+        return (
+            _reach_count(seed, 20, 0.6, 0, 60),
+            _crossing_count(seed, 20, 0.6, 0, 60),
+            _critical_indices(seed, 20, 8, 0, 30).tolist(),
+        )
+
+    expected = [results(seed) for seed in range(6)]
+    found: dict[int, list] = {}
+
+    def run_repeatedly(seed):
+        found[seed] = [results(seed) for _ in range(10)]
+
+    threads = [threading.Thread(target=run_repeatedly, args=(seed,)) for seed in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in range(6):
+        assert found[seed] == [expected[seed]] * 10
 
 
 @settings(max_examples=60, deadline=None)

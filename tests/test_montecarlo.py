@@ -121,10 +121,14 @@ def test_reach_and_crossing_match_border_search_and_labels(seed, L, c, t0, n):
 
 
 @pytest.mark.parametrize("seed, c", [(11, 0.59), (12, 0.6), (16, 0.62)])
-def test_reach_near_the_threshold_at_radius_64_matches_border_search(seed, c):
-    # near the threshold some origin clusters span most of a radius-64 window
+def test_reach_decided_at_the_window_stage_matches_border_search(seed, c):
+    # near the threshold some origin clusters span most of a radius-64 window;
+    # every trial is decided by one flood over the whole window, from the
+    # origin to the border
     L, trials = 64, 24
-    hits = _reach_count(seed, L, c, 0, trials)
+    with mock.patch.object(montecarlo, "_flood", wraps=montecarlo._flood) as flood:
+        hits = _reach_count(seed, L, c, 0, trials)
+    assert [call.args[2:4] for call in flood.call_args_list] == [(trials, L)]
     grids = hash_oracle.occupied(seed, L, c, 0, trials)
     assert hits == sum(int(reaches_border(grid)) for grid in grids)
 
@@ -180,6 +184,30 @@ def test_occupancy_and_reach_monotone_in_window_radius(seed, t, c, a, b):
     inner = slice(big - small, big + small + 1)
     assert np.array_equal(occ_small[0], occ_big[0, inner, inner])
     assert _reach_count(seed, big, c, t, t + 1) <= _reach_count(seed, small, c, t, t + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0, (1 << 64) - 1]), st.integers(-(1 << 70), 1 << 70)),
+    st.one_of(st.sampled_from([0, 1 << 63, (1 << 64) - 3]), st.integers(0, (1 << 64) - 1)),
+    st.integers(0, 20),
+)
+def test_trial_seeds_match_scalar_trial_seed(seed, t0, n):
+    # the kernel derives the seed of trial t0 + i itself; the origin's hash is
+    # a bijection of the trial seed, and an m = 1 flood from the origin to
+    # itself is vacant (1) at the bound of that hash and occupied (0) one
+    # above it, so the hash, and with it the trial seed, is pinned bit for bit
+    origin = np.zeros((3, 3), dtype=bool)
+    origin[1, 1] = True
+    origin[:, -1] = True
+    hashes = [hash_oracle._site_hash(hash_oracle.trial_seed(seed, t), 0, 0) for t in range(t0, t0 + n)]
+    # one call walks the trial index from t0, past 2**64 as the oracle's does
+    keys = _flood(seed, t0, n, 1, 0, 16, [4], origin)
+    assert keys.tolist() == [max(1, h >> 48) for h in hashes]
+    for t, h in zip(range(t0, t0 + n), hashes):
+        assert _flood(seed, t, 1, 1, h, 1, [4], origin).tolist() == [1]
+        if h < _M64:
+            assert _flood(seed, t, 1, 1, h + 1, 1, [4], origin).tolist() == [0]
 
 
 def test_crossing_higher_at_higher_concentration():
@@ -587,6 +615,41 @@ def test_bisection_pinned():
     for workers in (1, 3):
         res = bisect_threshold(64, 150, 0.005, 3, workers=workers)
         assert (res.estimate, res.trace) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-(1 << 70), 1 << 70),
+    st.integers(1, 6),
+    st.integers(0, 1 << 40),
+    st.integers(1, 7),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(1, 10),
+)
+def test_blocked_kernel_matches_whole_array_oracle(seed, L, t0, n, c, m):
+    # one kernel call floods a block of n whole windows in turn; its occupancy
+    # at c and its keys at every m match the oracle's whole-array hashes
+    side = 2 * L + 1
+    t1 = t0 + n
+    occ = kernel_keys.occupied(seed, L, c, t0, t1)
+    keys = kernel_keys.site_keys(seed, L, 1 << (64 - m), m, t0, t1)
+    hashes = hash_oracle.trial_hashes(seed, L, t0, t1)
+    expected = (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    assert occ.shape == keys.shape == (n, side, side)
+    assert np.array_equal(occ, hash_oracle.occupied(seed, L, c, t0, t1))
+    assert np.array_equal(keys, hashes >> np.uint64(64 - m))
+    j = int(c * (1 << m))
+    assert np.array_equal(keys < j, expected < j / (1 << m))
+    for t, x, y in ((t0, 0, 0), (t1 - 1, -L, L), (t1 - 1, L, -L)):
+        assert occ[t - t0, y + L, x + L] == (hash_oracle.site_uniform(hash_oracle.trial_seed(seed, t), x, y) < c)
+        assert keys[t - t0, y + L, x + L] == hash_oracle._site_hash(hash_oracle.trial_seed(seed, t), x, y) >> (64 - m)
+
+
+def test_row_slice_blocks_match_oracle():
+    # a radius-100 window, 40,401 sites a trial, matches the oracle site for site
+    assert np.array_equal(kernel_keys.occupied(5, 100, 0.6, 3, 5), hash_oracle.occupied(5, 100, 0.6, 3, 5))
+    keys = kernel_keys.site_keys(5, 100, 1 << 54, 10, 3, 5)
+    assert np.array_equal(keys, hash_oracle.trial_hashes(5, 100, 3, 5) >> np.uint64(54))
 
 
 @settings(max_examples=40, deadline=None)
