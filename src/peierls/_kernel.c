@@ -1,0 +1,320 @@
+/* The package's compiled kernel, two entry points built into one library (peierls/kernel.py):
+ *
+ * - peierls_flood, the one connectivity kernel of the Monte Carlo and its one site hash: an invasion flood over
+ *   hashed keys;
+ * - peierls_walk, the census's circuit walk: every restricted self-avoiding circuit of every start in one walk.
+ *
+ * Build: cc -O2 -shared -fPIC -o kernel.so _kernel.c
+ *
+ * THE FLOOD
+ *
+ * Trial t of run seed draws its field from the trial seed mix(seed ^ t * TRIALSALT); with h0 = mix(trial seed ^
+ * GOLDEN) and the column hash hx[x] = mix(h0 + x * XSALT), site (x, y) of the field hashes to mix(hx[x] + y *
+ * YSALT), all mod 2**64, and mix the splitmix64 finalizer.  A hash depends on (seed, t, x, y) only, never on the
+ * window.  A field is the (2L+1) x (2L+1) window |x|, |y| <= L, row-major from (-L, -L), and its site's key is 0
+ * when its hash is below `bound` and max(1, hash >> (64 - m)) otherwise, a key in [0, 2**m).
+ *
+ * The flood's result is the least, over the 4-connected paths from a source site to a target site, of the
+ * largest key on the path.  At m = 1 the keys are 0 on the occupied sites (hash below bound) and 1 on the vacant
+ * ones, and the result is 0 exactly when an occupied path joins a source to a target.  With bound = 2**(64 - m)
+ * the key is hash >> (64 - m), a site is occupied at c = j / 2**m exactly when its key is below j, and from the
+ * left column to the right one the result is the field's critical index j*: it crosses at j / 2**m exactly when
+ * j exceeds it.  Invasion percolation finds it (Wilkinson and Willemsen, J. Phys. A 16, 3365 (1983)): a flood
+ * from the sources takes, one at a time, a site of least key among those it borders, and its level, the largest
+ * key it has taken, is the result when it first takes a target.  It stops once its level is 2**m - 1, which no
+ * result can exceed, so a flood at m = 1 ends when the occupied sites joined to the sources run out.  A site is
+ * hashed when the flood first borders it, so a flood hashes only the sites it borders, each once.
+ *
+ * Every site of the right column must be a target: the flood stops on a target, so a site it steps from always
+ * has a right neighbour.
+ *
+ * The border is a bucket queue: head[k] starts a list, linked through next, of the bordering sites of level k,
+ * k < 2**m.  A site first bordered at level cur is filed at max(key, cur), since the level never falls, so the
+ * flood takes the lowest bucket at or above cur.  The top bucket 2**m - 1 is never taken from; its head, never
+ * negative, ends the search.
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define GOLDEN 0x9E3779B97F4A7C15u
+#define XSALT 0xD1B54A32D192ED03u
+#define YSALT 0x8CB92BA72F3D8DD7u
+#define TRIALSALT 0xD1342543DE82EF95u
+
+static uint64_t mix(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return z ^ (z >> 31);
+}
+
+/* The key of a site of hash h: 0 when h is below bound, else max(1, h >> shift). */
+static int32_t key_of(uint64_t h, uint64_t bound, int32_t shift)
+{
+    return h < bound ? 0 : h >> shift ? (int32_t)(h >> shift) : 1;
+}
+
+/* File site s, of hash h, on the border of the flood at level max(its key, floor): a step of peierls_flood, on its
+ * bound, shift and bucket queue. */
+#define BORDER(s, h, floor)                                                                                            \
+    do {                                                                                                               \
+        const int32_t key_ = key_of(h, bound, shift), level_ = key_ > (floor) ? key_ : (floor);                        \
+        seen[s] = 1;                                                                                                   \
+        next[s] = head[level_];                                                                                        \
+        head[level_] = (s);                                                                                            \
+    } while (0)
+
+/* The result of each of the `fields` trials t0, t0 + 1, ... (mod 2**64) of run seed on the radius-L window, at
+ * 1 <= m <= 16, from the `nsources` sites `sources` (indices into the window) to the sites s with target[s]
+ * nonzero, written to out; 2**m - 1 with no source.  Returns 0, or -1 when the scratch cannot be allocated. */
+int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_t bound, int32_t m,
+                  const int32_t *sources, int32_t nsources, const uint8_t *target, int32_t *out)
+{
+    const int32_t side = 2 * L + 1, n = side * side, top = (1 << m) - 1, shift = 64 - m;
+    int32_t *head = malloc(((size_t)top + 1) * sizeof *head);
+    int32_t *next = malloc((size_t)n * sizeof *next);
+    uint8_t *seen = malloc((size_t)n);
+    uint64_t *hx = malloc((size_t)side * sizeof *hx);
+    if (!head || !next || !seen || !hx) {
+        free(head);
+        free(next);
+        free(seen);
+        free(hx);
+        return -1;
+    }
+    for (int64_t f = 0; f < fields; f++) {
+        const uint64_t h0 = mix(mix(seed ^ (t0 + (uint64_t)f) * TRIALSALT) ^ GOLDEN);
+        for (int32_t x = 0; x < side; x++)
+            hx[x] = mix(h0 + (uint64_t)(x - L) * XSALT);
+        memset(head, 0xff, (size_t)top * sizeof *head); /* every list below the top empty: -1 */
+        head[top] = 0;
+        memset(seen, 0, (size_t)n);
+        for (int32_t i = 0; i < nsources; i++) {
+            const int32_t s = sources[i];
+            if (!seen[s])
+                BORDER(s, mix(hx[s % side] + (uint64_t)(s / side - L) * YSALT), 0);
+        }
+        int32_t cur = 0;
+        for (;;) {
+            while (head[cur] < 0)
+                cur++;
+            if (cur == top)
+                break;
+            const int32_t s = head[cur];
+            head[cur] = next[s];
+            if (target[s])
+                break;
+            /* the neighbours right, left, down and up, hashed by column and row term yt = y * YSALT; s, being no
+             * target, is not on the right column */
+            const int32_t x = s % side, y = s / side;
+            const uint64_t yt = (uint64_t)(y - L) * YSALT;
+            if (!seen[s + 1])
+                BORDER(s + 1, mix(hx[x + 1] + yt), cur);
+            if (x && !seen[s - 1])
+                BORDER(s - 1, mix(hx[x - 1] + yt), cur);
+            if (y < side - 1 && !seen[s + side])
+                BORDER(s + side, mix(hx[x] + yt + YSALT), cur);
+            if (y && !seen[s - side])
+                BORDER(s - side, mix(hx[x] + yt - YSALT), cur);
+        }
+        out[f] = cur;
+    }
+    free(head);
+    free(next);
+    free(seen);
+    free(hx);
+    return 0;
+}
+
+/* THE CIRCUIT WALK
+ *
+ * A restricted circuit of length k starts at a ray site (l, 0), 1 <= l <= starts = (k_max - 2) / 2, takes one of
+ * the first steps E, NE, N, NW and the east dip SE, and turns by at most `turns` eighths of a full turn at each
+ * later king step: 2 under the five rule, 3 under the seven rule.  It never enters a site twice, nor a ray site
+ * (j, 0) with j < l, and after k sites it steps back onto its start, winding around the origin.  Relative to its
+ * start, start l's walks are the walks of start 1 that avoid the sites (-2, 0) .. (-l, 0).  So one depth-first walk
+ * of start 1's tree walks every start: a walk carries hit, the least j >= 2 with (-j, 0) on it or starts + 1,
+ * whichever is less, and belongs to the starts l < hit, with one winding sum each, around its origin (-l, 0).
+ *
+ * A walk of d sites steps onto a site at king distance D from its start only if D <= k_max - d, since it could not
+ * return in time otherwise.  So no walk leaves the window of king distance k_max / 2 around its start, and a walk's
+ * sites are a bitmask over that window.  Each step is a node of every start whose tree holds it, so it adds hit - 1
+ * to the node count; the first steps, from the start, are not counted.  The walk stops as soon as the count passes
+ * max_nodes.
+ *
+ * A walk of d >= 4 sites next to its start closes for each of its starts it winds around: start l's winding sum
+ * is the sum of the crossing terms around (-l, 0) of its steps, the closing one included.  It counts once for each
+ * such start in walks[d], and it is recorded as its length, its site mask and one bit for each such start.  At the
+ * end the records are sorted.  A start's distinct circuits of length d are its distinct site sets, so distinct[d]
+ * sums, over the distinct (length, mask) pairs, the starts in the union of their bits.
+ */
+
+/* The king steps, counter-clockwise from east (lattice.NEIGHBOR_OFFSETS_8). */
+static const int32_t DX[8] = {1, 1, 0, -1, -1, -1, 0, 1}, DY[8] = {0, 1, 1, 1, 0, -1, -1, -1};
+
+/* The signed crossing of the step (x0, y0) -> (x1, y1) with the ray from the origin, as clusters._crossing: +1 from
+ * y <= 0 to y > 0 right of the origin, -1 back, 0 otherwise. */
+static int32_t crossing(int32_t x0, int32_t y0, int32_t x1, int32_t y1)
+{
+    const int32_t up = (y1 > 0) - (y0 > 0);
+    return up * (up * (x0 * y1 - x1 * y0) > 0);
+}
+
+static int32_t popcount(uint64_t x)
+{
+    int32_t n = 0;
+    for (; x; x &= x - 1)
+        n++;
+    return n;
+}
+
+/* A walk in progress: its limits, its sites, its winding sums, its node count and its closed-walk records. */
+struct walk {
+    int32_t k_max, turns, starts, radius, side, width;
+    int64_t max_nodes, nodes;
+    uint64_t *seen; /* the walk's sites, its start and (-1, 0): a bit a site of the window, row by row */
+    int32_t *wind;  /* wind[d * starts + l - 1]: the winding sum around (-l, 0) of the walk's first d sites */
+    uint64_t *rec;  /* width + 2 words a record: the length, the site mask and the start bits */
+    size_t nrec, maxrec;
+    int64_t *walks;
+};
+
+/* Record the walk of `length` sites, closed for the starts of `bits`; -1 when the records cannot grow. */
+static int record(struct walk *w, int32_t length, uint64_t bits)
+{
+    const size_t stride = (size_t)w->width + 2;
+    if (w->nrec == w->maxrec) {
+        uint64_t *grown = realloc(w->rec, 2 * w->maxrec * stride * sizeof *grown);
+        if (!grown)
+            return -1;
+        w->rec = grown;
+        w->maxrec *= 2;
+    }
+    uint64_t *r = w->rec + w->nrec++ * stride;
+    r[0] = (uint64_t)length;
+    memcpy(r + 1, w->seen, (size_t)w->width * sizeof *r);
+    r[w->width + 1] = bits;
+    return 0;
+}
+
+/* Take every step from the walk of `depth` sites at (u, v), entered in direction d, whose least ray site (-j, 0),
+ * j >= 2, is `hit`, and walk on: 0; 1 once the nodes pass max_nodes; -1 when the records cannot grow. */
+static int extend(struct walk *w, int32_t u, int32_t v, int32_t d, int32_t depth, int32_t hit)
+{
+    const int32_t *wind = w->wind + (size_t)depth * w->starts;
+    int32_t *next = w->wind + (size_t)(depth + 1) * w->starts;
+    for (int32_t t = -w->turns; t <= w->turns; t++) {
+        const int32_t d1 = (d + t) & 7, u1 = u + DX[d1], v1 = v + DY[d1];
+        const int32_t dist = abs(u1) > abs(v1) ? abs(u1) : abs(v1);
+        if (dist > w->k_max - depth)
+            continue;
+        const int32_t s = (v1 + w->radius) * w->side + u1 + w->radius;
+        const uint64_t bit = (uint64_t)1 << (s & 63);
+        if (w->seen[s >> 6] & bit)
+            continue;
+        /* (-1, 0) is seen, so a ray site ahead is (-j, 0) with j >= 2 */
+        const int32_t hit1 = v1 == 0 && u1 < 0 && -u1 < hit ? -u1 : hit;
+        w->nodes += hit1 - 1;
+        if (w->nodes > w->max_nodes)
+            return 1;
+        for (int32_t l = 1; l < hit1; l++)
+            next[l - 1] = wind[l - 1] + crossing(l + u, v, l + u1, v1);
+        w->seen[s >> 6] |= bit;
+        if (depth + 1 >= 4 && dist == 1) {
+            uint64_t bits = 0;
+            for (int32_t l = 1; l < hit1; l++)
+                if (next[l - 1] + crossing(l + u1, v1, l, 0))
+                    bits |= (uint64_t)1 << (l - 1);
+            w->walks[depth + 1] += popcount(bits);
+            if (bits && record(w, depth + 1, bits))
+                return -1;
+        }
+        if (depth + 1 < w->k_max) {
+            const int code = extend(w, u1, v1, d1, depth + 1, hit1);
+            if (code)
+                return code;
+        }
+        w->seen[s >> 6] &= ~bit;
+    }
+    return 0;
+}
+
+/* Sort the record indices idx[0 .. n) by the length and mask of their records, with tmp as scratch: a merge sort. */
+static void sort_records(const struct walk *w, size_t *idx, size_t *tmp, size_t n)
+{
+    if (n < 2)
+        return;
+    const size_t half = n / 2, stride = (size_t)w->width + 2, bytes = ((size_t)w->width + 1) * sizeof *w->rec;
+    sort_records(w, idx, tmp, half);
+    sort_records(w, idx + half, tmp, n - half);
+    size_t i = 0, j = half, k = 0;
+    while (i < half && j < n)
+        tmp[k++] = memcmp(w->rec + idx[j] * stride, w->rec + idx[i] * stride, bytes) < 0 ? idx[j++] : idx[i++];
+    while (i < half)
+        tmp[k++] = idx[i++];
+    memcpy(idx, tmp, k * sizeof *idx); /* idx[j .. n) is in place */
+}
+
+/* Walk the restricted circuits of lengths up to k_max of every start, 4 <= k_max and (k_max - 2) / 2 <= 64, that
+ * turn by at most `turns` eighths a step: walks[k] and distinct[k], for k <= k_max, the circuits of length k and
+ * their distinct site sets, summed over the starts, and *nodes the steps taken.  Returns 0; 1, the walk cut short,
+ * once the steps pass max_nodes; -1 when the scratch cannot be allocated. */
+int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks, int64_t *distinct, int64_t *nodes)
+{
+    static const int32_t FIRST[5] = {0, 1, 2, 3, 7};
+    struct walk w = {.k_max = k_max, .turns = turns, .starts = (k_max - 2) / 2, .radius = k_max / 2,
+                     .side = k_max / 2 * 2 + 1, .max_nodes = max_nodes, .maxrec = 1024, .walks = walks};
+    w.width = (w.side * w.side + 63) / 64;
+    const size_t stride = (size_t)w.width + 2, origin = (size_t)w.radius * w.side + w.radius;
+    w.seen = calloc((size_t)w.width, sizeof *w.seen);
+    w.wind = malloc((size_t)(k_max + 1) * w.starts * sizeof *w.wind);
+    w.rec = malloc(w.maxrec * stride * sizeof *w.rec);
+    size_t *idx = NULL, *tmp = NULL;
+    int code = -1;
+    memset(walks, 0, (size_t)(k_max + 1) * sizeof *walks);
+    memset(distinct, 0, (size_t)(k_max + 1) * sizeof *distinct);
+    *nodes = 0;
+    if (!w.seen || !w.wind || !w.rec)
+        goto done;
+    /* the start and (-1, 0), the ray site every start avoids */
+    w.seen[origin >> 6] |= (uint64_t)1 << (origin & 63);
+    w.seen[(origin - 1) >> 6] |= (uint64_t)1 << ((origin - 1) & 63);
+    code = 0;
+    for (int32_t i = 0; i < 5 && !code; i++) {
+        const int32_t d = FIRST[i];
+        const int32_t s = (DY[d] + w.radius) * w.side + DX[d] + w.radius;
+        for (int32_t l = 1; l <= w.starts; l++)
+            w.wind[2 * w.starts + l - 1] = crossing(l, 0, l + DX[d], DY[d]);
+        w.seen[s >> 6] |= (uint64_t)1 << (s & 63);
+        code = extend(&w, DX[d], DY[d], d, 2, w.starts + 1);
+        w.seen[s >> 6] &= ~((uint64_t)1 << (s & 63));
+    }
+    *nodes = w.nodes;
+    if (code)
+        goto done;
+    code = -1;
+    idx = malloc((w.nrec + 1) * sizeof *idx);
+    tmp = malloc((w.nrec + 1) * sizeof *tmp);
+    if (!idx || !tmp)
+        goto done;
+    for (size_t i = 0; i < w.nrec; i++)
+        idx[i] = i;
+    sort_records(&w, idx, tmp, w.nrec);
+    for (size_t i = 0, j; i < w.nrec; i = j) {
+        const uint64_t *first = w.rec + idx[i] * stride;
+        uint64_t bits = first[w.width + 1];
+        for (j = i + 1; j < w.nrec && !memcmp(w.rec + idx[j] * stride, first, (stride - 1) * sizeof *first); j++)
+            bits |= w.rec[idx[j] * stride + w.width + 1];
+        distinct[first[0]] += popcount(bits);
+    }
+    code = 0;
+done:
+    free(w.seen);
+    free(w.wind);
+    free(w.rec);
+    free(idx);
+    free(tmp);
+    return code;
+}

@@ -7,7 +7,7 @@ re-execution.
 
 Exit codes: 0 success, 2 argument error, 3 enumeration or Monte Carlo work
 cap, feasibility error, a worker process lost or out of memory, or the
-Monte Carlo kernel not built (no C compiler).
+kernel of the flood and the circuit walk not built (no C compiler).
 """
 
 from __future__ import annotations

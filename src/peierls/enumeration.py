@@ -65,14 +65,9 @@ those of rank % P == p; the smaller shapes, and the subtrees below shapes
 that left the box before size 6, come from part 0.  Each part returns its
 shape count and its per-size covers by canonical key, and the parent merges
 them by sum and OR per size before the trajectory, stabilisation and class
-passes.  The circuit walker splits by start: a
-circuit's nearest ray site is its start (l, 0), so walks from different
-starts never share a site set, and the distinct-set counts of the starts add
-up exactly.  :func:`full_count_table` puts the census parts and the walker
-starts on one pool: the census parts first, so that the census is merged,
-and fails, while the walker still runs, then the starts nearest first, which
-is longest first (at k = 12 the starts l = 1..5 take 1.55M down to 1.17M
-nodes).
+passes.  :func:`full_count_table` puts the census parts and the circuit walk
+on one pool, the walk as one task after the parts, so that the census is
+merged, and fails, while the walk still runs.
 
 The module also bounds the census analytically: a contour of length k hits
 the positive horizontal axis at some nearest site, continues with one of a
@@ -82,13 +77,18 @@ handful of first steps, and each later step has at most 5 continuations
 exactly, discarding self-intersections, which lowers the effective growth
 rate below 5.
 
-The walker expands the walks of one start a length at a time, in numpy
-chunks of up to ``_WALK_CHUNK`` walks kept on a last-in first-out stack, so
-memory stays bounded by a few chunks per length.  A walk is its site, entry
-direction, running winding sum and a bitmask of its sites over the window of
-king distance k_max // 2 around the start, the only sites a closing walk
-reaches (169 sites in 3 words at k = 12); the distinct site sets are counted
-by sorting the closed walks' masks.
+The circuits are walked in C (``peierls_walk`` of :mod:`peierls.kernel`),
+one depth-first walk for every start.  Relative to its start, start l's walks
+are those of start 1 that avoid the sites (-2, 0) .. (-l, 0), so one walk of
+start 1's tree carries, per walk, the nearest such site it holds and one
+running winding sum per start, and each step counts as a node of every start
+whose tree holds it.  A walk's sites are a bitmask over the window of king
+distance k_max // 2 around its start, the only sites a closing walk reaches
+(169 sites in 3 words at k = 12).  A closed walk is recorded as its length,
+its mask and one bit for each start it winds around; at the end of the walk
+the records are sorted, and each distinct (length, mask) adds the starts in
+the union of its bits to the distinct-set count.  At k = 12 that is 6.4M
+nodes and 161,180 records.
 """
 
 from __future__ import annotations
@@ -104,10 +104,9 @@ import numpy as np
 # perfbench/tracing.py records a span for every call of a function imported
 # by name into this module, and the block kernels of peierls.clusters run
 # several times per expansion of the shape frontier.
-from . import clusters, pool
+from . import clusters, kernel, pool
 from .clusters import Contour
-from .errors import CapExceeded, ContourError, IncompletenessError, NoRayIntersection, check_workers
-from .lattice import NEIGHBOR_OFFSETS_8
+from .errors import CapExceeded, ContourError, IncompletenessError, NoRayIntersection, check_integer, check_workers
 
 __all__ = [
     "ClassKey",
@@ -739,96 +738,37 @@ def _allowed_dirs(rule: str) -> tuple[tuple[int, ...], ...]:
     raise ValueError(f"unknown continuation rule {rule!r}; expected 'five' or 'seven'")
 
 
-#: Level of a site the walk may not enter (the start, a nearer ray site, or
-#: the ring around the window); above every step budget while k_max - 2 < _BLOCKED.
-_BLOCKED = 255
-#: Walks per chunk of the circuit walker; a start holds a few chunks per length at a time.
-_WALK_CHUNK = 4096
+#: Most starts of the circuit walk: a closed walk records one bit per start in a 64-bit word.
+_MAX_STARTS = 64
+#: The largest node cap the walk takes: it counts nodes in a signed 64-bit integer.
+_MAX_NODES = (1 << 63) - 1
+#: What needs the kernel, named in a :class:`BuildError` when it cannot be built.
+_NEED = "the circuit walk (counts, bounds --mode exact|sa)"
 
 
-def _circuits_from(k_max: int, rule: str, l: int, max_nodes: int) -> tuple[list[int], list[int], int]:
-    """Walk every circuit that starts at (l, 0): ``(walks, distinct sets, nodes)`` per length.
+def _circuit_walk(k_max: int, rule: str, max_nodes: int) -> SelfAvoidingCounts:
+    """Walk every circuit of every start, in the kernel's ``peierls_walk``, for valid arguments.
 
-    The two lists are indexed by length 0..k_max.  Raises :class:`CapExceeded`
-    as soon as the nodes pass ``max_nodes``.
+    Raises :class:`CapExceeded` as soon as the nodes pass ``max_nodes``.
     """
-    allowed = np.array(_allowed_dirs(rule))
-    m = allowed.shape[1]
-    # Grid site i is the start plus (dx[i], dy[i]): a site of the window within
-    # king distance r, which a closing walk never leaves, or of the ring around it.
-    r = k_max // 2
-    side = 2 * r + 3
-    dx, dy = np.arange(side**2) % side - r - 1, np.arange(side**2) // side - r - 1
-    dist = np.maximum(abs(dx), abs(dy))
-    inside = dist <= r
-    start = (r + 1) * side + r + 1
-    level = np.where(inside, dist, _BLOCKED).astype(np.uint8)
-    level[start - np.arange(l + 1)] = _BLOCKED
-    # one visited bit per window site, in words of 64
-    width = -(-((2 * r + 1) ** 2) // 64)
-    index = np.where(inside, (dy + r) * (2 * r + 1) + dx + r, 0)
-    words = index >> 6
-    bits = np.where(inside, np.uint64(1) << (index & 63).astype(np.uint64), np.uint64(0))
-    steps = np.array([oy * side + ox for ox, oy in NEIGHBOR_OFFSETS_8])
-    crossing = np.array([clusters._crossing(l + dx, dy, l + dx + u, dy + v) for u, v in NEIGHBOR_OFFSETS_8], np.int8)
-    # the closing step's winding term, for the sites next to the start
-    close = np.zeros(side**2, np.int8)
-    close[start + steps] = crossing[(np.arange(8) + 4) % 8, start + steps]
-
-    # A walk state is site * 8 + the direction the site was entered in.
-    # Per state and allowed move: the level of the site ahead, the next state
-    # and the move's winding term; the ring's moves, never taken, are clipped.
-    site = np.arange(8 * side**2) >> 3
-    turns = allowed[np.arange(8 * side**2) & 7]
-    ahead = np.clip(site[:, None] + steps[turns], 0, side**2 - 1)
-    ahead_level = level[ahead]
-    successor = (ahead * 8 + turns).ravel()
-    step_cross = crossing[turns, site[:, None]].ravel()
-    # the first steps, each a walk of two sites (the start is in no mask)
-    first = np.array([0, 1, 2, 3, 7])
-    masks = np.zeros((len(first), width), np.uint64)
-    masks[np.arange(len(first)), words[start + steps[first]]] = bits[start + steps[first]]
-    stack = [(2, (start + steps[first]) * 8 + first, crossing[first, start], masks)]
-    level, close, words, bits = level[site], close[site], words[site], bits[site]
-
-    walks = [0] * (k_max + 1)
-    circuits = [[masks[:0]] for _ in range(k_max + 1)]
-    nodes = 0
-    # chunks of walks of one length (sites walked); np.take gathers several
-    # times faster than fancy indexing here
-    while stack:
-        depth, state, wind, masks = stack.pop()
-        kept = np.flatnonzero(np.take(ahead_level, state, axis=0) <= k_max - depth)
-        depth += 1
-        src = kept // m
-        move = np.take(state, src) * m + kept % m
-        nxt = np.take(successor, move)
-        visited = np.take(masks.ravel(), src * width + np.take(words, nxt)) & np.take(bits, nxt)
-        free = np.flatnonzero(visited == 0)
-        src, move, nxt = np.take(src, free), np.take(move, free), np.take(nxt, free)
-        nodes += len(nxt)
-        if nodes > max_nodes:
-            raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
-        wind = np.take(wind, src) + np.take(step_cross, move)
-        closed = (np.take(level, nxt) == 1) & (wind + np.take(close, nxt) != 0) & (depth >= 4)
-        if depth == k_max:
-            # a last step can only close: only the closed walks need masks
-            src, nxt, closed = src[closed], nxt[closed], closed[closed]
-        masks = np.take(masks, src, axis=0)
-        masks.ravel()[np.arange(len(src)) * width + np.take(words, nxt)] |= np.take(bits, nxt)
-        walks[depth] += int(np.count_nonzero(closed))
-        circuits[depth].append(masks[closed])
-        if depth < k_max:
-            for i in range(0, len(nxt), _WALK_CHUNK):
-                stack.append((depth, nxt[i : i + _WALK_CHUNK], wind[i : i + _WALK_CHUNK], masks[i : i + _WALK_CHUNK]))
-
-    distinct = [0] * (k_max + 1)
-    for k, found in enumerate(circuits):
-        sets = np.concatenate(found)
-        if len(sets):
-            sets = sets[np.lexsort(sets.T)]
-            distinct[k] = 1 + int(np.count_nonzero((sets[1:] != sets[:-1]).any(axis=1)))
-    return walks, distinct, nodes
+    walks = np.zeros(k_max + 1, np.int64)
+    distinct = np.zeros(k_max + 1, np.int64)
+    nodes = np.zeros(1, np.int64)
+    turns = len(_allowed_dirs(rule)[0]) // 2
+    code = kernel.load(_NEED).peierls_walk(
+        k_max, turns, min(max_nodes, _MAX_NODES), walks.ctypes.data, distinct.ctypes.data, nodes.ctypes.data
+    )
+    if code < 0:
+        raise MemoryError(f"cannot allocate the circuit walk's records at length {k_max}")
+    if code:
+        raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
+    return SelfAvoidingCounts(
+        k_max=k_max,
+        rule=rule,
+        walks=dict(enumerate(walks.tolist()[4:], 4)),
+        distinct_sets=dict(enumerate(distinct.tolist()[4:], 4)),
+        nodes=int(nodes[0]),
+    )
 
 
 def self_avoiding_circuit_count(
@@ -848,58 +788,35 @@ def self_avoiding_circuit_count(
     site, avoids ray sites nearer the origin than its start, closes after k
     steps, and must wind around the origin.  Walks are counted individually
     and after deduplication by site set.  ``nodes`` counts the steps taken;
-    :class:`CapExceeded` is raised if it exceeds ``max_nodes``.
+    :class:`CapExceeded` is raised as soon as it exceeds ``max_nodes``.
 
-    Per start, each site of the window has a level: its king distance to the
-    start, or ``_BLOCKED`` for the start and the ray sites nearer the origin.
-    A move is kept when its level is within the remaining step budget, which
-    prunes walks that could no longer return, and its bit is clear in the
-    walk's mask.  The winding number is a running sum of the
-    :func:`clusters._crossing` terms of the steps taken, so a walk next to the
-    start closes when that sum plus the closing step's term is nonzero.
-
-    Each start is one task for ``workers`` processes (the counts do not depend
-    on it); every task is capped at ``max_nodes`` on its own, and the total
-    is checked after.
+    A move is kept when its king distance to the start is within the
+    remaining step budget, which prunes walks that could no longer return,
+    and its site is not on the walk.  The winding number is a running sum of
+    the :func:`clusters._crossing` terms of the steps taken, so a walk next
+    to the start closes when that sum plus the closing step's term is
+    nonzero.  Every start is walked at once, in the compiled walk of
+    :mod:`peierls.kernel`, which raises :class:`BuildError` when no C
+    compiler ``cc`` can build it.  ``workers`` is checked as for the census;
+    the walk is one task and runs in the caller.
     """
-    tasks = _walker_tasks(k_max, rule, max_nodes, workers)
-    with pool._fan_out(tasks, workers) as results:
-        return _walker_counts(k_max, rule, max_nodes, results)
+    walk, *args = _walk_task(k_max, rule, max_nodes, workers)
+    return walk(*args)
 
 
-def _walker_tasks(k_max: int, rule: str, max_nodes: int, workers: int) -> list[tuple]:
-    """The walker's starts as :func:`pool._fan_out` tasks, nearest (most nodes) first, for valid arguments."""
+def _walk_task(k_max: int, rule: str, max_nodes: int, workers: int) -> tuple:
+    """The circuit walk as a :func:`pool._fan_out` task, for valid arguments."""
+    check_integer(k_max, "k_max")
+    check_integer(max_nodes, "max_nodes")
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     check_workers(workers)
-    if k_max - 2 >= _BLOCKED:
-        raise CapExceeded(f"circuit length {k_max} exceeds the walker's distance encoding")
-    _allowed_dirs(rule)  # rejects an unknown rule before any task starts
-    return [(_circuits_from, k_max, rule, l, max_nodes) for l in range(1, (k_max - 2) // 2 + 1)]
-
-
-def _walker_counts(k_max: int, rule: str, max_nodes: int, results: Iterable) -> SelfAvoidingCounts:
-    """Sum the results of the walker's starts."""
-    walks = [0] * (k_max + 1)
-    distinct = [0] * (k_max + 1)
-    nodes = 0
-    for part_walks, part_distinct, part_nodes in results:
-        # a circuit's nearest ray site is its start, so the site sets of
-        # different starts are disjoint and their counts add
-        walks = [a + b for a, b in zip(walks, part_walks)]
-        distinct = [a + b for a, b in zip(distinct, part_distinct)]
-        nodes += part_nodes
-    if nodes > max_nodes:
-        raise CapExceeded(f"circuit search exceeded {max_nodes} nodes; raise max_nodes")
-    return SelfAvoidingCounts(
-        k_max=k_max,
-        rule=rule,
-        walks={k: walks[k] for k in range(4, k_max + 1)},
-        distinct_sets={k: distinct[k] for k in range(4, k_max + 1)},
-        nodes=nodes,
-    )
+    if (k_max - 2) // 2 > _MAX_STARTS:
+        raise CapExceeded(f"circuit length {k_max} exceeds the walker's start-bit encoding")
+    _allowed_dirs(rule)  # rejects an unknown rule before the walk starts
+    return (_circuit_walk, int(k_max), rule, int(max_nodes))
 
 
 def full_count_table(
@@ -912,22 +829,25 @@ def full_count_table(
 ) -> CountTable:
     """Exact counts, restricted-circuit counts, and the analytic bound, merged.
 
-    Both halves share one pool of ``workers`` processes; the table does not
-    depend on it.  The census parts go first and are merged while the walker
-    runs, so a census error ends the walker early, and wins over a walker
-    error, as when the census ran before the walker.
+    The census parts and the circuit walk share one pool of ``workers``
+    processes; the table does not depend on it.  The census parts go first
+    and are merged while the walk runs, so a census error ends the walk
+    early, and wins over a walk error, as when the census ran before the
+    walk.  The kernel is built and loaded after every argument is checked
+    and before the workers fork.
     """
-    cap = _census_cap(k_max, cluster_cap, workers)
-    census = _census_tasks(k_max, cap, workers)
     try:
-        walker = _walker_tasks(k_max, rule, max_nodes, workers)
+        walk = _walk_task(k_max, rule, max_nodes, workers)
     except (ValueError, CapExceeded):
         # an error of the census itself still comes first
         exact_contour_counts(k_max, cluster_cap=cluster_cap, workers=workers)
         raise
-    with pool._fan_out(census + walker, workers) as results:
+    cap = _census_cap(k_max, cluster_cap, workers)
+    census = _census_tasks(k_max, cap, workers)
+    kernel.load(_NEED)
+    with pool._fan_out([*census, walk], workers) as results:
         table = _census_table(k_max, cap, islice(results, len(census)))
-        sa = _walker_counts(k_max, rule, max_nodes, results)
+        sa = next(results)
     table.sa_walk = sa.walks
     table.sa_sets = sa.distinct_sets
     table.meta["rule"] = rule

@@ -1,4 +1,6 @@
-"""Exception types, and the worker-count check, shared across the package."""
+"""Exception types, and the integer and worker-count checks, shared across the package."""
+
+import numbers
 
 
 class PeierlsError(Exception):
@@ -53,3 +55,9 @@ def check_workers(workers: int, name: str = "workers") -> int:
     if workers > MAX_WORKERS:
         raise ValueError(f"{name} must be <= {MAX_WORKERS}, got {workers}")
     return workers
+
+
+def check_integer(value, name: str) -> None:
+    """Raise :class:`TypeError` naming ``name`` unless ``value`` is an integer: a :class:`numbers.Integral`, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")

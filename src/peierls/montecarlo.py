@@ -16,7 +16,7 @@ sites and runs of more than ``_SITE_TRIAL_LIMIT`` trials x sites raise
 :class:`CapExceeded`.
 
 Every observable asks whether an occupied path joins two sets of sites, and
-one compiled invasion flood (``_sweep.c``, :func:`_flood`) answers it: from
+one compiled invasion flood (``peierls_flood``, :func:`_flood`) answers it: from
 the sources it takes, one at a time, a bordering site of least key, and its
 result is the largest key it has taken when it first takes a target.  The
 kernel holds the package's one site hash: it hashes a site into its key when
@@ -40,22 +40,21 @@ histogram, and the hit count at each midpoint, #{t : j*_t < j}, is a prefix
 sum of it, so the trace and estimate are those of thresholding every field
 at every midpoint.
 
-The kernel is compiled with ``cc`` on first use into a cache under
-``$XDG_CACHE_HOME`` (:func:`_sweep_kernel`), so every simulation needs a C
-compiler, and ``counts`` and ``bounds`` never build or load it.
+The flood is an entry point of the package's one compiled kernel, built
+with ``cc`` on first use into a cache under ``$XDG_CACHE_HOME``
+(:func:`peierls.kernel.load`), so every simulation needs a C compiler.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from . import pool
-from .errors import BuildError, CapExceeded, check_workers
+from . import kernel, pool
+from .errors import CapExceeded, check_workers
 from .lattice import Window
 
 __all__ = [
@@ -104,72 +103,8 @@ def _hash_threshold(c: float) -> int:
     return math.ceil(c * 2.0**53) << 11
 
 
-#: The flood kernel's C source, and the command that builds it into a shared library.
-_SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
-_SWEEP_BUILD = ("cc", "-O2", "-shared", "-fPIC")
-#: ``peierls_flood`` of the loaded kernel, set by :func:`_sweep_kernel`.
-_sweep = None
-
-
-def _sweep_cache() -> str:
-    """The directory the built kernel is cached in: ``${XDG_CACHE_HOME:-~/.cache}/peierls``."""
-    return os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "peierls")
-
-
-def _sweep_kernel():
-    """The compiled flood kernel (``_sweep.c``), built on first use and cached.
-
-    The library is ``sweep-<digest>.so`` in :func:`_sweep_cache`, the digest
-    the sha256 of the source and the build command, so an edited source or
-    command builds anew.  It is compiled to a temporary name in the cache and
-    moved into place with ``os.replace``, so processes that build at once each
-    load a whole file.  The kernel is loaded into the calling process, so
-    workers forked after the first call inherit it.  Raises
-    :class:`BuildError` when it cannot be built.
-    """
-    global _sweep
-    if _sweep is not None:
-        return _sweep
-    import ctypes
-    import hashlib
-
-    with open(_SWEEP_SOURCE, "rb") as fh:
-        source = fh.read()
-    digest = hashlib.sha256(source + b"\0" + " ".join(_SWEEP_BUILD).encode()).hexdigest()
-    cache = _sweep_cache()
-    path = os.path.join(cache, f"sweep-{digest}.so")
-    if not os.path.isfile(path):
-        # imported only to build: a cached kernel loads in a fraction of a millisecond
-        import subprocess
-        import tempfile
-
-        try:
-            os.makedirs(cache, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=".sweep-", suffix=".so", dir=cache)
-            os.close(fd)
-        except OSError as exc:
-            raise BuildError(f"cannot write the Monte Carlo kernel to {cache}: {exc.strerror}") from None
-        try:
-            build = subprocess.run([*_SWEEP_BUILD, "-o", tmp, _SWEEP_SOURCE], capture_output=True, text=True)
-            if build.returncode:
-                # the first error line only: the CLI reports an error on one line
-                first = next((line for line in build.stderr.splitlines() if "error" in line), f"exit code {build.returncode}")
-                raise BuildError(f"{_SWEEP_BUILD[0]} could not build the Monte Carlo kernel: {first.strip()}")
-            os.replace(tmp, path)
-        except FileNotFoundError:
-            raise BuildError(f"the Monte Carlo needs a C compiler '{_SWEEP_BUILD[0]}' on PATH to build its kernel") from None
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    try:
-        kernel = ctypes.CDLL(path).peierls_flood
-    except OSError as exc:
-        raise BuildError(f"cannot load the Monte Carlo kernel {path}: {exc}") from None
-    kernel.restype = ctypes.c_int
-    int32, uint64, pointer = ctypes.c_int32, ctypes.c_uint64, ctypes.c_void_p
-    kernel.argtypes = [uint64, uint64, ctypes.c_int64, int32, uint64, int32, pointer, int32, pointer, pointer]
-    _sweep = kernel
-    return kernel
+#: What needs the kernel, named in a :class:`BuildError` when it cannot be built.
+_NEED = "the Monte Carlo (simulate)"
 
 
 def _flood(seed: int, t0: int, fields: int, L: int, bound: int, m: int, sources, target: np.ndarray) -> np.ndarray:
@@ -184,7 +119,7 @@ def _flood(seed: int, t0: int, fields: int, L: int, bound: int, m: int, sources,
     an occupied path (of sites hashed below ``bound``) joins them, and with
     ``bound = 2**(64 - m)`` an occupied path joins them at c = j / 2**m
     exactly when j exceeds it.  It is found by the compiled invasion flood
-    (:func:`_sweep_kernel`), which hashes each site it borders once.  The
+    (:func:`peierls.kernel.load`), which hashes each site it borders once.  The
     kernel never tests the right edge, so ``target`` must hold the whole right
     column; a mask without it, a source off the window, a bound outside
     [0, 2**64) or m out of range raises :class:`ValueError` before the kernel
@@ -202,8 +137,7 @@ def _flood(seed: int, t0: int, fields: int, L: int, bound: int, m: int, sources,
             " and targets that hold its right column"
         )
     out = np.empty(fields, dtype=np.int32)
-    kernel = _sweep_kernel()
-    if kernel(
+    if kernel.load(_NEED).peierls_flood(
         seed & _M64, t0 & _M64, fields, L, bound, m, sources.ctypes.data, sources.size, target.ctypes.data, out.ctypes.data
     ):
         raise MemoryError(f"cannot allocate the flood's scratch for a field of {side * side} sites")
@@ -285,7 +219,7 @@ def _estimate(counter, L: int, c: float, trials: int, seed: int, workers: int) -
     _check_run(L, trials, workers)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"concentration must lie in [0, 1], got {c}")
-    _sweep_kernel()  # built and loaded before the workers fork
+    kernel.load(_NEED)  # built and loaded before the workers fork
     hits = _count_events(counter, L, c, trials, seed, workers)
     value = hits / trials
     return McEstimate(
@@ -305,7 +239,7 @@ def estimate_origin_reach(L: int, c: float, trials: int, seed: int, *, workers: 
     an unbounded cluster; vacant origins never count.  Each trial is one
     flood from the origin to the window border (:func:`_reach_count`), which
     hashes only the sites it borders.  The flood is compiled C, built on the first call
-    (:func:`_sweep_kernel`), which raises :class:`BuildError` when no C
+    (:func:`peierls.kernel.load`), which raises :class:`BuildError` when no C
     compiler ``cc`` can build it.  Raises :class:`CapExceeded` when a field
     has more than ``_SITE_LIMIT`` sites or the run more than
     ``_SITE_TRIAL_LIMIT`` trials x sites.
@@ -382,7 +316,7 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
         raise ValueError(f"tolerance must lie in [1e-3, 1), got {tol}")
     m = _midpoint_count(tol)
     grid = 1 << m
-    _sweep_kernel()  # built and loaded before the workers fork
+    kernel.load(_NEED)  # built and loaded before the workers fork
     histogram = _count_events(_critical_histogram, L, m, trials, seed, workers)
     # hits[j]: trials crossing at c = j / grid, i.e. with j* < j
     hits = np.concatenate(([0], np.cumsum(histogram)))

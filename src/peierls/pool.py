@@ -3,7 +3,7 @@
 :func:`_fan_out` runs a lazy stream of tasks ``(fn, *args)`` on ``workers``
 forked processes and gives the results back in task order.  The census
 (:mod:`peierls.enumeration`) sends it the parts of its shape tree and the
-walker's starts, the Monte Carlo (:mod:`peierls.montecarlo`) its chunks of
+circuit walk, the Monte Carlo (:mod:`peierls.montecarlo`) its chunks of
 trials.  Task functions are module-level, so a task pickles as the
 function's name and its arguments.
 

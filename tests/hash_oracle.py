@@ -3,7 +3,7 @@
 The scalar functions hash single sites in pure Python integers.  The array
 functions hash whole windows of many trials in numpy, with their own
 out-of-place mixer.  The library hashes each site inside its compiled flood
-kernel (``peierls/_sweep.c``); this module shares no code with it, its salts
+kernel (``peierls_flood`` of ``peierls/_kernel.c``); this module shares no code with it, its salts
 included, and the tests require the kernel's keys to agree with both bit for
 bit.
 """

@@ -271,10 +271,8 @@ def _end_this_worker(how: str) -> None:
     raise MemoryError("Unable to allocate 8.00 EiB for an array")
 
 
-def _walker_start_killed(k_max, rule, l, max_nodes):
-    if l == 2:
-        _end_this_worker("kill")
-    return _circuits_from(k_max, rule, l, max_nodes)
+def _walk_killed(k_max, rule, max_nodes):
+    _end_this_worker("kill")
 
 
 def _reach_chunk_killed(seed, L, c, t0, t1):
@@ -289,7 +287,6 @@ def _reach_chunk_out_of_memory(seed, L, c, t0, t1):
     return _reach_count(seed, L, c, t0, t1)
 
 
-_circuits_from = enumeration._circuits_from
 _reach_count = montecarlo._reach_count
 _KILLED = r"error: worker process \d+ was killed by signal 9 before it returned task \d+\n"
 _SIMULATE = ["simulate", "--L", "8", "--c", "0.6", "--trials", "10000", "--workers", "2"]
@@ -298,7 +295,7 @@ _SIMULATE = ["simulate", "--L", "8", "--c", "0.6", "--trials", "10000", "--worke
 @pytest.mark.parametrize(
     "module, name, task, argv, message",
     [
-        (enumeration, "_circuits_from", _walker_start_killed, ["counts", "--k-max", "10"], _KILLED),
+        (enumeration, "_circuit_walk", _walk_killed, ["counts", "--k-max", "10"], _KILLED),
         (montecarlo, "_reach_count", _reach_chunk_killed, _SIMULATE, _KILLED),
         (
             montecarlo,
@@ -335,8 +332,9 @@ def test_monte_carlo_work_cap_exits_3_with_one_line(argv, capsys):
 
 
 def test_simulate_without_a_compiler_exits_3_and_other_commands_run(tmp_path):
-    # a PATH with no cc and an empty kernel cache: no simulation can build
-    # its kernel, and the commands that never use it are unaffected
+    # a PATH with no cc and an empty kernel cache: no command that runs the
+    # flood or the circuit walk can build its kernel, and the commands that
+    # never use it are unaffected
     (tmp_path / "bin").mkdir()
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     env = {
@@ -351,15 +349,29 @@ def test_simulate_without_a_compiler_exits_3_and_other_commands_run(tmp_path):
             [sys.executable, "-m", "peierls.cli", *argv], env=env, capture_output=True, text=True, timeout=300
         )
 
+    no_cc = r"error: no C compiler 'cc' on PATH to build the kernel _kernel\.c for {}\n"
     simulate = ("simulate", "--L", "8", "--trials", "20")
-    for argv in ([*simulate, "--bisect"], [*simulate, "--c", "0.6"], [*simulate, "--c", "0.6", "--observable", "crossing"]):
+    bounds = ("bounds", "--c", "0.9", "--r", "6", "--k-max", "8")
+    needs = [
+        (argv, re.escape("the Monte Carlo (simulate)"))
+        for argv in ([*simulate, "--bisect"], [*simulate, "--c", "0.6"], [*simulate, "--c", "0.6", "--observable", "crossing"])
+    ] + [
+        (argv, re.escape("the circuit walk (counts, bounds --mode exact|sa)"))
+        for argv in (["counts", "--k-max", "6"], [*bounds, "--mode", "exact"], [*bounds, "--mode", "sa"])
+    ]
+    for argv, need in needs:
         run = cli(*argv)
         assert run.returncode == 3 and run.stdout == "", argv
-        assert re.fullmatch(r"error: the Monte Carlo needs a C compiler 'cc' on PATH to build its kernel\n", run.stderr)
+        assert re.fullmatch(no_cc.format(need), run.stderr), run.stderr
     assert os.listdir(tmp_path / "cache" / "peierls") == []  # the failed builds left no temporary
-    for argv in (["counts", "--k-max", "6"], ["bounds", "--c", "0.9", "--r", "6", "--mode", "analytic"]):
+    # argument errors come before any build
+    for argv in (["counts", "--k-max", "3"], ["counts", "--k-max", "6", "--max-nodes", "0"], [*simulate, "--c", "1.5"]):
         run = cli(*argv)
-        assert run.returncode == 0, run.stderr
+        assert run.returncode == 2 and run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, argv
+    run = cli(*bounds, "--mode", "analytic", "--out", str(tmp_path / "run"))
+    assert run.returncode == 0, run.stderr
+    run = cli("manifest", str(tmp_path / "run.manifest.json"))
+    assert run.returncode == 0 and run.stdout == "ok: 2 outputs reproduced\n", run.stderr
     assert os.listdir(tmp_path / "cache" / "peierls") == []
 
 

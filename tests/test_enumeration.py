@@ -1,8 +1,10 @@
 import signal
 from collections import Counter, defaultdict
 from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,13 +36,13 @@ from peierls import (
     self_avoiding_circuit_count,
     walk_bound,
 )
-from peierls import clusters, enumeration, pool
+from peierls import clusters, enumeration, kernel, pool
 from peierls.enumeration import (
     _CANON_STRIDE,
     _SPLIT_SIZE,
     _census_part,
     _census_table,
-    _circuits_from,
+    _circuit_walk,
     _event_part,
     _shape_frontier,
     class_counts_csv,
@@ -386,36 +388,59 @@ def test_walker_matches_recursive_oracle(rule):
         assert (fast.walks, fast.distinct_sets, fast.nodes) == (slow.walks, slow.distinct_sets, slow.nodes)
 
 
-@lru_cache(maxsize=None)
-def oracle_counts(k, rule):
-    slow = oracle_circuit_count(k, rule=rule)
-    return slow.walks, slow.distinct_sets, slow.nodes
-
-
-@settings(max_examples=12, deadline=None)
-@given(k=st.integers(4, 9), rule=st.sampled_from(["five", "seven"]), chunk=st.integers(1, 64))
-def test_walker_chunks_of_any_size_match_oracle(k, rule, chunk):
-    with mock.patch.object(enumeration, "_WALK_CHUNK", chunk):
-        fast = self_avoiding_circuit_count(k, rule=rule)
-    assert (fast.walks, fast.distinct_sets, fast.nodes) == oracle_counts(k, rule)
-
-
-@pytest.mark.parametrize("chunk", [1, 7, enumeration._WALK_CHUNK])
-def test_walker_node_cap_threshold_matches_oracle(chunk):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_walker_node_cap_threshold_matches_oracle(workers):
+    # the cap is checked on the running total, so it is passed in the middle
+    # of the walk; full_count_table runs the walk on a forked worker at 2
     nodes = self_avoiding_circuit_count(8).nodes
-    fanned_out = lambda k, max_nodes: self_avoiding_circuit_count(k, max_nodes=max_nodes, workers=2)  # noqa: E731
-    # forked workers inherit the patched chunk size; each start's own cap is
-    # passed in the middle of a chunk's moves with chunks of 1 and 7
-    with mock.patch.object(enumeration, "_WALK_CHUNK", chunk):
-        for count in (self_avoiding_circuit_count, fanned_out, oracle_circuit_count):
-            with pytest.raises(CapExceeded):
-                count(8, max_nodes=nodes - 1)
-            assert count(8, max_nodes=nodes).nodes == nodes
-        for l in (1, 2, 3):
-            start_nodes = _circuits_from(8, "five", l, nodes)[2]
-            with pytest.raises(CapExceeded, match=f"circuit search exceeded {start_nodes - 1} nodes"):
-                _circuits_from(8, "five", l, start_nodes - 1)
-            assert _circuits_from(8, "five", l, start_nodes)[2] == start_nodes
+    walk = lambda k, max_nodes: self_avoiding_circuit_count(k, max_nodes=max_nodes, workers=workers)  # noqa: E731
+    table = lambda k, max_nodes: full_count_table(k, max_nodes=max_nodes, workers=workers)  # noqa: E731
+    for count in (walk, oracle_circuit_count):
+        with pytest.raises(CapExceeded, match=f"circuit search exceeded {nodes - 1} nodes"):
+            count(8, max_nodes=nodes - 1)
+        assert count(8, max_nodes=nodes).nodes == nodes
+    with pytest.raises(CapExceeded, match=f"circuit search exceeded {nodes - 1} nodes"):
+        table(8, max_nodes=nodes - 1)
+    assert table(8, max_nodes=nodes).meta["sa_nodes"] == nodes
+
+
+def test_node_caps_past_64_bits_do_not_wrap():
+    # the kernel counts in int64: a larger cap is clamped, never wrapped to 0 or below
+    nodes = self_avoiding_circuit_count(8).nodes
+    for cap in (1 << 63, 1 << 64, 10**30):
+        assert self_avoiding_circuit_count(8, max_nodes=cap).nodes == nodes
+        assert full_count_table(6, max_nodes=cap).meta["sa_nodes"] == self_avoiding_circuit_count(6).nodes
+
+
+def test_walk_arguments_must_be_integers_before_the_kernel_loads():
+    with mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")):
+        for count in (self_avoiding_circuit_count, full_count_table):
+            for bad in (8.0, 8.5, True, "8", None):
+                with pytest.raises(TypeError, match=f"k_max must be an integer, got {bad!r}"):
+                    count(bad)
+            for bad in (1e6, False, True, "1000"):
+                with pytest.raises(TypeError, match=f"max_nodes must be an integer, got {bad!r}"):
+                    count(8, max_nodes=bad)
+    # numpy integers are integers
+    assert self_avoiding_circuit_count(np.int64(8), max_nodes=np.int32(10**9)) == self_avoiding_circuit_count(8)
+
+
+def test_walk_allocation_failure_raises_memory_error():
+    with mock.patch.object(kernel, "_library", SimpleNamespace(peierls_walk=lambda *args: -1)):
+        for count in (self_avoiding_circuit_count, full_count_table):
+            with pytest.raises(MemoryError, match="circuit walk"):
+                count(6)
+
+
+def test_walk_past_the_start_bits_is_capped():
+    # (k_max - 2) // 2 starts, one bit each in a 64-bit word: k_max = 131 is
+    # the longest, and its walk starts (to pass a small node cap at once)
+    with pytest.raises(CapExceeded, match="circuit search exceeded 1000 nodes"):
+        self_avoiding_circuit_count(131, max_nodes=1000)
+    with mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")):
+        for k in (132, 133, 10**6):
+            with pytest.raises(CapExceeded, match=f"circuit length {k} exceeds the walker's start-bit encoding"):
+                self_avoiding_circuit_count(k)
 
 
 def test_shape_limit_threshold():
@@ -431,7 +456,7 @@ def test_shape_limit_threshold():
 
 def test_each_task_is_capped_on_its_own():
     with pytest.raises(CapExceeded):
-        _circuits_from(10, "five", 1, 100)
+        _circuit_walk(10, "five", 100)
     with mock.patch.object(enumeration, "_SHAPE_LIMIT", 100), pytest.raises(CapExceeded):
         _census_part(10, interior_capacity(10), 1, 8)
 
@@ -464,8 +489,8 @@ def test_full_count_table_fans_out_once(monkeypatch):
     for workers, parts in ((1, 1), (2, 8)):
         calls.clear()
         full_count_table(8, workers=workers)
-        # the census parts and the walker's three starts
-        assert calls == [parts + 3]
+        # the census parts and the circuit walk
+        assert calls == [parts + 1]
 
 
 def test_census_rejects_fewer_than_one_worker():

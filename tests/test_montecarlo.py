@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import shutil
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from collections.abc import Iterator
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,7 @@ import hash_oracle
 import kernel_keys
 from bisect_oracle import oracle_bisect, oracle_critical_indices, oracle_crossing, oracle_labels
 from contour_oracle import reaches_border
-from peierls import montecarlo
+from peierls import kernel, montecarlo
 from peierls import (
     BuildError,
     CapExceeded,
@@ -25,6 +27,7 @@ from peierls import (
     estimate_crossing,
     estimate_origin_reach,
     exact_origin_reach_probability,
+    self_avoiding_circuit_count,
 )
 from peierls.montecarlo import (
     _M64,
@@ -326,7 +329,7 @@ def _assert_critical_by_crossing(keys: np.ndarray, m: int, critical: np.ndarray)
 
 def test_concentration_one_counts_every_trial_without_a_flood():
     # no 64-bit bound lies above every hash, so c = 1 needs no flood; c = 0 floods at bound 0
-    with mock.patch.object(montecarlo, "_sweep_kernel", side_effect=AssertionError("the kernel was called")):
+    with mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was called")):
         assert _reach_count(3, 8, 1.0, 0, 40) == _crossing_count(3, 8, 1.0, 5, 45) == 40
     assert _hash_threshold(0.0) == 0
     assert all(_hash_threshold(j / 1024) == j << 54 for j in range(1024))
@@ -391,7 +394,7 @@ def test_flood_refuses_targets_without_the_right_column_before_the_kernel():
         (whole, [0], 1, -1),
         (whole, [0], 1, 1 << 64),
     )
-    with mock.patch.object(montecarlo, "_sweep_kernel", side_effect=AssertionError("the kernel was called")):
+    with mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was called")):
         for target, sources, m, bound in bad:
             with pytest.raises(ValueError, match="right column"):
                 _flood(3, 0, 2, 2, bound, m, sources, target)
@@ -402,16 +405,32 @@ def test_kernel_compiles_without_warnings(tmp_path):
         pytest.skip("no C compiler cc on PATH")
     flags = ("-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC")
     build = subprocess.run(
-        ["cc", *flags, "-o", str(tmp_path / "sweep.so"), montecarlo._SWEEP_SOURCE],
+        ["cc", *flags, "-o", str(tmp_path / "kernel.so"), kernel.SOURCE],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert build.returncode == 0 and build.stderr == "", build.stderr
+    # the strict build's circuit walk gives the package's counts, and stops
+    # with code 1 when its cap is passed mid-walk
+    walk = ctypes.CDLL(str(tmp_path / "kernel.so")).peierls_walk
+    walk.argtypes = [ctypes.c_int32, ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+    for rule, turns in (("five", 2), ("seven", 3)):
+        for k in range(4, 11):
+            walks, distinct, nodes = np.zeros(k + 1, np.int64), np.zeros(k + 1, np.int64), np.zeros(1, np.int64)
+            sa = self_avoiding_circuit_count(k, rule=rule)
+            for cap, code in ((sa.nodes // 2, 1), (sa.nodes, 0)):
+                assert walk(k, turns, cap, walks.ctypes.data, distinct.ctypes.data, nodes.ctypes.data) == code
+            assert (walks[4:].tolist(), distinct[4:].tolist(), int(nodes[0])) == (
+                list(sa.walks.values()),
+                list(sa.distinct_sets.values()),
+                sa.nodes,
+            )
 
 
-#: A driver for the sanitizer build: floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column, the origin,
-#: every site and no site, into arrays of exactly their size, checking every result against [0, 2**m).
+#: The test program of the sanitizer build.  The circuit walk of both rules at k_max = 4..10, whole and cut short, and the
+#: longest walk cut short.  Floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column, the origin, every site
+#: and no site, into arrays of exactly their size, checking every result against [0, 2**m).
 _SANITIZER_DRIVER = r"""
 #include <stdint.h>
 #include <stdio.h>
@@ -419,9 +438,32 @@ _SANITIZER_DRIVER = r"""
 
 int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_t bound, int32_t m,
                   const int32_t *sources, int32_t nsources, const uint8_t *target, int32_t *out);
+int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks, int64_t *distinct, int64_t *nodes);
+
+/* The walk at k_max, into arrays of exactly its size: whole, then cut short one node before its end, and, for the
+ * five rule at k_max = 10, the pinned counts walks[10] = 8383 and distinct[10] = 6643. */
+static int walk(int32_t k_max, int32_t turns)
+{
+    int64_t *walks = malloc((k_max + 1) * sizeof *walks), *distinct = malloc((k_max + 1) * sizeof *distinct), nodes;
+    int bad = peierls_walk(k_max, turns, INT64_MAX, walks, distinct, &nodes) != 0 || nodes < 1 ||
+              (k_max == 10 && turns == 2 && (walks[10] != 8383 || distinct[10] != 6643));
+    for (int32_t k = 4; k <= k_max; k++)
+        bad |= distinct[k] < 0 || distinct[k] > walks[k];
+    bad |= peierls_walk(k_max, turns, nodes - 1, walks, distinct, &nodes) != 1;
+    free(walks);
+    free(distinct);
+    return bad;
+}
 
 int main(void)
 {
+    for (int32_t k = 4; k <= 10; k++)
+        if (walk(k, 2) || walk(k, 3))
+            return 4;
+    /* the longest walk the start bits allow, its 64th start included, cut short at once */
+    int64_t walks[132], distinct[132], nodes;
+    if (peierls_walk(131, 3, 1000, walks, distinct, &nodes) != 1)
+        return 5;
     const int32_t ms[4] = {1, 6, 11, 16};
     for (int32_t L = 1; L <= 6; L++) {
         const int32_t side = 2 * L + 1, n = side * side;
@@ -475,7 +517,7 @@ def test_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_
     driver = tmp_path / "driver.c"
     driver.write_text(_SANITIZER_DRIVER)
     build = subprocess.run(
-        ["cc", *flags, "-o", str(tmp_path / "driver"), str(driver), montecarlo._SWEEP_SOURCE],
+        ["cc", *flags, "-o", str(tmp_path / "driver"), str(driver), kernel.SOURCE],
         capture_output=True,
         text=True,
         timeout=300,
@@ -504,13 +546,13 @@ def test_import_loads_no_scipy_and_not_the_kernel(tmp_path):
         import os
         import sys
         import peierls.cli
-        from peierls import montecarlo
+        from peierls import kernel, montecarlo
         assert [name for name in sys.modules if name.split(".")[0] == "scipy"] == []
         assert "concurrent.futures" not in sys.modules
-        assert montecarlo._sweep is None
+        assert kernel._library is None
         if os.path.exists("/proc/self/maps"):
             with open("/proc/self/maps") as maps:
-                assert "sweep-" not in maps.read()
+                assert "kernel-" not in maps.read()
         """
     )
     env = _env_with_src(XDG_CACHE_HOME=str(tmp_path / "cache"))
@@ -532,19 +574,19 @@ def test_concurrent_builds_into_a_fresh_cache_agree(tmp_path):
     assert [run.returncode for run in runs] == [0, 0], [err for _, err in outputs]
     assert outputs[0][0] == outputs[1][0] == f"{_critical_indices(5, 12, 8, 0, 40).tolist()}\n"
     built = os.listdir(tmp_path / "peierls")
-    assert len(built) == 1 and built[0].startswith("sweep-") and built[0].endswith(".so")
+    assert len(built) == 1 and built[0].startswith("kernel-") and built[0].endswith(".so")
     # loading the cached kernel imports nothing it needs only to build
-    script = "import sys; from peierls import montecarlo; montecarlo._sweep_kernel(); assert 'subprocess' not in sys.modules"
+    script = "import sys; from peierls import kernel; kernel.load('a test'); assert 'subprocess' not in sys.modules"
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
 
 
 def test_sweep_cache_follows_xdg_cache_home(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert montecarlo._sweep_cache() == os.path.join(str(tmp_path), "peierls")
+    assert kernel._cache() == os.path.join(str(tmp_path), "peierls")
     monkeypatch.setenv("XDG_CACHE_HOME", "")
     monkeypatch.setenv("HOME", str(tmp_path))
-    assert montecarlo._sweep_cache() == os.path.join(str(tmp_path), ".cache", "peierls")
+    assert kernel._cache() == os.path.join(str(tmp_path), ".cache", "peierls")
 
 
 def test_sweep_build_failures_raise_build_error(monkeypatch, tmp_path):
@@ -552,17 +594,26 @@ def test_sweep_build_failures_raise_build_error(monkeypatch, tmp_path):
     # cache path that is a file cannot take the library
     (tmp_path / "bad.c").write_text("not C\n")
     (tmp_path / "file").write_text("")
-    monkeypatch.setattr(montecarlo, "_sweep", None)
-    monkeypatch.setattr(montecarlo, "_SWEEP_SOURCE", str(tmp_path / "bad.c"))
+    monkeypatch.setattr(kernel, "_library", None)
+    monkeypatch.setattr(kernel, "SOURCE", str(tmp_path / "bad.c"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    with pytest.raises(BuildError, match="could not build the Monte Carlo kernel: .*error") as err:
-        montecarlo._sweep_kernel()
+    with pytest.raises(BuildError, match=r"cc could not build the kernel bad\.c for a test: .*error") as err:
+        kernel.load("a test")
     assert "\n" not in str(err.value)
     assert os.listdir(tmp_path / "cache" / "peierls") == []
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
-    with pytest.raises(BuildError, match="cannot write the Monte Carlo kernel"):
-        montecarlo._sweep_kernel()
-    assert montecarlo._sweep is None
+    with pytest.raises(BuildError, match=r"cannot write the kernel bad\.c for a test to "):
+        kernel.load("a test")
+    assert kernel._library is None
+
+
+def test_the_kernel_source_is_package_data():
+    # an installed package builds its kernel from the source it ships
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(kernel.SOURCE), "..", "..", "pyproject.toml"), "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["peierls"]
+    assert os.path.basename(kernel.SOURCE) in package_data
+    assert os.path.isfile(kernel.SOURCE)
 
 
 def test_flood_allocation_failure_raises_memory_error():
@@ -571,7 +622,7 @@ def test_flood_allocation_failure_raises_memory_error():
         lambda: estimate_origin_reach(8, 0.5, 10, 0),
         lambda: estimate_crossing(8, 0.5, 10, 0),
     )
-    with mock.patch.object(montecarlo, "_sweep", lambda *args: -1):
+    with mock.patch.object(kernel, "_library", SimpleNamespace(peierls_flood=lambda *args: -1)):
         for run in runs:
             with pytest.raises(MemoryError, match="flood"):
                 run()
