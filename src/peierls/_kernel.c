@@ -32,6 +32,11 @@
  * k < 2**m.  A site first bordered at level cur is filed at max(key, cur), since the level never falls, so the
  * flood takes the lowest bucket at or above cur.  The top bucket 2**m - 1 is never taken from; its head, never
  * negative, ends the search.
+ *
+ * The flood of a field has bordered site s when seen[s] equals the field's stamp, a byte in 1..255 that each field
+ * bumps.  seen is zeroed when it is allocated, and again only when the stamp wraps past 255 and restarts at 1, so
+ * no site an earlier field bordered carries the stamp, and a flood that borders a few hundred of the window's sites
+ * does not clear the whole window each field.
  */
 
 #include <stdint.h>
@@ -57,11 +62,11 @@ static int32_t key_of(uint64_t h, uint64_t bound, int32_t shift)
 }
 
 /* File site s, of hash h, on the border of the flood at level max(its key, floor): a step of peierls_flood, on its
- * bound, shift and bucket queue. */
+ * bound, shift, stamp and bucket queue. */
 #define BORDER(s, h, floor)                                                                                            \
     do {                                                                                                               \
         const int32_t key_ = key_of(h, bound, shift), level_ = key_ > (floor) ? key_ : (floor);                        \
-        seen[s] = 1;                                                                                                   \
+        seen[s] = stamp;                                                                                               \
         next[s] = head[level_];                                                                                        \
         head[level_] = (s);                                                                                            \
     } while (0)
@@ -75,7 +80,7 @@ int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_
     const int32_t side = 2 * L + 1, n = side * side, top = (1 << m) - 1, shift = 64 - m;
     int32_t *head = malloc(((size_t)top + 1) * sizeof *head);
     int32_t *next = malloc((size_t)n * sizeof *next);
-    uint8_t *seen = malloc((size_t)n);
+    uint8_t *seen = calloc((size_t)n, 1), stamp = 0;
     uint64_t *hx = malloc((size_t)side * sizeof *hx);
     if (!head || !next || !seen || !hx) {
         free(head);
@@ -90,10 +95,13 @@ int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_
             hx[x] = mix(h0 + (uint64_t)(x - L) * XSALT);
         memset(head, 0xff, (size_t)top * sizeof *head); /* every list below the top empty: -1 */
         head[top] = 0;
-        memset(seen, 0, (size_t)n);
+        if (!++stamp) { /* past 255: no site bordered by an earlier field may carry the new stamp */
+            memset(seen, 0, (size_t)n);
+            stamp = 1;
+        }
         for (int32_t i = 0; i < nsources; i++) {
             const int32_t s = sources[i];
-            if (!seen[s])
+            if (seen[s] != stamp)
                 BORDER(s, mix(hx[s % side] + (uint64_t)(s / side - L) * YSALT), 0);
         }
         int32_t cur = 0;
@@ -110,13 +118,13 @@ int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_
              * target, is not on the right column */
             const int32_t x = s % side, y = s / side;
             const uint64_t yt = (uint64_t)(y - L) * YSALT;
-            if (!seen[s + 1])
+            if (seen[s + 1] != stamp)
                 BORDER(s + 1, mix(hx[x + 1] + yt), cur);
-            if (x && !seen[s - 1])
+            if (x && seen[s - 1] != stamp)
                 BORDER(s - 1, mix(hx[x - 1] + yt), cur);
-            if (y < side - 1 && !seen[s + side])
+            if (y < side - 1 && seen[s + side] != stamp)
                 BORDER(s + side, mix(hx[x] + yt + YSALT), cur);
-            if (y && !seen[s - side])
+            if (y && seen[s - side] != stamp)
                 BORDER(s - side, mix(hx[x] + yt - YSALT), cur);
         }
         out[f] = cur;

@@ -155,19 +155,6 @@ def interior_capacity(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Splitting the census over worker processes (:mod:`peierls.pool`).
-# ---------------------------------------------------------------------------
-
-#: Parts of the shape tree per worker process, so that uneven subtrees even out.
-_PARTS_PER_WORKER = 4
-
-
-def _tree_parts(workers: int) -> int:
-    """Number of parts :func:`_shape_frontier` splits the shape tree into for ``workers`` processes."""
-    return 1 if workers == 1 else _PARTS_PER_WORKER * workers
-
-
-# ---------------------------------------------------------------------------
 # Fixed-shape enumeration (Redelmeier) as a numpy frontier.
 #
 # Bit i of a site mask is the i-th site in (y, x) order of the half plane
@@ -504,6 +491,7 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
 
 def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
     """The cluster-size cap of a census, for valid arguments."""
+    check_integer(k_max, "k_max")
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     check_workers(workers)
@@ -521,7 +509,7 @@ def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
 
 def _census_tasks(k_max: int, cap: int, workers: int) -> list[tuple]:
     """The census parts as :func:`pool._fan_out` tasks."""
-    parts = _tree_parts(workers)
+    parts = pool._parts(workers)
     return [(_census_part, k_max, cap, p, parts) for p in range(parts)]
 
 
@@ -704,7 +692,7 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
             f"contours of length {max_len} require clusters up to size {cap}; "
             "beyond the feasible enumeration range"
         )
-    parts = _tree_parts(workers)
+    parts = pool._parts(workers)
     events: dict[tuple[int, int], int] = {}
     with pool._fan_out([(_event_part, max_len, cap, p, parts) for p in range(parts)], workers) as results:
         for part_events in results:
@@ -833,17 +821,21 @@ def full_count_table(
     processes; the table does not depend on it.  The census parts go first
     and are merged while the walk runs, so a census error ends the walk
     early, and wins over a walk error, as when the census ran before the
-    walk.  The kernel is built and loaded after every argument is checked
-    and before the workers fork.
+    walk.  The census's arguments are checked first.  A walk argument's error
+    waits for the census only when a ``cluster_cap`` below
+    ``interior_capacity(k_max)`` could make the census fail; otherwise it is
+    raised before any work.  The kernel is built and loaded after every
+    argument is checked and before the workers fork.
     """
+    cap = _census_cap(k_max, cluster_cap, workers)
+    census = _census_tasks(k_max, cap, workers)
     try:
         walk = _walk_task(k_max, rule, max_nodes, workers)
     except (ValueError, CapExceeded):
-        # an error of the census itself still comes first
-        exact_contour_counts(k_max, cluster_cap=cluster_cap, workers=workers)
+        if cap < interior_capacity(k_max):
+            # an error of the census itself still comes first
+            exact_contour_counts(k_max, cluster_cap=cluster_cap, workers=workers)
         raise
-    cap = _census_cap(k_max, cluster_cap, workers)
-    census = _census_tasks(k_max, cap, workers)
     kernel.load(_NEED)
     with pool._fan_out([*census, walk], workers) as results:
         table = _census_table(k_max, cap, islice(results, len(census)))

@@ -9,11 +9,13 @@ existing sites.  A site is occupied at concentration c when the 53-bit
 uniform its hash encodes is below c, a comparison made on the raw hash
 (:func:`_hash_threshold`); this is the package's only occupancy rule, and
 thresholding one field at growing concentrations yields nested occupied sets
-(coupled sampling).  Trials are processed in chunks of about 1M sites, spread
-over forked worker processes (:mod:`peierls.pool`) and produced lazily, so a
-run holds only the chunks in flight.  Fields of more than ``_SITE_LIMIT``
-sites and runs of more than ``_SITE_TRIAL_LIMIT`` trials x sites raise
-:class:`CapExceeded`.
+(coupled sampling).  The trials are split into a few chunks a worker
+process, one chunk at one worker, by the package's one splitting rule
+(:func:`peierls.pool._parts`), each cut at ``_CHUNK_SITE_TRIALS`` trials x
+sites.  The chunks run on forked workers (:mod:`peierls.pool`) and are
+produced lazily, so a run holds only the chunks in flight.  Fields of more
+than ``_SITE_LIMIT`` sites and runs of more than ``_SITE_TRIAL_LIMIT``
+trials x sites raise :class:`CapExceeded`.
 
 Every observable asks whether an occupied path joins two sets of sites, and
 one compiled invasion flood (``peierls_flood``, :func:`_flood`) answers it: from
@@ -54,7 +56,7 @@ from typing import Iterator
 import numpy as np
 
 from . import kernel, pool
-from .errors import CapExceeded, check_workers
+from .errors import CapExceeded, check_integer, check_workers
 from .lattice import Window
 
 __all__ = [
@@ -169,22 +171,35 @@ def _crossing_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
     return int((_flood(seed, t0, t1 - t0, L, _hash_threshold(c), 1, *_left_right(L)) == 0).sum())
 
 
-def _chunks(L: int, trials: int) -> Iterator[tuple[int, int]]:
-    """Trial ranges [t0, t1) of about 1M sites each, yielded lazily."""
-    side = 2 * L + 1
-    # ~1M sites a chunk: a chunk holds no field, only one result a trial, so
-    # this sets the task size alone, the one the bench records were taken at
-    batch = max(1, 1_000_000 // (side * (side + 1)))
+#: Trials x sites in one chunk at most.  A chunk holds one int32 result a
+#: trial and floods at most its trials x sites, so 2**25 site-trials bound a
+#: chunk to about 15 MB of results at radius 1 and, at a few ns a site, to a
+#: fraction of a second; a run of any length then yields bounded chunks.
+_CHUNK_SITE_TRIALS = 1 << 25
+
+
+def _chunks(L: int, trials: int, workers: int) -> Iterator[tuple[int, int]]:
+    """Trial ranges [t0, t1) that tile [0, trials), yielded lazily.
+
+    The trials split into at most ``pool._parts(workers)`` chunks of equal
+    size but the last, one at one worker, so a chunk's fixed cost (the
+    Python around the kernel call and its pipe round) is paid only a few
+    times a worker.  No chunk holds more than ``_CHUNK_SITE_TRIALS`` trials x
+    sites, or one trial, so a long run yields more chunks instead of larger
+    ones.
+    """
+    parts = pool._parts(workers)
+    batch = max(1, min(-(-trials // parts), _CHUNK_SITE_TRIALS // (2 * L + 1) ** 2))
     return ((t0, min(t0 + batch, trials)) for t0 in range(0, trials, batch))
 
 
 def _count_events(counter, L: int, c, trials: int, seed: int, workers: int):
-    """Sum of ``counter(seed, L, c, t0, t1)`` over the chunks of the run, on ``workers`` processes.
+    """Sum of ``counter(seed, L, c, t0, t1)`` over the chunks of the run (:func:`_chunks`), on ``workers`` processes.
 
     The counter returns a trial count, or for bisection (with ``c`` the grid
     exponent m) a histogram array.
     """
-    tasks = ((counter, seed, L, c, t0, t1) for t0, t1 in _chunks(L, trials))
+    tasks = ((counter, seed, L, c, t0, t1) for t0, t1 in _chunks(L, trials, workers))
     with pool._fan_out(tasks, workers) as results:
         return sum(results)
 
@@ -195,14 +210,18 @@ def _count_events(counter, L: int, c, trials: int, seed: int, workers: int):
 #: 200 GB.
 _SITE_LIMIT = 1 << 30
 #: Trials x sites in one run.  Memory stays bounded at any trial count, since
-#: chunks are made lazily and few are in flight, so this bounds run time only:
+#: chunks are made lazily, each of at most ``_CHUNK_SITE_TRIALS``, and few
+#: are in flight, so this bounds run time only:
 #: at about 5 ns of CPU a site-trial (hash and flood), 2**48 is about two
 #: weeks of CPU.  A trillion trials at radius 8 (2.9e14) are past it.
 _SITE_TRIAL_LIMIT = 1 << 48
 
 
 def _check_run(L: int, trials: int, workers: int) -> None:
-    """Reject a window radius below 1, fewer than one trial, a worker count out of range, and work past the caps."""
+    """Reject a radius, trial count or worker count that is no integer or out of range, and work past the caps."""
+    check_integer(L, "L")
+    check_integer(trials, "trials")
+    check_integer(workers, "workers")
     sites = Window(L).site_count
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -307,7 +326,7 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     :func:`_critical_indices`) is below j, so one flood per trial replaces
     re-thresholding every field at every midpoint; the float loop then replays
     over the j* histogram, giving the same trace and estimate.  The trials
-    are flooded in chunks of about 1M sites on ``workers`` processes, each chunk
+    are flooded in a few chunks a worker on ``workers`` processes, each chunk
     returned as its j* histogram (:func:`_count_events`).  Built and capped like
     :func:`estimate_origin_reach`.
     """

@@ -5,7 +5,9 @@ forked processes and gives the results back in task order.  The census
 (:mod:`peierls.enumeration`) sends it the parts of its shape tree and the
 circuit walk, the Monte Carlo (:mod:`peierls.montecarlo`) its chunks of
 trials.  Task functions are module-level, so a task pickles as the
-function's name and its arguments.
+function's name and its arguments.  Both split their work by one rule,
+:func:`_parts`: one part at one worker, else a few parts a worker, so that
+uneven parts even out.
 
 The parent owns no thread and no queue.  Each worker has a task pipe and a
 result pipe, and every message on them is pickled behind an 8-byte length:
@@ -32,6 +34,14 @@ from itertools import chain, count, islice
 from typing import Iterable, Iterator
 
 from .errors import WorkerDied
+
+#: Parts of a job per worker process, so that uneven parts even out.
+_PARTS_PER_WORKER = 4
+
+
+def _parts(workers: int) -> int:
+    """Parts a job is split into for ``workers`` processes: one at one worker, else ``_PARTS_PER_WORKER`` a worker."""
+    return 1 if workers == 1 else _PARTS_PER_WORKER * workers
 
 
 @contextmanager

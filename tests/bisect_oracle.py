@@ -23,7 +23,6 @@ import numpy as np
 from scipy import ndimage
 
 from hash_oracle import occupied, trial_hashes
-from peierls.montecarlo import _chunks
 
 
 def oracle_labels(grids: np.ndarray) -> np.ndarray:
@@ -48,11 +47,14 @@ def oracle_crossing(labels: np.ndarray) -> np.ndarray:
 
 def oracle_bisect(L: int, trials: int, tol: float, seed: int) -> tuple[float, tuple[tuple[float, float], ...]]:
     """(estimate, trace) of bisection on c for crossing probability 1/2."""
+    # labelled about 1M sites at a time, a grid's blank row included
+    batch = max(1, 1_000_000 // ((2 * L + 1) * (2 * L + 2)))
+    chunks = [(a, min(a + batch, trials)) for a in range(0, trials, batch)]
     lo, hi = 0.0, 1.0
     trace: list[tuple[float, float]] = []
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        hits = sum(int(oracle_crossing(oracle_labels(occupied(seed, L, mid, a, b))).sum()) for a, b in _chunks(L, trials))
+        hits = sum(int(oracle_crossing(oracle_labels(occupied(seed, L, mid, a, b))).sum()) for a, b in chunks)
         value = hits / trials
         trace.append((mid, value))
         if value < 0.5:

@@ -477,6 +477,23 @@ def test_census_error_wins_over_walker_error(workers):
         full_count_table(10, max_nodes=100, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_walk_argument_error_waits_for_no_census_it_cannot_lose_to(workers):
+    # the census's own arguments are checked first, and the census runs ahead
+    # of a walk argument's error only under a cap that could leave it incomplete
+    with mock.patch.object(enumeration, "_census_part", side_effect=AssertionError("the census ran")):
+        with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+            full_count_table(12, workers=workers, max_nodes=0)
+        with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+            full_count_table(12, cluster_cap=interior_capacity(12), workers=workers, max_nodes=0)
+        with pytest.raises(ValueError, match="unknown"):
+            full_count_table(12, rule="nine", workers=workers)
+        with pytest.raises(ValueError, match="cluster cap must be >= 1"):
+            full_count_table(12, cluster_cap=0, workers=workers, max_nodes=0)
+        with pytest.raises(CapExceeded, match="contour length 64 exceeds 62"):
+            full_count_table(64, cluster_cap=5, workers=workers, max_nodes=0)
+
+
 def test_full_count_table_fans_out_once(monkeypatch):
     calls = []
     fan_out = pool._fan_out

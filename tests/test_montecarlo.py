@@ -18,7 +18,7 @@ import hash_oracle
 import kernel_keys
 from bisect_oracle import oracle_bisect, oracle_critical_indices, oracle_crossing, oracle_labels
 from contour_oracle import reaches_border
-from peierls import kernel, montecarlo
+from peierls import kernel, montecarlo, pool
 from peierls import (
     BuildError,
     CapExceeded,
@@ -37,6 +37,7 @@ from peierls.montecarlo import (
     _crossing_count,
     _flood,
     _hash_threshold,
+    _left_right,
     _reach_count,
 )
 from peierls.pool import _fan_out
@@ -258,9 +259,30 @@ def test_workers_validated():
             bisect_threshold(8, 10, 0.01, 0, workers=workers)
 
 
+def test_radius_trials_and_workers_must_be_integers_before_any_work():
+    runs = (
+        lambda L, trials, workers: estimate_origin_reach(L, 0.5, trials, 1, workers=workers),
+        lambda L, trials, workers: estimate_crossing(L, 0.5, trials, 1, workers=workers),
+        lambda L, trials, workers: bisect_threshold(L, trials, 0.1, 1, workers=workers),
+    )
+    bad = {"L": (True, 8.0, 2.5), "trials": (True, 10.0, 1e3), "workers": (True, False, 2.0)}
+    with mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")):
+        with mock.patch.object(pool, "_fan_out", side_effect=AssertionError("a pool was started")):
+            for run in runs:
+                for name, values in bad.items():
+                    for value in values:
+                        args = {"L": 4, "trials": 10, "workers": 2, name: value}
+                        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+                            run(**args)
+    # numpy integers are integers
+    for run in runs:
+        assert run(np.int64(4), np.int32(10), np.int64(2)) == run(4, 10, 2)
+
+
 @pytest.mark.parametrize("L", [8, 24, 64])
 def test_bisection_matches_oracle(L):
-    # 59 trials fill one chunk at L=64, so 59/60/61 straddle a chunk edge
+    # 59 trials fill one of the oracle's chunks at L=64, so 59/60/61 straddle
+    # its edge; the library's chunks split the trials a few a worker
     for trials in (1, 59, 60, 61, 300):
         for tol in (1e-3, 0.004, 0.005, 0.3):
             expected = oracle_bisect(L, trials, tol, 7)
@@ -357,6 +379,30 @@ def test_kernel_fields_do_not_leak_into_the_next(seed, t0, L, m, n):
     _assert_critical_by_crossing(_oracle_keys(seed, L, 1 << (64 - m), m, t0, t0 + n), m, alone)
 
 
+@pytest.mark.parametrize(
+    "L, c, m, seed, path",
+    [
+        (8, 0.5, 1, 10, "reach"),  # the origin to the border
+        (6, 0.4, 1, 26, "crossing"),  # the left column to the right
+        (8, None, 8, 10, "crossing"),  # bisection's keys, the left column to the right
+    ],
+)
+def test_one_call_past_the_stamps_wraps_equals_a_call_a_field(L, c, m, seed, path):
+    # each field bumps the seen stamp, which wraps past 255: 600 fields in one
+    # call take it past two wraps, and must give what 600 one-field calls give.
+    # Most floods border again the sites an earlier field bordered, so a wrap
+    # that kept the old stamps changes a result only now and then: the m = 1
+    # seeds are ones where it does
+    side = 2 * L + 1
+    border = np.ones((side, side), dtype=bool)
+    border[1:-1, 1:-1] = False
+    sources, target = ([L * side + L], border) if path == "reach" else _left_right(L)
+    bound = 1 << (64 - m) if c is None else _hash_threshold(c)
+    whole = _flood(seed, 0, 600, L, bound, m, sources, target)
+    alone = np.concatenate([_flood(seed, t, 1, L, bound, m, sources, target) for t in range(600)])
+    assert np.array_equal(whole, alone) and len(np.unique(whole)) > 1
+
+
 def _oracle_flood(field: np.ndarray, m: int, sources, target: np.ndarray) -> int:
     """The least j at which the sites of key <= j join a source to a target, by labels; 2**m - 1 if none."""
     for j in range((1 << m) - 1):
@@ -430,7 +476,8 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 #: The test program of the sanitizer build.  The circuit walk of both rules at k_max = 4..10, whole and cut short, and the
 #: longest walk cut short.  Floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column, the origin, every site
-#: and no site, into arrays of exactly their size, checking every result against [0, 2**m).
+#: and no site, into arrays of exactly their size, checking every result against [0, 2**m).  At radius 3, 600 fields
+#: in one call, past two wraps of the flood's seen stamp, against the same fields one call each.
 _SANITIZER_DRIVER = r"""
 #include <stdint.h>
 #include <stdio.h>
@@ -452,6 +499,17 @@ static int walk(int32_t k_max, int32_t turns)
     bad |= peierls_walk(k_max, turns, nodes - 1, walks, distinct, &nodes) != 1;
     free(walks);
     free(distinct);
+    return bad;
+}
+
+/* 600 fields of the radius-3 window in one call, against the same fields flooded one call each. */
+static int wrap(const int32_t *sources, int32_t nsources, const uint8_t *target, uint64_t bound, int32_t m)
+{
+    int32_t *whole = malloc(600 * sizeof *whole), one;
+    int bad = peierls_flood(0xC0FFEEu, 40, 600, 3, bound, m, sources, nsources, target, whole) != 0;
+    for (int32_t f = 0; f < 600 && !bad; f++)
+        bad = peierls_flood(0xC0FFEEu, 40 + f, 1, 3, bound, m, sources, nsources, target, &one) != 0 || one != whole[f];
+    free(whole);
     return bad;
 }
 
@@ -478,6 +536,9 @@ int main(void)
         }
         for (int32_t y = 0; y < side; y++)
             left[y] = y * side;
+        /* reach at c = 0.6 from the origin to the border, m = 1; crossing at m = 8 from the left column to the right */
+        if (L == 3 && (wrap(&origin, 1, border, 0x999999999999999Au, 1) || wrap(left, side, right, (uint64_t)1 << 56, 8)))
+            return 6;
         for (int i = 0; i < 4; i++) {
             const int32_t m = ms[i];
             const uint64_t bounds[3] = {0, (uint64_t)1 << (64 - m), UINT64_MAX};
@@ -724,8 +785,12 @@ def test_any_split_of_the_trials_gives_the_same_results(seed, L, c, sizes, worke
 
 
 def test_chunks_are_lazy_and_few_in_flight():
-    chunks = _chunks(8, 10**15)
-    assert isinstance(chunks, Iterator) and next(chunks) == (0, 3267)
+    # 10**15 radius-8 trials, far past the run cap: each chunk is cut at the
+    # ceiling of 2**25 site-trials, 116,105 trials of 289 sites
+    assert montecarlo._CHUNK_SITE_TRIALS == 1 << 25
+    for workers in (1, 2, 3):
+        chunks = _chunks(8, 10**15, workers)
+        assert isinstance(chunks, Iterator) and next(chunks) == (0, 116_105) and next(chunks) == (116_105, 232_210)
     drawn = []
 
     def tasks():
@@ -740,6 +805,19 @@ def test_chunks_are_lazy_and_few_in_flight():
                 # at most 2 * workers tasks ahead of the result just taken
                 assert value == i and len(drawn) <= i + 1 + 2 * workers
         assert len(drawn) == 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 10**6), st.integers(1, 6))
+def test_chunks_tile_the_trials_in_at_most_the_pools_parts(L, trials, workers):
+    chunks = list(_chunks(L, trials, workers))
+    starts, ends = [a for a, _ in chunks], [b for _, b in chunks]
+    assert starts == [0, *ends[:-1]] and ends[-1] == trials and all(a < b for a, b in chunks)
+    sites, parts = (2 * L + 1) ** 2, pool._parts(workers)
+    assert max(b - a for a, b in chunks) <= max(1, montecarlo._CHUNK_SITE_TRIALS // sites)
+    if -(-trials // parts) * sites <= montecarlo._CHUNK_SITE_TRIALS:
+        # the ceiling does not bind: the pool's parts, one at one worker
+        assert len(chunks) <= parts and (workers > 1 or chunks == [(0, trials)])
 
 
 def test_monte_carlo_caps_threshold():
