@@ -34,13 +34,14 @@ and one in column xmax + 1, and a king step changes the column by at most 1,
 so a closed cycle through both has length >= 2*w + 2; rows alike.  A shape
 with ``max(w, h) > (k - 2) // 2`` therefore has a contour longer than k, and
 skipping its contour extraction loses nothing.  Adding cells never shrinks
-the box, so such a state travels without cells or box:
-:func:`contour_event_table` drops it, and the census only counts it and its
-subtree, the last two levels in closed form, since ``meta["shapes"]``
-reports every capped shape.  At k = 12, 345,600 of the 2,595,167 capped
-shapes fit the 5 x 5 box and are built; the other 2,249,567 are only counted.
+the box, so the census and :func:`contour_event_table` grow one tree, and
+drop such a shape with its subtree.  At k = 12, 345,600 of the 2,595,167
+capped shapes fit the 5 x 5 box and are built.  ``meta["shapes"]`` reports
+every capped shape: their number is the total of the fixed polyominoes
+(OEIS A001168) up to the cap, from ``_FIXED_SHAPES``, which also refuses
+before any work a cap whose total passes ``_SHAPE_LIMIT``.
 
-A state in the box also carries its box and its cell mask over a
+A state also carries its box and its cell mask over a
 (2 * box - 1) x box window.  One gather turns the in-span children of an
 expansion into a block of ``(N, box + 4)`` row masks (uint16 up to a box of
 12, uint64 beyond), every shape padded by 2 in one square frame, for
@@ -59,15 +60,14 @@ one per length, become :class:`Contour` objects.
 Both halves of the census run on ``workers`` forked processes and give the
 same results for every worker count.  Redelmeier's search tree splits into
 disjoint subtrees: every part grows the tree down to the shapes of size 6
-(``_SPLIT_SIZE``) a whole level at a time, ranks those whose parent fits the
-span box by the parent's cells and the new site, and part p of P grows only
-those of rank % P == p; the smaller shapes, and the subtrees below shapes
-that left the box before size 6, come from part 0.  Each part returns its
-shape count and its per-size covers by canonical key, and the parent merges
-them by sum and OR per size before the trajectory, stabilisation and class
-passes.  :func:`full_count_table` puts the census parts and the circuit walk
-on one pool, the walk as one task after the parts, so that the census is
-merged, and fails, while the walk still runs.
+(``_SPLIT_SIZE``) a whole level at a time, ranks them by the parent's cells
+and the new site, and part p of P grows only those of rank % P == p; the
+smaller shapes come from part 0.  Each part returns its per-size covers by
+canonical key, and the parent merges them by OR per size before the
+trajectory, stabilisation and class passes.  :func:`full_count_table` puts
+the census parts and the circuit walk on one pool, the walk as one task
+after the parts, so that the census is merged, and fails, while the walk
+still runs.
 
 The module also bounds the census analytically: a contour of length k hits
 the positive horizontal axis at some nearest site, continues with one of a
@@ -94,7 +94,6 @@ nodes and 161,180 records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 from typing import Iterable
 
@@ -132,6 +131,7 @@ _FIRST_STEP_CLASS = np.array([[0, 0, 1], [0, 0, 1], [4, 3, 2]])
 
 def walk_bound(k: int) -> int:
     """Closed-form contour-count bound 4 * 5**(k-2) * (k-1), exact integer."""
+    check_integer(k, "k")
     if k < 2:
         raise ValueError(f"walk bound defined for k >= 2, got {k}")
     return 4 * 5 ** (k - 2) * (k - 1)
@@ -149,6 +149,7 @@ def interior_capacity(k: int) -> int:
     most ``(k*k - 4*k + 8) // 8`` interior lattice sites, and every realizing
     cluster lies inside its contour.
     """
+    check_integer(k, "k")
     if k < 4:
         raise ValueError(f"contours have length >= 4, got {k}")
     return (k * k - 4 * k + 8) // 8
@@ -167,17 +168,21 @@ def interior_capacity(k: int) -> int:
 _MAX_SHAPE = 30
 #: Shape size at which the search tree splits into parts.
 _SPLIT_SIZE = 6
-#: Most shapes one census may enumerate, counted ones included, over all parts.
+#: Most fixed polyominoes up to a census's cap, over all parts; a larger cap is
+#: refused before any work.  The span lemma prunes most of them, so their
+#: number bounds the census's work from above.
 _SHAPE_LIMIT = 50_000_000
+#: Fixed polyominoes of each size from 1 (OEIS A001168), up to the first size
+#: at which their running total passes ``_SHAPE_LIMIT``.
+_FIXED_SHAPES = (
+    1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446, 135268, 505861,
+    1903890, 7204874, 27394666, 104592937,
+)
 #: (state, bit) pairs per expansion of the shape frontier; the in-span
 #: children of one expansion form one block of the contour kernel.
 _SHAPE_CHUNK = 1 << 13
 #: Row stride of the census's canonical contour keys and origin covers.
 _CANON_STRIDE = 32
-
-
-def _shape_limit_error(limit: int) -> CapExceeded:
-    return CapExceeded(f"shape enumeration exceeded the limit of {limit}")
 
 
 def _shape_size_error(cap: int) -> CapExceeded:
@@ -204,20 +209,17 @@ def _site_tables(cap: int, box: int):
     return (*(np.packbits(m, axis=1, bitorder="little").view("<u8") for m in (adjacent, above, win)), x, y)
 
 
-def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = True):
-    """Part ``part`` of ``parts`` of Redelmeier's tree of shapes up to size ``cap``.
+def _shape_frontier(max_len: int, cap: int, part: int, parts: int):
+    """Part ``part`` of ``parts`` of Redelmeier's tree of shapes up to size ``cap``, pruned by the span lemma.
 
-    Yields ``(shapes, rows)`` after each expansion: the part's shapes met so
-    far, and the ``(N, box + 4)`` row masks (see :func:`clusters._contour_rows`)
-    of those met in the expansion that fit the span box of ``max_len``.
-    Raises :class:`CapExceeded` once ``shapes`` passes ``_SHAPE_LIMIT``, after
-    the block of the expansion that passed it.  With ``wide`` the shapes out
-    of span are counted, without it they are dropped.
+    Yields, after each expansion, the nonempty ``(N, box + 4)`` row masks
+    (see :func:`clusters._contour_rows`) of the part's shapes met in it that
+    fit the span box of ``max_len``.  A shape out of the box is dropped with
+    its subtree, since every shape below it is at least as wide.
 
-    The split-size shapes whose parent fits the span box are ranked by the
-    parent's cell mask, then their new site, and part p keeps those of rank
-    p modulo ``parts``.  Part 0 keeps the smaller shapes and the subtrees
-    below those that left the span box before.
+    The split-size shapes are ranked by their parent's cell mask, then their
+    new site, and part p keeps those of rank p modulo ``parts``.  Part 0
+    keeps the smaller shapes.
     """
     if cap > _MAX_SHAPE:
         raise _shape_size_error(cap)
@@ -225,7 +227,7 @@ def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = 
     box = min(span, cap)  # a shape of n cells is at most n wide
     nbr, above, win, sx, sy = _site_tables(cap, box)
     row_start = np.arange(box) * (2 * box - 1) + box - 1
-    empty = np.zeros((0, box + 4), clusters._row_dtype(box + 4))
+    dtype = clusters._row_dtype(box + 4)
 
     def rows_of(cells: np.ndarray, xmin: np.ndarray) -> np.ndarray:
         # the box columns of each window row, shifted to bit 2 of a frame
@@ -237,7 +239,7 @@ def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = 
         shift = (start & 63).astype(np.uint64)
         low = np.take(words, word) >> shift
         high = np.take(words, word + 1) << np.uint64(1) << (np.uint64(63) - shift)
-        rows = np.zeros((len(cells), box + 4), empty.dtype)
+        rows = np.zeros((len(cells), box + 4), dtype)
         rows[:, 2 : box + 2] = ((low | high) & np.uint64((1 << box) - 1)) << np.uint64(2)
         return rows
 
@@ -257,31 +259,11 @@ def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = 
         index = np.concatenate(found)
         return index // untried.shape[1], index % untried.shape[1] * 64 + np.concatenate(bits)
 
-    def push(size, untried, seen, cells, xmin, xmax, ymax) -> int:
-        # stack the states that can still grow, in span and out; return the
-        # shapes below those out of span one cell below the cap
-        if cells is not None:
-            inside = (xmax - xmin < span) & (ymax < span)
-            if inside.any():
-                keep = np.flatnonzero(inside)
-                stack.append((size, *(np.take(a, keep, axis=0) for a in (untried, seen, cells, xmin, xmax, ymax))))
-            # out of span below the split size, the subtree is part 0's
-            if inside.all() or not wide or (size < _SPLIT_SIZE and part != 0):
-                return 0
-            untried, seen = (np.take(a, np.flatnonzero(~inside), axis=0) for a in (untried, seen))
-        if size == cap - 1:
-            return int(clusters._popcounts(untried).sum())
-        stack.append((size, untried, seen, None, None, None, None))
-        return 0
-
-    stack: list[tuple] = []
     origin = np.zeros(1, np.int64)
-    shapes = int(part == 0)
-    if shapes:
-        yield shapes, rows_of(win[:1], origin)
-    if cap > 1:
-        # the origin is the one site not above itself
-        shapes += push(1, nbr[:1], nbr[:1] | ~above[:1], win[:1], origin, origin, origin)
+    if part == 0:
+        yield rows_of(win[:1], origin)
+    # the origin is the one site not above itself
+    stack = [(1, nbr[:1], nbr[:1] | ~above[:1], win[:1], origin, origin, origin)] if cap > 1 else []
     while stack:
         size, *states = stack.pop()
         # whole levels below the split size, so that the ranks are over all
@@ -289,40 +271,29 @@ def _shape_frontier(max_len: int, cap: int, part: int, parts: int, wide: bool = 
         if size < _SPLIT_SIZE:
             cut = len(states[0])
         elif cut < len(states[0]):
-            stack.append((size, *(None if a is None else a[cut:] for a in states)))
-        untried, seen, cells, xmin, xmax, ymax = (None if a is None else a[:cut] for a in states)
+            stack.append((size, *(a[cut:] for a in states)))
+        untried, seen, cells, xmin, xmax, ymax = (a[:cut] for a in states)
         p, b = pairs(untried)
         size += 1
-        if size == _SPLIT_SIZE and parts > 1 and cells is not None:
+        if size == _SPLIT_SIZE and parts > 1:
             rank = np.empty(len(p), np.int64)
             rank[np.lexsort((b, *np.take(cells, p, axis=0).T))] = np.arange(len(p))
             keep = np.flatnonzero(rank % parts == part)
             p, b = p[keep], b[keep]
-        mine = size >= _SPLIT_SIZE or part == 0
-        shapes += len(p) if mine else 0
-        rows = empty
-        if cells is None and size == cap - 1:
-            # out of span: the child that takes bit b keeps the untried bits
-            # above b and adds b's unseen neighbours, and has as many
-            # children as untried bits
-            n, unseen = clusters._popcounts(untried), np.take(nbr, b, axis=0) & ~np.take(seen, p, axis=0)
-            shapes += int((n * (n - 1) // 2).sum() + clusters._popcounts(unseen).sum())
-            untried = None
-        elif cells is not None:
-            cells = np.take(cells, p, axis=0) | np.take(win, b, axis=0)
-            xmin = np.minimum(np.take(xmin, p), np.take(sx, b))
-            xmax = np.maximum(np.take(xmax, p), np.take(sx, b))
-            ymax = np.maximum(np.take(ymax, p), np.take(sy, b))
-            if mine:
-                inside = np.flatnonzero((xmax - xmin < span) & (ymax < span))
-                rows = rows_of(np.take(cells, inside, axis=0), np.take(xmin, inside))
-        if size < cap and untried is not None:
+        xmin = np.minimum(np.take(xmin, p), np.take(sx, b))
+        xmax = np.maximum(np.take(xmax, p), np.take(sx, b))
+        ymax = np.maximum(np.take(ymax, p), np.take(sy, b))
+        inside = np.flatnonzero((xmax - xmin < span) & (ymax < span))
+        if not len(inside):
+            continue
+        p, b, xmin, xmax, ymax = (np.take(a, inside) for a in (p, b, xmin, xmax, ymax))
+        cells = np.take(cells, p, axis=0) | np.take(win, b, axis=0)
+        if size >= _SPLIT_SIZE or part == 0:
+            yield rows_of(cells, xmin)
+        if size < cap:
             near, seen = np.take(nbr, b, axis=0), np.take(seen, p, axis=0)
             untried = (np.take(untried, p, axis=0) & np.take(above, b, axis=0)) | (near & ~seen)
-            shapes += push(size, untried, seen | near, cells, xmin, xmax, ymax)
-        yield shapes, rows
-        if shapes > _SHAPE_LIMIT:
-            raise _shape_limit_error(_SHAPE_LIMIT)
+            stack.append((size, untried, seen | near, cells, xmin, xmax, ymax))
 
 
 def _to_corner(rows: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
@@ -415,69 +386,59 @@ def _class_rule(xs: np.ndarray, ys: np.ndarray, lengths: np.ndarray) -> tuple[np
 
 
 def _census_part(k_max: int, cap: int, part: int, parts: int):
-    """One part of the shape tree: ``(shapes, covers)`` keyed by canonical contour.
+    """One part of the span-pruned shape tree: its ``covers`` by canonical contour.
 
-    ``shapes`` counts every shape of the part, those too wide for the span
-    lemma included.  ``covers[key][n]`` is the union of the origin positions,
-    in the canonical frame, of the size-n shapes whose contour is ``key``.
-    Keys and sizes are in ascending order, whatever order the frontier meets
-    the shapes in.  Each block of shapes is reduced at once: its contours and
-    cells move to the contour's bounding-box corner, the shapes are grouped
-    by canonical contour and size, and each group's cells are ORed into one
-    cover.
+    ``covers[key][n]`` is the union of the origin positions, in the canonical
+    frame, of the size-n shapes whose contour is ``key``.  Keys and sizes are
+    in ascending order, whatever order the frontier meets the shapes in.
+    Each block of shapes is reduced at once: its contours and cells move to
+    the contour's bounding-box corner, the shapes are grouped by canonical
+    contour and size, and each group's cells are ORed into one cover.
 
     A contour shorter than 4 or enclosing more sites than its length allows
     fails the part.  The error names the first such shape by size, then by
     cell mask read as an integer with the shape moved to its box corner
-    (cell (x, y) at bit 64 * y + x - xmin), and wins over the
-    :class:`CapExceeded` of ``_SHAPE_LIMIT`` if the shape was met before.
+    (cell (x, y) at bit 64 * y + x - xmin).
     """
     covers: dict[int, dict[int, int]] = {}
-    shapes = 0
     first_bad = None
     # interior_capacity by length; a length below 4 fails before it is read
     capacity = np.array([interior_capacity(max(k, 4)) for k in range(k_max + 1)])
-    try:
-        for shapes, rows in _shape_frontier(k_max, cap, part, parts):
-            if not len(rows):
-                continue
-            width = rows.shape[1]
-            _, gamma, ext = clusters._contour_rows(rows, width)
-            lengths = clusters._popcounts(gamma)
-            kept = lengths <= k_max
-            rows, gamma, ext, lengths = rows[kept], gamma[kept], ext[kept], lengths[kept]
-            cell_counts = clusters._popcounts(rows)
-            short = lengths < 4
-            enclosed = width * width - clusters._popcounts(ext) - lengths
-            bad = np.flatnonzero(short | (enclosed > capacity[lengths]))
-            if len(bad):
-                # frame rows from the top down compare as the cell masks do
-                i = bad[np.lexsort((*rows[bad].T, cell_counts[bad]))[0]]
-                shape = (int(cell_counts[i]), rows[i, ::-1].tolist(), int(lengths[i]), int(enclosed[i]))
-                first_bad = min(first_bad or shape, shape)
-            if first_bad:
-                continue
-            # the corner of each contour's bounding box: its first row, and the
-            # trailing zeros of the OR of its rows
-            columns = np.bitwise_or.reduce(gamma, axis=1)
-            ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None])
-            oy = (gamma != 0).argmax(axis=1)
-            canon = _to_corner(gamma, ox, oy)
-            groups, inverse, sizes = np.unique(
-                np.column_stack([canon, cell_counts.astype(canon.dtype)]),
-                axis=0,
-                return_inverse=True,
-                return_counts=True,
-            )
-            order = np.argsort(inverse.reshape(-1), kind="stable")
-            cells = np.bitwise_or.reduceat(_to_corner(rows, ox, oy)[order], np.cumsum(sizes) - sizes, axis=0)
-            for g in range(len(groups)):
-                by_size = covers.setdefault(_row_bits(groups[g, :-1], _CANON_STRIDE), {})
-                n = int(groups[g, -1])
-                by_size[n] = by_size.get(n, 0) | _row_bits(cells[g], _CANON_STRIDE)
-    except CapExceeded:
-        if not first_bad:
-            raise
+    for rows in _shape_frontier(k_max, cap, part, parts):
+        width = rows.shape[1]
+        _, gamma, ext = clusters._contour_rows(rows, width)
+        lengths = clusters._popcounts(gamma)
+        kept = lengths <= k_max
+        rows, gamma, ext, lengths = rows[kept], gamma[kept], ext[kept], lengths[kept]
+        cell_counts = clusters._popcounts(rows)
+        short = lengths < 4
+        enclosed = width * width - clusters._popcounts(ext) - lengths
+        bad = np.flatnonzero(short | (enclosed > capacity[lengths]))
+        if len(bad):
+            # frame rows from the top down compare as the cell masks do
+            i = bad[np.lexsort((*rows[bad].T, cell_counts[bad]))[0]]
+            shape = (int(cell_counts[i]), rows[i, ::-1].tolist(), int(lengths[i]), int(enclosed[i]))
+            first_bad = min(first_bad or shape, shape)
+        if first_bad:
+            continue
+        # the corner of each contour's bounding box: its first row, and the
+        # trailing zeros of the OR of its rows
+        columns = np.bitwise_or.reduce(gamma, axis=1)
+        ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None])
+        oy = (gamma != 0).argmax(axis=1)
+        canon = _to_corner(gamma, ox, oy)
+        groups, inverse, sizes = np.unique(
+            np.column_stack([canon, cell_counts.astype(canon.dtype)]),
+            axis=0,
+            return_inverse=True,
+            return_counts=True,
+        )
+        order = np.argsort(inverse.reshape(-1), kind="stable")
+        cells = np.bitwise_or.reduceat(_to_corner(rows, ox, oy)[order], np.cumsum(sizes) - sizes, axis=0)
+        for g in range(len(groups)):
+            by_size = covers.setdefault(_row_bits(groups[g, :-1], _CANON_STRIDE), {})
+            n = int(groups[g, -1])
+            by_size[n] = by_size.get(n, 0) | _row_bits(cells[g], _CANON_STRIDE)
     if first_bad:
         *_, length, enclosed = first_bad
         if length < 4:
@@ -486,7 +447,7 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
             f"a contour of length {length} encloses {enclosed} sites, more than the capacity "
             "bound allows; the completeness cap is unsound for this input"
         )
-    return shapes, {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
+    return {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
 
 
 def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
@@ -495,6 +456,8 @@ def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     check_workers(workers)
+    if cluster_cap is not None:
+        check_integer(cluster_cap, "cluster_cap")
     cap = interior_capacity(k_max) if cluster_cap is None else cluster_cap
     if cap < 1:
         raise ValueError("cluster cap must be >= 1")
@@ -504,6 +467,8 @@ def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
     if k_max > 2 * _MAX_SHAPE + 2:
         longest = 2 * _MAX_SHAPE + 2
         raise CapExceeded(f"contour length {k_max} exceeds {longest}, the longest contour of a {_MAX_SHAPE}-cell shape")
+    if cap > len(_FIXED_SHAPES) or sum(_FIXED_SHAPES[:cap]) > _SHAPE_LIMIT:
+        raise CapExceeded(f"shape enumeration exceeded the limit of {_SHAPE_LIMIT}")
     return cap
 
 
@@ -517,18 +482,14 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
     """Merge the results of the census parts into the census table.
 
     Raises as soon as the parts, or the passes over their merge, show the
-    census to be over its limit, incomplete or inconsistent.
+    census to be incomplete or inconsistent.
     """
     covers: dict[int, dict[int, int]] = {}
-    shapes_seen = 0
-    for n, part_covers in results:
-        shapes_seen += n
+    for part_covers in results:
         for key, by_size in part_covers.items():
             merged = covers.setdefault(key, {})
             for size, pos in by_size.items():
                 merged[size] = merged.get(size, 0) | pos
-    if shapes_seen > _SHAPE_LIMIT:
-        raise _shape_limit_error(_SHAPE_LIMIT)
     needed = interior_capacity(k_max)
     guaranteed = cap >= needed
 
@@ -563,7 +524,7 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
         "capacity_needed": needed,
         "guaranteed": guaranteed,
         "stabilized": stabilized,
-        "shapes": shapes_seen,
+        "shapes": sum(_FIXED_SHAPES[:cap]),
         "distinct_contour_shapes": len(covers),
         "trajectory": trajectory,
     }
@@ -648,8 +609,8 @@ def exact_contour_counts(
 
     Returns a :class:`CountTable` with the ``exact`` counts, the per-class
     breakdown, and the analytic ``walk_bound`` column filled in.  Raises
-    :class:`CapExceeded` if the census would enumerate more than
-    ``_SHAPE_LIMIT`` shapes, counted ones included.
+    :class:`CapExceeded`, before any work, if the fixed polyominoes up to the
+    cap, every shape of the unpruned tree, number more than ``_SHAPE_LIMIT``.
     """
     cap = _census_cap(k_max, cluster_cap, workers)
     with pool._fan_out(_census_tasks(k_max, cap, workers), workers) as results:
@@ -659,9 +620,7 @@ def exact_contour_counts(
 def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
     """Event multiplicities of one part of the (span-pruned) shape tree."""
     events: dict[tuple[int, int], int] = {}
-    for _, rows in _shape_frontier(max_len, cap, part, parts, wide=False):
-        if not len(rows):
-            continue
+    for rows in _shape_frontier(max_len, cap, part, parts):
         width = rows.shape[1]
         bnd, gamma, _ = clusters._contour_rows(rows, width)
         kept = clusters._popcounts(gamma) <= max_len
@@ -683,6 +642,7 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
     of the events feeding the truncated polynomial.  ``workers`` processes
     share the shape tree; the table does not depend on it.
     """
+    check_integer(max_len, "max_len")
     if max_len < 4:
         raise ValueError("max_len must be >= 4")
     check_workers(workers)
@@ -717,13 +677,8 @@ class SelfAvoidingCounts:
     nodes: int
 
 
-@lru_cache(maxsize=None)
-def _allowed_dirs(rule: str) -> tuple[tuple[int, ...], ...]:
-    if rule == "five":
-        return tuple(tuple((d + t) % 8 for t in (-2, -1, 0, 1, 2)) for d in range(8))
-    if rule == "seven":
-        return tuple(tuple(d2 for d2 in range(8) if d2 != (d + 4) % 8) for d in range(8))
-    raise ValueError(f"unknown continuation rule {rule!r}; expected 'five' or 'seven'")
+#: Largest turn, in eighths of a full turn, each continuation rule allows a step.
+_TURNS = {"five": 2, "seven": 3}
 
 
 #: Most starts of the circuit walk: a closed walk records one bit per start in a 64-bit word.
@@ -742,9 +697,8 @@ def _circuit_walk(k_max: int, rule: str, max_nodes: int) -> SelfAvoidingCounts:
     walks = np.zeros(k_max + 1, np.int64)
     distinct = np.zeros(k_max + 1, np.int64)
     nodes = np.zeros(1, np.int64)
-    turns = len(_allowed_dirs(rule)[0]) // 2
     code = kernel.load(_NEED).peierls_walk(
-        k_max, turns, min(max_nodes, _MAX_NODES), walks.ctypes.data, distinct.ctypes.data, nodes.ctypes.data
+        k_max, _TURNS[rule], min(max_nodes, _MAX_NODES), walks.ctypes.data, distinct.ctypes.data, nodes.ctypes.data
     )
     if code < 0:
         raise MemoryError(f"cannot allocate the circuit walk's records at length {k_max}")
@@ -803,7 +757,8 @@ def _walk_task(k_max: int, rule: str, max_nodes: int, workers: int) -> tuple:
     check_workers(workers)
     if (k_max - 2) // 2 > _MAX_STARTS:
         raise CapExceeded(f"circuit length {k_max} exceeds the walker's start-bit encoding")
-    _allowed_dirs(rule)  # rejects an unknown rule before the walk starts
+    if rule not in _TURNS:
+        raise ValueError(f"unknown continuation rule {rule!r}; expected 'five' or 'seven'")
     return (_circuit_walk, int(k_max), rule, int(max_nodes))
 
 

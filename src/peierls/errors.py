@@ -49,7 +49,12 @@ MAX_WORKERS = 256
 
 
 def check_workers(workers: int, name: str = "workers") -> int:
-    """Return ``workers`` if it lies in 1..``MAX_WORKERS``, else raise :class:`ValueError` naming ``name``."""
+    """Return ``workers`` if it is an integer in 1..``MAX_WORKERS``, else raise naming ``name``.
+
+    A value that is no integer raises :class:`TypeError` (see :func:`check_integer`),
+    one out of range :class:`ValueError`.
+    """
+    check_integer(workers, name)
     if workers < 1:
         raise ValueError(f"{name} must be >= 1, got {workers}")
     if workers > MAX_WORKERS:

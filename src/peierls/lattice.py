@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import check_integer
+
 Site = tuple[int, int]
 
 #: Axis offsets in E, N, W, S order.
@@ -40,6 +42,7 @@ class Window:
     radius: int
 
     def __post_init__(self) -> None:
+        check_integer(self.radius, "radius")
         if self.radius < 1:
             raise ValueError(f"window radius must be >= 1, got {self.radius}")
 

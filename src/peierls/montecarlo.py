@@ -221,11 +221,10 @@ def _check_run(L: int, trials: int, workers: int) -> None:
     """Reject a radius, trial count or worker count that is no integer or out of range, and work past the caps."""
     check_integer(L, "L")
     check_integer(trials, "trials")
-    check_integer(workers, "workers")
+    check_workers(workers)
     sites = Window(L).site_count
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    check_workers(workers)
     if sites > _SITE_LIMIT:
         raise CapExceeded(f"window has {sites} sites; a Monte Carlo field is capped at {_SITE_LIMIT}")
     if trials * sites > _SITE_TRIAL_LIMIT:
@@ -369,6 +368,7 @@ def exact_origin_reach_probability(L: int, c: float) -> float:
     Feasible only for tiny windows; raises :class:`CapExceeded` beyond
     ``_EXHAUSTIVE_SITE_LIMIT`` sites.
     """
+    check_integer(L, "L")
     window = Window(L)
     side = window.side
     n = window.site_count

@@ -13,20 +13,18 @@ origin cluster of an occupancy grid from a depth-first search.
 
 ``_iter_shapes`` is Redelmeier's recursion one shape at a time, the
 reference for the library's shape frontier (``enumeration._shape_frontier``):
-it splits the tree into the same parts, and with a ``_ShapeTally`` it counts
-the subtrees below the shapes too wide for the span lemma by
-``_count_below``.  ``census_part`` is the reference for the census's block
-kernel: it extracts one shape at a time, each embedded by ``_embed`` in its
-own big-integer bitboard for ``_contour_bits``, and keys it by
-``_canonical_contour``.  ``census_classes`` is the reference for the census's
-class pass: it builds each distinct contour with ``_ccw_cycle`` from its key
-alone, and translates, winds and classifies one positioned contour at a
-time, with ``oracle_class`` for the class rule.
+it splits the tree into the same parts.  ``census_part`` is the reference
+for the census's block kernel: it extracts one shape at a time, each
+embedded by ``_embed`` in its own big-integer bitboard for
+``_contour_bits``, and keys it by ``_canonical_contour``.
+``census_classes`` is the reference for the census's class pass: it builds
+each distinct contour with ``_ccw_cycle`` from its key alone, and
+translates, winds and classifies one positioned contour at a time, with
+``oracle_class`` for the class rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -46,13 +44,7 @@ from peierls import (
     site_boundary,
     winding_number,
 )
-from peierls.enumeration import (
-    _CANON_STRIDE,
-    _SHAPE_LIMIT,
-    _SPLIT_SIZE,
-    _max_span,
-    _shape_limit_error,
-)
+from peierls.enumeration import _CANON_STRIDE, _SPLIT_SIZE, _max_span
 
 # ---------------------------------------------------------------------------
 # Redelmeier's recursion, one shape at a time.
@@ -66,49 +58,11 @@ _ORIGIN = 32
 _STEPS = (1, -1, 64, -64)
 
 
-@dataclass
-class _ShapeTally:
-    """Shapes of one part of the search tree, built or only counted, and the limit on them."""
-
-    limit: int
-    shapes: int = 0
-
-
-def _count_below(untried: list[int], seen: set[int], left: int, budget: int) -> int:
-    """Number of shapes below a node of Redelmeier's search tree, none of them built.
-
-    ``untried`` and ``seen`` are the node's state in :func:`_iter_shapes`,
-    and the shapes below it have 1..``left`` more cells.  ``untried`` is
-    consumed and ``seen`` is left as it was.  Counting stops as soon as the
-    count passes ``budget``, and returns that partial count.
-    """
-    n = len(untried)
-    if left == 1:
-        return n
-    if left == 2:
-        # popping the j-th last untried cell gives one shape plus one leaf
-        # per cell still untried (j - 1) or newly opened by it
-        return n * (n + 1) // 2 + len(
-            [nb for c in untried for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
-        )
-    total = 0
-    while untried:
-        c = untried.pop()
-        new = [nb for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
-        seen.update(new)
-        total += 1 + _count_below(untried + new, seen, left - 1, budget - total - 1)
-        seen.difference_update(new)
-        if total > budget:
-            break
-    return total
-
-
 def _iter_shapes(
     max_size: int,
     max_span: int | None = None,
     part: int = 0,
     parts: int = 1,
-    tally: _ShapeTally | None = None,
 ) -> Iterator[tuple[list[int], int, int, int, int]]:
     """Every free-anchored 4-connected shape of size <= max_size, once each.
 
@@ -118,22 +72,16 @@ def _iter_shapes(
     shape is bits 64*y to 64*y + 63), the smallest encoded column, and the
     bounding box width and height (the anchor row is y = 0).  A shape takes
     its untried cells smallest first, and each child keeps the larger ones,
-    so the tree is that of the frontier.  With ``max_span``, a shape whose box is wider or taller than that is
-    still yielded, but never grown: every shape below it in the search tree
-    is a superset, hence at least as wide.
-
-    With a ``tally``, the shapes below each shape not grown for its span are
-    counted by :func:`_count_below` instead of being dropped.  ``tally.shapes``
-    then runs over every shape of the part, yielded or counted, and
-    :class:`CapExceeded` is raised as soon as it passes ``tally.limit``, in
-    the middle of a counted subtree too.
+    so the tree is that of the frontier.  With ``max_span``, a shape whose
+    box is wider or taller than that is still yielded, but never grown: every
+    shape below it in the search tree is a superset, hence at least as wide.
 
     With ``parts > 1`` only part ``part`` of the search tree is yielded: the
     shapes of size ``_SPLIT_SIZE`` in the span-pruned tree are ranked by
     their parent's cell mask, then their new cell, and the part keeps those
     of rank ``part`` modulo ``parts`` and the subtrees below them; smaller
-    shapes, and the subtrees counted below them, belong to part 0.  These
-    are the parts of ``enumeration._shape_frontier``.
+    shapes belong to part 0.  These are the parts of
+    ``enumeration._shape_frontier``.
     """
     if max_size > 30:
         raise CapExceeded(f"shape size {max_size} exceeds the coordinate encoding range")
@@ -182,10 +130,6 @@ def _iter_shapes(
         y1 = cy if cy > ymax else ymax
         w = x1 - x0 + 1
         if show:
-            if tally is not None:
-                tally.shapes += 1
-                if tally.shapes > tally.limit:
-                    raise _shape_limit_error(tally.limit)
             yield shape, bits, x0, w, y1 + 1
         if len(shape) < max_size:
             if w <= max_span and y1 < max_span:
@@ -198,14 +142,6 @@ def _iter_shapes(
                 # the smallest untried cell first, keeping the larger ones, as the frontier does
                 stack.append((sorted(untried + new, reverse=True), new, x0, x1, y1))
                 continue
-            if tally is not None and show:
-                new = [nb for nb in (c + 1, c - 1, c + 64, c - 64) if nb >= _ORIGIN and nb not in seen]
-                seen.update(new)
-                left = max_size - len(shape)
-                tally.shapes += _count_below(untried + new, seen, left, tally.limit - tally.shapes)
-                seen.difference_update(new)
-                if tally.shapes > tally.limit:
-                    raise _shape_limit_error(tally.limit)
         bits ^= 1 << shape.pop()
 
 
@@ -448,51 +384,45 @@ def census_part(k_max: int, cap: int, part: int, parts: int):
     """Shape-by-shape twin of ``enumeration._census_part``: one bitboard contour per shape.
 
     A bad shape fails the part as there: the first in the order of size, then
-    of the cell mask moved to the box corner, among the shapes met before
-    the shape limit.
+    of the cell mask moved to the box corner.
     """
     covers: dict[int, dict[int, int]] = {}
     span = _max_span(k_max)
-    tally = _ShapeTally(_SHAPE_LIMIT)
     first_bad = None
-    try:
-        for shape, bits, xmin, w, h in _iter_shapes(cap, span, part, parts, tally):
-            if w > span or h > span:
-                continue
-            wbits, frame = _embed(shape, xmin, w, h)
-            _, gamma, ext = _contour_bits(wbits, frame)
-            glen = gamma.bit_count()
-            if glen > k_max:
-                continue
-            enclosed = (frame[0] & ~ext & ~gamma).bit_count()
-            if glen < 4 or enclosed > interior_capacity(glen):
-                order = (len(shape), sum(1 << ((e >> 6) * 64 + (e & 63) - xmin) for e in shape))
-                if first_bad is None or order < first_bad[0]:
-                    if glen < 4:
-                        error = ContourError(f"shape produced a contour of impossible length {glen}")
-                    else:
-                        error = IncompletenessError(
-                            f"a contour of length {glen} encloses {enclosed} sites, more than the "
-                            "capacity bound allows; the completeness cap is unsound for this input"
-                        )
-                    first_bad = order, error
-                continue
-            key, ox, oy = _canonical_contour(gamma, frame[4])
-            # origin positions in the canonical frame: shape cells shifted like gamma
-            n = len(shape)
-            pos = 0
-            for e in shape:
-                cx = (e & 63) - xmin + 2 - ox
-                cy = (e >> 6) + 2 - oy
-                pos |= 1 << (cy * _CANON_STRIDE + cx)
-            by_size = covers.setdefault(key, {})
-            by_size[n] = by_size.get(n, 0) | pos
-    except CapExceeded:
-        if first_bad is None:
-            raise
+    for shape, bits, xmin, w, h in _iter_shapes(cap, span, part, parts):
+        if w > span or h > span:
+            continue
+        wbits, frame = _embed(shape, xmin, w, h)
+        _, gamma, ext = _contour_bits(wbits, frame)
+        glen = gamma.bit_count()
+        if glen > k_max:
+            continue
+        enclosed = (frame[0] & ~ext & ~gamma).bit_count()
+        if glen < 4 or enclosed > interior_capacity(glen):
+            order = (len(shape), sum(1 << ((e >> 6) * 64 + (e & 63) - xmin) for e in shape))
+            if first_bad is None or order < first_bad[0]:
+                if glen < 4:
+                    error = ContourError(f"shape produced a contour of impossible length {glen}")
+                else:
+                    error = IncompletenessError(
+                        f"a contour of length {glen} encloses {enclosed} sites, more than the "
+                        "capacity bound allows; the completeness cap is unsound for this input"
+                    )
+                first_bad = order, error
+            continue
+        key, ox, oy = _canonical_contour(gamma, frame[4])
+        # origin positions in the canonical frame: shape cells shifted like gamma
+        n = len(shape)
+        pos = 0
+        for e in shape:
+            cx = (e & 63) - xmin + 2 - ox
+            cy = (e >> 6) + 2 - oy
+            pos |= 1 << (cy * _CANON_STRIDE + cx)
+        by_size = covers.setdefault(key, {})
+        by_size[n] = by_size.get(n, 0) | pos
     if first_bad is not None:
         raise first_bad[1]
-    return tally.shapes, {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
+    return {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
 
 
 def contour_cycle(sites) -> tuple[Site, ...]:
@@ -525,9 +455,9 @@ def oracle_class(contour: Contour) -> tuple[int, int]:
 
 
 def census_classes(results) -> tuple[dict[tuple[int, int, int], int], dict[int, Contour]]:
-    """The class counts and witnesses of census parts' ``(shapes, covers)``, one positioned contour at a time."""
+    """The class counts and witnesses of census parts' covers, one positioned contour at a time."""
     final: dict[int, int] = {}
-    for _, covers in results:
+    for covers in results:
         for key, by_size in covers.items():
             for pos in by_size.values():
                 final[key] = final.get(key, 0) | pos

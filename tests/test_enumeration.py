@@ -1,4 +1,3 @@
-import signal
 from collections import Counter, defaultdict
 from functools import lru_cache
 from types import SimpleNamespace
@@ -14,7 +13,6 @@ from contour_oracle import (
     _contour_bits,
     _embed,
     _iter_shapes,
-    _ShapeTally,
     block_rows,
     census_classes,
     census_part,
@@ -27,13 +25,17 @@ from peierls import (
     ContourError,
     IncompletenessError,
     NoRayIntersection,
+    Window,
     class_decomposition,
     contour_event_table,
     exact_contour_counts,
+    exact_origin_reach_probability,
     full_count_table,
     interior_capacity,
     outer_boundary,
     self_avoiding_circuit_count,
+    tail_bound,
+    truncated_q,
     walk_bound,
 )
 from peierls import clusters, enumeration, kernel, pool
@@ -123,26 +125,6 @@ def test_shape_tree_parts_partition_the_shapes(n, span, parts):
         assert not list(_iter_shapes(n, span, parts - 1, parts))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=9),
-    span=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
-    parts=st.integers(min_value=1, max_value=7),
-)
-def test_counted_subtrees_complete_the_pruned_walk(n, span, parts):
-    # the parts, each yielding the span-pruned tree and counting what it
-    # prunes, hold exactly the shapes of the unpruned tree
-    unpruned = sum(1 for part in range(parts) for _ in _iter_shapes(n, None, part, parts))
-    total = 0
-    for part in range(parts):
-        tally = _ShapeTally(limit=unpruned)
-        counting = [(tuple(s), b, x, w, h) for s, b, x, w, h in _iter_shapes(n, span, part, parts, tally)]
-        assert counting == [(tuple(s), b, x, w, h) for s, b, x, w, h in _iter_shapes(n, span, part, parts)]
-        assert tally.shapes >= len(counting)
-        total += tally.shapes
-    assert total == unpruned
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     cap=st.integers(min_value=1, max_value=9),
@@ -151,27 +133,21 @@ def test_counted_subtrees_complete_the_pruned_walk(n, span, parts):
     chunk=st.integers(min_value=1, max_value=64),
 )
 def test_shape_frontier_matches_the_oracle_walk(cap, span, parts, chunk):
-    # the parts of the frontier, counting or dropping the shapes that left
-    # the span box, hold the oracle's unpruned count and its in-span shapes
-    # as blocks of row masks, part by part, for chunks of any size
+    # the parts of the frontier hold the oracle's in-span shapes as nonempty
+    # blocks of row masks, part by part, for chunks of any size
     max_len = 2 * (cap if span is None else span) + 2
     box = min(cap, enumeration._max_span(max_len))
-    unpruned = counted = 0
     for part in range(parts):
         inside = [(b, x) for _, b, x, w, h in _iter_shapes(cap, span, part, parts) if w <= box and h <= box]
         want = Counter(map(tuple, block_rows([b for b, _ in inside], [x for _, x in inside], box).tolist()))
-        unpruned += sum(1 for _ in _iter_shapes(cap, None, part, parts))
+        got = Counter()
         with mock.patch.object(enumeration, "_SHAPE_CHUNK", chunk):
-            for wide in (True, False):
-                got, shapes = Counter(), 0
-                for shapes, rows in _shape_frontier(max_len, cap, part, parts, wide):
-                    assert rows.shape[1] == box + 4
-                    got.update(map(tuple, rows.tolist()))
-                assert got == want
-                counted += shapes if wide else 0
+            for rows in _shape_frontier(max_len, cap, part, parts):
+                assert len(rows) and rows.shape[1] == box + 4
+                got.update(map(tuple, rows.tolist()))
+        assert got == want
         if cap < _SPLIT_SIZE and part > 0:
-            assert not want and shapes == 0
-    assert counted == unpruned
+            assert not got
 
 
 def test_cluster_enumeration_cap():
@@ -210,8 +186,23 @@ def test_exact_counts_match_reference_path():
 @pytest.mark.parametrize("k_max, shapes", [(8, 91), (10, 3_792), (11, 50_148)])
 def test_shape_count_is_the_fixed_polyomino_total(k_max, shapes):
     # sum of OEIS A001168 (fixed polyominoes) up to the cap, most of them
-    # only counted below a shape too wide for the span lemma
+    # below a shape too wide for the span lemma
     assert exact_contour_counts(k_max).meta["shapes"] == shapes
+
+
+@pytest.mark.parametrize("cap, shapes", [(14, 9_800_041), (15, 37_194_707)])
+def test_shape_count_at_the_largest_caps_below_the_limit(cap, shapes):
+    # A001168's totals past the sizes the oracle's walk can check; the span
+    # lemma prunes nearly all of these shapes at k = 8, so the census is quick
+    assert exact_contour_counts(8, cluster_cap=cap).meta["shapes"] == shapes
+
+
+def test_fixed_shape_table_matches_the_unpruned_walk():
+    by_size = Counter(len(shape) for shape, *_ in _iter_shapes(10))
+    assert list(enumeration._FIXED_SHAPES[:10]) == [by_size[n] for n in range(1, 11)]
+    # the table ends at the first size whose running total passes the limit
+    totals = np.cumsum(enumeration._FIXED_SHAPES)
+    assert totals[-1] > enumeration._SHAPE_LIMIT >= totals[-2]
 
 
 def test_shape_count_at_length_twelve(table12):
@@ -221,25 +212,17 @@ def test_shape_count_at_length_twelve(table12):
 
 def test_shapes_in_the_span_box_at_length_twelve():
     # the shapes of up to 13 cells that fit the 5 x 5 box, built for the
-    # contour kernel; the census only counts the other 2,249,567
-    assert sum(len(rows) for _, rows in _shape_frontier(12, 13, 0, 1)) == 345_600
+    # contour kernel; the other 2,249,567 are never built
+    assert sum(len(rows) for rows in _shape_frontier(12, 13, 0, 1)) == 345_600
 
 
-def test_shape_limit_stops_inside_a_counted_subtree():
-    # at cap 25 nearly every shape sits below a shape wider than 5 cells,
-    # in subtrees far too large to count to the end
-    def hung(signum, frame):
-        raise TimeoutError("the shape limit was not checked while counting a subtree")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with mock.patch.object(enumeration, "_SHAPE_LIMIT", 10**6):
-            with pytest.raises(CapExceeded, match="limit of 1000000"):
-                exact_contour_counts(12, cluster_cap=25)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+@pytest.mark.parametrize("cap", [16, 25])
+def test_shape_limit_is_checked_before_any_work(cap):
+    # 141,787,644 fixed shapes up to size 16; at 25 the table has no total
+    with mock.patch.object(pool, "_fan_out", side_effect=AssertionError("a pool was started")):
+        for count in (exact_contour_counts, full_count_table):
+            with pytest.raises(CapExceeded, match="^shape enumeration exceeded the limit of 50000000$"):
+                count(12, cluster_cap=cap)
 
 
 def test_counts_idempotent_under_larger_cap():
@@ -425,6 +408,38 @@ def test_walk_arguments_must_be_integers_before_the_kernel_loads():
     assert self_avoiding_circuit_count(np.int64(8), max_nodes=np.int32(10**9)) == self_avoiding_circuit_count(8)
 
 
+#: (parameter, entry point called with it, an integer it takes)
+_INTEGER_PARAMETERS = {
+    "exact_contour_counts-workers": ("workers", lambda v: exact_contour_counts(8, workers=v), 2),
+    "exact_contour_counts-cluster_cap": ("cluster_cap", lambda v: exact_contour_counts(8, cluster_cap=v), 5),
+    "full_count_table-workers": ("workers", lambda v: full_count_table(6, workers=v), 2),
+    "full_count_table-cluster_cap": ("cluster_cap", lambda v: full_count_table(6, cluster_cap=v), 2),
+    "self_avoiding_circuit_count-workers": ("workers", lambda v: self_avoiding_circuit_count(6, workers=v), 2),
+    "contour_event_table-max_len": ("max_len", lambda v: contour_event_table(v), 8),
+    "contour_event_table-workers": ("workers", lambda v: contour_event_table(8, workers=v), 2),
+    "walk_bound-k": ("k", walk_bound, 6),
+    "interior_capacity-k": ("k", interior_capacity, 12),
+    "Window-radius": ("radius", Window, 3),
+    "exact_origin_reach_probability-L": ("L", lambda v: exact_origin_reach_probability(v, 0.5), 1),
+    "tail_bound-r": ("r", lambda v: tail_bound(0.9, v), 6),
+    "truncated_q-r": ("r", lambda v: truncated_q(0.9, v), 6),
+}
+
+
+@pytest.mark.parametrize("entry", list(_INTEGER_PARAMETERS))
+def test_integer_parameters_are_checked_before_any_work(entry):
+    name, call, good = _INTEGER_PARAMETERS[entry]
+    with (
+        mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")),
+        mock.patch.object(pool, "_fan_out", side_effect=AssertionError("a pool was started")),
+    ):
+        for bad in (1.0, True, "3"):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad!r}$"):
+                call(bad)
+    # numpy integers are integers
+    assert call(np.int64(good)) == call(good)
+
+
 def test_walk_allocation_failure_raises_memory_error():
     with mock.patch.object(kernel, "_library", SimpleNamespace(peierls_walk=lambda *args: -1)):
         for count in (self_avoiding_circuit_count, full_count_table):
@@ -454,11 +469,13 @@ def test_shape_limit_threshold():
             assert exact_contour_counts(10, workers=workers).meta["shapes"] == shapes
 
 
-def test_each_task_is_capped_on_its_own():
+def test_the_walk_task_is_capped_on_its_own():
     with pytest.raises(CapExceeded):
         _circuit_walk(10, "five", 100)
-    with mock.patch.object(enumeration, "_SHAPE_LIMIT", 100), pytest.raises(CapExceeded):
-        _census_part(10, interior_capacity(10), 1, 8)
+    # the shape limit is checked once, before the census parts start
+    covers = _census_part(10, interior_capacity(10), 1, 8)
+    with mock.patch.object(enumeration, "_SHAPE_LIMIT", 100):
+        assert _census_part(10, interior_capacity(10), 1, 8) == covers
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -631,8 +648,8 @@ def test_census_part_matches_scalar_reference(k_max, cap, part, parts):
     got, want = _census_part(k_max, cap, part, parts), census_part(k_max, cap, part, parts)
     assert got == want
     # keys and sizes are listed in ascending order, whatever order the shapes come in
-    assert list(got[1]) == list(want[1]) == sorted(want[1])
-    assert [list(by_size) for by_size in got[1].values()] == [list(by_size) for by_size in want[1].values()]
+    assert list(got) == list(want) == sorted(want)
+    assert [list(by_size) for by_size in got.values()] == [list(by_size) for by_size in want.values()]
 
 
 @settings(max_examples=12, deadline=None)
@@ -650,7 +667,7 @@ _DIAMOND = frozenset({(1, 0), (0, 1), (2, 1), (1, 2)})
 def _census_of(contour, positions):
     """The census table of one part that holds one canonical contour around the given origin positions."""
     key, cover = (sum(1 << (y * _CANON_STRIDE + x) for x, y in sites) for sites in (contour, positions))
-    return _census_table(4, 1, iter([(1, {key: {1: cover}})]))
+    return _census_table(4, 1, iter([{key: {1: cover}}]))
 
 
 def test_crafted_census_classifies_its_contour():
@@ -731,18 +748,9 @@ def test_census_part_fails_on_the_first_bad_shape(block, tight, cleared, error):
     assert str(got.value) == str(want.value)
 
 
-def test_shapes_met_before_the_shape_limit_come_first():
-    met = []
-    with mock.patch.object(enumeration, "_SHAPE_LIMIT", 100), pytest.raises(CapExceeded):
-        for shapes, rows in _shape_frontier(10, 8, 0, 1):
-            met.append((shapes, len(rows)))
-    # the expansion that passed the limit still came out, with its shapes
-    assert met[-1][0] > 100 and sum(n for _, n in met) > 0
-    # so a bad shape among them wins over the limit, in the census and its oracle
+def test_a_bad_shape_fails_the_census_part_and_its_oracle():
     capacity = lambda k: interior_capacity(k) - 1  # noqa: E731
     with (
-        mock.patch.object(enumeration, "_SHAPE_LIMIT", 100),
-        mock.patch.object(contour_oracle, "_SHAPE_LIMIT", 100),
         mock.patch.object(enumeration, "interior_capacity", capacity),
         mock.patch.object(contour_oracle, "interior_capacity", capacity),
     ):

@@ -11,12 +11,13 @@ than ``max_nodes`` nodes.
 from __future__ import annotations
 
 from peierls import CapExceeded, SelfAvoidingCounts, winding_number
-from peierls.enumeration import _allowed_dirs
 from peierls.lattice import NEIGHBOR_OFFSETS_8
 
 
 def oracle_circuit_count(k_max: int, *, rule: str = "five", max_nodes: int = 200_000_000) -> SelfAvoidingCounts:
-    allowed = _allowed_dirs(rule)
+    # a step turns the heading d by at most 90 degrees (five) or 135 (seven)
+    turns = {"five": 2, "seven": 3}[rule]
+    allowed = [[(d + t) % 8 for t in range(-turns, turns + 1)] for d in range(8)]
     offsets = NEIGHBOR_OFFSETS_8
     walks = {k: 0 for k in range(4, k_max + 1)}
     distinct: dict[int, set[frozenset]] = {k: set() for k in range(4, k_max + 1)}
