@@ -1,8 +1,10 @@
-/* The package's compiled kernel, two entry points built into one library (peierls/kernel.py):
+/* The package's compiled kernel, three entry points built into one library (peierls/kernel.py):
  *
  * - peierls_flood, the one connectivity kernel of the Monte Carlo and its one site hash: an invasion flood over
  *   hashed keys;
- * - peierls_walk, the census's circuit walk: every restricted self-avoiding circuit of every start in one walk.
+ * - peierls_walk, the census's circuit walk: every restricted self-avoiding circuit of every start in one walk;
+ * - peierls_shapes, one part of the span-pruned shape tree of the census and the event table, with each shape's
+ *   contour, and peierls_free for the records it hands back.
  *
  * Build: cc -O2 -shared -fPIC -o kernel.so _kernel.c
  *
@@ -325,4 +327,203 @@ done:
     free(idx);
     free(tmp);
     return code;
+}
+
+/* THE SHAPE TREE
+ *
+ * Redelmeier's tree of the fixed polyominoes of up to cap cells (Redelmeier, Discrete Math. 36 (1981) 191-203), grown
+ * depth-first and cut down by the span lemma.  A shape is anchored at its lowest, leftmost cell, the origin, so its
+ * cells lie in the half plane y > 0 or (y = 0 and x >= 0).  A shape wider or taller than box = min((max_len - 2) / 2,
+ * cap) has a contour of more than max_len sites, and so has every shape below it, being at least as wide: it is
+ * dropped with its subtree.  So the shapes grown lie in |x| < box, 0 <= y < box, and their neighbours in |x| <= box,
+ * 0 <= y <= box.  Site (x, y) there is bit y * (2 * box + 1) + x of a site mask: the bits >= 0 are the half plane, in
+ * (y, x) order.
+ *
+ * A shape carries its untried sites.  Its children take them lowest first, and the child that takes site i keeps the
+ * untried sites above i and adds those of i's axis neighbours that no shape on the path to it has seen, so the tree
+ * meets every fixed shape once.
+ *
+ * Part `part` of `parts`: every part grows the shapes below the split size SPLIT, and the j-th shape of the split
+ * size met in depth-first order, j = 0, 1, ..., in span or not, goes with its subtree to part j mod parts.  Part 0
+ * alone keeps the shapes below the split size.  One part is the whole tree.
+ *
+ * Each shape built sits in a square frame of box + 4 rows of box + 4 bits, cell (x, y) at bit x - xmin + 2 of row
+ * y + 2: padded by 2, so that its boundary stays off the frame's edge and the edge lies in its exterior.  Its boundary
+ * (the free axis neighbours of its cells), its exterior (the free sites an axis path over free sites joins to the
+ * frame's edge) and its contour (the boundary sites with an axis neighbour in the exterior) are the steps of
+ * clusters._contour_rows, on 64-bit rows.  A shape whose contour has at most max_len sites is kept as a record of
+ * 2 * (box + 4) + 3 words: its cell rows, its contour rows, and its cell, boundary and exterior counts.
+ */
+
+#define SPLIT 6    /* the split size, enumeration._SPLIT_SIZE */
+#define MAX_CAP 30 /* the largest cap, enumeration._MAX_SHAPE: a frame of at most 34 rows */
+
+/* A part of the tree in progress: its limits, the path's seen and untried sites, the shape and the kept records. */
+struct tree {
+    int32_t max_len, cap, part, parts, box, side, height, words;
+    int64_t split, built; /* the split-size shapes met, and the shapes built */
+    uint64_t full;        /* the bits of a frame row */
+    uint64_t *seen;       /* the sites seen on the path */
+    uint64_t *untried;    /* untried[size * words ...]: the untried sites of the path's shape of `size` cells */
+    uint64_t cells[MAX_CAP]; /* row y of the shape, cell (x, y) at bit x + box */
+    uint64_t *rec;
+    size_t nrec, maxrec;
+};
+
+/* Grow row y of the exterior by its neighbours in the rows above and below and along the row, within its free sites:
+ * 1 when it grew, else 0. */
+static int spread(uint64_t *ext, const uint64_t *vacant, int32_t y, int32_t height)
+{
+    uint64_t e = (ext[y] | (y ? ext[y - 1] : 0) | (y + 1 < height ? ext[y + 1] : 0)) & vacant[y], grown;
+    while ((grown = (e | e << 1 | e >> 1) & vacant[y]) != e)
+        e = grown;
+    if (e == ext[y])
+        return 0;
+    ext[y] = e;
+    return 1;
+}
+
+/* The contour of the boundary bnd against the exterior ext, the boundary sites with an axis neighbour in it, and its
+ * length. */
+static int32_t contour_length(const uint64_t *bnd, const uint64_t *ext, uint64_t *contour, int32_t height)
+{
+    int32_t length = 0;
+    for (int32_t y = 0; y < height; y++) {
+        contour[y] = bnd[y] & (ext[y] << 1 | ext[y] >> 1 | (y ? ext[y - 1] : 0) | (y + 1 < height ? ext[y + 1] : 0));
+        length += popcount(contour[y]);
+    }
+    return length;
+}
+
+/* Build the path's shape of `size` cells, whose leftmost column is xmin, in its frame, and keep it if its contour has
+ * at most max_len sites: 0, or -1 when the records cannot grow. */
+static int shape(struct tree *t, int32_t size, int32_t xmin)
+{
+    const int32_t h = t->height;
+    uint64_t cells[MAX_CAP + 4], bnd[MAX_CAP + 4], vacant[MAX_CAP + 4], ext[MAX_CAP + 4], contour[MAX_CAP + 4];
+    t->built++;
+    for (int32_t y = 0; y < h; y++)
+        cells[y] = y >= 2 && y < t->box + 2 ? t->cells[y - 2] >> (xmin + t->box) << 2 : 0;
+    /* the exterior starts from the free sites that see the frame's top or bottom edge along their column */
+    uint64_t below[MAX_CAP + 4], blocked = 0, above = 0;
+    for (int32_t y = 0; y < h; y++) {
+        const uint64_t near = cells[y] << 1 | cells[y] >> 1 | (y ? cells[y - 1] : 0) | (y + 1 < h ? cells[y + 1] : 0);
+        bnd[y] = near & t->full & ~cells[y];
+        below[y] = blocked |= cells[y] | bnd[y];
+    }
+    for (int32_t y = h - 1; y >= 0; y--) {
+        above |= cells[y] | bnd[y];
+        vacant[y] = ~(cells[y] | bnd[y]) & t->full;
+        ext[y] = vacant[y] & ~(below[y] & above);
+    }
+    /* the exterior only grows, and so does the contour: one already too long is kept no further */
+    for (int grown = 1; grown;) {
+        if (contour_length(bnd, ext, contour, h) > t->max_len)
+            return 0;
+        grown = 0;
+        for (int32_t y = 0; y < h; y++)
+            grown |= spread(ext, vacant, y, h);
+        for (int32_t y = h - 1; y >= 0; y--)
+            grown |= spread(ext, vacant, y, h);
+    }
+    const size_t stride = 2 * (size_t)h + 3;
+    if (t->nrec == t->maxrec) {
+        uint64_t *grown = realloc(t->rec, 2 * t->maxrec * stride * sizeof *grown);
+        if (!grown)
+            return -1;
+        t->rec = grown;
+        t->maxrec *= 2;
+    }
+    uint64_t *r = t->rec + t->nrec++ * stride;
+    memcpy(r, cells, (size_t)h * sizeof *r);
+    memcpy(r + h, contour, (size_t)h * sizeof *r);
+    r[2 * h] = (uint64_t)size;
+    r[2 * h + 1] = r[2 * h + 2] = 0;
+    for (int32_t y = 0; y < h; y++) {
+        r[2 * h + 1] += (uint64_t)popcount(bnd[y]);
+        r[2 * h + 2] += (uint64_t)popcount(ext[y]);
+    }
+    return 0;
+}
+
+/* Grow the children of the path's shape of `size` cells, in columns xmin..xmax and rows 0..ymax, and their subtrees:
+ * 0, or -1 when the records cannot grow. */
+static int grow(struct tree *t, int32_t size, int32_t xmin, int32_t xmax, int32_t ymax)
+{
+    uint64_t *untried = t->untried + (size_t)size * t->words, *next = untried + t->words;
+    for (int32_t w = 0; w < t->words; w++)
+        while (untried[w]) {
+            /* the lowest untried site: the children after this one keep the sites above it only */
+            const int32_t i = w * 64 + __builtin_ctzll(untried[w]);
+            untried[w] &= untried[w] - 1;
+            const int32_t y = (i + t->box) / t->side, x = i - y * t->side;
+            const int32_t x0 = x < xmin ? x : xmin, x1 = x > xmax ? x : xmax, y1 = y > ymax ? y : ymax;
+            if (size + 1 == SPLIT && t->parts > 1 && t->split++ % t->parts != t->part)
+                continue;
+            if (x1 - x0 >= t->box || y1 >= t->box)
+                continue;
+            const uint64_t cell = (uint64_t)1 << (x + t->box);
+            t->cells[y] |= cell;
+            if ((size + 1 >= SPLIT || t->part == 0) && shape(t, size + 1, x0))
+                return -1;
+            if (size + 1 < t->cap) {
+                /* a cell of a grown shape has |x| < box and y < box, so its neighbours stay in their rows */
+                const int32_t near[4] = {i + 1, i - 1, i + t->side, i - t->side};
+                int32_t added[4], n = 0;
+                memcpy(next, untried, (size_t)t->words * sizeof *next);
+                for (int32_t k = 0; k < 4; k++) {
+                    const int32_t s = near[k];
+                    if (s >= 0 && !(t->seen[s >> 6] >> (s & 63) & 1)) {
+                        t->seen[s >> 6] |= (uint64_t)1 << (s & 63);
+                        next[s >> 6] |= (uint64_t)1 << (s & 63);
+                        added[n++] = s;
+                    }
+                }
+                const int code = grow(t, size + 1, x0, x1, y1);
+                for (int32_t k = 0; k < n; k++)
+                    t->seen[added[k] >> 6] &= ~((uint64_t)1 << (added[k] & 63));
+                if (code)
+                    return code;
+            }
+            t->cells[y] &= ~cell;
+        }
+    return 0;
+}
+
+/* Grow part `part` of `parts` of the span-pruned tree of shapes of up to cap cells, 4 <= max_len, 1 <= cap <= 30 and
+ * 0 <= part < parts, and keep the shapes whose contour has at most max_len sites: *records the kept records, *kept
+ * their number and *built the shapes built.  Returns 0, *records to be released with peierls_free; -1 when the
+ * scratch or the records cannot be allocated, *records NULL. */
+int peierls_shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, uint64_t **records, int64_t *kept,
+                   int64_t *built)
+{
+    const int32_t span = (max_len - 2) / 2, box = span < cap ? span : cap;
+    struct tree t = {.max_len = max_len, .cap = cap, .part = part, .parts = parts, .box = box, .side = 2 * box + 1,
+                     .height = box + 4, .maxrec = 256};
+    t.words = (box * t.side + box + 64) / 64; /* the sites up to (box, box) */
+    t.full = ((uint64_t)1 << t.height) - 1;
+    t.seen = calloc((size_t)t.words, sizeof *t.seen);
+    t.untried = calloc((size_t)(cap + 1) * t.words, sizeof *t.untried);
+    t.rec = malloc(t.maxrec * (2 * (size_t)t.height + 3) * sizeof *t.rec);
+    int code = -1;
+    if (t.seen && t.untried && t.rec) {
+        t.seen[0] = t.untried[0] = 1; /* the origin */
+        code = grow(&t, 0, 0, 0, 0);
+    }
+    free(t.seen);
+    free(t.untried);
+    *built = t.built;
+    *kept = code ? 0 : (int64_t)t.nrec;
+    if (code) {
+        free(t.rec);
+        t.rec = NULL;
+    }
+    *records = t.rec;
+    return code;
+}
+
+/* Release the records of peierls_shapes. */
+void peierls_free(uint64_t *records)
+{
+    free(records);
 }

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .enumeration import CountTable, contour_event_table
-from .errors import DivergentSeries, InsufficientData, check_integer
+from .errors import DivergentSeries, InsufficientData, check_concentration, check_integer
 
 __all__ = [
     "BoundReport",
@@ -39,10 +39,9 @@ _TABLE_MODES = {"exact": "exact", "sa": "sa_walk"}
 
 
 def _check_point(c: float, r: int) -> None:
-    """Reject a concentration outside [0, 1], NaN included, and a truncation length that is no integer or below 4."""
+    """Reject a concentration that is no real number in [0, 1], NaN included, and a truncation length below 4 or no integer."""
     check_integer(r, "r")
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concentration must lie in [0, 1], got {c}")
+    check_concentration(c, "c")
     if r < 4:
         raise ValueError(f"truncation length must be >= 4, got {r}")
 

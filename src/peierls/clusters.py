@@ -10,10 +10,14 @@ come in as site sets: the census enumerates them as shapes and the Monte
 Carlo floods occupancy grids without naming clusters, so none is grown here.
 
 The package has one contour extractor, :func:`_contour_rows`, and one cycle
-tracer, :func:`_cycle_rows`.  Both run on a numpy block of row masks: the
-census and the event table of :mod:`peierls.enumeration` pass thousands of
-small shapes at once, and :func:`outer_boundary` passes a block of one
-cluster of any size.  The tests keep set-based references for both.
+tracer, :func:`_cycle_rows`.  Both run on a numpy block of row masks:
+:func:`outer_boundary` extracts and traces a block of one cluster of any
+size, and the census of :mod:`peierls.enumeration` traces all its distinct
+contours at once.  The census and the event table take their shapes'
+contours from the compiled shape tree (``peierls_shapes`` of
+:mod:`peierls.kernel`), which runs the steps of :func:`_contour_rows` one
+shape at a time as it builds them.  The tests keep set-based references for
+both, and check the kernel's contours against them.
 """
 
 from __future__ import annotations
@@ -96,11 +100,11 @@ def site_boundary(sites: frozenset[Site]) -> frozenset[Site]:
 def _row_dtype(width: int):
     """The numpy type of a row of ``width`` bits.
 
-    uint16 holds the frames of the benchmarked census and polynomial (9
-    columns at k = 12 and r = 13), where it is faster than uint64.  Wider
-    frames come from a raised cluster cap or from :func:`outer_boundary`, and
-    past 64 columns a row is a Python int in an object array, which the
-    kernels take as they take fixed-width rows.
+    uint16 holds the frames of the census's distinct contours at k = 12,
+    which :func:`_cycle_rows` traces in 9 columns, where it is faster than
+    uint64.  Wider frames come from longer contours or from
+    :func:`outer_boundary`, and past 64 columns a row is a Python int in an
+    object array, which the kernels take as they take fixed-width rows.
     """
     return np.uint16 if width <= 16 else np.uint64 if width <= 64 else object
 

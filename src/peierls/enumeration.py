@@ -2,13 +2,12 @@
 
 The census counts, for each length k, the distinct outer contours of finite
 occupied clusters containing the origin.  It enumerates free-anchored cluster
-shapes once each (Redelmeier's algorithm), extracts their outer contours a
-block of shapes at a time with the row-mask kernel of :mod:`peierls.clusters`,
-and then accounts for the translates that place the origin inside the cluster;
-translates of one shape share one contour shape, so the per-translate work is
-a set union instead of a fresh traversal.  Distinct positions of the origin
-give distinct contours, exactly as distinct clusters at different positions
-are distinct events.
+shapes once each (Redelmeier's algorithm), extracts their outer contours in
+the same compiled pass, and then accounts for the translates that place the
+origin inside the cluster; translates of one shape share one contour shape,
+so the per-translate work is a set union instead of a fresh traversal.
+Distinct positions of the origin give distinct contours, exactly as distinct
+clusters at different positions are distinct events.
 
 Completeness of a size-capped enumeration rests on two facts.  A cluster
 always lies strictly inside its own contour, and a closed king-move cycle
@@ -18,15 +17,12 @@ bound).  A cap at that capacity therefore sees every realizable contour of
 length <= k.  The census additionally verifies that the counts have
 stabilized over the last three cap values.
 
-Redelmeier's search tree is grown as a numpy frontier (:func:`_shape_frontier`).
-A state is a pair of site masks, its untried and its seen sites, in uint64
-words over the sites a capped shape can reach (157 sites in 3 words at
-k = 12).  The child that takes untried bit b keeps the untried bits above b
-and adds b's unseen neighbours: the tree meets every fixed shape once for
-any order of the untried set (Redelmeier, *Counting polyominoes: yet another
-attack*, Discrete Math. 36 (1981) 191-203).  States wait in chunks of one
-size on a last-in first-out stack, and an expansion grows at most
-``_SHAPE_CHUNK`` (state, bit) pairs, so memory is a few chunks per size.
+Redelmeier's search tree is grown depth-first in C (``peierls_shapes`` of
+:mod:`peierls.kernel`, called by :func:`_shape_block`).  A shape carries its
+untried sites; the child that takes the lowest keeps the untried sites above
+it and adds the new cell's unseen neighbours, so the tree meets every fixed
+shape once (Redelmeier, *Counting polyominoes: yet another attack*, Discrete
+Math. 36 (1981) 191-203).
 
 Most capped shapes are too wide for a short contour (the span lemma).  If a
 shape's bounding box is w x h, its contour holds a site in column xmin - 1
@@ -41,13 +37,12 @@ every capped shape: their number is the total of the fixed polyominoes
 (OEIS A001168) up to the cap, from ``_FIXED_SHAPES``, which also refuses
 before any work a cap whose total passes ``_SHAPE_LIMIT``.
 
-A state also carries its box and its cell mask over a
-(2 * box - 1) x box window.  One gather turns the in-span children of an
-expansion into a block of ``(N, box + 4)`` row masks (uint16 up to a box of
-12, uint64 beyond), every shape padded by 2 in one square frame, for
-:func:`clusters._contour_rows` and :func:`clusters._popcounts`.
-:func:`contour_event_table` counts the (|W|, |boundary|) pairs of a block
-with ``np.unique``.  The census checks a block's contour lengths and enclosed
+The kernel takes each shape it builds through the steps of
+:func:`clusters._contour_rows` (boundary, exterior fill, contour) on 64-bit
+rows, and hands back only the shapes whose contour is short enough, as row
+masks with their cell, boundary and exterior counts: 2,797 of the 345,600 at
+k = 12.  :func:`contour_event_table` counts their (|W|, |boundary|) pairs
+with ``np.unique``.  The census checks their contour lengths and enclosed
 sites, moves each contour and its cells to the contour's bounding-box
 corner, groups the shapes by canonical contour and size, and ORs each
 group's cells into one cover; only the distinct groups become the stride-32
@@ -60,9 +55,9 @@ one per length, become :class:`Contour` objects.
 Both halves of the census run on ``workers`` forked processes and give the
 same results for every worker count.  Redelmeier's search tree splits into
 disjoint subtrees: every part grows the tree down to the shapes of size 6
-(``_SPLIT_SIZE``) a whole level at a time, ranks them by the parent's cells
-and the new site, and part p of P grows only those of rank % P == p; the
-smaller shapes come from part 0.  Each part returns its per-size covers by
+(``_SPLIT_SIZE``), and the j-th of those met in depth-first order goes with
+its subtree to part j % P of P; the smaller shapes come from part 0.  The
+kernel grows one part in one call.  Each part returns its per-size covers by
 canonical key, and the parent merges them by OR per size before the
 trajectory, stabilisation and class passes.  :func:`full_count_table` puts
 the census parts and the circuit walk on one pool, the walk as one task
@@ -93,16 +88,16 @@ nodes and 161,180 records.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 # Functions of other peierls modules are called through their modules:
 # perfbench/tracing.py records a span for every call of a function imported
-# by name into this module, and the block kernels of peierls.clusters run
-# several times per expansion of the shape frontier.
+# by name into this module.
 from . import clusters, kernel, pool
 from .clusters import Contour
 from .errors import CapExceeded, ContourError, IncompletenessError, NoRayIntersection, check_integer, check_workers
@@ -156,17 +151,13 @@ def interior_capacity(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-shape enumeration (Redelmeier) as a numpy frontier.
-#
-# Bit i of a site mask is the i-th site in (y, x) order of the half plane
-# y > 0 or (y == 0 and x >= 0), which anchors a shape at its lowest, leftmost
-# cell, cut to the sites |x| + y <= cap - 1 that a shape of cap cells can
-# reach.  Bit y * (2 * box - 1) + x + box - 1 of a cell mask is site (x, y).
+# Fixed-shape enumeration (Redelmeier), in the kernel's peierls_shapes.
 # ---------------------------------------------------------------------------
 
-#: Largest shape the frontier grows; its site tables grow as the size**4 / 8 bytes.
+#: Largest shape the census grows, the kernel's MAX_CAP: a 30-cell shape's
+#: contour spans at most 32 columns, a row of a stride-32 key (``_CANON_STRIDE``).
 _MAX_SHAPE = 30
-#: Shape size at which the search tree splits into parts.
+#: Shape size at which the search tree splits into parts (the kernel's SPLIT).
 _SPLIT_SIZE = 6
 #: Most fixed polyominoes up to a census's cap, over all parts; a larger cap is
 #: refused before any work.  The span lemma prunes most of them, so their
@@ -178,122 +169,58 @@ _FIXED_SHAPES = (
     1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446, 135268, 505861,
     1903890, 7204874, 27394666, 104592937,
 )
-#: (state, bit) pairs per expansion of the shape frontier; the in-span
-#: children of one expansion form one block of the contour kernel.
-_SHAPE_CHUNK = 1 << 13
 #: Row stride of the census's canonical contour keys and origin covers.
 _CANON_STRIDE = 32
+#: What needs the kernel, named in a :class:`BuildError` when it cannot be
+#: built: the census and the walk, and the event table.
+_NEED = "the census and the circuit walk (counts, bounds --mode exact|sa)"
+_EVENT_NEED = "the event table of the truncated polynomial (bounds --r >= 5)"
 
 
 def _shape_size_error(cap: int) -> CapExceeded:
     return CapExceeded(f"shape size {cap} exceeds the coordinate encoding range")
 
 
-def _site_tables(cap: int, box: int):
-    """Per half-plane site of a size-``cap`` shape: the site masks of its axis
-    neighbours and of the sites after it, its cell mask in a ``box`` span
-    (zero outside the window), and its x and y."""
-    sites = [(x, y) for y in range(cap) for x in range(y - cap + 1, cap - y) if y or x >= 0]
-    index = {s: i for i, s in enumerate(sites)}
-    n, side = len(sites), 2 * box - 1
-    adjacent = np.zeros((n, -(-n // 64) * 64), bool)
-    for i, (x, y) in enumerate(sites):
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in index:
-                adjacent[i, index[nb]] = True
-    x, y = np.array(sites).T
-    inside = np.flatnonzero((abs(x) < box) & (y < box))
-    win = np.zeros((n, -(-side * box // 64) * 64), bool)
-    win[inside, y[inside] * side + x[inside] + box - 1] = True
-    above = np.triu(np.ones_like(adjacent), 1)
-    return (*(np.packbits(m, axis=1, bitorder="little").view("<u8") for m in (adjacent, above, win)), x, y)
+class _Shapes(NamedTuple):
+    """The shapes of one part of the span-pruned tree whose contour is short enough (:func:`_shape_block`)."""
+
+    #: (N, box + 4) uint64 frame rows, cell (x, y) at bit x - xmin + 2 of row y + 2
+    cells: np.ndarray
+    #: the contours' rows in the same frames
+    contours: np.ndarray
+    #: the int64 cell, boundary and exterior counts of each shape
+    sizes: np.ndarray
+    boundaries: np.ndarray
+    exteriors: np.ndarray
+    #: the shapes of the part built, short contour or not
+    built: int
 
 
-def _shape_frontier(max_len: int, cap: int, part: int, parts: int):
+def _shape_block(max_len: int, cap: int, part: int, parts: int) -> _Shapes:
     """Part ``part`` of ``parts`` of Redelmeier's tree of shapes up to size ``cap``, pruned by the span lemma.
 
-    Yields, after each expansion, the nonempty ``(N, box + 4)`` row masks
-    (see :func:`clusters._contour_rows`) of the part's shapes met in it that
-    fit the span box of ``max_len``.  A shape out of the box is dropped with
-    its subtree, since every shape below it is at least as wide.
-
-    The split-size shapes are ranked by their parent's cell mask, then their
-    new site, and part p keeps those of rank p modulo ``parts``.  Part 0
-    keeps the smaller shapes.
+    One call of the kernel's ``peierls_shapes`` grows the part and keeps its
+    shapes whose contour has at most ``max_len`` sites, each in a square frame
+    of ``min(_max_span(max_len), cap) + 4`` rows padded by 2.  The j-th shape
+    of size ``_SPLIT_SIZE`` met in depth-first order goes with its subtree to
+    part j % ``parts``; part 0 keeps the smaller shapes.  Raises
+    :class:`MemoryError` when the kernel cannot allocate its records.
     """
     if cap > _MAX_SHAPE:
         raise _shape_size_error(cap)
-    span = _max_span(max_len)
-    box = min(span, cap)  # a shape of n cells is at most n wide
-    nbr, above, win, sx, sy = _site_tables(cap, box)
-    row_start = np.arange(box) * (2 * box - 1) + box - 1
-    dtype = clusters._row_dtype(box + 4)
-
-    def rows_of(cells: np.ndarray, xmin: np.ndarray) -> np.ndarray:
-        # the box columns of each window row, shifted to bit 2 of a frame
-        # row, in one gather from the two words each row may span
-        words = np.zeros((len(cells), cells.shape[1] + 1), np.uint64)
-        words[:, :-1] = cells
-        start = row_start + xmin[:, None]
-        word = (start >> 6) + np.arange(len(cells))[:, None] * words.shape[1]
-        shift = (start & 63).astype(np.uint64)
-        low = np.take(words, word) >> shift
-        high = np.take(words, word + 1) << np.uint64(1) << (np.uint64(63) - shift)
-        rows = np.zeros((len(cells), box + 4), dtype)
-        rows[:, 2 : box + 2] = ((low | high) & np.uint64((1 << box) - 1)) << np.uint64(2)
-        return rows
-
-    def pairs(untried: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # (state, bit) for every untried bit, taking the lowest bit of every
-        # nonzero word at a time: a state has a few bits in a few words
-        index = np.flatnonzero(untried)
-        values = untried.ravel()[index]
-        found, bits = [], []
-        while len(index):
-            low = values & (~values + np.uint64(1))
-            found.append(index)
-            bits.append(np.bitwise_count(low - np.uint64(1)))
-            values ^= low
-            more = np.flatnonzero(values)
-            index, values = index[more], values[more]
-        index = np.concatenate(found)
-        return index // untried.shape[1], index % untried.shape[1] * 64 + np.concatenate(bits)
-
-    origin = np.zeros(1, np.int64)
-    if part == 0:
-        yield rows_of(win[:1], origin)
-    # the origin is the one site not above itself
-    stack = [(1, nbr[:1], nbr[:1] | ~above[:1], win[:1], origin, origin, origin)] if cap > 1 else []
-    while stack:
-        size, *states = stack.pop()
-        # whole levels below the split size, so that the ranks are over all
-        cut = max(1, int(np.searchsorted(clusters._popcounts(states[0]).cumsum(), _SHAPE_CHUNK, "right")))
-        if size < _SPLIT_SIZE:
-            cut = len(states[0])
-        elif cut < len(states[0]):
-            stack.append((size, *(a[cut:] for a in states)))
-        untried, seen, cells, xmin, xmax, ymax = (a[:cut] for a in states)
-        p, b = pairs(untried)
-        size += 1
-        if size == _SPLIT_SIZE and parts > 1:
-            rank = np.empty(len(p), np.int64)
-            rank[np.lexsort((b, *np.take(cells, p, axis=0).T))] = np.arange(len(p))
-            keep = np.flatnonzero(rank % parts == part)
-            p, b = p[keep], b[keep]
-        xmin = np.minimum(np.take(xmin, p), np.take(sx, b))
-        xmax = np.maximum(np.take(xmax, p), np.take(sx, b))
-        ymax = np.maximum(np.take(ymax, p), np.take(sy, b))
-        inside = np.flatnonzero((xmax - xmin < span) & (ymax < span))
-        if not len(inside):
-            continue
-        p, b, xmin, xmax, ymax = (np.take(a, inside) for a in (p, b, xmin, xmax, ymax))
-        cells = np.take(cells, p, axis=0) | np.take(win, b, axis=0)
-        if size >= _SPLIT_SIZE or part == 0:
-            yield rows_of(cells, xmin)
-        if size < cap:
-            near, seen = np.take(nbr, b, axis=0), np.take(seen, p, axis=0)
-            untried = (np.take(untried, p, axis=0) & np.take(above, b, axis=0)) | (near & ~seen)
-            stack.append((size, untried, seen | near, cells, xmin, xmax, ymax))
+    height = min(_max_span(max_len), cap) + 4
+    library = kernel.load(_NEED)
+    records, kept, built = ctypes.c_void_p(), ctypes.c_int64(), ctypes.c_int64()
+    if library.peierls_shapes(max_len, cap, part, parts, *map(ctypes.byref, (records, kept, built))) < 0:
+        raise MemoryError(f"cannot allocate the shape tree's records at cap {cap}")
+    kept, built = kept.value, built.value
+    stride = 2 * height + 3
+    try:
+        block = np.frombuffer(ctypes.string_at(records, 8 * kept * stride), np.uint64).reshape(kept, stride)
+    finally:
+        library.peierls_free(records)
+    sizes, boundaries, exteriors = block[:, 2 * height :].astype(np.int64).T
+    return _Shapes(block[:, :height], block[:, height : 2 * height], sizes, boundaries, exteriors, built)
 
 
 def _to_corner(rows: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
@@ -390,63 +317,52 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
 
     ``covers[key][n]`` is the union of the origin positions, in the canonical
     frame, of the size-n shapes whose contour is ``key``.  Keys and sizes are
-    in ascending order, whatever order the frontier meets the shapes in.
-    Each block of shapes is reduced at once: its contours and cells move to
-    the contour's bounding-box corner, the shapes are grouped by canonical
-    contour and size, and each group's cells are ORed into one cover.
+    in ascending order, whatever order the kernel meets the shapes in.  The
+    part's shapes with contours of length <= ``k_max`` come from one kernel
+    call (:func:`_shape_block`) and are reduced at once: their contours and
+    cells move to the contour's bounding-box corner, the shapes are grouped
+    by canonical contour and size, and each group's cells are ORed into one
+    cover.
 
     A contour shorter than 4 or enclosing more sites than its length allows
     fails the part.  The error names the first such shape by size, then by
     cell mask read as an integer with the shape moved to its box corner
     (cell (x, y) at bit 64 * y + x - xmin).
     """
-    covers: dict[int, dict[int, int]] = {}
-    first_bad = None
+    shapes = _shape_block(k_max, cap, part, parts)
+    rows, gamma, cell_counts = shapes.cells, shapes.contours, shapes.sizes
+    width = rows.shape[1]
+    lengths = clusters._popcounts(gamma)
     # interior_capacity by length; a length below 4 fails before it is read
     capacity = np.array([interior_capacity(max(k, 4)) for k in range(k_max + 1)])
-    for rows in _shape_frontier(k_max, cap, part, parts):
-        width = rows.shape[1]
-        _, gamma, ext = clusters._contour_rows(rows, width)
-        lengths = clusters._popcounts(gamma)
-        kept = lengths <= k_max
-        rows, gamma, ext, lengths = rows[kept], gamma[kept], ext[kept], lengths[kept]
-        cell_counts = clusters._popcounts(rows)
-        short = lengths < 4
-        enclosed = width * width - clusters._popcounts(ext) - lengths
-        bad = np.flatnonzero(short | (enclosed > capacity[lengths]))
-        if len(bad):
-            # frame rows from the top down compare as the cell masks do
-            i = bad[np.lexsort((*rows[bad].T, cell_counts[bad]))[0]]
-            shape = (int(cell_counts[i]), rows[i, ::-1].tolist(), int(lengths[i]), int(enclosed[i]))
-            first_bad = min(first_bad or shape, shape)
-        if first_bad:
-            continue
-        # the corner of each contour's bounding box: its first row, and the
-        # trailing zeros of the OR of its rows
-        columns = np.bitwise_or.reduce(gamma, axis=1)
-        ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None])
-        oy = (gamma != 0).argmax(axis=1)
-        canon = _to_corner(gamma, ox, oy)
-        groups, inverse, sizes = np.unique(
-            np.column_stack([canon, cell_counts.astype(canon.dtype)]),
-            axis=0,
-            return_inverse=True,
-            return_counts=True,
-        )
-        order = np.argsort(inverse.reshape(-1), kind="stable")
-        cells = np.bitwise_or.reduceat(_to_corner(rows, ox, oy)[order], np.cumsum(sizes) - sizes, axis=0)
-        for g in range(len(groups)):
-            by_size = covers.setdefault(_row_bits(groups[g, :-1], _CANON_STRIDE), {})
-            n = int(groups[g, -1])
-            by_size[n] = by_size.get(n, 0) | _row_bits(cells[g], _CANON_STRIDE)
-    if first_bad:
-        *_, length, enclosed = first_bad
-        if length < 4:
-            raise ContourError(f"shape produced a contour of impossible length {length}")
+    enclosed = width * width - shapes.exteriors - lengths
+    bad = np.flatnonzero((lengths < 4) | (enclosed > capacity[lengths]))
+    if len(bad):
+        # frame rows from the top down compare as the cell masks do
+        i = bad[np.lexsort((*rows[bad].T, cell_counts[bad]))[0]]
+        if lengths[i] < 4:
+            raise ContourError(f"shape produced a contour of impossible length {int(lengths[i])}")
         raise IncompletenessError(
-            f"a contour of length {length} encloses {enclosed} sites, more than the capacity "
+            f"a contour of length {int(lengths[i])} encloses {int(enclosed[i])} sites, more than the capacity "
             "bound allows; the completeness cap is unsound for this input"
         )
+    # the corner of each contour's bounding box: its first row, and the
+    # trailing zeros of the OR of its rows
+    columns = np.bitwise_or.reduce(gamma, axis=1)
+    ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None])
+    oy = (gamma != 0).argmax(axis=1)
+    canon = _to_corner(gamma, ox, oy)
+    groups, inverse, sizes = np.unique(
+        np.column_stack([canon, cell_counts.astype(canon.dtype)]),
+        axis=0,
+        return_inverse=True,
+        return_counts=True,
+    )
+    order = np.argsort(inverse.reshape(-1), kind="stable")
+    cells = np.bitwise_or.reduceat(_to_corner(rows, ox, oy)[order], np.cumsum(sizes) - sizes, axis=0)
+    covers: dict[int, dict[int, int]] = {}
+    for group, cover in zip(groups, cells):
+        covers.setdefault(_row_bits(group[:-1], _CANON_STRIDE), {})[int(group[-1])] = _row_bits(cover, _CANON_STRIDE)
     return {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
 
 
@@ -611,27 +527,21 @@ def exact_contour_counts(
     breakdown, and the analytic ``walk_bound`` column filled in.  Raises
     :class:`CapExceeded`, before any work, if the fixed polyominoes up to the
     cap, every shape of the unpruned tree, number more than ``_SHAPE_LIMIT``.
+    The shape tree is grown in the compiled kernel of :mod:`peierls.kernel`,
+    built and loaded after the arguments are checked and before the workers
+    fork; it raises :class:`BuildError` when no C compiler ``cc`` can build it.
     """
     cap = _census_cap(k_max, cluster_cap, workers)
+    kernel.load(_NEED)  # built and loaded before the workers fork
     with pool._fan_out(_census_tasks(k_max, cap, workers), workers) as results:
         return _census_table(k_max, cap, results)
 
 
 def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
-    """Event multiplicities of one part of the (span-pruned) shape tree."""
-    events: dict[tuple[int, int], int] = {}
-    for rows in _shape_frontier(max_len, cap, part, parts):
-        width = rows.shape[1]
-        bnd, gamma, _ = clusters._contour_rows(rows, width)
-        kept = clusters._popcounts(gamma) <= max_len
-        pairs, counts = np.unique(
-            np.column_stack([clusters._popcounts(rows[kept]), clusters._popcounts(bnd[kept])]),
-            axis=0,
-            return_counts=True,
-        )
-        for (n, b), count in zip(pairs.tolist(), counts.tolist()):
-            events[n, b] = events.get((n, b), 0) + n * count
-    return events
+    """Event multiplicities of one part of the (span-pruned) shape tree, from one kernel call."""
+    shapes = _shape_block(max_len, cap, part, parts)
+    pairs, counts = np.unique(np.column_stack([shapes.sizes, shapes.boundaries]), axis=0, return_counts=True)
+    return {(n, b): n * count for (n, b), count in zip(pairs.tolist(), counts.tolist())}
 
 
 def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, int], int]:
@@ -640,7 +550,8 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
     Every cluster whose contour is that short has size at most
     ``interior_capacity(max_len)``, so the table is a complete, exact census
     of the events feeding the truncated polynomial.  ``workers`` processes
-    share the shape tree; the table does not depend on it.
+    share the shape tree; the table does not depend on it.  The tree is grown
+    in the compiled kernel, as for :func:`exact_contour_counts`.
     """
     check_integer(max_len, "max_len")
     if max_len < 4:
@@ -653,6 +564,7 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
             "beyond the feasible enumeration range"
         )
     parts = pool._parts(workers)
+    kernel.load(_EVENT_NEED)  # built and loaded before the workers fork
     events: dict[tuple[int, int], int] = {}
     with pool._fan_out([(_event_part, max_len, cap, p, parts) for p in range(parts)], workers) as results:
         for part_events in results:
@@ -685,10 +597,6 @@ _TURNS = {"five": 2, "seven": 3}
 _MAX_STARTS = 64
 #: The largest node cap the walk takes: it counts nodes in a signed 64-bit integer.
 _MAX_NODES = (1 << 63) - 1
-#: What needs the kernel, named in a :class:`BuildError` when it cannot be built.
-_NEED = "the circuit walk (counts, bounds --mode exact|sa)"
-
-
 def _circuit_walk(k_max: int, rule: str, max_nodes: int) -> SelfAvoidingCounts:
     """Walk every circuit of every start, in the kernel's ``peierls_walk``, for valid arguments.
 

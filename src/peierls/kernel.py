@@ -1,12 +1,16 @@
 """The package's one compiled kernel, ``_kernel.c``: built with ``cc`` on first use, cached and loaded.
 
-The C source holds two entry points.  ``peierls_flood`` is the invasion
-flood of the Monte Carlo (:mod:`peierls.montecarlo`), and ``peierls_walk``
-the circuit walk of the census (:mod:`peierls.enumeration`).  :func:`load`
-builds the source into a shared library, caches it and loads it once per
-process, so every command that runs either one needs a C compiler ``cc``:
-``simulate`` for the flood, ``counts`` and ``bounds --mode exact|sa`` for the
-walk.  Importing this module builds and loads nothing.
+The C source holds three entry points.  ``peierls_flood`` is the invasion
+flood of the Monte Carlo (:mod:`peierls.montecarlo`), ``peierls_walk`` the
+circuit walk of the census, and ``peierls_shapes`` the span-pruned shape tree
+with its contours, for the census and the event table of the truncated
+polynomial (:mod:`peierls.enumeration`); ``peierls_free`` releases the
+records ``peierls_shapes`` hands back.  :func:`load` builds the source into a
+shared library, caches it and loads it once per process, so every command
+that runs one of them needs a C compiler ``cc``: ``simulate`` for the flood,
+``counts`` and ``bounds --mode exact|sa`` for the census and the walk, and
+``bounds`` at ``--r >= 5`` for the event table.  Importing this module builds
+and loads nothing.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ def _cache() -> str:
 
 
 def load(need: str):
-    """The kernel's library, built on first use and cached, with both entry points declared.
+    """The kernel's library, built on first use and cached, with its entry points declared.
 
     ``need`` names the work and the commands that need the kernel, as in
-    ``"the circuit walk (counts, bounds --mode exact|sa)"``; the
+    ``"the census and the circuit walk (counts, bounds --mode exact|sa)"``; the
     :class:`BuildError` raised when the kernel cannot be built or loaded
     names it.
 
@@ -86,5 +90,9 @@ def load(need: str):
     library.peierls_flood.argtypes = [uint64, uint64, int64, int32, uint64, int32, pointer, int32, pointer, pointer]
     library.peierls_walk.restype = ctypes.c_int
     library.peierls_walk.argtypes = [int32, int32, int64, pointer, pointer, pointer]
+    library.peierls_shapes.restype = ctypes.c_int
+    library.peierls_shapes.argtypes = [int32, int32, int32, int32, pointer, pointer, pointer]
+    library.peierls_free.restype = None
+    library.peierls_free.argtypes = [pointer]
     _library = library
     return library

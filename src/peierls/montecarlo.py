@@ -56,7 +56,7 @@ from typing import Iterator
 import numpy as np
 
 from . import kernel, pool
-from .errors import CapExceeded, check_integer, check_workers
+from .errors import CapExceeded, check_concentration, check_integer, check_workers
 from .lattice import Window
 
 __all__ = [
@@ -235,8 +235,7 @@ def _check_run(L: int, trials: int, workers: int) -> None:
 
 def _estimate(counter, L: int, c: float, trials: int, seed: int, workers: int) -> McEstimate:
     _check_run(L, trials, workers)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concentration must lie in [0, 1], got {c}")
+    check_concentration(c, "c")
     kernel.load(_NEED)  # built and loaded before the workers fork
     hits = _count_events(counter, L, c, trials, seed, workers)
     value = hits / trials
@@ -369,13 +368,12 @@ def exact_origin_reach_probability(L: int, c: float) -> float:
     ``_EXHAUSTIVE_SITE_LIMIT`` sites.
     """
     check_integer(L, "L")
+    check_concentration(c, "c")
     window = Window(L)
     side = window.side
     n = window.site_count
     if n > _EXHAUSTIVE_SITE_LIMIT:
         raise CapExceeded(f"window has {n} sites; exhaustive enumeration capped at {_EXHAUSTIVE_SITE_LIMIT}")
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concentration must lie in [0, 1], got {c}")
 
     def idx(x: int, y: int) -> int:
         return (y + L) * side + (x + L)

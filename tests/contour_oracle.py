@@ -12,11 +12,13 @@ come from ``_iter_shapes``, each shape placed once at every cell, and the
 origin cluster of an occupancy grid from a depth-first search.
 
 ``_iter_shapes`` is Redelmeier's recursion one shape at a time, the
-reference for the library's shape frontier (``enumeration._shape_frontier``):
-it splits the tree into the same parts.  ``census_part`` is the reference
-for the census's block kernel: it extracts one shape at a time, each
+reference for the kernel's shape tree (``enumeration._shape_block``): it
+grows the tree in the same order and splits it into the same parts.
+``shape_block`` is the reference for the kernel's records, each shape
 embedded by ``_embed`` in its own big-integer bitboard for
-``_contour_bits``, and keys it by ``_canonical_contour``.
+``_contour_bits``.  ``census_part`` is the reference for the census's
+reduction: it extracts one shape at a time and keys it by
+``_canonical_contour``.
 ``census_classes`` is the reference for the census's class pass: it builds
 each distinct contour with ``_ccw_cycle`` from its key alone, and
 translates, winds and classifies one positioned contour at a time, with
@@ -77,11 +79,9 @@ def _iter_shapes(
     shape below it in the search tree is a superset, hence at least as wide.
 
     With ``parts > 1`` only part ``part`` of the search tree is yielded: the
-    shapes of size ``_SPLIT_SIZE`` in the span-pruned tree are ranked by
-    their parent's cell mask, then their new cell, and the part keeps those
-    of rank ``part`` modulo ``parts`` and the subtrees below them; smaller
-    shapes belong to part 0.  These are the parts of
-    ``enumeration._shape_frontier``.
+    j-th shape of size ``_SPLIT_SIZE`` met in depth-first order, j = 0, 1,
+    ..., goes with its subtree to part j modulo ``parts``; smaller shapes
+    belong to part 0.  These are the parts of ``enumeration._shape_block``.
     """
     if max_size > 30:
         raise CapExceeded(f"shape size {max_size} exceeds the coordinate encoding range")
@@ -90,10 +90,7 @@ def _iter_shapes(
     # stack depth at which a popped cell completes a shape of the split size;
     # 0 (never reached) when the whole tree is wanted
     split = _SPLIT_SIZE if parts > 1 else 0
-    if split:
-        # (parent mask, new cell) of each split-size shape, in ascending order
-        top = _iter_shapes(_SPLIT_SIZE, max_span)
-        rank = {key: i for i, key in enumerate(sorted((b ^ 1 << s[-1], s[-1]) for s, b, *_ in top if len(s) == split))}
+    met = 0  # split-size shapes met
     show = True
     shape: list[int] = []
     bits = 0
@@ -116,7 +113,8 @@ def _iter_shapes(
         if len(stack) <= split:
             # the top of the tree, which every part walks
             if len(stack) == split:
-                if rank[bits, c] % parts != part:
+                met += 1
+                if (met - 1) % parts != part:
                     continue
                 show = True
             else:
@@ -149,7 +147,7 @@ def block_rows(masks: list[int], xmins: list[int], box: int) -> np.ndarray:
     """The ``(N, box + 4)`` row masks of ``_iter_shapes`` shapes at most ``box`` wide and tall, in one frame.
 
     Shape cell (x, y) sits at column x - xmin + 2 and row y + 2, as in the
-    blocks of ``enumeration._shape_frontier``.
+    records of ``enumeration._shape_block``.
     """
     words = np.frombuffer(b"".join([m.to_bytes(8 * box, "little") for m in masks]), "<u8").reshape(-1, box)
     rows = np.zeros((len(masks), box + 4), clusters._row_dtype(box + 4))
@@ -423,6 +421,28 @@ def census_part(k_max: int, cap: int, part: int, parts: int):
     if first_bad is not None:
         raise first_bad[1]
     return {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
+
+
+def shape_block(max_len: int, cap: int, part: int, parts: int) -> tuple[list[tuple], int]:
+    """Shape-by-shape twin of ``enumeration._shape_block``: the kept records and the count of shapes built.
+
+    A record is ``(cell rows, contour rows, cells, boundary sites, exterior
+    sites)`` of a shape in its square frame of ``box + 4`` rows, the rows as
+    tuples of ints.
+    """
+    box = min(_max_span(max_len), cap)
+    side = box + 4
+    records, built = [], 0
+    for shape, _, xmin, w, h in _iter_shapes(cap, _max_span(max_len), part, parts):
+        if w > box or h > box:
+            continue
+        built += 1
+        wbits, frame = _embed(shape, xmin, box, box)
+        bnd, gamma, ext = _contour_bits(wbits, frame)
+        if gamma.bit_count() <= max_len:
+            rows = [tuple(bits >> (y * side) & (1 << side) - 1 for y in range(side)) for bits in (wbits, gamma)]
+            records.append((*rows, len(shape), bnd.bit_count(), ext.bit_count()))
+    return records, built
 
 
 def contour_cycle(sites) -> tuple[Site, ...]:

@@ -333,8 +333,8 @@ def test_monte_carlo_work_cap_exits_3_with_one_line(argv, capsys):
 
 def test_simulate_without_a_compiler_exits_3_and_other_commands_run(tmp_path):
     # a PATH with no cc and an empty kernel cache: no command that runs the
-    # flood or the circuit walk can build its kernel, and the commands that
-    # never use it are unaffected
+    # flood, the census, the circuit walk or the event table can build its
+    # kernel, and the commands that never use it are unaffected
     (tmp_path / "bin").mkdir()
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     env = {
@@ -356,8 +356,10 @@ def test_simulate_without_a_compiler_exits_3_and_other_commands_run(tmp_path):
         (argv, re.escape("the Monte Carlo (simulate)"))
         for argv in ([*simulate, "--bisect"], [*simulate, "--c", "0.6"], [*simulate, "--c", "0.6", "--observable", "crossing"])
     ] + [
-        (argv, re.escape("the circuit walk (counts, bounds --mode exact|sa)"))
+        (argv, re.escape("the census and the circuit walk (counts, bounds --mode exact|sa)"))
         for argv in (["counts", "--k-max", "6"], [*bounds, "--mode", "exact"], [*bounds, "--mode", "sa"])
+    ] + [
+        ([*bounds, "--mode", "analytic"], re.escape("the event table of the truncated polynomial (bounds --r >= 5)"))
     ]
     for argv, need in needs:
         run = cli(*argv)
@@ -368,7 +370,8 @@ def test_simulate_without_a_compiler_exits_3_and_other_commands_run(tmp_path):
     for argv in (["counts", "--k-max", "3"], ["counts", "--k-max", "6", "--max-nodes", "0"], [*simulate, "--c", "1.5"]):
         run = cli(*argv)
         assert run.returncode == 2 and run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, argv
-    run = cli(*bounds, "--mode", "analytic", "--out", str(tmp_path / "run"))
+    # below --r 5 the truncated polynomial has no contour events to count
+    run = cli("bounds", "--c", "0.9", "--r", "4", "--mode", "analytic", "--out", str(tmp_path / "run"))
     assert run.returncode == 0, run.stderr
     run = cli("manifest", str(tmp_path / "run.manifest.json"))
     assert run.returncode == 0 and run.stdout == "ok: 2 outputs reproduced\n", run.stderr

@@ -18,6 +18,7 @@ from contour_oracle import (
     census_part,
     enumerate_origin_clusters,
     oracle_outer_boundary,
+    shape_block,
 )
 from walker_oracle import oracle_circuit_count
 from peierls import (
@@ -28,12 +29,15 @@ from peierls import (
     Window,
     class_decomposition,
     contour_event_table,
+    estimate_crossing,
+    estimate_origin_reach,
     exact_contour_counts,
     exact_origin_reach_probability,
     full_count_table,
     interior_capacity,
     outer_boundary,
     self_avoiding_circuit_count,
+    series_bound,
     tail_bound,
     truncated_q,
     walk_bound,
@@ -46,7 +50,7 @@ from peierls.enumeration import (
     _census_table,
     _circuit_walk,
     _event_part,
-    _shape_frontier,
+    _shape_block,
     class_counts_csv,
     count_table_csv,
     count_table_json_dict,
@@ -125,38 +129,54 @@ def test_shape_tree_parts_partition_the_shapes(n, span, parts):
         assert not list(_iter_shapes(n, span, parts - 1, parts))
 
 
+def _kernel_records(max_len, cap, part, parts):
+    """The kernel's kept records of a part, as ``shape_block`` gives them, and its count of shapes built."""
+    shapes = _shape_block(max_len, cap, part, parts)
+    columns = (shapes.cells, shapes.contours, shapes.sizes, shapes.boundaries, shapes.exteriors)
+    return Counter((tuple(c), tuple(g), n, b, e) for c, g, n, b, e in zip(*(a.tolist() for a in columns))), shapes.built
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    cap=st.integers(min_value=1, max_value=9),
-    span=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
-    parts=st.integers(min_value=1, max_value=7),
-    chunk=st.integers(min_value=1, max_value=64),
+    tree=st.one_of(
+        # (cap, span, parts): small trees, every part of them
+        st.tuples(st.integers(1, 9), st.integers(1, 5), st.integers(1, 7)),
+        # 17-column frames, one part of at most one of the 216 split-size shapes
+        st.tuples(st.just(13), st.integers(13, 14), st.integers(216, 432)),
+    ),
+    longer=st.booleans(),
+    data=st.data(),
 )
-def test_shape_frontier_matches_the_oracle_walk(cap, span, parts, chunk):
-    # the parts of the frontier hold the oracle's in-span shapes as nonempty
-    # blocks of row masks, part by part, for chunks of any size
-    max_len = 2 * (cap if span is None else span) + 2
-    box = min(cap, enumeration._max_span(max_len))
-    for part in range(parts):
-        inside = [(b, x) for _, b, x, w, h in _iter_shapes(cap, span, part, parts) if w <= box and h <= box]
-        want = Counter(map(tuple, block_rows([b for b, _ in inside], [x for _, x in inside], box).tolist()))
-        got = Counter()
-        with mock.patch.object(enumeration, "_SHAPE_CHUNK", chunk):
-            for rows in _shape_frontier(max_len, cap, part, parts):
-                assert len(rows) and rows.shape[1] == box + 4
-                got.update(map(tuple, rows.tolist()))
-        assert got == want
-        if cap < _SPLIT_SIZE and part > 0:
-            assert not got
+def test_shape_kernel_matches_the_oracle_walk(tree, longer, data):
+    # per part, the kernel keeps the oracle's in-span shapes with contours of
+    # at most max_len sites: cells, contour rows, and boundary and exterior
+    # counts, and builds as many; a contour may be one site longer than the span
+    cap, span, parts = tree
+    max_len = 2 * span + 2 + longer
+    whole = parts <= 7
+    chosen = range(parts) if whole else [data.draw(st.integers(0, parts - 1), label="part")]
+    union, built = Counter(), 0
+    for part in chosen:
+        got, got_built = _kernel_records(max_len, cap, part, parts)
+        want, want_built = shape_block(max_len, cap, part, parts)
+        assert got == Counter(want) and got_built == want_built
+        if part:
+            assert min((n for *_, n, _, _ in got), default=_SPLIT_SIZE) >= _SPLIT_SIZE
+        union += got
+        built += got_built
+    if whole:
+        # the parts are disjoint, and together they are the whole tree
+        assert (union, built) == _kernel_records(max_len, cap, 0, 1)
 
 
 def test_cluster_enumeration_cap():
-    # the oracle encodes cells in 6-bit columns, and the frontier's site
-    # tables grow as cap**4, so shapes are capped at 30 cells
+    # the oracle encodes cells in 6-bit columns, and a census key holds a
+    # contour of at most 32 columns, so shapes are capped at 30 cells
     with pytest.raises(CapExceeded, match="coordinate encoding range"):
         next(_iter_shapes(31))
-    with pytest.raises(CapExceeded, match="coordinate encoding range"):
-        next(_shape_frontier(12, 31, 0, 1))
+    with mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")):
+        with pytest.raises(CapExceeded, match="coordinate encoding range"):
+            _shape_block(12, 31, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +231,11 @@ def test_shape_count_at_length_twelve(table12):
 
 
 def test_shapes_in_the_span_box_at_length_twelve():
-    # the shapes of up to 13 cells that fit the 5 x 5 box, built for the
-    # contour kernel; the other 2,249,567 are never built
-    assert sum(len(rows) for rows in _shape_frontier(12, 13, 0, 1)) == 345_600
+    # the shapes of up to 13 cells that fit the 5 x 5 box, built by the
+    # kernel; the other 2,249,567 are never built, and 2,797 are kept
+    shapes = _shape_block(12, 13, 0, 1)
+    assert (shapes.built, len(shapes.cells)) == (345_600, 2_797)
+    assert sum(_shape_block(12, 13, part, 8).built for part in range(8)) == 345_600
 
 
 @pytest.mark.parametrize("cap", [16, 25])
@@ -440,11 +462,61 @@ def test_integer_parameters_are_checked_before_any_work(entry):
     assert call(np.int64(good)) == call(good)
 
 
+#: Every public entry point that takes a concentration c, called with it.
+_CONCENTRATION_ENTRIES = {
+    "estimate_origin_reach": lambda c: estimate_origin_reach(4, c, 10, 1),
+    "estimate_crossing": lambda c: estimate_crossing(4, c, 10, 1),
+    "exact_origin_reach_probability": lambda c: exact_origin_reach_probability(2, c),
+    "tail_bound": lambda c: tail_bound(c, 6),
+    "series_bound": lambda c: series_bound(c),
+    "truncated_q": lambda c: truncated_q(c, 6),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (True, TypeError, "^c must be a real number, got True$"),
+        ("0.5", TypeError, "^c must be a real number, got '0.5'$"),
+        (None, TypeError, "^c must be a real number, got None$"),
+        (0.5 + 0j, TypeError, r"^c must be a real number, got \(0\.5\+0j\)$"),
+        (float("nan"), ValueError, r"^concentration must lie in \[0, 1\], got nan$"),
+        (-0.1, ValueError, r"^concentration must lie in \[0, 1\], got -0\.1$"),
+        (1.5, ValueError, r"^concentration must lie in \[0, 1\], got 1\.5$"),
+    ],
+)
+@pytest.mark.parametrize("entry", list(_CONCENTRATION_ENTRIES))
+def test_concentrations_are_checked_before_any_work(entry, bad, error, message):
+    call = _CONCENTRATION_ENTRIES[entry]
+    with (
+        mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")),
+        mock.patch.object(pool, "_fan_out", side_effect=AssertionError("a pool was started")),
+        pytest.raises(error, match=message),
+    ):
+        call(bad)
+
+
 def test_walk_allocation_failure_raises_memory_error():
-    with mock.patch.object(kernel, "_library", SimpleNamespace(peierls_walk=lambda *args: -1)):
+    library = kernel.load("a test")
+    failing = SimpleNamespace(
+        peierls_walk=lambda *args: -1, peierls_shapes=library.peierls_shapes, peierls_free=library.peierls_free
+    )
+    with mock.patch.object(kernel, "_library", failing):
         for count in (self_avoiding_circuit_count, full_count_table):
             with pytest.raises(MemoryError, match="circuit walk"):
                 count(6)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shape_tree_allocation_failure_raises_memory_error(workers):
+    # the kernel hands back no records; forked workers inherit the patch
+    freed = []
+    failing = SimpleNamespace(peierls_shapes=lambda *args: -1, peierls_free=freed.append)
+    with mock.patch.object(kernel, "_library", failing):
+        for census in (exact_contour_counts, full_count_table, contour_event_table):
+            with pytest.raises(MemoryError, match="^cannot allocate the shape tree's records at cap 2$"):
+                census(6, workers=workers)
+    assert freed == []
 
 
 def test_walk_past_the_start_bits_is_capped():
@@ -692,15 +764,20 @@ def test_census_class_pass_rejects_crafted_contours(contour, positions, error, m
         _census_of(contour, positions)
 
 
-def test_blocks_of_any_size_give_the_same_parts():
+@pytest.mark.parametrize("parts", [2, 7, 300])
+def test_any_number_of_parts_merges_to_the_whole_tree(parts):
+    # the covers merge by OR and the events by sum, as the parent merges them
     census, events = _census_part(10, 8, 0, 1), _event_part(10, 8, 0, 1)
-    for size in (1, 7, 1000):
-        with mock.patch.object(enumeration, "_SHAPE_CHUNK", size):
-            assert _census_part(10, 8, 0, 1) == census
-            assert _event_part(10, 8, 0, 1) == events
+    merged, counted = defaultdict(dict), Counter()
+    for part in range(parts):
+        for key, by_size in _census_part(10, 8, part, parts).items():
+            for n, cover in by_size.items():
+                merged[key][n] = merged[key].get(n, 0) | cover
+        counted.update(_event_part(10, 8, part, parts))
+    assert {key: dict(sorted(merged[key].items())) for key in sorted(merged)} == census
+    assert dict(counted) == events
 
 
-@pytest.mark.parametrize("block", [1, 7, enumeration._SHAPE_CHUNK])
 @pytest.mark.parametrize(
     "tight, cleared, error",
     # among the 177 shapes of _census_part(10, 8, 0, 1) with contours of
@@ -717,15 +794,16 @@ def test_blocks_of_any_size_give_the_same_parts():
         ({7}, 9, "length 7 encloses 3 sites"),
     ],
 )
-def test_census_part_fails_on_the_first_bad_shape(block, tight, cleared, error):
+def test_census_part_fails_on_the_first_bad_shape(tight, cleared, error):
     # no cluster's contour is shorter than 4 (the span lemma gives 2*w + 2),
     # so that check is reached by clearing every contour of length ``cleared``
-    contour_rows, contour_bits = clusters._contour_rows, contour_oracle._contour_bits
+    shape_block, contour_bits = enumeration._shape_block, contour_oracle._contour_bits
 
-    def clear_rows(rows, width):
-        bnd, gamma, ext = contour_rows(rows, width)
-        gamma[clusters._popcounts(gamma) == cleared] = 0
-        return bnd, gamma, ext
+    def clear_block(*args):
+        shapes = shape_block(*args)
+        contours = shapes.contours.copy()
+        contours[clusters._popcounts(contours) == cleared] = 0
+        return shapes._replace(contours=contours)
 
     def clear_bits(wbits, frame):
         bnd, gamma, ext = contour_bits(wbits, frame)
@@ -735,10 +813,9 @@ def test_census_part_fails_on_the_first_bad_shape(block, tight, cleared, error):
         return interior_capacity(k) - (k in tight)
 
     with (
-        mock.patch.object(enumeration, "_SHAPE_CHUNK", block),
         mock.patch.object(enumeration, "interior_capacity", capacity),
         mock.patch.object(contour_oracle, "interior_capacity", capacity),
-        mock.patch.object(clusters, "_contour_rows", clear_rows),
+        mock.patch.object(enumeration, "_shape_block", clear_block),
         mock.patch.object(contour_oracle, "_contour_bits", clear_bits),
     ):
         with pytest.raises((ContourError, IncompletenessError), match=error) as want:

@@ -18,7 +18,7 @@ import hash_oracle
 import kernel_keys
 from bisect_oracle import oracle_bisect, oracle_critical_indices, oracle_crossing, oracle_labels
 from contour_oracle import reaches_border
-from peierls import kernel, montecarlo, pool
+from peierls import enumeration, kernel, montecarlo, pool
 from peierls import (
     BuildError,
     CapExceeded,
@@ -459,7 +459,8 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert build.returncode == 0 and build.stderr == "", build.stderr
     # the strict build's circuit walk gives the package's counts, and stops
     # with code 1 when its cap is passed mid-walk
-    walk = ctypes.CDLL(str(tmp_path / "kernel.so")).peierls_walk
+    library = ctypes.CDLL(str(tmp_path / "kernel.so"))
+    walk = library.peierls_walk
     walk.argtypes = [ctypes.c_int32, ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     for rule, turns in (("five", 2), ("seven", 3)):
         for k in range(4, 11):
@@ -472,11 +473,26 @@ def test_kernel_compiles_without_warnings(tmp_path):
                 list(sa.distinct_sets.values()),
                 sa.nodes,
             )
+    # and its shape tree keeps the package's shapes, part by part
+    library.peierls_shapes.argtypes = [*[ctypes.c_int32] * 4, *[ctypes.c_void_p] * 3]
+    library.peierls_free.argtypes = [ctypes.c_void_p]
+    for max_len, cap, part, parts in ((8, 5, 0, 1), (12, 13, 3, 8), (28, 13, 7, 1000)):
+        records, kept, built = ctypes.c_void_p(), ctypes.c_int64(), ctypes.c_int64()
+        code = library.peierls_shapes(max_len, cap, part, parts, *map(ctypes.byref, (records, kept, built)))
+        shapes = enumeration._shape_block(max_len, cap, part, parts)
+        height = shapes.cells.shape[1]
+        block = np.frombuffer(ctypes.string_at(records, 8 * kept.value * (2 * height + 3)), np.uint64)
+        library.peierls_free(records)
+        want = np.column_stack([shapes.cells, shapes.contours, shapes.sizes, shapes.boundaries, shapes.exteriors])
+        assert (code, kept.value, built.value) == (0, len(want), shapes.built)
+        assert block.tolist() == want.ravel().tolist()
 
 
 #: The test program of the sanitizer build.  The circuit walk of both rules at k_max = 4..10, whole and cut short, and the
-#: longest walk cut short.  Floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column, the origin, every site
-#: and no site, into arrays of exactly their size, checking every result against [0, 2**m).  At radius 3, 600 fields
+#: longest walk cut short.  The shape tree at max_len = 4..12 with the census's cap, whole and in 8 parts, and one part of
+#: the widest frame the shape limit admits, 19 columns at cap 15, every record checked.  Floods at radii 1-6 and m = 1,
+#: 6, 11 and 16 from the left column, the origin, every site and no site, into arrays of exactly their size, checking
+#: every result against [0, 2**m).  At radius 3, 600 fields
 #: in one call, past two wraps of the flood's seen stamp, against the same fields one call each.
 _SANITIZER_DRIVER = r"""
 #include <stdint.h>
@@ -486,6 +502,36 @@ _SANITIZER_DRIVER = r"""
 int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_t bound, int32_t m,
                   const int32_t *sources, int32_t nsources, const uint8_t *target, int32_t *out);
 int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks, int64_t *distinct, int64_t *nodes);
+int peierls_shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, uint64_t **records, int64_t *kept,
+                   int64_t *built);
+void peierls_free(uint64_t *records);
+
+/* Part `part` of `parts` of the shape tree, its kept and built shapes added to *kept and *built: 1 when the call fails
+ * or a record is out of range (its cell count, its contour length, its boundary and exterior counts, a row past the
+ * frame), else 0. */
+static int shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, int64_t *kept, int64_t *built)
+{
+    const int32_t span = (max_len - 2) / 2, height = (span < cap ? span : cap) + 4, stride = 2 * height + 3;
+    uint64_t *records;
+    int64_t k, b;
+    if (peierls_shapes(max_len, cap, part, parts, &records, &k, &b) || k > b)
+        return 1;
+    int bad = 0;
+    for (int64_t i = 0; i < k; i++) {
+        const uint64_t *r = records + i * stride;
+        int64_t length = 0;
+        for (int32_t y = 0; y < 2 * height; y++) {
+            bad |= r[y] >> height != 0;
+            length += __builtin_popcountll(r[y]) * (y >= height);
+        }
+        bad |= r[2 * height] < 1 || r[2 * height] > (uint64_t)cap || length < 4 || length > max_len;
+        bad |= r[2 * height + 1] < (uint64_t)length || r[2 * height + 2] >= (uint64_t)(height * height);
+    }
+    peierls_free(records);
+    *kept += k;
+    *built += b;
+    return bad;
+}
 
 /* The walk at k_max, into arrays of exactly its size: whole, then cut short one node before its end, and, for the
  * five rule at k_max = 10, the pinned counts walks[10] = 8383 and distinct[10] = 6643. */
@@ -522,6 +568,21 @@ int main(void)
     int64_t walks[132], distinct[132], nodes;
     if (peierls_walk(131, 3, 1000, walks, distinct, &nodes) != 1)
         return 5;
+    /* the parts of the census's tree add up to the whole; at max_len = 12, 2,797 kept of 345,600 built */
+    for (int32_t k = 4; k <= 12; k++) {
+        const int32_t cap = (k * k - 4 * k + 8) / 8;
+        int64_t kept = 0, built = 0, kept8 = 0, built8 = 0;
+        if (shapes(k, cap, 0, 1, &kept, &built) || kept < 1 || (k == 12 && (kept != 2797 || built != 345600)))
+            return 7;
+        for (int32_t part = 0; part < 8; part++)
+            if (shapes(k, cap, part, 8, &kept8, &built8))
+                return 7;
+        if (kept8 != kept || built8 != built)
+            return 7;
+    }
+    int64_t kept = 0, built = 0;
+    if (shapes(32, 15, 7, 1000, &kept, &built) || kept < 1)
+        return 8;
     const int32_t ms[4] = {1, 6, 11, 16};
     for (int32_t L = 1; L <= 6; L++) {
         const int32_t side = 2 * L + 1, n = side * side;
