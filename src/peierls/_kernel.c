@@ -157,8 +157,9 @@ int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_
  * A walk of d >= 4 sites next to its start closes for each of its starts it winds around: start l's winding sum
  * is the sum of the crossing terms around (-l, 0) of its steps, the closing one included.  It counts once for each
  * such start in walks[d], and it is recorded as its length, its site mask and one bit for each such start.  At the
- * end the records are sorted.  A start's distinct circuits of length d are its distinct site sets, so distinct[d]
- * sums, over the distinct (length, mask) pairs, the starts in the union of their bits.
+ * end the records go into a hash set keyed by (length, mask), which ORs the start bits of equal keys.  A start's
+ * distinct circuits of length d are its distinct site sets, so distinct[d] sums, over the distinct (length, mask)
+ * pairs, the starts in the union of their bits.
  */
 
 /* The king steps, counter-clockwise from east (lattice.NEIGHBOR_OFFSETS_8). */
@@ -196,6 +197,8 @@ static int record(struct walk *w, int32_t length, uint64_t bits)
 {
     const size_t stride = (size_t)w->width + 2;
     if (w->nrec == w->maxrec) {
+        if (w->maxrec >> 31) /* the hash set's uint32_t slots name at most 2**32 - 1 records */
+            return -1;
         uint64_t *grown = realloc(w->rec, 2 * w->maxrec * stride * sizeof *grown);
         if (!grown)
             return -1;
@@ -229,8 +232,11 @@ static int extend(struct walk *w, int32_t u, int32_t v, int32_t d, int32_t depth
         w->nodes += hit1 - 1;
         if (w->nodes > w->max_nodes)
             return 1;
-        for (int32_t l = 1; l < hit1; l++)
-            next[l - 1] = wind[l - 1] + crossing(l + u, v, l + u1, v1);
+        if ((v > 0) == (v1 > 0)) /* a step on one side of the ray's line crosses no ray */
+            memcpy(next, wind, (size_t)(hit1 - 1) * sizeof *next);
+        else
+            for (int32_t l = 1; l < hit1; l++)
+                next[l - 1] = wind[l - 1] + crossing(l + u, v, l + u1, v1);
         w->seen[s >> 6] |= bit;
         if (depth + 1 >= 4 && dist == 1) {
             uint64_t bits = 0;
@@ -251,20 +257,40 @@ static int extend(struct walk *w, int32_t u, int32_t v, int32_t d, int32_t depth
     return 0;
 }
 
-/* Sort the record indices idx[0 .. n) by the length and mask of their records, with tmp as scratch: a merge sort. */
-static void sort_records(const struct walk *w, size_t *idx, size_t *tmp, size_t n)
+/* Add to distinct[d], for each distinct key (length d, mask) of the walk's records, the starts in the union of their
+ * bits.  The keys go into an open-addressing hash set of record indices, of a power-of-two size at least twice the
+ * records, probed linearly from the mix of the key; a record whose key the set holds ORs its bits into the holder's.
+ * Returns 0, or -1 when the set cannot be allocated. */
+static int count_distinct(struct walk *w, int64_t *distinct)
 {
-    if (n < 2)
-        return;
-    const size_t half = n / 2, stride = (size_t)w->width + 2, bytes = ((size_t)w->width + 1) * sizeof *w->rec;
-    sort_records(w, idx, tmp, half);
-    sort_records(w, idx + half, tmp, n - half);
-    size_t i = 0, j = half, k = 0;
-    while (i < half && j < n)
-        tmp[k++] = memcmp(w->rec + idx[j] * stride, w->rec + idx[i] * stride, bytes) < 0 ? idx[j++] : idx[i++];
-    while (i < half)
-        tmp[k++] = idx[i++];
-    memcpy(idx, tmp, k * sizeof *idx); /* idx[j .. n) is in place */
+    const size_t stride = (size_t)w->width + 2, keyed = stride - 1; /* the length and the mask, then the bits */
+    size_t size = 1;
+    while (size < 2 * w->nrec)
+        size *= 2;
+    uint32_t *slot = malloc(size * sizeof *slot);
+    if (!slot)
+        return -1;
+    memset(slot, 0xff, size * sizeof *slot); /* every slot empty: UINT32_MAX */
+    for (size_t i = 0; i < w->nrec; i++) {
+        const uint64_t *r = w->rec + i * stride;
+        uint64_t h = 0;
+        for (size_t j = 0; j < keyed; j++)
+            h = mix(h ^ r[j]);
+        size_t s = h & (size - 1);
+        while (slot[s] != UINT32_MAX && memcmp(w->rec + slot[s] * stride, r, keyed * sizeof *r))
+            s = (s + 1) & (size - 1);
+        if (slot[s] == UINT32_MAX)
+            slot[s] = (uint32_t)i;
+        else
+            w->rec[slot[s] * stride + keyed] |= r[keyed];
+    }
+    for (size_t s = 0; s < size; s++)
+        if (slot[s] != UINT32_MAX) {
+            const uint64_t *r = w->rec + slot[s] * stride;
+            distinct[r[0]] += popcount(r[keyed]);
+        }
+    free(slot);
+    return 0;
 }
 
 /* Walk the restricted circuits of lengths up to k_max of every start, 4 <= k_max and (k_max - 2) / 2 <= 64, that
@@ -281,7 +307,6 @@ int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks
     w.seen = calloc((size_t)w.width, sizeof *w.seen);
     w.wind = malloc((size_t)(k_max + 1) * w.starts * sizeof *w.wind);
     w.rec = malloc(w.maxrec * stride * sizeof *w.rec);
-    size_t *idx = NULL, *tmp = NULL;
     int code = -1;
     memset(walks, 0, (size_t)(k_max + 1) * sizeof *walks);
     memset(distinct, 0, (size_t)(k_max + 1) * sizeof *distinct);
@@ -302,30 +327,12 @@ int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks
         w.seen[s >> 6] &= ~((uint64_t)1 << (s & 63));
     }
     *nodes = w.nodes;
-    if (code)
-        goto done;
-    code = -1;
-    idx = malloc((w.nrec + 1) * sizeof *idx);
-    tmp = malloc((w.nrec + 1) * sizeof *tmp);
-    if (!idx || !tmp)
-        goto done;
-    for (size_t i = 0; i < w.nrec; i++)
-        idx[i] = i;
-    sort_records(&w, idx, tmp, w.nrec);
-    for (size_t i = 0, j; i < w.nrec; i = j) {
-        const uint64_t *first = w.rec + idx[i] * stride;
-        uint64_t bits = first[w.width + 1];
-        for (j = i + 1; j < w.nrec && !memcmp(w.rec + idx[j] * stride, first, (stride - 1) * sizeof *first); j++)
-            bits |= w.rec[idx[j] * stride + w.width + 1];
-        distinct[first[0]] += popcount(bits);
-    }
-    code = 0;
+    if (!code)
+        code = count_distinct(&w, distinct);
 done:
     free(w.seen);
     free(w.wind);
     free(w.rec);
-    free(idx);
-    free(tmp);
     return code;
 }
 

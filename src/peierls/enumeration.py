@@ -81,9 +81,9 @@ whose tree holds it.  A walk's sites are a bitmask over the window of king
 distance k_max // 2 around its start, the only sites a closing walk reaches
 (169 sites in 3 words at k = 12).  A closed walk is recorded as its length,
 its mask and one bit for each start it winds around; at the end of the walk
-the records are sorted, and each distinct (length, mask) adds the starts in
-the union of its bits to the distinct-set count.  At k = 12 that is 6.4M
-nodes and 161,180 records.
+the records go into a hash set keyed by (length, mask), which ORs the bits of
+equal keys, and each distinct key adds the starts in the union of its bits to
+the distinct-set count.  At k = 12 that is 6.4M nodes and 161,180 records.
 """
 
 from __future__ import annotations
@@ -231,9 +231,14 @@ def _to_corner(rows: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
     return np.take_along_axis(moved, oy[:, None] + np.arange(height), axis=1)
 
 
-def _row_bits(rows: np.ndarray, stride: int) -> int:
-    """The bitboard with row y of ``rows`` at bit ``y * stride``."""
-    return sum(v << (y * stride) for y, v in enumerate(rows.tolist()))
+def _row_bits(rows: np.ndarray) -> list[int]:
+    """The stride-32 bitboard of each row block of ``rows``, its row y, below 2**32, at bit ``32 * y``.
+
+    The inverse of :func:`_stride_rows`: one pass packs every block.
+    """
+    data = rows.astype("<u4").tobytes()
+    step = 4 * rows.shape[1]
+    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +366,8 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
     order = np.argsort(inverse.reshape(-1), kind="stable")
     cells = np.bitwise_or.reduceat(_to_corner(rows, ox, oy)[order], np.cumsum(sizes) - sizes, axis=0)
     covers: dict[int, dict[int, int]] = {}
-    for group, cover in zip(groups, cells):
-        covers.setdefault(_row_bits(group[:-1], _CANON_STRIDE), {})[int(group[-1])] = _row_bits(cover, _CANON_STRIDE)
+    for key, size, cover in zip(_row_bits(groups[:, :-1]), groups[:, -1].tolist(), _row_bits(cells)):
+        covers.setdefault(key, {})[size] = cover
     return {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
 
 
@@ -597,6 +602,8 @@ _TURNS = {"five": 2, "seven": 3}
 _MAX_STARTS = 64
 #: The largest node cap the walk takes: it counts nodes in a signed 64-bit integer.
 _MAX_NODES = (1 << 63) - 1
+
+
 def _circuit_walk(k_max: int, rule: str, max_nodes: int) -> SelfAvoidingCounts:
     """Walk every circuit of every start, in the kernel's ``peierls_walk``, for valid arguments.
 

@@ -1,4 +1,4 @@
-"""Exception types, and the integer, concentration and worker-count checks, shared across the package."""
+"""Exception types, and the integer, real-number, concentration and worker-count checks, shared across the package."""
 
 import numbers
 
@@ -68,14 +68,19 @@ def check_integer(value, name: str) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(value, name: str) -> None:
+    """Raise :class:`TypeError` naming ``name`` unless ``value`` is a real number: a :class:`numbers.Real`, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 def check_concentration(value, name: str) -> None:
     """Raise unless ``value`` is a concentration: a real number in [0, 1].
 
-    A value that is no real number, a :class:`numbers.Real` that is not a
-    bool, raises :class:`TypeError` naming ``name``; ``nan`` and a value out
-    of [0, 1] raise :class:`ValueError`.
+    A value that is no real number raises :class:`TypeError` naming ``name``
+    (see :func:`check_real`); ``nan`` and a value out of [0, 1] raise
+    :class:`ValueError`.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
+    check_real(value, name)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"concentration must lie in [0, 1], got {value}")

@@ -56,7 +56,7 @@ from typing import Iterator
 import numpy as np
 
 from . import kernel, pool
-from .errors import CapExceeded, check_concentration, check_integer, check_workers
+from .errors import CapExceeded, check_concentration, check_integer, check_real, check_workers
 from .lattice import Window
 
 __all__ = [
@@ -140,7 +140,7 @@ def _flood(seed: int, t0: int, fields: int, L: int, bound: int, m: int, sources,
         )
     out = np.empty(fields, dtype=np.int32)
     if kernel.load(_NEED).peierls_flood(
-        seed & _M64, t0 & _M64, fields, L, bound, m, sources.ctypes.data, sources.size, target.ctypes.data, out.ctypes.data
+        int(seed) & _M64, t0 & _M64, fields, L, bound, m, sources.ctypes.data, sources.size, target.ctypes.data, out.ctypes.data
     ):
         raise MemoryError(f"cannot allocate the flood's scratch for a field of {side * side} sites")
     return out
@@ -217,10 +217,14 @@ _SITE_LIMIT = 1 << 30
 _SITE_TRIAL_LIMIT = 1 << 48
 
 
-def _check_run(L: int, trials: int, workers: int) -> None:
-    """Reject a radius, trial count or worker count that is no integer or out of range, and work past the caps."""
+def _check_run(L: int, trials: int, seed: int, workers: int) -> None:
+    """Reject a radius, trial count, seed or worker count that is no integer, one out of range, and work past the caps.
+
+    Any integer seed is taken, a negative one too: the kernel takes it mod 2**64.
+    """
     check_integer(L, "L")
     check_integer(trials, "trials")
+    check_integer(seed, "seed")
     check_workers(workers)
     sites = Window(L).site_count
     if trials < 1:
@@ -234,7 +238,7 @@ def _check_run(L: int, trials: int, workers: int) -> None:
 
 
 def _estimate(counter, L: int, c: float, trials: int, seed: int, workers: int) -> McEstimate:
-    _check_run(L, trials, workers)
+    _check_run(L, trials, seed, workers)
     check_concentration(c, "c")
     kernel.load(_NEED)  # built and loaded before the workers fork
     hits = _count_events(counter, L, c, trials, seed, workers)
@@ -328,7 +332,8 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     returned as its j* histogram (:func:`_count_events`).  Built and capped like
     :func:`estimate_origin_reach`.
     """
-    _check_run(L, trials, workers)
+    _check_run(L, trials, seed, workers)
+    check_real(tol, "tol")
     if not 1e-3 <= tol < 1.0:
         raise ValueError(f"tolerance must lie in [1e-3, 1), got {tol}")
     m = _midpoint_count(tol)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import contour_oracle
 from contour_oracle import (
@@ -50,6 +51,7 @@ from peierls.enumeration import (
     _census_table,
     _circuit_walk,
     _event_part,
+    _row_bits,
     _shape_block,
     class_counts_csv,
     count_table_csv,
@@ -713,15 +715,31 @@ def test_block_kernel_keeps_an_enclosed_free_site_out_of_the_exterior():
 
 @pytest.mark.parametrize(
     "k_max, cap, part, parts",
-    # the last part sits in a 17-column frame of uint64 rows
-    [(10, interior_capacity(10), part, 8) for part in range(8)] + [(28, 13, 7, 1000)],
+    # the next to last part sits in a 17-column frame of uint64 rows; at cap 1
+    # the one shape is part 0's, so the last part keeps no shape and is empty
+    [(10, interior_capacity(10), part, 8) for part in range(8)] + [(28, 13, 7, 1000), (4, 1, 1, 2)],
 )
 def test_census_part_matches_scalar_reference(k_max, cap, part, parts):
     got, want = _census_part(k_max, cap, part, parts), census_part(k_max, cap, part, parts)
     assert got == want
+    assert (got == {}) == (cap == 1)
     # keys and sizes are listed in ascending order, whatever order the shapes come in
     assert list(got) == list(want) == sorted(want)
     assert [list(by_size) for by_size in got.values()] == [list(by_size) for by_size in want.values()]
+
+
+@given(
+    hnp.arrays(
+        np.uint64,
+        # frames of 1 to 34 rows, the census's widest frame, and blocks of none to 20 groups
+        st.tuples(st.integers(0, 20), st.integers(1, 34)),
+        elements=st.integers(0, (1 << 32) - 1),
+    )
+)
+def test_row_bits_matches_the_shift_sum(rows):
+    # row y of each block at bit 32 * y; a block of no groups packs to none
+    assert _row_bits(rows) == [sum(v << (32 * y) for y, v in enumerate(block)) for block in rows.tolist()]
+    assert _row_bits(rows[:0]) == []
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,6 +1,8 @@
 import ctypes
+import dataclasses
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -279,6 +281,38 @@ def test_radius_trials_and_workers_must_be_integers_before_any_work():
         assert run(np.int64(4), np.int32(10), np.int64(2)) == run(4, 10, 2)
 
 
+#: Every Monte Carlo entry point that takes a seed, called with it.
+_SEED_ENTRIES = {
+    "estimate_origin_reach": lambda seed: estimate_origin_reach(4, 0.5, 10, seed),
+    "estimate_crossing": lambda seed: estimate_crossing(4, 0.5, 10, seed),
+    "bisect_threshold": lambda seed: bisect_threshold(4, 10, 0.1, seed),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad, error, message",
+    [
+        *[(entry, bad, TypeError, "seed must be an integer") for entry in _SEED_ENTRIES for bad in (1.5, "3", None, True)],
+        *[("tol", bad, TypeError, "tol must be a real number") for bad in ("0.1", None, True, 0.1 + 0j)],
+        ("tol", 1.5, ValueError, "tolerance must lie in [1e-3, 1)"),
+    ],
+)
+def test_seed_and_tolerance_are_checked_before_any_work(entry, bad, error, message):
+    call = _SEED_ENTRIES.get(entry, lambda tol: bisect_threshold(4, 10, tol, 1))
+    with (
+        mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")),
+        mock.patch.object(pool, "_fan_out", side_effect=AssertionError("a pool was started")),
+        pytest.raises(error, match=f"^{re.escape(f'{message}, got {bad!r}')}$"),
+    ):
+        call(bad)
+    # seeds are taken mod 2**64, and numpy numbers are numbers
+    if entry in _SEED_ENTRIES:
+        runs = [dataclasses.replace(call(seed), seed=None) for seed in (np.int64(-3), -3, (1 << 64) - 3)]
+        assert runs[0] == runs[1] == runs[2]
+    else:
+        assert call(np.float64(0.1)) == call(0.1)
+
+
 @pytest.mark.parametrize("L", [8, 24, 64])
 def test_bisection_matches_oracle(L):
     # 59 trials fill one of the oracle's chunks at L=64, so 59/60/61 straddle
@@ -488,12 +522,12 @@ def test_kernel_compiles_without_warnings(tmp_path):
         assert block.tolist() == want.ravel().tolist()
 
 
-#: The test program of the sanitizer build.  The circuit walk of both rules at k_max = 4..10, whole and cut short, and the
-#: longest walk cut short.  The shape tree at max_len = 4..12 with the census's cap, whole and in 8 parts, and one part of
-#: the widest frame the shape limit admits, 19 columns at cap 15, every record checked.  Floods at radii 1-6 and m = 1,
-#: 6, 11 and 16 from the left column, the origin, every site and no site, into arrays of exactly their size, checking
-#: every result against [0, 2**m).  At radius 3, 600 fields
-#: in one call, past two wraps of the flood's seen stamp, against the same fields one call each.
+#: The test program of the sanitizer build.  The circuit walk of both rules at k_max = 4..10 and of the five rule at
+#: k_max = 12, whole and cut short, and the longest walk cut short.  The shape tree at max_len = 4..12 with the census's
+#: cap, whole and in 8 parts, and one part of the widest frame the shape limit admits, 19 columns at cap 15, every record
+#: checked.  Floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column, the origin, every site and no site, into
+#: arrays of exactly their size, checking every result against [0, 2**m).  At radius 3, 600 fields in one call, past two
+#: wraps of the flood's seen stamp, against the same fields one call each.
 _SANITIZER_DRIVER = r"""
 #include <stdint.h>
 #include <stdio.h>
@@ -534,12 +568,14 @@ static int shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, int
 }
 
 /* The walk at k_max, into arrays of exactly its size: whole, then cut short one node before its end, and, for the
- * five rule at k_max = 10, the pinned counts walks[10] = 8383 and distinct[10] = 6643. */
+ * five rule, the pinned counts walks[10] = 8383 and distinct[10] = 6643 at k_max = 10, and walks[12] = 178443 and
+ * distinct[12] = 133545 at k_max = 12, whose distinct sets come from 161,180 closed-walk records. */
 static int walk(int32_t k_max, int32_t turns)
 {
     int64_t *walks = malloc((k_max + 1) * sizeof *walks), *distinct = malloc((k_max + 1) * sizeof *distinct), nodes;
     int bad = peierls_walk(k_max, turns, INT64_MAX, walks, distinct, &nodes) != 0 || nodes < 1 ||
-              (k_max == 10 && turns == 2 && (walks[10] != 8383 || distinct[10] != 6643));
+              (k_max == 10 && turns == 2 && (walks[10] != 8383 || distinct[10] != 6643)) ||
+              (k_max == 12 && turns == 2 && (walks[12] != 178443 || distinct[12] != 133545));
     for (int32_t k = 4; k <= k_max; k++)
         bad |= distinct[k] < 0 || distinct[k] > walks[k];
     bad |= peierls_walk(k_max, turns, nodes - 1, walks, distinct, &nodes) != 1;
@@ -564,6 +600,8 @@ int main(void)
     for (int32_t k = 4; k <= 10; k++)
         if (walk(k, 2) || walk(k, 3))
             return 4;
+    if (walk(12, 2))
+        return 4;
     /* the longest walk the start bits allow, its 64th start included, cut short at once */
     int64_t walks[132], distinct[132], nodes;
     if (peierls_walk(131, 3, 1000, walks, distinct, &nodes) != 1)
