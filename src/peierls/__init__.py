@@ -10,21 +10,6 @@ Monte Carlo with coupled, counter-based random fields cross-checks every
 piece at desk scale.
 """
 
-import os
-import sys
-
-# No peierls code calls a BLAS routine: its parallel work runs on forked
-# processes.  The OpenBLAS thread pool that numpy starts when it loads cost
-# every start-up about 45 ms, and every fork a tear-down of the pool of
-# 1.5-5 ms, so numpy is loaded here with a one-thread pool, unless it is
-# loaded already or the environment sizes the pool.
-if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
 from .bounds import (
     BoundReport,
     evaluate_polynomial,

@@ -1,10 +1,12 @@
-/* The package's compiled kernel, three entry points built into one library (peierls/kernel.py):
+/* The package's compiled kernel, four entry points built into one library (peierls/kernel.py):
  *
  * - peierls_flood, the one connectivity kernel of the Monte Carlo and its one site hash: an invasion flood over
  *   hashed keys;
  * - peierls_walk, the census's circuit walk: every restricted self-avoiding circuit of every start in one walk;
  * - peierls_shapes, one part of the span-pruned shape tree of the census and the event table, with each shape's
- *   contour, and peierls_free for the records it hands back.
+ *   contour, and peierls_free for the records it hands back;
+ * - peierls_classes, the census's class pass: every distinct contour checked and traced, and classified around each of
+ *   its origin positions.
  *
  * Build: cc -O2 -shared -fPIC -o kernel.so _kernel.c
  *
@@ -358,12 +360,13 @@ done:
  * y + 2: padded by 2, so that its boundary stays off the frame's edge and the edge lies in its exterior.  Its boundary
  * (the free axis neighbours of its cells), its exterior (the free sites an axis path over free sites joins to the
  * frame's edge) and its contour (the boundary sites with an axis neighbour in the exterior) are the steps of
- * clusters._contour_rows, on 64-bit rows.  A shape whose contour has at most max_len sites is kept as a record of
+ * clusters._contour, on 64-bit rows.  A shape whose contour has at most max_len sites is kept as a record of
  * 2 * (box + 4) + 3 words: its cell rows, its contour rows, and its cell, boundary and exterior counts.
  */
 
 #define SPLIT 6    /* the split size, enumeration._SPLIT_SIZE */
-#define MAX_CAP 30 /* the largest cap, enumeration._MAX_SHAPE: a frame of at most 34 rows */
+#define MAX_CAP 30 /* the largest cap, enumeration._MAX_SHAPE */
+#define MAX_ROWS (MAX_CAP + 4) /* the rows of the largest frame */
 
 /* A part of the tree in progress: its limits, the path's seen and untried sites, the shape and the kept records. */
 struct tree {
@@ -390,6 +393,33 @@ static int spread(uint64_t *ext, const uint64_t *vacant, int32_t y, int32_t heig
     return 1;
 }
 
+/* Grow the exterior ext of the h rows within their free sites vacant, one pass up the rows and one down: 1 when it grew,
+ * else 0. */
+static int sweep(uint64_t *ext, const uint64_t *vacant, int32_t h)
+{
+    int grown = 0;
+    for (int32_t y = 0; y < h; y++)
+        grown |= spread(ext, vacant, y, h);
+    for (int32_t y = h - 1; y >= 0; y--)
+        grown |= spread(ext, vacant, y, h);
+    return grown;
+}
+
+/* The free sites vacant of the h frame rows `blocked`, full the bits of a row, and the start of their exterior ext: the
+ * free sites that see the frame's top or bottom edge along their column. */
+static void exterior_start(const uint64_t *blocked, uint64_t *vacant, uint64_t *ext, int32_t h, uint64_t full)
+{
+    uint64_t below[MAX_ROWS], seen = 0;
+    for (int32_t y = 0; y < h; y++)
+        below[y] = seen |= blocked[y];
+    seen = 0;
+    for (int32_t y = h - 1; y >= 0; y--) {
+        seen |= blocked[y];
+        vacant[y] = ~blocked[y] & full;
+        ext[y] = vacant[y] & ~(below[y] & seen);
+    }
+}
+
 /* The contour of the boundary bnd against the exterior ext, the boundary sites with an axis neighbour in it, and its
  * length. */
 static int32_t contour_length(const uint64_t *bnd, const uint64_t *ext, uint64_t *contour, int32_t height)
@@ -407,12 +437,13 @@ static int32_t contour_length(const uint64_t *bnd, const uint64_t *ext, uint64_t
 static int shape(struct tree *t, int32_t size, int32_t xmin)
 {
     const int32_t h = t->height;
-    uint64_t cells[MAX_CAP + 4], bnd[MAX_CAP + 4], vacant[MAX_CAP + 4], ext[MAX_CAP + 4], contour[MAX_CAP + 4];
+    uint64_t cells[MAX_ROWS], bnd[MAX_ROWS], vacant[MAX_ROWS], ext[MAX_ROWS], contour[MAX_ROWS];
     t->built++;
     for (int32_t y = 0; y < h; y++)
         cells[y] = y >= 2 && y < t->box + 2 ? t->cells[y - 2] >> (xmin + t->box) << 2 : 0;
-    /* the exterior starts from the free sites that see the frame's top or bottom edge along their column */
-    uint64_t below[MAX_CAP + 4], blocked = 0, above = 0;
+    /* the exterior's start as exterior_start makes it, merged into the boundary's loops: a separate pass over the
+     * blocked rows cost this hot path about 5% */
+    uint64_t below[MAX_ROWS], blocked = 0, above = 0;
     for (int32_t y = 0; y < h; y++) {
         const uint64_t near = cells[y] << 1 | cells[y] >> 1 | (y ? cells[y - 1] : 0) | (y + 1 < h ? cells[y + 1] : 0);
         bnd[y] = near & t->full & ~cells[y];
@@ -424,15 +455,9 @@ static int shape(struct tree *t, int32_t size, int32_t xmin)
         ext[y] = vacant[y] & ~(below[y] & above);
     }
     /* the exterior only grows, and so does the contour: one already too long is kept no further */
-    for (int grown = 1; grown;) {
+    for (int grown = 1; grown; grown = sweep(ext, vacant, h))
         if (contour_length(bnd, ext, contour, h) > t->max_len)
             return 0;
-        grown = 0;
-        for (int32_t y = 0; y < h; y++)
-            grown |= spread(ext, vacant, y, h);
-        for (int32_t y = h - 1; y >= 0; y--)
-            grown |= spread(ext, vacant, y, h);
-    }
     const size_t stride = 2 * (size_t)h + 3;
     if (t->nrec == t->maxrec) {
         uint64_t *grown = realloc(t->rec, 2 * t->maxrec * stride * sizeof *grown);
@@ -533,4 +558,176 @@ int peierls_shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, ui
 void peierls_free(uint64_t *records)
 {
     free(records);
+}
+
+/* THE CLASS PASS
+ *
+ * The census's distinct contours, each checked and traced into its counter-clockwise cycle, and classified around each
+ * of its origin positions (enumeration._classes).  Contour j is the `height` rows keys[j * height + y], 1 <= height <=
+ * KEY_ROWS, site (x, y) at bit x of row y, and its origin positions are the rows covers[j * height + y] alike.
+ *
+ * A contour is traced in a frame of height + 2 rows of KEY_ROWS + 2 columns with a free ring, site (x, y) at (x + 1,
+ * y + 1).  Its filled set is what the exterior of its sites leaves, the exterior grown as the shape tree grows it.  Cell
+ * (x, y) is the unit square with corners (x, y) and (x + 1, y + 1), and the walk follows the unit edges between the
+ * filled set and the exterior, keeping the filled set on its left.  So it leaves a site at the end of the site's last
+ * exposed side (bottom, right, top and left in turn) and goes on to the diagonal cell past that corner if it is filled, a
+ * right turn, or else straight on to the cell ahead.  The cycle follows these successors from the smallest site by
+ * (x, y).
+ *
+ * An origin position's class is (length, l, i): (l, 0) is the nearest contour site on the ray of sites (j, 0), j >= 1,
+ * from the position, and i the class of the cycle's step after it, as enumeration.class_decomposition gives it.
+ *
+ * Each check that fails ends the pass with its code, in this order: a position on its contour, over every contour;
+ * then, contour by contour, a pinched corner, a filled site exposed off the contour or a contour site not exposed, a
+ * site with two runs of exposed sides or four, a walk that does not close after exactly the contour's sites, and a
+ * clockwise walk; then, position by position, a ray that meets no contour site, a step after the ray site that is no
+ * first step, and a winding number other than 1.
+ */
+
+#define KEY_ROWS 32 /* the rows and columns of a census key, enumeration._CANON_STRIDE */
+
+enum { ON_CONTOUR = 1, PINCHED, PERIMETER, REVISIT, CURVES, CLOCKWISE, NO_RAY, FIRST_STEP, WINDING };
+
+/* The king step from a contour site to the next, per last exposed side (bottom, right, top, left) and then per diagonal
+ * cell past its end corner (free, filled): straight on, or a right turn. */
+static const int32_t TURN_DX[8] = {1, 1, 0, 1, -1, -1, 0, -1}, TURN_DY[8] = {0, -1, 1, 1, 0, 1, -1, -1};
+/* The class of the step (dx, dy) after the ray site, at [dy + 1][dx + 1]: E 1, NE 2, N 3, NW 4, and the east dip SE
+ * with E; 0 for the steps that are no first step. */
+static const int32_t FIRST_CLASS[3][3] = {{0, 0, 1}, {0, 0, 1}, {4, 3, 2}};
+
+/* Trace the contour of the h frame rows `rows`, full the bits of a row, into its `length` sites, site t at xy[2 * t] and
+ * xy[2 * t + 1] in the key's coordinates: 0, or the code of the check it fails, where[0] and where[1] the frame
+ * coordinates of a pinched corner. */
+static int trace(const uint64_t *rows, int32_t h, uint64_t full, int32_t length, int32_t *xy, int32_t *where)
+{
+    uint64_t vacant[MAX_ROWS], filled[MAX_ROWS], last[4][MAX_ROWS], twice = 0;
+    exterior_start(rows, vacant, filled, h, full);
+    while (sweep(filled, vacant, h))
+        ;
+    for (int32_t y = 0; y < h; y++)
+        filled[y] = ~filled[y] & full;
+    /* corners with filled cells on one diagonal and free ones on the other */
+    for (int32_t y = 0; y + 1 < h; y++) {
+        const uint64_t lo = filled[y], hi = filled[y + 1];
+        const uint64_t pinched = (lo << 1 & hi & ~lo & ~(hi << 1)) | (lo & hi << 1 & ~(lo << 1) & ~hi);
+        if (pinched) {
+            where[0] = __builtin_ctzll(pinched);
+            where[1] = y + 1;
+            return PINCHED;
+        }
+    }
+    for (int32_t y = 0; y < h; y++) {
+        const uint64_t f = filled[y], below = y ? filled[y - 1] : 0, above = y + 1 < h ? filled[y + 1] : 0;
+        const uint64_t bottom = f & ~below, right = f & ~(f >> 1), top = f & ~above, left = f & ~(f << 1);
+        if ((bottom | right | top | left) != rows[y])
+            return PERIMETER;
+        last[0][y] = bottom & ~right;
+        last[1][y] = right & ~top;
+        last[2][y] = top & ~left;
+        last[3][y] = left & ~bottom;
+        twice |= (last[0][y] & last[2][y]) | (last[1][y] & last[3][y]) | (bottom & right & top & left);
+    }
+    if (twice)
+        return REVISIT;
+    if (!length)
+        return CURVES;
+    uint64_t columns = 0;
+    for (int32_t y = 0; y < h; y++)
+        columns |= rows[y];
+    int32_t x = __builtin_ctzll(columns), y = 0;
+    while (!(rows[y] >> x & 1))
+        y++;
+    const int32_t x0 = x, y0 = y;
+    int64_t area = 0; /* twice the signed area */
+    for (int32_t t = 0; t < length; t++) {
+        xy[2 * t] = x - 1;
+        xy[2 * t + 1] = y - 1;
+        int32_t side = 0;
+        while (side < 4 && !(last[side][y] >> x & 1))
+            side++;
+        if (side == 4) /* off the contour, which the checks above rule out */
+            return CURVES;
+        /* a contour site lies inside the ring, so its diagonal cells lie in the frame */
+        const uint64_t diagonal = side == 0 || side == 3 ? filled[y - 1] : filled[y + 1];
+        const int32_t turn = 2 * side + (int32_t)(diagonal >> (side < 2 ? x + 1 : x - 1) & 1);
+        const int32_t x1 = x + TURN_DX[turn], y1 = y + TURN_DY[turn];
+        area += (int64_t)x * y1 - (int64_t)x1 * y;
+        x = x1;
+        y = y1;
+        if ((x == x0 && y == y0) != (t == length - 1))
+            return CURVES;
+    }
+    return area > 0 ? 0 : CLOCKWISE;
+}
+
+/* Classify the cycle of `length` sites xy around origin position (px, py) and count it in classes: 0, or the code of
+ * the check it fails, where[0], where[1] and where[2] the step and the ray distance of a step that is no first step. */
+static int classify(const int32_t *xy, int32_t length, int32_t px, int32_t py, int64_t *classes, int32_t *where)
+{
+    int32_t at = -1, wn = 0;
+    for (int32_t t = 0; t < length; t++)
+        if (xy[2 * t + 1] == py && xy[2 * t] > px && (at < 0 || xy[2 * t] < xy[2 * at]))
+            at = t;
+    if (at < 0)
+        return NO_RAY;
+    const int32_t l = xy[2 * at] - px, next = (at + 1) % length;
+    const int32_t dx = xy[2 * next] - xy[2 * at], dy = xy[2 * next + 1] - py;
+    const int32_t step = abs(dx) <= 1 && abs(dy) <= 1 ? FIRST_CLASS[dy + 1][dx + 1] : 0;
+    if (!step) {
+        where[0] = dx;
+        where[1] = dy;
+        where[2] = l;
+        return FIRST_STEP;
+    }
+    for (int32_t s = length - 1, t = 0; t < length; s = t++)
+        wn += crossing(xy[2 * s] - px, xy[2 * s + 1] - py, xy[2 * t] - px, xy[2 * t + 1] - py);
+    if (wn != 1)
+        return WINDING;
+    classes[((int64_t)length * KEY_ROWS + l) * 5 + step]++;
+    return 0;
+}
+
+/* The sites of contour j of the `height` rows keys. */
+static int32_t key_length(const uint32_t *keys, int32_t height, int32_t j)
+{
+    int32_t length = 0;
+    for (int32_t y = 0; y < height; y++)
+        length += popcount(keys[(size_t)j * height + y]);
+    return length;
+}
+
+/* Check, trace and classify the n contours of `height` rows keys around their origin positions covers: classes[(k *
+ * KEY_ROWS + l) * 5 + i] counts the positions of class (k, l, i), k up to the longest contour, and cycles holds the
+ * cycles, contour after contour, 2 ints a site.  Returns 0, or the code of the first check that fails, with where[0..2]
+ * naming a pinched corner or a step that is no first step. */
+int peierls_classes(int32_t n, int32_t height, const uint32_t *keys, const uint32_t *covers, int64_t *classes,
+                    int32_t *cycles, int32_t *where)
+{
+    const uint64_t full = ((uint64_t)1 << (KEY_ROWS + 2)) - 1;
+    for (size_t s = 0; s < (size_t)n * height; s++)
+        if (keys[s] & covers[s])
+            return ON_CONTOUR;
+    int32_t *xy = cycles;
+    for (int32_t j = 0; j < n; j++) {
+        const int32_t length = key_length(keys, height, j);
+        uint64_t rows[KEY_ROWS + 2] = {0};
+        for (int32_t y = 0; y < height; y++)
+            rows[y + 1] = (uint64_t)keys[(size_t)j * height + y] << 1;
+        const int code = trace(rows, height + 2, full, length, xy, where);
+        if (code)
+            return code;
+        xy += 2 * (size_t)length;
+    }
+    xy = cycles;
+    for (int32_t j = 0; j < n; j++) {
+        const int32_t length = key_length(keys, height, j);
+        for (int32_t y = 0; y < height; y++)
+            for (uint32_t bits = covers[(size_t)j * height + y]; bits; bits &= bits - 1) {
+                const int code = classify(xy, length, __builtin_ctz(bits), y, classes, where);
+                if (code)
+                    return code;
+            }
+        xy += 2 * (size_t)length;
+    }
+    return 0;
 }

@@ -327,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"output directory {out_dir} does not exist")
         return args.func(args)
     except (BuildError, CapExceeded, IncompletenessError, WorkerDied, MemoryError) as exc:
-        # numpy names the allocation that failed; a bare MemoryError says nothing
+        # the kernel's callers name the allocation that failed; Python's own MemoryError says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -38,19 +38,21 @@ every capped shape: their number is the total of the fixed polyominoes
 before any work a cap whose total passes ``_SHAPE_LIMIT``.
 
 The kernel takes each shape it builds through the steps of
-:func:`clusters._contour_rows` (boundary, exterior fill, contour) on 64-bit
+:func:`clusters._contour` (boundary, exterior fill, contour) on 64-bit
 rows, and hands back only the shapes whose contour is short enough, as row
 masks with their cell, boundary and exterior counts: 2,797 of the 345,600 at
-k = 12.  :func:`contour_event_table` counts their (|W|, |boundary|) pairs
-with ``np.unique``.  The census checks their contour lengths and enclosed
-sites, moves each contour and its cells to the contour's bounding-box
-corner, groups the shapes by canonical contour and size, and ORs each
-group's cells into one cover; only the distinct groups become the stride-32
-ints of the merge.  Everything else about a contour follows from its key:
-the parent traces the cycles of all distinct contours at once with
-:func:`clusters._cycle_rows`, and checks and classifies every origin
-position of every contour at once (:func:`_classes`).  Only the witnesses,
-one per length, become :class:`Contour` objects.
+k = 12.  :func:`contour_event_table` counts their (|W|, |boundary|) pairs in
+a :class:`~collections.Counter`.  The census checks their contour lengths
+and enclosed sites, groups the shapes by contour rows and size, ORs each
+group's cells into one cover, and moves each group's contour and cover to
+the contour's bounding-box corner; only the distinct groups become the
+stride-32 ints of the merge, whose trajectories are sums of Python int bit
+counts.  Everything else about a contour follows from its key: the kernel's
+class pass (``peierls_classes``, called by :func:`_classes`) traces the
+cycles of all distinct contours with the edge walk of
+:func:`clusters._cycle`, and checks and classifies every origin position of
+every contour.  Only the witnesses, one per length, become :class:`Contour`
+objects.
 
 Both halves of the census run on ``workers`` forked processes and give the
 same results for every worker count.  Redelmeier's search tree splits into
@@ -89,16 +91,17 @@ the distinct-set count.  At k = 12 that is 6.4M nodes and 161,180 records.
 from __future__ import annotations
 
 import ctypes
+import struct
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 # Functions of other peierls modules are called through their modules:
 # perfbench/tracing.py records a span for every call of a function imported
 # by name into this module.
-from . import clusters, kernel, pool
+from . import kernel, pool
 from .clusters import Contour
 from .errors import CapExceeded, ContourError, IncompletenessError, NoRayIntersection, check_integer, check_workers
 
@@ -116,12 +119,12 @@ __all__ = [
 ]
 
 #: Class index of each offset (dx, dy) a counter-clockwise contour can take
-#: after its nearest ray site, at [dy + 1, dx + 1], and 0 for the others: E 1,
-#: NE 2, N 3, NW 4, plus the east dip SE.  The dip occurs when the nearest ray
-#: site is a pocket mouth and the contour touches the axis from below (both
-#: cycle neighbours have y = -1); it is classified together with the straight
-#: east step, keeping four classes per ray distance.
-_FIRST_STEP_CLASS = np.array([[0, 0, 1], [0, 0, 1], [4, 3, 2]])
+#: after its nearest ray site: E 1, NE 2, N 3, NW 4, plus the east dip SE.
+#: The dip occurs when the nearest ray site is a pocket mouth and the contour
+#: touches the axis from below (both cycle neighbours have y = -1); it is
+#: classified together with the straight east step, keeping four classes per
+#: ray distance.  The kernel's class pass holds the same table.
+_FIRST_STEPS = {(1, 0): 1, (1, 1): 2, (0, 1): 3, (-1, 1): 4, (1, -1): 1}
 
 
 def walk_bound(k: int) -> int:
@@ -184,14 +187,15 @@ def _shape_size_error(cap: int) -> CapExceeded:
 class _Shapes(NamedTuple):
     """The shapes of one part of the span-pruned tree whose contour is short enough (:func:`_shape_block`)."""
 
-    #: (N, box + 4) uint64 frame rows, cell (x, y) at bit x - xmin + 2 of row y + 2
-    cells: np.ndarray
-    #: the contours' rows in the same frames
-    contours: np.ndarray
-    #: the int64 cell, boundary and exterior counts of each shape
-    sizes: np.ndarray
-    boundaries: np.ndarray
-    exteriors: np.ndarray
+    #: ``2 * height + 3`` words of the kernel's 64-bit integers a shape: its
+    #: frame rows, cell (x, y) at bit x - xmin + 2 of row y + 2, its contour's
+    #: rows in the same frame, and its cell, boundary and exterior counts.
+    #: The census reads the words of a frame as one little-endian int, as it
+    #: hands the class pass little-endian rows: it assumes a little-endian
+    #: machine.
+    records: bytes
+    #: the rows of a frame, ``box + 4``
+    height: int
     #: the shapes of the part built, short contour or not
     built: int
 
@@ -213,32 +217,25 @@ def _shape_block(max_len: int, cap: int, part: int, parts: int) -> _Shapes:
     records, kept, built = ctypes.c_void_p(), ctypes.c_int64(), ctypes.c_int64()
     if library.peierls_shapes(max_len, cap, part, parts, *map(ctypes.byref, (records, kept, built))) < 0:
         raise MemoryError(f"cannot allocate the shape tree's records at cap {cap}")
-    kept, built = kept.value, built.value
-    stride = 2 * height + 3
     try:
-        block = np.frombuffer(ctypes.string_at(records, 8 * kept * stride), np.uint64).reshape(kept, stride)
+        data = ctypes.string_at(records, 8 * kept.value * (2 * height + 3))
     finally:
         library.peierls_free(records)
-    sizes, boundaries, exteriors = block[:, 2 * height :].astype(np.int64).T
-    return _Shapes(block[:, :height], block[:, height : 2 * height], sizes, boundaries, exteriors, built)
+    return _Shapes(data, height, built.value)
 
 
-def _to_corner(rows: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
-    """Each cluster's row masks moved by ``(-ox, -oy)``, its own offsets."""
-    height = rows.shape[1]
-    moved = np.zeros((len(rows), 2 * height), rows.dtype)
-    moved[:, :height] = rows >> ox.astype(rows.dtype)[:, None]
-    return np.take_along_axis(moved, oy[:, None] + np.arange(height), axis=1)
+#: The 64-bit and the 32-bit little-endian rows of a frame, by its height up
+#: to the largest frame's.
+_FRAME_ROWS = [(struct.Struct(f"<{h}Q"), struct.Struct(f"<{h}I")) for h in range(_MAX_SHAPE + 5)]
 
 
-def _row_bits(rows: np.ndarray) -> list[int]:
-    """The stride-32 bitboard of each row block of ``rows``, its row y, below 2**32, at bit ``32 * y``.
+def _row_bits(frame: int, height: int) -> int:
+    """The stride-32 bitboard of the ``height`` rows of ``frame``, row y at bit ``64 * y`` moved to bit ``32 * y``.
 
-    The inverse of :func:`_stride_rows`: one pass packs every block.
+    A row of 2**32 or more raises :class:`struct.error`.
     """
-    data = rows.astype("<u4").tobytes()
-    step = 4 * rows.shape[1]
-    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+    wide, narrow = _FRAME_ROWS[height]
+    return int.from_bytes(narrow.pack(*wide.unpack(frame.to_bytes(8 * height, "little"))), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -282,39 +279,22 @@ def class_decomposition(contour: Contour) -> ClassKey:
     counter-clockwise cycle onto the fixed first-step set.  The two
     east-going steps (straight east, and the east dip through (l+1, -1)
     at a pocket mouth) share class 1, so ``first_step`` is always in 1..4
-    and the classes partition the census.  The census runs the same rule,
-    :func:`_class_rule`, on all its positioned contours at once.
+    and the classes partition the census.  Raises
+    :class:`NoRayIntersection` if the contour misses the positive horizontal
+    ray, and :class:`ContourError` if the site after its nearest ray site is
+    not a first step.  The census classifies all its positioned contours by
+    the same rule in the kernel's class pass (:func:`_classes`).
     """
-    xs, ys = np.array(contour.cycle, np.int64).reshape(-1, 2).T
-    l, i = _class_rule(xs[None], ys[None], np.array([len(xs)]))
-    return ClassKey(ray_distance=int(l[0]), first_step=int(i[0]))
-
-
-def _class_rule(xs: np.ndarray, ys: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ray distances and first steps of cycles around the origin, as in :func:`class_decomposition`.
-
-    Row j of ``xs`` and ``ys`` lists the sites of a counter-clockwise cycle of
-    ``lengths[j]`` sites, padded beyond them.  Raises
-    :class:`NoRayIntersection` if a cycle misses the positive horizontal ray,
-    and :class:`ContourError` if the site after a cycle's nearest ray site is
-    not a first step.
-    """
-    rows = np.arange(len(xs))
-    hits = (ys == 0) & (xs >= 1) & (np.arange(xs.shape[1]) < lengths[:, None])
-    if not hits.any(axis=1).all():
+    cycle = contour.cycle
+    hits = [(x, t) for t, (x, y) in enumerate(cycle) if y == 0 and x >= 1]
+    if not hits:
         raise NoRayIntersection("contour never meets the positive horizontal ray")
-    at = np.where(hits, xs, xs.max(initial=0) + 1).argmin(axis=1)
-    l = xs[rows, at]
-    after = (at + 1) % lengths
-    dx, dy = xs[rows, after] - l, ys[rows, after]
-    king = (abs(dx) <= 1) & (abs(dy) <= 1)
-    step = np.where(king, _FIRST_STEP_CLASS[np.clip(dy, -1, 1) + 1, np.clip(dx, -1, 1) + 1], 0)
-    if not step.all():
-        j = np.flatnonzero(step == 0)[0]
-        raise ContourError(
-            f"successor offset {(int(dx[j]), int(dy[j]))} of ray site {(int(l[j]), 0)} is not an admissible first step"
-        )
-    return l, step
+    l, at = min(hits)
+    x, y = cycle[(at + 1) % len(cycle)]
+    step = _FIRST_STEPS.get((x - l, y))
+    if step is None:
+        raise ContourError(f"successor offset {(x - l, y)} of ray site {(l, 0)} is not an admissible first step")
+    return ClassKey(ray_distance=l, first_step=step)
 
 
 def _census_part(k_max: int, cap: int, part: int, parts: int):
@@ -324,10 +304,9 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
     frame, of the size-n shapes whose contour is ``key``.  Keys and sizes are
     in ascending order, whatever order the kernel meets the shapes in.  The
     part's shapes with contours of length <= ``k_max`` come from one kernel
-    call (:func:`_shape_block`) and are reduced at once: their contours and
-    cells move to the contour's bounding-box corner, the shapes are grouped
-    by canonical contour and size, and each group's cells are ORed into one
-    cover.
+    call (:func:`_shape_block`) and are grouped by their contour's rows and
+    their size, each group's cells ORed into one cover; then each group's
+    contour and cover move to the contour's bounding-box corner.
 
     A contour shorter than 4 or enclosing more sites than its length allows
     fails the part.  The error names the first such shape by size, then by
@@ -335,39 +314,44 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
     (cell (x, y) at bit 64 * y + x - xmin).
     """
     shapes = _shape_block(k_max, cap, part, parts)
-    rows, gamma, cell_counts = shapes.cells, shapes.contours, shapes.sizes
-    width = rows.shape[1]
-    lengths = clusters._popcounts(gamma)
+    data, height = shapes.records, shapes.height
+    size, stride = 8 * height, 16 * height + 24  # bytes of a frame's rows, and of a record
+    words = memoryview(data).cast("Q")
     # interior_capacity by length; a length below 4 fails before it is read
-    capacity = np.array([interior_capacity(max(k, 4)) for k in range(k_max + 1)])
-    enclosed = width * width - shapes.exteriors - lengths
-    bad = np.flatnonzero((lengths < 4) | (enclosed > capacity[lengths]))
-    if len(bad):
-        # frame rows from the top down compare as the cell masks do
-        i = bad[np.lexsort((*rows[bad].T, cell_counts[bad]))[0]]
-        if lengths[i] < 4:
-            raise ContourError(f"shape produced a contour of impossible length {int(lengths[i])}")
+    capacity = [interior_capacity(max(k, 4)) for k in range(k_max + 1)]
+    # a frame's rows as one int, row y at bit 64 * y: the contours and the
+    # ORed cells of each group of shapes by contour and size
+    groups: dict[tuple[int, int], int] = {}
+    bad = []
+    counts = zip(words[2 * height :: 2 * height + 3], words[2 * height + 2 :: 2 * height + 3])
+    for at, (n, exterior) in zip(range(0, len(data), stride), counts):
+        contour = int.from_bytes(data[at + size : at + 2 * size], "little")
+        length = contour.bit_count()
+        enclosed = height * height - exterior - length
+        if length < 4 or enclosed > capacity[length]:
+            # frame rows from the top down compare as the cell masks do
+            bad.append((n, words[at // 8 : at // 8 + height].tolist()[::-1], length, enclosed))
+            continue
+        groups[contour, n] = groups.get((contour, n), 0) | int.from_bytes(data[at : at + size], "little")
+    if bad:
+        _, _, length, enclosed = min(bad)
+        if length < 4:
+            raise ContourError(f"shape produced a contour of impossible length {length}")
         raise IncompletenessError(
-            f"a contour of length {int(lengths[i])} encloses {int(enclosed[i])} sites, more than the capacity "
+            f"a contour of length {length} encloses {enclosed} sites, more than the capacity "
             "bound allows; the completeness cap is unsound for this input"
         )
-    # the corner of each contour's bounding box: its first row, and the
-    # trailing zeros of the OR of its rows
-    columns = np.bitwise_or.reduce(gamma, axis=1)
-    ox = clusters._popcounts(((columns & ~columns + 1) - 1)[:, None])
-    oy = (gamma != 0).argmax(axis=1)
-    canon = _to_corner(gamma, ox, oy)
-    groups, inverse, sizes = np.unique(
-        np.column_stack([canon, cell_counts.astype(canon.dtype)]),
-        axis=0,
-        return_inverse=True,
-        return_counts=True,
-    )
-    order = np.argsort(inverse.reshape(-1), kind="stable")
-    cells = np.bitwise_or.reduceat(_to_corner(rows, ox, oy)[order], np.cumsum(sizes) - sizes, axis=0)
+    column = sum(1 << 64 * y for y in range(height))  # column 0 of every row
     covers: dict[int, dict[int, int]] = {}
-    for key, size, cover in zip(_row_bits(groups[:, :-1]), groups[:, -1].tolist(), _row_bits(cells)):
-        covers.setdefault(key, {})[size] = cover
+    for (contour, n), cells in groups.items():
+        # the corner of the contour's bounding box: its first row, and its
+        # first column that holds a site
+        oy, ox = ((contour & -contour).bit_length() - 1) // 64, 0
+        while not contour & column << ox:
+            ox += 1
+        key, cover = _row_bits(contour >> 64 * oy + ox, height), _row_bits(cells >> 64 * oy + ox, height)
+        by_size = covers.setdefault(key, {})
+        by_size[n] = by_size.get(n, 0) | cover
     return {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
 
 
@@ -415,19 +399,21 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
     guaranteed = cap >= needed
 
     # Per-size trajectories, the counts as a function of the size cap: a
-    # contour counts the positions of its shapes up to each size.
+    # contour counts the positions of its shapes up to each size.  gains[k][n]
+    # sums the positions the contours of length k gain at size n.
     keys = sorted(covers)
-    positions = [pos for key in keys for pos in covers[key].values()]
-    height = max(b.bit_length() for b in keys + positions) // _CANON_STRIDE + 1
-    contours = _stride_rows(keys, height)
-    index, size = np.array([(j, n) for j, key in enumerate(keys) for n in covers[key]]).T
-    by_size = np.zeros((len(keys), cap + 1, height), np.uint32)
-    by_size[index, size] = _stride_rows(positions, height)
-    reach = np.bitwise_or.accumulate(by_size, axis=1)
-    lengths = clusters._popcounts(contours)
-    totals = np.zeros((lengths.max() + 1, cap + 1), np.int64)
-    np.add.at(totals, lengths, np.bitwise_count(reach).sum(axis=2, dtype=np.int64))
-    trajectory = {s: {k: n for k, n in enumerate(totals[:, s].tolist()) if n} for s in range(1, cap + 1)}
+    reach = []
+    gains: dict[int, list[int]] = {}
+    for key in keys:
+        gain = gains.setdefault(key.bit_count(), [0] * (cap + 1))
+        positions = seen = 0
+        for n, pos in sorted(covers[key].items()):
+            positions |= pos
+            gain[n] += positions.bit_count() - seen
+            seen = positions.bit_count()
+        reach.append(positions)
+    totals = {k: list(accumulate(gains[k])) for k in sorted(gains)}
+    trajectory = {s: {k: run[s] for k, run in totals.items() if run[s]} for s in range(1, cap + 1)}
 
     exact = {k: trajectory[cap].get(k, 0) for k in range(4, k_max + 1)}
     stabilized = cap >= 3 and all(
@@ -439,7 +425,7 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
             f"cluster cap {cap} is below the guaranteed capacity {needed} for k_max={k_max} "
             f"and the counts did not stabilize over sizes {cap - 2}..{cap}"
         )
-    classes, witnesses = _classes(contours, lengths, reach[:, cap])
+    classes, witnesses = _classes(keys, reach)
     meta = {
         "cluster_cap": cap,
         "capacity_needed": needed,
@@ -461,53 +447,78 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
     )
 
 
-def _stride_rows(bitboards: list[int], height: int) -> np.ndarray:
-    """The ``(N, height)`` uint32 rows of stride-32 bitboards."""
-    data = b"".join(b.to_bytes(4 * height, "little") for b in bitboards)
-    return np.frombuffer(data, "<u4").reshape(len(bitboards), height)
+def _stride_rows(bitboards: list[int], height: int) -> array:
+    """The ``height`` 32-bit rows of each stride-32 bitboard, one bitboard after another."""
+    return array("I", b"".join(b.to_bytes(4 * height, "little") for b in bitboards))
 
 
-def _classes(contours: np.ndarray, lengths: np.ndarray, covers: np.ndarray) -> tuple[dict, dict[int, Contour]]:
+#: The census's class-pass checks (``peierls_classes`` of :mod:`peierls.kernel`),
+#: by the kernel's code less 1, with the message the kernel's ``where`` completes.
+_CLASS_ERRORS = (
+    (ContourError, "a cluster cell coincides with its own contour"),
+    (ContourError, "pinched outer boundary at corner ({}, {})"),
+    (ContourError, "perimeter walk does not match the exposed boundary set"),
+    (ContourError, "outer boundary revisits a site; no simple cycle exists"),
+    (ContourError, "outer boundary is not a single closed curve"),
+    (ContourError, "perimeter walk came out clockwise"),
+    (NoRayIntersection, "contour never meets the positive horizontal ray"),
+    (ContourError, "successor offset ({}, {}) of ray site ({}, 0) is not an admissible first step"),
+    (ContourError, "an origin position is not enclosed by its contour"),
+)
+
+
+def _class_pass(keys: list[int], covers: list[int]) -> tuple[array, array]:
+    """The kernel's class pass over the contours ``keys`` around their origin positions ``covers``.
+
+    ``keys[j]`` and ``covers[j]`` are stride-32 bitboards of at most
+    ``_CANON_STRIDE`` rows.  Returns the class counts, the count of class
+    (k, l, i) at ``(k * _CANON_STRIDE + l) * 5 + i``, and the cycles of every
+    contour, traced from its smallest site by (x, y) in the key's
+    coordinates, contour after contour, each site's x and then y.  Raises the
+    error of :data:`_CLASS_ERRORS` that the first failed check names.
+    """
+    height = -(-max(b.bit_length() for b in keys + covers) // _CANON_STRIDE)
+    if height > _CANON_STRIDE:
+        raise ValueError(f"a census key spans at most {_CANON_STRIDE} rows, got {height}")
+    lengths = [key.bit_count() for key in keys]
+    counts = array("q", bytes(8 * (max(lengths) + 1) * _CANON_STRIDE * 5))
+    cycles = array("i", bytes(8 * sum(lengths)))
+    where = array("i", bytes(12))
+    rows = _stride_rows(keys, height), _stride_rows(covers, height)
+    code = kernel.load(_NEED).peierls_classes(
+        len(keys), height, *(a.buffer_info()[0] for a in (*rows, counts, cycles, where))
+    )
+    if code:
+        error, message = _CLASS_ERRORS[code - 1]
+        raise error(message.format(*where))
+    return counts, cycles
+
+
+def _classes(keys: list[int], covers: list[int]) -> tuple[dict, dict[int, Contour]]:
     """Class counts and witnesses of each contour around each of its origin positions.
 
-    Row j of ``contours`` and of ``covers`` holds a canonical contour of
-    ``lengths[j]`` sites and its origin positions, as stride-32 rows (see
-    :func:`_stride_rows`).  All contours are traced at once by
-    :func:`clusters._cycle_rows`, and all positioned contours are checked and
-    classified at once: the origin must be off the contour, its ray must meet
-    the contour, the winding number must be 1, and :func:`_class_rule` gives
-    the class.  The witness of a length is its first positioned contour, by
-    key and then by position.
+    ``keys[j]`` is a canonical contour and ``covers[j]`` its origin
+    positions, as stride-32 bitboards.  The kernel's class pass
+    (:func:`_class_pass`) checks and traces every contour, and checks and
+    classifies every positioned contour: the origin must be off the contour,
+    its ray must meet the contour, the step after the ray site must be a
+    first step, and the winding number must be 1.  The witness of a length
+    is its first positioned contour, by key and then by position.
     """
-    if (contours & covers).any():
-        raise ContourError("a cluster cell coincides with its own contour")
-    # each contour in a frame with a free ring, cell (x, y) at frame (x + 1, y + 1)
-    width = int(np.bitwise_or.reduce(contours, axis=None)).bit_length() + 2
-    frames = np.zeros((len(contours), contours.shape[1] + 2), clusters._row_dtype(width))
-    frames[:, 1:-1] = contours.astype(frames.dtype) << 1
-    xs, ys = clusters._cycle_rows(frames, width)
-
-    # the positions, contour by contour, each in ascending (y, x) order; the
-    # cycles move to each one in int16, which keeps the (positions, length)
-    # arrays small next to the command's own memory
-    which, bit = np.nonzero(np.unpackbits(covers.view(np.uint8), axis=1, bitorder="little"))
-    xs = xs[which] - (bit % _CANON_STRIDE + 1).astype(np.int16)[:, None]
-    ys = ys[which] - (bit // _CANON_STRIDE + 1).astype(np.int16)[:, None]
-    lengths = lengths[which]
-    l, i = _class_rule(xs, ys, lengths)
-    if (clusters._windings(np.stack((xs.T, ys.T), axis=1)) != 1).any():
-        raise ContourError("an origin position is not enclosed by its contour")
-
-    base = int(lengths.max()) + 1
-    found, counts = np.unique((lengths * base + l) * 5 + i, return_counts=True)
-    classes = {(c // 5 // base, c // 5 % base, c % 5): n for c, n in zip(found.tolist(), counts.tolist())}
+    counts, cycles = _class_pass(keys, covers)
+    per_length = _CANON_STRIDE * 5
+    classes = {(c // per_length, c // 5 % _CANON_STRIDE, c % 5): n for c, n in enumerate(counts) if n}
     witnesses = {}
-    # return_index gives each length's first contour, and keeps np.unique from importing numpy.ma
-    ks, firsts = np.unique(lengths, return_index=True)
-    for k, j in zip(ks.tolist(), firsts.tolist()):
-        cycle = tuple(zip(xs[j, :k].tolist(), ys[j, :k].tolist()))
-        witnesses[k] = Contour(sites=frozenset(cycle), cycle=cycle)
-    return classes, witnesses
+    at = 0
+    for key, cover in zip(keys, covers):
+        k = key.bit_count()
+        if cover and k not in witnesses:
+            bit = (cover & -cover).bit_length() - 1
+            ox, oy = bit % _CANON_STRIDE, bit // _CANON_STRIDE
+            cycle = tuple(zip([x - ox for x in cycles[at : at + 2 * k : 2]], [y - oy for y in cycles[at + 1 : at + 2 * k : 2]]))
+            witnesses[k] = Contour(sites=frozenset(cycle), cycle=cycle)
+        at += 2 * k
+    return classes, dict(sorted(witnesses.items()))
 
 
 def exact_contour_counts(
@@ -545,8 +556,9 @@ def exact_contour_counts(
 def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
     """Event multiplicities of one part of the (span-pruned) shape tree, from one kernel call."""
     shapes = _shape_block(max_len, cap, part, parts)
-    pairs, counts = np.unique(np.column_stack([shapes.sizes, shapes.boundaries]), axis=0, return_counts=True)
-    return {(n, b): n * count for (n, b), count in zip(pairs.tolist(), counts.tolist())}
+    words, stride = memoryview(shapes.records).cast("Q"), 2 * shapes.height + 3
+    pairs = Counter(zip(words[stride - 3 :: stride], words[stride - 2 :: stride]))
+    return {(n, b): n * count for (n, b), count in sorted(pairs.items())}
 
 
 def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, int], int]:
@@ -609,11 +621,9 @@ def _circuit_walk(k_max: int, rule: str, max_nodes: int) -> SelfAvoidingCounts:
 
     Raises :class:`CapExceeded` as soon as the nodes pass ``max_nodes``.
     """
-    walks = np.zeros(k_max + 1, np.int64)
-    distinct = np.zeros(k_max + 1, np.int64)
-    nodes = np.zeros(1, np.int64)
+    walks, distinct, nodes = array("q", bytes(8 * (k_max + 1))), array("q", bytes(8 * (k_max + 1))), array("q", [0])
     code = kernel.load(_NEED).peierls_walk(
-        k_max, _TURNS[rule], min(max_nodes, _MAX_NODES), walks.ctypes.data, distinct.ctypes.data, nodes.ctypes.data
+        k_max, _TURNS[rule], min(max_nodes, _MAX_NODES), *(a.buffer_info()[0] for a in (walks, distinct, nodes))
     )
     if code < 0:
         raise MemoryError(f"cannot allocate the circuit walk's records at length {k_max}")
@@ -622,9 +632,9 @@ def _circuit_walk(k_max: int, rule: str, max_nodes: int) -> SelfAvoidingCounts:
     return SelfAvoidingCounts(
         k_max=k_max,
         rule=rule,
-        walks=dict(enumerate(walks.tolist()[4:], 4)),
-        distinct_sets=dict(enumerate(distinct.tolist()[4:], 4)),
-        nodes=int(nodes[0]),
+        walks=dict(enumerate(walks[4:], 4)),
+        distinct_sets=dict(enumerate(distinct[4:], 4)),
+        nodes=nodes[0],
     )
 
 

@@ -1,16 +1,17 @@
 """The package's one compiled kernel, ``_kernel.c``: built with ``cc`` on first use, cached and loaded.
 
-The C source holds three entry points.  ``peierls_flood`` is the invasion
+The C source holds four entry points.  ``peierls_flood`` is the invasion
 flood of the Monte Carlo (:mod:`peierls.montecarlo`), ``peierls_walk`` the
-circuit walk of the census, and ``peierls_shapes`` the span-pruned shape tree
+circuit walk of the census, ``peierls_shapes`` the span-pruned shape tree
 with its contours, for the census and the event table of the truncated
-polynomial (:mod:`peierls.enumeration`); ``peierls_free`` releases the
-records ``peierls_shapes`` hands back.  :func:`load` builds the source into a
-shared library, caches it and loads it once per process, so every command
-that runs one of them needs a C compiler ``cc``: ``simulate`` for the flood,
-``counts`` and ``bounds --mode exact|sa`` for the census and the walk, and
-``bounds`` at ``--r >= 5`` for the event table.  Importing this module builds
-and loads nothing.
+polynomial (:mod:`peierls.enumeration`), and ``peierls_classes`` the census's
+class pass, which checks, traces and classifies its distinct contours;
+``peierls_free`` releases the records ``peierls_shapes`` hands back.
+:func:`load` builds the source into a shared library, caches it and loads it
+once per process, so every command that runs one of them needs a C compiler
+``cc``: ``simulate`` for the flood, ``counts`` and ``bounds --mode exact|sa``
+for the census and the walk, and ``bounds`` at ``--r >= 5`` for the event
+table.  Importing this module builds and loads nothing.
 """
 
 from __future__ import annotations
@@ -94,5 +95,7 @@ def load(need: str):
     library.peierls_shapes.argtypes = [int32, int32, int32, int32, pointer, pointer, pointer]
     library.peierls_free.restype = None
     library.peierls_free.argtypes = [pointer]
+    library.peierls_classes.restype = ctypes.c_int
+    library.peierls_classes.argtypes = [int32, int32, pointer, pointer, pointer, pointer, pointer]
     _library = library
     return library

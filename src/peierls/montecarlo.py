@@ -50,10 +50,13 @@ with ``cc`` on first use into a cache under ``$XDG_CACHE_HOME``
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from functools import reduce
+from itertools import accumulate
+from operator import add
+from typing import Iterable, Iterator
 
 from . import kernel, pool
 from .errors import CapExceeded, check_concentration, check_integer, check_real, check_workers
@@ -109,49 +112,50 @@ def _hash_threshold(c: float) -> int:
 _NEED = "the Monte Carlo (simulate)"
 
 
-def _flood(seed: int, t0: int, fields: int, L: int, bound: int, m: int, sources, target: np.ndarray) -> np.ndarray:
+def _flood(seed: int, t0: int, fields: int, L: int, bound: int, m: int, sources: Iterable[int], target) -> array:
     """The flood's result for each trial t0 .. t0 + fields - 1 of run ``seed``, from the sites ``sources`` to the sites of ``target``.
 
     A trial's field is its radius-L window, whose site's key is 0 when the
     site's hash is below ``bound`` and max(1, hash >> (64 - m)) otherwise,
     1 <= m <= 16.  ``sources`` are flat indices of sites of the window, row
-    by row from (-L, -L), and ``target`` is a ``(2L+1, 2L+1)`` bool mask.  A
-    field's result is the least, over the 4-connected paths from a source to
-    a target, of the largest key on the path, so at m = 1 it is 0 exactly when
-    an occupied path (of sites hashed below ``bound``) joins them, and with
+    by row from (-L, -L), and ``target`` is a bytes-like mask of the window's
+    (2L+1)**2 sites in the same order, nonzero on a target.  A field's result
+    is the least, over the 4-connected paths from a source to a target, of
+    the largest key on the path, so at m = 1 it is 0 exactly when an occupied
+    path (of sites hashed below ``bound``) joins them, and with
     ``bound = 2**(64 - m)`` an occupied path joins them at c = j / 2**m
     exactly when j exceeds it.  It is found by the compiled invasion flood
     (:func:`peierls.kernel.load`), which hashes each site it borders once.  The
     kernel never tests the right edge, so ``target`` must hold the whole right
-    column; a mask without it, a source off the window, a bound outside
-    [0, 2**64) or m out of range raises :class:`ValueError` before the kernel
-    runs.
+    column; a mask without it or of another size, a source off the window, a
+    bound outside [0, 2**64) or m out of range raises :class:`ValueError`
+    before the kernel runs.  The results are an ``array`` of C ints.
     """
     side = 2 * L + 1
-    sources = np.asarray(sources, dtype=np.int32)
-    target = np.ascontiguousarray(target, dtype=bool)
-    sites = (0 <= sources) & (sources < side * side)
+    sources, target = list(sources), bytes(target)
     if not (
-        1 <= m <= 16 and 0 <= bound <= _M64 and sites.all() and target.shape == (side, side) and target[:, -1].all()
+        1 <= m <= 16
+        and 0 <= bound <= _M64
+        and all(0 <= s < side * side for s in sources)
+        and len(target) == side * side
+        and all(target[side - 1 :: side])
     ):
         raise ValueError(
             f"a flood needs 1 <= m <= 16, a 64-bit bound, sources on its {side} x {side} window"
             " and targets that hold its right column"
         )
-    out = np.empty(fields, dtype=np.int32)
+    sources, out = array("i", sources), array("i", bytes(4 * fields))
     if kernel.load(_NEED).peierls_flood(
-        int(seed) & _M64, t0 & _M64, fields, L, bound, m, sources.ctypes.data, sources.size, target.ctypes.data, out.ctypes.data
+        int(seed) & _M64, t0 & _M64, fields, L, bound, m, sources.buffer_info()[0], len(sources), target, out.buffer_info()[0]
     ):
         raise MemoryError(f"cannot allocate the flood's scratch for a field of {side * side} sites")
     return out
 
 
-def _left_right(L: int) -> tuple[np.ndarray, np.ndarray]:
+def _left_right(L: int) -> tuple[range, bytes]:
     """The flat indices of the radius-L window's left column, and its right column as a target mask."""
     side = 2 * L + 1
-    right = np.zeros((side, side), dtype=bool)
-    right[:, -1] = True
-    return np.arange(0, side * side, side), right
+    return range(0, side * side, side), (bytes(side - 1) + b"\1") * side
 
 
 def _reach_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
@@ -159,16 +163,16 @@ def _reach_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
     if c >= 1.0:
         return t1 - t0
     side = 2 * L + 1
-    border = np.ones((side, side), dtype=bool)
-    border[1:-1, 1:-1] = False
-    return int((_flood(seed, t0, t1 - t0, L, _hash_threshold(c), 1, [L * side + L], border) == 0).sum())
+    ring = b"\1" * side
+    border = ring + (b"\1" + bytes(side - 2) + b"\1") * (side - 2) + ring
+    return _flood(seed, t0, t1 - t0, L, _hash_threshold(c), 1, [L * side + L], border).count(0)
 
 
 def _crossing_count(seed: int, L: int, c: float, t0: int, t1: int) -> int:
     """Trials t0..t1-1 with an occupied left-right crossing: an m = 1 flood from the left column to the right one that ends at 0."""
     if c >= 1.0:
         return t1 - t0
-    return int((_flood(seed, t0, t1 - t0, L, _hash_threshold(c), 1, *_left_right(L)) == 0).sum())
+    return _flood(seed, t0, t1 - t0, L, _hash_threshold(c), 1, *_left_right(L)).count(0)
 
 
 #: Trials x sites in one chunk at most.  A chunk holds one int32 result a
@@ -197,11 +201,11 @@ def _count_events(counter, L: int, c, trials: int, seed: int, workers: int):
     """Sum of ``counter(seed, L, c, t0, t1)`` over the chunks of the run (:func:`_chunks`), on ``workers`` processes.
 
     The counter returns a trial count, or for bisection (with ``c`` the grid
-    exponent m) a histogram array.
+    exponent m) a histogram :class:`~collections.Counter`.
     """
     tasks = ((counter, seed, L, c, t0, t1) for t0, t1 in _chunks(L, trials, workers))
     with pool._fan_out(tasks, workers) as results:
-        return sum(results)
+        return reduce(add, results)
 
 
 #: Sites in one field.  A flood takes about 5 bytes of scratch a site, the
@@ -298,7 +302,7 @@ def _midpoint_count(tol: float) -> int:
     return m
 
 
-def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
+def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int) -> array:
     """Critical grid index of each trial t0..t1-1.
 
     The critical index j*_t is the largest j in [0, 2**m) such that field t has
@@ -310,9 +314,9 @@ def _critical_indices(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray
     return _flood(seed, t0, t1 - t0, L, 1 << (64 - m), m, *_left_right(L))
 
 
-def _critical_histogram(seed: int, L: int, m: int, t0: int, t1: int) -> np.ndarray:
-    """Histogram over [0, 2**m) of the critical indices of trials t0..t1-1 (:func:`_critical_indices`)."""
-    return np.bincount(_critical_indices(seed, L, m, t0, t1), minlength=1 << m)
+def _critical_histogram(seed: int, L: int, m: int, t0: int, t1: int) -> Counter:
+    """Histogram of the critical indices of trials t0..t1-1 (:func:`_critical_indices`), each index's trials."""
+    return Counter(_critical_indices(seed, L, m, t0, t1))
 
 
 def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int = 1) -> ThresholdResult:
@@ -341,12 +345,12 @@ def bisect_threshold(L: int, trials: int, tol: float, seed: int, *, workers: int
     kernel.load(_NEED)  # built and loaded before the workers fork
     histogram = _count_events(_critical_histogram, L, m, trials, seed, workers)
     # hits[j]: trials crossing at c = j / grid, i.e. with j* < j
-    hits = np.concatenate(([0], np.cumsum(histogram)))
+    hits = list(accumulate((histogram[j] for j in range(grid)), initial=0))
     lo, hi = 0.0, 1.0
     trace: list[tuple[float, float]] = []
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        value = int(hits[int(mid * grid)]) / trials
+        value = hits[int(mid * grid)] / trials
         trace.append((mid, value))
         if value < 0.5:
             lo = mid

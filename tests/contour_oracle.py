@@ -1,11 +1,12 @@
 """Scalar references for clusters and outer contours, and the slow shape walk.
 
-The library extracts contours and traces their cycles only on numpy blocks
-of row masks (``clusters._contour_rows`` and ``clusters._cycle_rows``).  The
-references here take one cluster at a time.  ``oracle_outer_boundary``
-works on Python sets of sites: the exterior is an explicit flood fill over a
-padded bounding box, and the filled silhouette is everything in the box that
-the fill did not reach.  ``_contour_bits`` runs the same steps on one
+The library extracts contours and traces their cycles on row masks: the
+one-cluster functions on Python-int rows (``clusters._contour`` and
+``clusters._cycle``), the census in its compiled kernel.  The references
+here take one cluster at a time.  ``oracle_outer_boundary`` works on Python
+sets of sites: the exterior is an explicit flood fill over a padded
+bounding box, and the filled silhouette is everything in the box that the
+fill did not reach.  ``_contour_bits`` runs the same steps on one
 big-integer bitboard, and ``_ccw_cycle`` orders a contour into its cycle by
 walking the edges of the filled site set.  The origin clusters of the census
 come from ``_iter_shapes``, each shape placed once at every cell, and the
@@ -40,7 +41,6 @@ from peierls import (
     IncompletenessError,
     NoRayIntersection,
     Site,
-    clusters,
     interior_capacity,
     neighbors4,
     site_boundary,
@@ -143,15 +143,15 @@ def _iter_shapes(
         bits ^= 1 << shape.pop()
 
 
-def block_rows(masks: list[int], xmins: list[int], box: int) -> np.ndarray:
-    """The ``(N, box + 4)`` row masks of ``_iter_shapes`` shapes at most ``box`` wide and tall, in one frame.
+def frame_rows(mask: int, xmin: int, box: int) -> list[int]:
+    """The ``box + 4`` frame rows of an ``_iter_shapes`` shape at most ``box`` wide and tall, as Python ints.
 
     Shape cell (x, y) sits at column x - xmin + 2 and row y + 2, as in the
     records of ``enumeration._shape_block``.
     """
-    words = np.frombuffer(b"".join([m.to_bytes(8 * box, "little") for m in masks]), "<u8").reshape(-1, box)
-    rows = np.zeros((len(masks), box + 4), clusters._row_dtype(box + 4))
-    rows[:, 2 : box + 2] = words >> (np.array(xmins, np.uint64) - 2)[:, None]
+    rows = [0] * (box + 4)
+    for y in range(box):
+        rows[y + 2] = (mask >> 64 * y & (1 << 64) - 1) >> (xmin - 2)
     return rows
 
 

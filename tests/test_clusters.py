@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contour_oracle import (
@@ -26,7 +26,8 @@ from peierls import (
 )
 from bisect_oracle import oracle_labels
 from kernel_keys import occupied as occupancy
-from peierls.enumeration import _max_span
+from peierls import enumeration
+from peierls.enumeration import _CANON_STRIDE, _max_span
 from peierls.montecarlo import _reach_count
 
 
@@ -186,12 +187,13 @@ def frame_width(sites, pad):
 
 @pytest.mark.parametrize(
     "n, seed, dtype",
-    # frames of 42 and 62 columns (uint64 rows), and of 103 and 150 (Python-int rows)
+    # frames of 42 and 62 columns, whose rows fit a 64-bit word, and of 103
+    # and 150, whose rows do not
     [(400, 0, np.uint64), (2000, 2, np.uint64), (3000, 0, object), (2000, 3, object)],
 )
 def test_outer_boundary_matches_oracle_on_wide_clusters(n, seed, dtype):
     sites = random_walk(n, seed)
-    assert clusters._row_dtype(frame_width(sites, 2)) == dtype
+    assert np.min_scalar_type((1 << frame_width(sites, 2)) - 1) == dtype
     cl = make_cluster(sites)
     assert outer_boundary(cl) == oracle_outer_boundary(cl)
 
@@ -282,24 +284,35 @@ def test_contour_length_bounds_the_span(sites):
 
 
 # ---------------------------------------------------------------------------
-# cycle tracer, one contour and a block at a time
+# cycle tracers: one contour of any width, and the kernel's block of census keys
 # ---------------------------------------------------------------------------
 
 
+def one_cycle(sites):
+    """``clusters._cycle`` of a contour site set, in its own frame with a free ring."""
+    x0, y0 = min(x for x, _ in sites) - 1, min(y for _, y in sites) - 1
+    width = frame_width(sites, 1)
+    rows = [0] * (max(y for _, y in sites) - y0 + 2)
+    for x, y in sites:
+        rows[y - y0] |= 1 << (x - x0)
+    return clusters._cycle(rows, width, (x0, y0))
+
+
+def fits_a_key(sites):
+    """Does a site set fit the 32 columns and rows of a census key?"""
+    return frame_width(sites, 0) <= _CANON_STRIDE and max(y for _, y in sites) - min(y for _, y in sites) < _CANON_STRIDE
+
+
 def block_cycles(contours):
-    """``clusters._cycle_rows`` of contour site sets, each in one shared frame with a free ring."""
-    corners = [(min(x for x, _ in c) - 1, min(y for _, y in c) - 1) for c in contours]
-    width = max(x - x0 for c, (x0, _) in zip(contours, corners) for x, _ in c) + 2
-    height = max(y - y0 for c, (_, y0) in zip(contours, corners) for _, y in c) + 2
-    rows = np.zeros((len(contours), height), clusters._row_dtype(width))
-    for i, (c, (x0, y0)) in enumerate(zip(contours, corners)):
-        for x, y in c:
-            rows[i, y - y0] |= rows.dtype.type(1 << (x - x0))
-    xs, ys = clusters._cycle_rows(rows, width)
-    return [
-        tuple(zip((xs[i, : len(c)] + x0).tolist(), (ys[i, : len(c)] + y0).tolist()))
-        for i, (c, (x0, y0)) in enumerate(zip(contours, corners))
-    ]
+    """The cycles the kernel's class pass traces for contour site sets, each moved to its corner as a census key."""
+    corners = [(min(x for x, _ in c), min(y for _, y in c)) for c in contours]
+    keys = [sum(1 << ((y - y0) * _CANON_STRIDE + x - x0) for x, y in c) for c, (x0, y0) in zip(contours, corners)]
+    _, cycles = enumeration._class_pass(keys, [0] * len(keys))
+    out, at = [], 0
+    for c, (x0, y0) in zip(contours, corners):
+        out.append(tuple(zip([x + x0 for x in cycles[at : at + 2 * len(c) : 2]], [y + y0 for y in cycles[at + 1 : at + 2 * len(c) : 2]])))
+        at += 2 * len(c)
+    return out
 
 
 _DIAMOND = frozenset({(1, 0), (0, 1), (2, 1), (1, 2)})
@@ -317,8 +330,9 @@ _TWO_DIAMONDS = _DIAMOND | {(x + 4, y) for x, y in _DIAMOND}
     ],
 )
 def test_tracer_rejects_what_is_not_a_simple_ccw_cycle(sites, message):
-    with pytest.raises(ContourError, match=message):
-        contour_cycle(sites)
+    for trace in (contour_cycle, one_cycle):
+        with pytest.raises(ContourError, match=message):
+            trace(sites)
     with pytest.raises(ContourError, match=message):
         block_cycles([_DIAMOND, sites])
 
@@ -340,18 +354,22 @@ def contour_candidates(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(contour_candidates(), min_size=1, max_size=6))
 def test_block_tracer_matches_ccw_cycle(contours):
-    # each contour alone gives the cycle of _ccw_cycle or fails as it does;
-    # the good ones together give their cycles, and any bad one fails a block
+    # each contour alone gives the cycle of _ccw_cycle or fails as it does, in
+    # the one-contour tracer and in a block of one of the kernel's; the good
+    # ones together give their cycles, and any bad one fails a block
+    contours = [c for c in contours if fits_a_key(c)]
+    assume(contours)
     want = []
     for sites in contours:
         try:
             want.append(contour_cycle(sites))
         except ContourError:
             want.append(None)
-        try:
-            assert block_cycles([sites]) == [want[-1]]
-        except ContourError:
-            assert want[-1] is None
+        for trace in (one_cycle, lambda c: block_cycles([c])[0]):
+            try:
+                assert trace(sites) == want[-1]
+            except ContourError:
+                assert want[-1] is None
     good = [c for c, w in zip(contours, want) if w]
     if good:
         assert block_cycles(good) == [w for w in want if w]
@@ -362,13 +380,13 @@ def test_block_tracer_matches_ccw_cycle(contours):
 
 @pytest.mark.parametrize(
     "walks, dtype",
-    # frames of 42 and 62 columns (uint64 rows), and of 103 (Python-int rows)
+    # frames of 42 and 62 columns, whose rows fit a 64-bit word, and of 103, whose rows do not
     [([(120, 0), (400, 0)], np.uint64), ([(2000, 2)], np.uint64), ([(3000, 0), (120, 1)], object)],
 )
-def test_block_tracer_matches_ccw_cycle_on_wide_frames(walks, dtype):
+def test_tracer_matches_ccw_cycle_on_wide_frames(walks, dtype):
     contours = [oracle_outer_boundary(make_cluster(random_walk(n, seed))).sites for n, seed in walks]
-    assert clusters._row_dtype(max(frame_width(c, 1) for c in contours)) == dtype
-    assert block_cycles(contours) == [contour_cycle(c) for c in contours]
+    assert np.min_scalar_type((1 << max(frame_width(c, 1) for c in contours)) - 1) == dtype
+    assert [one_cycle(c) for c in contours] == [contour_cycle(c) for c in contours]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import struct
 from collections import Counter, defaultdict
 from functools import lru_cache
 from types import SimpleNamespace
@@ -7,17 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import contour_oracle
 from contour_oracle import (
     _contour_bits,
     _embed,
     _iter_shapes,
-    block_rows,
     census_classes,
     census_part,
     enumerate_origin_clusters,
+    frame_rows,
     oracle_outer_boundary,
     shape_block,
 )
@@ -131,11 +131,17 @@ def test_shape_tree_parts_partition_the_shapes(n, span, parts):
         assert not list(_iter_shapes(n, span, parts - 1, parts))
 
 
+def shape_records(shapes):
+    """The records of a ``_shape_block`` as ``(cell rows, contour rows, cells, boundary sites, exterior sites)``."""
+    h = shapes.height
+    words = np.frombuffer(shapes.records, np.uint64).reshape(-1, 2 * h + 3).tolist()
+    return [(tuple(r[:h]), tuple(r[h : 2 * h]), *r[2 * h :]) for r in words]
+
+
 def _kernel_records(max_len, cap, part, parts):
     """The kernel's kept records of a part, as ``shape_block`` gives them, and its count of shapes built."""
     shapes = _shape_block(max_len, cap, part, parts)
-    columns = (shapes.cells, shapes.contours, shapes.sizes, shapes.boundaries, shapes.exteriors)
-    return Counter((tuple(c), tuple(g), n, b, e) for c, g, n, b, e in zip(*(a.tolist() for a in columns))), shapes.built
+    return Counter(shape_records(shapes)), shapes.built
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,7 +242,7 @@ def test_shapes_in_the_span_box_at_length_twelve():
     # the shapes of up to 13 cells that fit the 5 x 5 box, built by the
     # kernel; the other 2,249,567 are never built, and 2,797 are kept
     shapes = _shape_block(12, 13, 0, 1)
-    assert (shapes.built, len(shapes.cells)) == (345_600, 2_797)
+    assert (shapes.built, len(shape_records(shapes))) == (345_600, 2_797)
     assert sum(_shape_block(12, 13, part, 8).built for part in range(8)) == 345_600
 
 
@@ -501,7 +507,10 @@ def test_concentrations_are_checked_before_any_work(entry, bad, error, message):
 def test_walk_allocation_failure_raises_memory_error():
     library = kernel.load("a test")
     failing = SimpleNamespace(
-        peierls_walk=lambda *args: -1, peierls_shapes=library.peierls_shapes, peierls_free=library.peierls_free
+        peierls_walk=lambda *args: -1,
+        peierls_shapes=library.peierls_shapes,
+        peierls_free=library.peierls_free,
+        peierls_classes=library.peierls_classes,
     )
     with mock.patch.object(kernel, "_library", failing):
         for count in (self_avoiding_circuit_count, full_count_table):
@@ -659,7 +668,7 @@ def test_event_table_infeasible_length():
 
 
 # ---------------------------------------------------------------------------
-# contours in blocks
+# contours on row masks
 # ---------------------------------------------------------------------------
 
 
@@ -673,44 +682,42 @@ def _bitboard(row_masks, width):
     return sum(int(v) << (y * width) for y, v in enumerate(row_masks))
 
 
-def _check_block(block, box):
-    """The block kernel against the scalar extractor, shape by shape, in the block's frame."""
-    rows = block_rows([bits for _, bits, _ in block], [xmin for *_, xmin in block], box)
+def _check_shapes(shapes, box):
+    """The row extractor against the scalar extractor, shape by shape, each in a square frame of ``box + 4`` rows."""
     width = box + 4
-    masks = clusters._contour_rows(rows, width)
-    counts = [clusters._popcounts(m).tolist() for m in (rows, *masks)]
-    for i, (cells, bits, xmin) in enumerate(block):
+    out = []
+    for cells, bits, xmin in shapes:
         assert bits == sum(1 << e for e in cells)
+        rows = frame_rows(bits, xmin, box)
+        masks = clusters._contour(rows, width)
         wbits, frame = _embed(cells, xmin, box, box)
-        want = (wbits, *_contour_bits(wbits, frame))
-        assert tuple(_bitboard(m[i], width) for m in (rows, *masks)) == want
-        assert [c[i] for c in counts] == [b.bit_count() for b in want]
-    return rows, masks
+        assert tuple(_bitboard(m, width) for m in (rows, *masks)) == (wbits, *_contour_bits(wbits, frame))
+        out.append((rows, masks))
+    return out
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     span=st.integers(1, 7),
-    # frames of 16, 17, 32, 33 and 34 columns: uint16 rows, and uint64 rows
-    # of one to three 16-bit slices for the bit counts
+    # frames of 16, 17, 32, 33 and 34 columns, the census's widest
     box=st.one_of(st.none(), st.sampled_from([12, 13, 28, 29, 30])),
     picks=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=300),
 )
-def test_block_kernel_matches_scalar_extractor(span, box, picks):
+def test_row_extractor_matches_scalar_extractor(span, box, picks):
     shapes = _box_shapes(span)
-    _check_block([shapes[i % len(shapes)] for i in picks], box or span)
+    _check_shapes([shapes[i % len(shapes)] for i in picks], box or span)
 
 
-def test_block_kernel_keeps_an_enclosed_free_site_out_of_the_exterior():
+def test_row_extractor_keeps_an_enclosed_free_site_out_of_the_exterior():
     # the corners (+-1, +-1) joined below, right and above by 3-cell bridges:
     # the cluster and its boundary close around the free site (0, 0)
     sites = [(x, y) for x in (-1, 1) for y in (-1, 1)]
     sites += [(x, -2) for x in (-1, 0, 1)] + [(2, y) for y in (-1, 0, 1)] + [(x, 2) for x in (-1, 0, 1)]
     assert len(sites) == 13
     cells = [((y + 2) << 6) | (x + 32) for x, y in sites]
-    rows, (bnd, _, ext) = _check_block([(cells, sum(1 << e for e in cells), 31), *_box_shapes(5)[:50]], 5)
+    [(rows, (bnd, _, ext))] = _check_shapes([(cells, sum(1 << e for e in cells), 31)], 5)
     # (0, 0) sits in frame column 0 - xmin + 2 = 3 and row 0 + 2 + 2 = 4
-    assert not (rows[0, 4] | bnd[0, 4] | ext[0, 4]) & 1 << 3
+    assert not (rows[4] | bnd[4] | ext[4]) & 1 << 3
 
 
 @pytest.mark.parametrize(
@@ -728,18 +735,14 @@ def test_census_part_matches_scalar_reference(k_max, cap, part, parts):
     assert [list(by_size) for by_size in got.values()] == [list(by_size) for by_size in want.values()]
 
 
-@given(
-    hnp.arrays(
-        np.uint64,
-        # frames of 1 to 34 rows, the census's widest frame, and blocks of none to 20 groups
-        st.tuples(st.integers(0, 20), st.integers(1, 34)),
-        elements=st.integers(0, (1 << 32) - 1),
-    )
-)
+@given(st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=34))
 def test_row_bits_matches_the_shift_sum(rows):
-    # row y of each block at bit 32 * y; a block of no groups packs to none
-    assert _row_bits(rows) == [sum(v << (32 * y) for y, v in enumerate(block)) for block in rows.tolist()]
-    assert _row_bits(rows[:0]) == []
+    # row y of a frame of 1 to 34 rows, the census's tallest, moves from bit
+    # 64 * y to bit 32 * y; a row past 32 bits is refused
+    frame = sum(v << (64 * y) for y, v in enumerate(rows))
+    assert _row_bits(frame, len(rows)) == sum(v << (32 * y) for y, v in enumerate(rows))
+    with pytest.raises(struct.error):
+        _row_bits(frame | 1 << (64 * len(rows) - 32), len(rows))
 
 
 @settings(max_examples=12, deadline=None)
@@ -751,13 +754,27 @@ def test_classes_and_witnesses_match_the_oracle(k_max, parts):
     assert (table.classes, table.witnesses) == census_classes(results)
 
 
+def test_kernel_class_pass_matches_the_oracle_on_every_contour_to_length_twelve():
+    # the 1,566 distinct contours of the census at k = 12 around their 12,368
+    # origin positions, checked and classified one at a time by the oracle
+    results = [_census_part(12, 13, 0, 1)]
+    table = _census_table(12, 13, iter(results))
+    assert (table.classes, table.witnesses) == census_classes(results)
+    assert sum(table.classes.values()) == sum(table.exact.values()) == 12_368
+
+
 _DIAMOND = frozenset({(1, 0), (0, 1), (2, 1), (1, 2)})
+
+
+def _census_parts_of(contour, positions):
+    """The census parts' results of one part that holds one canonical contour around the given origin positions."""
+    key, cover = (sum(1 << (y * _CANON_STRIDE + x) for x, y in sites) for sites in (contour, positions))
+    return [{key: {1: cover}}]
 
 
 def _census_of(contour, positions):
     """The census table of one part that holds one canonical contour around the given origin positions."""
-    key, cover = (sum(1 << (y * _CANON_STRIDE + x) for x, y in sites) for sites in (contour, positions))
-    return _census_table(4, 1, iter([{key: {1: cover}}]))
+    return _census_table(4, 1, iter(_census_parts_of(contour, positions)))
 
 
 def test_crafted_census_classifies_its_contour():
@@ -775,11 +792,25 @@ def test_crafted_census_classifies_its_contour():
         ({(0, 0), (1, 1)}, {(3, 3)}, ContourError, r"pinched outer boundary at corner \(2, 2\)"),
         (_DIAMOND | {(x + 4, y) for x, y in _DIAMOND}, {(1, 1)}, ContourError, "not a single closed curve"),
         ({(0, 0), (1, 0), (2, 0)}, {(1, 2)}, ContourError, "revisits a site"),
+        ({(x, y) for x in range(3) for y in range(3)}, {(4, 4)}, ContourError, "does not match the exposed boundary set"),
+        ({(0, 0), (1, 0)}, {(3, 3)}, ContourError, "came out clockwise"),
+        # the diamond 6 sites right of the position: the ray meets its top,
+        # whose successor is a step down and left
+        (
+            {(x + 6, y) for x, y in _DIAMOND},
+            {(1, 2)},
+            ContourError,
+            r"successor offset \(-1, -1\) of ray site \(6, 0\) is not an admissible first step$",
+        ),
     ],
 )
 def test_census_class_pass_rejects_crafted_contours(contour, positions, error, message):
+    # the kernel's class pass and the oracle both fail; the oracle winds each
+    # position before it classifies it, so its error may be another one
     with pytest.raises(error, match=message):
         _census_of(contour, positions)
+    with pytest.raises((ContourError, NoRayIntersection)):
+        census_classes(_census_parts_of(contour, positions))
 
 
 @pytest.mark.parametrize("parts", [2, 7, 300])
@@ -819,9 +850,11 @@ def test_census_part_fails_on_the_first_bad_shape(tight, cleared, error):
 
     def clear_block(*args):
         shapes = shape_block(*args)
-        contours = shapes.contours.copy()
-        contours[clusters._popcounts(contours) == cleared] = 0
-        return shapes._replace(contours=contours)
+        h = shapes.height
+        words = np.frombuffer(shapes.records, np.uint64).reshape(-1, 2 * h + 3).copy()
+        contours = words[:, h : 2 * h]
+        contours[np.bitwise_count(contours).sum(axis=1) == cleared] = 0
+        return shapes._replace(records=words.tobytes())
 
     def clear_bits(wbits, frame):
         bnd, gamma, ext = contour_bits(wbits, frame)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from collections.abc import Iterator
 from types import SimpleNamespace
 from unittest import mock
@@ -358,7 +359,7 @@ def test_critical_index_matches_crossing_predicate(seed, L, m, t0, n, data):
 )
 def test_sweep_matches_oracle(seed, L, m, t0, n):
     critical = _critical_indices(seed, L, m, t0, t0 + n)
-    assert critical.dtype == np.int32
+    assert critical.typecode == "i"
     assert np.array_equal(critical, oracle_critical_indices(seed, L, m, t0, t0 + n, np.zeros(1 << m, dtype=np.int64))[0])
 
 
@@ -366,7 +367,7 @@ def test_sweep_matches_oracle(seed, L, m, t0, n):
 def test_sweep_matches_oracle_at_radius_64(seed):
     expected, _ = oracle_critical_indices(seed, 64, 8, 0, 300, np.zeros(1 << 8, dtype=np.int64))
     assert np.array_equal(_critical_indices(seed, 64, 8, 0, 300), expected)
-    assert np.array_equal(_critical_histogram(seed, 64, 8, 0, 300), np.bincount(expected, minlength=1 << 8))
+    assert _critical_histogram(seed, 64, 8, 0, 300) == Counter(expected.tolist())
 
 
 def _oracle_keys(seed: int, L: int, bound: int, m: int, t0: int, t1: int) -> np.ndarray:
@@ -375,9 +376,10 @@ def _oracle_keys(seed: int, L: int, bound: int, m: int, t0: int, t1: int) -> np.
     return np.where(hashes < np.uint64(bound), 0, np.maximum(1, (hashes >> np.uint64(64 - m)).astype(np.int64)))
 
 
-def _assert_critical_by_crossing(keys: np.ndarray, m: int, critical: np.ndarray) -> None:
+def _assert_critical_by_crossing(keys: np.ndarray, m: int, critical) -> None:
     # crossing is monotone in j, so j* is pinned by no crossing at j* and,
     # below the top of the grid, a crossing at j* + 1
+    critical = np.asarray(critical)
     for j, crosses in ((critical, False), (critical + 1, True)):
         crossed = oracle_crossing(oracle_labels(keys < j.astype(np.int64)[:, np.newaxis, np.newaxis]))
         assert np.array_equal(crossed, np.where(j < 1 << m, crosses, True))
@@ -397,7 +399,7 @@ def test_kernel_at_side_3():
     for m, n in ((1, 6000), (16, 300)):
         keys = _oracle_keys(5, 1, 1 << (64 - m), m, 0, n)
         critical = _critical_indices(5, 1, m, 0, n)
-        assert critical.min() >= 0 and critical.max() < 1 << m
+        assert min(critical) >= 0 and max(critical) < 1 << m
         _assert_critical_by_crossing(keys, m, critical)
     binary = _oracle_keys(5, 1, 1 << 63, 1, 0, 6000)
     assert len(np.unique(binary.reshape(-1, 9), axis=0)) == 1 << 9
@@ -514,31 +516,59 @@ def test_kernel_compiles_without_warnings(tmp_path):
         records, kept, built = ctypes.c_void_p(), ctypes.c_int64(), ctypes.c_int64()
         code = library.peierls_shapes(max_len, cap, part, parts, *map(ctypes.byref, (records, kept, built)))
         shapes = enumeration._shape_block(max_len, cap, part, parts)
-        height = shapes.cells.shape[1]
-        block = np.frombuffer(ctypes.string_at(records, 8 * kept.value * (2 * height + 3)), np.uint64)
+        block = ctypes.string_at(records, 8 * kept.value * (2 * shapes.height + 3))
         library.peierls_free(records)
-        want = np.column_stack([shapes.cells, shapes.contours, shapes.sizes, shapes.boundaries, shapes.exteriors])
-        assert (code, kept.value, built.value) == (0, len(want), shapes.built)
-        assert block.tolist() == want.ravel().tolist()
+        assert (code, built.value, block) == (0, shapes.built, shapes.records)
+    # and its class pass classifies the census's contours at k = 10 as the package does
+    library.peierls_classes.argtypes = [ctypes.c_int32, ctypes.c_int32, *[ctypes.c_void_p] * 5]
+    with mock.patch.object(kernel, "_library", library):
+        strict = enumeration.exact_contour_counts(10)
+    package = enumeration.exact_contour_counts(10)
+    assert (strict.classes, strict.witnesses) == (package.classes, package.witnesses)
 
 
-#: The test program of the sanitizer build.  The circuit walk of both rules at k_max = 4..10 and of the five rule at
-#: k_max = 12, whole and cut short, and the longest walk cut short.  The shape tree at max_len = 4..12 with the census's
-#: cap, whole and in 8 parts, and one part of the widest frame the shape limit admits, 19 columns at cap 15, every record
-#: checked.  Floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column, the origin, every site and no site, into
-#: arrays of exactly their size, checking every result against [0, 2**m).  At radius 3, 600 fields in one call, past two
-#: wraps of the flood's seen stamp, against the same fields one call each.
+#: The test program of the sanitizer build, which includes the kernel's source to reach its static functions.  The
+#: circuit walk of both rules at k_max = 4..10 and of the five rule at k_max = 12, whole and cut short, and the longest
+#: walk cut short; and the walk's dedup fed crafted records of one key with different start bits.  The shape tree at
+#: max_len = 4..12 with the census's cap, whole and in 8 parts, and one part of the widest frame the shape limit admits,
+#: 19 columns at cap 15, every record checked.  The class pass on the widest and the tallest contours a census key
+#: holds, and on a contour for each check that fails.  Floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column,
+#: the origin, every site and no site, into arrays of exactly their size, checking every result against [0, 2**m).  At
+#: radius 3, 600 fields in one call, past two wraps of the flood's seen stamp, against the same fields one call each.
 _SANITIZER_DRIVER = r"""
-#include <stdint.h>
 #include <stdio.h>
-#include <stdlib.h>
 
-int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_t bound, int32_t m,
-                  const int32_t *sources, int32_t nsources, const uint8_t *target, int32_t *out);
-int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks, int64_t *distinct, int64_t *nodes);
-int peierls_shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, uint64_t **records, int64_t *kept,
-                   int64_t *built);
-void peierls_free(uint64_t *records);
+#include "_kernel.c"
+
+/* Three closed-walk records of length 5: two of one mask with the start bits 011 and 110, one of another mask with
+ * 001.  The dedup ORs the bits of equal keys, so distinct[5] counts the 3 starts of the union and the 1 of the other
+ * mask: 1 unless it counts 4. */
+static int dedup(void)
+{
+    uint64_t rec[9] = {5, 0x15, 0x3, 5, 0x15, 0x6, 5, 0x17, 0x1};
+    int64_t distinct[6] = {0};
+    struct walk w = {.width = 1, .rec = rec, .nrec = 3};
+    return count_distinct(&w, distinct) != 0 || distinct[5] != 4;
+}
+
+/* The class pass over one contour of `height` key rows, around the positions of the rows cover: its code, with the
+ * classes of at most 62-site contours counted in counts and the cycle in cycle. */
+static int64_t counts[63 * 32 * 5];
+static int32_t cycle[2 * 62], where[3];
+static int class_pass(int32_t height, const uint32_t *key, const uint32_t *cover)
+{
+    memset(counts, 0, sizeof counts);
+    return peierls_classes(1, height, key, cover, counts, cycle, where);
+}
+
+/* The positions counted in counts. */
+static int64_t positions(void)
+{
+    int64_t n = 0;
+    for (size_t c = 0; c < sizeof counts / sizeof *counts; c++)
+        n += counts[c];
+    return n;
+}
 
 /* Part `part` of `parts` of the shape tree, its kept and built shapes added to *kept and *built: 1 when the call fails
  * or a record is out of range (its cell count, its contour length, its boundary and exterior counts, a row past the
@@ -597,6 +627,38 @@ static int wrap(const int32_t *sources, int32_t nsources, const uint8_t *target,
 
 int main(void)
 {
+    if (dedup())
+        return 9;
+    /* the diamond around (1, 1): class (4, 1, 4), cycle (0, 1), (1, 0), (2, 1), (1, 2) */
+    const uint32_t diamond[3] = {2, 5, 2}, inside[3] = {0, 2, 0};
+    if (class_pass(3, diamond, inside) || counts[(4 * 32 + 1) * 5 + 4] != 1 || positions() != 1 || cycle[0] != 0 ||
+        cycle[1] != 1 || cycle[6] != 1 || cycle[7] != 2)
+        return 10;
+    /* the contours of the 30-cell lines, 32 columns or 32 rows, around each of their cells */
+    uint32_t wide[3] = {0x7FFFFFFEu, 0x80000001u, 0x7FFFFFFEu}, wide_cells[3] = {0, 0x7FFFFFFEu, 0};
+    uint32_t tall[32] = {2}, tall_cells[32] = {0};
+    for (int32_t y = 1; y <= 30; y++) {
+        tall[y] = 5;
+        tall_cells[y] = 2;
+    }
+    tall[31] = 2;
+    if (class_pass(3, wide, wide_cells) || positions() != 30 || class_pass(32, tall, tall_cells) || positions() != 30)
+        return 10;
+    /* a position on the contour; a pinched corner at (2, 2), a filled site off the contour, a revisit, two curves and
+     * a clockwise walk; a ray past the contour, a step down and left after the ray site, and a position outside */
+    const struct { int32_t height; uint32_t key[5], cover[5]; int code; } bad[9] = {
+        {3, {2, 5, 2}, {2, 2, 0}, ON_CONTOUR}, {4, {1, 2}, {0, 0, 0, 8}, PINCHED},
+        {5, {7, 7, 7}, {0, 0, 0, 0, 16}, PERIMETER}, {3, {7}, {0, 0, 2}, REVISIT},
+        {3, {0x22, 0x55, 0x22}, {0, 2, 0}, CURVES}, {4, {3}, {0, 0, 0, 8}, CLOCKWISE},
+        {3, {2, 5, 2}, {0, 10, 0}, NO_RAY}, {3, {0x80, 0x140, 0x80}, {0, 0, 2}, FIRST_STEP},
+        {3, {2, 5, 2}, {1, 2, 0}, WINDING}};
+    for (int i = 0; i < 9; i++)
+        if (class_pass(bad[i].height, bad[i].key, bad[i].cover) != bad[i].code)
+            return 11;
+    if (class_pass(4, (const uint32_t[4]){1, 2}, (const uint32_t[4]){0, 0, 0, 8}) != PINCHED || where[0] != 2 ||
+        where[1] != 2 || class_pass(3, (const uint32_t[3]){0x80, 0x140, 0x80}, (const uint32_t[3]){0, 0, 2}) !=
+        FIRST_STEP || where[0] != -1 || where[1] != -1 || where[2] != 6)
+        return 11;
     for (int32_t k = 4; k <= 10; k++)
         if (walk(k, 2) || walk(k, 3))
             return 4;
@@ -677,7 +739,7 @@ def test_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_
     driver = tmp_path / "driver.c"
     driver.write_text(_SANITIZER_DRIVER)
     build = subprocess.run(
-        ["cc", *flags, "-o", str(tmp_path / "driver"), str(driver), kernel.SOURCE],
+        ["cc", *flags, "-I", os.path.dirname(kernel.SOURCE), "-o", str(tmp_path / "driver"), str(driver)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -700,7 +762,8 @@ def _env_with_src(**extra: str) -> dict[str, str]:
 def test_import_loads_no_scipy_and_not_the_kernel(tmp_path):
     # in a fresh interpreter: the CLI's import loads no scipy module and not
     # the flood kernel, and builds nothing into the kernel cache.  (ctypes
-    # itself is loaded by numpy, in numpy._core._internal.)
+    # itself is loaded: the census and the Monte Carlo hand the kernel their
+    # buffers through it.)
     script = textwrap.dedent(
         """
         import os
@@ -788,20 +851,32 @@ def test_flood_allocation_failure_raises_memory_error():
                 run()
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
-def test_import_loads_numpy_with_a_one_thread_blas_pool_and_leaves_the_environment():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["counts", "--k-max", "8"],
+        ["bounds", "--mode", "analytic", "--r", "9", "--c", "0.9"],
+        ["bounds", "--mode", "exact", "--c", "0.9"],
+        ["simulate", "--L", "8", "--c", "0.6", "--trials", "20", "--observable", "reach"],
+        ["simulate", "--L", "8", "--c", "0.6", "--trials", "20", "--observable", "crossing"],
+        ["simulate", "--L", "8", "--bisect", "--tol", "0.1", "--trials", "20"],
+    ],
+    ids=["import", "counts", "bounds-analytic", "bounds-exact", "reach", "crossing", "bisect"],
+)
+def test_the_cli_and_its_commands_leave_numpy_unloaded(argv, tmp_path):
+    # in a fresh interpreter: import peierls.cli, then run the command, if any
     script = textwrap.dedent(
         """
-        import os
+        import sys
         import peierls.cli
-        print(len(os.listdir("/proc/self/task")), "OPENBLAS_NUM_THREADS" in os.environ)
+        assert not sys.argv[1:] or peierls.cli.main(sys.argv[1:]) == 0
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
         """
     )
-    env = _env_with_src()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["1", "False"]
+    out = [] if not argv else ["--out", str(tmp_path / "run")]
+    run = subprocess.run([sys.executable, "-c", script, *argv, *out], env=_env_with_src(), capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
 def test_bisection_pinned():
@@ -880,7 +955,7 @@ def test_any_split_of_the_trials_gives_the_same_results(seed, L, c, sizes, worke
         with _fan_out(((counter, seed, L, c, a, b) for a, b in ranges), workers) as results:
             assert sum(results) == counter(seed, L, c, 0, trials)
     with _fan_out(((_critical_histogram, seed, L, m, a, b) for a, b in ranges), workers) as results:
-        assert np.array_equal(sum(results), _critical_histogram(seed, L, m, 0, trials))
+        assert sum(results, Counter()) == _critical_histogram(seed, L, m, 0, trials)
 
 
 def test_chunks_are_lazy_and_few_in_flight():
