@@ -437,23 +437,16 @@ static int32_t contour_length(const uint64_t *bnd, const uint64_t *ext, uint64_t
 static int shape(struct tree *t, int32_t size, int32_t xmin)
 {
     const int32_t h = t->height;
-    uint64_t cells[MAX_ROWS], bnd[MAX_ROWS], vacant[MAX_ROWS], ext[MAX_ROWS], contour[MAX_ROWS];
+    uint64_t cells[MAX_ROWS], bnd[MAX_ROWS], blocked[MAX_ROWS], vacant[MAX_ROWS], ext[MAX_ROWS], contour[MAX_ROWS];
     t->built++;
     for (int32_t y = 0; y < h; y++)
         cells[y] = y >= 2 && y < t->box + 2 ? t->cells[y - 2] >> (xmin + t->box) << 2 : 0;
-    /* the exterior's start as exterior_start makes it, merged into the boundary's loops: a separate pass over the
-     * blocked rows cost this hot path about 5% */
-    uint64_t below[MAX_ROWS], blocked = 0, above = 0;
     for (int32_t y = 0; y < h; y++) {
         const uint64_t near = cells[y] << 1 | cells[y] >> 1 | (y ? cells[y - 1] : 0) | (y + 1 < h ? cells[y + 1] : 0);
         bnd[y] = near & t->full & ~cells[y];
-        below[y] = blocked |= cells[y] | bnd[y];
+        blocked[y] = cells[y] | bnd[y];
     }
-    for (int32_t y = h - 1; y >= 0; y--) {
-        above |= cells[y] | bnd[y];
-        vacant[y] = ~(cells[y] | bnd[y]) & t->full;
-        ext[y] = vacant[y] & ~(below[y] & above);
-    }
+    exterior_start(blocked, vacant, ext, h, t->full);
     /* the exterior only grows, and so does the contour: one already too long is kept no further */
     for (int grown = 1; grown; grown = sweep(ext, vacant, h))
         if (contour_length(bnd, ext, contour, h) > t->max_len)

@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import ctypes
 import struct
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -189,10 +190,8 @@ class _Shapes(NamedTuple):
 
     #: ``2 * height + 3`` words of the kernel's 64-bit integers a shape: its
     #: frame rows, cell (x, y) at bit x - xmin + 2 of row y + 2, its contour's
-    #: rows in the same frame, and its cell, boundary and exterior counts.
-    #: The census reads the words of a frame as one little-endian int, as it
-    #: hands the class pass little-endian rows: it assumes a little-endian
-    #: machine.
+    #: rows in the same frame, and its cell, boundary and exterior counts,
+    #: in the machine's byte order.
     records: bytes
     #: the rows of a frame, ``box + 4``
     height: int
@@ -225,7 +224,7 @@ def _shape_block(max_len: int, cap: int, part: int, parts: int) -> _Shapes:
 
 
 #: The 64-bit and the 32-bit little-endian rows of a frame, by its height up
-#: to the largest frame's.
+#: to the largest frame's: an int's bytes, whatever the machine's order.
 _FRAME_ROWS = [(struct.Struct(f"<{h}Q"), struct.Struct(f"<{h}I")) for h in range(_MAX_SHAPE + 5)]
 
 
@@ -317,6 +316,10 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
     data, height = shapes.records, shapes.height
     size, stride = 8 * height, 16 * height + 24  # bytes of a frame's rows, and of a record
     words = memoryview(data).cast("Q")
+    if sys.byteorder == "big":  # the frames below are read as little-endian ints
+        swapped = array("Q", data)
+        swapped.byteswap()
+        data = swapped.tobytes()
     # interior_capacity by length; a length below 4 fails before it is read
     capacity = [interior_capacity(max(k, 4)) for k in range(k_max + 1)]
     # a frame's rows as one int, row y at bit 64 * y: the contours and the
@@ -448,8 +451,11 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
 
 
 def _stride_rows(bitboards: list[int], height: int) -> array:
-    """The ``height`` 32-bit rows of each stride-32 bitboard, one bitboard after another."""
-    return array("I", b"".join(b.to_bytes(4 * height, "little") for b in bitboards))
+    """The ``height`` 32-bit rows of each stride-32 bitboard, one bitboard after another, in native byte order."""
+    rows = array("I", b"".join(b.to_bytes(4 * height, "little") for b in bitboards))
+    if sys.byteorder == "big":
+        rows.byteswap()
+    return rows
 
 
 #: The census's class-pass checks (``peierls_classes`` of :mod:`peierls.kernel`),
