@@ -156,6 +156,14 @@ int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_
  * to the node count; the first steps, from the start, are not counted.  The walk stops as soon as the count passes
  * max_nodes.
  *
+ * The subtree of the first step SE is the mirror image of NE's in y -> -y.  The turn rules, the distance pruning, the
+ * window, the start and the ray sites (-j, 0) are all symmetric under that reflection, so it maps NE's walks one to one
+ * onto SE's, each with the same hit and so the same nodes.  A reflected closed walk winds around each origin by the
+ * negated sum, so it closes for the same starts.  So the walk takes NE's subtree first, then adds its node count and
+ * its walks[d] a second time and appends its records reflected, checking the node count against max_nodes after that
+ * addition, and then takes E, N and NW.  Since the count only grows, the walk passes max_nodes exactly when the walk
+ * of all five subtrees would.
+ *
  * A walk of d >= 4 sites next to its start closes for each of its starts it winds around: start l's winding sum
  * is the sum of the crossing terms around (-l, 0) of its steps, the closing one included.  It counts once for each
  * such start in walks[d], and it is recorded as its length, its site mask and one bit for each such start.  At the
@@ -175,12 +183,14 @@ static int32_t crossing(int32_t x0, int32_t y0, int32_t x1, int32_t y1)
     return up * (up * (x0 * y1 - x1 * y0) > 0);
 }
 
+/* The set bits of x, summed in parallel over ever wider fields of x (SWAR): no branch, and no libgcc call, which
+ * __builtin_popcountll becomes without -mpopcnt. */
 static int32_t popcount(uint64_t x)
 {
-    int32_t n = 0;
-    for (; x; x &= x - 1)
-        n++;
-    return n;
+    x -= x >> 1 & 0x5555555555555555u;
+    x = (x & 0x3333333333333333u) + (x >> 2 & 0x3333333333333333u);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Fu;
+    return (int32_t)(x * 0x0101010101010101u >> 56);
 }
 
 /* A walk in progress: its limits, its sites, its winding sums, its node count and its closed-walk records. */
@@ -194,20 +204,28 @@ struct walk {
     int64_t *walks;
 };
 
-/* Record the walk of `length` sites, closed for the starts of `bits`; -1 when the records cannot grow. */
-static int record(struct walk *w, int32_t length, uint64_t bits)
+/* One more record at the end of the walk's records, to be filled in; NULL when the records cannot grow. */
+static uint64_t *new_record(struct walk *w)
 {
     const size_t stride = (size_t)w->width + 2;
     if (w->nrec == w->maxrec) {
         if (w->maxrec >> 31) /* the hash set's uint32_t slots name at most 2**32 - 1 records */
-            return -1;
+            return NULL;
         uint64_t *grown = realloc(w->rec, 2 * w->maxrec * stride * sizeof *grown);
         if (!grown)
-            return -1;
+            return NULL;
         w->rec = grown;
         w->maxrec *= 2;
     }
-    uint64_t *r = w->rec + w->nrec++ * stride;
+    return w->rec + w->nrec++ * stride;
+}
+
+/* Record the walk of `length` sites, closed for the starts of `bits`; -1 when the records cannot grow. */
+static int record(struct walk *w, int32_t length, uint64_t bits)
+{
+    uint64_t *r = new_record(w);
+    if (!r)
+        return -1;
     r[0] = (uint64_t)length;
     memcpy(r + 1, w->seen, (size_t)w->width * sizeof *r);
     r[w->width + 1] = bits;
@@ -259,6 +277,47 @@ static int extend(struct walk *w, int32_t u, int32_t v, int32_t d, int32_t depth
     return 0;
 }
 
+/* Walk the subtree of the first step d from the start: 0, 1 or -1 as extend. */
+static int subtree(struct walk *w, int32_t d)
+{
+    const int32_t s = (DY[d] + w->radius) * w->side + DX[d] + w->radius;
+    for (int32_t l = 1; l <= w->starts; l++)
+        w->wind[2 * w->starts + l - 1] = crossing(l, 0, l + DX[d], DY[d]);
+    w->seen[s >> 6] |= (uint64_t)1 << (s & 63);
+    const int code = extend(w, DX[d], DY[d], d, 2, w->starts + 1);
+    w->seen[s >> 6] &= ~((uint64_t)1 << (s & 63));
+    return code;
+}
+
+/* Add the subtree of SE to a walk that has taken NE's alone, as NE's reflection in y -> -y: its node count and walks[d]
+ * a second time, and its records with their site masks reflected.  0; 1 once the nodes pass max_nodes; -1 when the
+ * records cannot grow. */
+static int mirror(struct walk *w)
+{
+    const size_t stride = (size_t)w->width + 2, n = w->nrec;
+    if (w->nodes > w->max_nodes - w->nodes)
+        return 1;
+    w->nodes *= 2;
+    for (int32_t d = 0; d <= w->k_max; d++)
+        w->walks[d] *= 2;
+    for (size_t i = 0; i < n; i++) {
+        uint64_t *r = new_record(w);
+        if (!r)
+            return -1;
+        const uint64_t *q = w->rec + i * stride; /* after new_record, which may move the records */
+        r[0] = q[0];
+        memset(r + 1, 0, (size_t)w->width * sizeof *r);
+        r[w->width + 1] = q[w->width + 1];
+        /* site s of row y of the window to the same column of row side - 1 - y */
+        for (int32_t j = 0; j < w->width; j++)
+            for (uint64_t bits = q[j + 1]; bits; bits &= bits - 1) {
+                const int32_t s = j * 64 + __builtin_ctzll(bits), t = s + (w->side - 1 - 2 * (s / w->side)) * w->side;
+                r[(t >> 6) + 1] |= (uint64_t)1 << (t & 63);
+            }
+    }
+    return 0;
+}
+
 /* Add to distinct[d], for each distinct key (length d, mask) of the walk's records, the starts in the union of their
  * bits.  The keys go into an open-addressing hash set of record indices, of a power-of-two size at least twice the
  * records, probed linearly from the mix of the key; a record whose key the set holds ORs its bits into the holder's.
@@ -295,46 +354,54 @@ static int count_distinct(struct walk *w, int64_t *distinct)
     return 0;
 }
 
+/* Set up the walk of the restricted circuits of lengths up to k_max of every start that turn by at most `turns` eighths a
+ * step, counting its closed walks in walks, zeroed, with its start and (-1, 0) seen: 0, or -1 when the scratch cannot
+ * be allocated.  close_walk releases the scratch either way. */
+static int open_walk(struct walk *w, int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks)
+{
+    *w = (struct walk){.k_max = k_max, .turns = turns, .starts = (k_max - 2) / 2, .radius = k_max / 2,
+                       .side = k_max / 2 * 2 + 1, .max_nodes = max_nodes, .maxrec = 1024, .walks = walks};
+    w->width = (w->side * w->side + 63) / 64;
+    const size_t stride = (size_t)w->width + 2, origin = (size_t)w->radius * w->side + w->radius;
+    w->seen = calloc((size_t)w->width, sizeof *w->seen);
+    w->wind = malloc((size_t)(k_max + 1) * w->starts * sizeof *w->wind);
+    w->rec = malloc(w->maxrec * stride * sizeof *w->rec);
+    memset(walks, 0, (size_t)(k_max + 1) * sizeof *walks);
+    if (!w->seen || !w->wind || !w->rec)
+        return -1;
+    /* the start and (-1, 0), the ray site every start avoids */
+    w->seen[origin >> 6] |= (uint64_t)1 << (origin & 63);
+    w->seen[(origin - 1) >> 6] |= (uint64_t)1 << ((origin - 1) & 63);
+    return 0;
+}
+
+static void close_walk(struct walk *w)
+{
+    free(w->seen);
+    free(w->wind);
+    free(w->rec);
+}
+
 /* Walk the restricted circuits of lengths up to k_max of every start, 4 <= k_max and (k_max - 2) / 2 <= 64, that
  * turn by at most `turns` eighths a step: walks[k] and distinct[k], for k <= k_max, the circuits of length k and
  * their distinct site sets, summed over the starts, and *nodes the steps taken.  Returns 0; 1, the walk cut short,
  * once the steps pass max_nodes; -1 when the scratch cannot be allocated. */
 int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks, int64_t *distinct, int64_t *nodes)
 {
-    static const int32_t FIRST[5] = {0, 1, 2, 3, 7};
-    struct walk w = {.k_max = k_max, .turns = turns, .starts = (k_max - 2) / 2, .radius = k_max / 2,
-                     .side = k_max / 2 * 2 + 1, .max_nodes = max_nodes, .maxrec = 1024, .walks = walks};
-    w.width = (w.side * w.side + 63) / 64;
-    const size_t stride = (size_t)w.width + 2, origin = (size_t)w.radius * w.side + w.radius;
-    w.seen = calloc((size_t)w.width, sizeof *w.seen);
-    w.wind = malloc((size_t)(k_max + 1) * w.starts * sizeof *w.wind);
-    w.rec = malloc(w.maxrec * stride * sizeof *w.rec);
-    int code = -1;
-    memset(walks, 0, (size_t)(k_max + 1) * sizeof *walks);
+    static const int32_t REST[3] = {0, 2, 3}; /* E, N and NW, after NE and its mirror image SE */
+    struct walk w;
     memset(distinct, 0, (size_t)(k_max + 1) * sizeof *distinct);
-    *nodes = 0;
-    if (!w.seen || !w.wind || !w.rec)
-        goto done;
-    /* the start and (-1, 0), the ray site every start avoids */
-    w.seen[origin >> 6] |= (uint64_t)1 << (origin & 63);
-    w.seen[(origin - 1) >> 6] |= (uint64_t)1 << ((origin - 1) & 63);
-    code = 0;
-    for (int32_t i = 0; i < 5 && !code; i++) {
-        const int32_t d = FIRST[i];
-        const int32_t s = (DY[d] + w.radius) * w.side + DX[d] + w.radius;
-        for (int32_t l = 1; l <= w.starts; l++)
-            w.wind[2 * w.starts + l - 1] = crossing(l, 0, l + DX[d], DY[d]);
-        w.seen[s >> 6] |= (uint64_t)1 << (s & 63);
-        code = extend(&w, DX[d], DY[d], d, 2, w.starts + 1);
-        w.seen[s >> 6] &= ~((uint64_t)1 << (s & 63));
-    }
+    int code = open_walk(&w, k_max, turns, max_nodes, walks);
+    if (!code)
+        code = subtree(&w, 1);
+    if (!code)
+        code = mirror(&w);
+    for (int32_t i = 0; i < 3 && !code; i++)
+        code = subtree(&w, REST[i]);
     *nodes = w.nodes;
     if (!code)
         code = count_distinct(&w, distinct);
-done:
-    free(w.seen);
-    free(w.wind);
-    free(w.rec);
+    close_walk(&w);
     return code;
 }
 
@@ -362,6 +429,10 @@ done:
  * frame's edge) and its contour (the boundary sites with an axis neighbour in the exterior) are the steps of
  * clusters._contour, on 64-bit rows.  A shape whose contour has at most max_len sites is kept as a record of
  * 2 * (box + 4) + 3 words: its cell rows, its contour rows, and its cell, boundary and exterior counts.
+ *
+ * These steps run over the shape's own rows only, 0 .. ymax + 4 for a shape whose top cell row is ymax: the rows above
+ * hold no cell and no boundary site, so they are wholly exterior, joined to the edge through row ymax + 4, and each adds
+ * box + 4 sites to the exterior count.  The contour is counted no further once it passes max_len.
  */
 
 #define SPLIT 6    /* the split size, enumeration._SPLIT_SIZE */
@@ -421,35 +492,36 @@ static void exterior_start(const uint64_t *blocked, uint64_t *vacant, uint64_t *
 }
 
 /* The contour of the boundary bnd against the exterior ext, the boundary sites with an axis neighbour in it, and its
- * length. */
-static int32_t contour_length(const uint64_t *bnd, const uint64_t *ext, uint64_t *contour, int32_t height)
+ * length, counted no further, and its rows filled in no further, once it passes limit. */
+static int32_t contour_length(const uint64_t *bnd, const uint64_t *ext, uint64_t *contour, int32_t height, int32_t limit)
 {
     int32_t length = 0;
-    for (int32_t y = 0; y < height; y++) {
+    for (int32_t y = 0; y < height && length <= limit; y++) {
         contour[y] = bnd[y] & (ext[y] << 1 | ext[y] >> 1 | (y ? ext[y - 1] : 0) | (y + 1 < height ? ext[y + 1] : 0));
         length += popcount(contour[y]);
     }
     return length;
 }
 
-/* Build the path's shape of `size` cells, whose leftmost column is xmin, in its frame, and keep it if its contour has
- * at most max_len sites: 0, or -1 when the records cannot grow. */
-static int shape(struct tree *t, int32_t size, int32_t xmin)
+/* Build the path's shape of `size` cells, whose leftmost column is xmin and top row ymax, in its frame, and keep it if
+ * its contour has at most max_len sites: 0, or -1 when the records cannot grow. */
+static int shape(struct tree *t, int32_t size, int32_t xmin, int32_t ymax)
 {
-    const int32_t h = t->height;
+    /* the frame's rows up to the shape's top row padded by 2; the rows above are exterior, all of them */
+    const int32_t h = t->height, rows = ymax + 5;
     uint64_t cells[MAX_ROWS], bnd[MAX_ROWS], blocked[MAX_ROWS], vacant[MAX_ROWS], ext[MAX_ROWS], contour[MAX_ROWS];
     t->built++;
-    for (int32_t y = 0; y < h; y++)
-        cells[y] = y >= 2 && y < t->box + 2 ? t->cells[y - 2] >> (xmin + t->box) << 2 : 0;
-    for (int32_t y = 0; y < h; y++) {
-        const uint64_t near = cells[y] << 1 | cells[y] >> 1 | (y ? cells[y - 1] : 0) | (y + 1 < h ? cells[y + 1] : 0);
+    for (int32_t y = 0; y < rows; y++)
+        cells[y] = y >= 2 && y < rows - 2 ? t->cells[y - 2] >> (xmin + t->box) << 2 : 0;
+    for (int32_t y = 0; y < rows; y++) {
+        const uint64_t near = cells[y] << 1 | cells[y] >> 1 | (y ? cells[y - 1] : 0) | (y + 1 < rows ? cells[y + 1] : 0);
         bnd[y] = near & t->full & ~cells[y];
         blocked[y] = cells[y] | bnd[y];
     }
-    exterior_start(blocked, vacant, ext, h, t->full);
+    exterior_start(blocked, vacant, ext, rows, t->full);
     /* the exterior only grows, and so does the contour: one already too long is kept no further */
-    for (int grown = 1; grown; grown = sweep(ext, vacant, h))
-        if (contour_length(bnd, ext, contour, h) > t->max_len)
+    for (int grown = 1; grown; grown = sweep(ext, vacant, rows))
+        if (contour_length(bnd, ext, contour, rows, t->max_len) > t->max_len)
             return 0;
     const size_t stride = 2 * (size_t)h + 3;
     if (t->nrec == t->maxrec) {
@@ -460,11 +532,14 @@ static int shape(struct tree *t, int32_t size, int32_t xmin)
         t->maxrec *= 2;
     }
     uint64_t *r = t->rec + t->nrec++ * stride;
-    memcpy(r, cells, (size_t)h * sizeof *r);
-    memcpy(r + h, contour, (size_t)h * sizeof *r);
+    memcpy(r, cells, (size_t)rows * sizeof *r);
+    memset(r + rows, 0, (size_t)(h - rows) * sizeof *r);
+    memcpy(r + h, contour, (size_t)rows * sizeof *r);
+    memset(r + h + rows, 0, (size_t)(h - rows) * sizeof *r);
     r[2 * h] = (uint64_t)size;
-    r[2 * h + 1] = r[2 * h + 2] = 0;
-    for (int32_t y = 0; y < h; y++) {
+    r[2 * h + 1] = 0;
+    r[2 * h + 2] = (uint64_t)(h - rows) * (uint64_t)h;
+    for (int32_t y = 0; y < rows; y++) {
         r[2 * h + 1] += (uint64_t)popcount(bnd[y]);
         r[2 * h + 2] += (uint64_t)popcount(ext[y]);
     }
@@ -489,7 +564,7 @@ static int grow(struct tree *t, int32_t size, int32_t xmin, int32_t xmax, int32_
                 continue;
             const uint64_t cell = (uint64_t)1 << (x + t->box);
             t->cells[y] |= cell;
-            if ((size + 1 >= SPLIT || t->part == 0) && shape(t, size + 1, x0))
+            if ((size + 1 >= SPLIT || t->part == 0) && shape(t, size + 1, x0, y1))
                 return -1;
             if (size + 1 < t->cap) {
                 /* a cell of a grown shape has |x| < box and y < box, so its neighbours stay in their rows */

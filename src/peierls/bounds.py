@@ -88,8 +88,12 @@ def growth_rate_estimate(counts: CountTable, last: int = 3) -> tuple[float, floa
     """Largest ratio of consecutive restricted-circuit counts over the last lengths.
 
     Returns ``(rate, spread)`` where spread is the range of the ratios used,
-    a residual-uncertainty indicator for the estimate.
+    a residual-uncertainty indicator for the estimate.  ``last`` is an
+    integer >= 1.
     """
+    check_integer(last, "last")
+    if last < 1:
+        raise ValueError(f"last must be >= 1, got {last}")
     if counts.k_max < 8:
         raise InsufficientData(f"need circuit counts up to length >= 8, got {counts.k_max}")
     ratios = []
@@ -170,7 +174,8 @@ def _coefficients(events: frozenset) -> tuple[int, ...]:
 
 
 def evaluate_polynomial(coefficients: tuple[int, ...], c: float) -> float:
-    """Compensated evaluation of an integer-coefficient polynomial at c."""
+    """Compensated evaluation of an integer-coefficient polynomial at the concentration c."""
+    check_concentration(c, "c")
     return math.fsum(a * c**i for i, a in enumerate(coefficients) if a)
 
 

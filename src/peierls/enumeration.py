@@ -62,9 +62,9 @@ its subtree to part j % P of P; the smaller shapes come from part 0.  The
 kernel grows one part in one call.  Each part returns its per-size covers by
 canonical key, and the parent merges them by OR per size before the
 trajectory, stabilisation and class passes.  :func:`full_count_table` puts
-the census parts and the circuit walk on one pool, the walk as one task
-after the parts, so that the census is merged, and fails, while the walk
-still runs.
+the circuit walk and the census parts on one pool, the walk, the longest
+task, first, so that the parts run beside it and the census is merged, and
+fails, while the walk still runs.
 
 The module also bounds the census analytically: a contour of length k hits
 the positive horizontal axis at some nearest site, continues with one of a
@@ -85,7 +85,11 @@ distance k_max // 2 around its start, the only sites a closing walk reaches
 its mask and one bit for each start it winds around; at the end of the walk
 the records go into a hash set keyed by (length, mask), which ORs the bits of
 equal keys, and each distinct key adds the starts in the union of its bits to
-the distinct-set count.  At k = 12 that is 6.4M nodes and 161,180 records.
+the distinct-set count.  The subtree of the first step SE is the mirror
+image of NE's in y -> -y, which keeps the turn rules, the pruning, the ray
+sites and each walk's starts, so the walk takes NE's subtree once and adds
+its nodes, its counts and its records, reflected, a second time.  At k = 12
+that is 6.4M nodes, 5.0M of them walked, and 161,180 records.
 """
 
 from __future__ import annotations
@@ -556,7 +560,7 @@ def exact_contour_counts(
     cap = _census_cap(k_max, cluster_cap, workers)
     kernel.load(_NEED)  # built and loaded before the workers fork
     with pool._fan_out(_census_tasks(k_max, cap, workers), workers) as results:
-        return _census_table(k_max, cap, results)
+        return _census_table(k_max, cap, (covers for _, covers in results))
 
 
 def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
@@ -590,10 +594,10 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
     kernel.load(_EVENT_NEED)  # built and loaded before the workers fork
     events: dict[tuple[int, int], int] = {}
     with pool._fan_out([(_event_part, max_len, cap, p, parts) for p in range(parts)], workers) as results:
-        for part_events in results:
+        for _, part_events in results:
             for pair, count in part_events.items():
                 events[pair] = events.get(pair, 0) + count
-    return events
+    return dict(sorted(events.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +677,24 @@ def self_avoiding_circuit_count(
     compiler ``cc`` can build it.  ``workers`` is checked as for the census;
     the walk is one task and runs in the caller.
     """
-    walk, *args = _walk_task(k_max, rule, max_nodes, workers)
-    return walk(*args)
+    return _circuit_walk(*_walk_args(k_max, rule, max_nodes, workers))
 
 
-def _walk_task(k_max: int, rule: str, max_nodes: int, workers: int) -> tuple:
-    """The circuit walk as a :func:`pool._fan_out` task, for valid arguments."""
+def _walk_or_error(k_max: int, rule: str, max_nodes: int) -> SelfAvoidingCounts | Exception:
+    """:func:`_circuit_walk`, or the error it raises, a node-cap overrun included, returned as a value.
+
+    The walk task of :func:`full_count_table`: the pool raises a task's error
+    as soon as it comes in, and the table raises the walk's only after the
+    census.
+    """
+    try:
+        return _circuit_walk(k_max, rule, max_nodes)
+    except Exception as exc:
+        return exc
+
+
+def _walk_args(k_max: int, rule: str, max_nodes: int, workers: int) -> tuple[int, str, int]:
+    """The checked arguments of :func:`_circuit_walk`."""
     check_integer(k_max, "k_max")
     check_integer(max_nodes, "max_nodes")
     if k_max < 4:
@@ -690,7 +706,16 @@ def _walk_task(k_max: int, rule: str, max_nodes: int, workers: int) -> tuple:
         raise CapExceeded(f"circuit length {k_max} exceeds the walker's start-bit encoding")
     if rule not in _TURNS:
         raise ValueError(f"unknown continuation rule {rule!r}; expected 'five' or 'seven'")
-    return (_circuit_walk, int(k_max), rule, int(max_nodes))
+    return int(k_max), rule, int(max_nodes)
+
+
+def _parts_past(results: Iterable[tuple[int, object]], walk: int, walked: list) -> Iterable:
+    """The census parts' results of :func:`full_count_table`'s pool; the result of task ``walk`` goes to ``walked`` as it passes."""
+    for index, value in results:
+        if index == walk:
+            walked.append(value)
+        else:
+            yield value
 
 
 def full_count_table(
@@ -704,28 +729,42 @@ def full_count_table(
     """Exact counts, restricted-circuit counts, and the analytic bound, merged.
 
     The census parts and the circuit walk share one pool of ``workers``
-    processes; the table does not depend on it.  The census parts go first
-    and are merged while the walk runs, so a census error ends the walk
-    early, and wins over a walk error, as when the census ran before the
-    walk.  The census's arguments are checked first.  A walk argument's error
-    waits for the census only when a ``cluster_cap`` below
-    ``interior_capacity(k_max)`` could make the census fail; otherwise it is
-    raised before any work.  The kernel is built and loaded after every
-    argument is checked and before the workers fork.
+    processes; the table does not depend on it.  The walk, the longest
+    task, goes first (longest task first; Graham, SIAM J. Appl. Math. 17
+    (1969) 416-429), and the parts run beside it on the other workers and on
+    its worker once it is done.  The parts are merged as they come in, and
+    the passes over the merge run while the walk may still run.  The walk
+    task returns its error, a node-cap overrun included, as a value, raised
+    only after the census is done, so a census error wins over a walk
+    error, as when the census ran before the walk, and leaving the pool on
+    it ends the walk early.  A worker that dies is raised at once.  At one
+    worker the tasks run in order in the caller, the census first, so a
+    census error comes before the walk starts.  The census's arguments are
+    checked first.  A walk argument's error waits for the census only when
+    a ``cluster_cap`` below ``interior_capacity(k_max)`` could make the
+    census fail; otherwise it is raised before any work.  The kernel is
+    built and loaded after every argument is checked and before the workers
+    fork.
     """
     cap = _census_cap(k_max, cluster_cap, workers)
     census = _census_tasks(k_max, cap, workers)
     try:
-        walk = _walk_task(k_max, rule, max_nodes, workers)
+        walk = _walk_args(k_max, rule, max_nodes, workers)
     except (ValueError, CapExceeded):
         if cap < interior_capacity(k_max):
             # an error of the census itself still comes first
             exact_contour_counts(k_max, cluster_cap=cluster_cap, workers=workers)
         raise
     kernel.load(_NEED)
-    with pool._fan_out([*census, walk], workers) as results:
-        table = _census_table(k_max, cap, islice(results, len(census)))
-        sa = next(results)
+    # at one worker the tasks run in order in the caller: the census first, so that its error ends the run unwalked
+    tasks = [(_walk_or_error, *walk), *census] if workers > 1 else [*census, (_walk_or_error, *walk)]
+    walked = []
+    with pool._fan_out(tasks, workers) as results:
+        parts = _parts_past(results, 0 if workers > 1 else len(census), walked)
+        table = _census_table(k_max, cap, islice(parts, len(census)))
+        sa = walked[0] if walked else next(results)[1]
+    if isinstance(sa, Exception):
+        raise sa
     table.sa_walk = sa.walks
     table.sa_sets = sa.distinct_sets
     table.meta["rule"] = rule

@@ -25,6 +25,8 @@ SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
 BUILD = ("cc", "-O2", "-shared", "-fPIC")
 #: The loaded library, set by :func:`load`.
 _library = None
+#: Seconds after its last load at which a cached kernel is removed by the next build.
+STALE_S = 30 * 24 * 3600
 
 
 def _cache() -> str:
@@ -46,6 +48,13 @@ def load(need: str):
     moved into place with ``os.replace``, so processes that build at once each
     load a whole file.  It is loaded into the calling process, so workers
     forked after the first call inherit it.
+
+    Each load touches the file it loads, so its modification time is its
+    last load.  Each build then removes the other ``kernel-*.so`` files of
+    the cache not loaded for ``STALE_S`` seconds (30 days): the kernels of
+    edited sources pile up no longer, and two trees that share the cache,
+    say a change and its parent run side by side, never remove each
+    other's kernel.
     """
     global _library
     if _library is not None:
@@ -82,10 +91,15 @@ def load(need: str):
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        _prune(cache, path)
     try:
         library = ctypes.CDLL(path)
     except OSError as exc:
         raise BuildError(f"cannot load the kernel {path} for {need}: {exc}") from None
+    try:
+        os.utime(path)
+    except OSError:
+        pass  # a cache it cannot touch keeps its kernels, and loads them all the same
     int32, int64, uint64, pointer = ctypes.c_int32, ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
     library.peierls_flood.restype = ctypes.c_int
     library.peierls_flood.argtypes = [uint64, uint64, int64, int32, uint64, int32, pointer, int32, pointer, pointer]
@@ -99,3 +113,17 @@ def load(need: str):
     library.peierls_classes.argtypes = [int32, int32, pointer, pointer, pointer, pointer, pointer]
     _library = library
     return library
+
+
+def _prune(cache: str, keep: str) -> None:
+    """Remove the ``kernel-*.so`` files of ``cache`` but ``keep`` last loaded more than ``STALE_S`` seconds ago."""
+    import time
+
+    now = time.time()
+    for entry in os.scandir(cache):
+        if entry.name.startswith("kernel-") and entry.name.endswith(".so") and entry.path != keep:
+            try:
+                if now - entry.stat().st_mtime > STALE_S:
+                    os.remove(entry.path)
+            except OSError:
+                pass  # removed by another build meanwhile, or not ours to remove

@@ -205,7 +205,7 @@ def _count_events(counter, L: int, c, trials: int, seed: int, workers: int):
     """
     tasks = ((counter, seed, L, c, t0, t1) for t0, t1 in _chunks(L, trials, workers))
     with pool._fan_out(tasks, workers) as results:
-        return reduce(add, results)
+        return reduce(add, (count for _, count in results))
 
 
 #: Sites in one field.  A flood takes about 5 bytes of scratch a site, the

@@ -1,13 +1,13 @@
 """One pool of forked worker processes for every parallel job of the package.
 
 :func:`_fan_out` runs a lazy stream of tasks ``(fn, *args)`` on ``workers``
-forked processes and gives the results back in task order.  The census
-(:mod:`peierls.enumeration`) sends it the parts of its shape tree and the
-circuit walk, the Monte Carlo (:mod:`peierls.montecarlo`) its chunks of
-trials.  Task functions are module-level, so a task pickles as the
-function's name and its arguments.  Both split their work by one rule,
-:func:`_parts`: one part at one worker, else a few parts a worker, so that
-uneven parts even out.
+forked processes and gives each result back, with its task's index, as the
+task finishes.  The census (:mod:`peierls.enumeration`) sends it the
+circuit walk and the parts of its shape tree, the Monte Carlo
+(:mod:`peierls.montecarlo`) its chunks of trials.  Task functions are
+module-level, so a task pickles as the function's name and its arguments.
+Both split their work by one rule, :func:`_parts`: one part at one worker,
+else a few parts a worker, so that uneven parts even out.
 
 The parent owns no thread and no queue.  Each worker has a task pipe and a
 result pipe, and every message on them is pickled behind an 8-byte length:
@@ -30,7 +30,7 @@ import select
 import signal
 import threading
 from contextlib import contextmanager
-from itertools import chain, count, islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .errors import WorkerDied
@@ -45,30 +45,31 @@ def _parts(workers: int) -> int:
 
 
 @contextmanager
-def _fan_out(tasks: Iterable[tuple], workers: int) -> Iterator[Iterator]:
+def _fan_out(tasks: Iterable[tuple], workers: int) -> Iterator[Iterator[tuple[int, object]]]:
     """``fn(*args)`` for each task ``(fn, *args)``, spread over ``workers`` forked processes.
 
     Used as ``with _fan_out(tasks, workers) as results``: ``results`` yields
-    the results in task order, each as soon as it is in, while later tasks
-    still run, and re-raises a task's exception when its turn comes, with the
-    worker's traceback as its cause.  Tasks start in order and are drawn
-    from ``tasks`` only as workers free up, at most ``2 * workers`` ahead of
-    the result the caller has taken, so a stream of any length holds only a
-    few tasks and results at a time.  Leaving the ``with`` block ends the
-    running tasks and starts no others, so a caller that fails on an early
-    result does not wait for the rest.  A worker that dies raises
-    :class:`WorkerDied`.
+    a pair ``(task index, result)`` for each task as it finishes, in the
+    order the tasks finish, so every caller merges its results in a way
+    that does not depend on their order.  A task's exception is raised as
+    soon as it comes in, with the worker's traceback as its cause.  Tasks
+    start in order, each drawn from ``tasks`` as soon as a worker is free,
+    so a long first task holds back none after it, and a stream of any
+    length holds at most one task and one result a worker at a time.
+    Leaving the ``with`` block ends the running tasks, starts no others and
+    reaps the workers, so a caller that fails on an early result does not
+    wait for the rest.  A worker that dies raises :class:`WorkerDied`.
 
-    The tasks run in the caller instead at one worker, for fewer than two
-    tasks, and when the caller runs other threads, since a forked child
-    keeps only the forking thread and could inherit a lock another one
-    holds.  The results never depend on where the tasks ran.
+    The tasks run in the caller instead, in order, at one worker, for fewer
+    than two tasks, and when the caller runs other threads, since a forked
+    child keeps only the forking thread and could inherit a lock another
+    one holds.  The results never depend on where the tasks ran.
     """
     tasks = iter(tasks)
     head = list(islice(tasks, 2))
     tasks = chain(head, tasks)
     if workers == 1 or len(head) < 2 or threading.active_count() > 1:
-        yield (fn(*args) for fn, *args in tasks)
+        yield ((index, fn(*args)) for index, (fn, *args) in enumerate(tasks))
         return
     # no collection, in the parent or a worker, walks (and so copies the pages of) the objects made before the forks
     gc.freeze()
@@ -85,27 +86,23 @@ class _ForkPool:
     """Up to ``size`` forked workers that run a stream of tasks, each next task on the first one free."""
 
     def __init__(self, tasks: Iterator[tuple], size: int):
-        self.tasks = tasks
+        self.tasks = enumerate(tasks)
         self.size = size
-        #: Tasks drawn from the stream, and results the caller has taken.
-        self.drawn = self.taken = 0
-        #: Replies in, by task index.
-        self.done: dict[int, tuple] = {}
         #: Result pipe -> (pid, task pipe, running task index or None); every worker not yet reaped.
         self.workers: dict[int, tuple[int, int, int | None]] = {}
 
     def feed(self) -> None:
-        """Hand the next tasks to free workers, forking up to ``size``, while the caller is not too far behind."""
+        """Hand the next tasks to the free workers, forking up to ``size``."""
         idle = [fd for fd, (_, _, index) in self.workers.items() if index is None]
-        while self.drawn - self.taken < 2 * self.size and (idle or len(self.workers) < self.size):
-            task = next(self.tasks, None)
-            if task is None:
+        while idle or len(self.workers) < self.size:
+            drawn = next(self.tasks, None)
+            if drawn is None:
                 return
+            index, task = drawn
             fd = idle.pop() if idle else self._fork()
             pid, task_w, _ = self.workers[fd]
-            self.workers[fd] = (pid, task_w, self.drawn)
-            data = pickle.dumps((self.drawn, task))
-            self.drawn += 1
+            self.workers[fd] = (pid, task_w, index)
+            data = pickle.dumps((index, task))
             try:
                 _write_all(task_w, len(data).to_bytes(8, "little") + data)
             except BrokenPipeError:
@@ -131,24 +128,18 @@ class _ForkPool:
         self.workers[result_r] = (pid, task_w, None)
         return result_r
 
-    def results(self) -> Iterator:
-        for index in count():
-            while index not in self.done:
-                if index == self.drawn:
-                    return  # the stream ran out
-                self._receive()
-            ok, value, trace = self.done.pop(index)
-            if not ok:
-                value.__cause__ = RuntimeError(f"in the worker process:\n{trace}")
-                raise value
-            self.taken = index + 1
-            self.feed()
-            yield value
+    def results(self) -> Iterator[tuple[int, object]]:
+        while running := [fd for fd, (_, _, index) in self.workers.items() if index is not None]:
+            for index, (ok, value, trace) in self._receive(running):
+                if not ok:
+                    value.__cause__ = RuntimeError(f"in the worker process:\n{trace}")
+                    raise value
+                yield index, value
 
-    def _receive(self) -> None:
-        """Wait for at least one reply, then hand out the next tasks."""
-        running = [fd for fd, (_, _, index) in self.workers.items() if index is not None]
+    def _receive(self, running: list[int]) -> list[tuple[int, tuple]]:
+        """Wait for at least one reply from the result pipes ``running``, hand out the next tasks, and return the replies by task index."""
         ready, _, _ = select.select(running, [], [])
+        replies = []
         for fd in ready:
             pid, task_w, index = self.workers[fd]
             head = _read_exact(fd, 8)
@@ -156,9 +147,10 @@ class _ForkPool:
             reply = _read_exact(fd, size) if size > 0 else b""
             if len(reply) != size:
                 raise self._lost(fd)
-            self.done[index] = pickle.loads(reply)
+            replies.append((index, pickle.loads(reply)))
             self.workers[fd] = (pid, task_w, None)
         self.feed()
+        return replies
 
     def _lost(self, fd: int) -> WorkerDied:
         """Reap the worker at result pipe ``fd``, which ended before it returned its task, and name it."""

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from collections.abc import Iterator
 from types import SimpleNamespace
@@ -529,9 +530,10 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 #: The test program of the sanitizer build, which includes the kernel's source to reach its static functions.  The
 #: circuit walk of both rules at k_max = 4..10 and of the five rule at k_max = 12, whole and cut short, and the longest
-#: walk cut short; and the walk's dedup fed crafted records of one key with different start bits.  The shape tree at
-#: max_len = 4..12 with the census's cap, whole and in 8 parts, and one part of the widest frame the shape limit admits,
-#: 19 columns at cap 15, every record checked.  The class pass on the widest and the tallest contours a census key
+#: walk cut short; the subtree of the first step SE as NE's reflection against SE's walked, at k_max = 12 and, under the
+#: seven rule, 10; and the walk's dedup fed crafted records of one key with different start bits.  The shape tree at
+#: max_len = 4..12 with the census's cap, whole and in 8 parts, its shapes of full box height among them, and one part
+#: of the widest frame the shape limit admits, 19 columns at cap 15, every record checked.  The class pass on the widest and the tallest contours a census key
 #: holds, and on a contour for each check that fails.  Floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column,
 #: the origin, every site and no site, into arrays of exactly their size, checking every result against [0, 2**m).  At
 #: radius 3, 600 fields in one call, past two wraps of the flood's seen stamp, against the same fields one call each.
@@ -573,7 +575,8 @@ static int64_t positions(void)
 /* Part `part` of `parts` of the shape tree, its kept and built shapes added to *kept and *built: 1 when the call fails
  * or a record is out of range (its cell count, its contour length, its boundary and exterior counts, a row past the
  * frame), else 0. */
-static int shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, int64_t *kept, int64_t *built)
+static int shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, int64_t *kept, int64_t *built,
+                  int64_t *high)
 {
     const int32_t span = (max_len - 2) / 2, height = (span < cap ? span : cap) + 4, stride = 2 * height + 3;
     uint64_t *records;
@@ -590,6 +593,7 @@ static int shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, int
         }
         bad |= r[2 * height] < 1 || r[2 * height] > (uint64_t)cap || length < 4 || length > max_len;
         bad |= r[2 * height + 1] < (uint64_t)length || r[2 * height + 2] >= (uint64_t)(height * height);
+        *high += r[height - 3] != 0; /* a cell in the box's top row, ymax = box - 1: the shape pass runs every row */
     }
     peierls_free(records);
     *kept += k;
@@ -597,15 +601,44 @@ static int shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, int
     return bad;
 }
 
+/* The records of a walk compare word by word, RECORD words each. */
+static size_t RECORD;
+static int by_words(const void *a, const void *b)
+{
+    return memcmp(a, b, RECORD * sizeof(uint64_t));
+}
+
+/* The subtree of the first step SE, walked as NE's reflection (mirror) and walked as it is: the same nodes, the same
+ * walks[d], and the same records, in another order.  1 when they differ or a walk fails, else 0. */
+static int mirrored(int32_t k_max, int32_t turns)
+{
+    int64_t reflected[64], walked[64];
+    struct walk a, b;
+    int bad = open_walk(&a, k_max, turns, INT64_MAX, reflected) | open_walk(&b, k_max, turns, INT64_MAX, walked);
+    bad = bad || subtree(&a, 1) || subtree(&b, 1);
+    const size_t ne = a.nrec;
+    bad = bad || mirror(&a) || subtree(&b, 7) || a.nodes != b.nodes || a.nrec != b.nrec || a.nrec != 2 * ne || ne < 1;
+    bad = bad || memcmp(reflected, walked, (size_t)(k_max + 1) * sizeof *walked);
+    if (!bad) {
+        RECORD = (size_t)a.width + 2;
+        qsort(a.rec + ne * RECORD, ne, RECORD * sizeof *a.rec, by_words);
+        qsort(b.rec + ne * RECORD, ne, RECORD * sizeof *b.rec, by_words);
+        bad = memcmp(a.rec, b.rec, 2 * ne * RECORD * sizeof *a.rec) != 0;
+    }
+    close_walk(&a);
+    close_walk(&b);
+    return bad;
+}
+
 /* The walk at k_max, into arrays of exactly its size: whole, then cut short one node before its end, and, for the
- * five rule, the pinned counts walks[10] = 8383 and distinct[10] = 6643 at k_max = 10, and walks[12] = 178443 and
- * distinct[12] = 133545 at k_max = 12, whose distinct sets come from 161,180 closed-walk records. */
+ * five rule, the pinned counts walks[10] = 8383 and distinct[10] = 6643 at k_max = 10, and walks[12] = 178443,
+ * distinct[12] = 133545 and 6,401,240 nodes at k_max = 12, whose distinct sets come from 161,180 closed-walk records. */
 static int walk(int32_t k_max, int32_t turns)
 {
     int64_t *walks = malloc((k_max + 1) * sizeof *walks), *distinct = malloc((k_max + 1) * sizeof *distinct), nodes;
     int bad = peierls_walk(k_max, turns, INT64_MAX, walks, distinct, &nodes) != 0 || nodes < 1 ||
               (k_max == 10 && turns == 2 && (walks[10] != 8383 || distinct[10] != 6643)) ||
-              (k_max == 12 && turns == 2 && (walks[12] != 178443 || distinct[12] != 133545));
+              (k_max == 12 && turns == 2 && (walks[12] != 178443 || distinct[12] != 133545 || nodes != 6401240));
     for (int32_t k = 4; k <= k_max; k++)
         bad |= distinct[k] < 0 || distinct[k] > walks[k];
     bad |= peierls_walk(k_max, turns, nodes - 1, walks, distinct, &nodes) != 1;
@@ -664,6 +697,9 @@ int main(void)
             return 4;
     if (walk(12, 2))
         return 4;
+    /* SE's subtree as NE's reflection, against SE's walked: at k_max = 12, 21,557 reflected records */
+    if (mirrored(12, 2) || mirrored(10, 3))
+        return 12;
     /* the longest walk the start bits allow, its 64th start included, cut short at once */
     int64_t walks[132], distinct[132], nodes;
     if (peierls_walk(131, 3, 1000, walks, distinct, &nodes) != 1)
@@ -671,17 +707,18 @@ int main(void)
     /* the parts of the census's tree add up to the whole; at max_len = 12, 2,797 kept of 345,600 built */
     for (int32_t k = 4; k <= 12; k++) {
         const int32_t cap = (k * k - 4 * k + 8) / 8;
-        int64_t kept = 0, built = 0, kept8 = 0, built8 = 0;
-        if (shapes(k, cap, 0, 1, &kept, &built) || kept < 1 || (k == 12 && (kept != 2797 || built != 345600)))
+        int64_t kept = 0, built = 0, high = 0, kept8 = 0, built8 = 0, high8 = 0;
+        if (shapes(k, cap, 0, 1, &kept, &built, &high) || kept < 1 || high < 1 ||
+            (k == 12 && (kept != 2797 || built != 345600)))
             return 7;
         for (int32_t part = 0; part < 8; part++)
-            if (shapes(k, cap, part, 8, &kept8, &built8))
+            if (shapes(k, cap, part, 8, &kept8, &built8, &high8))
                 return 7;
-        if (kept8 != kept || built8 != built)
+        if (kept8 != kept || built8 != built || high8 != high)
             return 7;
     }
-    int64_t kept = 0, built = 0;
-    if (shapes(32, 15, 7, 1000, &kept, &built) || kept < 1)
+    int64_t kept = 0, built = 0, high = 0;
+    if (shapes(32, 15, 7, 1000, &kept, &built, &high) || kept < 1)
         return 8;
     const int32_t ms[4] = {1, 6, 11, 16};
     for (int32_t L = 1; L <= 6; L++) {
@@ -810,6 +847,31 @@ def test_sweep_cache_follows_xdg_cache_home(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", "")
     monkeypatch.setenv("HOME", str(tmp_path))
     assert kernel._cache() == os.path.join(str(tmp_path), ".cache", "peierls")
+
+
+def test_a_build_removes_the_cached_kernels_not_loaded_for_thirty_days(monkeypatch, tmp_path):
+    # a build removes the other kernels of the cache last loaded more than
+    # kernel.STALE_S ago, and no other file; a load touches the kernel it loads
+    monkeypatch.setattr(kernel, "_library", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "peierls"
+    cache.mkdir()
+    now = time.time()
+    ages = {"kernel-stale.so": kernel.STALE_S + 60, "kernel-recent.so": kernel.STALE_S - 60, "notes.so": 2 * kernel.STALE_S}
+    for name, age in ages.items():
+        (cache / name).write_bytes(b"")
+        os.utime(cache / name, (now - age, now - age))
+    kernel.load("a test")
+    [built] = set(os.listdir(cache)) - set(ages)
+    assert sorted(os.listdir(cache)) == sorted([built, "kernel-recent.so", "notes.so"])
+    os.utime(cache / built, (now - 2 * kernel.STALE_S, now - 2 * kernel.STALE_S))
+    monkeypatch.setattr(kernel, "_library", None)
+    kernel.load("a test")
+    assert now - 60 < os.stat(cache / built).st_mtime
+    # the file a build keeps, the one it built and loads, is never removed, however old
+    monkeypatch.setattr(kernel, "STALE_S", -1)
+    kernel._prune(str(cache), str(cache / built))
+    assert sorted(os.listdir(cache)) == sorted([built, "notes.so"])
 
 
 def test_sweep_build_failures_raise_build_error(monkeypatch, tmp_path):
@@ -953,9 +1015,9 @@ def test_any_split_of_the_trials_gives_the_same_results(seed, L, c, sizes, worke
     m = 6
     for counter in (_reach_count, _crossing_count):
         with _fan_out(((counter, seed, L, c, a, b) for a, b in ranges), workers) as results:
-            assert sum(results) == counter(seed, L, c, 0, trials)
+            assert sum(count for _, count in results) == counter(seed, L, c, 0, trials)
     with _fan_out(((_critical_histogram, seed, L, m, a, b) for a, b in ranges), workers) as results:
-        assert sum(results, Counter()) == _critical_histogram(seed, L, m, 0, trials)
+        assert sum((histogram for _, histogram in results), Counter()) == _critical_histogram(seed, L, m, 0, trials)
 
 
 def test_chunks_are_lazy_and_few_in_flight():
@@ -975,9 +1037,9 @@ def test_chunks_are_lazy_and_few_in_flight():
     for workers in (1, 2, 3):
         drawn.clear()
         with _fan_out(tasks(), workers) as results:
-            for i, value in enumerate(results):
-                # at most 2 * workers tasks ahead of the result just taken
-                assert value == i and len(drawn) <= i + 1 + 2 * workers
+            for i, (index, value) in enumerate(results):
+                # beyond the results taken, at most one running task and one received result a worker
+                assert value == index and len(drawn) <= i + 1 + 2 * workers
         assert len(drawn) == 100
 
 

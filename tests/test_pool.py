@@ -24,7 +24,7 @@ def test_fan_out_ends_running_tasks_when_the_caller_fails(monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(KeyError):
         with _fan_out([(abs, -1), (time.sleep, 60), (time.sleep, 60)], 2) as results:
-            assert next(results) == 1
+            assert next(results) == (0, 1)
             raise KeyError("merge failed")
     assert time.perf_counter() - t0 < 30
     assert len(forked) == 2
@@ -34,13 +34,31 @@ def test_fan_out_ends_running_tasks_when_the_caller_fails(monkeypatch):
             os.waitpid(pid, os.WNOHANG)
 
 
-def test_fan_out_reraises_a_task_error_in_its_turn_with_the_worker_traceback():
+def test_fan_out_raises_a_task_error_as_it_comes_in_with_the_worker_traceback():
+    # the error of task 1 is raised while task 0 still runs
+    t0 = time.perf_counter()
     with pytest.raises(ValueError, match="math domain error") as info:
-        with _fan_out([(abs, -1), (math.sqrt, -1), (abs, -2)], 2) as results:
-            assert next(results) == 1
+        with _fan_out([(time.sleep, 60), (math.sqrt, -1), (abs, -2)], 2) as results:
             next(results)
+    assert time.perf_counter() - t0 < 30
     assert "in the worker process" in str(info.value.__cause__)
     assert "ValueError: math domain error" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fan_out_gives_each_result_with_its_task_index(workers):
+    tasks = [(abs, -i) for i in range(10)]
+    with _fan_out(tasks, workers) as results:
+        assert sorted(results) == [(i, i) for i in range(10)]
+
+
+def test_a_slow_first_task_holds_back_no_task_after_it():
+    # the second worker takes every later task, past any window of tasks ahead, while the first sleeps
+    tasks = [(time.sleep, 1.0), *[(abs, -i) for i in range(1, 13)]]
+    with _fan_out(tasks, 2) as results:
+        order = [index for index, _ in results]
+    assert sorted(order) == list(range(13))
+    assert order[-1] == 0
 
 
 def test_fan_out_names_a_worker_that_died_and_a_result_it_cannot_send():
@@ -56,7 +74,7 @@ def test_workers_inherit_a_frozen_collector_and_the_caller_thaws_after():
     assert gc.get_freeze_count() == 0
     with _fan_out([(gc.get_freeze_count,), (gc.get_freeze_count,)], 2) as results:
         # every object the caller had before the forks is out of the workers' collections
-        assert all(n > 0 for n in results)
+        assert all(n > 0 for _, n in results)
         assert gc.get_freeze_count() > 0
     assert gc.get_freeze_count() == 0
     with pytest.raises(KeyError):
@@ -78,7 +96,7 @@ def test_a_caller_running_threads_runs_the_tasks_itself(monkeypatch):
 
         monkeypatch.setattr(os, "fork", refuse)
         with _fan_out([(abs, -1), (abs, -2), (abs, -3)], 2) as results:
-            assert list(results) == [1, 2, 3]
+            assert list(results) == [(0, 1), (1, 2), (2, 3)]
         assert estimate_crossing(8, 0.6, 5000, 3, workers=2) == expected
         assert full_count_table(8, workers=3) == table
     finally:
