@@ -3,8 +3,8 @@
  * - peierls_flood, the one connectivity kernel of the Monte Carlo and its one site hash: an invasion flood over
  *   hashed keys;
  * - peierls_walk, the census's circuit walk: every restricted self-avoiding circuit of every start in one walk;
- * - peierls_shapes, one part of the span-pruned shape tree of the census and the event table, with each shape's
- *   contour, and peierls_free for the records it hands back;
+ * - peierls_shapes, one part of the span-pruned shape tree of the census and the event table, each kept shape as
+ *   its contour's census key, its cover and its counts, and peierls_free for the records it hands back;
  * - peierls_classes, the census's class pass: every distinct contour checked and traced, and classified around each of
  *   its origin positions.
  *
@@ -428,11 +428,16 @@ int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks
  * (the free axis neighbours of its cells), its exterior (the free sites an axis path over free sites joins to the
  * frame's edge) and its contour (the boundary sites with an axis neighbour in the exterior) are the steps of
  * clusters._contour, on 64-bit rows.  A shape whose contour has at most max_len sites is kept as a record of
- * 2 * (box + 4) + 3 words: its cell rows, its contour rows, and its cell, boundary and exterior counts.
+ * 2 * (box + 2) + 3 uint32_t words, in the census's own format: its contour's rows and its cell rows, both moved by
+ * (-1, -1), and its cell, boundary and enclosed counts.  The padding puts the shape's lowest row and leftmost column
+ * at 2, so the boundary sites below and left of those cells, which touch the exterior in row and column 0, make frame
+ * site (1, 1) the contour's bounding-box corner, always: moved, the contour's rows are its stride-32 census key
+ * (enumeration._CANON_STRIDE), site (x, y) at bit x of row y, and the cell rows the cover of its origin positions.  The
+ * enclosed sites are those neither exterior nor on the contour.
  *
  * These steps run over the shape's own rows only, 0 .. ymax + 4 for a shape whose top cell row is ymax: the rows above
- * hold no cell and no boundary site, so they are wholly exterior, joined to the edge through row ymax + 4, and each adds
- * box + 4 sites to the exterior count.  The contour is counted no further once it passes max_len.
+ * hold no cell and no boundary site, so they are wholly exterior, joined to the edge through row ymax + 4, and hold no
+ * enclosed site.  The contour is counted no further once it passes max_len.
  */
 
 #define SPLIT 6    /* the split size, enumeration._SPLIT_SIZE */
@@ -447,8 +452,8 @@ struct tree {
     uint64_t *seen;       /* the sites seen on the path */
     uint64_t *untried;    /* untried[size * words ...]: the untried sites of the path's shape of `size` cells */
     uint64_t cells[MAX_CAP]; /* row y of the shape, cell (x, y) at bit x + box */
-    uint64_t *rec;
-    size_t nrec, maxrec;
+    uint32_t *rec;        /* the kept records, stride = 2 * (height - 2) + 3 words each */
+    size_t nrec, maxrec, stride;
 };
 
 /* Grow row y of the exterior by its neighbours in the rows above and below and along the row, within its free sites:
@@ -520,28 +525,28 @@ static int shape(struct tree *t, int32_t size, int32_t xmin, int32_t ymax)
     }
     exterior_start(blocked, vacant, ext, rows, t->full);
     /* the exterior only grows, and so does the contour: one already too long is kept no further */
+    int32_t length = 0;
     for (int grown = 1; grown; grown = sweep(ext, vacant, rows))
-        if (contour_length(bnd, ext, contour, rows, t->max_len) > t->max_len)
+        if ((length = contour_length(bnd, ext, contour, rows, t->max_len)) > t->max_len)
             return 0;
-    const size_t stride = 2 * (size_t)h + 3;
+    const int32_t kh = h - 2; /* the rows of a key */
     if (t->nrec == t->maxrec) {
-        uint64_t *grown = realloc(t->rec, 2 * t->maxrec * stride * sizeof *grown);
+        uint32_t *grown = realloc(t->rec, 2 * t->maxrec * t->stride * sizeof *grown);
         if (!grown)
             return -1;
         t->rec = grown;
         t->maxrec *= 2;
     }
-    uint64_t *r = t->rec + t->nrec++ * stride;
-    memcpy(r, cells, (size_t)rows * sizeof *r);
-    memset(r + rows, 0, (size_t)(h - rows) * sizeof *r);
-    memcpy(r + h, contour, (size_t)rows * sizeof *r);
-    memset(r + h + rows, 0, (size_t)(h - rows) * sizeof *r);
-    r[2 * h] = (uint64_t)size;
-    r[2 * h + 1] = 0;
-    r[2 * h + 2] = (uint64_t)(h - rows) * (uint64_t)h;
-    for (int32_t y = 0; y < rows; y++) {
-        r[2 * h + 1] += (uint64_t)popcount(bnd[y]);
-        r[2 * h + 2] += (uint64_t)popcount(ext[y]);
+    uint32_t *r = memset(t->rec + t->nrec++ * t->stride, 0, t->stride * sizeof *t->rec), *counts = r + 2 * kh;
+    counts[0] = (uint32_t)size;
+    counts[2] = (uint32_t)(rows * h - length); /* less the exterior: the rows above the shape's are all exterior */
+    for (int32_t y = 0; y < rows; y++)
+        counts[2] -= (uint32_t)popcount(ext[y]);
+    /* the key and the cover: rows 1 .. rows - 2, the only ones with cells or boundary sites, moved by (-1, -1) */
+    for (int32_t y = 1; y < rows - 1; y++) {
+        r[y - 1] = (uint32_t)(contour[y] >> 1);
+        r[kh + y - 1] = (uint32_t)(cells[y] >> 1);
+        counts[1] += (uint32_t)popcount(bnd[y]);
     }
     return 0;
 }
@@ -594,17 +599,17 @@ static int grow(struct tree *t, int32_t size, int32_t xmin, int32_t xmax, int32_
  * 0 <= part < parts, and keep the shapes whose contour has at most max_len sites: *records the kept records, *kept
  * their number and *built the shapes built.  Returns 0, *records to be released with peierls_free; -1 when the
  * scratch or the records cannot be allocated, *records NULL. */
-int peierls_shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, uint64_t **records, int64_t *kept,
+int peierls_shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, uint32_t **records, int64_t *kept,
                    int64_t *built)
 {
     const int32_t span = (max_len - 2) / 2, box = span < cap ? span : cap;
     struct tree t = {.max_len = max_len, .cap = cap, .part = part, .parts = parts, .box = box, .side = 2 * box + 1,
-                     .height = box + 4, .maxrec = 256};
+                     .height = box + 4, .maxrec = 256, .stride = 2 * ((size_t)box + 2) + 3};
     t.words = (box * t.side + box + 64) / 64; /* the sites up to (box, box) */
     t.full = ((uint64_t)1 << t.height) - 1;
     t.seen = calloc((size_t)t.words, sizeof *t.seen);
     t.untried = calloc((size_t)(cap + 1) * t.words, sizeof *t.untried);
-    t.rec = malloc(t.maxrec * (2 * (size_t)t.height + 3) * sizeof *t.rec);
+    t.rec = malloc(t.maxrec * t.stride * sizeof *t.rec);
     int code = -1;
     if (t.seen && t.untried && t.rec) {
         t.seen[0] = t.untried[0] = 1; /* the origin */
@@ -623,7 +628,7 @@ int peierls_shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, ui
 }
 
 /* Release the records of peierls_shapes. */
-void peierls_free(uint64_t *records)
+void peierls_free(void *records)
 {
     free(records);
 }

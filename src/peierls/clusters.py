@@ -239,19 +239,6 @@ def _crossing(x0, y0, x1, y1):
     return up * (up * (x0 * y1 - x1 * y0) > 0)
 
 
-def _windings(sites):
-    """Winding number around the origin of the closed cycle through ``sites``, a sequence of (x, y).
-
-    A cycle may repeat a site; its zero-length edges cross nothing.
-    """
-    wn = 0
-    x0, y0 = sites[-1]
-    for x1, y1 in sites:
-        wn += _crossing(x0, y0, x1, y1)
-        x0, y0 = x1, y1
-    return wn
-
-
 def winding_number(cycle: Sequence[Site], point: Site = (0, 0)) -> int:
     """Integer winding number of a closed lattice cycle around ``point``.
 
@@ -262,4 +249,11 @@ def winding_number(cycle: Sequence[Site], point: Site = (0, 0)) -> int:
     if point in cycle:
         raise ContourError(f"winding number undefined: {point} lies on the cycle")
     px, py = point
-    return _windings([(x - px, y - py) for x, y in cycle])
+    # the sum of the crossings of the cycle's edges, relative to the point; a
+    # cycle may repeat a site, and its zero-length edges cross nothing
+    wn = 0
+    x0, y0 = cycle[-1]
+    for x1, y1 in cycle:
+        wn += _crossing(x0 - px, y0 - py, x1 - px, y1 - py)
+        x0, y0 = x1, y1
+    return wn

@@ -39,28 +39,29 @@ before any work a cap whose total passes ``_SHAPE_LIMIT``.
 
 The kernel takes each shape it builds through the steps of
 :func:`clusters._contour` (boundary, exterior fill, contour) on 64-bit
-rows, and hands back only the shapes whose contour is short enough, as row
-masks with their cell, boundary and exterior counts: 2,797 of the 345,600 at
-k = 12.  :func:`contour_event_table` counts their (|W|, |boundary|) pairs in
-a :class:`~collections.Counter`.  The census checks their contour lengths
-and enclosed sites, groups the shapes by contour rows and size, ORs each
-group's cells into one cover, and moves each group's contour and cover to
-the contour's bounding-box corner; only the distinct groups become the
-stride-32 ints of the merge, whose trajectories are sums of Python int bit
-counts.  Everything else about a contour follows from its key: the kernel's
-class pass (``peierls_classes``, called by :func:`_classes`) traces the
-cycles of all distinct contours with the edge walk of
-:func:`clusters._cycle`, and checks and classifies every origin position of
-every contour.  Only the witnesses, one per length, become :class:`Contour`
-objects.
+rows, and hands back only the shapes whose contour is short enough: 2,797 of
+the 345,600 at k = 12.  It hands them back in the census's own format: the
+contour moved to its bounding-box corner, which is its stride-32 key, the
+cells moved the same way, which are the cover of the shape's origin
+positions, and the cell, boundary and enclosed counts.
+:func:`contour_event_table` counts their (|W|, |boundary|) pairs in a
+:class:`~collections.Counter`.  The census reads each record as Python ints,
+checks its contour length and enclosed sites, and ORs its cover into those
+of its key and size (:func:`_census_covers`); the trajectories are sums of
+Python int bit counts.  Everything else about a contour follows from its
+key: the kernel's class pass (``peierls_classes``, called by
+:func:`_classes`) traces the cycles of all distinct contours with the edge
+walk of :func:`clusters._cycle`, and checks and classifies every origin
+position of every contour.  Only the witnesses, one per length, become
+:class:`Contour` objects.
 
 Both halves of the census run on ``workers`` forked processes and give the
 same results for every worker count.  Redelmeier's search tree splits into
 disjoint subtrees: every part grows the tree down to the shapes of size 6
 (``_SPLIT_SIZE``), and the j-th of those met in depth-first order goes with
 its subtree to part j % P of P; the smaller shapes come from part 0.  The
-kernel grows one part in one call.  Each part returns its per-size covers by
-canonical key, and the parent merges them by OR per size before the
+kernel grows one part in one call, and the part hands its records to the
+parent, which ORs them into the covers as the parts come in, before the
 trajectory, stabilisation and class passes.  :func:`full_count_table` puts
 the circuit walk and the census parts on one pool, the walk, the longest
 task, first, so that the parts run beside it and the census is merged, and
@@ -95,10 +96,9 @@ that is 6.4M nodes, 5.0M of them walked, and 161,180 records.
 from __future__ import annotations
 
 import ctypes
-import struct
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from typing import Iterable, NamedTuple
@@ -186,18 +186,26 @@ _EVENT_NEED = "the event table of the truncated polynomial (bounds --r >= 5)"
 
 
 def _shape_size_error(cap: int) -> CapExceeded:
-    return CapExceeded(f"shape size {cap} exceeds the coordinate encoding range")
+    fits = f"the largest shape whose contour fits a {_CANON_STRIDE}-column census key"
+    return CapExceeded(f"shape size {cap} exceeds {_MAX_SHAPE}, {fits}")
+
+
+def _check_shape_limit(cap: int) -> None:
+    """Refuse, before any work, a cap whose fixed polyominoes number more than ``_SHAPE_LIMIT``."""
+    if cap > len(_FIXED_SHAPES) or sum(_FIXED_SHAPES[:cap]) > _SHAPE_LIMIT:
+        raise CapExceeded(f"shape enumeration exceeded the limit of {_SHAPE_LIMIT}")
 
 
 class _Shapes(NamedTuple):
     """The shapes of one part of the span-pruned tree whose contour is short enough (:func:`_shape_block`)."""
 
-    #: ``2 * height + 3`` words of the kernel's 64-bit integers a shape: its
-    #: frame rows, cell (x, y) at bit x - xmin + 2 of row y + 2, its contour's
-    #: rows in the same frame, and its cell, boundary and exterior counts,
-    #: in the machine's byte order.
+    #: ``2 * height + 3`` ``uint32`` words a shape, in the machine's byte
+    #: order: its contour's rows moved to the contour's bounding-box corner,
+    #: which are its stride-32 census key, its cell rows moved the same way,
+    #: which are the cover of its origin positions, and its cell, boundary
+    #: and enclosed counts.
     records: bytes
-    #: the rows of a frame, ``box + 4``
+    #: the rows of a key and of a cover, ``box + 2``
     height: int
     #: the shapes of the part built, short contour or not
     built: int
@@ -207,38 +215,24 @@ def _shape_block(max_len: int, cap: int, part: int, parts: int) -> _Shapes:
     """Part ``part`` of ``parts`` of Redelmeier's tree of shapes up to size ``cap``, pruned by the span lemma.
 
     One call of the kernel's ``peierls_shapes`` grows the part and keeps its
-    shapes whose contour has at most ``max_len`` sites, each in a square frame
-    of ``min(_max_span(max_len), cap) + 4`` rows padded by 2.  The j-th shape
+    shapes whose contour has at most ``max_len`` sites, each as a key and a
+    cover of ``min(_max_span(max_len), cap) + 2`` rows.  The j-th shape
     of size ``_SPLIT_SIZE`` met in depth-first order goes with its subtree to
     part j % ``parts``; part 0 keeps the smaller shapes.  Raises
     :class:`MemoryError` when the kernel cannot allocate its records.
     """
     if cap > _MAX_SHAPE:
         raise _shape_size_error(cap)
-    height = min(_max_span(max_len), cap) + 4
+    height = min(_max_span(max_len), cap) + 2
     library = kernel.load(_NEED)
     records, kept, built = ctypes.c_void_p(), ctypes.c_int64(), ctypes.c_int64()
     if library.peierls_shapes(max_len, cap, part, parts, *map(ctypes.byref, (records, kept, built))) < 0:
         raise MemoryError(f"cannot allocate the shape tree's records at cap {cap}")
     try:
-        data = ctypes.string_at(records, 8 * kept.value * (2 * height + 3))
+        data = ctypes.string_at(records, 4 * kept.value * (2 * height + 3))
     finally:
         library.peierls_free(records)
     return _Shapes(data, height, built.value)
-
-
-#: The 64-bit and the 32-bit little-endian rows of a frame, by its height up
-#: to the largest frame's: an int's bytes, whatever the machine's order.
-_FRAME_ROWS = [(struct.Struct(f"<{h}Q"), struct.Struct(f"<{h}I")) for h in range(_MAX_SHAPE + 5)]
-
-
-def _row_bits(frame: int, height: int) -> int:
-    """The stride-32 bitboard of the ``height`` rows of ``frame``, row y at bit ``64 * y`` moved to bit ``32 * y``.
-
-    A row of 2**32 or more raises :class:`struct.error`.
-    """
-    wide, narrow = _FRAME_ROWS[height]
-    return int.from_bytes(narrow.pack(*wide.unpack(frame.to_bytes(8 * height, "little"))), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -300,46 +294,41 @@ def class_decomposition(contour: Contour) -> ClassKey:
     return ClassKey(ray_distance=l, first_step=step)
 
 
-def _census_part(k_max: int, cap: int, part: int, parts: int):
-    """One part of the span-pruned shape tree: its ``covers`` by canonical contour.
+def _census_covers(k_max: int, blocks: Iterable[_Shapes]) -> dict[int, dict[int, int]]:
+    """The census's ``covers`` by contour key, read from the parts' records as they come in.
 
-    ``covers[key][n]`` is the union of the origin positions, in the canonical
-    frame, of the size-n shapes whose contour is ``key``.  Keys and sizes are
-    in ascending order, whatever order the kernel meets the shapes in.  The
-    part's shapes with contours of length <= ``k_max`` come from one kernel
-    call (:func:`_shape_block`) and are grouped by their contour's rows and
-    their size, each group's cells ORed into one cover; then each group's
-    contour and cover move to the contour's bounding-box corner.
-
-    A contour shorter than 4 or enclosing more sites than its length allows
-    fails the part.  The error names the first such shape by size, then by
-    cell mask read as an integer with the shape moved to its box corner
-    (cell (x, y) at bit 64 * y + x - xmin).
+    ``covers[key][n]`` is the union of the origin positions, in the key's
+    frame, of the size-n shapes whose contour is ``key``: each record's cover
+    ORed in, whichever part it comes from.  A contour shorter than 4 or
+    enclosing more sites than its length allows fails the census once every
+    part is read.  The error names the first such shape by size, then by
+    cover read as an integer, over the whole census, so it does not depend
+    on the parts or the order they come in.
     """
-    shapes = _shape_block(k_max, cap, part, parts)
-    data, height = shapes.records, shapes.height
-    size, stride = 8 * height, 16 * height + 24  # bytes of a frame's rows, and of a record
-    words = memoryview(data).cast("Q")
-    if sys.byteorder == "big":  # the frames below are read as little-endian ints
-        swapped = array("Q", data)
-        swapped.byteswap()
-        data = swapped.tobytes()
     # interior_capacity by length; a length below 4 fails before it is read
     capacity = [interior_capacity(max(k, 4)) for k in range(k_max + 1)]
-    # a frame's rows as one int, row y at bit 64 * y: the contours and the
-    # ORed cells of each group of shapes by contour and size
-    groups: dict[tuple[int, int], int] = {}
+    covers: dict[int, dict[int, int]] = defaultdict(dict)
     bad = []
-    counts = zip(words[2 * height :: 2 * height + 3], words[2 * height + 2 :: 2 * height + 3])
-    for at, (n, exterior) in zip(range(0, len(data), stride), counts):
-        contour = int.from_bytes(data[at + size : at + 2 * size], "little")
-        length = contour.bit_count()
-        enclosed = height * height - exterior - length
-        if length < 4 or enclosed > capacity[length]:
-            # frame rows from the top down compare as the cell masks do
-            bad.append((n, words[at // 8 : at // 8 + height].tolist()[::-1], length, enclosed))
-            continue
-        groups[contour, n] = groups.get((contour, n), 0) | int.from_bytes(data[at : at + size], "little")
+    read = int.from_bytes  # looked up once: the loop below runs once a record, in the parent process
+    for shapes in blocks:
+        data, height = shapes.records, shapes.height
+        size, shift = 8 * height, 32 * height  # bytes of a key and its cover, and bits of a key
+        mask = (1 << shift) - 1
+        words = memoryview(data).cast("I")
+        if sys.byteorder == "big":  # the rows below are read as little-endian ints
+            swapped = array("I", data)
+            swapped.byteswap()
+            data = swapped.tobytes()
+        counts = words[2 * height :: 2 * height + 3], words[2 * height + 2 :: 2 * height + 3]
+        for at, n, enclosed in zip(range(0, len(data), size + 12), *counts):
+            rows = read(data[at : at + size], "little")
+            key = rows & mask
+            length = key.bit_count()
+            if length < 4 or enclosed > capacity[length]:
+                bad.append((n, rows >> shift, length, enclosed))
+                continue
+            by_size = covers[key]
+            by_size[n] = by_size.get(n, 0) | rows >> shift
     if bad:
         _, _, length, enclosed = min(bad)
         if length < 4:
@@ -348,18 +337,7 @@ def _census_part(k_max: int, cap: int, part: int, parts: int):
             f"a contour of length {length} encloses {enclosed} sites, more than the capacity "
             "bound allows; the completeness cap is unsound for this input"
         )
-    column = sum(1 << 64 * y for y in range(height))  # column 0 of every row
-    covers: dict[int, dict[int, int]] = {}
-    for (contour, n), cells in groups.items():
-        # the corner of the contour's bounding box: its first row, and its
-        # first column that holds a site
-        oy, ox = ((contour & -contour).bit_length() - 1) // 64, 0
-        while not contour & column << ox:
-            ox += 1
-        key, cover = _row_bits(contour >> 64 * oy + ox, height), _row_bits(cells >> 64 * oy + ox, height)
-        by_size = covers.setdefault(key, {})
-        by_size[n] = by_size.get(n, 0) | cover
-    return {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
+    return covers
 
 
 def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
@@ -379,29 +357,22 @@ def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
     if k_max > 2 * _MAX_SHAPE + 2:
         longest = 2 * _MAX_SHAPE + 2
         raise CapExceeded(f"contour length {k_max} exceeds {longest}, the longest contour of a {_MAX_SHAPE}-cell shape")
-    if cap > len(_FIXED_SHAPES) or sum(_FIXED_SHAPES[:cap]) > _SHAPE_LIMIT:
-        raise CapExceeded(f"shape enumeration exceeded the limit of {_SHAPE_LIMIT}")
+    _check_shape_limit(cap)
     return cap
 
 
 def _census_tasks(k_max: int, cap: int, workers: int) -> list[tuple]:
     """The census parts as :func:`pool._fan_out` tasks."""
     parts = pool._parts(workers)
-    return [(_census_part, k_max, cap, p, parts) for p in range(parts)]
+    return [(_shape_block, k_max, cap, p, parts) for p in range(parts)]
 
 
-def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
-    """Merge the results of the census parts into the census table.
+def _census_table(k_max: int, cap: int, covers: dict[int, dict[int, int]]) -> CountTable:
+    """The census table of the merged ``covers`` of :func:`_census_covers`.
 
-    Raises as soon as the parts, or the passes over their merge, show the
-    census to be incomplete or inconsistent.
+    Raises as soon as the passes over the covers show the census to be
+    incomplete or inconsistent.
     """
-    covers: dict[int, dict[int, int]] = {}
-    for part_covers in results:
-        for key, by_size in part_covers.items():
-            merged = covers.setdefault(key, {})
-            for size, pos in by_size.items():
-                merged[size] = merged.get(size, 0) | pos
     needed = interior_capacity(k_max)
     guaranteed = cap >= needed
 
@@ -410,14 +381,15 @@ def _census_table(k_max: int, cap: int, results: Iterable) -> CountTable:
     # sums the positions the contours of length k gain at size n.
     keys = sorted(covers)
     reach = []
-    gains: dict[int, list[int]] = {}
+    gains: dict[int, list[int]] = defaultdict(lambda: [0] * (cap + 1))
     for key in keys:
-        gain = gains.setdefault(key.bit_count(), [0] * (cap + 1))
+        gain = gains[key.bit_count()]
         positions = seen = 0
         for n, pos in sorted(covers[key].items()):
             positions |= pos
-            gain[n] += positions.bit_count() - seen
-            seen = positions.bit_count()
+            count = positions.bit_count()
+            gain[n] += count - seen
+            seen = count
         reach.append(positions)
     totals = {k: list(accumulate(gains[k])) for k in sorted(gains)}
     trajectory = {s: {k: run[s] for k, run in totals.items() if run[s]} for s in range(1, cap + 1)}
@@ -487,7 +459,7 @@ def _class_pass(keys: list[int], covers: list[int]) -> tuple[array, array]:
     coordinates, contour after contour, each site's x and then y.  Raises the
     error of :data:`_CLASS_ERRORS` that the first failed check names.
     """
-    height = -(-max(b.bit_length() for b in keys + covers) // _CANON_STRIDE)
+    height = -(-max(map(int.bit_length, keys + covers)) // _CANON_STRIDE)
     if height > _CANON_STRIDE:
         raise ValueError(f"a census key spans at most {_CANON_STRIDE} rows, got {height}")
     lengths = [key.bit_count() for key in keys]
@@ -560,15 +532,15 @@ def exact_contour_counts(
     cap = _census_cap(k_max, cluster_cap, workers)
     kernel.load(_NEED)  # built and loaded before the workers fork
     with pool._fan_out(_census_tasks(k_max, cap, workers), workers) as results:
-        return _census_table(k_max, cap, (covers for _, covers in results))
+        return _census_table(k_max, cap, _census_covers(k_max, (shapes for _, shapes in results)))
 
 
 def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
     """Event multiplicities of one part of the (span-pruned) shape tree, from one kernel call."""
     shapes = _shape_block(max_len, cap, part, parts)
-    words, stride = memoryview(shapes.records).cast("Q"), 2 * shapes.height + 3
+    words, stride = memoryview(shapes.records).cast("I"), 2 * shapes.height + 3
     pairs = Counter(zip(words[stride - 3 :: stride], words[stride - 2 :: stride]))
-    return {(n, b): n * count for (n, b), count in sorted(pairs.items())}
+    return {(n, b): n * count for (n, b), count in pairs.items()}
 
 
 def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, int], int]:
@@ -578,25 +550,21 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
     ``interior_capacity(max_len)``, so the table is a complete, exact census
     of the events feeding the truncated polynomial.  ``workers`` processes
     share the shape tree; the table does not depend on it.  The tree is grown
-    in the compiled kernel, as for :func:`exact_contour_counts`.
+    in the compiled kernel, and a cap past ``_SHAPE_LIMIT`` refused before
+    any work, as for :func:`exact_contour_counts`.
     """
     check_integer(max_len, "max_len")
     if max_len < 4:
         raise ValueError("max_len must be >= 4")
     check_workers(workers)
     cap = interior_capacity(max_len)
-    if cap > 15:
-        raise CapExceeded(
-            f"contours of length {max_len} require clusters up to size {cap}; "
-            "beyond the feasible enumeration range"
-        )
+    _check_shape_limit(cap)
     parts = pool._parts(workers)
     kernel.load(_EVENT_NEED)  # built and loaded before the workers fork
-    events: dict[tuple[int, int], int] = {}
+    events: Counter[tuple[int, int]] = Counter()
     with pool._fan_out([(_event_part, max_len, cap, p, parts) for p in range(parts)], workers) as results:
         for _, part_events in results:
-            for pair, count in part_events.items():
-                events[pair] = events.get(pair, 0) + count
+            events.update(part_events)
     return dict(sorted(events.items()))
 
 
@@ -761,7 +729,7 @@ def full_count_table(
     walked = []
     with pool._fan_out(tasks, workers) as results:
         parts = _parts_past(results, 0 if workers > 1 else len(census), walked)
-        table = _census_table(k_max, cap, islice(parts, len(census)))
+        table = _census_table(k_max, cap, _census_covers(k_max, islice(parts, len(census))))
         sa = walked[0] if walked else next(results)[1]
     if isinstance(sa, Exception):
         raise sa

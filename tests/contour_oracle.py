@@ -17,9 +17,10 @@ reference for the kernel's shape tree (``enumeration._shape_block``): it
 grows the tree in the same order and splits it into the same parts.
 ``shape_block`` is the reference for the kernel's records, each shape
 embedded by ``_embed`` in its own big-integer bitboard for
-``_contour_bits``.  ``census_part`` is the reference for the census's
-reduction: it extracts one shape at a time and keys it by
-``_canonical_contour``.
+``_contour_bits`` and keyed by ``_canonical_contour``.  ``census_part`` is
+the reference for the census's covers of one part
+(``enumeration._census_covers``): it extracts one shape at a time and keys
+it by ``_canonical_contour``.
 ``census_classes`` is the reference for the census's class pass: it builds
 each distinct contour with ``_ccw_cycle`` from its key alone, and
 translates, winds and classifies one positioned contour at a time, with
@@ -379,7 +380,7 @@ def _canonical_contour(gamma: int, w: int):
 
 
 def census_part(k_max: int, cap: int, part: int, parts: int):
-    """Shape-by-shape twin of ``enumeration._census_part``: one bitboard contour per shape.
+    """Shape-by-shape twin of ``enumeration._census_covers`` over one part's records: one bitboard contour per shape.
 
     A bad shape fails the part as there: the first in the order of size, then
     of the cell mask moved to the box corner.
@@ -426,12 +427,13 @@ def census_part(k_max: int, cap: int, part: int, parts: int):
 def shape_block(max_len: int, cap: int, part: int, parts: int) -> tuple[list[tuple], int]:
     """Shape-by-shape twin of ``enumeration._shape_block``: the kept records and the count of shapes built.
 
-    A record is ``(cell rows, contour rows, cells, boundary sites, exterior
-    sites)`` of a shape in its square frame of ``box + 4`` rows, the rows as
-    tuples of ints.
+    A record is ``(key rows, cover rows, cells, boundary sites, enclosed
+    sites)`` of a shape: its contour keyed by ``_canonical_contour``, its
+    cells moved as the contour is, each as ``box + 2`` rows of 32 bits in a
+    tuple of ints, and the sites of its frame neither exterior nor on the
+    contour.
     """
     box = min(_max_span(max_len), cap)
-    side = box + 4
     records, built = [], 0
     for shape, _, xmin, w, h in _iter_shapes(cap, _max_span(max_len), part, parts):
         if w > box or h > box:
@@ -440,8 +442,12 @@ def shape_block(max_len: int, cap: int, part: int, parts: int) -> tuple[list[tup
         wbits, frame = _embed(shape, xmin, box, box)
         bnd, gamma, ext = _contour_bits(wbits, frame)
         if gamma.bit_count() <= max_len:
-            rows = [tuple(bits >> (y * side) & (1 << side) - 1 for y in range(side)) for bits in (wbits, gamma)]
-            records.append((*rows, len(shape), bnd.bit_count(), ext.bit_count()))
+            key, ox, oy = _canonical_contour(gamma, frame[4])
+            cover = sum(1 << (y - oy) * _CANON_STRIDE + x - ox for x, y in _bits_to_sites(wbits, frame[4]))
+            row = (1 << _CANON_STRIDE) - 1
+            rows = [tuple(bits >> _CANON_STRIDE * y & row for y in range(box + 2)) for bits in (key, cover)]
+            enclosed = (frame[0] & ~ext & ~gamma).bit_count()
+            records.append((*rows, len(shape), bnd.bit_count(), enclosed))
     return records, built
 
 

@@ -1,4 +1,3 @@
-import struct
 from collections import Counter, defaultdict
 from functools import lru_cache
 from types import SimpleNamespace
@@ -47,11 +46,10 @@ from peierls import clusters, enumeration, kernel, pool
 from peierls.enumeration import (
     _CANON_STRIDE,
     _SPLIT_SIZE,
-    _census_part,
+    _census_covers,
     _census_table,
     _circuit_walk,
     _event_part,
-    _row_bits,
     _shape_block,
     class_counts_csv,
     count_table_csv,
@@ -132,9 +130,9 @@ def test_shape_tree_parts_partition_the_shapes(n, span, parts):
 
 
 def shape_records(shapes):
-    """The records of a ``_shape_block`` as ``(cell rows, contour rows, cells, boundary sites, exterior sites)``."""
+    """The records of a ``_shape_block`` as ``(key rows, cover rows, cells, boundary sites, enclosed sites)``."""
     h = shapes.height
-    words = np.frombuffer(shapes.records, np.uint64).reshape(-1, 2 * h + 3).tolist()
+    words = np.frombuffer(shapes.records, np.uint32).reshape(-1, 2 * h + 3).tolist()
     return [(tuple(r[:h]), tuple(r[h : 2 * h]), *r[2 * h :]) for r in words]
 
 
@@ -157,8 +155,9 @@ def _kernel_records(max_len, cap, part, parts):
 )
 def test_shape_kernel_matches_the_oracle_walk(tree, longer, data):
     # per part, the kernel keeps the oracle's in-span shapes with contours of
-    # at most max_len sites: cells, contour rows, and boundary and exterior
-    # counts, and builds as many; a contour may be one site longer than the span
+    # at most max_len sites: key and cover rows, and cell, boundary and
+    # enclosed counts, and builds as many; a contour may be one site longer
+    # than the span
     cap, span, parts = tree
     max_len = 2 * span + 2 + longer
     whole = parts <= 7
@@ -183,7 +182,8 @@ def test_cluster_enumeration_cap():
     with pytest.raises(CapExceeded, match="coordinate encoding range"):
         next(_iter_shapes(31))
     with mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")):
-        with pytest.raises(CapExceeded, match="coordinate encoding range"):
+        fits = "the largest shape whose contour fits a 32-column census key"
+        with pytest.raises(CapExceeded, match=f"^shape size 31 exceeds 30, {fits}$"):
             _shape_block(12, 31, 0, 1)
 
 
@@ -556,9 +556,9 @@ def test_the_walk_task_is_capped_on_its_own():
     with pytest.raises(CapExceeded):
         _circuit_walk(10, "five", 100)
     # the shape limit is checked once, before the census parts start
-    covers = _census_part(10, interior_capacity(10), 1, 8)
+    shapes = _shape_block(10, interior_capacity(10), 1, 8)
     with mock.patch.object(enumeration, "_SHAPE_LIMIT", 100):
-        assert _census_part(10, interior_capacity(10), 1, 8) == covers
+        assert _shape_block(10, interior_capacity(10), 1, 8) == shapes
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -581,7 +581,7 @@ def test_census_error_wins_over_walker_error(workers):
 def test_a_walk_argument_error_waits_for_no_census_it_cannot_lose_to(workers):
     # the census's own arguments are checked first, and the census runs ahead
     # of a walk argument's error only under a cap that could leave it incomplete
-    with mock.patch.object(enumeration, "_census_part", side_effect=AssertionError("the census ran")):
+    with mock.patch.object(enumeration, "_shape_block", side_effect=AssertionError("the census ran")):
         with pytest.raises(ValueError, match="max_nodes must be >= 1"):
             full_count_table(12, workers=workers, max_nodes=0)
         with pytest.raises(ValueError, match="max_nodes must be >= 1"):
@@ -663,8 +663,19 @@ def test_event_table_independent_of_workers(max_len):
 
 
 def test_event_table_infeasible_length():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^shape enumeration exceeded the limit of 50000000$"):
         contour_event_table(20)
+
+
+def test_event_table_refuses_by_the_census_shape_limit_before_any_work():
+    # the census's shape limit refuses the event table's cap too, with its message
+    with (
+        mock.patch.object(enumeration, "_SHAPE_LIMIT", 100),
+        mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")),
+        mock.patch.object(pool, "_fan_out", side_effect=AssertionError("a pool was started")),
+        pytest.raises(CapExceeded, match="^shape enumeration exceeded the limit of 100$"),
+    ):
+        contour_event_table(10)
 
 
 # ---------------------------------------------------------------------------
@@ -722,59 +733,66 @@ def test_row_extractor_keeps_an_enclosed_free_site_out_of_the_exterior():
 
 @pytest.mark.parametrize(
     "k_max, cap, part, parts",
-    # the next to last part sits in a 17-column frame of uint64 rows; at cap 1
+    # the next to last part keys its contours in 15 rows, a box of 13; at cap 1
     # the one shape is part 0's, so the last part keeps no shape and is empty
     [(10, interior_capacity(10), part, 8) for part in range(8)] + [(28, 13, 7, 1000), (4, 1, 1, 2)],
 )
 def test_census_part_matches_scalar_reference(k_max, cap, part, parts):
-    got, want = _census_part(k_max, cap, part, parts), census_part(k_max, cap, part, parts)
+    # the covers of one part's records against the oracle's, shape by shape
+    got, want = _census_covers(k_max, [_shape_block(k_max, cap, part, parts)]), census_part(k_max, cap, part, parts)
     assert got == want
     assert (got == {}) == (cap == 1)
-    # keys and sizes are listed in ascending order, whatever order the shapes come in
-    assert list(got) == list(want) == sorted(want)
-    assert [list(by_size) for by_size in got.values()] == [list(by_size) for by_size in want.values()]
 
 
-@given(st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=34))
-def test_row_bits_matches_the_shift_sum(rows):
-    # row y of a frame of 1 to 34 rows, the census's tallest, moves from bit
-    # 64 * y to bit 32 * y; a row past 32 bits is refused
-    frame = sum(v << (64 * y) for y, v in enumerate(rows))
-    assert _row_bits(frame, len(rows)) == sum(v << (32 * y) for y, v in enumerate(rows))
-    with pytest.raises(struct.error):
-        _row_bits(frame | 1 << (64 * len(rows) - 32), len(rows))
+@settings(max_examples=40, deadline=None)
+@given(cap=st.integers(1, 9), span=st.integers(1, 5), longer=st.booleans(), parts=st.integers(1, 3))
+def test_every_record_is_keyed_at_its_contour_corner(cap, span, longer, parts):
+    # the kernel moves each record by (-1, -1), so its contour's bounding-box
+    # corner is the key's (0, 0): a site in row 0 and one in column 0; the
+    # cover holds the record's n cells, off the contour and inside its rows
+    max_len = 2 * span + 2 + longer
+    column = sum(1 << _CANON_STRIDE * y for y in range(_CANON_STRIDE))
+    for part in range(parts):
+        shapes = _shape_block(max_len, cap, part, parts)
+        for key_rows, cover_rows, n, boundary, enclosed in shape_records(shapes):
+            key, cover = (sum(v << _CANON_STRIDE * y for y, v in enumerate(rows)) for rows in (key_rows, cover_rows))
+            height = -(-key.bit_length() // _CANON_STRIDE)
+            assert key & (1 << _CANON_STRIDE) - 1 and key & column
+            assert cover.bit_count() == n and not cover & key
+            assert not cover & (1 << _CANON_STRIDE) - 1 and not cover >> _CANON_STRIDE * (height - 1)
+            assert 4 <= key.bit_count() <= min(max_len, boundary) and n <= enclosed
 
 
 @settings(max_examples=12, deadline=None)
 @given(k_max=st.integers(4, 10), parts=st.integers(1, 3))
 def test_classes_and_witnesses_match_the_oracle(k_max, parts):
     cap = interior_capacity(k_max)
-    results = [_census_part(k_max, cap, part, parts) for part in range(parts)]
-    table = _census_table(k_max, cap, iter(results))
-    assert (table.classes, table.witnesses) == census_classes(results)
+    covers = _census_covers(k_max, [_shape_block(k_max, cap, part, parts) for part in range(parts)])
+    table = _census_table(k_max, cap, covers)
+    assert (table.classes, table.witnesses) == census_classes([covers])
 
 
 def test_kernel_class_pass_matches_the_oracle_on_every_contour_to_length_twelve():
     # the 1,566 distinct contours of the census at k = 12 around their 12,368
     # origin positions, checked and classified one at a time by the oracle
-    results = [_census_part(12, 13, 0, 1)]
-    table = _census_table(12, 13, iter(results))
-    assert (table.classes, table.witnesses) == census_classes(results)
+    covers = _census_covers(12, [_shape_block(12, 13, 0, 1)])
+    table = _census_table(12, 13, covers)
+    assert (table.classes, table.witnesses) == census_classes([covers])
     assert sum(table.classes.values()) == sum(table.exact.values()) == 12_368
 
 
 _DIAMOND = frozenset({(1, 0), (0, 1), (2, 1), (1, 2)})
 
 
-def _census_parts_of(contour, positions):
-    """The census parts' results of one part that holds one canonical contour around the given origin positions."""
+def _covers_of(contour, positions):
+    """The census covers of one canonical contour around the given origin positions."""
     key, cover = (sum(1 << (y * _CANON_STRIDE + x) for x, y in sites) for sites in (contour, positions))
-    return [{key: {1: cover}}]
+    return {key: {1: cover}}
 
 
 def _census_of(contour, positions):
-    """The census table of one part that holds one canonical contour around the given origin positions."""
-    return _census_table(4, 1, iter(_census_parts_of(contour, positions)))
+    """The census table of one canonical contour around the given origin positions."""
+    return _census_table(4, 1, _covers_of(contour, positions))
 
 
 def test_crafted_census_classifies_its_contour():
@@ -810,27 +828,25 @@ def test_census_class_pass_rejects_crafted_contours(contour, positions, error, m
     with pytest.raises(error, match=message):
         _census_of(contour, positions)
     with pytest.raises((ContourError, NoRayIntersection)):
-        census_classes(_census_parts_of(contour, positions))
+        census_classes([_covers_of(contour, positions)])
 
 
 @pytest.mark.parametrize("parts", [2, 7, 300])
 def test_any_number_of_parts_merges_to_the_whole_tree(parts):
     # the covers merge by OR and the events by sum, as the parent merges them
-    census, events = _census_part(10, 8, 0, 1), _event_part(10, 8, 0, 1)
-    merged, counted = defaultdict(dict), Counter()
+    census, events = _census_covers(10, [_shape_block(10, 8, 0, 1)]), _event_part(10, 8, 0, 1)
+    merged = _census_covers(10, [_shape_block(10, 8, part, parts) for part in range(parts)])
+    counted = Counter()
     for part in range(parts):
-        for key, by_size in _census_part(10, 8, part, parts).items():
-            for n, cover in by_size.items():
-                merged[key][n] = merged[key].get(n, 0) | cover
         counted.update(_event_part(10, 8, part, parts))
-    assert {key: dict(sorted(merged[key].items())) for key in sorted(merged)} == census
+    assert merged == census
     assert dict(counted) == events
 
 
 @pytest.mark.parametrize(
     "tight, cleared, error",
-    # among the 177 shapes of _census_part(10, 8, 0, 1) with contours of
-    # length <= 10, ordered by size and then cell mask: the first over a
+    # among the 177 shapes of _shape_block(10, 8, 0, 1) with contours of
+    # length <= 10, ordered by size and then cover: the first over a
     # capacity one lower at lengths 9 and 10 is the 93rd (6 cells, length 9),
     # at lengths 7 and 8 the 5th (3 cells, length 7), as at length 7; the
     # first with a contour of length 9 is the 11th (4 cells)
@@ -851,9 +867,9 @@ def test_census_part_fails_on_the_first_bad_shape(tight, cleared, error):
     def clear_block(*args):
         shapes = shape_block(*args)
         h = shapes.height
-        words = np.frombuffer(shapes.records, np.uint64).reshape(-1, 2 * h + 3).copy()
-        contours = words[:, h : 2 * h]
-        contours[np.bitwise_count(contours).sum(axis=1) == cleared] = 0
+        words = np.frombuffer(shapes.records, np.uint32).reshape(-1, 2 * h + 3).copy()
+        keys = words[:, :h]
+        keys[np.bitwise_count(keys).sum(axis=1) == cleared] = 0
         return shapes._replace(records=words.tobytes())
 
     def clear_bits(wbits, frame):
@@ -872,8 +888,11 @@ def test_census_part_fails_on_the_first_bad_shape(tight, cleared, error):
         with pytest.raises((ContourError, IncompletenessError), match=error) as want:
             census_part(10, 8, 0, 1)
         with pytest.raises(type(want.value)) as got:
-            _census_part(10, 8, 0, 1)
-    assert str(got.value) == str(want.value)
+            _census_covers(10, [enumeration._shape_block(10, 8, 0, 1)])
+        # over the whole census: the same first shape, in whatever parts and order they come
+        with pytest.raises(type(want.value)) as split:
+            _census_covers(10, [enumeration._shape_block(10, 8, part, 3) for part in (2, 0, 1)])
+    assert str(got.value) == str(split.value) == str(want.value)
 
 
 def test_a_bad_shape_fails_the_census_part_and_its_oracle():
@@ -882,9 +901,17 @@ def test_a_bad_shape_fails_the_census_part_and_its_oracle():
         mock.patch.object(enumeration, "interior_capacity", capacity),
         mock.patch.object(contour_oracle, "interior_capacity", capacity),
     ):
-        for part in (_census_part, census_part):
-            with pytest.raises(IncompletenessError):
-                part(10, 8, 0, 1)
+        with pytest.raises(IncompletenessError):
+            census_part(10, 8, 0, 1)
+        with pytest.raises(IncompletenessError):
+            _census_covers(10, [_shape_block(10, 8, 0, 1)])
+        # the parent checks every part's records, so the census names one bad shape whatever the workers
+        messages = set()
+        for workers in (1, 2, 3):
+            with pytest.raises(IncompletenessError) as bad:
+                exact_contour_counts(10, workers=workers)
+            messages.add(str(bad.value))
+        assert len(messages) == 1
 
 
 # ---------------------------------------------------------------------------

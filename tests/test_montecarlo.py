@@ -517,7 +517,7 @@ def test_kernel_compiles_without_warnings(tmp_path):
         records, kept, built = ctypes.c_void_p(), ctypes.c_int64(), ctypes.c_int64()
         code = library.peierls_shapes(max_len, cap, part, parts, *map(ctypes.byref, (records, kept, built)))
         shapes = enumeration._shape_block(max_len, cap, part, parts)
-        block = ctypes.string_at(records, 8 * kept.value * (2 * shapes.height + 3))
+        block = ctypes.string_at(records, 4 * kept.value * (2 * shapes.height + 3))
         library.peierls_free(records)
         assert (code, built.value, block) == (0, shapes.built, shapes.records)
     # and its class pass classifies the census's contours at k = 10 as the package does
@@ -573,27 +573,34 @@ static int64_t positions(void)
 }
 
 /* Part `part` of `parts` of the shape tree, its kept and built shapes added to *kept and *built: 1 when the call fails
- * or a record is out of range (its cell count, its contour length, its boundary and exterior counts, a row past the
- * frame), else 0. */
+ * or a record is out of range (its cell count, its contour length, its boundary and enclosed counts, a row past the
+ * key's columns, a key with no site in row 0 or in column 0, a cell on the contour or in its first row), else 0. */
 static int shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, int64_t *kept, int64_t *built,
                   int64_t *high)
 {
-    const int32_t span = (max_len - 2) / 2, height = (span < cap ? span : cap) + 4, stride = 2 * height + 3;
-    uint64_t *records;
+    const int32_t span = (max_len - 2) / 2, height = (span < cap ? span : cap) + 2, stride = 2 * height + 3;
+    uint32_t *records;
     int64_t k, b;
     if (peierls_shapes(max_len, cap, part, parts, &records, &k, &b) || k > b)
         return 1;
     int bad = 0;
     for (int64_t i = 0; i < k; i++) {
-        const uint64_t *r = records + i * stride;
-        int64_t length = 0;
-        for (int32_t y = 0; y < 2 * height; y++) {
-            bad |= r[y] >> height != 0;
-            length += __builtin_popcountll(r[y]) * (y >= height);
+        const uint32_t *r = records + i * stride;
+        int64_t length = 0, cells = 0;
+        uint32_t columns = 0;
+        for (int32_t y = 0; y < height; y++) {
+            bad |= (uint64_t)r[y] >> height != 0 || (uint64_t)r[height + y] >> height != 0 || (r[y] & r[height + y]);
+            length += __builtin_popcount(r[y]);
+            cells += __builtin_popcount(r[height + y]);
+            columns |= r[y];
         }
-        bad |= r[2 * height] < 1 || r[2 * height] > (uint64_t)cap || length < 4 || length > max_len;
-        bad |= r[2 * height + 1] < (uint64_t)length || r[2 * height + 2] >= (uint64_t)(height * height);
-        *high += r[height - 3] != 0; /* a cell in the box's top row, ymax = box - 1: the shape pass runs every row */
+        /* the contour's bounding-box corner is the key's (0, 0) */
+        bad |= r[0] == 0 || !(columns & 1) || r[height] != 0;
+        bad |= r[2 * height] < 1 || r[2 * height] > (uint32_t)cap || cells != r[2 * height] || length < 4 ||
+               length > max_len;
+        bad |= r[2 * height + 1] < (uint32_t)length || r[2 * height + 2] < r[2 * height] ||
+               r[2 * height + 2] >= (uint32_t)((height + 2) * (height + 2));
+        *high += r[2 * height - 2] != 0; /* a cell in the box's top row, ymax = box - 1: the shape pass runs every row */
     }
     peierls_free(records);
     *kept += k;
