@@ -3,8 +3,8 @@
  * - peierls_flood, the one connectivity kernel of the Monte Carlo and its one site hash: an invasion flood over
  *   hashed keys;
  * - peierls_walk, the census's circuit walk: every restricted self-avoiding circuit of every start in one walk;
- * - peierls_shapes, one part of the span-pruned shape tree of the census and the event table, each kept shape as
- *   its contour's census key, its cover and its counts, and peierls_free for the records it hands back;
+ * - peierls_shapes, the span-pruned shape tree of the census and the event table, grown whole in one call, each kept
+ *   shape as its contour's census key, its cover and its counts, and peierls_free for the records it hands back;
  * - peierls_classes, the census's class pass: every distinct contour checked and traced, and classified around each of
  *   its origin positions.
  *
@@ -408,20 +408,27 @@ int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks
 /* THE SHAPE TREE
  *
  * Redelmeier's tree of the fixed polyominoes of up to cap cells (Redelmeier, Discrete Math. 36 (1981) 191-203), grown
- * depth-first and cut down by the span lemma.  A shape is anchored at its lowest, leftmost cell, the origin, so its
- * cells lie in the half plane y > 0 or (y = 0 and x >= 0).  A shape wider or taller than box = min((max_len - 2) / 2,
- * cap) has a contour of more than max_len sites, and so has every shape below it, being at least as wide: it is
- * dropped with its subtree.  So the shapes grown lie in |x| < box, 0 <= y < box, and their neighbours in |x| <= box,
- * 0 <= y <= box.  Site (x, y) there is bit y * (2 * box + 1) + x of a site mask: the bits >= 0 are the half plane, in
- * (y, x) order.
+ * depth-first and cut down by the span lemma below.  A shape is anchored at its lowest, leftmost cell, the origin, so
+ * its cells lie in the half plane y > 0 or (y = 0 and x >= 0).
+ *
+ * The span lemma.  Over a shape's cells, let du and dv be the ranges of the diagonal coordinates u = x + y and
+ * v = x - y.  A shape whose contour has k sites has k >= du + dv + 4:
+ * - a king step (dx, dy) changes u by dx + dy and v by dx - dy, and |dx + dy| + |dx - dy| = 2, exactly.  A closed
+ *   cycle goes from its least u to its largest and back, and so for v, so a cycle of k steps has
+ *   2 * k >= 2 * range(u) + 2 * range(v) over its sites;
+ * - a contour strictly surrounds its cluster, so the ray from a cell of least u, umin, in direction (-1, -1) meets the
+ *   cycle at a point of smaller u.  u is linear along the king edge there, so one end of that edge, a lattice site,
+ *   has u <= umin - 1.  The same holds at umax, vmin and vmax: the contour's u range is at least du + 2, its v range at
+ *   least dv + 2.
+ * A shape with du + dv + 4 > max_len is dropped with its subtree, since adding a cell never lowers du or dv.  The cut
+ * is tight: the 5-cell plus has an 8-site contour, with du = dv = 2.  It implies the box lemma: x = (u + v) / 2, so a
+ * shape's width less 1 is at most (du + dv) / 2 <= (max_len - 4) / 2, and its height alike.  So the shapes grown lie in
+ * |x| < box, 0 <= y < box, box = min((max_len - 2) / 2, cap), and their neighbours in |x| <= box, 0 <= y <= box.  Site
+ * (x, y) there is bit y * (2 * box + 1) + x of a site mask: the bits >= 0 are the half plane, in (y, x) order.
  *
  * A shape carries its untried sites.  Its children take them lowest first, and the child that takes site i keeps the
  * untried sites above i and adds those of i's axis neighbours that no shape on the path to it has seen, so the tree
- * meets every fixed shape once.
- *
- * Part `part` of `parts`: every part grows the shapes below the split size SPLIT, and the j-th shape of the split
- * size met in depth-first order, j = 0, 1, ..., in span or not, goes with its subtree to part j mod parts.  Part 0
- * alone keeps the shapes below the split size.  One part is the whole tree.
+ * meets every fixed shape once.  One call grows the whole tree: cut down, it builds 2,813 shapes at max_len = 12.
  *
  * Each shape built sits in a square frame of box + 4 rows of box + 4 bits, cell (x, y) at bit x - xmin + 2 of row
  * y + 2: padded by 2, so that its boundary stays off the frame's edge and the edge lies in its exterior.  Its boundary
@@ -440,14 +447,13 @@ int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks
  * enclosed site.  The contour is counted no further once it passes max_len.
  */
 
-#define SPLIT 6    /* the split size, enumeration._SPLIT_SIZE */
 #define MAX_CAP 30 /* the largest cap, enumeration._MAX_SHAPE */
 #define MAX_ROWS (MAX_CAP + 4) /* the rows of the largest frame */
 
-/* A part of the tree in progress: its limits, the path's seen and untried sites, the shape and the kept records. */
+/* The tree in progress: its limits, the path's seen and untried sites, the shape and the kept records. */
 struct tree {
-    int32_t max_len, cap, part, parts, box, side, height, words;
-    int64_t split, built; /* the split-size shapes met, and the shapes built */
+    int32_t max_len, cap, box, side, height, words;
+    int64_t built;        /* the shapes built */
     uint64_t full;        /* the bits of a frame row */
     uint64_t *seen;       /* the sites seen on the path */
     uint64_t *untried;    /* untried[size * words ...]: the untried sites of the path's shape of `size` cells */
@@ -551,9 +557,11 @@ static int shape(struct tree *t, int32_t size, int32_t xmin, int32_t ymax)
     return 0;
 }
 
-/* Grow the children of the path's shape of `size` cells, in columns xmin..xmax and rows 0..ymax, and their subtrees:
- * 0, or -1 when the records cannot grow. */
-static int grow(struct tree *t, int32_t size, int32_t xmin, int32_t xmax, int32_t ymax)
+/* Grow the children of the path's shape of `size` cells, whose leftmost column is xmin, top row ymax, and diagonal
+ * coordinates u = x + y and v = x - y span umin..umax and vmin..vmax, and their subtrees: 0, or -1 when the records
+ * cannot grow. */
+static int grow(struct tree *t, int32_t size, int32_t xmin, int32_t ymax, int32_t umin, int32_t umax, int32_t vmin,
+                int32_t vmax)
 {
     uint64_t *untried = t->untried + (size_t)size * t->words, *next = untried + t->words;
     for (int32_t w = 0; w < t->words; w++)
@@ -561,15 +569,15 @@ static int grow(struct tree *t, int32_t size, int32_t xmin, int32_t xmax, int32_
             /* the lowest untried site: the children after this one keep the sites above it only */
             const int32_t i = w * 64 + __builtin_ctzll(untried[w]);
             untried[w] &= untried[w] - 1;
-            const int32_t y = (i + t->box) / t->side, x = i - y * t->side;
-            const int32_t x0 = x < xmin ? x : xmin, x1 = x > xmax ? x : xmax, y1 = y > ymax ? y : ymax;
-            if (size + 1 == SPLIT && t->parts > 1 && t->split++ % t->parts != t->part)
-                continue;
-            if (x1 - x0 >= t->box || y1 >= t->box)
+            const int32_t y = (i + t->box) / t->side, x = i - y * t->side, u = x + y, v = x - y;
+            const int32_t u0 = u < umin ? u : umin, u1 = u > umax ? u : umax, v0 = v < vmin ? v : vmin,
+                          v1 = v > vmax ? v : vmax;
+            if ((u1 - u0) + (v1 - v0) + 4 > t->max_len) /* the span lemma: its contour and its subtree's are too long */
                 continue;
             const uint64_t cell = (uint64_t)1 << (x + t->box);
+            const int32_t x0 = x < xmin ? x : xmin, y1 = y > ymax ? y : ymax;
             t->cells[y] |= cell;
-            if ((size + 1 >= SPLIT || t->part == 0) && shape(t, size + 1, x0, y1))
+            if (shape(t, size + 1, x0, y1))
                 return -1;
             if (size + 1 < t->cap) {
                 /* a cell of a grown shape has |x| < box and y < box, so its neighbours stay in their rows */
@@ -584,7 +592,7 @@ static int grow(struct tree *t, int32_t size, int32_t xmin, int32_t xmax, int32_
                         added[n++] = s;
                     }
                 }
-                const int code = grow(t, size + 1, x0, x1, y1);
+                const int code = grow(t, size + 1, x0, y1, u0, u1, v0, v1);
                 for (int32_t k = 0; k < n; k++)
                     t->seen[added[k] >> 6] &= ~((uint64_t)1 << (added[k] & 63));
                 if (code)
@@ -595,16 +603,15 @@ static int grow(struct tree *t, int32_t size, int32_t xmin, int32_t xmax, int32_
     return 0;
 }
 
-/* Grow part `part` of `parts` of the span-pruned tree of shapes of up to cap cells, 4 <= max_len, 1 <= cap <= 30 and
- * 0 <= part < parts, and keep the shapes whose contour has at most max_len sites: *records the kept records, *kept
- * their number and *built the shapes built.  Returns 0, *records to be released with peierls_free; -1 when the
- * scratch or the records cannot be allocated, *records NULL. */
-int peierls_shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, uint32_t **records, int64_t *kept,
-                   int64_t *built)
+/* Grow the span-pruned tree of shapes of up to cap cells, 4 <= max_len and 1 <= cap <= 30, and keep the shapes whose
+ * contour has at most max_len sites: *records the kept records, *kept their number and *built the shapes built.
+ * Returns 0, *records to be released with peierls_free; -1 when the scratch or the records cannot be allocated,
+ * *records NULL. */
+int peierls_shapes(int32_t max_len, int32_t cap, uint32_t **records, int64_t *kept, int64_t *built)
 {
     const int32_t span = (max_len - 2) / 2, box = span < cap ? span : cap;
-    struct tree t = {.max_len = max_len, .cap = cap, .part = part, .parts = parts, .box = box, .side = 2 * box + 1,
-                     .height = box + 4, .maxrec = 256, .stride = 2 * ((size_t)box + 2) + 3};
+    struct tree t = {.max_len = max_len, .cap = cap, .box = box, .side = 2 * box + 1, .height = box + 4, .maxrec = 256,
+                     .stride = 2 * ((size_t)box + 2) + 3};
     t.words = (box * t.side + box + 64) / 64; /* the sites up to (box, box) */
     t.full = ((uint64_t)1 << t.height) - 1;
     t.seen = calloc((size_t)t.words, sizeof *t.seen);
@@ -613,7 +620,7 @@ int peierls_shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, ui
     int code = -1;
     if (t.seen && t.untried && t.rec) {
         t.seen[0] = t.untried[0] = 1; /* the origin */
-        code = grow(&t, 0, 0, 0, 0);
+        code = grow(&t, 0, 0, 0, 0, 0, 0, 0);
     }
     free(t.seen);
     free(t.untried);

@@ -16,8 +16,8 @@ c > 4/5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 from .enumeration import CountTable, contour_event_table
 from .errors import DivergentSeries, InsufficientData, check_concentration, check_integer
@@ -125,8 +125,7 @@ def threshold_upper_bound(counts: CountTable | None = None, mode: str = "analyti
     raise ValueError(f"unknown mode {mode!r}; expected 'analytic' or 'refined'")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Everything the series machinery can say at one (c, r).
 
     ``q_truncated`` is the truncated polynomial: certainty minus the vacant
@@ -149,7 +148,7 @@ class BoundReport:
     coefficients: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)} | {"coefficients": list(self.coefficients)}
+        return self._asdict() | {"coefficients": list(self.coefficients)}
 
 
 def polynomial_coefficients(events: dict[tuple[int, int], int]) -> tuple[int, ...]:

@@ -322,8 +322,12 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = argv
     args._t0 = time.time()
     try:
-        out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
-        if not os.path.isdir(out_dir):  # before any work, not after it
+        out = getattr(args, "out", None)
+        out_dir = os.path.dirname(out or "") or "."
+        # before any work, not after it
+        if out is not None and not os.path.basename(out):
+            raise ValueError(f"output prefix {out!r} names no file: give a prefix such as {os.path.join(out_dir, 'run')}")
+        if not os.path.isdir(out_dir):
             raise ValueError(f"output directory {out_dir} does not exist")
         return args.func(args)
     except (BuildError, CapExceeded, IncompletenessError, WorkerDied, MemoryError) as exc:

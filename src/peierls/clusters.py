@@ -23,11 +23,10 @@ and cycles against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContourError, EmptyClusterError
 from .lattice import Site, neighbors4
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """A finite 4-connected occupied set with its vacant site boundary."""
 
     sites: frozenset[Site]
@@ -50,8 +48,7 @@ class Cluster:
     origin: Site
 
 
-@dataclass(frozen=True)
-class Contour:
+class Contour(NamedTuple):
     """Outer boundary of a finite cluster.
 
     ``cycle`` is a closed king-move path through every contour site exactly

@@ -24,15 +24,20 @@ it and adds the new cell's unseen neighbours, so the tree meets every fixed
 shape once (Redelmeier, *Counting polyominoes: yet another attack*, Discrete
 Math. 36 (1981) 191-203).
 
-Most capped shapes are too wide for a short contour (the span lemma).  If a
-shape's bounding box is w x h, its contour holds a site in column xmin - 1
-and one in column xmax + 1, and a king step changes the column by at most 1,
-so a closed cycle through both has length >= 2*w + 2; rows alike.  A shape
-with ``max(w, h) > (k - 2) // 2`` therefore has a contour longer than k, and
-skipping its contour extraction loses nothing.  Adding cells never shrinks
-the box, so the census and :func:`contour_event_table` grow one tree, and
-drop such a shape with its subtree.  At k = 12, 345,600 of the 2,595,167
-capped shapes fit the 5 x 5 box and are built.  ``meta["shapes"]`` reports
+Most capped shapes are too wide for a short contour (the span lemma).  Over
+a shape's cells, let du and dv be the ranges of the diagonal coordinates
+u = x + y and v = x - y.  A king step changes u and v by 2 in all, so a
+closed cycle of k steps has k >= range(u) + range(v); and the contour
+strictly surrounds its cluster, so it holds a site past each of the four
+diagonal extremes, which adds 2 to each range.  A shape with
+``du + dv + 4 > k`` therefore has a contour longer than k, and skipping its
+contour extraction loses nothing.  Adding cells never lowers du or dv, so
+the census and :func:`contour_event_table` grow one tree, and drop such a
+shape with its subtree.  The cut is tight (the 5-cell plus has an 8-site
+contour) and implies the box lemma: since x = (u + v) / 2, a shape's width
+and height less 1 are at most ``(k - 4) // 2``, so every shape built fits
+the frame of ``_max_span(k)`` columns.  At k = 12, 2,813 of the 2,595,167
+capped shapes pass the cut and are built.  ``meta["shapes"]`` reports
 every capped shape: their number is the total of the fixed polyominoes
 (OEIS A001168) up to the cap, from ``_FIXED_SHAPES``, which also refuses
 before any work a cap whose total passes ``_SHAPE_LIMIT``.
@@ -40,7 +45,7 @@ before any work a cap whose total passes ``_SHAPE_LIMIT``.
 The kernel takes each shape it builds through the steps of
 :func:`clusters._contour` (boundary, exterior fill, contour) on 64-bit
 rows, and hands back only the shapes whose contour is short enough: 2,797 of
-the 345,600 at k = 12.  It hands them back in the census's own format: the
+the 2,813 at k = 12.  It hands them back in the census's own format: the
 contour moved to its bounding-box corner, which is its stride-32 key, the
 cells moved the same way, which are the cover of the shape's origin
 positions, and the cell, boundary and enclosed counts.
@@ -55,16 +60,13 @@ walk of :func:`clusters._cycle`, and checks and classifies every origin
 position of every contour.  Only the witnesses, one per length, become
 :class:`Contour` objects.
 
-Both halves of the census run on ``workers`` forked processes and give the
-same results for every worker count.  Redelmeier's search tree splits into
-disjoint subtrees: every part grows the tree down to the shapes of size 6
-(``_SPLIT_SIZE``), and the j-th of those met in depth-first order goes with
-its subtree to part j % P of P; the smaller shapes come from part 0.  The
-kernel grows one part in one call, and the part hands its records to the
-parent, which ORs them into the covers as the parts come in, before the
-trajectory, stabilisation and class passes.  :func:`full_count_table` puts
-the circuit walk and the census parts on one pool, the walk, the longest
-task, first, so that the parts run beside it and the census is merged, and
+The cut tree is small: it grows in a few milliseconds at every cap the
+shape limit admits, less than a round of forked workers costs, so the
+kernel grows it whole in one call.
+:func:`exact_contour_counts` and :func:`contour_event_table` make that call
+in the caller at any worker count.  :func:`full_count_table` puts the
+circuit walk and the one shape task on one pool, the walk, the longest
+task, first, so that the shapes are grown and the census is reduced, and
 fails, while the walk still runs.
 
 The module also bounds the census analytically: a contour of length k hits
@@ -99,9 +101,8 @@ import ctypes
 import sys
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from itertools import accumulate, islice
-from typing import Iterable, NamedTuple
+from itertools import accumulate
+from typing import NamedTuple
 
 # Functions of other peierls modules are called through their modules:
 # perfbench/tracing.py records a span for every call of a function imported
@@ -165,11 +166,9 @@ def interior_capacity(k: int) -> int:
 #: Largest shape the census grows, the kernel's MAX_CAP: a 30-cell shape's
 #: contour spans at most 32 columns, a row of a stride-32 key (``_CANON_STRIDE``).
 _MAX_SHAPE = 30
-#: Shape size at which the search tree splits into parts (the kernel's SPLIT).
-_SPLIT_SIZE = 6
-#: Most fixed polyominoes up to a census's cap, over all parts; a larger cap is
-#: refused before any work.  The span lemma prunes most of them, so their
-#: number bounds the census's work from above.
+#: Most fixed polyominoes up to a census's cap; a larger cap is refused before
+#: any work.  The span lemma prunes most of them, so their number bounds the
+#: census's work from above.
 _SHAPE_LIMIT = 50_000_000
 #: Fixed polyominoes of each size from 1 (OEIS A001168), up to the first size
 #: at which their running total passes ``_SHAPE_LIMIT``.
@@ -197,7 +196,7 @@ def _check_shape_limit(cap: int) -> None:
 
 
 class _Shapes(NamedTuple):
-    """The shapes of one part of the span-pruned tree whose contour is short enough (:func:`_shape_block`)."""
+    """The shapes of the span-pruned tree whose contour is short enough (:func:`_shape_block`)."""
 
     #: ``2 * height + 3`` ``uint32`` words a shape, in the machine's byte
     #: order: its contour's rows moved to the contour's bounding-box corner,
@@ -207,18 +206,16 @@ class _Shapes(NamedTuple):
     records: bytes
     #: the rows of a key and of a cover, ``box + 2``
     height: int
-    #: the shapes of the part built, short contour or not
+    #: the shapes built, short contour or not
     built: int
 
 
-def _shape_block(max_len: int, cap: int, part: int, parts: int) -> _Shapes:
-    """Part ``part`` of ``parts`` of Redelmeier's tree of shapes up to size ``cap``, pruned by the span lemma.
+def _shape_block(max_len: int, cap: int) -> _Shapes:
+    """Redelmeier's tree of shapes up to size ``cap``, pruned by the span lemma.
 
-    One call of the kernel's ``peierls_shapes`` grows the part and keeps its
-    shapes whose contour has at most ``max_len`` sites, each as a key and a
-    cover of ``min(_max_span(max_len), cap) + 2`` rows.  The j-th shape
-    of size ``_SPLIT_SIZE`` met in depth-first order goes with its subtree to
-    part j % ``parts``; part 0 keeps the smaller shapes.  Raises
+    One call of the kernel's ``peierls_shapes`` grows the whole tree and keeps
+    its shapes whose contour has at most ``max_len`` sites, each as a key and
+    a cover of ``min(_max_span(max_len), cap) + 2`` rows.  Raises
     :class:`MemoryError` when the kernel cannot allocate its records.
     """
     if cap > _MAX_SHAPE:
@@ -226,7 +223,7 @@ def _shape_block(max_len: int, cap: int, part: int, parts: int) -> _Shapes:
     height = min(_max_span(max_len), cap) + 2
     library = kernel.load(_NEED)
     records, kept, built = ctypes.c_void_p(), ctypes.c_int64(), ctypes.c_int64()
-    if library.peierls_shapes(max_len, cap, part, parts, *map(ctypes.byref, (records, kept, built))) < 0:
+    if library.peierls_shapes(max_len, cap, *map(ctypes.byref, (records, kept, built))) < 0:
         raise MemoryError(f"cannot allocate the shape tree's records at cap {cap}")
     try:
         data = ctypes.string_at(records, 4 * kept.value * (2 * height + 3))
@@ -240,8 +237,7 @@ def _shape_block(max_len: int, cap: int, part: int, parts: int) -> _Shapes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassKey:
+class ClassKey(NamedTuple):
     """Class labels of a contour around the origin.
 
     ``ray_distance`` is the distance from the origin to the nearest contour
@@ -254,8 +250,7 @@ class ClassKey:
     first_step: int
 
 
-@dataclass
-class CountTable:
+class CountTable(NamedTuple):
     """Per-length contour counts with the analytic and refined walk bounds."""
 
     k_max: int
@@ -264,8 +259,8 @@ class CountTable:
     sa_sets: dict[int, int]
     walk_bound: dict[int, int]
     classes: dict[tuple[int, int, int], int]
-    witnesses: dict[int, Contour] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    witnesses: dict[int, Contour]
+    meta: dict
 
 
 def class_decomposition(contour: Contour) -> ClassKey:
@@ -294,41 +289,39 @@ def class_decomposition(contour: Contour) -> ClassKey:
     return ClassKey(ray_distance=l, first_step=step)
 
 
-def _census_covers(k_max: int, blocks: Iterable[_Shapes]) -> dict[int, dict[int, int]]:
-    """The census's ``covers`` by contour key, read from the parts' records as they come in.
+def _census_covers(k_max: int, shapes: _Shapes) -> dict[int, dict[int, int]]:
+    """The census's ``covers`` by contour key, read from the shape tree's records.
 
     ``covers[key][n]`` is the union of the origin positions, in the key's
     frame, of the size-n shapes whose contour is ``key``: each record's cover
-    ORed in, whichever part it comes from.  A contour shorter than 4 or
-    enclosing more sites than its length allows fails the census once every
-    part is read.  The error names the first such shape by size, then by
-    cover read as an integer, over the whole census, so it does not depend
-    on the parts or the order they come in.
+    ORed in.  A contour shorter than 4 or enclosing more sites than its
+    length allows fails the census once every record is read.  The error
+    names the first such shape by size, then by cover read as an integer,
+    so it does not depend on the order of the records.
     """
     # interior_capacity by length; a length below 4 fails before it is read
     capacity = [interior_capacity(max(k, 4)) for k in range(k_max + 1)]
     covers: dict[int, dict[int, int]] = defaultdict(dict)
     bad = []
-    read = int.from_bytes  # looked up once: the loop below runs once a record, in the parent process
-    for shapes in blocks:
-        data, height = shapes.records, shapes.height
-        size, shift = 8 * height, 32 * height  # bytes of a key and its cover, and bits of a key
-        mask = (1 << shift) - 1
-        words = memoryview(data).cast("I")
-        if sys.byteorder == "big":  # the rows below are read as little-endian ints
-            swapped = array("I", data)
-            swapped.byteswap()
-            data = swapped.tobytes()
-        counts = words[2 * height :: 2 * height + 3], words[2 * height + 2 :: 2 * height + 3]
-        for at, n, enclosed in zip(range(0, len(data), size + 12), *counts):
-            rows = read(data[at : at + size], "little")
-            key = rows & mask
-            length = key.bit_count()
-            if length < 4 or enclosed > capacity[length]:
-                bad.append((n, rows >> shift, length, enclosed))
-                continue
-            by_size = covers[key]
-            by_size[n] = by_size.get(n, 0) | rows >> shift
+    read = int.from_bytes  # looked up once: the loop below runs once a record
+    data, height = shapes.records, shapes.height
+    size, shift = 8 * height, 32 * height  # bytes of a key and its cover, and bits of a key
+    mask = (1 << shift) - 1
+    words = memoryview(data).cast("I")
+    if sys.byteorder == "big":  # the rows below are read as little-endian ints
+        swapped = array("I", data)
+        swapped.byteswap()
+        data = swapped.tobytes()
+    counts = words[2 * height :: 2 * height + 3], words[2 * height + 2 :: 2 * height + 3]
+    for at, n, enclosed in zip(range(0, len(data), size + 12), *counts):
+        rows = read(data[at : at + size], "little")
+        key = rows & mask
+        length = key.bit_count()
+        if length < 4 or enclosed > capacity[length]:
+            bad.append((n, rows >> shift, length, enclosed))
+            continue
+        by_size = covers[key]
+        by_size[n] = by_size.get(n, 0) | rows >> shift
     if bad:
         _, _, length, enclosed = min(bad)
         if length < 4:
@@ -361,14 +354,8 @@ def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
     return cap
 
 
-def _census_tasks(k_max: int, cap: int, workers: int) -> list[tuple]:
-    """The census parts as :func:`pool._fan_out` tasks."""
-    parts = pool._parts(workers)
-    return [(_shape_block, k_max, cap, p, parts) for p in range(parts)]
-
-
 def _census_table(k_max: int, cap: int, covers: dict[int, dict[int, int]]) -> CountTable:
-    """The census table of the merged ``covers`` of :func:`_census_covers`.
+    """The census table of the ``covers`` of :func:`_census_covers`.
 
     Raises as soon as the passes over the covers show the census to be
     incomplete or inconsistent.
@@ -518,29 +505,20 @@ def exact_contour_counts(
         ``interior_capacity(k_max)``, which provably sees every contour.  A
         smaller cap is accepted only if the counts are verified stable over
         the top three sizes; otherwise :class:`IncompletenessError` is raised.
-    workers : processes the shape tree is split over; the result does not
-        depend on it.
+    workers : checked as for :func:`full_count_table`; the span-pruned
+        shape tree is grown whole in one kernel call in the caller, so the
+        result does not depend on it.
 
     Returns a :class:`CountTable` with the ``exact`` counts, the per-class
     breakdown, and the analytic ``walk_bound`` column filled in.  Raises
     :class:`CapExceeded`, before any work, if the fixed polyominoes up to the
     cap, every shape of the unpruned tree, number more than ``_SHAPE_LIMIT``.
     The shape tree is grown in the compiled kernel of :mod:`peierls.kernel`,
-    built and loaded after the arguments are checked and before the workers
-    fork; it raises :class:`BuildError` when no C compiler ``cc`` can build it.
+    built and loaded after the arguments are checked; it raises
+    :class:`BuildError` when no C compiler ``cc`` can build it.
     """
     cap = _census_cap(k_max, cluster_cap, workers)
-    kernel.load(_NEED)  # built and loaded before the workers fork
-    with pool._fan_out(_census_tasks(k_max, cap, workers), workers) as results:
-        return _census_table(k_max, cap, _census_covers(k_max, (shapes for _, shapes in results)))
-
-
-def _event_part(max_len: int, cap: int, part: int, parts: int) -> dict[tuple[int, int], int]:
-    """Event multiplicities of one part of the (span-pruned) shape tree, from one kernel call."""
-    shapes = _shape_block(max_len, cap, part, parts)
-    words, stride = memoryview(shapes.records).cast("I"), 2 * shapes.height + 3
-    pairs = Counter(zip(words[stride - 3 :: stride], words[stride - 2 :: stride]))
-    return {(n, b): n * count for (n, b), count in pairs.items()}
+    return _census_table(k_max, cap, _census_covers(k_max, _shape_block(k_max, cap)))
 
 
 def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, int], int]:
@@ -548,10 +526,11 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
 
     Every cluster whose contour is that short has size at most
     ``interior_capacity(max_len)``, so the table is a complete, exact census
-    of the events feeding the truncated polynomial.  ``workers`` processes
-    share the shape tree; the table does not depend on it.  The tree is grown
-    in the compiled kernel, and a cap past ``_SHAPE_LIMIT`` refused before
-    any work, as for :func:`exact_contour_counts`.
+    of the events feeding the truncated polynomial.  ``workers`` is checked
+    as for :func:`exact_contour_counts`; the span-pruned shape tree is grown
+    whole in one kernel call in the caller, so the table does not depend on
+    it.  A cap past ``_SHAPE_LIMIT`` is refused before any work, as for
+    :func:`exact_contour_counts`.
     """
     check_integer(max_len, "max_len")
     if max_len < 4:
@@ -559,13 +538,11 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
     check_workers(workers)
     cap = interior_capacity(max_len)
     _check_shape_limit(cap)
-    parts = pool._parts(workers)
-    kernel.load(_EVENT_NEED)  # built and loaded before the workers fork
-    events: Counter[tuple[int, int]] = Counter()
-    with pool._fan_out([(_event_part, max_len, cap, p, parts) for p in range(parts)], workers) as results:
-        for _, part_events in results:
-            events.update(part_events)
-    return dict(sorted(events.items()))
+    kernel.load(_EVENT_NEED)  # a kernel that cannot be built names the event table
+    shapes = _shape_block(max_len, cap)
+    words, stride = memoryview(shapes.records).cast("I"), 2 * shapes.height + 3
+    pairs = Counter(zip(words[stride - 3 :: stride], words[stride - 2 :: stride]))
+    return {(n, b): n * count for (n, b), count in sorted(pairs.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +550,7 @@ def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, in
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SelfAvoidingCounts:
+class SelfAvoidingCounts(NamedTuple):
     """Counts of restricted self-avoiding circuits enclosing the origin."""
 
     k_max: int
@@ -677,15 +653,6 @@ def _walk_args(k_max: int, rule: str, max_nodes: int, workers: int) -> tuple[int
     return int(k_max), rule, int(max_nodes)
 
 
-def _parts_past(results: Iterable[tuple[int, object]], walk: int, walked: list) -> Iterable:
-    """The census parts' results of :func:`full_count_table`'s pool; the result of task ``walk`` goes to ``walked`` as it passes."""
-    for index, value in results:
-        if index == walk:
-            walked.append(value)
-        else:
-            yield value
-
-
 def full_count_table(
     k_max: int,
     *,
@@ -696,26 +663,24 @@ def full_count_table(
 ) -> CountTable:
     """Exact counts, restricted-circuit counts, and the analytic bound, merged.
 
-    The census parts and the circuit walk share one pool of ``workers``
-    processes; the table does not depend on it.  The walk, the longest
-    task, goes first (longest task first; Graham, SIAM J. Appl. Math. 17
-    (1969) 416-429), and the parts run beside it on the other workers and on
-    its worker once it is done.  The parts are merged as they come in, and
-    the passes over the merge run while the walk may still run.  The walk
-    task returns its error, a node-cap overrun included, as a value, raised
-    only after the census is done, so a census error wins over a walk
-    error, as when the census ran before the walk, and leaving the pool on
-    it ends the walk early.  A worker that dies is raised at once.  At one
-    worker the tasks run in order in the caller, the census first, so a
-    census error comes before the walk starts.  The census's arguments are
-    checked first.  A walk argument's error waits for the census only when
-    a ``cluster_cap`` below ``interior_capacity(k_max)`` could make the
-    census fail; otherwise it is raised before any work.  The kernel is
-    built and loaded after every argument is checked and before the workers
-    fork.
+    The shape task of the census and the circuit walk share one pool of
+    ``workers`` processes; the table does not depend on it.  The walk, the
+    longest task, goes first (longest task first; Graham, SIAM J. Appl.
+    Math. 17 (1969) 416-429), and the shape task runs beside it on another
+    worker.  The census is reduced as soon as its shapes come in, while the
+    walk may still run.  The walk task returns its error, a node-cap overrun
+    included, as a value, raised only after the census is done, so a census
+    error wins over a walk error, as when the census ran before the walk,
+    and leaving the pool on it ends the walk early.  A worker that dies is
+    raised at once.  At one worker the tasks run in order in the caller, the
+    census first, so a census error comes before the walk starts.  The
+    census's arguments are checked first.  A walk argument's error waits for
+    the census only when a ``cluster_cap`` below ``interior_capacity(k_max)``
+    could make the census fail; otherwise it is raised before any work.  The
+    kernel is built and loaded after every argument is checked and before
+    the workers fork.
     """
     cap = _census_cap(k_max, cluster_cap, workers)
-    census = _census_tasks(k_max, cap, workers)
     try:
         walk = _walk_args(k_max, rule, max_nodes, workers)
     except (ValueError, CapExceeded):
@@ -724,20 +689,19 @@ def full_count_table(
             exact_contour_counts(k_max, cluster_cap=cluster_cap, workers=workers)
         raise
     kernel.load(_NEED)
+    census = (_shape_block, k_max, cap)
     # at one worker the tasks run in order in the caller: the census first, so that its error ends the run unwalked
-    tasks = [(_walk_or_error, *walk), *census] if workers > 1 else [*census, (_walk_or_error, *walk)]
-    walked = []
+    tasks = [(_walk_or_error, *walk), census] if workers > 1 else [census, (_walk_or_error, *walk)]
     with pool._fan_out(tasks, workers) as results:
-        parts = _parts_past(results, 0 if workers > 1 else len(census), walked)
-        table = _census_table(k_max, cap, _census_covers(k_max, islice(parts, len(census))))
-        sa = walked[0] if walked else next(results)[1]
+        for index, value in results:
+            if tasks[index] is census:
+                table = _census_table(k_max, cap, _census_covers(k_max, value))
+            else:
+                sa = value
     if isinstance(sa, Exception):
         raise sa
-    table.sa_walk = sa.walks
-    table.sa_sets = sa.distinct_sets
-    table.meta["rule"] = rule
-    table.meta["sa_nodes"] = sa.nodes
-    return table
+    meta = {**table.meta, "rule": rule, "sa_nodes": sa.nodes}
+    return table._replace(sa_walk=sa.walks, sa_sets=sa.distinct_sets, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,9 @@ def load(need: str):
     sha256 of the source and the build command, so an edited source or
     command builds anew.  It is compiled to a temporary name in the cache and
     moved into place with ``os.replace``, so processes that build at once each
-    load a whole file.  It is loaded into the calling process, so workers
-    forked after the first call inherit it.
+    load a whole file.  A kernel that fails to load, a cached file cut short
+    say, is built once more the same way, in its place.  It is loaded into
+    the calling process, so workers forked after the first call inherit it.
 
     Each load touches the file it loads, so its modification time is its
     last load.  Each build then removes the other ``kernel-*.so`` files of
@@ -62,40 +63,21 @@ def load(need: str):
     import ctypes
     import hashlib
 
-    name = os.path.basename(SOURCE)
     with open(SOURCE, "rb") as fh:
         source = fh.read()
     digest = hashlib.sha256(source + b"\0" + " ".join(BUILD).encode()).hexdigest()
-    cache = _cache()
-    path = os.path.join(cache, f"kernel-{digest}.so")
+    path = os.path.join(_cache(), f"kernel-{digest}.so")
     if not os.path.isfile(path):
-        # imported only to build: a cached kernel loads in a fraction of a millisecond
-        import subprocess
-        import tempfile
-
-        try:
-            os.makedirs(cache, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=cache)
-            os.close(fd)
-        except OSError as exc:
-            raise BuildError(f"cannot write the kernel {name} for {need} to {cache}: {exc.strerror}") from None
-        try:
-            build = subprocess.run([*BUILD, "-o", tmp, SOURCE], capture_output=True, text=True)
-            if build.returncode:
-                # the first error line only: the CLI reports an error on one line
-                first = next((line for line in build.stderr.splitlines() if "error" in line), f"exit code {build.returncode}")
-                raise BuildError(f"{BUILD[0]} could not build the kernel {name} for {need}: {first.strip()}")
-            os.replace(tmp, path)
-        except FileNotFoundError:
-            raise BuildError(f"no C compiler '{BUILD[0]}' on PATH to build the kernel {name} for {need}") from None
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        _prune(cache, path)
+        _build(path, need)
     try:
         library = ctypes.CDLL(path)
-    except OSError as exc:
-        raise BuildError(f"cannot load the kernel {path} for {need}: {exc}") from None
+    except OSError:
+        # a kernel cut short or otherwise broken: built once more, in its place
+        _build(path, need)
+        try:
+            library = ctypes.CDLL(path)
+        except OSError as exc:
+            raise BuildError(f"cannot load the kernel {path} for {need}: {exc}") from None
     try:
         os.utime(path)
     except OSError:
@@ -106,13 +88,41 @@ def load(need: str):
     library.peierls_walk.restype = ctypes.c_int
     library.peierls_walk.argtypes = [int32, int32, int64, pointer, pointer, pointer]
     library.peierls_shapes.restype = ctypes.c_int
-    library.peierls_shapes.argtypes = [int32, int32, int32, int32, pointer, pointer, pointer]
+    library.peierls_shapes.argtypes = [int32, int32, pointer, pointer, pointer]
     library.peierls_free.restype = None
     library.peierls_free.argtypes = [pointer]
     library.peierls_classes.restype = ctypes.c_int
     library.peierls_classes.argtypes = [int32, int32, pointer, pointer, pointer, pointer, pointer]
     _library = library
     return library
+
+
+def _build(path: str, need: str) -> None:
+    """Build the kernel into ``path``, through a temporary name in its directory, and prune the stale kernels there."""
+    # imported only to build: a cached kernel loads in a fraction of a millisecond
+    import subprocess
+    import tempfile
+
+    name, cache = os.path.basename(SOURCE), os.path.dirname(path)
+    try:
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=cache)
+        os.close(fd)
+    except OSError as exc:
+        raise BuildError(f"cannot write the kernel {name} for {need} to {cache}: {exc.strerror}") from None
+    try:
+        build = subprocess.run([*BUILD, "-o", tmp, SOURCE], capture_output=True, text=True)
+        if build.returncode:
+            # the first error line only: the CLI reports an error on one line
+            first = next((line for line in build.stderr.splitlines() if "error" in line), f"exit code {build.returncode}")
+            raise BuildError(f"{BUILD[0]} could not build the kernel {name} for {need}: {first.strip()}")
+        os.replace(tmp, path)
+    except FileNotFoundError:
+        raise BuildError(f"no C compiler '{BUILD[0]}' on PATH to build the kernel {name} for {need}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    _prune(cache, path)
 
 
 def _prune(cache: str, keep: str) -> None:

@@ -14,7 +14,7 @@ in its flood kernel (see :mod:`peierls.montecarlo`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import check_integer
 
@@ -35,16 +35,8 @@ def neighbors4(site: Site) -> list[Site]:
     return [(x + dx, y + dy) for dx, dy in NEIGHBOR_OFFSETS_4]
 
 
-@dataclass(frozen=True)
-class Window:
-    """Centered square region {(x, y) : max(|x|, |y|) <= radius} of the lattice."""
-
+class _Window(NamedTuple):
     radius: int
-
-    def __post_init__(self) -> None:
-        check_integer(self.radius, "radius")
-        if self.radius < 1:
-            raise ValueError(f"window radius must be >= 1, got {self.radius}")
 
     @property
     def side(self) -> int:
@@ -53,3 +45,20 @@ class Window:
     @property
     def site_count(self) -> int:
         return self.side * self.side
+
+
+class Window(_Window):
+    """Centered square region {(x, y) : max(|x|, |y|) <= radius} of the lattice."""
+
+    __slots__ = ()
+
+    def __new__(cls, radius: int) -> "Window":
+        check_integer(radius, "radius")
+        if radius < 1:
+            raise ValueError(f"window radius must be >= 1, got {radius}")
+        return super().__new__(cls, radius)
+
+    @classmethod
+    def _make(cls, iterable) -> "Window":
+        """The window of the fields in ``iterable``, checked: ``_replace`` builds its copy here."""
+        return cls(*iterable)

@@ -52,11 +52,10 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import kernel, pool
 from .errors import CapExceeded, check_concentration, check_integer, check_real, check_workers
@@ -72,8 +71,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """A Bernoulli fraction with its binomial standard error."""
 
     value: float
@@ -84,14 +82,7 @@ class McEstimate:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "trials": self.trials,
-            "L": self.L,
-            "c": self.c,
-            "seed": self.seed,
-        }
+        return self._asdict()
 
 
 #: Seeds and trial indices are taken mod 2**64.
@@ -281,8 +272,7 @@ def estimate_crossing(L: int, c: float, trials: int, seed: int, *, workers: int 
     return _estimate(_crossing_count, L, c, trials, seed, workers)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Bisection output: the midpoint estimate and the evaluation trace."""
 
     estimate: float

@@ -3,11 +3,12 @@
 :func:`_fan_out` runs a lazy stream of tasks ``(fn, *args)`` on ``workers``
 forked processes and gives each result back, with its task's index, as the
 task finishes.  The census (:mod:`peierls.enumeration`) sends it the
-circuit walk and the parts of its shape tree, the Monte Carlo
-(:mod:`peierls.montecarlo`) its chunks of trials.  Task functions are
-module-level, so a task pickles as the function's name and its arguments.
-Both split their work by one rule, :func:`_parts`: one part at one worker,
-else a few parts a worker, so that uneven parts even out.
+circuit walk and one shape task, which grows its whole shape tree, the
+Monte Carlo (:mod:`peierls.montecarlo`) its chunks of trials.  Task
+functions are module-level, so a task pickles as the function's name and
+its arguments.  The Monte Carlo splits its trials by :func:`_parts`: one
+part at one worker, else a few parts a worker, so that uneven parts even
+out.
 
 The parent owns no thread and no queue.  Each worker has a task pipe and a
 result pipe, and every message on them is pickled behind an 8-byte length:

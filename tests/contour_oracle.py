@@ -14,13 +14,14 @@ origin cluster of an occupancy grid from a depth-first search.
 
 ``_iter_shapes`` is Redelmeier's recursion one shape at a time, the
 reference for the kernel's shape tree (``enumeration._shape_block``): it
-grows the tree in the same order and splits it into the same parts.
-``shape_block`` is the reference for the kernel's records, each shape
-embedded by ``_embed`` in its own big-integer bitboard for
-``_contour_bits`` and keyed by ``_canonical_contour``.  ``census_part`` is
-the reference for the census's covers of one part
-(``enumeration._census_covers``): it extracts one shape at a time and keys
-it by ``_canonical_contour``.
+grows the tree in the same order, cut by the box lemma alone, not by the
+kernel's diagonal spans (``diagonal_span``), so the references built on it
+show that the kernel's stronger cut loses no shape.  ``shape_block`` is the
+reference for the kernel's records, each shape embedded by ``_embed`` in
+its own big-integer bitboard for ``_contour_bits`` and keyed by
+``_canonical_contour``.  ``census_covers`` is the reference for the
+census's covers (``enumeration._census_covers``): it extracts one shape at
+a time and keys it by ``_canonical_contour``.
 ``census_classes`` is the reference for the census's class pass: it builds
 each distinct contour with ``_ccw_cycle`` from its key alone, and
 translates, winds and classifies one positioned contour at a time, with
@@ -47,7 +48,7 @@ from peierls import (
     site_boundary,
     winding_number,
 )
-from peierls.enumeration import _CANON_STRIDE, _SPLIT_SIZE, _max_span
+from peierls.enumeration import _CANON_STRIDE, _max_span
 
 # ---------------------------------------------------------------------------
 # Redelmeier's recursion, one shape at a time.
@@ -61,12 +62,7 @@ _ORIGIN = 32
 _STEPS = (1, -1, 64, -64)
 
 
-def _iter_shapes(
-    max_size: int,
-    max_span: int | None = None,
-    part: int = 0,
-    parts: int = 1,
-) -> Iterator[tuple[list[int], int, int, int, int]]:
+def _iter_shapes(max_size: int, max_span: int | None = None) -> Iterator[tuple[list[int], int, int, int, int]]:
     """Every free-anchored 4-connected shape of size <= max_size, once each.
 
     Yields ``(cells, mask, xmin, w, h)``: the internal mutable cell list,
@@ -78,21 +74,11 @@ def _iter_shapes(
     so the tree is that of the frontier.  With ``max_span``, a shape whose
     box is wider or taller than that is still yielded, but never grown: every
     shape below it in the search tree is a superset, hence at least as wide.
-
-    With ``parts > 1`` only part ``part`` of the search tree is yielded: the
-    j-th shape of size ``_SPLIT_SIZE`` met in depth-first order, j = 0, 1,
-    ..., goes with its subtree to part j modulo ``parts``; smaller shapes
-    belong to part 0.  These are the parts of ``enumeration._shape_block``.
     """
     if max_size > 30:
         raise CapExceeded(f"shape size {max_size} exceeds the coordinate encoding range")
     if max_span is None:
         max_span = max_size
-    # stack depth at which a popped cell completes a shape of the split size;
-    # 0 (never reached) when the whole tree is wanted
-    split = _SPLIT_SIZE if parts > 1 else 0
-    met = 0  # split-size shapes met
-    show = True
     shape: list[int] = []
     bits = 0
     seen = {_ORIGIN}
@@ -111,15 +97,6 @@ def _iter_shapes(
                 bits ^= 1 << shape.pop()
             continue
         c = untried.pop()
-        if len(stack) <= split:
-            # the top of the tree, which every part walks
-            if len(stack) == split:
-                met += 1
-                if (met - 1) % parts != part:
-                    continue
-                show = True
-            else:
-                show = part == 0
         shape.append(c)
         bits |= 1 << c
         cx = c & 63
@@ -128,8 +105,7 @@ def _iter_shapes(
         x1 = cx if cx > xmax else xmax
         y1 = cy if cy > ymax else ymax
         w = x1 - x0 + 1
-        if show:
-            yield shape, bits, x0, w, y1 + 1
+        yield shape, bits, x0, w, y1 + 1
         if len(shape) < max_size:
             if w <= max_span and y1 < max_span:
                 new = []
@@ -379,16 +355,23 @@ def _canonical_contour(gamma: int, w: int):
     return key, ox, oy
 
 
-def census_part(k_max: int, cap: int, part: int, parts: int):
-    """Shape-by-shape twin of ``enumeration._census_covers`` over one part's records: one bitboard contour per shape.
+def diagonal_span(shape: list[int]) -> int:
+    """``du + dv`` of an ``_iter_shapes`` shape: the ranges of u = x + y and v = x - y over its cells."""
+    xy = [((e & 63) - 32, e >> 6) for e in shape]  # cell e is (y << 6) | (x + 32)
+    u, v = [x + y for x, y in xy], [x - y for x, y in xy]
+    return max(u) - min(u) + max(v) - min(v)
 
-    A bad shape fails the part as there: the first in the order of size, then
-    of the cell mask moved to the box corner.
+
+def census_covers(k_max: int, cap: int):
+    """Shape-by-shape twin of ``enumeration._census_covers`` over the whole tree: one bitboard contour per shape.
+
+    A bad shape fails the census as there: the first in the order of size,
+    then of the cell mask moved to the box corner.
     """
     covers: dict[int, dict[int, int]] = {}
     span = _max_span(k_max)
     first_bad = None
-    for shape, bits, xmin, w, h in _iter_shapes(cap, span, part, parts):
+    for shape, bits, xmin, w, h in _iter_shapes(cap, span):
         if w > span or h > span:
             continue
         wbits, frame = _embed(shape, xmin, w, h)
@@ -424,21 +407,23 @@ def census_part(k_max: int, cap: int, part: int, parts: int):
     return {key: dict(sorted(covers[key].items())) for key in sorted(covers)}
 
 
-def shape_block(max_len: int, cap: int, part: int, parts: int) -> tuple[list[tuple], int]:
+def shape_block(max_len: int, cap: int) -> tuple[list[tuple], int]:
     """Shape-by-shape twin of ``enumeration._shape_block``: the kept records and the count of shapes built.
 
     A record is ``(key rows, cover rows, cells, boundary sites, enclosed
     sites)`` of a shape: its contour keyed by ``_canonical_contour``, its
     cells moved as the contour is, each as ``box + 2`` rows of 32 bits in a
     tuple of ints, and the sites of its frame neither exterior nor on the
-    contour.
+    contour.  The records are those of every shape in the box, whatever its
+    diagonal spans; ``built`` counts the shapes whose spans pass the
+    kernel's cut, ``diagonal_span(shape) + 4 <= max_len``.
     """
     box = min(_max_span(max_len), cap)
     records, built = [], 0
-    for shape, _, xmin, w, h in _iter_shapes(cap, _max_span(max_len), part, parts):
+    for shape, _, xmin, w, h in _iter_shapes(cap, _max_span(max_len)):
         if w > box or h > box:
             continue
-        built += 1
+        built += diagonal_span(shape) + 4 <= max_len
         wbits, frame = _embed(shape, xmin, box, box)
         bnd, gamma, ext = _contour_bits(wbits, frame)
         if gamma.bit_count() <= max_len:
@@ -481,7 +466,7 @@ def oracle_class(contour: Contour) -> tuple[int, int]:
 
 
 def census_classes(results) -> tuple[dict[tuple[int, int, int], int], dict[int, Contour]]:
-    """The class counts and witnesses of census parts' covers, one positioned contour at a time."""
+    """The class counts and witnesses of census covers, merged, one positioned contour at a time."""
     final: dict[int, int] = {}
     for covers in results:
         for key, by_size in covers.items():

@@ -464,6 +464,7 @@ def test_manifest_round_trips(argv):
         ["bounds", "--c", "0.9", "--r", "6", "--out", "{tmp}/missing/run"],
         ["simulate", "--L", "4", "--c", "0.6", "--trials", "10", "--out", "{tmp}/missing/run"],
         ["simulate", "--L", "4", "--c", "0.6", "--trials", "10", "--out", "{tmp}/taken"],
+        ["counts", "--k-max", "6", "--out", "{tmp}/"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
@@ -479,6 +480,8 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # a prefix that names a directory writes nothing into it
+    assert not {".csv", ".json", ".manifest.json", "_classes.csv"} & set(os.listdir(tmp_path))
 
 
 def test_manifest_detects_tampering(tmp_path, capsys):

@@ -14,7 +14,8 @@ from contour_oracle import (
     _embed,
     _iter_shapes,
     census_classes,
-    census_part,
+    census_covers,
+    diagonal_span,
     enumerate_origin_clusters,
     frame_rows,
     oracle_outer_boundary,
@@ -45,11 +46,9 @@ from peierls import (
 from peierls import clusters, enumeration, kernel, pool
 from peierls.enumeration import (
     _CANON_STRIDE,
-    _SPLIT_SIZE,
     _census_covers,
     _census_table,
     _circuit_walk,
-    _event_part,
     _shape_block,
     class_counts_csv,
     count_table_csv,
@@ -113,20 +112,25 @@ def test_shape_boxes_are_tracked():
         assert (xmin, w, h) == (min(xs), max(xs) - min(xs) + 1, max(e >> 6 for e in shape) + 1)
 
 
+@lru_cache(maxsize=None)
+def _origin_clusters(n):
+    return list(enumerate_origin_clusters(n))
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=8),
-    span=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
-    parts=st.integers(min_value=1, max_value=7),
-)
-def test_shape_tree_parts_partition_the_shapes(n, span, parts):
-    whole = Counter((tuple(s), b, x, w, h) for s, b, x, w, h in _iter_shapes(n, span))
-    split = Counter()
-    for part in range(parts):
-        split.update((tuple(s), b, x, w, h) for s, b, x, w, h in _iter_shapes(n, span, part, parts))
-    assert split == whole
-    if n < _SPLIT_SIZE and parts > 1:
-        assert not list(_iter_shapes(n, span, parts - 1, parts))
+@given(n=st.integers(1, 7), pick=st.integers(0, 1 << 20))
+def test_a_contour_is_at_least_its_clusters_diagonal_spans_plus_four(n, pick):
+    # the span lemma of the kernel's cut: over the cells, du and dv are the
+    # ranges of u = x + y and v = x - y, and the contour has du + dv + 4 sites
+    # at least, by the set-based oracle, which knows nothing of the cut
+    clusters_n = _origin_clusters(n)
+    cluster = clusters_n[pick % len(clusters_n)]
+    u = [x + y for x, y in cluster.sites]
+    v = [x - y for x, y in cluster.sites]
+    assert oracle_outer_boundary(cluster).length >= max(u) - min(u) + max(v) - min(v) + 4
+    # tight: the 5-cell plus has an 8-site contour, with du = dv = 2
+    plus = next(c for c in _origin_clusters(5) if c.sites == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)})
+    assert oracle_outer_boundary(plus).length == 8 == diagonal_span([32, 64 + 31, 64 + 32, 64 + 33, 128 + 32]) + 4
 
 
 def shape_records(shapes):
@@ -136,44 +140,28 @@ def shape_records(shapes):
     return [(tuple(r[:h]), tuple(r[h : 2 * h]), *r[2 * h :]) for r in words]
 
 
-def _kernel_records(max_len, cap, part, parts):
-    """The kernel's kept records of a part, as ``shape_block`` gives them, and its count of shapes built."""
-    shapes = _shape_block(max_len, cap, part, parts)
-    return Counter(shape_records(shapes)), shapes.built
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     tree=st.one_of(
-        # (cap, span, parts): small trees, every part of them
-        st.tuples(st.integers(1, 9), st.integers(1, 5), st.integers(1, 7)),
-        # 17-column frames, one part of at most one of the 216 split-size shapes
-        st.tuples(st.just(13), st.integers(13, 14), st.integers(216, 432)),
+        # (cap, span): small trees
+        st.tuples(st.integers(1, 9), st.integers(1, 5)),
+        # frames of 13 columns: a cap of 9 or 8 below the span, so the box is the cap's
+        st.tuples(st.integers(8, 9), st.integers(9, 14)),
     ),
     longer=st.booleans(),
-    data=st.data(),
 )
-def test_shape_kernel_matches_the_oracle_walk(tree, longer, data):
-    # per part, the kernel keeps the oracle's in-span shapes with contours of
-    # at most max_len sites: key and cover rows, and cell, boundary and
-    # enclosed counts, and builds as many; a contour may be one site longer
-    # than the span
-    cap, span, parts = tree
+def test_shape_kernel_matches_the_oracle_walk(tree, longer):
+    # the kernel keeps the shapes with contours of at most max_len sites of
+    # an oracle walk cut by the box lemma alone, so its cut by the diagonal
+    # spans loses none: key and cover rows, and cell, boundary and enclosed
+    # counts.  It builds exactly the oracle's shapes within that cut.  A
+    # contour may be one site longer than the span
+    cap, span = tree
     max_len = 2 * span + 2 + longer
-    whole = parts <= 7
-    chosen = range(parts) if whole else [data.draw(st.integers(0, parts - 1), label="part")]
-    union, built = Counter(), 0
-    for part in chosen:
-        got, got_built = _kernel_records(max_len, cap, part, parts)
-        want, want_built = shape_block(max_len, cap, part, parts)
-        assert got == Counter(want) and got_built == want_built
-        if part:
-            assert min((n for *_, n, _, _ in got), default=_SPLIT_SIZE) >= _SPLIT_SIZE
-        union += got
-        built += got_built
-    if whole:
-        # the parts are disjoint, and together they are the whole tree
-        assert (union, built) == _kernel_records(max_len, cap, 0, 1)
+    shapes = _shape_block(max_len, cap)
+    want, want_built = shape_block(max_len, cap)
+    assert Counter(shape_records(shapes)) == Counter(want)
+    assert shapes.built == want_built
 
 
 def test_cluster_enumeration_cap():
@@ -184,7 +172,7 @@ def test_cluster_enumeration_cap():
     with mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")):
         fits = "the largest shape whose contour fits a 32-column census key"
         with pytest.raises(CapExceeded, match=f"^shape size 31 exceeds 30, {fits}$"):
-            _shape_block(12, 31, 0, 1)
+            _shape_block(12, 31)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +227,11 @@ def test_shape_count_at_length_twelve(table12):
 
 
 def test_shapes_in_the_span_box_at_length_twelve():
-    # the shapes of up to 13 cells that fit the 5 x 5 box, built by the
-    # kernel; the other 2,249,567 are never built, and 2,797 are kept
-    shapes = _shape_block(12, 13, 0, 1)
-    assert (shapes.built, len(shape_records(shapes))) == (345_600, 2_797)
-    assert sum(_shape_block(12, 13, part, 8).built for part in range(8)) == 345_600
+    # the shapes of up to 13 cells whose diagonal spans pass the cut, built
+    # by the kernel; the other 2,592,354 are never built, and 2,797 are kept
+    for k, built, kept in ((12, 2_813, 2_797), (13, 13_597, 13_357)):
+        shapes = _shape_block(k, interior_capacity(k))
+        assert (shapes.built, len(shape_records(shapes))) == (built, kept)
 
 
 @pytest.mark.parametrize("cap", [16, 25])
@@ -542,8 +530,7 @@ def test_walk_past_the_start_bits_is_capped():
 
 
 def test_shape_limit_threshold():
-    # k = 10 caps shapes at size 8, past the split size, so no part holds
-    # them all; forked workers inherit the patched limit
+    # the limit is checked in the caller, before the shape tree is grown
     shapes = exact_contour_counts(10).meta["shapes"]
     for workers in (1, 2):
         with mock.patch.object(enumeration, "_SHAPE_LIMIT", shapes - 1), pytest.raises(CapExceeded):
@@ -555,10 +542,10 @@ def test_shape_limit_threshold():
 def test_the_walk_task_is_capped_on_its_own():
     with pytest.raises(CapExceeded):
         _circuit_walk(10, "five", 100)
-    # the shape limit is checked once, before the census parts start
-    shapes = _shape_block(10, interior_capacity(10), 1, 8)
+    # the shape limit is checked once, before the shape task starts, not in it
+    shapes = _shape_block(10, interior_capacity(10))
     with mock.patch.object(enumeration, "_SHAPE_LIMIT", 100):
-        assert _shape_block(10, interior_capacity(10), 1, 8) == shapes
+        assert _shape_block(10, interior_capacity(10)) == shapes
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -603,11 +590,11 @@ def test_full_count_table_fans_out_once(monkeypatch):
         return fan_out(tasks, workers)
 
     monkeypatch.setattr(pool, "_fan_out", counted)
-    for workers, parts in ((1, 1), (2, 8)):
+    for workers in (1, 2, 3):
         calls.clear()
         full_count_table(8, workers=workers)
-        # the census parts and the circuit walk
-        assert calls == [parts + 1]
+        # the one shape task and the circuit walk
+        assert calls == [2]
 
 
 def test_census_rejects_fewer_than_one_worker():
@@ -732,42 +719,39 @@ def test_row_extractor_keeps_an_enclosed_free_site_out_of_the_exterior():
 
 
 @pytest.mark.parametrize(
-    "k_max, cap, part, parts",
-    # the next to last part keys its contours in 15 rows, a box of 13; at cap 1
-    # the one shape is part 0's, so the last part keeps no shape and is empty
-    [(10, interior_capacity(10), part, 8) for part in range(8)] + [(28, 13, 7, 1000), (4, 1, 1, 2)],
+    "k_max, cap",
+    # every k_max up to 11 at its capacity, caps below the capacity, and a
+    # cap of 9 at k_max = 28, whose contours are keyed in 11 rows, a box of 9
+    [(k, interior_capacity(k)) for k in range(4, 12)] + [(10, 4), (12, 5), (28, 9)],
 )
-def test_census_part_matches_scalar_reference(k_max, cap, part, parts):
-    # the covers of one part's records against the oracle's, shape by shape
-    got, want = _census_covers(k_max, [_shape_block(k_max, cap, part, parts)]), census_part(k_max, cap, part, parts)
-    assert got == want
-    assert (got == {}) == (cap == 1)
+def test_census_part_matches_scalar_reference(k_max, cap):
+    # the covers of the tree's records against the oracle's, shape by shape
+    got, want = _census_covers(k_max, _shape_block(k_max, cap)), census_covers(k_max, cap)
+    assert got and got == want
 
 
 @settings(max_examples=40, deadline=None)
-@given(cap=st.integers(1, 9), span=st.integers(1, 5), longer=st.booleans(), parts=st.integers(1, 3))
-def test_every_record_is_keyed_at_its_contour_corner(cap, span, longer, parts):
+@given(cap=st.integers(1, 9), span=st.integers(1, 5), longer=st.booleans())
+def test_every_record_is_keyed_at_its_contour_corner(cap, span, longer):
     # the kernel moves each record by (-1, -1), so its contour's bounding-box
     # corner is the key's (0, 0): a site in row 0 and one in column 0; the
     # cover holds the record's n cells, off the contour and inside its rows
     max_len = 2 * span + 2 + longer
     column = sum(1 << _CANON_STRIDE * y for y in range(_CANON_STRIDE))
-    for part in range(parts):
-        shapes = _shape_block(max_len, cap, part, parts)
-        for key_rows, cover_rows, n, boundary, enclosed in shape_records(shapes):
-            key, cover = (sum(v << _CANON_STRIDE * y for y, v in enumerate(rows)) for rows in (key_rows, cover_rows))
-            height = -(-key.bit_length() // _CANON_STRIDE)
-            assert key & (1 << _CANON_STRIDE) - 1 and key & column
-            assert cover.bit_count() == n and not cover & key
-            assert not cover & (1 << _CANON_STRIDE) - 1 and not cover >> _CANON_STRIDE * (height - 1)
-            assert 4 <= key.bit_count() <= min(max_len, boundary) and n <= enclosed
+    for key_rows, cover_rows, n, boundary, enclosed in shape_records(_shape_block(max_len, cap)):
+        key, cover = (sum(v << _CANON_STRIDE * y for y, v in enumerate(rows)) for rows in (key_rows, cover_rows))
+        height = -(-key.bit_length() // _CANON_STRIDE)
+        assert key & (1 << _CANON_STRIDE) - 1 and key & column
+        assert cover.bit_count() == n and not cover & key
+        assert not cover & (1 << _CANON_STRIDE) - 1 and not cover >> _CANON_STRIDE * (height - 1)
+        assert 4 <= key.bit_count() <= min(max_len, boundary) and n <= enclosed
 
 
 @settings(max_examples=12, deadline=None)
-@given(k_max=st.integers(4, 10), parts=st.integers(1, 3))
-def test_classes_and_witnesses_match_the_oracle(k_max, parts):
+@given(k_max=st.integers(4, 10))
+def test_classes_and_witnesses_match_the_oracle(k_max):
     cap = interior_capacity(k_max)
-    covers = _census_covers(k_max, [_shape_block(k_max, cap, part, parts) for part in range(parts)])
+    covers = _census_covers(k_max, _shape_block(k_max, cap))
     table = _census_table(k_max, cap, covers)
     assert (table.classes, table.witnesses) == census_classes([covers])
 
@@ -775,7 +759,7 @@ def test_classes_and_witnesses_match_the_oracle(k_max, parts):
 def test_kernel_class_pass_matches_the_oracle_on_every_contour_to_length_twelve():
     # the 1,566 distinct contours of the census at k = 12 around their 12,368
     # origin positions, checked and classified one at a time by the oracle
-    covers = _census_covers(12, [_shape_block(12, 13, 0, 1)])
+    covers = _census_covers(12, _shape_block(12, 13))
     table = _census_table(12, 13, covers)
     assert (table.classes, table.witnesses) == census_classes([covers])
     assert sum(table.classes.values()) == sum(table.exact.values()) == 12_368
@@ -831,21 +815,27 @@ def test_census_class_pass_rejects_crafted_contours(contour, positions, error, m
         census_classes([_covers_of(contour, positions)])
 
 
-@pytest.mark.parametrize("parts", [2, 7, 300])
-def test_any_number_of_parts_merges_to_the_whole_tree(parts):
-    # the covers merge by OR and the events by sum, as the parent merges them
-    census, events = _census_covers(10, [_shape_block(10, 8, 0, 1)]), _event_part(10, 8, 0, 1)
-    merged = _census_covers(10, [_shape_block(10, 8, part, parts) for part in range(parts)])
-    counted = Counter()
-    for part in range(parts):
-        counted.update(_event_part(10, 8, part, parts))
-    assert merged == census
-    assert dict(counted) == events
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_census_and_the_event_table_grow_the_tree_in_one_call_in_the_caller(workers):
+    # one kernel call, in the caller, and no pool, at any worker count
+    grown = []
+
+    def counted(*args):
+        grown.append(args)
+        return _shape_block(*args)
+
+    with (
+        mock.patch.object(enumeration, "_shape_block", counted),
+        mock.patch.object(pool, "_fan_out", side_effect=AssertionError("a pool was started")),
+    ):
+        table, events = exact_contour_counts(10, workers=workers), contour_event_table(10, workers=workers)
+    assert grown == [(10, 8), (10, 8)]
+    assert (table, events) == (exact_contour_counts(10), contour_event_table(10))
 
 
 @pytest.mark.parametrize(
     "tight, cleared, error",
-    # among the 177 shapes of _shape_block(10, 8, 0, 1) with contours of
+    # among the 177 shapes of _shape_block(10, 8) with contours of
     # length <= 10, ordered by size and then cover: the first over a
     # capacity one lower at lengths 9 and 10 is the 93rd (6 cells, length 9),
     # at lengths 7 and 8 the 5th (3 cells, length 7), as at length 7; the
@@ -886,13 +876,16 @@ def test_census_part_fails_on_the_first_bad_shape(tight, cleared, error):
         mock.patch.object(contour_oracle, "_contour_bits", clear_bits),
     ):
         with pytest.raises((ContourError, IncompletenessError), match=error) as want:
-            census_part(10, 8, 0, 1)
+            census_covers(10, 8)
+        shapes = enumeration._shape_block(10, 8)
         with pytest.raises(type(want.value)) as got:
-            _census_covers(10, [enumeration._shape_block(10, 8, 0, 1)])
-        # over the whole census: the same first shape, in whatever parts and order they come
-        with pytest.raises(type(want.value)) as split:
-            _census_covers(10, [enumeration._shape_block(10, 8, part, 3) for part in (2, 0, 1)])
-    assert str(got.value) == str(split.value) == str(want.value)
+            _census_covers(10, shapes)
+        # the same first shape, whatever the order of the records
+        stride = 4 * (2 * shapes.height + 3)
+        records = [shapes.records[at : at + stride] for at in range(0, len(shapes.records), stride)]
+        with pytest.raises(type(want.value)) as reversed_:
+            _census_covers(10, shapes._replace(records=b"".join(reversed(records))))
+    assert str(got.value) == str(reversed_.value) == str(want.value)
 
 
 def test_a_bad_shape_fails_the_census_part_and_its_oracle():
@@ -902,10 +895,10 @@ def test_a_bad_shape_fails_the_census_part_and_its_oracle():
         mock.patch.object(contour_oracle, "interior_capacity", capacity),
     ):
         with pytest.raises(IncompletenessError):
-            census_part(10, 8, 0, 1)
+            census_covers(10, 8)
         with pytest.raises(IncompletenessError):
-            _census_covers(10, [_shape_block(10, 8, 0, 1)])
-        # the parent checks every part's records, so the census names one bad shape whatever the workers
+            _census_covers(10, _shape_block(10, 8))
+        # the census names one bad shape whatever the workers
         messages = set()
         for workers in (1, 2, 3):
             with pytest.raises(IncompletenessError) as bad:

@@ -46,6 +46,10 @@ def test_window_validation_and_counts():
         Window(0)
     w = Window(3)
     assert w.side == 7 and w.site_count == 49
+    # a copy is checked as the window is
+    assert w._replace(radius=4) == Window(4)
+    with pytest.raises(ValueError):
+        w._replace(radius=0)
 
 
 def test_field_deterministic_and_scalar_match():

@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 import math
 import os
 import re
@@ -309,7 +308,7 @@ def test_seed_and_tolerance_are_checked_before_any_work(entry, bad, error, messa
         call(bad)
     # seeds are taken mod 2**64, and numpy numbers are numbers
     if entry in _SEED_ENTRIES:
-        runs = [dataclasses.replace(call(seed), seed=None) for seed in (np.int64(-3), -3, (1 << 64) - 3)]
+        runs = [call(seed)._replace(seed=None) for seed in (np.int64(-3), -3, (1 << 64) - 3)]
         assert runs[0] == runs[1] == runs[2]
     else:
         assert call(np.float64(0.1)) == call(0.1)
@@ -510,13 +509,13 @@ def test_kernel_compiles_without_warnings(tmp_path):
                 list(sa.distinct_sets.values()),
                 sa.nodes,
             )
-    # and its shape tree keeps the package's shapes, part by part
-    library.peierls_shapes.argtypes = [*[ctypes.c_int32] * 4, *[ctypes.c_void_p] * 3]
+    # and its shape tree keeps the package's shapes
+    library.peierls_shapes.argtypes = [*[ctypes.c_int32] * 2, *[ctypes.c_void_p] * 3]
     library.peierls_free.argtypes = [ctypes.c_void_p]
-    for max_len, cap, part, parts in ((8, 5, 0, 1), (12, 13, 3, 8), (28, 13, 7, 1000)):
+    for max_len, cap in ((8, 5), (12, 13), (13, 15), (28, 9)):
         records, kept, built = ctypes.c_void_p(), ctypes.c_int64(), ctypes.c_int64()
-        code = library.peierls_shapes(max_len, cap, part, parts, *map(ctypes.byref, (records, kept, built)))
-        shapes = enumeration._shape_block(max_len, cap, part, parts)
+        code = library.peierls_shapes(max_len, cap, *map(ctypes.byref, (records, kept, built)))
+        shapes = enumeration._shape_block(max_len, cap)
         block = ctypes.string_at(records, 4 * kept.value * (2 * shapes.height + 3))
         library.peierls_free(records)
         assert (code, built.value, block) == (0, shapes.built, shapes.records)
@@ -532,8 +531,8 @@ def test_kernel_compiles_without_warnings(tmp_path):
 #: circuit walk of both rules at k_max = 4..10 and of the five rule at k_max = 12, whole and cut short, and the longest
 #: walk cut short; the subtree of the first step SE as NE's reflection against SE's walked, at k_max = 12 and, under the
 #: seven rule, 10; and the walk's dedup fed crafted records of one key with different start bits.  The shape tree at
-#: max_len = 4..12 with the census's cap, whole and in 8 parts, its shapes of full box height among them, and one part
-#: of the widest frame the shape limit admits, 19 columns at cap 15, every record checked.  The class pass on the widest and the tallest contours a census key
+#: max_len = 4..13 with the census's cap, its shapes of full box height among them, every record checked, and crafted
+#: shapes built in the widest frame, 34 columns at cap 30.  The class pass on the widest and the tallest contours a census key
 #: holds, and on a contour for each check that fails.  Floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column,
 #: the origin, every site and no site, into arrays of exactly their size, checking every result against [0, 2**m).  At
 #: radius 3, 600 fields in one call, past two wraps of the flood's seen stamp, against the same fields one call each.
@@ -572,39 +571,63 @@ static int64_t positions(void)
     return n;
 }
 
-/* Part `part` of `parts` of the shape tree, its kept and built shapes added to *kept and *built: 1 when the call fails
- * or a record is out of range (its cell count, its contour length, its boundary and enclosed counts, a row past the
- * key's columns, a key with no site in row 0 or in column 0, a cell on the contour or in its first row), else 0. */
-static int shapes(int32_t max_len, int32_t cap, int32_t part, int32_t parts, int64_t *kept, int64_t *built,
-                  int64_t *high)
+/* The contour length of the record r of a key of `height` rows, -1 when the record is out of range: its cell count,
+ * its contour length, its boundary and enclosed counts, a row past the key's columns, a key with no site in row 0 or in
+ * column 0, a cell on the contour or in its first row. */
+static int64_t record_length(const uint32_t *r, int32_t height, int32_t cap, int32_t max_len)
+{
+    int64_t length = 0, cells = 0;
+    uint32_t columns = 0;
+    int bad = 0;
+    for (int32_t y = 0; y < height; y++) {
+        bad |= (uint64_t)r[y] >> height != 0 || (uint64_t)r[height + y] >> height != 0 || (r[y] & r[height + y]);
+        length += __builtin_popcount(r[y]);
+        cells += __builtin_popcount(r[height + y]);
+        columns |= r[y];
+    }
+    /* the contour's bounding-box corner is the key's (0, 0) */
+    bad |= r[0] == 0 || !(columns & 1) || r[height] != 0;
+    bad |= r[2 * height] < 1 || r[2 * height] > (uint32_t)cap || cells != r[2 * height] || length < 4 ||
+           length > max_len;
+    bad |= r[2 * height + 1] < (uint32_t)length || r[2 * height + 2] < r[2 * height] ||
+           r[2 * height + 2] >= (uint32_t)((height + 2) * (height + 2));
+    return bad ? -1 : length;
+}
+
+/* The shape tree at max_len and cap, its kept and built shapes in *kept and *built, and in *high its kept shapes with a
+ * cell in the box's top row: 1 when the call fails or a record is out of range, else 0. */
+static int shapes(int32_t max_len, int32_t cap, int64_t *kept, int64_t *built, int64_t *high)
 {
     const int32_t span = (max_len - 2) / 2, height = (span < cap ? span : cap) + 2, stride = 2 * height + 3;
     uint32_t *records;
-    int64_t k, b;
-    if (peierls_shapes(max_len, cap, part, parts, &records, &k, &b) || k > b)
+    if (peierls_shapes(max_len, cap, &records, kept, built) || *kept > *built)
         return 1;
     int bad = 0;
-    for (int64_t i = 0; i < k; i++) {
+    *high = 0;
+    for (int64_t i = 0; i < *kept; i++) {
         const uint32_t *r = records + i * stride;
-        int64_t length = 0, cells = 0;
-        uint32_t columns = 0;
-        for (int32_t y = 0; y < height; y++) {
-            bad |= (uint64_t)r[y] >> height != 0 || (uint64_t)r[height + y] >> height != 0 || (r[y] & r[height + y]);
-            length += __builtin_popcount(r[y]);
-            cells += __builtin_popcount(r[height + y]);
-            columns |= r[y];
-        }
-        /* the contour's bounding-box corner is the key's (0, 0) */
-        bad |= r[0] == 0 || !(columns & 1) || r[height] != 0;
-        bad |= r[2 * height] < 1 || r[2 * height] > (uint32_t)cap || cells != r[2 * height] || length < 4 ||
-               length > max_len;
-        bad |= r[2 * height + 1] < (uint32_t)length || r[2 * height + 2] < r[2 * height] ||
-               r[2 * height + 2] >= (uint32_t)((height + 2) * (height + 2));
+        bad |= record_length(r, height, cap, max_len) < 0;
         *high += r[2 * height - 2] != 0; /* a cell in the box's top row, ymax = box - 1: the shape pass runs every row */
     }
     peierls_free(records);
-    *kept += k;
-    *built += b;
+    return bad;
+}
+
+/* A crafted shape of `size` cells, row y of it the bits rows[y] for y <= ymax, x from bit 0, built by shape() in the
+ * frame of the largest cap, 34 rows of 34 columns: 1 unless its one record is in range, with a contour of `length`
+ * sites and `enclosed` enclosed sites, else 0. */
+static int crafted(const uint64_t *rows, int32_t ymax, int32_t size, int32_t length, uint32_t enclosed)
+{
+    const int32_t box = MAX_CAP, height = box + 2;
+    struct tree t = {.max_len = 2 * box + 2, .cap = box, .box = box, .side = 2 * box + 1, .height = box + 4,
+                     .maxrec = 1, .stride = 2 * (size_t)height + 3};
+    t.full = ((uint64_t)1 << t.height) - 1;
+    t.rec = malloc(t.stride * sizeof *t.rec);
+    for (int32_t y = 0; y <= ymax; y++)
+        t.cells[y] = rows[y] << box;
+    int bad = !t.rec || shape(&t, size, 0, ymax) || t.built != 1 || t.nrec != 1;
+    bad = bad || record_length(t.rec, height, box, t.max_len) != length || t.rec[2 * height + 2] != enclosed;
+    free(t.rec);
     return bad;
 }
 
@@ -711,21 +734,25 @@ int main(void)
     int64_t walks[132], distinct[132], nodes;
     if (peierls_walk(131, 3, 1000, walks, distinct, &nodes) != 1)
         return 5;
-    /* the parts of the census's tree add up to the whole; at max_len = 12, 2,797 kept of 345,600 built */
-    for (int32_t k = 4; k <= 12; k++) {
+    /* the census's tree, every record checked: at max_len = 12, 2,797 kept of 2,813 built, at 13, 13,357 of 13,597 */
+    for (int32_t k = 4; k <= 13; k++) {
         const int32_t cap = (k * k - 4 * k + 8) / 8;
-        int64_t kept = 0, built = 0, high = 0, kept8 = 0, built8 = 0, high8 = 0;
-        if (shapes(k, cap, 0, 1, &kept, &built, &high) || kept < 1 || high < 1 ||
-            (k == 12 && (kept != 2797 || built != 345600)))
-            return 7;
-        for (int32_t part = 0; part < 8; part++)
-            if (shapes(k, cap, part, 8, &kept8, &built8, &high8))
-                return 7;
-        if (kept8 != kept || built8 != built || high8 != high)
+        int64_t kept, built, high;
+        if (shapes(k, cap, &kept, &built, &high) || kept < 1 || high < 1 ||
+            (k == 12 && (kept != 2797 || built != 2813)) || (k == 13 && (kept != 13357 || built != 13597)))
             return 7;
     }
-    int64_t kept = 0, built = 0, high = 0;
-    if (shapes(32, 15, 7, 1000, &kept, &built, &high) || kept < 1)
+    /* the widest frames: 30-cell shapes, a row and a column 30 long and a staircase 16 wide, and an 8 x 8 ring
+     * around 36 free sites */
+    uint64_t row[1] = {(1u << 30) - 1}, column[30], stairs[15], ring[8];
+    for (int32_t y = 0; y < 30; y++)
+        column[y] = 1;
+    for (int32_t y = 0; y < 15; y++)
+        stairs[y] = (uint64_t)3 << y;
+    for (int32_t y = 0; y < 8; y++)
+        ring[y] = y == 0 || y == 7 ? 0xFF : 0x81;
+    if (crafted(row, 0, 30, 62, 30) || crafted(column, 29, 30, 62, 30) || crafted(stairs, 14, 30, 34, 30) ||
+        crafted(ring, 7, 28, 32, 64))
         return 8;
     const int32_t ms[4] = {1, 6, 11, 16};
     for (int32_t L = 1; L <= 6; L++) {
@@ -846,6 +873,22 @@ def test_concurrent_builds_into_a_fresh_cache_agree(tmp_path):
     script = "import sys; from peierls import kernel; kernel.load('a test'); assert 'subprocess' not in sys.modules"
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+def test_a_cached_kernel_cut_short_is_built_anew(tmp_path):
+    # a kernel cut to 100 bytes in the cache fails to load; the next load
+    # builds it once more, through a temporary name, and runs on it
+    script = "from peierls.montecarlo import _critical_indices; print(_critical_indices(5, 12, 8, 0, 40).tolist())"
+    env = _env_with_src(XDG_CACHE_HOME=str(tmp_path))
+    want = f"{_critical_indices(5, 12, 8, 0, 40).tolist()}\n"
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert (run.returncode, run.stdout) == (0, want), run.stderr
+    [built] = os.listdir(tmp_path / "peierls")
+    with open(tmp_path / "peierls" / built, "r+b") as fh:
+        fh.truncate(100)
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert (run.returncode, run.stdout) == (0, want), run.stderr
+    assert os.listdir(tmp_path / "peierls") == [built] and os.path.getsize(tmp_path / "peierls" / built) > 100
 
 
 def test_sweep_cache_follows_xdg_cache_home(monkeypatch, tmp_path):
