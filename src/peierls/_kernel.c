@@ -2,13 +2,14 @@
  *
  * - peierls_flood, the one connectivity kernel of the Monte Carlo and its one site hash: an invasion flood over
  *   hashed keys;
- * - peierls_walk, the census's circuit walk: every restricted self-avoiding circuit of every start in one walk;
+ * - peierls_walk, the census's circuit walk: every restricted self-avoiding circuit of every start in one walk, its
+ *   tree split over threads;
  * - peierls_shapes, the span-pruned shape tree of the census and the event table, grown whole in one call, each kept
  *   shape as its contour's census key, its cover and its counts, and peierls_free for the records it hands back;
  * - peierls_classes, the census's class pass: every distinct contour checked and traced, and classified around each of
  *   its origin positions.
  *
- * Build: cc -O2 -shared -fPIC -o kernel.so _kernel.c
+ * Build: cc -O2 -shared -fPIC -pthread -o kernel.so _kernel.c
  *
  * THE FLOOD
  *
@@ -43,6 +44,7 @@
  * does not clear the whole window each field.
  */
 
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -153,27 +155,48 @@ int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_
  * A walk of d sites steps onto a site at king distance D from its start only if D <= k_max - d, since it could not
  * return in time otherwise.  So no walk leaves the window of king distance k_max / 2 around its start, and a walk's
  * sites are a bitmask over that window.  Each step is a node of every start whose tree holds it, so it adds hit - 1
- * to the node count; the first steps, from the start, are not counted.  The walk stops as soon as the count passes
- * max_nodes.
+ * to the node count; the first steps, from the start, are not counted.
+ *
+ * A walk of d >= 4 sites next to its start closes for each of its starts it winds around: start l's winding sum
+ * is the sum of the crossing terms around (-l, 0) of its steps, the closing one included.  It counts once for each
+ * such start in walks[d], and it is recorded as its key, the site mask, and one bit for each such start.  The mask
+ * holds the walk's d sites and (-1, 0), so a key's length is its bit count less 1.  A start's distinct circuits of
+ * length d are its distinct site sets, so distinct[d] sums, over the distinct keys of length d, the starts in the
+ * union of their bits.
  *
  * The subtree of the first step SE is the mirror image of NE's in y -> -y.  The turn rules, the distance pruning, the
  * window, the start and the ray sites (-j, 0) are all symmetric under that reflection, so it maps NE's walks one to one
  * onto SE's, each with the same hit and so the same nodes.  A reflected closed walk winds around each origin by the
- * negated sum, so it closes for the same starts.  So the walk takes NE's subtree first, then adds its node count and
- * its walks[d] a second time and appends its records reflected, checking the node count against max_nodes after that
- * addition, and then takes E, N and NW.  Since the count only grows, the walk passes max_nodes exactly when the walk
- * of all five subtrees would.
+ * negated sum, so it closes for the same starts.  So SE's subtree is never walked: a step in NE's subtree counts its
+ * nodes and its closed walks twice, and a closed walk there is recorded with its reflection.
  *
- * A walk of d >= 4 sites next to its start closes for each of its starts it winds around: start l's winding sum
- * is the sum of the crossing terms around (-l, 0) of its steps, the closing one included.  It counts once for each
- * such start in walks[d], and it is recorded as its length, its site mask and one bit for each such start.  At the
- * end the records go into a hash set keyed by (length, mask), which ORs the start bits of equal keys.  A start's
- * distinct circuits of length d are its distinct site sets, so distinct[d] sums, over the distinct (length, mask)
- * pairs, the starts in the union of their bits.
+ * The rest of start 1's tree is cut at its first two steps into the subtrees of 4 * (2 * turns + 1) step pairs, a
+ * fixed list.  Up to `threads` threads, the caller's among them and no more than there are subtrees, take the next
+ * subtree of the list from a shared atomic index until none is left, each with its own sites, winding sums, walks[d]
+ * and node count.  The keys are cut into as many shards as there are threads by the mix of their masks, and each
+ * thread appends its records to its own list for each shard: appending costs the walk less than a hash set grown as
+ * it goes, which rehashes and touches fresh pages at each doubling.  Once the threads are joined, a second round of
+ * threads takes the shards, one at a time: a hash set of a shard's records, sized at twice their number, keeps the
+ * first record of each key and ORs the bits of its equals into it, counting in distinct[d] the starts each record adds
+ * to the union.  A key falls in one shard only, so each distinct key counts once, with the union of all its bits.  Sums
+ * and unions do not depend on which thread took which subtree.  A thread that cannot be started leaves its jobs to the
+ * others, and every thread is joined before peierls_walk returns, so a process that forks after it forks no running
+ * thread.
+ *
+ * Each thread adds its nodes to a shared atomic total every BATCH nodes and at its end, stops once the total passes
+ * max_nodes, and takes no subtree after that.  The counts only grow, so a walk that stops early passes max_nodes
+ * whole as well, and the total summed once the threads are joined decides every other case: the walk is cut short
+ * exactly when all of its nodes pass max_nodes.
  */
 
 /* The king steps, counter-clockwise from east (lattice.NEIGHBOR_OFFSETS_8). */
 static const int32_t DX[8] = {1, 1, 0, -1, -1, -1, 0, 1}, DY[8] = {0, 1, 1, 1, 0, -1, -1, -1};
+/* The first steps whose subtrees are walked: NE, which counts for SE too, E, N and NW. */
+static const int32_t FIRST[4] = {1, 0, 2, 3};
+
+#define MAX_SUBTREES 28 /* the subtrees of the seven rule: 4 first steps, 7 second steps each */
+#define BATCH 4096      /* the nodes a thread counts before it adds them to the shared total */
+#define LINE 64         /* the bytes of a cache line, which one thread's writes keep to themselves */
 
 /* The signed crossing of the step (x0, y0) -> (x1, y1) with the ray from the origin, as clusters._crossing: +1 from
  * y <= 0 to y > 0 right of the origin, -1 back, 0 otherwise. */
@@ -193,52 +216,104 @@ static int32_t popcount(uint64_t x)
     return (int32_t)(x * 0x0101010101010101u >> 56);
 }
 
-/* A walk in progress: its limits, its sites, its winding sums, its node count and its closed-walk records. */
-struct walk {
-    int32_t k_max, turns, starts, radius, side, width;
-    int64_t max_nodes, nodes;
-    uint64_t *seen; /* the walk's sites, its start and (-1, 0): a bit a site of the window, row by row */
-    int32_t *wind;  /* wind[d * starts + l - 1]: the winding sum around (-l, 0) of the walk's first d sites */
-    uint64_t *rec;  /* width + 2 words a record: the length, the site mask and the start bits */
-    size_t nrec, maxrec;
-    int64_t *walks;
+/* One thread's closed walks of one shard: n records of width + 1 words, the key and then the start bits, with room
+ * for `room`. */
+struct records {
+    uint64_t *rec;
+    size_t n, room;
 };
 
-/* One more record at the end of the walk's records, to be filled in; NULL when the records cannot grow. */
-static uint64_t *new_record(struct walk *w)
+struct circuits;
+
+/* One thread of the walk: the walk's limits, its own sites, winding sums, counts and records, and the weight of the
+ * subtree it walks, 2 in NE's and 1 elsewhere. */
+struct walker {
+    struct circuits *c;
+    int32_t k_max, turns, starts, radius, side, width;
+    int32_t weight;
+    int code;                  /* 0; 1 once the total passed max_nodes; -1 when the records could not grow */
+    int64_t pending;           /* the nodes not yet added to the total */
+    char *scratch;             /* the block of the arrays below */
+    uint64_t *seen;            /* the walk's sites, its start and (-1, 0): a bit a site of the window, row by row */
+    uint64_t *mirror;          /* a closed walk's mask reflected in y -> -y */
+    int32_t *wind;             /* wind[d * starts + l - 1]: the winding sum around (-l, 0) of the first d sites */
+    int64_t *walks, *distinct; /* k_max + 1 counts each; distinct those of the shard of the walker's index */
+    struct records out[MAX_SUBTREES]; /* out[s]: the closed walks of shard s */
+} __attribute__((aligned(LINE))); /* cache lines of its own for each thread's walker */
+
+/* The walk of every start: its list of subtrees, its threads and the state they share. */
+struct circuits {
+    int32_t subtrees, threads;
+    int64_t max_nodes;
+    int64_t total;  /* the nodes the walkers have added, atomic */
+    int32_t next;   /* the next job of a round of threads, atomic */
+    int32_t failed; /* nonzero once a walker's records could not grow, atomic */
+    struct walker walkers[MAX_SUBTREES];
+};
+
+/* The mix of the key `mask`. */
+static uint64_t key_hash(const uint64_t *mask, int32_t width)
 {
-    const size_t stride = (size_t)w->width + 2;
-    if (w->nrec == w->maxrec) {
-        if (w->maxrec >> 31) /* the hash set's uint32_t slots name at most 2**32 - 1 records */
-            return NULL;
-        uint64_t *grown = realloc(w->rec, 2 * w->maxrec * stride * sizeof *grown);
-        if (!grown)
-            return NULL;
-        w->rec = grown;
-        w->maxrec *= 2;
-    }
-    return w->rec + w->nrec++ * stride;
+    uint64_t h = 0;
+    for (int32_t j = 0; j < width; j++)
+        h = mix(h ^ mask[j]);
+    return h;
 }
 
-/* Record the walk of `length` sites, closed for the starts of `bits`; -1 when the records cannot grow. */
-static int record(struct walk *w, int32_t length, uint64_t bits)
+/* Add the walker's pending nodes to the total: 1 when the total passes max_nodes, else 0. */
+static int flush(struct walker *w)
 {
-    uint64_t *r = new_record(w);
-    if (!r)
-        return -1;
-    r[0] = (uint64_t)length;
-    memcpy(r + 1, w->seen, (size_t)w->width * sizeof *r);
-    r[w->width + 1] = bits;
+    const int64_t total = __atomic_add_fetch(&w->c->total, w->pending, __ATOMIC_RELAXED);
+    w->pending = 0;
+    return total > w->c->max_nodes;
+}
+
+/* Append the key `mask`, closed for the starts of `bits`, to the walker's records of its shard: 0, or -1 when they
+ * cannot grow. */
+static int record(struct walker *w, const uint64_t *mask, uint64_t bits)
+{
+    const size_t stride = (size_t)w->width + 1;
+    const int32_t shards = w->c->threads;
+    struct records *r = &w->out[shards > 1 ? key_hash(mask, w->width) % (uint64_t)shards : 0];
+    if (r->n == r->room) {
+        const size_t room = r->room ? 2 * r->room : 256;
+        uint64_t *grown = realloc(r->rec, room * stride * sizeof *grown);
+        if (!grown)
+            return -1;
+        r->rec = grown;
+        r->room = room;
+    }
+    memcpy(r->rec + r->n * stride, mask, (size_t)w->width * sizeof *mask);
+    r->rec[r->n++ * stride + w->width] = bits;
     return 0;
 }
 
-/* Take every step from the walk of `depth` sites at (u, v), entered in direction d, whose least ray site (-j, 0),
- * j >= 2, is `hit`, and walk on: 0; 1 once the nodes pass max_nodes; -1 when the records cannot grow. */
-static int extend(struct walk *w, int32_t u, int32_t v, int32_t d, int32_t depth, int32_t hit)
+/* Record the walker's closed walk, closed for the starts of `bits`, with its reflection in NE's subtree: 0, or -1 when
+ * the records cannot grow. */
+static int closed(struct walker *w, uint64_t bits)
+{
+    if (record(w, w->seen, bits))
+        return -1;
+    if (w->weight == 1)
+        return 0;
+    memset(w->mirror, 0, (size_t)w->width * sizeof *w->mirror);
+    /* site s of row y of the window to the same column of row side - 1 - y */
+    for (int32_t j = 0; j < w->width; j++)
+        for (uint64_t sites = w->seen[j]; sites; sites &= sites - 1) {
+            const int32_t s = j * 64 + __builtin_ctzll(sites), t = s + (w->side - 1 - 2 * (s / w->side)) * w->side;
+            w->mirror[t >> 6] |= (uint64_t)1 << (t & 63);
+        }
+    return record(w, w->mirror, bits);
+}
+
+/* Take the steps d + t, t0 <= t <= t1, from the walk of `depth` sites at (u, v), entered in direction d, whose least
+ * ray site (-j, 0), j >= 2, is `hit`, and walk on: 0; 1 once the total passes max_nodes; -1 when the walker's records
+ * cannot grow. */
+static int extend(struct walker *w, int32_t u, int32_t v, int32_t d, int32_t t0, int32_t t1, int32_t depth, int32_t hit)
 {
     const int32_t *wind = w->wind + (size_t)depth * w->starts;
     int32_t *next = w->wind + (size_t)(depth + 1) * w->starts;
-    for (int32_t t = -w->turns; t <= w->turns; t++) {
+    for (int32_t t = t0; t <= t1; t++) {
         const int32_t d1 = (d + t) & 7, u1 = u + DX[d1], v1 = v + DY[d1];
         const int32_t dist = abs(u1) > abs(v1) ? abs(u1) : abs(v1);
         if (dist > w->k_max - depth)
@@ -249,8 +324,8 @@ static int extend(struct walk *w, int32_t u, int32_t v, int32_t d, int32_t depth
             continue;
         /* (-1, 0) is seen, so a ray site ahead is (-j, 0) with j >= 2 */
         const int32_t hit1 = v1 == 0 && u1 < 0 && -u1 < hit ? -u1 : hit;
-        w->nodes += hit1 - 1;
-        if (w->nodes > w->max_nodes)
+        w->pending += w->weight * (hit1 - 1);
+        if (w->pending >= BATCH && flush(w))
             return 1;
         if ((v > 0) == (v1 > 0)) /* a step on one side of the ray's line crosses no ray */
             memcpy(next, wind, (size_t)(hit1 - 1) * sizeof *next);
@@ -263,12 +338,12 @@ static int extend(struct walk *w, int32_t u, int32_t v, int32_t d, int32_t depth
             for (int32_t l = 1; l < hit1; l++)
                 if (next[l - 1] + crossing(l + u1, v1, l, 0))
                     bits |= (uint64_t)1 << (l - 1);
-            w->walks[depth + 1] += popcount(bits);
-            if (bits && record(w, depth + 1, bits))
+            w->walks[depth + 1] += w->weight * popcount(bits);
+            if (bits && closed(w, bits))
                 return -1;
         }
         if (depth + 1 < w->k_max) {
-            const int code = extend(w, u1, v1, d1, depth + 1, hit1);
+            const int code = extend(w, u1, v1, d1, -w->turns, w->turns, depth + 1, hit1);
             if (code)
                 return code;
         }
@@ -277,131 +352,191 @@ static int extend(struct walk *w, int32_t u, int32_t v, int32_t d, int32_t depth
     return 0;
 }
 
-/* Walk the subtree of the first step d from the start: 0, 1 or -1 as extend. */
-static int subtree(struct walk *w, int32_t d)
+/* Walk the subtree of the first step d and then the step d + t from the start, each step counting `weight` times and,
+ * at weight 2, each closed walk recorded with its reflection: 0, 1 or -1 as extend. */
+static int subtree(struct walker *w, int32_t d, int32_t t, int32_t weight)
 {
     const int32_t s = (DY[d] + w->radius) * w->side + DX[d] + w->radius;
+    w->weight = weight;
     for (int32_t l = 1; l <= w->starts; l++)
         w->wind[2 * w->starts + l - 1] = crossing(l, 0, l + DX[d], DY[d]);
     w->seen[s >> 6] |= (uint64_t)1 << (s & 63);
-    const int code = extend(w, DX[d], DY[d], d, 2, w->starts + 1);
+    const int code = extend(w, DX[d], DY[d], d, t, t, 2, w->starts + 1);
     w->seen[s >> 6] &= ~((uint64_t)1 << (s & 63));
     return code;
 }
 
-/* Add the subtree of SE to a walk that has taken NE's alone, as NE's reflection in y -> -y: its node count and walks[d]
- * a second time, and its records with their site masks reflected.  0; 1 once the nodes pass max_nodes; -1 when the
- * records cannot grow. */
-static int mirror(struct walk *w)
+/* A walking thread: the next subtree of the list, while one is left, the total is within max_nodes and no walker
+ * failed, and then its last nodes added to the total. */
+static void *walk_subtrees(void *arg)
 {
-    const size_t stride = (size_t)w->width + 2, n = w->nrec;
-    if (w->nodes > w->max_nodes - w->nodes)
-        return 1;
-    w->nodes *= 2;
-    for (int32_t d = 0; d <= w->k_max; d++)
-        w->walks[d] *= 2;
-    for (size_t i = 0; i < n; i++) {
-        uint64_t *r = new_record(w);
-        if (!r)
-            return -1;
-        const uint64_t *q = w->rec + i * stride; /* after new_record, which may move the records */
-        r[0] = q[0];
-        memset(r + 1, 0, (size_t)w->width * sizeof *r);
-        r[w->width + 1] = q[w->width + 1];
-        /* site s of row y of the window to the same column of row side - 1 - y */
-        for (int32_t j = 0; j < w->width; j++)
-            for (uint64_t bits = q[j + 1]; bits; bits &= bits - 1) {
-                const int32_t s = j * 64 + __builtin_ctzll(bits), t = s + (w->side - 1 - 2 * (s / w->side)) * w->side;
-                r[(t >> 6) + 1] |= (uint64_t)1 << (t & 63);
-            }
+    struct walker *w = arg;
+    struct circuits *c = w->c;
+    const int32_t fan = 2 * w->turns + 1;
+    while (!w->code && !__atomic_load_n(&c->failed, __ATOMIC_RELAXED) &&
+           __atomic_load_n(&c->total, __ATOMIC_RELAXED) <= c->max_nodes) {
+        const int32_t j = __atomic_fetch_add(&c->next, 1, __ATOMIC_RELAXED);
+        if (j >= c->subtrees)
+            break;
+        const int32_t d = FIRST[j / fan];
+        if ((w->code = subtree(w, d, j % fan - w->turns, d == 1 ? 2 : 1)) < 0)
+            __atomic_store_n(&c->failed, 1, __ATOMIC_RELAXED);
     }
-    return 0;
+    flush(w);
+    return NULL;
 }
 
-/* Add to distinct[d], for each distinct key (length d, mask) of the walk's records, the starts in the union of their
- * bits.  The keys go into an open-addressing hash set of record indices, of a power-of-two size at least twice the
- * records, probed linearly from the mix of the key; a record whose key the set holds ORs its bits into the holder's.
- * Returns 0, or -1 when the set cannot be allocated. */
-static int count_distinct(struct walk *w, int64_t *distinct)
+/* Record `number`, from 1, of shard s, the records of walker 0 first, then walker 1's, and so on. */
+static uint64_t *shard_record(const struct circuits *c, int32_t s, size_t number)
 {
-    const size_t stride = (size_t)w->width + 2, keyed = stride - 1; /* the length and the mask, then the bits */
-    size_t size = 1;
-    while (size < 2 * w->nrec)
+    const size_t stride = (size_t)c->walkers[0].width + 1;
+    int32_t t = 0;
+    while (number > c->walkers[t].out[s].n)
+        number -= c->walkers[t++].out[s].n;
+    return c->walkers[t].out[s].rec + (number - 1) * stride;
+}
+
+/* Count the distinct keys of shard s into distinct: a hash set of its records' numbers, a power of two of slots at
+ * least twice the records, probed linearly from the mix of a key, holds the first record of each key, which takes the
+ * bits of its equals, and each record counts the starts it adds to its key's union.  0, or -1 when the set cannot be
+ * allocated. */
+static int dedupe(const struct circuits *c, int32_t s, int64_t *distinct)
+{
+    const int32_t width = c->walkers[0].width;
+    size_t n = 0, size = 2, number = 0;
+    for (int32_t t = 0; t < c->threads; t++)
+        n += c->walkers[t].out[s].n;
+    while (size < 2 * n)
         size *= 2;
-    uint32_t *slot = malloc(size * sizeof *slot);
+    uint32_t *slot = n < UINT32_MAX ? calloc(size, sizeof *slot) : NULL; /* record numbers, 0 an empty slot */
     if (!slot)
         return -1;
-    memset(slot, 0xff, size * sizeof *slot); /* every slot empty: UINT32_MAX */
-    for (size_t i = 0; i < w->nrec; i++) {
-        const uint64_t *r = w->rec + i * stride;
-        uint64_t h = 0;
-        for (size_t j = 0; j < keyed; j++)
-            h = mix(h ^ r[j]);
-        size_t s = h & (size - 1);
-        while (slot[s] != UINT32_MAX && memcmp(w->rec + slot[s] * stride, r, keyed * sizeof *r))
-            s = (s + 1) & (size - 1);
-        if (slot[s] == UINT32_MAX)
-            slot[s] = (uint32_t)i;
-        else
-            w->rec[slot[s] * stride + keyed] |= r[keyed];
-    }
-    for (size_t s = 0; s < size; s++)
-        if (slot[s] != UINT32_MAX) {
-            const uint64_t *r = w->rec + slot[s] * stride;
-            distinct[r[0]] += popcount(r[keyed]);
+    for (int32_t t = 0; t < c->threads; t++) {
+        const struct records *r = &c->walkers[t].out[s];
+        for (uint64_t *key = r->rec; key < r->rec + r->n * ((size_t)width + 1); key += width + 1) {
+            size_t at = key_hash(key, width) & (size - 1);
+            uint64_t *held = NULL;
+            for (; slot[at]; at = (at + 1) & (size - 1)) {
+                held = shard_record(c, s, slot[at]);
+                int32_t j = 0;
+                while (j < width && held[j] == key[j])
+                    j++;
+                if (j == width)
+                    break;
+                held = NULL;
+            }
+            const uint64_t had = held ? held[width] : 0;
+            number++;
+            if (held)
+                held[width] |= key[width];
+            else
+                slot[at] = (uint32_t)number;
+            int32_t sites = 0;
+            for (int32_t j = 0; j < width; j++)
+                sites += popcount(key[j]);
+            distinct[sites - 1] += popcount(had | key[width]) - popcount(had);
         }
+    }
     free(slot);
     return 0;
 }
 
-/* Set up the walk of the restricted circuits of lengths up to k_max of every start that turn by at most `turns` eighths a
- * step, counting its closed walks in walks, zeroed, with its start and (-1, 0) seen: 0, or -1 when the scratch cannot
- * be allocated.  close_walk releases the scratch either way. */
-static int open_walk(struct walk *w, int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks)
+/* A deduplicating thread: the next shard, while one is left, counted into the distinct[d] of the walker of its
+ * index. */
+static void *dedupe_shards(void *arg)
 {
-    *w = (struct walk){.k_max = k_max, .turns = turns, .starts = (k_max - 2) / 2, .radius = k_max / 2,
-                       .side = k_max / 2 * 2 + 1, .max_nodes = max_nodes, .maxrec = 1024, .walks = walks};
-    w->width = (w->side * w->side + 63) / 64;
-    const size_t stride = (size_t)w->width + 2, origin = (size_t)w->radius * w->side + w->radius;
-    w->seen = calloc((size_t)w->width, sizeof *w->seen);
-    w->wind = malloc((size_t)(k_max + 1) * w->starts * sizeof *w->wind);
-    w->rec = malloc(w->maxrec * stride * sizeof *w->rec);
-    memset(walks, 0, (size_t)(k_max + 1) * sizeof *walks);
-    if (!w->seen || !w->wind || !w->rec)
-        return -1;
-    /* the start and (-1, 0), the ray site every start avoids */
-    w->seen[origin >> 6] |= (uint64_t)1 << (origin & 63);
-    w->seen[(origin - 1) >> 6] |= (uint64_t)1 << ((origin - 1) & 63);
-    return 0;
+    struct circuits *c = ((struct walker *)arg)->c;
+    for (int32_t s; (s = __atomic_fetch_add(&c->next, 1, __ATOMIC_RELAXED)) < c->threads;)
+        if (dedupe(c, s, c->walkers[s].distinct))
+            __atomic_store_n(&c->failed, 1, __ATOMIC_RELAXED);
+    return NULL;
 }
 
-static void close_walk(struct walk *w)
+/* Run body on the walkers, walker 0 on the calling thread and each other on a thread of its own, and join them.  A
+ * thread that cannot be started runs nothing: each body takes its jobs from the shared index, which the others
+ * drain. */
+static void run_threads(struct circuits *c, void *(*body)(void *))
 {
-    free(w->seen);
-    free(w->wind);
-    free(w->rec);
+    pthread_t id[MAX_SUBTREES];
+    int32_t started = 1;
+    c->next = 0;
+    while (started < c->threads && !pthread_create(&id[started], NULL, body, &c->walkers[started]))
+        started++;
+    body(&c->walkers[0]);
+    for (int32_t i = 1; i < started; i++)
+        pthread_join(id[i], NULL);
 }
 
-/* Walk the restricted circuits of lengths up to k_max of every start, 4 <= k_max and (k_max - 2) / 2 <= 64, that
- * turn by at most `turns` eighths a step: walks[k] and distinct[k], for k <= k_max, the circuits of length k and
- * their distinct site sets, summed over the starts, and *nodes the steps taken.  Returns 0; 1, the walk cut short,
- * once the steps pass max_nodes; -1 when the scratch cannot be allocated. */
-int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int64_t *walks, int64_t *distinct, int64_t *nodes)
+/* Set up the walk of the restricted circuits of lengths up to k_max of every start that turn by at most `turns` eighths
+ * a step, on `threads` walkers, at least 1 and no more than the subtrees, each with its start and (-1, 0) seen: 0, or
+ * -1 when their scratch cannot be allocated.  close_walk releases the scratch either way. */
+static int open_walk(struct circuits *c, int32_t k_max, int32_t turns, int64_t max_nodes, int32_t threads)
 {
-    static const int32_t REST[3] = {0, 2, 3}; /* E, N and NW, after NE and its mirror image SE */
-    struct walk w;
-    memset(distinct, 0, (size_t)(k_max + 1) * sizeof *distinct);
-    int code = open_walk(&w, k_max, turns, max_nodes, walks);
-    if (!code)
-        code = subtree(&w, 1);
-    if (!code)
-        code = mirror(&w);
-    for (int32_t i = 0; i < 3 && !code; i++)
-        code = subtree(&w, REST[i]);
-    *nodes = w.nodes;
-    if (!code)
-        code = count_distinct(&w, distinct);
-    close_walk(&w);
+    const int32_t radius = k_max / 2, side = 2 * radius + 1, width = (side * side + 63) / 64;
+    const int32_t subtrees = 4 * (2 * turns + 1), starts = (k_max - 2) / 2;
+    const size_t origin = (size_t)radius * side + radius, counts = (size_t)k_max + 1;
+    const size_t bytes = (2 * width + 2 * counts) * sizeof(uint64_t) + counts * starts * sizeof(int32_t);
+    int code = 0;
+    *c = (struct circuits){.subtrees = subtrees, .threads = threads < 1 ? 1 : threads < subtrees ? threads : subtrees,
+                           .max_nodes = max_nodes};
+    for (int32_t i = 0; i < c->threads; i++) {
+        struct walker *w = &c->walkers[i];
+        *w = (struct walker){.c = c, .k_max = k_max, .turns = turns, .starts = starts, .radius = radius, .side = side,
+                             .width = width};
+        /* one block: seen, mirror, walks and distinct, then wind, a cache line clear of the others' on either side */
+        w->scratch = calloc(1, 2 * LINE + bytes);
+        if (!w->scratch) {
+            code = -1;
+            continue;
+        }
+        w->seen = (uint64_t *)(w->scratch + LINE);
+        w->mirror = w->seen + width;
+        w->walks = (int64_t *)(w->mirror + width);
+        w->distinct = w->walks + counts;
+        w->wind = (int32_t *)(w->distinct + counts);
+        /* the start and (-1, 0), the ray site every start avoids */
+        w->seen[origin >> 6] |= (uint64_t)1 << (origin & 63);
+        w->seen[(origin - 1) >> 6] |= (uint64_t)1 << ((origin - 1) & 63);
+    }
+    return code;
+}
+
+static void close_walk(struct circuits *c)
+{
+    for (int32_t i = 0; i < c->threads; i++) {
+        struct walker *w = &c->walkers[i];
+        free(w->scratch);
+        for (int32_t s = 0; s < c->threads; s++)
+            free(w->out[s].rec);
+    }
+}
+
+/* Walk the restricted circuits of lengths up to k_max of every start, 4 <= k_max and (k_max - 2) / 2 <= 64, that turn
+ * by at most `turns` eighths a step, 2 or 3, on up to `threads` threads: walks[k] and distinct[k], for k <= k_max, the
+ * circuits of length k and their distinct site sets, summed over the starts, and *nodes the steps taken.  Returns 0;
+ * 1, the walk cut short, once the steps pass max_nodes; -1 when the scratch cannot be allocated. */
+int peierls_walk(int32_t k_max, int32_t turns, int64_t max_nodes, int32_t threads, int64_t *walks, int64_t *distinct,
+                 int64_t *nodes)
+{
+    struct circuits c;
+    int code = open_walk(&c, k_max, turns, max_nodes, threads);
+    if (!code) {
+        run_threads(&c, walk_subtrees);
+        code = c.failed ? -1 : c.total > max_nodes;
+    }
+    if (!code) {
+        run_threads(&c, dedupe_shards);
+        code = c.failed ? -1 : 0;
+    }
+    memset(walks, 0, ((size_t)k_max + 1) * sizeof *walks);
+    memset(distinct, 0, ((size_t)k_max + 1) * sizeof *distinct);
+    for (int32_t i = 0; i < c.threads && !code; i++)
+        for (int32_t d = 0; d <= k_max; d++) {
+            walks[d] += c.walkers[i].walks[d];
+            distinct[d] += c.walkers[i].distinct[d];
+        }
+    *nodes = c.total;
+    close_walk(&c);
     return code;
 }
 

@@ -7,7 +7,8 @@ re-execution.
 
 Exit codes: 0 success, 2 argument error, 3 enumeration or Monte Carlo work
 cap, feasibility error, a worker process lost or out of memory, or the
-kernel of the flood and the circuit walk not built (no C compiler).
+kernel of the flood and the circuit walk not built (no C compiler), 130
+interrupted (Ctrl-C, SIGINT).
 """
 
 from __future__ import annotations
@@ -337,6 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # the pool has stopped and reaped its workers on the way out
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

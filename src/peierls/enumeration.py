@@ -65,9 +65,10 @@ shape limit admits, less than a round of forked workers costs, so the
 kernel grows it whole in one call.
 :func:`exact_contour_counts` and :func:`contour_event_table` make that call
 in the caller at any worker count.  :func:`full_count_table` puts the
-circuit walk and the one shape task on one pool, the walk, the longest
-task, first, so that the shapes are grown and the census is reduced, and
-fails, while the walk still runs.
+circuit walk, on as many kernel threads as workers, and the one census
+task on one pool, the walk, the longest task, first, so that the shapes are
+grown and the census is reduced, and fails, on another worker while the
+walk still runs.
 
 The module also bounds the census analytically: a contour of length k hits
 the positive horizontal axis at some nearest site, continues with one of a
@@ -84,15 +85,21 @@ start 1's tree carries, per walk, the nearest such site it holds and one
 running winding sum per start, and each step counts as a node of every start
 whose tree holds it.  A walk's sites are a bitmask over the window of king
 distance k_max // 2 around its start, the only sites a closing walk reaches
-(169 sites in 3 words at k = 12).  A closed walk is recorded as its length,
-its mask and one bit for each start it winds around; at the end of the walk
-the records go into a hash set keyed by (length, mask), which ORs the bits of
-equal keys, and each distinct key adds the starts in the union of its bits to
-the distinct-set count.  The subtree of the first step SE is the mirror
-image of NE's in y -> -y, which keeps the turn rules, the pruning, the ray
-sites and each walk's starts, so the walk takes NE's subtree once and adds
-its nodes, its counts and its records, reflected, a second time.  At k = 12
-that is 6.4M nodes, 5.0M of them walked, and 161,180 records.
+(169 sites in 3 words at k = 12).  A closed walk is recorded as its mask and
+one bit for each start it winds around.  The subtree of the first step SE is
+the mirror image of NE's in y -> -y, which keeps the turn rules, the pruning,
+the ray sites and each walk's starts, so it is never walked: a step in NE's
+subtree counts its nodes and its closed walks twice, and a closed walk there
+is recorded with its reflection.  The rest of the tree is cut at its first
+two steps into 20 subtrees (28 under the seven rule), which up to
+``workers`` kernel threads take in turn, each with its own records cut into
+one shard a thread by a hash of the mask.  Once the threads are joined, one
+thread a shard puts the shard's records in a hash set keyed by the mask,
+which ORs the bits of equal keys, and each record adds to the distinct-set
+count of its length the starts it adds to its key's union.  The counts are
+sums and unions, so they do not depend on the thread count, nor on which
+thread walked which subtree.  At k = 12 that is 6.4M nodes, 5.0M of them
+walked, 161,180 records and 116,192 distinct masks.
 """
 
 from __future__ import annotations
@@ -354,8 +361,8 @@ def _census_cap(k_max: int, cluster_cap: int | None, workers: int) -> int:
     return cap
 
 
-def _census_table(k_max: int, cap: int, covers: dict[int, dict[int, int]]) -> CountTable:
-    """The census table of the ``covers`` of :func:`_census_covers`.
+def _census_table(k_max: int, cap: int, covers: dict[int, dict[int, int]], height: int) -> CountTable:
+    """The census table of the ``covers`` of :func:`_census_covers`, whose keys and covers span ``height`` rows.
 
     Raises as soon as the passes over the covers show the census to be
     incomplete or inconsistent.
@@ -391,7 +398,7 @@ def _census_table(k_max: int, cap: int, covers: dict[int, dict[int, int]]) -> Co
             f"cluster cap {cap} is below the guaranteed capacity {needed} for k_max={k_max} "
             f"and the counts did not stabilize over sizes {cap - 2}..{cap}"
         )
-    classes, witnesses = _classes(keys, reach)
+    classes, witnesses = _classes(keys, reach, height)
     meta = {
         "cluster_cap": cap,
         "capacity_needed": needed,
@@ -436,17 +443,16 @@ _CLASS_ERRORS = (
 )
 
 
-def _class_pass(keys: list[int], covers: list[int]) -> tuple[array, array]:
+def _class_pass(keys: list[int], covers: list[int], height: int) -> tuple[array, array]:
     """The kernel's class pass over the contours ``keys`` around their origin positions ``covers``.
 
     ``keys[j]`` and ``covers[j]`` are stride-32 bitboards of at most
-    ``_CANON_STRIDE`` rows.  Returns the class counts, the count of class
-    (k, l, i) at ``(k * _CANON_STRIDE + l) * 5 + i``, and the cycles of every
-    contour, traced from its smallest site by (x, y) in the key's
+    ``height <= _CANON_STRIDE`` rows.  Returns the class counts, the count of
+    class (k, l, i) at ``(k * _CANON_STRIDE + l) * 5 + i``, and the cycles of
+    every contour, traced from its smallest site by (x, y) in the key's
     coordinates, contour after contour, each site's x and then y.  Raises the
     error of :data:`_CLASS_ERRORS` that the first failed check names.
     """
-    height = -(-max(map(int.bit_length, keys + covers)) // _CANON_STRIDE)
     if height > _CANON_STRIDE:
         raise ValueError(f"a census key spans at most {_CANON_STRIDE} rows, got {height}")
     lengths = [key.bit_count() for key in keys]
@@ -463,18 +469,19 @@ def _class_pass(keys: list[int], covers: list[int]) -> tuple[array, array]:
     return counts, cycles
 
 
-def _classes(keys: list[int], covers: list[int]) -> tuple[dict, dict[int, Contour]]:
+def _classes(keys: list[int], covers: list[int], height: int) -> tuple[dict, dict[int, Contour]]:
     """Class counts and witnesses of each contour around each of its origin positions.
 
     ``keys[j]`` is a canonical contour and ``covers[j]`` its origin
-    positions, as stride-32 bitboards.  The kernel's class pass
-    (:func:`_class_pass`) checks and traces every contour, and checks and
-    classifies every positioned contour: the origin must be off the contour,
-    its ray must meet the contour, the step after the ray site must be a
-    first step, and the winding number must be 1.  The witness of a length
-    is its first positioned contour, by key and then by position.
+    positions, as stride-32 bitboards of at most ``height`` rows.  The
+    kernel's class pass (:func:`_class_pass`) checks and traces every
+    contour, and checks and classifies every positioned contour: the origin
+    must be off the contour, its ray must meet the contour, the step after
+    the ray site must be a first step, and the winding number must be 1.
+    The witness of a length is its first positioned contour, by key and then
+    by position.
     """
-    counts, cycles = _class_pass(keys, covers)
+    counts, cycles = _class_pass(keys, covers, height)
     per_length = _CANON_STRIDE * 5
     classes = {(c // per_length, c // 5 % _CANON_STRIDE, c % 5): n for c, n in enumerate(counts) if n}
     witnesses = {}
@@ -517,8 +524,17 @@ def exact_contour_counts(
     built and loaded after the arguments are checked; it raises
     :class:`BuildError` when no C compiler ``cc`` can build it.
     """
-    cap = _census_cap(k_max, cluster_cap, workers)
-    return _census_table(k_max, cap, _census_covers(k_max, _shape_block(k_max, cap)))
+    return _census(k_max, _census_cap(k_max, cluster_cap, workers))
+
+
+def _census(k_max: int, cap: int) -> CountTable:
+    """The census table up to ``k_max`` at the checked size cap ``cap``, its shape tree grown in one kernel call.
+
+    All of :func:`exact_contour_counts` once its arguments are checked, and
+    the census task of :func:`full_count_table`.
+    """
+    shapes = _shape_block(k_max, cap)
+    return _census_table(k_max, cap, _census_covers(k_max, shapes), shapes.height)
 
 
 def contour_event_table(max_len: int, *, workers: int = 1) -> dict[tuple[int, int], int]:
@@ -570,14 +586,18 @@ _MAX_STARTS = 64
 _MAX_NODES = (1 << 63) - 1
 
 
-def _circuit_walk(k_max: int, rule: str, max_nodes: int) -> SelfAvoidingCounts:
-    """Walk every circuit of every start, in the kernel's ``peierls_walk``, for valid arguments.
+def _circuit_walk(k_max: int, rule: str, max_nodes: int, threads: int) -> SelfAvoidingCounts:
+    """Walk every circuit of every start, in the kernel's ``peierls_walk`` on ``threads`` threads, for valid arguments.
 
     Raises :class:`CapExceeded` as soon as the nodes pass ``max_nodes``.
     """
     walks, distinct, nodes = array("q", bytes(8 * (k_max + 1))), array("q", bytes(8 * (k_max + 1))), array("q", [0])
     code = kernel.load(_NEED).peierls_walk(
-        k_max, _TURNS[rule], min(max_nodes, _MAX_NODES), *(a.buffer_info()[0] for a in (walks, distinct, nodes))
+        k_max,
+        _TURNS[rule],
+        min(max_nodes, _MAX_NODES),
+        threads,
+        *(a.buffer_info()[0] for a in (walks, distinct, nodes)),
     )
     if code < 0:
         raise MemoryError(f"cannot allocate the circuit walk's records at length {k_max}")
@@ -618,13 +638,15 @@ def self_avoiding_circuit_count(
     to the start closes when that sum plus the closing step's term is
     nonzero.  Every start is walked at once, in the compiled walk of
     :mod:`peierls.kernel`, which raises :class:`BuildError` when no C
-    compiler ``cc`` can build it.  ``workers`` is checked as for the census;
-    the walk is one task and runs in the caller.
+    compiler ``cc`` can build it.  ``workers`` is checked as for the census,
+    and the walk runs in the caller on that many kernel threads, at most one
+    a subtree of its split tree (20 under the ``five`` rule, 28 under
+    ``seven``); the counts do not depend on it.
     """
     return _circuit_walk(*_walk_args(k_max, rule, max_nodes, workers))
 
 
-def _walk_or_error(k_max: int, rule: str, max_nodes: int) -> SelfAvoidingCounts | Exception:
+def _walk_or_error(k_max: int, rule: str, max_nodes: int, threads: int) -> SelfAvoidingCounts | Exception:
     """:func:`_circuit_walk`, or the error it raises, a node-cap overrun included, returned as a value.
 
     The walk task of :func:`full_count_table`: the pool raises a task's error
@@ -632,12 +654,12 @@ def _walk_or_error(k_max: int, rule: str, max_nodes: int) -> SelfAvoidingCounts 
     census.
     """
     try:
-        return _circuit_walk(k_max, rule, max_nodes)
+        return _circuit_walk(k_max, rule, max_nodes, threads)
     except Exception as exc:
         return exc
 
 
-def _walk_args(k_max: int, rule: str, max_nodes: int, workers: int) -> tuple[int, str, int]:
+def _walk_args(k_max: int, rule: str, max_nodes: int, workers: int) -> tuple[int, str, int, int]:
     """The checked arguments of :func:`_circuit_walk`."""
     check_integer(k_max, "k_max")
     check_integer(max_nodes, "max_nodes")
@@ -650,7 +672,7 @@ def _walk_args(k_max: int, rule: str, max_nodes: int, workers: int) -> tuple[int
         raise CapExceeded(f"circuit length {k_max} exceeds the walker's start-bit encoding")
     if rule not in _TURNS:
         raise ValueError(f"unknown continuation rule {rule!r}; expected 'five' or 'seven'")
-    return int(k_max), rule, int(max_nodes)
+    return int(k_max), rule, int(max_nodes), int(workers)
 
 
 def full_count_table(
@@ -663,12 +685,14 @@ def full_count_table(
 ) -> CountTable:
     """Exact counts, restricted-circuit counts, and the analytic bound, merged.
 
-    The shape task of the census and the circuit walk share one pool of
-    ``workers`` processes; the table does not depend on it.  The walk, the
-    longest task, goes first (longest task first; Graham, SIAM J. Appl.
-    Math. 17 (1969) 416-429), and the shape task runs beside it on another
-    worker.  The census is reduced as soon as its shapes come in, while the
-    walk may still run.  The walk task returns its error, a node-cap overrun
+    The census task and the circuit walk share one pool of ``workers``
+    processes; the table does not depend on it.  The walk, the longest
+    task, goes first (longest task first; Graham, SIAM J. Appl. Math. 17
+    (1969) 416-429), on ``workers`` kernel threads of its worker, and the
+    census task, which grows the shape tree and reduces it to the census
+    table (:func:`_census`), runs beside it on another worker, so the
+    command process runs neither and only waits for their results.  The
+    walk task returns its error, a node-cap overrun
     included, as a value, raised only after the census is done, so a census
     error wins over a walk error, as when the census ran before the walk,
     and leaving the pool on it ends the walk early.  A worker that dies is
@@ -689,13 +713,13 @@ def full_count_table(
             exact_contour_counts(k_max, cluster_cap=cluster_cap, workers=workers)
         raise
     kernel.load(_NEED)
-    census = (_shape_block, k_max, cap)
+    census = (_census, k_max, cap)
     # at one worker the tasks run in order in the caller: the census first, so that its error ends the run unwalked
     tasks = [(_walk_or_error, *walk), census] if workers > 1 else [census, (_walk_or_error, *walk)]
     with pool._fan_out(tasks, workers) as results:
         for index, value in results:
             if tasks[index] is census:
-                table = _census_table(k_max, cap, _census_covers(k_max, value))
+                table = value
             else:
                 sa = value
     if isinstance(sa, Exception):

@@ -6,7 +6,11 @@ circuit walk of the census, ``peierls_shapes`` the span-pruned shape tree
 with its contours, for the census and the event table of the truncated
 polynomial (:mod:`peierls.enumeration`), and ``peierls_classes`` the census's
 class pass, which checks, traces and classifies its distinct contours;
-``peierls_free`` releases the records ``peierls_shapes`` hands back.
+``peierls_free`` releases the records ``peierls_shapes`` hands back.  The
+walk splits its tree over POSIX threads, built with ``-pthread``, and joins
+them all before it returns, so a process that forks after a walk forks no
+running thread; the package's only other parallelism is the forked pool of
+:mod:`peierls.pool`.
 :func:`load` builds the source into a shared library, caches it and loads it
 once per process, so every command that runs one of them needs a C compiler
 ``cc``: ``simulate`` for the flood, ``counts`` and ``bounds --mode exact|sa``
@@ -22,7 +26,7 @@ from .errors import BuildError
 
 #: The kernel's C source, and the command that builds it into a shared library.
 SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
-BUILD = ("cc", "-O2", "-shared", "-fPIC")
+BUILD = ("cc", "-O2", "-shared", "-fPIC", "-pthread")
 #: The loaded library, set by :func:`load`.
 _library = None
 #: Seconds after its last load at which a cached kernel is removed by the next build.
@@ -86,7 +90,7 @@ def load(need: str):
     library.peierls_flood.restype = ctypes.c_int
     library.peierls_flood.argtypes = [uint64, uint64, int64, int32, uint64, int32, pointer, int32, pointer, pointer]
     library.peierls_walk.restype = ctypes.c_int
-    library.peierls_walk.argtypes = [int32, int32, int64, pointer, pointer, pointer]
+    library.peierls_walk.argtypes = [int32, int32, int64, int32, pointer, pointer, pointer]
     library.peierls_shapes.restype = ctypes.c_int
     library.peierls_shapes.argtypes = [int32, int32, pointer, pointer, pointer]
     library.peierls_free.restype = None

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from unittest import mock
 
 import pytest
@@ -271,7 +272,7 @@ def _end_this_worker(how: str) -> None:
     raise MemoryError("Unable to allocate 8.00 EiB for an array")
 
 
-def _walk_killed(k_max, rule, max_nodes):
+def _walk_killed(k_max, rule, max_nodes, threads):
     _end_this_worker("kill")
 
 
@@ -329,6 +330,41 @@ def test_monte_carlo_work_cap_exits_3_with_one_line(argv, capsys):
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _children(pid: int) -> list[int]:
+    """The child processes of the main thread of process ``pid``."""
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(child) for child in fh.read().split()]
+
+
+def test_ctrl_c_exits_130_with_one_line_and_leaves_no_worker():
+    # SIGINT to the command's process group, as Ctrl-C in a terminal sends
+    # it, once both of its workers run their trials
+    if not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"):
+        pytest.skip("no /proc children list to find the command's workers")
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["simulate", "--L", "128", "--c", "0.9", "--trials", "2000000", "--workers", "2"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "peierls.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as command:
+        deadline = time.monotonic() + 120
+        while command.poll() is None and len(_children(command.pid)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        workers = _children(command.pid) if command.poll() is None else []
+        os.killpg(command.pid, signal.SIGINT)
+        out, err = command.communicate(timeout=120)
+    assert len(workers) == 2
+    assert (command.returncode, out, err) == (130, "", "error: interrupted\n")
+    # the command reaped its workers: nothing of its process group is left
+    with pytest.raises(ProcessLookupError):
+        os.killpg(command.pid, 0)
 
 
 def test_simulate_without_a_compiler_exits_3_and_other_commands_run(tmp_path):

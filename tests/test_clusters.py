@@ -307,7 +307,7 @@ def block_cycles(contours):
     """The cycles the kernel's class pass traces for contour site sets, each moved to its corner as a census key."""
     corners = [(min(x for x, _ in c), min(y for _, y in c)) for c in contours]
     keys = [sum(1 << ((y - y0) * _CANON_STRIDE + x - x0) for x, y in c) for c, (x0, y0) in zip(contours, corners)]
-    _, cycles = enumeration._class_pass(keys, [0] * len(keys))
+    _, cycles = enumeration._class_pass(keys, [0] * len(keys), _CANON_STRIDE)
     out, at = [], 0
     for c, (x0, y0) in zip(contours, corners):
         out.append(tuple(zip([x + x0 for x in cycles[at : at + 2 * len(c) : 2]], [y + y0 for y in cycles[at + 1 : at + 2 * len(c) : 2]])))

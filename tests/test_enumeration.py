@@ -1,3 +1,4 @@
+import os
 from collections import Counter, defaultdict
 from functools import lru_cache
 from types import SimpleNamespace
@@ -383,16 +384,27 @@ def test_circuit_node_cap():
 
 @pytest.mark.parametrize("rule", ["five", "seven"])
 def test_walker_matches_recursive_oracle(rule):
+    # the walk's tree is split over its threads: any count of them gives the oracle's counts
     for k in range(4, 11):
-        fast = self_avoiding_circuit_count(k, rule=rule)
         slow = oracle_circuit_count(k, rule=rule)
-        assert (fast.walks, fast.distinct_sets, fast.nodes) == (slow.walks, slow.distinct_sets, slow.nodes)
+        for workers in (1, 2, 3):
+            fast = self_avoiding_circuit_count(k, rule=rule, workers=workers)
+            assert (fast.walks, fast.distinct_sets, fast.nodes) == (slow.walks, slow.distinct_sets, slow.nodes)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+def test_more_threads_than_subtrees_change_no_count():
+    # the kernel starts at most one thread a subtree, 20 under the five rule and 28 under the seven
+    for rule in ("five", "seven"):
+        serial = self_avoiding_circuit_count(6, rule=rule)
+        for workers in (20, 32):
+            assert self_avoiding_circuit_count(6, rule=rule, workers=workers) == serial
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_walker_node_cap_threshold_matches_oracle(workers):
-    # the cap is checked on the running total, so it is passed in the middle
-    # of the walk; full_count_table runs the walk on a forked worker at 2
+    # the cap is checked on the running total of every thread, so it is
+    # passed in the middle of the walk; full_count_table runs the walk on a
+    # forked worker, on as many threads, at 2 and 3
     nodes = self_avoiding_circuit_count(8).nodes
     walk = lambda k, max_nodes: self_avoiding_circuit_count(k, max_nodes=max_nodes, workers=workers)  # noqa: E731
     table = lambda k, max_nodes: full_count_table(k, max_nodes=max_nodes, workers=workers)  # noqa: E731
@@ -521,8 +533,9 @@ def test_shape_tree_allocation_failure_raises_memory_error(workers):
 def test_walk_past_the_start_bits_is_capped():
     # (k_max - 2) // 2 starts, one bit each in a 64-bit word: k_max = 131 is
     # the longest, and its walk starts (to pass a small node cap at once)
-    with pytest.raises(CapExceeded, match="circuit search exceeded 1000 nodes"):
-        self_avoiding_circuit_count(131, max_nodes=1000)
+    for workers in (1, 2):
+        with pytest.raises(CapExceeded, match="circuit search exceeded 1000 nodes"):
+            self_avoiding_circuit_count(131, max_nodes=1000, workers=workers)
     with mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was loaded")):
         for k in (132, 133, 10**6):
             with pytest.raises(CapExceeded, match=f"circuit length {k} exceeds the walker's start-bit encoding"):
@@ -541,8 +554,8 @@ def test_shape_limit_threshold():
 
 def test_the_walk_task_is_capped_on_its_own():
     with pytest.raises(CapExceeded):
-        _circuit_walk(10, "five", 100)
-    # the shape limit is checked once, before the shape task starts, not in it
+        _circuit_walk(10, "five", 100, 1)
+    # the shape limit is checked once, before the census task starts, not in it
     shapes = _shape_block(10, interior_capacity(10))
     with mock.patch.object(enumeration, "_SHAPE_LIMIT", 100):
         assert _shape_block(10, interior_capacity(10)) == shapes
@@ -593,8 +606,26 @@ def test_full_count_table_fans_out_once(monkeypatch):
     for workers in (1, 2, 3):
         calls.clear()
         full_count_table(8, workers=workers)
-        # the one shape task and the circuit walk
+        # the one census task and the circuit walk
         assert calls == [2]
+
+
+def test_at_two_workers_the_caller_neither_walks_nor_reduces_the_census(monkeypatch):
+    # both run on forked workers, so none of their CPU lands in the command process
+    caller = os.getpid()
+
+    def elsewhere(fn):
+        def run(*args):
+            assert os.getpid() != caller, f"{fn.__name__} ran in the caller"
+            return fn(*args)
+
+        return run
+
+    serial = full_count_table(8, workers=1)
+    for name in ("_circuit_walk", "_census_covers", "_census_table"):
+        monkeypatch.setattr(enumeration, name, elsewhere(getattr(enumeration, name)))
+    for workers in (2, 3):
+        assert full_count_table(8, workers=workers) == serial
 
 
 def test_census_rejects_fewer_than_one_worker():
@@ -751,16 +782,18 @@ def test_every_record_is_keyed_at_its_contour_corner(cap, span, longer):
 @given(k_max=st.integers(4, 10))
 def test_classes_and_witnesses_match_the_oracle(k_max):
     cap = interior_capacity(k_max)
-    covers = _census_covers(k_max, _shape_block(k_max, cap))
-    table = _census_table(k_max, cap, covers)
+    shapes = _shape_block(k_max, cap)
+    covers = _census_covers(k_max, shapes)
+    table = _census_table(k_max, cap, covers, shapes.height)
     assert (table.classes, table.witnesses) == census_classes([covers])
 
 
 def test_kernel_class_pass_matches_the_oracle_on_every_contour_to_length_twelve():
     # the 1,566 distinct contours of the census at k = 12 around their 12,368
     # origin positions, checked and classified one at a time by the oracle
-    covers = _census_covers(12, _shape_block(12, 13))
-    table = _census_table(12, 13, covers)
+    shapes = _shape_block(12, 13)
+    covers = _census_covers(12, shapes)
+    table = _census_table(12, 13, covers, shapes.height)
     assert (table.classes, table.witnesses) == census_classes([covers])
     assert sum(table.classes.values()) == sum(table.exact.values()) == 12_368
 
@@ -775,8 +808,8 @@ def _covers_of(contour, positions):
 
 
 def _census_of(contour, positions):
-    """The census table of one canonical contour around the given origin positions."""
-    return _census_table(4, 1, _covers_of(contour, positions))
+    """The census table of one canonical contour around the given origin positions, in keys of 32 rows."""
+    return _census_table(4, 1, _covers_of(contour, positions), _CANON_STRIDE)
 
 
 def test_crafted_census_classifies_its_contour():

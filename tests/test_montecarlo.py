@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import math
 import os
 import re
@@ -485,7 +486,7 @@ def test_flood_refuses_targets_without_the_right_column_before_the_kernel():
 def test_kernel_compiles_without_warnings(tmp_path):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
-    flags = ("-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC")
+    flags = ("-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC", "-pthread")
     build = subprocess.run(
         ["cc", *flags, "-o", str(tmp_path / "kernel.so"), kernel.SOURCE],
         capture_output=True,
@@ -493,17 +494,17 @@ def test_kernel_compiles_without_warnings(tmp_path):
         timeout=300,
     )
     assert build.returncode == 0 and build.stderr == "", build.stderr
-    # the strict build's circuit walk gives the package's counts, and stops
-    # with code 1 when its cap is passed mid-walk
+    # the strict build's circuit walk gives the package's counts at 1, 2 and
+    # 3 threads, and stops with code 1 when its cap is passed mid-walk
     library = ctypes.CDLL(str(tmp_path / "kernel.so"))
     walk = library.peierls_walk
-    walk.argtypes = [ctypes.c_int32, ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+    walk.argtypes = [ctypes.c_int32, ctypes.c_int32, ctypes.c_int64, ctypes.c_int32, *[ctypes.c_void_p] * 3]
     for rule, turns in (("five", 2), ("seven", 3)):
-        for k in range(4, 11):
+        for k, threads in itertools.product(range(4, 11), (1, 2, 3)):
             walks, distinct, nodes = np.zeros(k + 1, np.int64), np.zeros(k + 1, np.int64), np.zeros(1, np.int64)
             sa = self_avoiding_circuit_count(k, rule=rule)
             for cap, code in ((sa.nodes // 2, 1), (sa.nodes, 0)):
-                assert walk(k, turns, cap, walks.ctypes.data, distinct.ctypes.data, nodes.ctypes.data) == code
+                assert walk(k, turns, cap, threads, walks.ctypes.data, distinct.ctypes.data, nodes.ctypes.data) == code
             assert (walks[4:].tolist(), distinct[4:].tolist(), int(nodes[0])) == (
                 list(sa.walks.values()),
                 list(sa.distinct_sets.values()),
@@ -528,9 +529,10 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 
 #: The test program of the sanitizer build, which includes the kernel's source to reach its static functions.  The
-#: circuit walk of both rules at k_max = 4..10 and of the five rule at k_max = 12, whole and cut short, and the longest
-#: walk cut short; the subtree of the first step SE as NE's reflection against SE's walked, at k_max = 12 and, under the
-#: seven rule, 10; and the walk's dedup fed crafted records of one key with different start bits.  The shape tree at
+#: circuit walk of both rules at k_max = 4..10 and of the five rule at k_max = 12, at 1, 2 and 3 threads, whole and cut
+#: short, and the longest walk cut short; the subtree of the first step SE as NE's reflection against SE's walked, at
+#: k_max = 12 and, under the seven rule, 10; and the walk's shards fed crafted records of one key, with different start
+#: bits, from two threads.  The shape tree at
 #: max_len = 4..13 with the census's cap, its shapes of full box height among them, every record checked, and crafted
 #: shapes built in the widest frame, 34 columns at cap 30.  The class pass on the widest and the tallest contours a census key
 #: holds, and on a contour for each check that fails.  Floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column,
@@ -541,15 +543,25 @@ _SANITIZER_DRIVER = r"""
 
 #include "_kernel.c"
 
-/* Three closed-walk records of length 5: two of one mask with the start bits 011 and 110, one of another mask with
- * 001.  The dedup ORs the bits of equal keys, so distinct[5] counts the 3 starts of the union and the 1 of the other
- * mask: 1 unless it counts 4. */
+/* Records from two threads in two shards: key 0x15 with the start bits 011 from one thread and 110 from the other, and
+ * 0x17 and 0x1F with 001 and 100, one each.  Each key's shard ORs the bits of its equals, so distinct[2], the length of
+ * the 3-site key 0x15, counts the 3 starts of their union, and distinct[3] and distinct[4] 1 each: 1 unless it does. */
 static int dedup(void)
 {
-    uint64_t rec[9] = {5, 0x15, 0x3, 5, 0x15, 0x6, 5, 0x17, 0x1};
-    int64_t distinct[6] = {0};
-    struct walk w = {.width = 1, .rec = rec, .nrec = 3};
-    return count_distinct(&w, distinct) != 0 || distinct[5] != 4;
+    struct circuits c = {.threads = 2};
+    const uint64_t keys[4] = {0x15, 0x17, 0x15, 0x1F}, bits[4] = {0x3, 0x1, 0x6, 0x4};
+    int64_t distinct[5] = {0};
+    int bad = 0;
+    for (int32_t t = 0; t < 2; t++)
+        c.walkers[t] = (struct walker){.c = &c, .width = 1};
+    for (int32_t i = 0; i < 4; i++)
+        bad |= record(&c.walkers[i / 2], &keys[i], bits[i]);
+    for (int32_t s = 0; s < 2; s++)
+        bad |= dedupe(&c, s, distinct);
+    for (int32_t t = 0; t < 2; t++)
+        for (int32_t s = 0; s < 2; s++)
+            free(c.walkers[t].out[s].rec);
+    return bad || distinct[2] != 3 || distinct[3] != 1 || distinct[4] != 1;
 }
 
 /* The class pass over one contour of `height` key rows, around the positions of the rows cover: its code, with the
@@ -638,40 +650,45 @@ static int by_words(const void *a, const void *b)
     return memcmp(a, b, RECORD * sizeof(uint64_t));
 }
 
-/* The subtree of the first step SE, walked as NE's reflection (mirror) and walked as it is: the same nodes, the same
- * walks[d], and the same records, in another order.  1 when they differ or a walk fails, else 0. */
+/* The subtree of the first step SE, walked as NE's reflection and walked as it is: NE's subtrees at weight 2 against
+ * NE's and SE's at weight 1, on one thread each, give the same nodes, the same walks[d], and the same records, in
+ * another order.  1 when they differ or a walk fails, else 0. */
 static int mirrored(int32_t k_max, int32_t turns)
 {
-    int64_t reflected[64], walked[64];
-    struct walk a, b;
-    int bad = open_walk(&a, k_max, turns, INT64_MAX, reflected) | open_walk(&b, k_max, turns, INT64_MAX, walked);
-    bad = bad || subtree(&a, 1) || subtree(&b, 1);
-    const size_t ne = a.nrec;
-    bad = bad || mirror(&a) || subtree(&b, 7) || a.nodes != b.nodes || a.nrec != b.nrec || a.nrec != 2 * ne || ne < 1;
-    bad = bad || memcmp(reflected, walked, (size_t)(k_max + 1) * sizeof *walked);
+    struct circuits a, b;
+    int bad = open_walk(&a, k_max, turns, INT64_MAX, 1) | open_walk(&b, k_max, turns, INT64_MAX, 1);
+    struct walker *reflected = &a.walkers[0], *walked = &b.walkers[0];
+    for (int32_t t = -turns; t <= turns && !bad; t++)
+        bad = subtree(reflected, 1, t, 2) || subtree(walked, 1, t, 1) || subtree(walked, 7, t, 1);
+    flush(reflected);
+    flush(walked);
+    const size_t n = reflected->out[0].n;
+    bad = bad || a.total != b.total || n != walked->out[0].n || n < 2;
+    bad = bad || memcmp(reflected->walks, walked->walks, (size_t)(k_max + 1) * sizeof *walked->walks);
     if (!bad) {
-        RECORD = (size_t)a.width + 2;
-        qsort(a.rec + ne * RECORD, ne, RECORD * sizeof *a.rec, by_words);
-        qsort(b.rec + ne * RECORD, ne, RECORD * sizeof *b.rec, by_words);
-        bad = memcmp(a.rec, b.rec, 2 * ne * RECORD * sizeof *a.rec) != 0;
+        RECORD = (size_t)reflected->width + 1;
+        qsort(reflected->out[0].rec, n, RECORD * sizeof(uint64_t), by_words);
+        qsort(walked->out[0].rec, n, RECORD * sizeof(uint64_t), by_words);
+        bad = memcmp(reflected->out[0].rec, walked->out[0].rec, n * RECORD * sizeof(uint64_t)) != 0;
     }
     close_walk(&a);
     close_walk(&b);
     return bad;
 }
 
-/* The walk at k_max, into arrays of exactly its size: whole, then cut short one node before its end, and, for the
- * five rule, the pinned counts walks[10] = 8383 and distinct[10] = 6643 at k_max = 10, and walks[12] = 178443,
- * distinct[12] = 133545 and 6,401,240 nodes at k_max = 12, whose distinct sets come from 161,180 closed-walk records. */
-static int walk(int32_t k_max, int32_t turns)
+/* The walk at k_max on `threads` threads, into arrays of exactly its size: whole, then cut short one node before its
+ * end, and, for the five rule, the pinned counts walks[10] = 8383 and distinct[10] = 6643 at k_max = 10, and
+ * walks[12] = 178443, distinct[12] = 133545 and 6,401,240 nodes at k_max = 12, whose distinct sets come from 161,180
+ * closed-walk records. */
+static int walk(int32_t k_max, int32_t turns, int32_t threads)
 {
     int64_t *walks = malloc((k_max + 1) * sizeof *walks), *distinct = malloc((k_max + 1) * sizeof *distinct), nodes;
-    int bad = peierls_walk(k_max, turns, INT64_MAX, walks, distinct, &nodes) != 0 || nodes < 1 ||
+    int bad = peierls_walk(k_max, turns, INT64_MAX, threads, walks, distinct, &nodes) != 0 || nodes < 1 ||
               (k_max == 10 && turns == 2 && (walks[10] != 8383 || distinct[10] != 6643)) ||
               (k_max == 12 && turns == 2 && (walks[12] != 178443 || distinct[12] != 133545 || nodes != 6401240));
     for (int32_t k = 4; k <= k_max; k++)
         bad |= distinct[k] < 0 || distinct[k] > walks[k];
-    bad |= peierls_walk(k_max, turns, nodes - 1, walks, distinct, &nodes) != 1;
+    bad |= peierls_walk(k_max, turns, nodes - 1, threads, walks, distinct, &nodes) != 1;
     free(walks);
     free(distinct);
     return bad;
@@ -722,18 +739,21 @@ int main(void)
         where[1] != 2 || class_pass(3, (const uint32_t[3]){0x80, 0x140, 0x80}, (const uint32_t[3]){0, 0, 2}) !=
         FIRST_STEP || where[0] != -1 || where[1] != -1 || where[2] != 6)
         return 11;
-    for (int32_t k = 4; k <= 10; k++)
-        if (walk(k, 2) || walk(k, 3))
+    for (int32_t threads = 1; threads <= 3; threads++) {
+        for (int32_t k = 4; k <= 10; k++)
+            if (walk(k, 2, threads) || walk(k, 3, threads))
+                return 4;
+        if (walk(12, 2, threads))
             return 4;
-    if (walk(12, 2))
-        return 4;
+    }
     /* SE's subtree as NE's reflection, against SE's walked: at k_max = 12, 21,557 reflected records */
     if (mirrored(12, 2) || mirrored(10, 3))
         return 12;
     /* the longest walk the start bits allow, its 64th start included, cut short at once */
     int64_t walks[132], distinct[132], nodes;
-    if (peierls_walk(131, 3, 1000, walks, distinct, &nodes) != 1)
-        return 5;
+    for (int32_t threads = 1; threads <= 3; threads++)
+        if (peierls_walk(131, 3, 1000, threads, walks, distinct, &nodes) != 1)
+            return 5;
     /* the census's tree, every record checked: at max_len = 12, 2,797 kept of 2,813 built, at 13, 13,357 of 13,597 */
     for (int32_t k = 4; k <= 13; k++) {
         const int32_t cap = (k * k - 4 * k + 8) / 8;
@@ -802,13 +822,113 @@ int main(void)
 def test_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
-    flags = ("-std=c99", "-g", "-O1", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+    flags = ("-std=c99", "-g", "-O1", "-pthread", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
     probe = tmp_path / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")
     if subprocess.run(["cc", *flags, "-o", str(tmp_path / "probe"), str(probe)], capture_output=True, timeout=300).returncode:
         pytest.skip("cc cannot link the address and undefined behaviour sanitizer runtimes")
     driver = tmp_path / "driver.c"
     driver.write_text(_SANITIZER_DRIVER)
+    build = subprocess.run(
+        ["cc", *flags, "-I", os.path.dirname(kernel.SOURCE), "-o", str(tmp_path / "driver"), str(driver)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert build.returncode == 0, build.stderr
+    run = subprocess.run([str(tmp_path / "driver")], capture_output=True, text=True, timeout=300)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "ok\n", "")
+
+
+#: The test program of the thread sanitizer build, which includes the kernel's source with pthread_create counted, and
+#: refused past a limit.  The circuit walk of both rules at k_max = 4..10 on 1, 2 and 3 threads, whole and cut short,
+#: against the counts of the first thread count and the pinned counts at k_max = 10; the longest walk cut short at
+#: once; 32 threads asked for at k_max = 6, which sets up one walker a subtree; and walks of 3 threads, all of them
+#: started, or not all.  No walk starts more than 3 threads.
+_THREAD_SANITIZER_DRIVER = r"""
+#include <errno.h>
+#include <pthread.h>
+#include <stdio.h>
+
+/* The threads started, and the number after which pthread_create fails, or -1 for none. */
+static int started, refuse = -1;
+
+static int start(pthread_t *id, const pthread_attr_t *attr, void *(*body)(void *), void *arg)
+{
+    if (refuse >= 0 && started >= refuse)
+        return EAGAIN;
+    started++;
+    return pthread_create(id, attr, body, arg);
+}
+
+#define pthread_create start
+#include "_kernel.c"
+
+/* walks[10], distinct[10] and the nodes at k_max = 10, under the five rule and the seven */
+static const int64_t PINNED[2][3] = {{8383, 6643, 327086}, {48924, 22700, 2590361}};
+
+/* The walk at k_max under `turns` on 1, 2 and 3 threads, and cut short one node before its end: 1 unless every thread
+ * count gives the counts of one thread, and the pinned counts at k_max = 10, else 0. */
+static int walks(int32_t k_max, int32_t turns)
+{
+    int64_t first[2][11] = {{0}}, counts[2][11] = {{0}}, nodes1 = 0, nodes;
+    int bad = 0;
+    for (int32_t threads = 1; threads <= 3; threads++) {
+        int64_t(*into)[11] = threads == 1 ? first : counts;
+        bad |= peierls_walk(k_max, turns, INT64_MAX, threads, into[0], into[1], &nodes) != 0;
+        if (threads == 1)
+            nodes1 = nodes;
+        else
+            bad |= nodes != nodes1 || memcmp(first, counts, sizeof first) != 0;
+        bad |= peierls_walk(k_max, turns, nodes1 - 1, threads, counts[0], counts[1], &nodes) != 1;
+    }
+    const int64_t *pinned = PINNED[turns - 2];
+    return bad || (k_max == 10 && (first[0][10] != pinned[0] || first[1][10] != pinned[1] || nodes1 != pinned[2]));
+}
+
+int main(void)
+{
+    for (int32_t k = 4; k <= 10; k++)
+        if (walks(k, 2) || walks(k, 3))
+            return 1;
+    int64_t counts[2][132], nodes;
+    for (int32_t threads = 1; threads <= 3; threads++)
+        if (peierls_walk(131, 3, 1000, threads, counts[0], counts[1], &nodes) != 1)
+            return 2;
+    /* 32 threads asked for: one a subtree, 20 under the five rule and 28 under the seven, set up and none started */
+    struct circuits c;
+    for (int32_t turns = 2; turns <= 3; turns++) {
+        const int bad = open_walk(&c, 6, turns, INT64_MAX, 32) || c.threads != 4 * (2 * turns + 1);
+        close_walk(&c);
+        if (bad)
+            return 3;
+    }
+    /* 3 threads asked for: 2 started besides the caller's in each of the two rounds, and then none, and one only:
+     * the caller walks what the missing threads would have */
+    int64_t one[2][7], many[2][7], nodes1;
+    for (refuse = -1; refuse <= 1; refuse++) {
+        started = 0;
+        if (peierls_walk(6, 2, INT64_MAX, 1, one[0], one[1], &nodes1) || started != 0 ||
+            peierls_walk(6, 2, INT64_MAX, 3, many[0], many[1], &nodes) || started != (refuse < 0 ? 4 : refuse) ||
+            nodes != nodes1 || memcmp(one, many, sizeof one))
+            return 4;
+    }
+    puts("ok");
+    return 0;
+}
+"""
+
+
+def test_the_walk_runs_clean_under_the_thread_sanitizer(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler cc on PATH")
+    flags = ("-std=c99", "-g", "-O1", "-pthread", "-fsanitize=thread")
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    if subprocess.run(["cc", *flags, "-o", str(tmp_path / "probe"), str(probe)], capture_output=True, timeout=300).returncode:
+        pytest.skip("cc cannot link the thread sanitizer runtime")
+    driver = tmp_path / "driver.c"
+    driver.write_text(_THREAD_SANITIZER_DRIVER)
     build = subprocess.run(
         ["cc", *flags, "-I", os.path.dirname(kernel.SOURCE), "-o", str(tmp_path / "driver"), str(driver)],
         capture_output=True,
