@@ -30,8 +30,24 @@
  * result can exceed, so a flood at m = 1 ends when the occupied sites joined to the sources run out.  A site is
  * hashed when the flood first borders it, so a flood hashes only the sites it borders, each once.
  *
- * Every site of the right column must be a target: the flood stops on a target, so a site it steps from always
- * has a right neighbour.
+ * The flood runs on a framed copy of the window: its (2L+1) x (2L+1) sites inside a frame one site wide, W = 2L + 3
+ * sites a row, so that window site (x, y) is s = (y + L + 1) * W + x + L + 1 and its neighbours are s - 1, s + 1, s - W
+ * and s + W.  The frame is marked bordered before each field's flood, so the flood never files a frame site and no
+ * step tests x or y against the window's edges, whatever the targets; the target mask is copied into the framed
+ * window once a call, 0 on the frame.  A site's framed coordinates travel with it, packed as
+ * (y + L + 1) * 2**16 + x + L + 1 in at[s] when it is filed, so a taken site's column and row cost no division.  At
+ * the largest window _SITE_LIMIT in montecarlo.py admits, radius 16383, W = 32769: W * W = 1,073,807,361, and a filed
+ * site, never on the frame, packs to at most 32767 * 2**16 + 32767 = 2,147,450,879, both below 2**31, so both fit an
+ * int32.
+ *
+ * A taken site hashes its four neighbours before it tests which are new, so their four mix chains overlap, and then
+ * files the new ones left, up, down and right.  A bucket is a stack, so within a level the flood is a depth-first
+ * search that takes the right neighbour, filed last, first: at a field's last level it heads for the right column.
+ * No order in which one level's sites are taken can change a result.  A site taken at level j is joined to a source
+ * by sites of key at most j.  The flood leaves level j only when its border holds no site of level j or below, and a
+ * site of key at most j first bordered at a level cur <= j is filed at most at j, so by then it has taken every site
+ * joined to a source by sites of key at most j.  So it first takes a target at the least j at which such sites join
+ * a source to one, in whatever order it takes that level's sites.
  *
  * The border is a bucket queue: head[k] starts a list, linked through next, of the bordering sites of level k,
  * k < 2**m.  A site first bordered at level cur is filed at max(key, cur), since the level never falls, so the
@@ -67,12 +83,23 @@ static int32_t key_of(uint64_t h, uint64_t bound, int32_t shift)
     return h < bound ? 0 : h >> shift ? (int32_t)(h >> shift) : 1;
 }
 
-/* File site s, of hash h, on the border of the flood at level max(its key, floor): a step of peierls_flood, on its
- * bound, shift, stamp and bucket queue. */
-#define BORDER(s, h, floor)                                                                                            \
+/* Mark the one-site frame of the W x W framed window bordered: seen[s] = stamp on its first and last rows, and on its
+ * last and first columns, which meet end to end from one row to the next. */
+static void frame(uint8_t *seen, int32_t W, uint8_t stamp)
+{
+    memset(seen, stamp, (size_t)W);
+    memset(seen + (size_t)W * (W - 1), stamp, (size_t)W);
+    for (int32_t s = W - 1; s < W * (W - 1); s += W)
+        seen[s] = seen[s + 1] = stamp;
+}
+
+/* File site s, of hash h and packed coordinates p, on the border of the flood at level max(its key, cur): a step of
+ * peierls_flood, on its bound, shift, stamp, coordinates and bucket queue. */
+#define BORDER(s, h, p)                                                                                                \
     do {                                                                                                               \
-        const int32_t key_ = key_of(h, bound, shift), level_ = key_ > (floor) ? key_ : (floor);                        \
+        const int32_t key_ = key_of(h, bound, shift), level_ = key_ > cur ? key_ : cur;                                \
         seen[s] = stamp;                                                                                               \
+        at[s] = (p);                                                                                                   \
         next[s] = head[level_];                                                                                        \
         head[level_] = (s);                                                                                            \
     } while (0)
@@ -83,34 +110,39 @@ static int32_t key_of(uint64_t h, uint64_t bound, int32_t shift)
 int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_t bound, int32_t m,
                   const int32_t *sources, int32_t nsources, const uint8_t *target, int32_t *out)
 {
-    const int32_t side = 2 * L + 1, n = side * side, top = (1 << m) - 1, shift = 64 - m;
+    const int32_t side = 2 * L + 1, W = side + 2, n = W * W, top = (1 << m) - 1, shift = 64 - m, ROW = 1 << 16;
     int32_t *head = malloc(((size_t)top + 1) * sizeof *head);
-    int32_t *next = malloc((size_t)n * sizeof *next);
-    uint8_t *seen = calloc((size_t)n, 1), stamp = 0;
-    uint64_t *hx = malloc((size_t)side * sizeof *hx);
-    if (!head || !next || !seen || !hx) {
+    int32_t *next = malloc((size_t)n * sizeof *next), *at = malloc((size_t)n * sizeof *at);
+    uint8_t *seen = calloc((size_t)n, 1), *goal = calloc((size_t)n, 1), stamp = 0;
+    uint64_t *hx = malloc((size_t)W * sizeof *hx);
+    if (!head || !next || !at || !seen || !goal || !hx) {
         free(head);
         free(next);
+        free(at);
         free(seen);
+        free(goal);
         free(hx);
         return -1;
     }
+    for (int32_t y = 0; y < side; y++)
+        memcpy(goal + (size_t)(y + 1) * W + 1, target + (size_t)y * side, (size_t)side);
     for (int64_t f = 0; f < fields; f++) {
         const uint64_t h0 = mix(mix(seed ^ (t0 + (uint64_t)f) * TRIALSALT) ^ GOLDEN);
-        for (int32_t x = 0; x < side; x++)
-            hx[x] = mix(h0 + (uint64_t)(x - L) * XSALT);
+        for (int32_t x = 0; x < W; x++)
+            hx[x] = mix(h0 + (uint64_t)(x - 1 - L) * XSALT);
         memset(head, 0xff, (size_t)top * sizeof *head); /* every list below the top empty: -1 */
         head[top] = 0;
         if (!++stamp) { /* past 255: no site bordered by an earlier field may carry the new stamp */
             memset(seen, 0, (size_t)n);
             stamp = 1;
         }
-        for (int32_t i = 0; i < nsources; i++) {
-            const int32_t s = sources[i];
-            if (seen[s] != stamp)
-                BORDER(s, mix(hx[s % side] + (uint64_t)(s / side - L) * YSALT), 0);
-        }
+        frame(seen, W, stamp);
         int32_t cur = 0;
+        for (int32_t i = 0; i < nsources; i++) {
+            const int32_t x = sources[i] % side + 1, y = sources[i] / side + 1, s = y * W + x;
+            if (seen[s] != stamp)
+                BORDER(s, mix(hx[x] + (uint64_t)(y - 1 - L) * YSALT), y * ROW + x);
+        }
         for (;;) {
             while (head[cur] < 0)
                 cur++;
@@ -118,26 +150,30 @@ int peierls_flood(uint64_t seed, uint64_t t0, int64_t fields, int32_t L, uint64_
                 break;
             const int32_t s = head[cur];
             head[cur] = next[s];
-            if (target[s])
+            if (goal[s])
                 break;
-            /* the neighbours right, left, down and up, hashed by column and row term yt = y * YSALT; s, being no
-             * target, is not on the right column */
-            const int32_t x = s % side, y = s / side;
-            const uint64_t yt = (uint64_t)(y - L) * YSALT;
+            /* the four neighbours' hashes, by column and row term yt = y * YSALT, then the new ones filed left, up,
+             * down and right, so that the right one is taken first */
+            const int32_t p = at[s], x = p & (ROW - 1);
+            const uint64_t yt = (uint64_t)((p >> 16) - 1 - L) * YSALT, hc = hx[x] + yt;
+            const uint64_t hl = mix(hx[x - 1] + yt), hu = mix(hc + YSALT), hd = mix(hc - YSALT),
+                           hr = mix(hx[x + 1] + yt);
+            if (seen[s - 1] != stamp)
+                BORDER(s - 1, hl, p - 1);
+            if (seen[s + W] != stamp)
+                BORDER(s + W, hu, p + ROW);
+            if (seen[s - W] != stamp)
+                BORDER(s - W, hd, p - ROW);
             if (seen[s + 1] != stamp)
-                BORDER(s + 1, mix(hx[x + 1] + yt), cur);
-            if (x && seen[s - 1] != stamp)
-                BORDER(s - 1, mix(hx[x - 1] + yt), cur);
-            if (y < side - 1 && seen[s + side] != stamp)
-                BORDER(s + side, mix(hx[x] + yt + YSALT), cur);
-            if (y && seen[s - side] != stamp)
-                BORDER(s - side, mix(hx[x] + yt - YSALT), cur);
+                BORDER(s + 1, hr, p + 1);
         }
         out[f] = cur;
     }
     free(head);
     free(next);
+    free(at);
     free(seen);
+    free(goal);
     free(hx);
     return 0;
 }

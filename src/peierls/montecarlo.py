@@ -116,11 +116,12 @@ def _flood(seed: int, t0: int, fields: int, L: int, bound: int, m: int, sources:
     path (of sites hashed below ``bound``) joins them, and with
     ``bound = 2**(64 - m)`` an occupied path joins them at c = j / 2**m
     exactly when j exceeds it.  It is found by the compiled invasion flood
-    (:func:`peierls.kernel.load`), which hashes each site it borders once.  The
-    kernel never tests the right edge, so ``target`` must hold the whole right
-    column; a mask without it or of another size, a source off the window, a
-    bound outside [0, 2**64) or m out of range raises :class:`ValueError`
-    before the kernel runs.  The results are an ``array`` of C ints.
+    (:func:`peierls.kernel.load`), which hashes each site it borders once and
+    runs on a copy of the window framed by sites it never takes, so any mask
+    of targets will do, the empty one too (every result is then 2**m - 1).
+    A mask of another size, a source off the window, a bound outside
+    [0, 2**64) or m out of range raises :class:`ValueError` before the kernel
+    runs.  The results are an ``array`` of C ints.
     """
     side = 2 * L + 1
     sources, target = list(sources), bytes(target)
@@ -129,11 +130,9 @@ def _flood(seed: int, t0: int, fields: int, L: int, bound: int, m: int, sources:
         and 0 <= bound <= _M64
         and all(0 <= s < side * side for s in sources)
         and len(target) == side * side
-        and all(target[side - 1 :: side])
     ):
         raise ValueError(
-            f"a flood needs 1 <= m <= 16, a 64-bit bound, sources on its {side} x {side} window"
-            " and targets that hold its right column"
+            f"a flood needs 1 <= m <= 16, a 64-bit bound, and sources and a target mask on its {side} x {side} window"
         )
     sources, out = array("i", sources), array("i", bytes(4 * fields))
     if kernel.load(_NEED).peierls_flood(
@@ -199,10 +198,10 @@ def _count_events(counter, L: int, c, trials: int, seed: int, workers: int):
         return reduce(add, (count for _, count in results))
 
 
-#: Sites in one field.  A flood takes about 5 bytes of scratch a site, the
-#: int32 bucket links and the seen bytes, and no key array is ever built.  So
-#: 2**30 sites, radius 16383, flood in about 5 GiB; radius 100000 would need
-#: 200 GB.
+#: Sites in one field.  A flood takes about 10 bytes of scratch a site of its
+#: framed window, the int32 bucket links and packed coordinates and the seen
+#: and target bytes, and no key array is ever built.  So 2**30 sites, radius
+#: 16383, flood in about 10 GiB; radius 100000 would need 400 GB.
 _SITE_LIMIT = 1 << 30
 #: Trials x sites in one run.  Memory stays bounded at any trial count, since
 #: chunks are made lazily, each of at most ``_CHUNK_SITE_TRIALS``, and few

@@ -1,8 +1,8 @@
 """The library's site keys and occupancy, read out of its flood kernel one site at a time.
 
 The kernel holds the library's only site hash and never returns a key, but a
-flood from one site s to the targets {s} plus the window's right column takes
-s first, so its result is the key of s: 0 when the site's hash is below the
+flood from one site s to the target s takes s first, so its result is the
+key of s: 0 when the site's hash is below the
 bound, else max(1, hash >> (64 - m)).  The tests compare these keys with
 :mod:`hash_oracle` bit for bit.
 """
@@ -18,11 +18,9 @@ def site_keys(seed: int, L: int, bound: int, m: int, t0: int, t1: int) -> np.nda
     """Key of every site of trials t0..t1-1; ``[t, y + L, x + L]`` is site (x, y) of trial t0 + t, one flood per site."""
     side = 2 * L + 1
     keys = np.empty((t1 - t0, side * side), dtype=np.int32)
-    right = np.zeros((side, side), dtype=bool)
-    right[:, -1] = True
     for s in range(side * side):
-        target = right.copy()
-        target.flat[s] = True
+        target = np.zeros(side * side, dtype=bool)
+        target[s] = True
         keys[:, s] = _flood(seed, t0, t1 - t0, L, bound, m, [s], target)
     return keys.reshape(t1 - t0, side, side)
 

@@ -136,8 +136,8 @@ def test_hash_windows_on_threads_match_the_serial_result():
 )
 def test_kernel_keys_match_the_hash_oracle_bit_for_bit(seed, t0, L, n):
     # every site of every trial, trial indices past 2**64 wrapping as the
-    # oracle's do; a flood from a site s to {s} and the right column returns
-    # the key of s (kernel_keys.site_keys)
+    # oracle's do; a flood from a site s to s returns the key of s
+    # (kernel_keys.site_keys)
     side = 2 * L + 1
     hashes = trial_hashes(seed, L, t0, t0 + n)
     assert np.array_equal(kernel_keys.site_keys(seed, L, 1 << 48, 16, t0, t0 + n), hashes >> np.uint64(48))
@@ -146,12 +146,10 @@ def test_kernel_keys_match_the_hash_oracle_bit_for_bit(seed, t0, L, n):
         for x, y in ((-L, -L), (L, -L), (-L, L), (L, L), (0, 0)):
             assert int(hashes[t, y + L, x + L]) == _site_hash(trial_seed(seed, t0 + t), x, y)
     # at m = 1 a site is vacant (key 1) at the bound of its own hash and occupied (key 0) one above it
-    right = np.zeros((side, side), dtype=bool)
-    right[:, -1] = True
     for t in range(n):
         for s in range(side * side):
-            target = right.copy()
-            target.flat[s] = True
+            target = np.zeros(side * side, dtype=bool)
+            target[s] = True
             h = int(hashes[t].flat[s])
             assert _flood(seed, t0 + t, 1, L, h, 1, [s], target).tolist() == [1]
             if h < (1 << 64) - 1:

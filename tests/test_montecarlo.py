@@ -450,25 +450,22 @@ def _oracle_flood(field: np.ndarray, m: int, sources, target: np.ndarray) -> int
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(-(1 << 70), 1 << 70), st.integers(0, (1 << 64) - 1), st.integers(1, 4), st.integers(1, 5), st.data())
+@given(st.integers(-(1 << 70), 1 << 70), st.integers(0, (1 << 64) - 1), st.integers(1, 4), st.integers(1, 8), st.data())
 def test_flood_matches_labelling_oracle(seed, t0, L, m, data):
-    # any source set and target mask that holds the right column, over hashed
-    # windows keyed at the bisection bound 2**(64 - m) or at any other
+    # any source set and any target mask, one without the right column or
+    # empty too, over hashed windows keyed at the bisection bound 2**(64 - m)
+    # or at any other, m up to 8, the grid of --tol 0.005
     side = 2 * L + 1
     bound = data.draw(st.one_of(st.just(1 << (64 - m)), st.integers(0, _M64)))
     sources = data.draw(st.lists(st.integers(0, side * side - 1), max_size=6))
     target = np.array(data.draw(st.lists(st.booleans(), min_size=side * side, max_size=side * side))).reshape(side, side)
-    target[:, -1] = True
     expected = [_oracle_flood(field, m, sources, target) for field in _oracle_keys(seed, L, bound, m, t0, t0 + 3)]
     assert _flood(seed, t0, 3, L, bound, m, sources, target).tolist() == expected
 
 
-def test_flood_refuses_targets_without_the_right_column_before_the_kernel():
-    gap = np.ones((5, 5), dtype=bool)
-    gap[2, -1] = False
+def test_flood_refuses_bad_masks_sources_m_and_bounds_before_the_kernel():
     whole = np.ones((5, 5), dtype=bool)
     bad = (
-        (gap, [0], 1, 0),
         (whole[:, :4], [0], 1, 0),
         (whole, [25], 1, 0),
         (whole, [-1], 1, 0),
@@ -479,7 +476,7 @@ def test_flood_refuses_targets_without_the_right_column_before_the_kernel():
     )
     with mock.patch.object(kernel, "load", side_effect=AssertionError("the kernel was called")):
         for target, sources, m, bound in bad:
-            with pytest.raises(ValueError, match="right column"):
+            with pytest.raises(ValueError, match="sources and a target mask on its 5 x 5 window"):
                 _flood(3, 0, 2, 2, bound, m, sources, target)
 
 
@@ -536,8 +533,10 @@ def test_kernel_compiles_without_warnings(tmp_path):
 #: max_len = 4..13 with the census's cap, its shapes of full box height among them, every record checked, and crafted
 #: shapes built in the widest frame, 34 columns at cap 30.  The class pass on the widest and the tallest contours a census key
 #: holds, and on a contour for each check that fails.  Floods at radii 1-6 and m = 1, 6, 11 and 16 from the left column,
-#: the origin, every site and no site, into arrays of exactly their size, checking every result against [0, 2**m).  At
-#: radius 3, 600 fields in one call, past two wraps of the flood's seen stamp, against the same fields one call each.
+#: the origin, every site and no site, into arrays of exactly their size, checking every result against [0, 2**m); and
+#: from the origin and every site to no target, which take every site they reach, the window's edges included, and
+#: end at 2**m - 1.  At radius 3, 600 fields in one call, past two wraps of the flood's seen stamp, against the same
+#: fields one call each.
 _SANITIZER_DRIVER = r"""
 #include <stdio.h>
 
@@ -778,7 +777,7 @@ int main(void)
     for (int32_t L = 1; L <= 6; L++) {
         const int32_t side = 2 * L + 1, n = side * side;
         int32_t *all = malloc(n * sizeof *all), *left = malloc(side * sizeof *left), origin = L * side + L;
-        uint8_t *right = malloc(n), *border = malloc(n);
+        uint8_t *right = malloc(n), *border = malloc(n), *none = calloc(n, 1);
         int32_t *out = malloc(5 * sizeof *out);
         for (int32_t s = 0; s < n; s++) {
             const int32_t x = s % side, y = s / side;
@@ -795,14 +794,15 @@ int main(void)
             const int32_t m = ms[i];
             const uint64_t bounds[3] = {0, (uint64_t)1 << (64 - m), UINT64_MAX};
             for (int b = 0; b < 3; b++) {
-                const struct { const int32_t *sources; int32_t nsources; const uint8_t *target; } runs[4] = {
-                    {left, side, right}, {&origin, 1, border}, {all, n, right}, {left, 0, right}};
-                for (int r = 0; r < 4; r++) {
+                const struct { const int32_t *sources; int32_t nsources; const uint8_t *target; } runs[6] = {
+                    {left, side, right}, {&origin, 1, border}, {all, n, right}, {left, 0, right}, {&origin, 1, none},
+                    {all, n, none}};
+                for (int r = 0; r < 6; r++) {
                     if (peierls_flood(0x5EEDu + L, UINT64_MAX - 2, 5, L, bounds[b], m, runs[r].sources,
                                       runs[r].nsources, runs[r].target, out))
                         return 2;
                     for (int f = 0; f < 5; f++)
-                        if (out[f] < 0 || out[f] >= 1 << m)
+                        if (out[f] < 0 || out[f] >= 1 << m || (runs[r].target == none && out[f] != (1 << m) - 1))
                             return 3;
                 }
             }
@@ -811,6 +811,7 @@ int main(void)
         free(left);
         free(right);
         free(border);
+        free(none);
         free(out);
     }
     puts("ok");
